@@ -405,7 +405,7 @@ def cmd_modnorm(cfg, seed, rec):
         for spec in specs:
             dval = mod_norm_decomp(f, spec, partition)
             sval = mod_norm_stft(f, plan, spec)
-            flag = bool(stft_resolution_ok(f, plan, spec))
+            flag = bool(stft_resolution_ok(f, plan, spec, sval))
             for est, val in (("decomp", dval), ("stft", sval)):
                 json_rows.append({"norm_id": f"f{fi}_p{spec.p}q{spec.q}s{spec.s}",
                                   "p": spec.p, "q": spec.q, "s": spec.s,

@@ -2,10 +2,15 @@
 
 The first estimator sums weighted L^p norms of frequency-uniform blocks
 cut out by a smooth partition of unity on unit cubes centered at integer
-frequencies.  The second samples the short-time Fourier transform against a
-normalized window and takes the mixed L^p_x L^q_y quadrature norm.  The two
-agree up to an equivalence constant that is measured once and frozen as a
-regression value (no explicit constant is available analytically).
+frequencies.  The partition is a tensor product of per-axis rows, so no
+block is transformed on its own: at p = 2 the block norms are an exact
+discrete-Parseval contraction of the squared rows with |F|^2, and at other
+p they come from inverse transforms taken one axis at a time, with all
+blocks of the last axis in one batched call.  The second samples the
+short-time Fourier transform against a normalized window and takes the
+mixed L^p_x L^q_y quadrature norm.  The two agree up to an equivalence
+constant that is measured once and frozen as a regression value (no
+explicit constant is available analytically).
 
 Partitions and STFT plans are immutable after construction; per-block work
 is independent, and norm reductions use a fixed summation order so results
@@ -20,7 +25,7 @@ import numpy as np
 
 from .spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
                        dealiased_product, forward_transform, frequency_lp_norm,
-                       inverse_transform, lp_norm, physical_lp_norm)
+                       inverse_transform, lp_norm)
 
 
 # -- smooth bump profile --------------------------------------------------------
@@ -76,7 +81,20 @@ class UniformPartition:
             raise ValueError("partition does not cover the lattice "
                              "(zero bump sum at some frequency)")
         self._rows = profile / denom[None, :]
-        self._support = self._rows > 0.0
+        # Rows that are nonzero somewhere on the lattice, fixed here because
+        # partitions are shared read-only between worker threads.
+        active = self._rows.any(axis=1)
+        self._active_centers = tuple(int(c) for c in centers[active])
+        rows = self._rows[active]
+        self._sq_rows = rows ** 2
+        # Per-axis share of inverse_transform's scale and (-1)^m phase, in
+        # ifftshift order, so each axis's blocks inverse-transform on their own.
+        n = grid.points_per_axis
+        axis_scale = (2.0 * np.pi) ** -0.5 * grid.spacing
+        alt = (-1.0) ** np.arange(-n // 2, n // 2)
+        self._folded_rows = np.fft.ifftshift(rows * alt / axis_scale, axes=-1)
+        for arr in (self._rows, self._sq_rows, self._folded_rows):
+            arr.setflags(write=False)
 
     def keys(self):
         rng = range(-self.k_max, self.k_max + 1)
@@ -98,14 +116,9 @@ class UniformPartition:
             out = np.multiply.outer(out, self._row(c))
         return out
 
-    def has_lattice_support(self, k):
-        return all(self._support[c + self.k_max].any() for c in k)
-
     def active_keys(self):
         """Block centers whose symbol is nonzero somewhere on the lattice."""
-        active = [c for c in range(-self.k_max, self.k_max + 1)
-                  if self._support[c + self.k_max].any()]
-        return product(active, repeat=self.grid.dim)
+        return product(self._active_centers, repeat=self.grid.dim)
 
 
 def build_partition(grid, k_max=None):
@@ -133,20 +146,59 @@ class ModNormSpec:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        # written so NaN fails too; p = inf and q = inf stay legal
+        if not (self.p >= 1 and self.q >= 1):
             raise ValueError("p and q must be >= 1")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
 
 
 def _block_lp_norms(F_values, partition, p):
-    """L^p norms of every active block, keyed in sorted order."""
+    """L^p norms of every active block, keyed in sorted order.
+
+    sigma_k is the outer product of one row per axis.  At p = 2 discrete
+    Parseval turns each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2
+    |F(xi)|^2, one contraction per axis with no transform.  Otherwise the
+    inverse transform factors into one 1-D transform per axis: the leading
+    axes are transformed block by block, and all blocks of the last axis in
+    one batched call, so at most K N^d values (K active rows) are live.
+    """
     g = partition.grid
-    vol = g.spacing ** g.dim
-    out = []
-    for k in sorted(partition.active_keys()):
-        sym = partition.symbol(k)
-        block = GridFunction(g, sym * F_values, FREQUENCY)
-        out.append((k, lp_norm(inverse_transform(block).values, vol, p)))
-    return out
+    d = g.dim
+    if p == 2:
+        acc = np.abs(F_values) ** 2
+        for _ in range(d):
+            # contracts the leading lattice axis and appends its block axis
+            acc = np.tensordot(acc, partition._sq_rows, axes=([0], [1]))
+        norms = np.sqrt(g.freq_spacing ** d * acc).ravel()
+    else:
+        rows = partition._folded_rows
+        nrows, n = rows.shape
+        last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
+        block_axes = tuple(range(1, d + 1))
+        vol = g.spacing ** d
+        partial = [np.fft.ifftshift(F_values)] + [None] * (d - 1)
+        prev = None
+        chunks = []
+        for lead in product(range(nrows), repeat=d - 1):
+            # redo only the axes from the first block index that changed
+            start = 0
+            while prev is not None and lead[start] == prev[start]:
+                start += 1
+            for j in range(start, d - 1):
+                shape = [1] * d
+                shape[j] = n
+                partial[j + 1] = np.fft.ifft(
+                    partial[j] * rows[lead[j]].reshape(shape), axis=j)
+            prev = lead
+            a = np.abs(np.fft.ifft(partial[d - 1] * last, axis=-1))
+            if np.isinf(p):
+                chunks.append(a.max(axis=block_axes))
+            else:
+                chunks.append((vol * np.sum(a ** p, axis=block_axes))
+                              ** (1.0 / p))
+        norms = np.concatenate(chunks)
+    return list(zip(partition.active_keys(), norms.tolist()))
 
 
 def mod_norm_from_frequency(F, spec, partition):
@@ -286,9 +338,11 @@ def mod_norm_stft(f, plan, spec, refine=1):
     return lp_norm(amp * weight, b_vol, spec.q)
 
 
-def stft_resolution_ok(f, plan, spec, rel_tol=0.01):
-    """True when halving both sampling steps moves the norm by < rel_tol."""
-    coarse = mod_norm_stft(f, plan, spec, refine=1)
+def stft_resolution_ok(f, plan, spec, coarse, rel_tol=0.01):
+    """True when halving both sampling steps moves the norm by < rel_tol.
+
+    coarse is mod_norm_stft(f, plan, spec), which callers already hold.
+    """
     fine = mod_norm_stft(f, plan, spec, refine=2)
     if fine == 0.0:
         return coarse == 0.0

@@ -243,8 +243,19 @@ class TestConfigValidation:
                      "--out", str(out)])
         assert code == 2
 
+    def test_nan_norm_exponent_is_config_error(self, tmp_path, capsys):
+        # json reads the NaN literal; it must not reach the numerics
+        cfg = tmp_path / "propagate.json"
+        cfg.write_text(
+            '{"schema_version": 1, "grid": {"dim": 1, "points_per_axis": 128,'
+            ' "half_width": 12.0}, "beta": 2.0, "times": [0.1],'
+            ' "corpus_size": 2, "norm": {"p": NaN}}')
+        code = main(["propagate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "norm" in capsys.readouterr().err
+
     def test_env_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MODHEAT_THREADS", "2")
         cfg = {
             "schema_version": 1,
             "seed": 1,
@@ -254,5 +265,12 @@ class TestConfigValidation:
             "corpus_size": 3,
             "stability_tolerance": 0.5,
         }
-        code, _ = run(tmp_path, "propagate", cfg)
-        assert code == 0
+        ratios = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MODHEAT_THREADS", threads)
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            code, out = run(run_dir, "propagate", cfg)
+            assert code == 0
+            ratios.append((out / "propagate_ratios.csv").read_bytes())
+        assert ratios[0] == ratios[1]

@@ -1,14 +1,20 @@
+from concurrent.futures import ThreadPoolExecutor
+import functools
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from modheat import constants
 from modheat.corpus import band_limited, mixed_family
-from modheat.modnorm import (ModNormSpec, STFTPlan, algebra_defect,
-                             block_project, build_partition, bump_profile,
+from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
+                             _block_lp_norms, algebra_defect, block_project,
+                             build_partition, bump_profile,
                              fourier_lebesgue_norm, mod_norm_decomp,
                              mod_norm_stft, stft, stft_resolution_ok)
 from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
-                              physical_lp_norm)
+                              lp_norm, physical_lp_norm)
 
 
 class TestBumpProfile:
@@ -186,8 +192,85 @@ class TestDecompositionNorm:
             assert constants.FOURIER_ISO_LO <= ratio <= constants.FOURIER_ISO_HI
 
     def test_rejects_bad_exponents(self):
-        with pytest.raises(ValueError):
-            ModNormSpec(0.5, 1, 0)
+        for p, q, s in [(0.5, 1, 0), (2, 0.5, 0), (np.nan, 1, 0),
+                        (2, np.nan, 0), (2, 1, np.nan), (2, 1, np.inf),
+                        (2, 1, -np.inf), (-np.inf, 1, 0)]:
+            with pytest.raises(ValueError):
+                ModNormSpec(p, q, s)
+
+
+# -- block-norm engine against the per-block transform oracle -------------------
+
+EQUIV_GRIDS = {1: SpectralGrid(1, 256, 16.0), 2: SpectralGrid(2, 32, 8.0),
+               3: SpectralGrid(3, 16, 8.0)}
+EQUIV_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _equiv_case(dim):
+    """Partition and random complex data; no symmetry, so axis swaps show."""
+    g = EQUIV_GRIDS[dim]
+    rng = np.random.default_rng(40 + dim)
+    f = GridFunction(g, rng.standard_normal(g.shape)
+                     + 1j * rng.standard_normal(g.shape))
+    return UniformPartition(g), f
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_block_norms(dim, p):
+    part, f = _equiv_case(dim)
+    vol = f.grid.spacing ** dim
+    return [(k, lp_norm(block_project(f, k, part).values, vol, p))
+            for k in sorted(part.active_keys())]
+
+
+def _assert_blocks_match(dim, p):
+    part, f = _equiv_case(dim)
+    got = _block_lp_norms(forward_transform(f).values, part, p)
+    want = _oracle_block_norms(dim, p)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    np.testing.assert_allclose([n for _, n in got], [n for _, n in want],
+                               rtol=EQUIV_RTOL, atol=0.0)
+
+
+class TestBlockNormEngine:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_block_norms_match_oracle(self, dim, p):
+        _assert_blocks_match(dim, p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_three_dim_axis_order(self, p):
+        _assert_blocks_match(3, p)
+
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_decomp_norm_matches_oracle(self, dim, p, q, s):
+        part, f = _equiv_case(dim)
+        terms = [(1.0 + math.sqrt(sum(c * c for c in k))) ** s * n
+                 for k, n in _oracle_block_norms(dim, p)]
+        want = max(terms) if np.isinf(q) else \
+            sum(t ** q for t in terms) ** (1.0 / q)
+        got = mod_norm_decomp(f, ModNormSpec(p, q, s), part)
+        assert got == pytest.approx(want, rel=EQUIV_RTOL, abs=0.0)
+
+    def test_shared_partition_across_threads(self, grid2, part2):
+        # more workers than cores, with frequent switches, on one partition
+        specs = [ModNormSpec(p, 1, 0) for p in (1.0, 2.0, 4.0, np.inf)] * 3
+        f = band_limited(grid2, 5, seed=17)
+        want = [mod_norm_decomp(f, spec, part2) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(mod_norm_decomp, f, spec, part2)
+                           for spec in specs]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestSTFT:
@@ -255,7 +338,9 @@ class TestSTFTNorm:
             assert 1.0 / c <= ratio <= c
 
     def test_resolution_flag(self, grid1, plan1, gauss1):
-        assert stft_resolution_ok(gauss1, plan1, ModNormSpec(2, 1, 0))
+        spec = ModNormSpec(2, 1, 0)
+        coarse = mod_norm_stft(gauss1, plan1, spec)
+        assert stft_resolution_ok(gauss1, plan1, spec, coarse)
 
     def test_default_window_is_normalized(self, grid1, plan1):
         w = GridFunction(grid1, plan1.window)
