@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
-                       dealiased_product, forward_transform, frequency_lp_norm,
+                       dealiased_product, dft_order, forward_transform,
+                       frequency_lp_norm, inverse_axis_factor,
                        inverse_transform, lp_norm)
 
 
@@ -87,12 +88,10 @@ class UniformPartition:
         self._active_centers = tuple(int(c) for c in centers[active])
         rows = self._rows[active]
         self._sq_rows = rows ** 2
-        # Per-axis share of inverse_transform's scale and (-1)^m phase, in
-        # ifftshift order, so each axis's blocks inverse-transform on their own.
-        n = grid.points_per_axis
-        axis_scale = (2.0 * np.pi) ** -0.5 * grid.spacing
-        alt = (-1.0) ** np.arange(-n // 2, n // 2)
-        self._folded_rows = np.fft.ifftshift(rows * alt / axis_scale, axes=-1)
+        # Rows with inverse_transform's per-axis factor folded in, in DFT
+        # order, so each axis's blocks inverse-transform on their own.
+        self._folded_rows = (dft_order(rows, axes=-1)
+                             * inverse_axis_factor(grid))
         for arr in (self._rows, self._sq_rows, self._folded_rows):
             arr.setflags(write=False)
 
@@ -177,21 +176,16 @@ def _block_lp_norms(F_values, partition, p):
         last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
         block_axes = tuple(range(1, d + 1))
         vol = g.spacing ** d
-        partial = [np.fft.ifftshift(F_values)] + [None] * (d - 1)
-        prev = None
+        F_dft = dft_order(F_values)
         chunks = []
         for lead in product(range(nrows), repeat=d - 1):
-            # redo only the axes from the first block index that changed
-            start = 0
-            while prev is not None and lead[start] == prev[start]:
-                start += 1
-            for j in range(start, d - 1):
+            partial = F_dft
+            for j in range(d - 1):
                 shape = [1] * d
                 shape[j] = n
-                partial[j + 1] = np.fft.ifft(
-                    partial[j] * rows[lead[j]].reshape(shape), axis=j)
-            prev = lead
-            a = np.abs(np.fft.ifft(partial[d - 1] * last, axis=-1))
+                partial = np.fft.ifft(
+                    partial * rows[lead[j]].reshape(shape), axis=j)
+            a = np.abs(np.fft.ifft(partial * last, axis=-1))
             if np.isinf(p):
                 chunks.append(a.max(axis=block_axes))
             else:

@@ -111,14 +111,35 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy(), self.side)
 
 
+def _alternating_axis(grid):
+    """(-1)^m along one axis of the natural-order frequency lattice."""
+    n = grid.points_per_axis
+    return (-1.0) ** np.arange(-n // 2, n // 2)
+
+
 def _alternating_sign(grid):
     """Mesh of (-1)^(m_1+...+m_d) over the natural-order frequency lattice."""
-    n = grid.points_per_axis
-    alt = (-1.0) ** np.arange(-n // 2, n // 2)
+    alt = _alternating_axis(grid)
     out = alt
     for _ in range(grid.dim - 1):
         out = np.multiply.outer(out, alt)
     return out
+
+
+def dft_order(values, axes=None):
+    """Frequency-side samples moved from natural lattice order to DFT order."""
+    return np.fft.ifftshift(values, axes=axes)
+
+
+def inverse_axis_factor(grid):
+    """One axis's share of inverse_transform's scale and phase, in DFT order.
+
+    inverse_transform(F) is ifftn of dft_order(F.values) times the outer
+    product of this vector over all axes, so a separable symbol can fold it
+    into its per-axis rows and be inverse-transformed one axis at a time.
+    """
+    axis_scale = (2.0 * np.pi) ** -0.5 * grid.spacing
+    return dft_order(_alternating_axis(grid) / axis_scale)
 
 
 def forward_transform(f):
@@ -141,9 +162,11 @@ def inverse_transform(F):
     if F.side != FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-side function")
     g = F.grid
-    scale = (2.0 * np.pi) ** (-g.dim / 2.0) * g.spacing ** g.dim
-    raw = F.values / scale * _alternating_sign(g)
-    return GridFunction(g, np.fft.ifftn(np.fft.ifftshift(raw)), PHYSICAL)
+    fold = inverse_axis_factor(g)
+    mesh = fold
+    for _ in range(g.dim - 1):
+        mesh = np.multiply.outer(mesh, fold)
+    return GridFunction(g, np.fft.ifftn(dft_order(F.values) * mesh), PHYSICAL)
 
 
 def fractional_symbol(xi, beta):

@@ -265,12 +265,15 @@ class TestConfigValidation:
             "corpus_size": 3,
             "stability_tolerance": 0.5,
         }
-        ratios = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MODHEAT_THREADS", threads)
-            run_dir = tmp_path / f"threads{threads}"
-            run_dir.mkdir()
-            code, out = run(run_dir, "propagate", cfg)
-            assert code == 0
-            ratios.append((out / "propagate_ratios.csv").read_bytes())
-        assert ratios[0] == ratios[1]
+        # p = 2 and p = 1 take different block-norm paths
+        for p in (2.0, 1.0):
+            cfg["norm"] = {"p": p, "q": 1.0, "s": 0.0}
+            ratios = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MODHEAT_THREADS", threads)
+                run_dir = tmp_path / f"p{p:g}_threads{threads}"
+                run_dir.mkdir()
+                code, out = run(run_dir, "propagate", cfg)
+                assert code == 0
+                ratios.append((out / "propagate_ratios.csv").read_bytes())
+            assert ratios[0] == ratios[1]

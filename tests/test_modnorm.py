@@ -1,7 +1,5 @@
-from concurrent.futures import ThreadPoolExecutor
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -255,22 +253,6 @@ class TestBlockNormEngine:
             sum(t ** q for t in terms) ** (1.0 / q)
         got = mod_norm_decomp(f, ModNormSpec(p, q, s), part)
         assert got == pytest.approx(want, rel=EQUIV_RTOL, abs=0.0)
-
-    def test_shared_partition_across_threads(self, grid2, part2):
-        # more workers than cores, with frequent switches, on one partition
-        specs = [ModNormSpec(p, 1, 0) for p in (1.0, 2.0, 4.0, np.inf)] * 3
-        f = band_limited(grid2, 5, seed=17)
-        want = [mod_norm_decomp(f, spec, part2) for spec in specs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(mod_norm_decomp, f, spec, part2)
-                           for spec in specs]
-                got = [fut.result(timeout=60) for fut in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
 
 
 class TestSTFT:
