@@ -59,13 +59,25 @@ def _require(obj, key, typ, path, default=None, required=True):
         if required:
             raise ConfigError(f"missing config field {path}{key!r}")
         return default
-    val = obj[key]
-    if typ is float and isinstance(val, int):
+    return _typed(obj[key], typ, f"{path}{key!r}")
+
+
+def _typed(val, typ, name):
+    """val checked against typ; an int passes as a float, a bool as neither."""
+    if typ is float and type(val) is int:
         val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(f"config field {path}{key!r} has wrong type "
+    if not isinstance(val, typ) or isinstance(val, bool):
+        raise ConfigError(f"config field {name} has wrong type "
                           f"(expected {getattr(typ, '__name__', typ)})")
     return val
+
+
+def _require_list(obj, key, typ, path, default=None, required=True):
+    """A list field whose entries all have type typ."""
+    vals = _require(obj, key, list, path, default=default, required=required)
+    if vals is None:
+        return None
+    return [_typed(v, typ, f"{path}{key!r}[{i}]") for i, v in enumerate(vals)]
 
 
 def _parse_grid(cfg, path="grid."):
@@ -222,7 +234,7 @@ def cmd_propagate(cfg, seed, rec):
                       "times", "corpus_size", "norm", "stability_tolerance"}, "")
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     beta = _require(cfg, "beta", float, "")
-    times = _require(cfg, "times", list, "")
+    times = _require_list(cfg, "times", float, "")
     count = _require(cfg, "corpus_size", int, "")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
     tol = _require(cfg, "stability_tolerance", float, "", default=0.05,
@@ -238,14 +250,14 @@ def cmd_propagate(cfg, seed, rec):
         return [mod_norm_decomp(linear_propagate(f, t, beta), spec, partition)
                 for f in corpus]
 
-    results = _pool_map(sweep, [float(t) for t in times])
+    results = _pool_map(sweep, times)
     rows = []
     uniform = []
     for t, norms in zip(times, results):
         ratios = [n / b for n, b in zip(norms, base)]
         uniform.append(max(ratios))
         for i, (n, r) in enumerate(zip(norms, ratios)):
-            rows.append((i, float(t), base[i], n, r))
+            rows.append((i, t, base[i], n, r))
     rec.write_csv("propagate_ratios.csv",
                   ["func_id", "t", "norm_0", "norm_t", "ratio"], rows)
     rec.verdict("uniform_bound", max(uniform),
@@ -391,8 +403,8 @@ def cmd_modnorm(cfg, seed, rec):
     for i, entry in enumerate(raw_specs):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ConfigError(f"config field 'specs[{i}]' must be [p, q, s]")
-        specs.append(ModNormSpec(float(entry[0]), float(entry[1]),
-                                 float(entry[2])))
+        specs.append(ModNormSpec(*(_typed(v, float, f"'specs[{i}]'")
+                                   for v in entry)))
 
     partition = build_partition(grid)
     plan = STFTPlan(grid)
@@ -445,13 +457,13 @@ def cmd_hermite(cfg, seed, rec):
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     dim = _require(cfg, "dim", int, "", default=1, required=False)
     cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
-    betas = [float(b) for b in _require(cfg, "betas", list, "")]
-    ps = [float(p) for p in _require(cfg, "ps", list, "")]
+    betas = _require_list(cfg, "betas", float, "")
+    ps = _require_list(cfg, "ps", float, "")
     prof = _require(cfg, "t_profile", dict, "")
     _check_keys(prof, {"lo", "hi", "points"}, "t_profile.")
     levels = _require(cfg, "coeff_levels", int, "", default=11, required=False)
-    window = _require(cfg, "slope_window", list, "", default=[3.0, 5.0],
-                      required=False)
+    window = _require_list(cfg, "slope_window", float, "",
+                           default=[3.0, 5.0], required=False)
     slope_tol = _require(cfg, "slope_tolerance", float, "", default=0.02,
                          required=False)
 
@@ -505,16 +517,22 @@ def cmd_hermite(cfg, seed, rec):
     lat = _require(cfg, "eigen_lattice", dict, "", default=None, required=False)
     if lat is not None:
         _check_keys(lat, {"ds", "betas", "ts"}, "eigen_lattice.")
+        ds = _require_list(lat, "ds", int, "eigen_lattice.")
+        if any(d < 1 for d in ds):
+            raise ConfigError("config field 'eigen_lattice.ds' must hold "
+                              "dimensions >= 1")
+        lat_betas = _require_list(lat, "betas", float, "eigen_lattice.")
+        lat_ts = _require_list(lat, "ts", float, "eigen_lattice.")
         erows = []
         all_ok = True
-        for d in lat["ds"]:
-            for beta in lat["betas"]:
-                for t in lat["ts"]:
-                    s = eigen_sum(int(d), float(beta), float(t))
-                    b = eigen_sum_bound(int(d), float(beta), float(t))
+        for d in ds:
+            for beta in lat_betas:
+                for t in lat_ts:
+                    s = eigen_sum(d, beta, t)
+                    b = eigen_sum_bound(d, beta, t)
                     ok = s <= b
                     all_ok = all_ok and ok
-                    erows.append((int(d), float(beta), float(t), s, b, int(ok)))
+                    erows.append((d, beta, t, s, b, int(ok)))
         rec.write_csv("hermite_eigen.csv",
                       ["d", "beta", "t", "value", "bound", "pass"], erows)
         rec.verdict("eigen_sum_bound_lattice", float(all_ok), 1.0,
@@ -529,7 +547,7 @@ def cmd_transfer(cfg, seed, rec):
     dim = _require(cfg, "dim", int, "", default=1, required=False)
     beta = _require(cfg, "beta", float, "")
     t = _require(cfg, "t", float, "")
-    ps = [float(p) for p in _require(cfg, "ps", list, "")]
+    ps = _require_list(cfg, "ps", float, "")
     modes = _require(cfg, "modes_per_axis", int, "", default=64, required=False)
     fam_size = _require(cfg, "family_size", int, "", default=8, required=False)
     cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
@@ -603,7 +621,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("config field 'seed' must be an integer")
         out_dir = args.out or cfg.get("output_dir") or "."
         os.makedirs(out_dir, exist_ok=True)

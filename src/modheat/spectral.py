@@ -142,6 +142,20 @@ def inverse_axis_factor(grid):
     return dft_order(_alternating_axis(grid) / axis_scale)
 
 
+def forward_values(grid, values):
+    """forward_transform's frequency samples, for a stack of functions.
+
+    values holds physical samples on grid in its last grid.dim axes; any
+    leading axes index independent functions, transformed in one call.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
+    raw = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+    scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
+    raw *= scale * _alternating_sign(grid)
+    return raw
+
+
 def forward_transform(f):
     """Trapezoid-rule Fourier transform onto the dual lattice.
 
@@ -150,11 +164,7 @@ def forward_transform(f):
     """
     if f.side != PHYSICAL:
         raise ValueError("forward_transform expects a physical-side function")
-    g = f.grid
-    # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
-    raw = np.fft.fftshift(np.fft.fftn(f.values))
-    scale = (2.0 * np.pi) ** (-g.dim / 2.0) * g.spacing ** g.dim
-    return GridFunction(g, scale * _alternating_sign(g) * raw, FREQUENCY)
+    return GridFunction(f.grid, forward_values(f.grid, f.values), FREQUENCY)
 
 
 def inverse_transform(F):

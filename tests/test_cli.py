@@ -159,19 +159,38 @@ class TestPicardCommand:
         assert (out / "picard_domination.csv").exists()
 
 
+def hermite_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "seed": 11,
+        "grid": {"dim": 1, "points_per_axis": 192, "half_width": 12.0},
+        "betas": [1.0, 2.0],
+        "ps": [2.0],
+        "t_profile": {"lo": 0.05, "hi": 5.0, "points": 10},
+        "eigen_lattice": {"ds": [1, 2], "betas": [1.0], "ts": [0.5, 1.0]},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def transfer_config():
+    return {
+        "schema_version": 1,
+        "seed": 42,
+        "grid": {"dim": 1, "points_per_axis": 192, "half_width": 12.0},
+        "beta": 1.0,
+        "t": 1.0,
+        "ps": [2.0, 4.0],
+        "modes_per_axis": 64,
+        "family_size": 4,
+        "degree_cap": 16,
+        "trials": 5,
+    }
+
+
 class TestHermiteCommand:
     def test_decay_and_eigen_table(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "seed": 11,
-            "grid": {"dim": 1, "points_per_axis": 192, "half_width": 12.0},
-            "betas": [1.0, 2.0],
-            "ps": [2.0],
-            "t_profile": {"lo": 0.05, "hi": 5.0, "points": 10},
-            "eigen_lattice": {"ds": [1, 2], "betas": [1.0],
-                              "ts": [0.5, 1.0]},
-        }
-        code, out = run(tmp_path, "hermite", cfg)
+        code, out = run(tmp_path, "hermite", hermite_config())
         assert code == 0
         eigen = (out / "hermite_eigen.csv").read_text().strip().splitlines()
         assert eigen[0] == "d,beta,t,value,bound,pass"
@@ -180,19 +199,7 @@ class TestHermiteCommand:
 
 class TestTransferCommand:
     def test_bound_table(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "seed": 42,
-            "grid": {"dim": 1, "points_per_axis": 192, "half_width": 12.0},
-            "beta": 1.0,
-            "t": 1.0,
-            "ps": [2.0, 4.0],
-            "modes_per_axis": 64,
-            "family_size": 4,
-            "degree_cap": 16,
-            "trials": 5,
-        }
-        code, out = run(tmp_path, "transfer", cfg)
+        code, out = run(tmp_path, "transfer", transfer_config())
         assert code == 0
         header = (out / "transfer_bounds.csv").read_text().splitlines()[0]
         assert header == "d,beta,t,p,lower,young_upper,parseval_upper,pass"
@@ -237,6 +244,20 @@ class TestConfigValidation:
         assert code == 2
         assert "corpus_size" in capsys.readouterr().err
 
+    def test_boolean_is_not_a_number(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "modnorm",
+                      {"schema_version": 1, "grid": GRID,
+                       "corpus_size": True, "specs": [[2, 1, 0]]})
+        assert code == 2
+        assert "corpus_size" in capsys.readouterr().err
+
+    def test_eigen_lattice_lists_checked(self, tmp_path, capsys):
+        lattice = {"ds": 3, "betas": [1.0], "ts": [0.5]}
+        code, _ = run(tmp_path, "hermite",
+                      hermite_config(eigen_lattice=lattice))
+        assert code == 2
+        assert "ds" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["modnorm", "--config", str(tmp_path / "missing.json"),
@@ -277,3 +298,19 @@ class TestConfigValidation:
                 assert code == 0
                 ratios.append((out / "propagate_ratios.csv").read_bytes())
             assert ratios[0] == ratios[1]
+
+    def test_pooled_sweeps_thread_independent(self, tmp_path, monkeypatch):
+        # hermite sweeps (beta, p) pairs and transfer sweeps p on the pool
+        for command, cfg in (("hermite", hermite_config()),
+                             ("transfer", transfer_config())):
+            tables = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MODHEAT_THREADS", threads)
+                run_dir = tmp_path / f"{command}_threads{threads}"
+                run_dir.mkdir()
+                code, out = run(run_dir, command, cfg)
+                assert code == 0
+                tables.append({p.name: p.read_bytes()
+                               for p in sorted(out.glob("*.csv"))})
+            assert len(tables[0]) >= 2
+            assert tables[0] == tables[1]

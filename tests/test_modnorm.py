@@ -1,14 +1,16 @@
 import functools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from modheat import constants
 from modheat.corpus import band_limited, mixed_family
+from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
-                             _block_lp_norms, algebra_defect, block_project,
-                             build_partition, bump_profile,
+                             _block_lp_norms, _stft_batches, algebra_defect,
+                             block_project, build_partition, bump_profile,
                              fourier_lebesgue_norm, mod_norm_decomp,
                              mod_norm_stft, stft, stft_resolution_ok)
 from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
@@ -327,6 +329,131 @@ class TestSTFTNorm:
     def test_default_window_is_normalized(self, grid1, plan1):
         w = GridFunction(grid1, plan1.window)
         assert physical_lp_norm(w, 2) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- batched STFT estimator against the per-shift loop ---------------------------
+
+# N = 240 with x_stride 7: the stride steps down to 6 (3 when refined) to
+# divide the axis; the other plans use the default stride.
+STFT_CASES = {"d1": (SpectralGrid(1, 256, 16.0), None),
+              "d1_stride": (SpectralGrid(1, 240, 15.0), 7),
+              "d2": (SpectralGrid(2, 16, 2.0), None),
+              "d3": (SpectralGrid(3, 8, 1.0), None)}
+
+
+@functools.lru_cache(maxsize=None)
+def _stft_case(name):
+    """Random complex data and a complex, non-symmetric window."""
+    g, x_stride = STFT_CASES[name]
+    rng = np.random.default_rng(len(name) + g.dim)
+    f = GridFunction(g, rng.standard_normal(g.shape)
+                     + 1j * rng.standard_normal(g.shape))
+    window = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return f, STFTPlan(g, window, x_stride=x_stride)
+
+
+def _stride(plan, refine):
+    stride = max(1, plan.x_stride // refine)
+    while plan.grid.points_per_axis % stride != 0:
+        stride -= 1
+    return stride
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_stft_rows(name, refine):
+    """V_g f per window shift: one np.roll and one forward_transform each."""
+    f, plan = _stft_case(name)
+    g = f.grid
+    n = g.points_per_axis
+    big = SpectralGrid(g.dim, n * refine, g.half_width * refine)
+    lo = (big.points_per_axis - n) // 2
+    rows = []
+    for pos in product(range(0, n, _stride(plan, refine)), repeat=g.dim):
+        win = np.roll(np.conj(plan.window), pos, axis=tuple(range(g.dim)))
+        pad = np.zeros(big.shape, dtype=complex)
+        pad[tuple(slice(lo, lo + n) for _ in range(g.dim))] = f.values * win
+        rows.append(forward_transform(GridFunction(big, pad)).values)
+    return big, rows
+
+
+def _oracle_stft_norm(name, spec, refine):
+    """mod_norm_stft as a loop over window shifts, summed in shift order."""
+    f, plan = _stft_case(name)
+    fine, rows = _oracle_stft_rows(name, refine)
+    inner = np.zeros(fine.shape)
+    for row in rows:
+        a = np.abs(row)
+        if np.isinf(spec.p):
+            np.maximum(inner, a, out=inner)
+        else:
+            inner += a ** spec.p
+    if not np.isinf(spec.p):
+        a_vol = (_stride(plan, refine) * f.grid.spacing) ** f.grid.dim
+        inner = (a_vol * inner) ** (1.0 / spec.p)
+    ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
+    weight = (1.0 + ysq) ** (spec.s / 2.0)
+    return lp_norm(inner * weight, fine.freq_spacing ** f.grid.dim, spec.q)
+
+
+def _batched_rows(name, refine):
+    f, plan = _stft_case(name)
+    fine, _ = _oracle_stft_rows(name, refine)
+    return np.concatenate(list(_stft_batches(f, plan, _stride(plan, refine),
+                                             fine)))
+
+
+class TestSTFTEngine:
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("name", ["d1", "d1_stride", "d2", "d3"])
+    def test_norm_matches_shift_loop(self, name, p, q, s, refine):
+        f, plan = _stft_case(name)
+        spec = ModNormSpec(p, q, s)
+        got = mod_norm_stft(f, plan, spec, refine)
+        want = _oracle_stft_norm(name, spec, refine)
+        if f.grid.dim == 1:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+    def test_rows_match_shift_loop(self, name, refine):
+        _, rows = _oracle_stft_rows(name, refine)
+        np.testing.assert_allclose(_batched_rows(name, refine), rows,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("cap", [1, 1 << 30])
+    def test_batch_size_does_not_change_result(self, monkeypatch, cap):
+        # one shift per batch, and every shift in one batch
+        f, plan = _stft_case("d1")
+        spec = ModNormSpec(1.0, 2.0, 1.5)
+        want = mod_norm_stft(f, plan, spec, 2)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
+        assert mod_norm_stft(f, plan, spec, 2) == want
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1_stride", "d2"])
+    def test_rows_match_pointwise_stft(self, name, refine):
+        f, plan = _stft_case(name)
+        g = f.grid
+        n = g.points_per_axis
+        fine, _ = _oracle_stft_rows(name, refine)
+        rows = _batched_rows(name, refine).reshape((-1,) + fine.shape)
+        positions = list(product(range(0, n, _stride(plan, refine)),
+                                 repeat=g.dim))
+        rng = np.random.default_rng(5)
+        scale = np.max(np.abs(rows))
+        for _ in range(6):
+            k = int(rng.integers(len(positions)))
+            m = tuple(int(i) for i in rng.integers(fine.points_per_axis,
+                                                   size=g.dim))
+            # shifts are periodic; stft takes x inside the box
+            x = [(s if s < n // 2 else s - n) * g.spacing for s in positions[k]]
+            y = [fine.freq_axis[i] for i in m]
+            assert abs(rows[(k,) + m] - stft(f, plan, x, y)) <= 1e-12 * scale
 
 
 class TestAlgebraDefect:

@@ -133,6 +133,28 @@ class TestOperatorNormBracket:
             lower = operator_norm_lower(spec, p, 10, tg, seed=5)
             assert lower <= kernel_l1_norm(spec, tg) + 1e-8
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("symbol", ["heat", "random", "random_2d"])
+    def test_pure_mode_loop_equals_symbol_sup(self, tg, heat_spec, symbol, p):
+        # the per-mode loop the closed form replaced, kept as its oracle
+        if symbol == "heat":
+            grid, spec = tg, heat_spec
+        else:
+            grid = tg if symbol == "random" else TorusGrid(2, 8)
+            rng = np.random.default_rng(9)
+            spec = MultiplierSpec(rng.standard_normal(grid.shape)
+                                  + 1j * rng.standard_normal(grid.shape))
+        theta = np.stack(np.meshgrid(*([grid.theta_axis] * grid.dim),
+                                     indexing="ij"), axis=-1)
+        best = 0.0
+        for xi in grid.mode_mesh.reshape(-1, grid.dim):
+            f = np.exp(1j * np.tensordot(theta, xi, axes=([-1], [0])))
+            ratio = torus_lp_norm(torus_apply(f, spec, grid), grid, p) \
+                / torus_lp_norm(f, grid, p)
+            best = max(best, ratio)
+        assert best == pytest.approx(spec.sup(), rel=1e-12, abs=0.0)
+        assert operator_norm_lower(spec, p, 1, grid, seed=6) >= spec.sup()
+
     def test_requires_positive_trials(self, tg, heat_spec):
         with pytest.raises(ValueError):
             operator_norm_lower(heat_spec, 2.0, 0, tg)
