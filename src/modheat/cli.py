@@ -32,11 +32,9 @@ from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, certify_hypothes
                    picard_terms, plateau_data, solve)
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
                       eigen_sum_bound)
-from .modnorm import (ModNormSpec, STFTPlan, algebra_defect,
-                      build_partition, mod_norm_decomp, mod_norm_stft,
-                      stft_resolution_ok)
-from .spectral import (GridFunction, SpectralGrid, forward_transform,
-                       load_grid_function)
+from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
+                      mod_norm_decomp, mod_norm_stft, stft_resolution_ok)
+from .spectral import GridFunction, SpectralGrid, load_grid_function
 from .torus import TorusGrid, kernel_l1_norm, operator_norm_lower, \
     oscillator_heat_symbol, transference_check
 
@@ -242,7 +240,7 @@ def cmd_propagate(cfg, seed, rec):
     if count < 1:
         raise ConfigError("config field 'corpus_size' must be >= 1")
 
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
     corpus = propagation_corpus(grid, count, seed)
     base = [mod_norm_decomp(f, spec, partition) for f in corpus]
 
@@ -286,11 +284,13 @@ def cmd_blowup(cfg, seed, rec):
     detect_by = _require(cfg, "detect_by", float, "", default=None, required=False)
     witness_terms = _require(cfg, "witness_terms", int, "", default=12,
                              required=False)
+    if witness_terms < 1:
+        raise ConfigError("config field 'witness_terms' must be >= 1")
 
     if spec.p > 2:
         rec.note(f"norm exponent p={spec.p} is outside the certified blow-up "
                  "range 1 <= p <= 2; trace emitted for exploration only")
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
     cert = certify_hypothesis(hyp, u0)
     rec.write_csv("blowup_certificate.csv",
                   ["condition", "value", "bound", "margin", "pass"],
@@ -340,6 +340,10 @@ def cmd_picard(cfg, seed, rec):
     depth = _require(cfg, "depth", int, "")
     t_max = _require(cfg, "t_max", float, "")
     t_points = _require(cfg, "t_points", int, "", default=33, required=False)
+    if depth < 1:
+        raise ConfigError("config field 'depth' must be >= 1")
+    if t_points < 2:
+        raise ConfigError("config field 't_points' must be >= 2")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
     converge_by = _require(cfg, "converge_by", int, "", default=3, required=False)
     expect = _require(cfg, "expect", str, "", default="summable", required=False)
@@ -347,7 +351,7 @@ def cmd_picard(cfg, seed, rec):
         raise ConfigError("config field 'expect' must be one of "
                           "'summable', 'growing', 'none'")
 
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
     problem = HeatProblem(beta, k, u0, spec)
     t_grid = np.linspace(0.0, t_max, t_points)
     res = picard_terms(problem, depth, t_grid, partition)
@@ -374,8 +378,7 @@ def cmd_picard(cfg, seed, rec):
         for pos, idx in enumerate(res.term_indices):
             m = math.inf
             for ti in range(1, len(t_grid)):
-                uhat = forward_transform(
-                    GridFunction(grid, res.trajectories[pos][ti])).values
+                uhat = res.spectra[pos][ti]
                 env = lower_bound_envelope(hyp, idx, t_grid[ti], grid)
                 m = min(m, float((uhat.real[ball] / env[ball]).min()))
             dom_rows.append((idx, m))
@@ -403,10 +406,13 @@ def cmd_modnorm(cfg, seed, rec):
     for i, entry in enumerate(raw_specs):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ConfigError(f"config field 'specs[{i}]' must be [p, q, s]")
-        specs.append(ModNormSpec(*(_typed(v, float, f"'specs[{i}]'")
-                                   for v in entry)))
+        try:
+            specs.append(ModNormSpec(*(_typed(v, float, f"'specs[{i}]'")
+                                       for v in entry)))
+        except ValueError as exc:
+            raise ConfigError(f"invalid norm spec 'specs[{i}]': {exc}") from exc
 
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
     plan = STFTPlan(grid)
     corpus = [band_limited(grid, max_mode, seed=seed + i) for i in range(count)]
 
@@ -464,6 +470,9 @@ def cmd_hermite(cfg, seed, rec):
     levels = _require(cfg, "coeff_levels", int, "", default=11, required=False)
     window = _require_list(cfg, "slope_window", float, "",
                            default=[3.0, 5.0], required=False)
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigError("config field 'slope_window' must be [lo, hi] "
+                          "with lo < hi")
     slope_tol = _require(cfg, "slope_tolerance", float, "", default=0.02,
                          required=False)
 
@@ -473,7 +482,7 @@ def cmd_hermite(cfg, seed, rec):
     mask = basis.level_mesh < levels
     tensor[mask] = rng.standard_normal(int(mask.sum()))
     coeffs = HermiteCoeffs(basis, tensor)
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
 
     lo, hi = _require(prof, "lo", float, "t_profile."), _require(
         prof, "hi", float, "t_profile.")
@@ -555,7 +564,7 @@ def cmd_transfer(cfg, seed, rec):
 
     tg = TorusGrid(dim, modes)
     basis = HermiteBasis(dim, cap)
-    partition = build_partition(grid)
+    partition = UniformPartition(grid)
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
     sym = oscillator_heat_symbol(tg, t, beta)
     young = kernel_l1_norm(sym, tg)

@@ -80,10 +80,6 @@ class HermiteBasis:
     def node_shape(self):
         return (self.nodes_per_axis,) * self.dim
 
-    def node_mesh(self):
-        axes = np.meshgrid(*([self.nodes] * self.dim), indexing="ij")
-        return np.stack(axes, axis=-1)
-
     def eigenvalue(self, level):
         return 2 * level + self.dim
 
@@ -311,29 +307,3 @@ def decay_profile(coeffs, beta, p, t_grid, grid, partition, norm_fn):
         rows.append((float(t), nrm, ratio))
     return rows
 
-
-# -- basis cache ------------------------------------------------------------------
-
-
-def basis_cache_path(directory, dim, degree_cap, nodes_per_axis):
-    return f"{directory}/hermite_d{dim}_K{degree_cap}_n{nodes_per_axis}.npz"
-
-
-def save_basis(basis, directory):
-    path = basis_cache_path(directory, basis.dim, basis.degree_cap,
-                            basis.nodes_per_axis)
-    np.savez(path, nodes=basis.nodes, weights=basis.gauss_weights,
-             table=basis.table,
-             meta=np.array([basis.dim, basis.degree_cap, basis.nodes_per_axis]))
-    return path
-
-
-def load_basis(directory, dim, degree_cap, nodes_per_axis):
-    path = basis_cache_path(directory, dim, degree_cap, nodes_per_axis)
-    with np.load(path) as data:
-        meta = data["meta"]
-        basis = HermiteBasis(int(meta[0]), int(meta[1]), int(meta[2]))
-        # stored tables must agree with the regenerated ones
-        if not np.allclose(data["table"], basis.table, atol=1e-12):
-            raise ValueError("cached basis is inconsistent with its key")
-    return basis

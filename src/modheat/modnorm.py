@@ -1,20 +1,21 @@
 """Modulation-space norms, computed two independent ways.
 
-The first estimator sums weighted L^p norms of frequency-uniform blocks
-cut out by a smooth partition of unity on unit cubes centered at integer
+The first estimator sums weighted L^p norms of frequency-uniform blocks cut
+out by a smooth partition of unity on unit cubes centered at integer
 frequencies.  The partition is a tensor product of per-axis rows, so no
 block is transformed on its own: at p = 2 the block norms are an exact
-discrete-Parseval contraction of the squared rows with |F|^2, and at other
-p they come from inverse transforms taken one axis at a time, with all
-blocks of the last axis in one batched call.  The second samples the
+discrete-Parseval contraction of the squared rows with |F|^2, at other p
+they come from inverse transforms taken one axis at a time, with all blocks
+of the last axis in one batched call, and a stack of functions (a Picard
+term at every time slice) goes through at once.  The second samples the
 short-time Fourier transform against a normalized window and takes the
 mixed L^p_x L^q_y quadrature norm.  The window shifts are not transformed
 one by one: the shifted windows of a batch are gathered into one stack,
 multiplied by f and transformed in a single call, with each stack capped at
 STFT_BATCH_VALUES values because larger ones raise peak memory over
-repeated runs.  The two estimators agree up to an equivalence
-constant that is measured once and frozen as a regression value (no
-explicit constant is available analytically).
+repeated runs.  The two estimators agree up to an equivalence constant that
+is measured once and frozen as a regression value (no explicit constant is
+available analytically).
 
 Partitions and STFT plans are immutable after construction; per-block work
 is independent, and norm reductions use a fixed summation order so results
@@ -96,7 +97,11 @@ class UniformPartition:
         # order, so each axis's blocks inverse-transform on their own.
         self._folded_rows = (dft_order(rows, axes=-1)
                              * inverse_axis_factor(grid))
-        for arr in (self._rows, self._sq_rows, self._folded_rows):
+        # |k| of every active key, in active_keys() order, for the weights
+        keys = np.array(list(self.active_keys()), dtype=float)
+        self._key_radii = np.sqrt(np.sum(keys ** 2, axis=1))
+        for arr in (self._rows, self._sq_rows, self._folded_rows,
+                    self._key_radii):
             arr.setflags(write=False)
 
     def keys(self):
@@ -122,10 +127,6 @@ class UniformPartition:
     def active_keys(self):
         """Block centers whose symbol is nonzero somewhere on the lattice."""
         return product(self._active_centers, repeat=self.grid.dim)
-
-
-def build_partition(grid, k_max=None):
-    return UniformPartition(grid, k_max)
 
 
 def block_project(f, k, partition):
@@ -156,60 +157,86 @@ class ModNormSpec:
             raise ValueError("s must be finite")
 
 
-def _block_lp_norms(F_values, partition, p):
-    """L^p norms of every active block, keyed in sorted order.
+# Working-set cap of the block-norm engine: complex values in its largest
+# temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB).
+# On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
+# slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
+NORM_BATCH_VALUES = 1 << 15
 
-    sigma_k is the outer product of one row per axis.  At p = 2 discrete
-    Parseval turns each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2
-    |F(xi)|^2, one contraction per axis with no transform.  Otherwise the
-    inverse transform factors into one 1-D transform per axis: the leading
-    axes are transformed block by block, and all blocks of the last axis in
-    one batched call, so at most K N^d values (K active rows) are live.
+
+def _block_lp_norms(F, partition, p):
+    """L^p norms of every active block of each function in a stack.
+
+    F holds frequency samples in its last d axes behind one batch axis; the
+    result is (batch, active keys), keys in active_keys() order.  sigma_k
+    is the outer product of one row per axis.  At p = 2 discrete Parseval
+    turns each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2,
+    one contraction per axis with no transform.  Otherwise the inverse
+    transform factors into one 1-D transform per axis: the leading axes are
+    transformed block by block, and all blocks of the last axis in one
+    batched call, so K N^d values (K active rows) are live per function.
     """
     g = partition.grid
     d = g.dim
     if p == 2:
-        acc = np.abs(F_values) ** 2
+        acc = np.abs(F) ** 2
         for _ in range(d):
-            # contracts the leading lattice axis and appends its block axis
-            acc = np.tensordot(acc, partition._sq_rows, axes=([0], [1]))
-        norms = np.sqrt(g.freq_spacing ** d * acc).ravel()
+            # contracts the first lattice axis and appends its block axis
+            acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
+        return np.sqrt(g.freq_spacing ** d * acc).reshape(len(F), -1)
+    rows = partition._folded_rows
+    nrows, n = rows.shape
+    last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
+    block_axes = tuple(range(2, d + 2))
+    vol = g.spacing ** d
+    F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
+    chunks = []
+    for lead in product(range(nrows), repeat=d - 1):
+        partial = F_dft
+        for j in range(d - 1):
+            shape = [1] * (d + 1)
+            shape[j + 1] = n
+            partial = np.fft.ifft(
+                partial * rows[lead[j]].reshape(shape), axis=j + 1)
+        # in place: fresh temporaries of this size cost more than the FFT
+        blocks = partial[:, None] * last
+        a = np.abs(np.fft.ifft(blocks, axis=-1, out=blocks))
+        if np.isinf(p):
+            chunks.append(a.max(axis=block_axes))
+            continue
+        if p != 1:
+            a **= p
+        chunks.append((vol * np.sum(a, axis=block_axes)) ** (1.0 / p))
+    return np.concatenate(chunks, axis=1)
+
+
+def mod_norms_from_frequency(values, spec, partition):
+    """Decomposition norms, in an array of the batch shape, of frequency
+    samples on partition.grid in the last d axes of values, behind any
+    batch axes; they reach the block engine NORM_BATCH_VALUES at a time."""
+    values = np.asarray(values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite values in norm input")
+    g = partition.grid
+    stack = values.reshape((-1,) + g.shape)
+    batch = max(1, NORM_BATCH_VALUES
+                // (len(partition._active_centers) * g.size))
+    norms = np.concatenate([_block_lp_norms(stack[i:i + batch], partition,
+                                            spec.p)
+                            for i in range(0, len(stack), batch)])
+    terms = norms * (1.0 + partition._key_radii) ** spec.s
+    if np.isinf(spec.q):
+        out = terms.max(axis=-1)
     else:
-        rows = partition._folded_rows
-        nrows, n = rows.shape
-        last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
-        block_axes = tuple(range(1, d + 1))
-        vol = g.spacing ** d
-        F_dft = dft_order(F_values)
-        chunks = []
-        for lead in product(range(nrows), repeat=d - 1):
-            partial = F_dft
-            for j in range(d - 1):
-                shape = [1] * d
-                shape[j] = n
-                partial = np.fft.ifft(
-                    partial * rows[lead[j]].reshape(shape), axis=j)
-            a = np.abs(np.fft.ifft(partial * last, axis=-1))
-            if np.isinf(p):
-                chunks.append(a.max(axis=block_axes))
-            else:
-                chunks.append((vol * np.sum(a ** p, axis=block_axes))
-                              ** (1.0 / p))
-        norms = np.concatenate(chunks)
-    return list(zip(partition.active_keys(), norms.tolist()))
+        # cumsum adds the blocks one by one in key order: a fixed summation
+        # order that does not depend on how many functions share the stack
+        out = np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
+    return out.reshape(values.shape[:values.ndim - g.dim])
 
 
 def mod_norm_from_frequency(F, spec, partition):
     """Decomposition norm evaluated from frequency-side samples."""
-    if not np.all(np.isfinite(F.values)):
-        raise ValueError("non-finite values in norm input")
-    norms = _block_lp_norms(F.values, partition, spec.p)
-    weights = [(1.0 + math.sqrt(sum(c * c for c in k))) ** spec.s
-               for k, _ in norms]
-    terms = [w * n for w, (_, n) in zip(weights, norms)]
-    if np.isinf(spec.q):
-        return max(terms) if terms else 0.0
-    return float(sum(t ** spec.q for t in terms) ** (1.0 / spec.q))
+    return float(mod_norms_from_frequency(F.values, spec, partition))
 
 
 def mod_norm_decomp(f, spec, partition):

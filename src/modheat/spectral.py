@@ -14,7 +14,7 @@ they can be shared freely across threads.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import json
 
 import numpy as np
@@ -117,12 +117,11 @@ def _alternating_axis(grid):
     return (-1.0) ** np.arange(-n // 2, n // 2)
 
 
-def _alternating_sign(grid):
-    """Mesh of (-1)^(m_1+...+m_d) over the natural-order frequency lattice."""
-    alt = _alternating_axis(grid)
-    out = alt
-    for _ in range(grid.dim - 1):
-        out = np.multiply.outer(out, alt)
+def _outer(vec, dim):
+    """Outer product of vec with itself over dim axes."""
+    out = vec
+    for _ in range(dim - 1):
+        out = np.multiply.outer(out, vec)
     return out
 
 
@@ -142,6 +141,19 @@ def inverse_axis_factor(grid):
     return dft_order(_alternating_axis(grid) / axis_scale)
 
 
+@lru_cache(maxsize=8)
+def _factor_meshes(grid):
+    """forward_values' scale and phase mesh (natural order) and
+    inverse_values' (DFT order) on grid; read-only, made once per grid."""
+    # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
+    scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
+    meshes = (scale * _outer(_alternating_axis(grid), grid.dim),
+              _outer(inverse_axis_factor(grid), grid.dim))
+    for mesh in meshes:
+        mesh.setflags(write=False)
+    return meshes
+
+
 def forward_values(grid, values):
     """forward_transform's frequency samples, for a stack of functions.
 
@@ -149,10 +161,8 @@ def forward_values(grid, values):
     leading axes index independent functions, transformed in one call.
     """
     axes = tuple(range(-grid.dim, 0))
-    # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
     raw = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
-    scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
-    raw *= scale * _alternating_sign(grid)
+    raw *= _factor_meshes(grid)[0]
     return raw
 
 
@@ -167,16 +177,22 @@ def forward_transform(f):
     return GridFunction(f.grid, forward_values(f.grid, f.values), FREQUENCY)
 
 
+def inverse_values(grid, values):
+    """inverse_transform's physical samples, for a stack of functions.
+
+    values holds frequency samples on grid in its last grid.dim axes; any
+    leading axes index independent functions, transformed in one call.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    mesh = _factor_meshes(grid)[1]
+    return np.fft.ifftn(dft_order(values, axes=axes) * mesh, axes=axes)
+
+
 def inverse_transform(F):
     """Exact two-sided inverse of forward_transform on the lattice."""
     if F.side != FREQUENCY:
         raise ValueError("inverse_transform expects a frequency-side function")
-    g = F.grid
-    fold = inverse_axis_factor(g)
-    mesh = fold
-    for _ in range(g.dim - 1):
-        mesh = np.multiply.outer(mesh, fold)
-    return GridFunction(g, np.fft.ifftn(dft_order(F.values) * mesh), PHYSICAL)
+    return GridFunction(F.grid, inverse_values(F.grid, F.values), PHYSICAL)
 
 
 def fractional_symbol(xi, beta):
@@ -248,41 +264,60 @@ def boundary_tail_ratio(f):
     return float(edge / peak)
 
 
-# -- dealiased pointwise powers -----------------------------------------------
+# -- dealiased products --------------------------------------------------------
 #
-# u^k is a k-fold spectral convolution; evaluating it pointwise on the stock
-# lattice aliases modes beyond N/2 back into the band.  Zero-padding each axis
-# to M >= (k+1) N / 2 before multiplying makes every retained mode exact.
+# A product of k functions is a k-fold spectral convolution; evaluated
+# pointwise on the stock lattice it aliases modes beyond N/2 into the band.
+# On a fine lattice of M >= (k+1) N / 2 points per axis (same box) every
+# retained mode is exact.  Padding and cropping place modes by index, not by
+# shifts: in DFT order mode m sits in slot m mod M of a fine axis.  Both
+# helpers take stacks with leading batch axes, so a sum of products is
+# formed on the fine lattice and transformed back in one call.
 
 
-def _pad_modes(A, n, m, dim):
-    pad = [(m - n) // 2] * 2
-    return np.pad(A, [pad] * dim)
+def fine_grid(grid, k):
+    """Lattice on which products of k functions on grid are alias-free in band."""
+    m = int(np.ceil((k + 1) * grid.points_per_axis / 2.0))
+    return SpectralGrid(grid.dim, m + (m % 2), grid.half_width)
 
 
-def _crop_modes(B, n, m, dim):
-    lo = (m - n) // 2
-    sl = tuple(slice(lo, lo + n) for _ in range(dim))
-    return B[sl]
+@lru_cache(maxsize=8)
+def _band_slots(grid, fine):
+    """Index of grid's modes among fine's DFT-order slots, and fine's
+    inverse_transform factor at those slots (natural order of grid)."""
+    n = grid.points_per_axis
+    slots = np.arange(-n // 2, n // 2) % fine.points_per_axis
+    index = (Ellipsis,) + np.ix_(*[slots] * grid.dim)
+    factor = _outer(inverse_axis_factor(fine)[slots], grid.dim)
+    for arr in index[1:] + (factor,):
+        arr.setflags(write=False)
+    return index, factor
 
 
-def _fine_point_count(n, k):
-    m = int(np.ceil((k + 1) * n / 2.0))
-    return m + (m % 2)
+def padded_inverse(grid, hats, fine):
+    """Physical samples on fine of the functions whose transforms on grid
+    are hats (a stack: any leading axes index functions)."""
+    index, factor = _band_slots(grid, fine)
+    out = np.zeros(hats.shape[:hats.ndim - grid.dim] + fine.shape, complex)
+    out[index] = hats * factor
+    return np.fft.ifftn(out, axes=tuple(range(-grid.dim, 0)), out=out)
+
+
+def cropped_forward(grid, values, fine):
+    """Transforms on grid (our normalization) of a stack of physical samples
+    on fine, cropped to grid's band."""
+    index, factor = _band_slots(grid, fine)
+    return np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))[index] / factor
 
 
 def dealiased_power_hat(f, k):
-    """Raw forward transform (our normalization) of u^k, alias-free in band."""
+    """Transform (our normalization) of f^k, alias-free in band; f may be
+    given on either side."""
     g = f.grid
-    n = g.points_per_axis
-    m = _fine_point_count(n, k)
-    A = np.fft.fftshift(np.fft.fftn(f.values))
-    fine = np.fft.ifftn(np.fft.ifftshift(_pad_modes(A, n, m, g.dim)))
-    fine *= (m / n) ** g.dim
-    C = np.fft.fftshift(np.fft.fftn(fine ** k)) * (n / m) ** g.dim
-    coeffs = _crop_modes(C, n, m, g.dim)
-    scale = (2.0 * np.pi) ** (-g.dim / 2.0) * g.spacing ** g.dim
-    return GridFunction(g, scale * _alternating_sign(g) * coeffs, FREQUENCY)
+    hat = f.values if f.side == FREQUENCY else forward_values(g, f.values)
+    fine = fine_grid(g, k)
+    power = padded_inverse(g, hat, fine) ** k
+    return GridFunction(g, cropped_forward(g, power, fine), FREQUENCY)
 
 
 def dealiased_power(f, k):
@@ -291,21 +326,15 @@ def dealiased_power(f, k):
 
 
 def dealiased_product(f, g):
-    """Alias-free pointwise product of two grid functions on the same grid."""
+    """Alias-free pointwise product of two physical-side grid functions."""
     if f.grid is not g.grid and f.grid != g.grid:
         raise ValueError("operands live on different grids")
     gr = f.grid
-    n = gr.points_per_axis
-    m = _fine_point_count(n, 2)
-    fine = []
-    for h in (f, g):
-        A = np.fft.fftshift(np.fft.fftn(h.values))
-        fine.append(np.fft.ifftn(np.fft.ifftshift(_pad_modes(A, n, m, gr.dim)))
-                    * (m / n) ** gr.dim)
-    C = np.fft.fftshift(np.fft.fftn(fine[0] * fine[1])) * (n / m) ** gr.dim
-    coeffs = _crop_modes(C, n, m, gr.dim)
-    raw = np.fft.ifftn(np.fft.ifftshift(coeffs))
-    return GridFunction(gr, raw, PHYSICAL)
+    fine = fine_grid(gr, 2)
+    hats = forward_values(gr, np.stack([f.values, g.values]))
+    a, b = padded_inverse(gr, hats, fine)
+    prod = cropped_forward(gr, a * b, fine)
+    return GridFunction(gr, inverse_values(gr, prod), PHYSICAL)
 
 
 # -- serialization -------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modheat.hermite import HermiteBasis
-from modheat.modnorm import STFTPlan, build_partition
+from modheat.modnorm import STFTPlan, UniformPartition
 from modheat.spectral import GridFunction, SpectralGrid
 
 
@@ -13,7 +13,7 @@ def grid1():
 
 @pytest.fixture(scope="session")
 def part1(grid1):
-    return build_partition(grid1)
+    return UniformPartition(grid1)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def grid2():
 
 @pytest.fixture(scope="session")
 def part2(grid2):
-    return build_partition(grid2)
+    return UniformPartition(grid2)
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def hgrid():
 
 @pytest.fixture(scope="session")
 def hpart(hgrid):
-    return build_partition(hgrid)
+    return UniformPartition(hgrid)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           picard_terms, solve)
 from modheat.hermite import (HermiteCoeffs, decay_profile, eigen_sum,
                              eigen_sum_bound, oscillator_heat, synthesize)
-from modheat.modnorm import (ModNormSpec, block_project, build_partition,
+from modheat.modnorm import (ModNormSpec, UniformPartition, block_project,
                              mod_norm_decomp)
 from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
                               frequency_lp_norm, inverse_transform,
@@ -121,7 +121,7 @@ def test_criterion_03_semigroup_and_closed_forms(grid1, gauss1):
     assert gauss_err <= 1e-8
 
     grid = SpectralGrid(1, 2048, 160.0)
-    part = build_partition(grid)
+    part = UniformPartition(grid)
     spec = ModNormSpec(2, 1, 0)
     corpus = propagation_corpus(grid, 10, seed=1234)
     base = [mod_norm_decomp(f, spec, part) for f in corpus]
@@ -180,10 +180,11 @@ def test_criterion_05_lower_bound_witness(grid1, part1):
     ball = grid1.freq_magnitude <= hyp.r
     slack = constants.PICARD_DOMINATION_SLACK
     worst = math.inf
+    trajectories = res.trajectories  # inverse-transformed on each access
     for pos, idx in enumerate(res.term_indices):
         for ti in range(1, 33):
             uhat = forward_transform(
-                GridFunction(grid1, res.trajectories[pos][ti])).values
+                GridFunction(grid1, trajectories[pos][ti])).values
             env = lower_bound_envelope(hyp, idx, res.t_grid[ti], grid1)
             worst = min(worst, float((uhat.real[ball] * slack
                                       / env[ball]).min()))

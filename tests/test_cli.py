@@ -123,38 +123,38 @@ class TestModnormCommand:
         assert (out / "modnorm_values.gp").exists()
 
 
+def picard_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "seed": 0,
+        "grid": GRID,
+        "problem": {"beta": 2.0, "k": 2},
+        "data": {"kind": "gaussian", "amplitude": 0.01, "exponent": 0.5},
+        "depth": 5,
+        "t_max": 0.5,
+        "t_points": 17,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def dominated_picard_config():
+    gamma = 4 * math.e * (1 + 1e-6)
+    return picard_config(data={"kind": "plateau", "gamma": gamma, "r": 1.0},
+                         depth=6, t_max=0.25, t_points=33,
+                         domination={"gamma": gamma, "r": 1.0},
+                         expect="growing")
+
+
 class TestPicardCommand:
     def test_small_data_summability(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "seed": 0,
-            "grid": GRID,
-            "problem": {"beta": 2.0, "k": 2},
-            "data": {"kind": "gaussian", "amplitude": 0.01, "exponent": 0.5},
-            "depth": 5,
-            "t_max": 0.5,
-            "t_points": 17,
-        }
-        code, out = run(tmp_path, "picard", cfg)
+        code, out = run(tmp_path, "picard", picard_config())
         assert code == 0
         lines = (out / "picard_norms.csv").read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 terms
 
     def test_certified_data_grows_and_dominates(self, tmp_path):
-        gamma = 4 * math.e * (1 + 1e-6)
-        cfg = {
-            "schema_version": 1,
-            "seed": 0,
-            "grid": GRID,
-            "problem": {"beta": 2.0, "k": 2},
-            "data": {"kind": "plateau", "gamma": gamma, "r": 1.0},
-            "depth": 6,
-            "t_max": 0.25,
-            "t_points": 33,
-            "domination": {"gamma": gamma, "r": 1.0},
-            "expect": "growing",
-        }
-        code, out = run(tmp_path, "picard", cfg)
+        code, out = run(tmp_path, "picard", dominated_picard_config())
         assert code == 0
         assert (out / "picard_domination.csv").exists()
 
@@ -258,6 +258,32 @@ class TestConfigValidation:
         assert code == 2
         assert "ds" in capsys.readouterr().err
 
+    def test_slope_window_needs_two_increasing_entries(self, tmp_path,
+                                                        capsys):
+        for window in ([3.0], [5.0, 3.0], [3.0, 4.0, 5.0]):
+            code, _ = run(tmp_path, "hermite",
+                          hermite_config(slope_window=window))
+            assert code == 2
+            assert "slope_window" in capsys.readouterr().err
+
+    def test_bad_spec_entry_named(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "modnorm",
+                      {"schema_version": 1, "grid": GRID, "corpus_size": 2,
+                       "specs": [[2, 1, 0], [0.5, 1, 0]]})
+        assert code == 2
+        assert "specs[1]" in capsys.readouterr().err
+
+    def test_picard_depth_and_t_points_named(self, tmp_path, capsys):
+        for field, value in (("depth", 0), ("t_points", 1)):
+            code, _ = run(tmp_path, "picard", picard_config(**{field: value}))
+            assert code == 2
+            assert f"'{field}'" in capsys.readouterr().err
+
+    def test_witness_terms_must_be_positive(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "blowup", blowup_config(witness_terms=0))
+        assert code == 2
+        assert "witness_terms" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path):
         out = tmp_path / "out"
         code = main(["modnorm", "--config", str(tmp_path / "missing.json"),
@@ -314,3 +340,19 @@ class TestConfigValidation:
                                for p in sorted(out.glob("*.csv"))})
             assert len(tables[0]) >= 2
             assert tables[0] == tables[1]
+
+    def test_picard_tables_thread_independent(self, tmp_path, monkeypatch):
+        for name, cfg in (("small", picard_config()),
+                          ("dominated", dominated_picard_config())):
+            tables = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MODHEAT_THREADS", threads)
+                run_dir = tmp_path / f"{name}_threads{threads}"
+                run_dir.mkdir()
+                code, out = run(run_dir, "picard", cfg)
+                assert code == 0
+                tables.append({p.name: p.read_bytes()
+                               for p in sorted(out.glob("*.csv"))})
+            assert "picard_norms.csv" in tables[0]
+            assert tables[0] == tables[1]
+        assert "picard_domination.csv" in tables[0]

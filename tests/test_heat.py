@@ -11,9 +11,15 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           linear_propagate, lower_bound_envelope,
                           lower_bound_sequence, picard_terms, plateau_data,
                           solve, term_index, unit_ball_volume)
+from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
-from modheat.modnorm import ModNormSpec, build_partition, mod_norm_decomp
-from modheat.spectral import GridFunction, SpectralGrid, forward_transform
+from modheat.heat import _cumulative_weights, _multiset_products
+from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
+                             mod_norm_from_frequency)
+from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
+                              cropped_forward, fine_grid, forward_transform,
+                              forward_values, inverse_transform,
+                              padded_inverse)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +60,7 @@ class TestLinearPropagator:
 
     def test_uniform_modulation_bound(self):
         grid = SpectralGrid(1, 2048, 160.0)
-        part = build_partition(grid)
+        part = UniformPartition(grid)
         spec = ModNormSpec(2, 1, 0)
         corpus = propagation_corpus(grid, 10, seed=1234)
         base = [mod_norm_decomp(f, spec, part) for f in corpus]
@@ -292,6 +298,121 @@ class TestPicardSeries:
             picard_terms(small_problem, 2, np.linspace(0.5, 1, 5))
 
 
+# -- the frequency-side, batched Picard path against the per-slice oracles ------
+
+
+def _multi_product_hat_oracle(grid, factors):
+    """Transform of a pointwise product of physical fields, one at a time:
+    shift, pad and transform every factor, multiply, transform back, crop."""
+    n = grid.points_per_axis
+    d = grid.dim
+    m = int(np.ceil((len(factors) + 1) * n / 2.0))
+    m += m % 2
+    lo = (m - n) // 2
+    fine = np.ones((m,) * d, dtype=complex)
+    for vals in factors:
+        A = np.fft.fftshift(np.fft.fftn(vals))
+        fine *= np.fft.ifftn(np.fft.ifftshift(np.pad(A, [(lo, lo)] * d))) \
+            * (m / n) ** d
+    C = np.fft.fftshift(np.fft.fftn(fine)) * (n / m) ** d
+    coeffs = C[tuple(slice(lo, lo + n) for _ in range(d))]
+    scale = (2.0 * np.pi) ** (-d / 2.0) * grid.spacing ** d
+    alt = (-1.0) ** np.arange(-n // 2, n // 2)
+    sign = alt
+    for _ in range(d - 1):
+        sign = np.multiply.outer(sign, alt)
+    return scale * sign * coeffs
+
+
+def _picard_oracle(problem, depth, t_grid, partition):
+    """The per-slice series: physical trajectories, one product and one
+    norm per time slice.  Returns (spectra, sup_norms, ratios)."""
+    g = problem.u0.grid
+    k = problem.k
+    n_t = len(t_grid)
+    symbase = g.freq_magnitude ** problem.beta
+    W = _cumulative_weights(t_grid)
+    u0_hat = forward_transform(problem.u0).values
+    freq = {1: np.array([np.exp(-t * symbase) * u0_hat for t in t_grid])}
+    phys = {1: np.array([inverse_transform(GridFunction(g, F, FREQUENCY))
+                         .values for F in freq[1]])}
+    indices = [1]
+    for j in range(1, depth):
+        idx = term_index(j, k)
+        combos = _multiset_products(lambda_index_set(j, k))
+        prod_hat = np.zeros((n_t, *g.shape), dtype=complex)
+        for s_i in range(n_t):
+            for count, key in combos:
+                factors = [phys[lab][s_i] for lab in key]
+                prod_hat[s_i] += count * _multi_product_hat_oracle(g, factors)
+        term_f = np.zeros((n_t, *g.shape), dtype=complex)
+        for i in range(1, n_t):
+            kernel = np.exp(-np.multiply.outer(t_grid[i] - t_grid[:i + 1],
+                                               symbase))
+            term_f[i] = np.tensordot(W[i, :i + 1],
+                                     kernel * prod_hat[:i + 1], axes=(0, 0))
+        freq[idx] = term_f
+        phys[idx] = np.array([inverse_transform(GridFunction(
+            g, F, FREQUENCY)).values for F in term_f])
+        indices.append(idx)
+    sups = [max(mod_norm_from_frequency(GridFunction(g, F, FREQUENCY),
+                                        problem.norm_spec, partition)
+                for F in freq[idx]) for idx in indices]
+    ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
+    return [freq[i] for i in indices], sups, ratios
+
+
+# relative to the largest value of each compared array
+ORACLE_RTOL = 1e-13
+
+
+class TestDealiasedKernel:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("grid", [SpectralGrid(1, 64, 8.0),
+                                      SpectralGrid(2, 16, 4.0)],
+                             ids=["d1", "d2"])
+    def test_matches_multi_product_oracle(self, grid, k):
+        rng = np.random.default_rng(10 * grid.dim + k)
+        factors = rng.standard_normal((k,) + grid.shape) \
+            + 1j * rng.standard_normal((k,) + grid.shape)
+        fine = fine_grid(grid, k)
+        prod = np.prod(padded_inverse(grid, forward_values(grid, factors),
+                                      fine), axis=0)
+        got = cropped_forward(grid, prod, fine)
+        want = _multi_product_hat_oracle(grid, list(factors))
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=ORACLE_RTOL * np.abs(want).max())
+
+
+PICARD_CASES = {
+    "d1_k2": (SpectralGrid(1, 64, 8.0), 2, ModNormSpec(1.0, 1.0, 0.0)),
+    "d1_k3": (SpectralGrid(1, 64, 8.0), 3, ModNormSpec(2.0, 1.0, 0.0)),
+    "d2_k2": (SpectralGrid(2, 16, 4.0), 2, ModNormSpec(1.0, 2.0, 1.5)),
+}
+
+
+class TestBatchedPicard:
+    @pytest.mark.parametrize("cap", [1, 1 << 30])
+    @pytest.mark.parametrize("case", sorted(PICARD_CASES))
+    def test_matches_per_slice_oracle(self, case, cap, monkeypatch):
+        grid, k, spec = PICARD_CASES[case]
+        sq = np.sum(grid.x_mesh ** 2, axis=-1)
+        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
+                           spec)
+        part = UniformPartition(grid)
+        t_grid = np.linspace(0.0, 0.3, 9)
+        spectra, sups, ratios = _picard_oracle(prob, 4, t_grid, part)
+        monkeypatch.setattr(heat, "PICARD_BATCH_VALUES", cap)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", cap)
+        res = picard_terms(prob, 4, t_grid, part)
+        assert len(res.spectra) == len(spectra)
+        for got, want in zip(res.spectra, spectra):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=ORACLE_RTOL * np.abs(want).max())
+        np.testing.assert_allclose(res.sup_norms, sups, rtol=ORACLE_RTOL)
+        np.testing.assert_allclose(res.ratios, ratios, rtol=ORACLE_RTOL)
+
+
 class TestLowerBoundEnvelope:
     def test_first_term_closed_form(self, certified_hypothesis):
         h = certified_hypothesis
@@ -325,10 +446,11 @@ class TestLowerBoundEnvelope:
         res = picard_terms(prob, 6, t_grid, part1)
         ball = grid1.freq_magnitude <= h.r
         slack = constants.PICARD_DOMINATION_SLACK
+        trajectories = res.trajectories  # inverse-transformed on each access
         for pos, idx in enumerate(res.term_indices):
             for ti in range(1, len(t_grid)):
                 uhat = forward_transform(
-                    GridFunction(grid1, res.trajectories[pos][ti])).values
+                    GridFunction(grid1, trajectories[pos][ti])).values
                 env = lower_bound_envelope(h, idx, t_grid[ti], grid1)
                 assert np.all(uhat.real[ball] * slack >= env[ball])
 

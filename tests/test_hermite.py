@@ -8,10 +8,9 @@ from modheat.corpus import hermite_coeff_family
 from modheat.hermite import (HermiteBasis, HermiteCoeffs, analyze,
                              analysis_residual, decay_profile, eigen_sum,
                              eigen_sum_bound, heat_truncation_bound,
-                             hermite_eval, hermite_table, load_basis,
-                             oscillator_heat, oscillator_heat_coeffs,
-                             project_eigenspace, save_basis, synthesize,
-                             synthesize_at)
+                             hermite_eval, hermite_table, oscillator_heat,
+                             oscillator_heat_coeffs, project_eigenspace,
+                             synthesize, synthesize_at)
 from modheat.modnorm import ModNormSpec, mod_norm_decomp
 from modheat.spectral import GridFunction
 
@@ -77,11 +76,6 @@ class TestBasis:
         assert basis.level_dimension(0) == 1
         assert basis.level_dimension(1) == 2
         assert basis.level_dimension(4) == 5
-
-    def test_cache_roundtrip(self, tmp_path, basis16):
-        save_basis(basis16, str(tmp_path))
-        back = load_basis(str(tmp_path), 1, 16, basis16.nodes_per_axis)
-        np.testing.assert_array_equal(back.nodes, basis16.nodes)
 
 
 class TestAnalyzeSynthesize:

@@ -10,11 +10,13 @@ from modheat.corpus import band_limited, mixed_family
 from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _block_lp_norms, _stft_batches, algebra_defect,
-                             block_project, build_partition, bump_profile,
+                             block_project, bump_profile,
                              fourier_lebesgue_norm, mod_norm_decomp,
-                             mod_norm_stft, stft, stft_resolution_ok)
-from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
-                              lp_norm, physical_lp_norm)
+                             mod_norm_from_frequency, mod_norm_stft,
+                             mod_norms_from_frequency, stft,
+                             stft_resolution_ok)
+from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
+                              forward_transform, lp_norm, physical_lp_norm)
 
 
 class TestBumpProfile:
@@ -52,7 +54,7 @@ class TestPartition:
     def test_unity_at_isolated_centers(self):
         # integer centers land on the lattice when half_width is 8 pi
         g = SpectralGrid(1, 128, 8 * np.pi)
-        part = build_partition(g)
+        part = UniformPartition(g)
         idx = np.argmin(np.abs(g.freq_axis - 3.0))
         assert g.freq_axis[idx] == pytest.approx(3.0, abs=1e-14)
         assert part.symbol((3,))[idx] == pytest.approx(1.0, abs=1e-14)
@@ -61,7 +63,7 @@ class TestPartition:
 
     def test_coverage_failure_rejected(self, grid1):
         with pytest.raises(ValueError):
-            build_partition(grid1, k_max=3)
+            UniformPartition(grid1, k_max=3)
 
     def test_block_center_out_of_range(self, grid1, part1, gauss1):
         with pytest.raises(ValueError):
@@ -121,7 +123,7 @@ class TestBlockProjection:
         # that block alone (sigma_k = 1 there)
         from modheat.spectral import inverse_transform
         g = SpectralGrid(1, 128, 8 * np.pi)
-        part = build_partition(g)
+        part = UniformPartition(g)
         coeffs = np.zeros(g.shape, dtype=complex)
         coeffs[np.argmin(np.abs(g.freq_axis - 3.0))] = 1.0
         fp = inverse_transform(GridFunction(g, coeffs, "frequency"))
@@ -182,7 +184,7 @@ class TestDecompositionNorm:
         # (p,p) norms of f and of its transform (measured on the dual grid)
         # agree up to a frozen constant
         dual = SpectralGrid(1, grid1.points_per_axis, grid1.max_freq_component)
-        dual_part = build_partition(dual)
+        dual_part = UniformPartition(dual)
         spec = ModNormSpec(2, 2, 0)
         for f in mixed_family(grid1, 8, seed=21):
             F = forward_transform(f)
@@ -226,10 +228,10 @@ def _oracle_block_norms(dim, p):
 
 def _assert_blocks_match(dim, p):
     part, f = _equiv_case(dim)
-    got = _block_lp_norms(forward_transform(f).values, part, p)
+    got = _block_lp_norms(forward_transform(f).values[None], part, p)[0]
     want = _oracle_block_norms(dim, p)
-    assert [k for k, _ in got] == [k for k, _ in want]
-    np.testing.assert_allclose([n for _, n in got], [n for _, n in want],
+    assert list(part.active_keys()) == [k for k, _ in want]
+    np.testing.assert_allclose(got, [n for _, n in want],
                                rtol=EQUIV_RTOL, atol=0.0)
 
 
@@ -255,6 +257,28 @@ class TestBlockNormEngine:
             sum(t ** q for t in terms) ** (1.0 / q)
         got = mod_norm_decomp(f, ModNormSpec(p, q, s), part)
         assert got == pytest.approx(want, rel=EQUIV_RTOL, abs=0.0)
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_slice(self, dim, p, q, s, monkeypatch):
+        # three functions in batches of two: the last batch is a partial one
+        part, _ = _equiv_case(dim)
+        g = part.grid
+        rng = np.random.default_rng(7 + dim)
+        stack = rng.standard_normal((3,) + g.shape) \
+            + 1j * rng.standard_normal((3,) + g.shape)
+        spec = ModNormSpec(p, q, s)
+        want = [mod_norm_from_frequency(GridFunction(g, F, FREQUENCY), spec,
+                                        part) for F in stack]
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            2 * len(part._active_centers) * g.size)
+        got = mod_norms_from_frequency(stack, spec, part)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestSTFT:

@@ -18,16 +18,16 @@ from modheat.corpus import (band_limited, hermite_coeff_family, mixed_family,
 from modheat.heat import (BlowupHypothesis, HeatProblem, linear_propagate,
                           lower_bound_envelope, picard_terms, plateau_data)
 from modheat.hermite import HermiteBasis, HermiteCoeffs, decay_profile
-from modheat.modnorm import (ModNormSpec, STFTPlan, algebra_defect,
-                             build_partition, fourier_lebesgue_norm,
+from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
+                             algebra_defect, fourier_lebesgue_norm,
                              mod_norm_decomp, mod_norm_stft)
-from modheat.spectral import GridFunction, SpectralGrid, forward_transform, physical_lp_norm
+from modheat.spectral import GridFunction, SpectralGrid, physical_lp_norm
 from modheat.torus import TorusGrid, transference_check
 
 
 def main():
     g = SpectralGrid(1, 256, 16.0)
-    part = build_partition(g)
+    part = UniformPartition(g)
     plan = STFTPlan(g)
 
     ratios = []
@@ -49,7 +49,7 @@ def main():
     print(f"FL1_EMBEDDING range: [{min(fl1):.4f}, {max(fl1):.4f}]")
 
     g2 = SpectralGrid(1, 2048, 160.0)
-    part2 = build_partition(g2)
+    part2 = UniformPartition(g2)
     corpus = propagation_corpus(g2, 10, seed=1234)
     spec = ModNormSpec(2, 1, 0)
     cs = []
@@ -67,14 +67,13 @@ def main():
     worst = math.inf
     for pos, idx in enumerate(res.term_indices):
         for ti in range(1, len(tg)):
-            uhat = forward_transform(
-                GridFunction(g, res.trajectories[pos][ti])).values
+            uhat = res.spectra[pos][ti]
             env = lower_bound_envelope(h, idx, tg[ti], g)
             worst = min(worst, float((uhat.real[ball] / env[ball]).min()))
     print(f"PICARD_DOMINATION worst ratio: {worst:.4f} (S >= {1 / worst:.3f})")
 
     grid = SpectralGrid(1, 192, 12.0)
-    partg = build_partition(grid)
+    partg = UniformPartition(grid)
     basis = HermiteBasis(1, 16)
     fam = hermite_coeff_family(basis, 8, seed=42, max_level=10)
     torus = TorusGrid(1, 64)
