@@ -33,10 +33,12 @@ from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, certify_hypothes
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
                       eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
-                      mod_norm_decomp, mod_norm_stft, stft_resolution_ok)
-from .spectral import GridFunction, SpectralGrid, load_grid_function
-from .torus import TorusGrid, kernel_l1_norm, operator_norm_lower, \
-    oscillator_heat_symbol, transference_check
+                      mod_norm_decomp, mod_norms_from_frequency,
+                      mod_norms_stft, stft_resolution_ok)
+from .spectral import (GridFunction, SpectralGrid, forward_values,
+                       load_grid_function)
+from .torus import TorusGrid, operator_norm_lower, oscillator_heat_symbol, \
+    transference_check
 
 
 class ConfigError(Exception):
@@ -304,11 +306,15 @@ def cmd_blowup(cfg, seed, rec):
     factor = _require(sol_cfg, "threshold_factor", float, "solver.",
                       default=1e6, required=False)
     init_norm = mod_norm_decomp(u0, spec, partition)
-    config = SolverConfig(dt=_require(sol_cfg, "dt", float, "solver."),
-                          t_max=_require(sol_cfg, "t_max", float, "solver."),
-                          blowup_threshold=factor * init_norm,
-                          scheme=_require(sol_cfg, "scheme", str, "solver.",
-                                          default="ETD1", required=False))
+    try:
+        config = SolverConfig(
+            dt=_require(sol_cfg, "dt", float, "solver."),
+            t_max=_require(sol_cfg, "t_max", float, "solver."),
+            blowup_threshold=factor * init_norm,
+            scheme=_require(sol_cfg, "scheme", str, "solver.", default="ETD1",
+                            required=False))
+    except ValueError as exc:
+        raise ConfigError(f"invalid config field 'solver': {exc}") from exc
     trace = solve(problem, config, partition)
     rec.write_csv("blowup_trace.csv",
                   ["t", "norm_Mp1", "norm_FL1", "linf", "blowup_flag"],
@@ -416,14 +422,16 @@ def cmd_modnorm(cfg, seed, rec):
     plan = STFTPlan(grid)
     corpus = [band_limited(grid, max_mode, seed=seed + i) for i in range(count)]
 
+    hats = forward_values(grid, np.stack([f.values for f in corpus]))
+    decomp = np.stack([mod_norms_from_frequency(hats, spec, partition)
+                       for spec in specs], axis=1).tolist()
     json_rows = []
     csv_rows = []
     cross = []
     for fi, f in enumerate(corpus):
-        for spec in specs:
-            dval = mod_norm_decomp(f, spec, partition)
-            sval = mod_norm_stft(f, plan, spec)
-            flag = bool(stft_resolution_ok(f, plan, spec, sval))
+        coarse = mod_norms_stft(f, plan, specs)
+        flags = stft_resolution_ok(coarse, mod_norms_stft(f, plan, specs, 2))
+        for spec, dval, sval, flag in zip(specs, decomp[fi], coarse, flags):
             for est, val in (("decomp", dval), ("stft", sval)):
                 json_rows.append({"norm_id": f"f{fi}_p{spec.p}q{spec.q}s{spec.s}",
                                   "p": spec.p, "q": spec.q, "s": spec.s,
@@ -489,19 +497,21 @@ def cmd_hermite(cfg, seed, rec):
     pts = _require(prof, "points", int, "t_profile.")
     if not 0 < lo < hi:
         raise ConfigError("config field 't_profile' needs 0 < lo < hi")
-    t_grid = np.geomspace(lo, min(hi, 2.5), pts)
-    if hi > max(window[0], 2.5):
-        t_grid = np.concatenate([t_grid, np.linspace(max(window[0], 2.5), hi,
-                                                     pts // 2 + 2)])
+    if pts < 1:
+        raise ConfigError("config field 't_profile.points' must be >= 1")
+    brk = 2.5  # t spacing: geometric below, to resolve t -> 0; linear above
+    if lo >= brk:
+        t_grid = np.linspace(lo, hi, pts)
+    else:
+        t_grid = np.geomspace(lo, min(hi, brk), pts)
+        if hi > max(window[0], brk):
+            lin = np.linspace(max(window[0], brk), hi, pts // 2 + 2)
+            # both parts hold the break when the window starts at or below it
+            t_grid = np.concatenate([t_grid, lin[lin > t_grid[-1]]])
 
     def profile(args):
         beta, p = args
-        spec = ModNormSpec(p, p, 0.0)
-
-        def norm_fn(vals):
-            return mod_norm_decomp(GridFunction(grid, vals), spec, partition)
-
-        return decay_profile(coeffs, beta, p, t_grid, grid, partition, norm_fn)
+        return decay_profile(coeffs, beta, p, t_grid, grid, partition)
 
     combos = [(b, p) for b in betas for p in ps]
     profiles = _pool_map(profile, combos)
@@ -559,6 +569,8 @@ def cmd_transfer(cfg, seed, rec):
     ps = _require_list(cfg, "ps", float, "")
     modes = _require(cfg, "modes_per_axis", int, "", default=64, required=False)
     fam_size = _require(cfg, "family_size", int, "", default=8, required=False)
+    if fam_size < 1:
+        raise ConfigError("config field 'family_size' must be >= 1")
     cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
     trials = _require(cfg, "trials", int, "", default=20, required=False)
 
@@ -567,7 +579,6 @@ def cmd_transfer(cfg, seed, rec):
     partition = UniformPartition(grid)
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
     sym = oscillator_heat_symbol(tg, t, beta)
-    young = kernel_l1_norm(sym, tg)
 
     def bounds_for(p):
         lower = operator_norm_lower(sym, p, trials, tg, seed=seed)

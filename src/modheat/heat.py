@@ -90,6 +90,8 @@ class HeatProblem:
             raise ValueError("beta must be positive")
         if not np.all(np.isfinite(self.u0.values)):
             raise ValueError("u0 must be finite everywhere")
+        if self.source_sign not in (1, -1):
+            raise ValueError("source_sign must be +1 or -1")
 
 
 @dataclass
@@ -103,6 +105,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt < self.t_max:
             raise ValueError("need 0 < dt < t_max")
+        steps = self.t_max / self.dt
+        if not (math.isfinite(steps)
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"t_max {self.t_max!r} is not a whole multiple "
+                             f"of dt {self.dt!r}")
         if self.scheme not in ("ETD1", "ETD2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

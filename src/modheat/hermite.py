@@ -10,15 +10,18 @@ the level-k eigenspace with eigenvalue 2k + d, so any bounded spectral
 multiplier, in particular exp(-t (2k+d)^beta), is diagonal in the
 coefficient tensor.  Inner products use Gauss quadrature in the e^{-x^2}
 measure with a guard margin of extra nodes, which makes the analysis exact
-for polynomial-times-Gaussian integrands up to the degree cap.
+for polynomial-times-Gaussian integrands up to the degree cap.  Decay
+profiles synthesize the data and its flow at every t as one stack, at most
+NORM_BATCH_VALUES values at a time, for one stacked norm call.
 """
 
 import math
-from itertools import product
 
 import numpy as np
 
 from .gammafn import gamma, log_gamma
+from .modnorm import NORM_BATCH_VALUES, ModNormSpec, mod_norms_from_frequency
+from .spectral import forward_values
 
 
 def hermite_table(k_max, x):
@@ -119,9 +122,6 @@ class HermiteCoeffs:
     def l2_norm(self):
         return float(np.sqrt(np.sum(np.abs(self.tensor) ** 2)))
 
-    def copy(self):
-        return HermiteCoeffs(self.basis, self.tensor.copy())
-
 
 def _contract_all_axes(values, matrix):
     """Apply `matrix` (new_idx, node) along every axis, preserving axis order."""
@@ -180,13 +180,15 @@ def project_eigenspace(values, level, basis):
 
 
 def heat_coeff_factors(basis, t, beta):
-    return np.exp(-t * (2.0 * basis.level_mesh + basis.dim) ** beta)
+    """exp(-t (2k+d)^beta) on the coefficient tensor, one per entry of t."""
+    if np.any(np.asarray(t) < 0):
+        raise ValueError("negative time")
+    return np.exp(-np.multiply.outer(
+        t, (2.0 * basis.level_mesh + basis.dim) ** beta))
 
 
 def oscillator_heat_coeffs(coeffs, t, beta):
     """Heat flow of the fractional oscillator applied in coefficient space."""
-    if t < 0:
-        raise ValueError("negative time")
     basis = coeffs.basis
     return HermiteCoeffs(basis, heat_coeff_factors(basis, t, beta) * coeffs.tensor)
 
@@ -285,25 +287,42 @@ def multiplier_tail(d, t, beta, n_from):
 # -- decay profile ----------------------------------------------------------------
 
 
-def decay_profile(coeffs, beta, p, t_grid, grid, partition, norm_fn):
+def expansion_mod_norms(tensors, grid, p, partition):
+    """(p, p, 0) decomposition norms on grid of the expansions stacked along
+    the first axis of tensors: NORM_BATCH_VALUES synthesized values at a
+    time, each chunk one contraction per axis, one transform, one norm call.
+    """
+    if tensors.ndim - 1 != grid.dim:
+        raise ValueError("Hermite basis and grid dimensions differ")
+    table = hermite_table(tensors.shape[1] - 1, grid.x_axis)
+    spec = ModNormSpec(p, p, 0.0)
+    batch = max(1, NORM_BATCH_VALUES // grid.size)
+    norms = []
+    for i in range(0, len(tensors), batch):
+        vals = tensors[i:i + batch]
+        for _ in range(grid.dim):
+            # not tensordot: its first BLAS gemm call adds ~0.5 MB peak RSS
+            vals = np.einsum("bk...,kn->b...n", vals, table)
+        norms.append(mod_norms_from_frequency(forward_values(grid, vals),
+                                              spec, partition))
+    return np.concatenate(norms)
+
+
+def decay_profile(coeffs, beta, p, t_grid, grid, partition):
     """Table of (t, norm of the heat flow, compensated ratio).
 
-    The ratio multiplies the measured norm by e^{t d^beta} t^{d/beta} and
-    divides by the initial norm; its supremum over the grid is the empirical
-    decay constant.  `norm_fn(values_on_grid) -> float` supplies the norm.
+    The ratio multiplies the measured (p, p, 0) decomposition norm by
+    e^{t d^beta} t^{d/beta} and divides by the initial norm; its supremum
+    over the grid is the empirical decay constant.  The initial data and
+    the flow at every t are measured as one stack.
     """
-    basis = coeffs.basis
-    d = basis.dim
-    base_vals = synthesize_at(coeffs, grid.x_axis)
-    base = norm_fn(base_vals)
+    d = coeffs.basis.dim
+    t_grid = [float(t) for t in t_grid]
+    heated = heat_coeff_factors(coeffs.basis, t_grid, beta) * coeffs.tensor
+    norms = expansion_mod_norms(np.concatenate([coeffs.tensor[None], heated]),
+                                grid, p, partition).tolist()
+    base = norms[0]
     if base == 0.0:
         raise ValueError("decay profile undefined for zero data")
-    rows = []
-    for t in t_grid:
-        ct = oscillator_heat_coeffs(coeffs, float(t), beta)
-        vals = synthesize_at(ct, grid.x_axis)
-        nrm = norm_fn(vals)
-        ratio = nrm * math.exp(t * d ** beta) * t ** (d / beta) / base
-        rows.append((float(t), nrm, ratio))
-    return rows
-
+    return [(t, nrm, nrm * math.exp(t * d ** beta) * t ** (d / beta) / base)
+            for t, nrm in zip(t_grid, norms[1:])]

@@ -13,7 +13,8 @@ mixed L^p_x L^q_y quadrature norm.  The window shifts are not transformed
 one by one: the shifted windows of a batch are gathered into one stack,
 multiplied by f and transformed in a single call, with each stack capped at
 STFT_BATCH_VALUES values because larger ones raise peak memory over
-repeated runs.  The two estimators agree up to an equivalence constant that
+repeated runs.  The spectrogram does not depend on (p, q, s), so one pass
+over it serves a whole list of specs (mod_norms_stft).  The two estimators agree up to an equivalence constant that
 is measured once and frozen as a regression value (no explicit constant is
 available analytically).
 
@@ -284,14 +285,6 @@ class STFTPlan:
             x_stride -= 1
         self.x_stride = x_stride
 
-    @property
-    def a(self):
-        return self.x_stride * self.grid.spacing
-
-    @property
-    def b(self):
-        return self.grid.freq_spacing
-
 
 def stft(f, plan, x, y):
     """Quadrature value of the windowed transform at one phase-space point.
@@ -355,8 +348,10 @@ def _stft_batches(f, plan, stride, fine):
             yield forward_values(fine, w)
 
 
-def mod_norm_stft(f, plan, spec, refine=1):
-    """Mixed L^p_x L^q_y quadrature norm of V_g f with weight <y>^s."""
+def mod_norms_stft(f, plan, specs, refine=1):
+    """mod_norm_stft for every spec in specs, from one pass over |V_g f|:
+    each batch of window shifts is transformed once, and one inner L^p_x sum
+    is accumulated per distinct p."""
     g = f.grid
     d = g.dim
     n = g.points_per_axis
@@ -366,37 +361,41 @@ def mod_norm_stft(f, plan, spec, refine=1):
     # shifting the window through the full stride orbit enumerates the x
     # lattice; refining y means transforming on a zero-padded box
     fine = SpectralGrid(d, n * refine, g.half_width * refine) if refine > 1 else g
-    inner = np.zeros(fine.shape)
+    inner = {spec.p: np.zeros(fine.shape) for spec in specs}
     for batch in _stft_batches(f, plan, stride, fine):
-        rows = np.abs(batch)
-        if np.isinf(spec.p):
-            np.maximum(inner, rows.max(axis=0), out=inner)
-        else:
-            rows **= spec.p
+        mags = np.abs(batch)
+        for p, acc in inner.items():
+            if np.isinf(p):
+                np.maximum(acc, mags.max(axis=0), out=acc)
+                continue
             # row by row in shift order, so the summation order is fixed
-            for row in rows:
-                inner += row
+            for row in (mags if p == 1 else mags ** p):
+                acc += row
     a_vol = (stride * g.spacing) ** d
-    if np.isinf(spec.p):
-        amp = inner
-    else:
-        amp = (a_vol * inner) ** (1.0 / spec.p)
     # weight and outer q-norm over the y lattice
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
-    weight = (1.0 + ysq) ** (spec.s / 2.0)
     b_vol = fine.freq_spacing ** d
-    return lp_norm(amp * weight, b_vol, spec.q)
+    norms = []
+    for spec in specs:
+        amp = inner[spec.p]
+        if not np.isinf(spec.p):
+            amp = (a_vol * amp) ** (1.0 / spec.p)
+        weight = (1.0 + ysq) ** (spec.s / 2.0)
+        norms.append(lp_norm(amp * weight, b_vol, spec.q))
+    return norms
 
 
-def stft_resolution_ok(f, plan, spec, coarse, rel_tol=0.01):
-    """True when halving both sampling steps moves the norm by < rel_tol.
+def mod_norm_stft(f, plan, spec, refine=1):
+    """Mixed L^p_x L^q_y quadrature norm of V_g f with weight <y>^s."""
+    return mod_norms_stft(f, plan, [spec], refine)[0]
 
-    coarse is mod_norm_stft(f, plan, spec), which callers already hold.
-    """
-    fine = mod_norm_stft(f, plan, spec, refine=2)
-    if fine == 0.0:
-        return coarse == 0.0
-    return abs(coarse - fine) / fine < rel_tol
+
+def stft_resolution_ok(coarse, fine, rel_tol=0.01):
+    """True where halving both sampling steps moves the norm by < rel_tol;
+    elementwise over STFT norms at refine 1 (coarse) and 2 (fine)."""
+    coarse, fine = np.asarray(coarse, float), np.asarray(fine, float)
+    moved = np.abs(coarse - fine) / np.where(fine == 0.0, 1.0, fine)
+    return np.where(fine == 0.0, coarse == 0.0, moved < rel_tol)
 
 
 # -- measured-inequality helpers ------------------------------------------------

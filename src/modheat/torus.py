@@ -12,7 +12,8 @@ upper bound, the L^1 norm of the inverse transform of the symbol.  The
 oscillator heat symbol restricted to nonnegative modes ties this module to
 the Hermite flow: its multiplier bound on the torus transfers to a bound on
 the modulation-norm decay of the oscillator semigroup, up to one frozen
-slack constant absorbing norm-equivalence factors.
+slack constant absorbing norm-equivalence factors.  The family and its
+flow are measured as one stack (hermite.expansion_mod_norms).
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ import math
 
 import numpy as np
 
-from .hermite import eigen_sum, multiplier_tail, oscillator_heat_coeffs, synthesize_at
+from .hermite import (eigen_sum, expansion_mod_norms, heat_coeff_factors,
+                      multiplier_tail)
 
 
 @dataclass(frozen=True)
@@ -189,38 +191,33 @@ class TransferenceReport:
         return all(r.passed for r in self.rows)
 
 
-def transference_check(t, beta, p, family, grid, partition, tg, slack, norm_fn=None):
+def transference_check(t, beta, p, family, grid, partition, tg, slack):
     """Compare oscillator-heat modulation-norm ratios with the torus Young bound.
 
-    `family` is a list of (label, HermiteCoeffs); each function is pushed
-    through exp(-t H^beta), resampled on the uniform grid, and measured in
-    the (p, p) modulation norm.  Every ratio must stay below the Young upper
-    bound times the frozen slack constant.
+    `family` is a non-empty list of (label, HermiteCoeffs) on one basis;
+    each function is pushed through exp(-t H^beta), resampled on the uniform
+    grid, and measured in the (p, p) modulation norm, all members and their
+    flows as one stack.  Every ratio must stay below the Young upper bound
+    times the frozen slack constant.
     """
     if math.isinf(p):
         raise ValueError("transference check requires p < infinity")
-    from .modnorm import ModNormSpec, mod_norm_decomp
-    from .spectral import GridFunction
 
     spec = oscillator_heat_symbol(tg, t, beta)
     young = kernel_l1_norm(spec, tg)
     parseval = (2.0 * np.pi) ** (tg.dim / 2.0) * math.sqrt(
         eigen_sum(tg.dim, beta, t))
-    mspec = ModNormSpec(p, p, 0.0)
-    if norm_fn is None:
-        def norm_fn(values):
-            return mod_norm_decomp(GridFunction(grid, values), mspec, partition)
+    base = np.stack([coeffs.tensor for _, coeffs in family])
+    factors = heat_coeff_factors(family[0][1].basis, t, beta)
+    norms = expansion_mod_norms(np.concatenate([base, factors * base]),
+                                grid, p, partition).tolist()
 
     rows = []
-    for label, coeffs in family:
-        base_vals = synthesize_at(coeffs, grid.x_axis)
-        base = norm_fn(base_vals)
-        if base == 0.0:
+    bound = young * slack
+    for (label, _), base_norm, heated in zip(family, norms, norms[len(family):]):
+        if base_norm == 0.0:
             raise ValueError(f"zero-norm test function {label!r}")
-        heated = norm_fn(synthesize_at(
-            oscillator_heat_coeffs(coeffs, t, beta), grid.x_axis))
-        ratio = heated / base
-        bound = young * slack
-        rows.append(TransferenceRow(label, base, heated, ratio, bound,
+        ratio = heated / base_norm
+        rows.append(TransferenceRow(label, base_norm, heated, ratio, bound,
                                     ratio <= bound))
     return TransferenceReport(rows, young, parseval, slack)

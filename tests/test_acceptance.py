@@ -240,13 +240,7 @@ def test_criterion_08_decay_profile(basis16, hgrid, hpart):
     worst_slope = 0.0
     for beta in (1.0, 2.0):
         for p in (1.0, 2.0, 4.0):
-            spec = ModNormSpec(p, p, 0)
-
-            def norm_fn(vals):
-                return mod_norm_decomp(GridFunction(hgrid, vals), spec, hpart)
-
-            rows = decay_profile(coeffs, beta, p, t_grid, hgrid, hpart,
-                                 norm_fn)
+            rows = decay_profile(coeffs, beta, p, t_grid, hgrid, hpart)
             sup_all = max(sup_all, max(r for _, _, r in rows))
             ts = np.array([t for t, _, _ in rows if 3.0 <= t <= 5.0])
             ns = np.array([v for t, v, _ in rows if 3.0 <= t <= 5.0])

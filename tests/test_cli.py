@@ -1,7 +1,13 @@
 import json
 import math
 
+import pytest
+
 from modheat.cli import main
+from modheat.corpus import band_limited
+from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
+                             mod_norm_decomp, mod_norm_stft)
+from modheat.spectral import SpectralGrid
 
 GRID = {"dim": 1, "points_per_axis": 256, "half_width": 16.0}
 SMALL_GRID = {"dim": 1, "points_per_axis": 128, "half_width": 12.0}
@@ -83,6 +89,38 @@ class TestBlowupCommand:
 
 
 class TestModnormCommand:
+    def test_values_match_per_function_estimators(self, tmp_path):
+        cfg = modnorm_config()
+        code, out = run(tmp_path, "modnorm", cfg)
+        assert code == 0
+        grid = SpectralGrid(1, 256, 16.0)
+        part = UniformPartition(grid)
+        plan = STFTPlan(grid)
+        want = {}
+        flags = {}
+        for i in range(cfg["corpus_size"]):
+            f = band_limited(grid, cfg["max_mode"], seed=cfg["seed"] + i)
+            for p, q, s in cfg["specs"]:
+                spec = ModNormSpec(float(p), float(q), float(s))
+                coarse = mod_norm_stft(f, plan, spec)
+                fine = mod_norm_stft(f, plan, spec, refine=2)
+                want[i, spec, "decomp"] = mod_norm_decomp(f, spec, part)
+                want[i, spec, "stft"] = coarse
+                flags[f"f{i}_p{spec.p}q{spec.q}s{spec.s}"] = \
+                    abs(coarse - fine) / fine < 0.01
+        lines = (out / "modnorm_values.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + len(want)
+        for line in lines[1:]:
+            fi, p, q, s, est, val = line.split(",")
+            ref = want[int(fi), ModNormSpec(float(p), float(q), float(s)),
+                       est]
+            if est == "stft":
+                assert float(val) == ref
+            else:
+                assert float(val) == pytest.approx(ref, rel=1e-13, abs=0)
+        for row in json.load(open(out / "modnorm_report.json")):
+            assert (row["resolution_flags"] == []) == flags[row["norm_id"]]
+
     def config(self):
         return {
             "schema_version": 1,
@@ -173,6 +211,17 @@ def hermite_config(**overrides):
     return cfg
 
 
+def modnorm_config():
+    return {
+        "schema_version": 1,
+        "seed": 7,
+        "grid": GRID,
+        "corpus_size": 3,
+        "max_mode": 6,
+        "specs": [[2, 1, 0], [1, 2, 1.5], [2, 2, 0], [4, 1, 0]],
+    }
+
+
 def transfer_config():
     return {
         "schema_version": 1,
@@ -195,6 +244,27 @@ class TestHermiteCommand:
         eigen = (out / "hermite_eigen.csv").read_text().strip().splitlines()
         assert eigen[0] == "d,beta,t,value,bound,pass"
         assert all(line.endswith(",1") for line in eigen[1:])
+
+    @pytest.mark.parametrize("profile,window", [
+        ({"lo": 3.0, "hi": 5.0, "points": 6}, [3.0, 5.0]),
+        ({"lo": 2.5, "hi": 5.0, "points": 6}, [3.0, 5.0]),
+        ({"lo": 0.05, "hi": 5.0, "points": 10}, [2.0, 5.0]),
+        ({"lo": 0.05, "hi": 2.0, "points": 5}, [3.0, 5.0])])
+    def test_t_grid_increasing_inside_profile(self, tmp_path, profile,
+                                              window):
+        # a profile starting past the geometric break used to run backwards
+        # below lo, and a window starting at the break repeated t = 2.5
+        cfg = hermite_config(t_profile=profile, slope_window=window)
+        cfg.pop("eigen_lattice")
+        code, out = run(tmp_path, "hermite", cfg)
+        assert code in (0, 1)
+        lines = (out / "hermite_decay.csv").read_text().strip().splitlines()
+        for beta in cfg["betas"]:
+            ts = [float(line.split(",")[3]) for line in lines[1:]
+                  if float(line.split(",")[1]) == beta]
+            assert len(ts) >= profile["points"]
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+            assert profile["lo"] <= ts[0] and ts[-1] <= profile["hi"]
 
 
 class TestTransferCommand:
@@ -279,6 +349,20 @@ class TestConfigValidation:
             assert code == 2
             assert f"'{field}'" in capsys.readouterr().err
 
+    def test_t_max_not_multiple_of_dt_named(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "blowup", blowup_config(
+            solver={"dt": 2e-4, "t_max": 0.50003}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'solver'" in err and "t_max" in err
+
+    def test_empty_transfer_family_named(self, tmp_path, capsys):
+        cfg = transfer_config()
+        cfg["family_size"] = 0
+        code, _ = run(tmp_path, "transfer", cfg)
+        assert code == 2
+        assert "family_size" in capsys.readouterr().err
+
     def test_witness_terms_must_be_positive(self, tmp_path, capsys):
         code, _ = run(tmp_path, "blowup", blowup_config(witness_terms=0))
         assert code == 2
@@ -326,9 +410,11 @@ class TestConfigValidation:
             assert ratios[0] == ratios[1]
 
     def test_pooled_sweeps_thread_independent(self, tmp_path, monkeypatch):
-        # hermite sweeps (beta, p) pairs and transfer sweeps p on the pool
+        # hermite sweeps (beta, p) pairs and transfer sweeps p on the pool;
+        # modnorm's stacked norms must not depend on the cap either
         for command, cfg in (("hermite", hermite_config()),
-                             ("transfer", transfer_config())):
+                             ("transfer", transfer_config()),
+                             ("modnorm", modnorm_config())):
             tables = []
             for threads in ("1", "2"):
                 monkeypatch.setenv("MODHEAT_THREADS", threads)

@@ -127,6 +127,20 @@ class TestSolver:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.01, t_max=1.0, scheme="RK4")
 
+    @pytest.mark.parametrize("dt,t_max", [(0.3, 1.0), (2e-4, 0.50001),
+                                          (0.01, math.inf)])
+    def test_t_max_must_be_whole_multiple_of_dt(self, dt, t_max):
+        # solve used to round t_max / dt to a step count silently
+        with pytest.raises(ValueError, match="t_max"):
+            SolverConfig(dt=dt, t_max=t_max)
+        SolverConfig(dt=1e-5, t_max=0.5)  # 49999.99999999999 steps: whole
+
+    @pytest.mark.parametrize("sign", [0, 2, -3])
+    def test_source_sign_must_be_unit(self, sign):
+        u0 = GridFunction(SpectralGrid(1, 16, 4.0), np.ones(16))
+        with pytest.raises(ValueError, match="source_sign"):
+            HeatProblem(2.0, 2, u0, source_sign=sign)
+
     def test_certified_data_blows_up_with_monotone_tail(self, grid1, part1):
         u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
         tr = solve(HeatProblem(2.0, 2, u0),

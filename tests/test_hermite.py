@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modheat import constants
+from modheat import constants, hermite
 from modheat.corpus import hermite_coeff_family
 from modheat.hermite import (HermiteBasis, HermiteCoeffs, analyze,
                              analysis_residual, decay_profile, eigen_sum,
@@ -11,8 +11,8 @@ from modheat.hermite import (HermiteBasis, HermiteCoeffs, analyze,
                              hermite_eval, hermite_table, oscillator_heat,
                              oscillator_heat_coeffs, project_eigenspace,
                              synthesize, synthesize_at)
-from modheat.modnorm import ModNormSpec, mod_norm_decomp
-from modheat.spectral import GridFunction
+from modheat.modnorm import ModNormSpec, UniformPartition, mod_norm_decomp
+from modheat.spectral import GridFunction, SpectralGrid
 
 
 def coeff_unit(basis, *level_weights):
@@ -233,16 +233,56 @@ class TestEigenSums:
             eigen_sum_bound(1, -1.0, 1.0)
 
 
+def oracle_decay_profile(coeffs, beta, p, t_grid, grid, partition):
+    """decay_profile as a loop over t: one synthesis and one norm per t."""
+    spec = ModNormSpec(p, p, 0.0)
+
+    def norm(c):
+        vals = synthesize_at(c, grid.x_axis)
+        return mod_norm_decomp(GridFunction(grid, vals), spec, partition)
+
+    d = coeffs.basis.dim
+    base = norm(coeffs)
+    rows = []
+    for t in t_grid:
+        nrm = norm(oscillator_heat_coeffs(coeffs, float(t), beta))
+        rows.append((float(t), nrm,
+                     nrm * math.exp(t * d ** beta) * t ** (d / beta) / base))
+    return rows
+
+
 class TestDecayProfile:
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stack_matches_per_t_loop(self, monkeypatch, dim, p, cap):
+        # cap: slices per synthesized chunk (None: the module's cap); 3
+        # leaves a partial last chunk of the 1 + 7 slices
+        if dim == 1:
+            grid, degree = SpectralGrid(1, 192, 12.0), 16
+        else:
+            grid, degree = SpectralGrid(2, 24, 6.0), 6
+        basis = HermiteBasis(dim, degree)
+        (_, coeffs), = hermite_coeff_family(basis, 1, seed=3)
+        part = UniformPartition(grid)
+        t_grid = [0.05, 0.2, 0.7, 1.5, 2.5, 3.0, 4.5]
+        if cap is not None:
+            monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
+        got = decay_profile(coeffs, 1.5, p, t_grid, grid, part)
+        want = oracle_decay_profile(coeffs, 1.5, p, t_grid, grid, part)
+        assert [r[0] for r in got] == [r[0] for r in want]
+        np.testing.assert_allclose([r[1:] for r in got],
+                                   [r[1:] for r in want], rtol=1e-13, atol=0)
+
+    def test_grid_dimension_must_match_basis(self, basis16):
+        grid = SpectralGrid(2, 16, 4.0)
+        with pytest.raises(ValueError):
+            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, 2.0, [0.5],
+                          grid, UniformPartition(grid))
+
     def test_ground_state_ratio_is_power_law(self, basis16, hgrid, hpart):
         coeffs = coeff_unit(basis16, (0, 1.0))
-        spec = ModNormSpec(2, 2, 0)
-
-        def norm_fn(vals):
-            return mod_norm_decomp(GridFunction(hgrid, vals), spec, hpart)
-
-        rows = decay_profile(coeffs, 1.0, 2.0, [0.1, 1.0, 2.0], hgrid, hpart,
-                             norm_fn)
+        rows = decay_profile(coeffs, 1.0, 2.0, [0.1, 1.0, 2.0], hgrid, hpart)
         for t, _, ratio in rows:
             assert ratio == pytest.approx(t, rel=1e-8)
 
@@ -255,25 +295,22 @@ class TestDecayProfile:
                                  np.linspace(3.0, 5.0, 9)])
         for beta in (1.0, 2.0):
             for p in (1.0, 2.0, 4.0):
-                spec = ModNormSpec(p, p, 0)
-
-                def norm_fn(vals):
-                    return mod_norm_decomp(GridFunction(hgrid, vals), spec,
-                                           hpart)
-
-                rows = decay_profile(coeffs, beta, p, t_grid, hgrid, hpart,
-                                     norm_fn)
+                rows = decay_profile(coeffs, beta, p, t_grid, hgrid, hpart)
                 assert max(r for _, _, r in rows) <= constants.DECAY_PROFILE_CONST
                 ts = np.array([t for t, _, _ in rows if t >= 3.0])
                 ns = np.array([v for t, v, _ in rows if t >= 3.0])
                 slope = np.polyfit(ts, np.log(ns), 1)[0]
                 assert slope == pytest.approx(-1.0, rel=0.02)
 
+    def test_negative_time_rejected(self, basis16, hgrid, hpart):
+        with pytest.raises(ValueError):
+            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, 2.0,
+                          [0.5, -0.1], hgrid, hpart)
+
     def test_zero_data_rejected(self, basis16, hgrid, hpart):
         coeffs = coeff_unit(basis16)
         with pytest.raises(ValueError):
-            decay_profile(coeffs, 1.0, 2.0, [0.5], hgrid, hpart,
-                          lambda v: float(np.max(np.abs(v))))
+            decay_profile(coeffs, 1.0, 2.0, [0.5], hgrid, hpart)
 
 
 class TestCorpusHelpers:

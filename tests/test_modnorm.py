@@ -13,7 +13,7 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              block_project, bump_profile,
                              fourier_lebesgue_norm, mod_norm_decomp,
                              mod_norm_from_frequency, mod_norm_stft,
-                             mod_norms_from_frequency, stft,
+                             mod_norms_from_frequency, mod_norms_stft, stft,
                              stft_resolution_ok)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
                               forward_transform, lp_norm, physical_lp_norm)
@@ -348,7 +348,14 @@ class TestSTFTNorm:
     def test_resolution_flag(self, grid1, plan1, gauss1):
         spec = ModNormSpec(2, 1, 0)
         coarse = mod_norm_stft(gauss1, plan1, spec)
-        assert stft_resolution_ok(gauss1, plan1, spec, coarse)
+        fine = mod_norm_stft(gauss1, plan1, spec, refine=2)
+        assert stft_resolution_ok(coarse, fine)
+
+    def test_resolution_flag_elementwise(self):
+        coarse = [1.0, 1.0, 1.0, 0.0, 1.0]
+        fine = [1.0, 1.005, 1.5, 0.0, 0.0]
+        assert stft_resolution_ok(coarse, fine).tolist() == [
+            True, True, False, True, False]
 
     def test_default_window_is_normalized(self, grid1, plan1):
         w = GridFunction(grid1, plan1.window)
@@ -441,6 +448,18 @@ class TestSTFTEngine:
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_many_specs_match_one_at_a_time(self, name, refine):
+        # repeated p share one spectrogram sum; p = inf takes the max
+        f, plan = _stft_case(name)
+        specs = [ModNormSpec(*t) for t in (
+            (2.0, 1.0, 0.0), (1.0, 2.0, 1.5), (np.inf, 1.0, 0.0),
+            (2.0, np.inf, 1.5), (4.0, 2.0, 0.0), (1.0, 1.0, 0.0),
+            (np.inf, 2.0, 1.5), (2.0, 2.0, -1.0))]
+        want = [mod_norm_stft(f, plan, spec, refine) for spec in specs]
+        assert mod_norms_stft(f, plan, specs, refine) == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1", "d2", "d3"])

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from modheat import constants
+from modheat import constants, hermite
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import HermiteCoeffs, eigen_sum
+from modheat.hermite import (HermiteCoeffs, eigen_sum, oscillator_heat_coeffs,
+                             synthesize_at)
+from modheat.modnorm import ModNormSpec, mod_norm_decomp
+from modheat.spectral import GridFunction
 from modheat.torus import (MultiplierSpec, TorusGrid, kernel_l1_norm,
                            operator_norm_lower, oscillator_heat_symbol,
                            torus_apply, torus_forward, torus_inverse,
@@ -169,7 +172,45 @@ def setup(hgrid, hpart, basis16):
     return hgrid, hpart, family
 
 
+def oracle_transfer_norms(t, beta, p, family, grid, partition):
+    """(label, base, heated, ratio) of every member, one member at a time."""
+    spec = ModNormSpec(p, p, 0.0)
+
+    def norm(c):
+        vals = synthesize_at(c, grid.x_axis)
+        return mod_norm_decomp(GridFunction(grid, vals), spec, partition)
+
+    rows = []
+    for label, coeffs in family:
+        base = norm(coeffs)
+        heated = norm(oscillator_heat_coeffs(coeffs, t, beta))
+        rows.append((label, base, heated, heated / base))
+    return rows
+
+
 class TestTransference:
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_stack_matches_per_member_loop(self, setup, monkeypatch, p, cap):
+        # cap: slices per synthesized chunk; 3 splits the 2 x 7 slices
+        # unevenly and across the base/heated boundary
+        grid, part, family = setup
+        if cap is not None:
+            monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
+        rep = transference_check(0.7, 1.5, p, family, grid, part,
+                                 TorusGrid(1, 64), slack=1.0)
+        want = oracle_transfer_norms(0.7, 1.5, p, family, grid, part)
+        assert [r.label for r in rep.rows] == [w[0] for w in want]
+        np.testing.assert_allclose(
+            [(r.base_norm, r.heated_norm, r.ratio) for r in rep.rows],
+            [w[1:] for w in want], rtol=1e-13, atol=0)
+
+    def test_empty_family_rejected(self, setup):
+        grid, part, _ = setup
+        with pytest.raises(ValueError):
+            transference_check(1.0, 1.0, 2.0, [], grid, part,
+                               TorusGrid(1, 64), slack=1.5)
+
     def test_ground_state_ratio_matches_spectrum(self, setup):
         grid, part, family = setup
         tg = TorusGrid(1, 64)

@@ -92,12 +92,7 @@ def main():
     sup_all = 0.0
     for beta in (1.0, 2.0):
         for p in (1.0, 2.0, 4.0):
-            mspec = ModNormSpec(p, p, 0)
-
-            def norm_fn(vals):
-                return mod_norm_decomp(GridFunction(grid, vals), mspec, partg)
-
-            rows = decay_profile(f, beta, p, tgrid, grid, partg, norm_fn)
+            rows = decay_profile(f, beta, p, tgrid, grid, partg)
             sup_all = max(sup_all, max(r[2] for r in rows))
     print(f"DECAY_PROFILE sup ratio: {sup_all:.4f}")
 
