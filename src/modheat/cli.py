@@ -28,15 +28,15 @@ import numpy as np
 from . import __version__, constants
 from .corpus import band_limited, hermite_coeff_family, propagation_corpus
 from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, certify_hypothesis,
-                   divergence_witness, linear_propagate, lower_bound_envelope,
-                   picard_terms, plateau_data, solve)
+                   divergence_witness, lower_bound_envelope, picard_terms,
+                   plateau_data, solve)
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
                       eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norm_decomp, mod_norms_from_frequency,
                       mod_norms_stft, stft_resolution_ok)
 from .spectral import (GridFunction, SpectralGrid, forward_values,
-                       load_grid_function)
+                       heat_symbol, load_grid_function)
 from .torus import TorusGrid, operator_norm_lower, oscillator_heat_symbol, \
     transference_check
 
@@ -154,6 +154,7 @@ class RunRecord:
         self.verdicts = []
         self.csv_files = []
         self.notes = []
+        self.diagnostics = {}  # run facts that no verdict checks
         self.t0 = time.monotonic()
 
     def note(self, text):
@@ -192,6 +193,7 @@ class RunRecord:
             "code_version": __version__,
             "config": self.config,
             "csv_files": sorted(self.csv_files),
+            "diagnostics": self.diagnostics,
             "notes": self.notes,
             "verdicts": self.verdicts,
             "all_passed": all(v["pass"] for v in self.verdicts),
@@ -241,16 +243,23 @@ def cmd_propagate(cfg, seed, rec):
                    required=False)
     if count < 1:
         raise ConfigError("config field 'corpus_size' must be >= 1")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ConfigError("config field 'beta' must be positive and finite")
+    if not times:
+        raise ConfigError("config field 'times' must not be empty")
+    for i, t in enumerate(times):
+        if not (t >= 0 and math.isfinite(t)):
+            raise ConfigError(f"config field 'times[{i}]' must be finite "
+                              "and >= 0")
 
     partition = UniformPartition(grid)
     corpus = propagation_corpus(grid, count, seed)
-    base = [mod_norm_decomp(f, spec, partition) for f in corpus]
-
-    def sweep(t):
-        return [mod_norm_decomp(linear_propagate(f, t, beta), spec, partition)
-                for f in corpus]
-
-    results = _pool_map(sweep, times)
+    hats = forward_values(grid, np.stack([f.values for f in corpus]))
+    base = mod_norms_from_frequency(hats, spec, partition).tolist()
+    # the flow is a frequency-side multiplier: one stack of every (t, f)
+    flows = np.stack([heat_symbol(grid, t, beta) for t in times])[:, None]
+    results = mod_norms_from_frequency(flows * hats, spec,
+                                       partition).tolist()
     rows = []
     uniform = []
     for t, norms in zip(times, results):
@@ -316,6 +325,9 @@ def cmd_blowup(cfg, seed, rec):
     except ValueError as exc:
         raise ConfigError(f"invalid config field 'solver': {exc}") from exc
     trace = solve(problem, config, partition)
+    rec.diagnostics["solver"] = {"stop_reason": trace.stop_reason,
+                                 "steps": len(trace.times) - 1,
+                                 "steps_discarded": trace.steps_discarded}
     rec.write_csv("blowup_trace.csv",
                   ["t", "norm_Mp1", "norm_FL1", "linf", "blowup_flag"],
                   list(trace.rows()))

@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from .gammafn import gamma, log_gamma
 from .modnorm import NORM_BATCH_VALUES, ModNormSpec, mod_norms_from_frequency
 from .spectral import forward_values
 
@@ -240,7 +239,7 @@ def _shell_tail_bound(d, c, beta, n_star):
         return math.inf  # caller must push n_star further out
     log_tail = ((a - 1.0) * math.log(u_star) - c * u_star
                 + math.log(2.0 / c) - math.log(2.0 * beta)
-                - log_gamma(float(d)))
+                - math.lgamma(float(d)))
     return math.exp(log_tail)
 
 
@@ -274,7 +273,7 @@ def eigen_sum_bound(d, beta, t):
     if t <= 0 or beta <= 0:
         raise ValueError("t and beta must be positive")
     return (math.exp(-t * d ** beta) * d ** (d / beta)
-            / (2.0 ** d * t ** (d / beta)) * gamma(1.0 + 1.0 / beta) ** d)
+            / (2.0 ** d * t ** (d / beta)) * math.gamma(1.0 + 1.0 / beta) ** d)
 
 
 def multiplier_tail(d, t, beta, n_from):

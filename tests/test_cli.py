@@ -1,10 +1,14 @@
+import csv
 import json
 import math
+import warnings
 
 import pytest
 
+from modheat import heat
 from modheat.cli import main
-from modheat.corpus import band_limited
+from modheat.corpus import band_limited, propagation_corpus
+from modheat.heat import linear_propagate
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norm_decomp, mod_norm_stft)
 from modheat.spectral import SpectralGrid
@@ -71,6 +75,38 @@ class TestBlowupCommand:
                    if n.startswith("certificate"))
         assert names["blowup_detected"]["pass"]
         assert names["witness_ratio"]["value"] >= 1.0
+
+    def test_run_record_reports_solver_stop(self, tmp_path):
+        code, out = run(tmp_path, "blowup", blowup_config())
+        assert code == 0
+        record = json.load(open(out / "run_record.json"))
+        rows = (out / "blowup_trace.csv").read_text().splitlines()
+        solver = record["diagnostics"]["solver"]
+        assert solver["stop_reason"] == "threshold"
+        assert solver["steps"] == len(rows) - 2  # header and t = 0
+        chunk = heat.SOLVE_BATCH_VALUES // GRID["points_per_axis"]
+        assert 0 <= solver["steps_discarded"] < chunk
+        # data too small to blow up runs to t_max: exit 1, nothing discarded
+        code, out = run(tmp_path, "blowup", blowup_config(
+            data={"kind": "gaussian", "amplitude": 0.1},
+            solver={"dt": 0.01, "t_max": 0.5}))
+        assert code == 1
+        solver = json.load(open(out / "run_record.json"))["diagnostics"][
+            "solver"]
+        assert solver == {"stop_reason": "t_max", "steps": 50,
+                          "steps_discarded": 0}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blowup_emits_no_runtime_warning(self, tmp_path, monkeypatch,
+                                             threads):
+        monkeypatch.setenv("MODHEAT_THREADS", threads)
+        gamma = 4 * math.e * (1 + 1e-6)
+        cfg = blowup_config(data={"kind": "plateau", "gamma": gamma, "r": 1.0},
+                            hypothesis={"gamma": gamma, "r": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "blowup", cfg)
+        assert code == 0
 
     def test_failed_certificate_gives_exit_one(self, tmp_path):
         cfg = blowup_config(hypothesis={"gamma": 10.0, "r": 1.0})
@@ -275,6 +311,13 @@ class TestTransferCommand:
         assert header == "d,beta,t,p,lower,young_upper,parseval_upper,pass"
 
 
+def propagate_config(**overrides):
+    cfg = {"schema_version": 1, "seed": 1, "grid": SMALL_GRID, "beta": 2.0,
+           "times": [0.1, 1.0], "corpus_size": 2}
+    cfg.update(overrides)
+    return cfg
+
+
 class TestPropagateCommand:
     def test_uniform_sweep(self, tmp_path):
         cfg = {
@@ -290,6 +333,32 @@ class TestPropagateCommand:
         assert code == 0
         record = json.load(open(out / "run_record.json"))
         assert record["all_passed"]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_stacked_norms_match_per_pair_oracle(self, tmp_path, p):
+        cfg = {"schema_version": 1, "seed": 5, "grid": SMALL_GRID,
+               "beta": 1.5, "times": [0.0, 0.1, 1.0], "corpus_size": 4,
+               "norm": {"p": p, "q": 1.0, "s": 0.0},
+               "stability_tolerance": 0.5}
+        code, out = run(tmp_path, "propagate", cfg)
+        assert code in (0, 1)
+        grid = SpectralGrid(**SMALL_GRID)
+        part = UniformPartition(grid)
+        spec = ModNormSpec(p, 1.0, 0.0)
+        corpus = propagation_corpus(grid, 4, 5)
+        with open(out / "propagate_ratios.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 4
+        for row, (t, f) in zip(rows, [(t, f) for t in cfg["times"]
+                                      for f in range(4)]):
+            assert (int(row["func_id"]), float(row["t"])) == (f, t)
+            base = mod_norm_decomp(corpus[f], spec, part)
+            flow = mod_norm_decomp(linear_propagate(corpus[f], t, 1.5), spec,
+                                   part)
+            assert float(row["norm_0"]) == pytest.approx(base, rel=1e-13)
+            assert float(row["norm_t"]) == pytest.approx(flow, rel=1e-13)
+            assert float(row["ratio"]) == pytest.approx(flow / base,
+                                                        rel=1e-13)
 
 
 class TestConfigValidation:
@@ -385,6 +454,19 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf])
+    def test_propagate_beta_named(self, tmp_path, capsys, beta):
+        code, _ = run(tmp_path, "propagate", propagate_config(beta=beta))
+        assert code == 2
+        assert "'beta'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [[], [-0.1, 1.0], [math.inf],
+                                       [math.nan]])
+    def test_propagate_times_named(self, tmp_path, capsys, times):
+        code, _ = run(tmp_path, "propagate", propagate_config(times=times))
+        assert code == 2
+        assert "'times" in capsys.readouterr().err
 
     def test_env_thread_cap_respected(self, tmp_path, monkeypatch):
         cfg = {

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -17,8 +18,9 @@ from modheat.heat import _cumulative_weights, _multiset_products
 from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
                              mod_norm_from_frequency)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              cropped_forward, fine_grid, forward_transform,
-                              forward_values, inverse_transform,
+                              cropped_forward, dealiased_power_hat, fine_grid,
+                              forward_transform, forward_values,
+                              frequency_lp_norm, inverse_transform,
                               padded_inverse)
 
 
@@ -218,6 +220,12 @@ class TestHypothesisCertificate:
         cert = certify_hypothesis(hyp, gauss1)
         assert not cert.condition("plateau_lower_bound").passed
         assert not cert.all_passed
+
+    def test_unit_ball_volume_from_gamma(self):
+        assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2,
+                                                    rel=1e-15)
+        assert unit_ball_volume(5) == pytest.approx(8 * math.pi ** 2 / 15,
+                                                    rel=1e-15)
 
     def test_dimension_mismatch_rejected(self, grid2, gauss1):
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=2)
@@ -425,6 +433,201 @@ class TestBatchedPicard:
                                        atol=ORACLE_RTOL * np.abs(want).max())
         np.testing.assert_allclose(res.sup_norms, sups, rtol=ORACLE_RTOL)
         np.testing.assert_allclose(res.ratios, ratios, rtol=ORACLE_RTOL)
+
+
+# -- the chunked solver against the per-step loop --------------------------------
+
+
+def _solve_oracle(problem, config, partition):
+    """The per-step solver: every step takes its norm, FL^1 norm and inverse
+    transform before the next one, and stops at the first detection."""
+    g = problem.u0.grid
+    z = config.dt * g.freq_magnitude ** problem.beta
+    decay = np.exp(-z)
+    w1 = config.dt * heat.phi1(z)
+    w2 = config.dt * heat.phi2(z) if config.scheme == "ETD2" else None
+    u = problem.u0
+    u_hat = forward_transform(u)
+    spec = problem.norm_spec
+    init_norm = mod_norm_from_frequency(u_hat, spec, partition)
+    threshold = config.blowup_threshold
+    if threshold is None:
+        threshold = 1e6 * init_norm if init_norm > 0 else 1e6
+    times, norms = [0.0], [init_norm]
+    fl1 = [frequency_lp_norm(u_hat, 1)]
+    linf = [float(np.max(np.abs(u.values)))]
+    snapshots = [(0.0, u.values.copy())] if config.snapshot_every > 0 else []
+    detected, t_detect, overflow = False, None, False
+    n_steps = int(round(config.t_max / config.dt))
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        n_vals = problem.source_sign * dealiased_power_hat(u_hat,
+                                                           problem.k).values
+        new_hat = decay * u_hat.values + w1 * n_vals
+        if config.scheme == "ETD2":
+            stage = GridFunction(g, new_hat, FREQUENCY)
+            n_stage = problem.source_sign * dealiased_power_hat(
+                stage, problem.k).values
+            new_hat = new_hat + w2 * (n_stage - n_vals)
+        t += config.dt
+        if not np.all(np.isfinite(new_hat)):
+            detected, overflow, t_detect = True, True, times[-1]
+            break
+        u_hat = GridFunction(g, new_hat, FREQUENCY)
+        u = inverse_transform(u_hat)
+        nom = mod_norm_from_frequency(u_hat, spec, partition)
+        times.append(t)
+        norms.append(nom)
+        fl1.append(frequency_lp_norm(u_hat, 1))
+        linf.append(float(np.max(np.abs(u.values))))
+        if config.snapshot_every > 0 and (step % config.snapshot_every == 0
+                                          or step == n_steps):
+            snapshots.append((t, u.values.copy()))
+        if not math.isfinite(nom) or nom > threshold:
+            detected, t_detect = True, t
+            break
+    return heat.SolutionTrace(times, norms, fl1, linf, detected, t_detect,
+                              overflow, snapshots)
+
+
+def _oracle(problem, config, partition):
+    # the per-step loop warns on the overflow it detects
+    with np.errstate(all="ignore"):
+        return _solve_oracle(problem, config, partition)
+
+
+SOLVE_CASES = {
+    "d1_etd1": (SpectralGrid(1, 64, 8.0), "ETD1"),
+    "d1_etd2": (SpectralGrid(1, 64, 8.0), "ETD2"),
+    "d2_etd1": (SpectralGrid(2, 16, 4.0), "ETD1"),
+    "d2_etd2": (SpectralGrid(2, 16, 4.0), "ETD2"),
+}
+SOLVE_DT = 1 / 512
+
+
+def _growing_problem(grid, p=2.0):
+    """Data whose flow overflows within ~50 steps of SOLVE_DT."""
+    sq = np.sum(grid.x_mesh ** 2, axis=-1)
+    return HeatProblem(2.0, 2, GridFunction(grid, 20.0 * np.exp(-2 * sq)),
+                       ModNormSpec(p, 1.0, 0.0))
+
+
+def _solve_chunked(problem, config, chunk, monkeypatch):
+    grid = problem.u0.grid
+    monkeypatch.setattr(heat, "SOLVE_BATCH_VALUES", chunk * grid.size)
+    return solve(problem, config, UniformPartition(grid))
+
+
+def _assert_matches_oracle(got, want):
+    assert got.times == want.times
+    assert ((got.blowup_detected, got.t_detect, got.overflow)
+            == (want.blowup_detected, want.t_detect, want.overflow))
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+    for name in ("norms", "fl1_norms", "linf_norms"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=ORACLE_RTOL)
+    for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+        np.testing.assert_allclose(a, b, rtol=0.0,
+                                   atol=ORACLE_RTOL * np.abs(b).max())
+
+
+class TestChunkedSolver:
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "partial"])
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_detection_matches_per_step_oracle(self, case, where,
+                                               monkeypatch):
+        grid, scheme = SOLVE_CASES[case]
+        prob = _growing_problem(grid)
+        part = UniformPartition(grid)
+        threshold = 3.0 * mod_norm_decomp(prob.u0, prob.norm_spec, part)
+
+        def config(n_steps):
+            return SolverConfig(dt=SOLVE_DT, t_max=n_steps * SOLVE_DT,
+                                blowup_threshold=threshold, scheme=scheme,
+                                snapshot_every=3)
+
+        n_steps = 256
+        s = len(_oracle(prob, config(n_steps), part).times) - 1
+        assert s >= 8
+        if where == "partial":
+            # the last chunk is short and holds s
+            n_steps = s + 1
+            chunk = next(c for c in range(3, s) if n_steps % c >= 2)
+        else:
+            chunk = {"first": s - 1, "middle": s + s // 2, "last": s}[where]
+        want = _oracle(prob, config(n_steps), part)
+        got = _solve_chunked(prob, config(n_steps), chunk, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert len(got.times) - 1 == s
+        assert got.blowup_detected and got.stop_reason == "threshold"
+        if where in ("last", "partial"):
+            assert got.steps_discarded == {"last": 0, "partial": 1}[where]
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_overflow_before_any_crossing(self, case, monkeypatch):
+        # at p = 1 the norm stays finite until the state overflows
+        grid, scheme = SOLVE_CASES[case]
+        prob = _growing_problem(grid, p=1.0)
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=0.5, blowup_threshold=1e300,
+                           scheme=scheme)
+        want = _oracle(prob, cfg, UniformPartition(grid))
+        got = _solve_chunked(prob, cfg, 16, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert got.overflow and got.stop_reason == "overflow"
+        assert got.t_detect == got.times[-1]
+        assert got.steps_discarded == 1
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_crossing_then_overflow_in_one_chunk(self, case, monkeypatch):
+        grid, scheme = SOLVE_CASES[case]
+        prob = _growing_problem(grid, p=1.0)
+        part = UniformPartition(grid)
+
+        def config(threshold):
+            return SolverConfig(dt=SOLVE_DT, t_max=0.5, scheme=scheme,
+                                blowup_threshold=threshold)
+
+        # the step that overflows, and the crossing well before it
+        overflow_step = len(_oracle(prob, config(1e300), part).times)
+        want = _oracle(prob, config(1e30), part)
+        s = len(want.times) - 1
+        assert overflow_step - s >= 2
+        got = _solve_chunked(prob, config(1e30), 256, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert not got.overflow and got.stop_reason == "threshold"
+        assert got.steps_discarded == overflow_step - s
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_snapshots_across_chunks(self, case, chunk, monkeypatch):
+        grid, scheme = SOLVE_CASES[case]
+        sq = np.sum(grid.x_mesh ** 2, axis=-1)
+        prob = HeatProblem(2.0, 2, GridFunction(grid, 0.5 * np.exp(-sq)))
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
+                           snapshot_every=3)
+        want = _oracle(prob, cfg, UniformPartition(grid))
+        got = _solve_chunked(prob, cfg, chunk, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert len(got.snapshots) == 1 + 64 // 3 + 1
+        assert not got.blowup_detected and got.stop_reason == "t_max"
+        assert got.steps_discarded == 0
+
+    def test_blowup_and_overflow_emit_no_runtime_warning(self, grid1, part1):
+        gamma = 4 * math.e * (1 + 1e-6)
+        plateau = HeatProblem(2.0, 2, plateau_data(grid1, gamma, 1.0))
+        cfg = SolverConfig(dt=2e-4, t_max=0.5)
+        overflow = _growing_problem(SpectralGrid(1, 64, 8.0), p=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(plateau, cfg, part1).stop_reason == "threshold"
+            tr = solve(overflow, SolverConfig(dt=SOLVE_DT, t_max=0.5,
+                                              blowup_threshold=1e300))
+        assert tr.stop_reason == "overflow"
+        # the per-step loop does warn on this run
+        with pytest.warns(RuntimeWarning):
+            _solve_oracle(overflow, SolverConfig(
+                dt=SOLVE_DT, t_max=0.5, blowup_threshold=1e300),
+                UniformPartition(overflow.u0.grid))
 
 
 class TestLowerBoundEnvelope:
