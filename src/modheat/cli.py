@@ -72,12 +72,27 @@ def _typed(val, typ, name):
     return val
 
 
+def _finite(obj, key, path, default=None, required=True):
+    """A float field that must be finite."""
+    val = _require(obj, key, float, path, default=default, required=required)
+    if not math.isfinite(val):
+        raise ConfigError(f"config field {path}{key!r} must be finite")
+    return val
+
+
 def _require_list(obj, key, typ, path, default=None, required=True):
     """A list field whose entries all have type typ."""
     vals = _require(obj, key, list, path, default=default, required=required)
     if vals is None:
         return None
     return [_typed(v, typ, f"{path}{key!r}[{i}]") for i, v in enumerate(vals)]
+
+
+def _positive(val, name):
+    """val, which must be finite and > 0; else a ConfigError naming it."""
+    if not (val > 0 and math.isfinite(val)):
+        raise ConfigError(f"config field {name} must be positive and finite")
+    return val
 
 
 def _parse_grid(cfg, path="grid."):
@@ -99,32 +114,40 @@ def _parse_norm(cfg, path="norm."):
     try:
         return ModNormSpec(p, q, s)
     except ValueError as exc:
-        raise ConfigError(f"invalid norm spec: {exc}") from exc
+        raise ConfigError(f"invalid config field {path[:-1]!r}: {exc}") \
+            from exc
 
 
 def _parse_data(cfg, grid, path="data."):
     _check_keys(cfg, {"kind", "amplitude", "exponent", "gamma", "r", "path",
                       "scale"}, path)
     kind = _require(cfg, "kind", str, path)
-    scale = _require(cfg, "scale", float, path, default=1.0, required=False)
-    if kind == "gaussian":
-        amp = _require(cfg, "amplitude", float, path)
-        expo = _require(cfg, "exponent", float, path, default=2 * math.pi,
-                        required=False)
-        sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        return GridFunction(grid, scale * amp * np.exp(-expo * sq))
-    if kind == "plateau":
-        gam = _require(cfg, "gamma", float, path)
-        r = _require(cfg, "r", float, path, default=1.0, required=False)
-        f = plateau_data(grid, gam, r)
-        return GridFunction(grid, scale * f.values)
-    if kind == "csv":
-        base = _require(cfg, "path", str, path)
-        f = load_grid_function(base)
-        if f.grid != grid:
-            raise ConfigError(f"data file {path}path grid mismatch")
-        return GridFunction(grid, scale * f.values, f.side)
-    raise ConfigError(f"config field {path}kind has unknown value {kind!r}")
+    scale = _finite(cfg, "scale", path, default=1.0, required=False)
+    # overflow shows as a non-finite sample, rejected below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "gaussian":
+            amp = _finite(cfg, "amplitude", path)
+            expo = _finite(cfg, "exponent", path, default=2 * math.pi,
+                           required=False)
+            sq = np.sum(grid.x_mesh ** 2, axis=-1)
+            f = GridFunction(grid, scale * amp * np.exp(-expo * sq))
+        elif kind == "plateau":
+            gam = _finite(cfg, "gamma", path)
+            r = _finite(cfg, "r", path, default=1.0, required=False)
+            f = GridFunction(grid, scale * plateau_data(grid, gam, r).values)
+        elif kind == "csv":
+            base = _require(cfg, "path", str, path)
+            f = load_grid_function(base)
+            if f.grid != grid:
+                raise ConfigError(f"data file {path}path grid mismatch")
+            f = GridFunction(grid, scale * f.values, f.side)
+        else:
+            raise ConfigError(
+                f"config field {path}kind has unknown value {kind!r}")
+    if not np.all(np.isfinite(f.values)):
+        raise ConfigError(f"config field {path[:-1]!r} gives non-finite "
+                          "samples")
+    return f
 
 
 def _load_config(path):
@@ -243,8 +266,7 @@ def cmd_propagate(cfg, seed, rec):
                    required=False)
     if count < 1:
         raise ConfigError("config field 'corpus_size' must be >= 1")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ConfigError("config field 'beta' must be positive and finite")
+    _positive(beta, "'beta'")
     if not times:
         raise ConfigError("config field 'times' must not be empty")
     for i, t in enumerate(times):
@@ -281,18 +303,28 @@ def cmd_blowup(cfg, seed, rec):
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     prob_cfg = _require(cfg, "problem", dict, "")
     _check_keys(prob_cfg, {"beta", "k"}, "problem.")
-    beta = _require(prob_cfg, "beta", float, "problem.")
+    beta = _positive(_require(prob_cfg, "beta", float, "problem."),
+                     "problem.'beta'")
     k = _require(prob_cfg, "k", int, "problem.")
+    if k < 2:
+        raise ConfigError("config field problem.'k' must be >= 2")
     u0 = _parse_data(_require(cfg, "data", dict, ""), grid)
     hyp_cfg = _require(cfg, "hypothesis", dict, "")
     _check_keys(hyp_cfg, {"gamma", "r"}, "hypothesis.")
-    hyp = BlowupHypothesis(_require(hyp_cfg, "gamma", float, "hypothesis."),
-                           _require(hyp_cfg, "r", float, "hypothesis."),
-                           beta, k, grid.dim)
+    gamma, r = (_positive(_require(hyp_cfg, key, float, "hypothesis."),
+                          f"hypothesis.{key!r}") for key in ("gamma", "r"))
+    hyp = BlowupHypothesis(gamma, r, beta, k, grid.dim)
     sol_cfg = _require(cfg, "solver", dict, "")
     _check_keys(sol_cfg, {"dt", "t_max", "threshold_factor", "scheme"}, "solver.")
+    factor = _require(sol_cfg, "threshold_factor", float, "solver.",
+                      default=1e6, required=False)
+    if not (factor > 1 and math.isfinite(factor)):
+        raise ConfigError("config field solver.'threshold_factor' must be "
+                          "finite and > 1")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
     detect_by = _require(cfg, "detect_by", float, "", default=None, required=False)
+    if detect_by is not None:
+        _positive(detect_by, "'detect_by'")
     witness_terms = _require(cfg, "witness_terms", int, "", default=12,
                              required=False)
     if witness_terms < 1:
@@ -302,7 +334,22 @@ def cmd_blowup(cfg, seed, rec):
         rec.note(f"norm exponent p={spec.p} is outside the certified blow-up "
                  "range 1 <= p <= 2; trace emitted for exploration only")
     partition = UniformPartition(grid)
-    cert = certify_hypothesis(hyp, u0)
+    # an overflowed norm is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        init_norm = mod_norm_decomp(u0, spec, partition)
+    if not factor * init_norm > init_norm:
+        raise ConfigError(f"config fields 'data' and 'norm' give initial "
+                          f"norm {init_norm:g}: no blow-up threshold "
+                          "exceeds it")
+    try:
+        cert = certify_hypothesis(hyp, u0)
+        wit = divergence_witness(hyp, cert.horizon, witness_terms)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            "config fields problem.'beta', problem.'k', 'hypothesis' and "
+            "'witness_terms' give a certificate or witness term beyond the "
+            "float range"
+        ) from exc
     rec.write_csv("blowup_certificate.csv",
                   ["condition", "value", "bound", "margin", "pass"],
                   [(c.name, c.value, c.bound, c.margin, int(c.passed))
@@ -312,9 +359,6 @@ def cmd_blowup(cfg, seed, rec):
                     direction=">=")
 
     problem = HeatProblem(beta, k, u0, spec)
-    factor = _require(sol_cfg, "threshold_factor", float, "solver.",
-                      default=1e6, required=False)
-    init_norm = mod_norm_decomp(u0, spec, partition)
     try:
         config = SolverConfig(
             dt=_require(sol_cfg, "dt", float, "solver."),
@@ -337,7 +381,6 @@ def cmd_blowup(cfg, seed, rec):
     rec.verdict("detection_time", trace.t_detect if trace.t_detect is not None
                 else math.inf, horizon)
 
-    wit = divergence_witness(hyp, cert.horizon, witness_terms)
     rec.write_csv("blowup_witness.csv", ["i", "term", "partial_sum"],
                   [(i + 1, t, s) for i, (t, s) in
                    enumerate(zip(wit.terms, wit.partial_sums))])

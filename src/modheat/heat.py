@@ -10,10 +10,13 @@ applied exactly each step and the nonlinearity enters through the phi_1
 weight, with the |xi| -> 0 limit taken analytically.  Pointwise powers are
 dealiased by zero padding so that every retained mode of u^k is an exact
 k-fold spectral convolution; this is what keeps the Fourier-positivity
-diagnostics meaningful.  The steps run in chunks of at most
-SOLVE_BATCH_VALUES lattice values: within a chunk only the update runs, and
-the chunk's norms, FL^1 norms and sup norms are then taken in one stacked
-call each.  Steps computed past a detection are dropped.
+diagnostics meaningful.  The solver's state lives on the padded lattice
+for the whole run (the band's slots hold u_hat, the others 0), so a step
+is two per-axis transforms and an update, with no padding or cropping.
+The steps run in chunks of SOLVE_BATCH_VALUES // N^d steps: within a chunk
+only the steps run, and the chunk's norms, FL^1 norms and sup norms are
+then taken in one stacked call each.  Steps computed past a detection are
+dropped.
 
 Alongside the time stepper the module builds the iterated-integral series
 whose terms solve the Duhamel equation order by order.  The terms stay on
@@ -32,10 +35,11 @@ import math
 import numpy as np
 
 from .modnorm import ModNormSpec, UniformPartition, mod_norms_from_frequency
-from .spectral import (FREQUENCY, GridFunction, SpectralGrid, apply_multiplier,
-                       cropped_forward, fine_grid, forward_transform,
-                       heat_symbol, inverse_transform, inverse_values,
-                       padded_inverse)
+from .spectral import (FREQUENCY, GridFunction, SpectralGrid, _band_slots,
+                       _fine_slots, _per_axis, _to_fine_slots,
+                       apply_multiplier, cropped_forward, fine_grid,
+                       forward_transform, heat_symbol, inverse_transform,
+                       inverse_values, padded_inverse)
 
 E = math.e
 
@@ -60,12 +64,16 @@ def phi1(z):
 
 
 def phi2(z):
-    """(e^{-z} - 1 + z) / z^2 with the z -> 0 limit 1/2."""
+    """(e^{-z} - 1 + z) / z^2 with the z -> 0 limit 1/2 and the z -> inf
+    limit 0."""
     z = np.asarray(z, dtype=float)
-    out = np.full_like(z, 0.5)
-    nz = z > 1e-6
+    out = np.full_like(z, np.nan)
+    nz = (z > 1e-6) & (z <= 1e150)
     out[nz] = (np.expm1(-z[nz]) + z[nz]) / z[nz] ** 2
-    small = ~nz
+    # beyond 1e150, 1/z^2 is below 1/z's rounding (and z^2 would overflow)
+    big = z > 1e150
+    out[big] = 1.0 / z[big]
+    small = z <= 1e-6
     zs = z[small]
     out[small] = 0.5 - zs / 6.0 + zs ** 2 / 24.0
     return out
@@ -113,6 +121,8 @@ class SolverConfig:
                              f"of dt {self.dt!r}")
         if self.scheme not in ("ETD1", "ETD2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.blowup_threshold is not None and not self.blowup_threshold > 0:
+            raise ValueError("blow-up threshold must be positive")
 
 
 @dataclass
@@ -136,9 +146,10 @@ class SolutionTrace:
             yield (t, self.norms[i], self.fl1_norms[i], self.linf_norms[i], flag)
 
 
-# Working-set cap of solve: lattice values in one chunk of steps (64 KiB),
-# whose diagnostics are taken together; on the flow benchmark 2^13 gained
-# less than the run-to-run spread.
+# Working-set cap of solve: grid values in one chunk of steps, whose
+# diagnostics are taken together (the chunk's buffer holds its fine-lattice
+# states, ((k+1)/2)^d times as many values); on the flow benchmark 2^13
+# gained less than the run-to-run spread.
 SOLVE_BATCH_VALUES = 1 << 12
 
 
@@ -148,24 +159,42 @@ def solve(problem, config, partition=None):
     Records the chosen modulation norm, the FL^1 norm and the sup norm at
     every step and stops early, with blow-up flagged, once the norm passes
     the threshold or the state stops being finite (overflow counts as
-    detection at the last finite time).  Steps run in chunks of
+    detection at the last finite time).  The state stays on the
+    dealiasing lattice fine_grid(grid, k) in DFT-order slots (u_hat on the
+    band, 0 elsewhere), so each source evaluation is the padded product
+    without the padding and cropping.  Steps run in chunks of
     SOLVE_BATCH_VALUES // grid.size (at least one): a chunk runs only the
-    ETD update, then takes the norms, FL^1 and sup norms of all its steps
-    in one stacked call each.  Steps a chunk computed past the detection
-    are dropped and counted in steps_discarded.
+    ETD steps, then gathers its band once and takes the norms, FL^1 and sup
+    norms of all its steps in one stacked call each.  Steps a chunk
+    computed past the detection are dropped and counted in
+    steps_discarded.
     """
     g = problem.u0.grid
     if partition is None:
         partition = UniformPartition(g)
-    z = config.dt * g.freq_magnitude ** problem.beta
-    decay = np.exp(-z)
-    w1 = config.dt * phi1(z)
-    w2 = config.dt * phi2(z) if config.scheme == "ETD2" else None
     fine = fine_grid(g, problem.k)
+    band, fine_factor = _fine_slots(g, fine)
+    # |xi|^beta may overflow: such modes decay in one step (phi_j(inf) = 0)
+    with np.errstate(over="ignore"):
+        z = config.dt * g.freq_magnitude ** problem.beta
+    decay = _to_fine_slots(g, np.exp(-z), fine)
+    w1 = _to_fine_slots(g, config.dt * phi1(z), fine)
+    w2 = (_to_fine_slots(g, config.dt * phi2(z), fine)
+          if config.scheme == "ETD2" else None)
+    work = np.empty(fine.shape, complex)
 
-    def source(hat):
-        power = padded_inverse(g, hat, fine) ** problem.k
-        return problem.source_sign * cropped_forward(g, power, fine)
+    def source(u, out):
+        """source_sign * u^k in out's band slots: padded_inverse, the
+        power and cropped_forward without leaving the fine lattice.  out
+        starts zeroed, and the slots off the band stay 0."""
+        a = np.multiply(u, fine_factor, out=work)
+        _per_axis(np.fft.ifft, a, g.dim, out=a)
+        a **= problem.k
+        _per_axis(np.fft.fft, a, g.dim, out=a)
+        # like the crop, ignores whatever overflows off the band
+        np.divide(a, fine_factor, out=out, where=band)
+        out *= problem.source_sign
+        return out
 
     u_hat = forward_transform(problem.u0).values
     spec = problem.norm_spec
@@ -187,7 +216,12 @@ def solve(problem, config, partition=None):
         snapshots.append((0.0, problem.u0.values.copy()))
 
     n_steps = int(round(config.t_max / config.dt))
-    hats = np.empty((max(1, SOLVE_BATCH_VALUES // g.size),) + g.shape, complex)
+    hats = np.empty((max(1, SOLVE_BATCH_VALUES // g.size),) + fine.shape,
+                    complex)
+    u = _to_fine_slots(g, u_hat, fine)
+    n_vals = np.zeros(fine.shape, complex)
+    n_stage = np.zeros(fine.shape, complex) if w2 is not None else None
+    band_index = _band_slots(g, fine)[0]
     t = 0.0
     step = computed = 0
     stop = "t_max"
@@ -196,18 +230,20 @@ def solve(problem, config, partition=None):
         # steps past the detection are dropped, and may overflow meanwhile
         with np.errstate(over="ignore", invalid="ignore"):
             while len(chunk_times) < min(len(hats), n_steps - step):
-                n_vals = source(u_hat)
-                new_hat = decay * u_hat + w1 * n_vals
+                source(u, n_vals)
+                # u may be this slot (one-step chunks): it is read first
+                new = np.multiply(decay, u, out=hats[len(chunk_times)])
+                new += w1 * n_vals
                 if w2 is not None:
-                    new_hat = new_hat + w2 * (source(new_hat) - n_vals)
+                    new += w2 * (source(new, n_stage) - n_vals)
                 t += config.dt
                 computed += 1
-                if not np.all(np.isfinite(new_hat)):
+                if not np.isfinite(new).all():
                     stop = "overflow"
                     break
-                u_hat = hats[len(chunk_times)] = new_hat
+                u = new
                 chunk_times.append(t)
-            chunk = hats[:len(chunk_times)]
+            chunk = hats[:len(chunk_times)][band_index]
             if len(chunk):
                 chunk_norms = mod_norms_from_frequency(chunk, spec, partition)
                 chunk_fl1 = vol * np.sum(np.abs(chunk), axis=lattice)

@@ -159,7 +159,8 @@ class ModNormSpec:
 
 
 # Working-set cap of the block-norm engine: complex values in its largest
-# temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB).
+# temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB)
+# and N^d at p = 2, where the Parseval contraction holds one row.
 # On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
 # slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
 NORM_BATCH_VALUES = 1 << 15
@@ -220,8 +221,9 @@ def mod_norms_from_frequency(values, spec, partition):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
-    batch = max(1, NORM_BATCH_VALUES
-                // (len(partition._active_centers) * g.size))
+    # the engine holds one row per function at p = 2, K (active) otherwise
+    rows = 1 if spec.p == 2 else len(partition._active_centers)
+    batch = max(1, NORM_BATCH_VALUES // (rows * g.size))
     norms = np.concatenate([_block_lp_norms(stack[i:i + batch], partition,
                                             spec.p)
                             for i in range(0, len(stack), batch)])

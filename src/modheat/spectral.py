@@ -125,9 +125,37 @@ def _outer(vec, dim):
     return out
 
 
+@lru_cache(maxsize=16)
+def _dft_index(n):
+    """ifftshift of an axis of length n as an index: natural -> DFT order.
+    For even n it is also fftshift's (DFT -> natural order), as on every
+    grid's lattice."""
+    index = (np.arange(n) + n // 2) % n
+    index.setflags(write=False)
+    return index
+
+
 def dft_order(values, axes=None):
-    """Frequency-side samples moved from natural lattice order to DFT order."""
-    return np.fft.ifftshift(values, axes=axes)
+    """Frequency-side samples moved from natural lattice order to DFT order
+    (np.fft.ifftshift, one gather per axis)."""
+    values = np.asarray(values)
+    if axes is None:
+        axes = range(values.ndim)
+    elif isinstance(axes, int):
+        axes = (axes,)
+    for axis in axes:
+        values = np.take(values, _dft_index(values.shape[axis]), axis=axis)
+    return values
+
+
+def _per_axis(transform, values, dim, out=None):
+    """transform (np.fft.fft or ifft) over the last dim axes of values, last
+    axis first: the order of np.fft.fftn/ifftn, whose values it gives bit
+    for bit without their n-d argument handling.  Each axis after the first
+    runs in place; with out=values the first one does too."""
+    for axis in range(-1, -dim - 1, -1):
+        values = out = transform(values, axis=axis, out=out)
+    return values
 
 
 def inverse_axis_factor(grid):
@@ -160,8 +188,9 @@ def forward_values(grid, values):
     values holds physical samples on grid in its last grid.dim axes; any
     leading axes index independent functions, transformed in one call.
     """
-    axes = tuple(range(-grid.dim, 0))
-    raw = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+    # the lattice has even length, so dft_order is also fftshift here
+    raw = dft_order(_per_axis(np.fft.fft, values, grid.dim),
+                    axes=range(-grid.dim, 0))
     raw *= _factor_meshes(grid)[0]
     return raw
 
@@ -183,9 +212,10 @@ def inverse_values(grid, values):
     values holds frequency samples on grid in its last grid.dim axes; any
     leading axes index independent functions, transformed in one call.
     """
-    axes = tuple(range(-grid.dim, 0))
     mesh = _factor_meshes(grid)[1]
-    return np.fft.ifftn(dft_order(values, axes=axes) * mesh, axes=axes)
+    raw = np.multiply(dft_order(values, axes=range(-grid.dim, 0)), mesh,
+                      dtype=complex)
+    return _per_axis(np.fft.ifft, raw, grid.dim, out=raw)
 
 
 def inverse_transform(F):
@@ -294,20 +324,43 @@ def _band_slots(grid, fine):
     return index, factor
 
 
+@lru_cache(maxsize=8)
+def _fine_slots(grid, fine):
+    """_band_slots over all of fine's slots: a mask of grid's band, and the
+    band's factor with 1 in every other slot."""
+    index, factor = _band_slots(grid, fine)
+    band = np.zeros(fine.shape, bool)
+    band[index] = True
+    fine_factor = np.ones(fine.shape)
+    fine_factor[index] = factor
+    for arr in (band, fine_factor):
+        arr.setflags(write=False)
+    return band, fine_factor
+
+
+def _to_fine_slots(grid, values, fine):
+    """values on grid's band (natural order, behind any leading axes) in
+    fine's DFT-order slots, 0 in every other slot; the dtype is kept."""
+    values = np.asarray(values)
+    out = np.zeros(values.shape[:values.ndim - grid.dim] + fine.shape,
+                   values.dtype)
+    out[_band_slots(grid, fine)[0]] = values
+    return out
+
+
 def padded_inverse(grid, hats, fine):
     """Physical samples on fine of the functions whose transforms on grid
     are hats (a stack: any leading axes index functions)."""
-    index, factor = _band_slots(grid, fine)
-    out = np.zeros(hats.shape[:hats.ndim - grid.dim] + fine.shape, complex)
-    out[index] = hats * factor
-    return np.fft.ifftn(out, axes=tuple(range(-grid.dim, 0)), out=out)
+    factor = _band_slots(grid, fine)[1]
+    out = _to_fine_slots(grid, np.multiply(hats, factor, dtype=complex), fine)
+    return _per_axis(np.fft.ifft, out, grid.dim, out=out)
 
 
 def cropped_forward(grid, values, fine):
     """Transforms on grid (our normalization) of a stack of physical samples
     on fine, cropped to grid's band."""
     index, factor = _band_slots(grid, fine)
-    return np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))[index] / factor
+    return _per_axis(np.fft.fft, values, grid.dim)[index] / factor
 
 
 def dealiased_power_hat(f, k):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -42,6 +43,17 @@ def blowup_config(**overrides):
         "witness_terms": 12,
     }
     cfg.update(overrides)
+    return cfg
+
+
+def with_field(cfg, path, value):
+    """A copy of cfg with the dotted config field path set to value."""
+    cfg = copy.deepcopy(cfg)
+    *sections, key = path.split(".")
+    obj = cfg
+    for name in sections:
+        obj = obj.setdefault(name, {})
+    obj[key] = value
     return cfg
 
 
@@ -436,6 +448,28 @@ class TestConfigValidation:
         code, _ = run(tmp_path, "blowup", blowup_config(witness_terms=0))
         assert code == 2
         assert "witness_terms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value,named", [
+        ("witness_terms", 100000, "'witness_terms'"),
+        ("problem.k", 60, "'k'"),
+        ("problem.k", 1, "'k'"),
+        ("problem.beta", 0.0, "'beta'"),
+        ("hypothesis.r", 0.0, "'r'"),
+        ("solver.threshold_factor", math.nan, "'threshold_factor'"),
+        ("solver.threshold_factor", 0.5, "'threshold_factor'"),
+        ("solver.threshold_factor", -1.0, "'threshold_factor'"),
+        ("detect_by", -1.0, "'detect_by'"),
+        ("data.amplitude", 0.0, "'data'"),
+        ("data.amplitude", math.inf, "'amplitude'"),
+    ])
+    def test_blowup_bad_field_named(self, tmp_path, capsys, path, value,
+                                    named):
+        cfg = with_field(blowup_config(grid=SMALL_GRID), path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "blowup", cfg)
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         out = tmp_path / "out"

@@ -128,6 +128,9 @@ class TestSolver:
             SolverConfig(dt=0.5, t_max=0.1)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.01, t_max=1.0, scheme="RK4")
+        for threshold in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                SolverConfig(dt=0.01, t_max=1.0, blowup_threshold=threshold)
 
     @pytest.mark.parametrize("dt,t_max", [(0.3, 1.0), (2e-4, 0.50001),
                                           (0.01, math.inf)])
@@ -531,6 +534,15 @@ def _assert_matches_oracle(got, want):
                                    atol=ORACLE_RTOL * np.abs(b).max())
 
 
+# (k, source_sign, amplitude, p) of data in exp(-2|x|^2)
+SIGN_AND_POWER = {
+    # the source damps the flow: it runs to t_max
+    "minus_sign": (2, -1, 20.0, 2.0),
+    # k = 3 steps on M = 2N points and overflows within ~20 steps
+    "cubic": (3, 1, 6.0, 1.0),
+}
+
+
 class TestChunkedSolver:
     @pytest.mark.parametrize("where", ["first", "middle", "last", "partial"])
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
@@ -612,6 +624,44 @@ class TestChunkedSolver:
         assert not got.blowup_detected and got.stop_reason == "t_max"
         assert got.steps_discarded == 0
 
+    @pytest.mark.parametrize("variant", sorted(SIGN_AND_POWER))
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_source_sign_and_cubic_match_oracle(self, case, variant,
+                                                monkeypatch):
+        grid, scheme = SOLVE_CASES[case]
+        k, sign, amp, p = SIGN_AND_POWER[variant]
+        sq = np.sum(grid.x_mesh ** 2, axis=-1)
+        prob = HeatProblem(2.0, k, GridFunction(grid, amp * np.exp(-2 * sq)),
+                           ModNormSpec(p, 1.0, 0.0), source_sign=sign)
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
+                           blowup_threshold=1e300, snapshot_every=3)
+        want = _oracle(prob, cfg, UniformPartition(grid))
+        got = _solve_chunked(prob, cfg, 4, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert got.stop_reason == ("t_max" if sign < 0 else "overflow")
+
+    def test_overflow_off_the_band_is_ignored(self, monkeypatch):
+        # u^2 of this mode sits at the fine lattice's Nyquist mode, off the
+        # band: its transform overflows there, and the crop drops it
+        grid = SpectralGrid(2, 16, 4.0)
+        fine = fine_grid(grid, 2)
+        xi = grid.freq_spacing * (fine.points_per_axis // 4)
+        u0 = GridFunction(grid, 1e153 * np.exp(
+            1j * xi * np.sum(grid.x_mesh, axis=-1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = padded_inverse(grid, forward_values(grid, u0.values),
+                                   fine) ** 2
+            raw = np.fft.fftn(power)
+            assert not np.all(np.isfinite(raw))
+            assert np.all(np.isfinite(cropped_forward(grid, power, fine)))
+        prob = HeatProblem(2.0, 2, u0)
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=8 * SOLVE_DT,
+                           blowup_threshold=1e308)
+        want = _oracle(prob, cfg, UniformPartition(grid))
+        got = _solve_chunked(prob, cfg, 4, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert not got.overflow and got.stop_reason == "threshold"
+
     def test_blowup_and_overflow_emit_no_runtime_warning(self, grid1, part1):
         gamma = 4 * math.e * (1 + 1e-6)
         plateau = HeatProblem(2.0, 2, plateau_data(grid1, gamma, 1.0))
@@ -628,6 +678,17 @@ class TestChunkedSolver:
             _solve_oracle(overflow, SolverConfig(
                 dt=SOLVE_DT, t_max=0.5, blowup_threshold=1e300),
                 UniformPartition(overflow.u0.grid))
+
+
+class TestPhiWeights:
+    def test_infinite_argument_gives_the_limit(self):
+        # |xi|^beta overflows for a huge beta: those modes decay in one step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = np.array([0.0, 1e-8, 1.0, 1e300, math.inf])
+            np.testing.assert_array_equal(heat.phi1(z)[3:], [1e-300, 0.0])
+            np.testing.assert_array_equal(heat.phi2(z)[3:], [1e-300, 0.0])
+            assert heat.phi2(z)[0] == 0.5
 
 
 class TestLowerBoundEnvelope:

@@ -274,8 +274,9 @@ class TestStackedNorms:
         spec = ModNormSpec(p, q, s)
         want = [mod_norm_from_frequency(GridFunction(g, F, FREQUENCY), spec,
                                         part) for F in stack]
-        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
-                            2 * len(part._active_centers) * g.size)
+        # the rows the engine holds per function: one at p = 2
+        rows = 1 if p == 2 else len(part._active_centers)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", 2 * rows * g.size)
         got = mod_norms_from_frequency(stack, spec, part)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from modheat.spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
+                              _band_slots, _factor_meshes, _per_axis,
                               apply_multiplier, boundary_tail_ratio,
-                              dealiased_power, dealiased_power_hat,
-                              dealiased_product, forward_transform,
-                              fractional_symbol, frequency_lp_norm,
-                              heat_symbol, inverse_transform,
-                              load_grid_function, physical_lp_norm,
-                              save_grid_function)
+                              cropped_forward, dealiased_power,
+                              dealiased_power_hat, dealiased_product,
+                              dft_order, fine_grid, forward_transform,
+                              forward_values, fractional_symbol,
+                              frequency_lp_norm, heat_symbol,
+                              inverse_transform, inverse_values,
+                              load_grid_function, padded_inverse,
+                              physical_lp_norm, save_grid_function)
 
 
 def brute_force_forward(f):
@@ -105,6 +108,55 @@ class TestTransforms:
             inverse_transform(gauss1)
         with pytest.raises(ValueError):
             forward_transform(forward_transform(gauss1))
+
+
+class TestPerAxisTransforms:
+    """The per-axis paths against NumPy's n-d calls: equal bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_transforms_and_shifts_equal_nd(self, dim):
+        rng = np.random.default_rng(dim)
+        shape = (3,) + (8,) * dim
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(-dim, 0))
+        want = np.fft.ifftn(a, axes=axes)
+        assert np.array_equal(_per_axis(np.fft.ifft, a, dim), want)
+        b = a.copy()
+        assert _per_axis(np.fft.ifft, b, dim, out=b) is b
+        assert np.array_equal(b, want)
+        assert np.array_equal(_per_axis(np.fft.fft, a, dim),
+                              np.fft.fftn(a, axes=axes))
+        assert np.array_equal(dft_order(a, axes=axes),
+                              np.fft.ifftshift(a, axes=axes))
+        assert np.array_equal(dft_order(a), np.fft.ifftshift(a))
+        assert np.array_equal(dft_order(a, axes=-1),
+                              np.fft.ifftshift(a, axes=-1))
+
+    def test_odd_length_shift(self):
+        a = np.arange(35.0).reshape(5, 7)
+        assert np.array_equal(dft_order(a), np.fft.ifftshift(a))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_spectral_helpers_equal_nd(self, dim):
+        grid = SpectralGrid(dim, 8, 3.0)
+        fine = fine_grid(grid, 2)
+        rng = np.random.default_rng(10 + dim)
+        shape = (3,) + grid.shape
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(-dim, 0))
+        forward_mesh, inverse_mesh = _factor_meshes(grid)
+        want = np.fft.fftshift(np.fft.fftn(a, axes=axes), axes=axes)
+        assert np.array_equal(forward_values(grid, a), want * forward_mesh)
+        want = np.fft.ifftn(np.fft.ifftshift(a, axes=axes) * inverse_mesh,
+                            axes=axes)
+        assert np.array_equal(inverse_values(grid, a), want)
+        index, factor = _band_slots(grid, fine)
+        pad = np.zeros((3,) + fine.shape, complex)
+        pad[index] = a * factor
+        padded = padded_inverse(grid, a, fine)
+        assert np.array_equal(padded, np.fft.ifftn(pad, axes=axes))
+        assert np.array_equal(cropped_forward(grid, padded, fine),
+                              np.fft.fftn(padded, axes=axes)[index] / factor)
 
 
 class TestFractionalSymbol:
