@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__, constants
 from .corpus import band_limited, hermite_coeff_family, propagation_corpus
-from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, certify_hypothesis,
-                   divergence_witness, lower_bound_envelope, picard_terms,
-                   plateau_data, solve)
+from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, check_lattice,
+                   certify_hypothesis, divergence_witness,
+                   lower_bound_envelope, picard_terms, plateau_data, solve)
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
                       eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
@@ -116,6 +116,19 @@ def _parse_norm(cfg, path="norm."):
     except ValueError as exc:
         raise ConfigError(f"invalid config field {path[:-1]!r}: {exc}") \
             from exc
+
+
+def _parse_k(prob_cfg, grid):
+    """problem.k: >= 2, and within the dealiasing-lattice bound on grid
+    (checked before anything is allocated)."""
+    k = _require(prob_cfg, "k", int, "problem.")
+    if k < 2:
+        raise ConfigError("config field problem.'k' must be >= 2")
+    try:
+        check_lattice(grid, k)
+    except ValueError as exc:
+        raise ConfigError(f"config field problem.'k': {exc}") from exc
+    return k
 
 
 def _parse_data(cfg, grid, path="data."):
@@ -279,7 +292,7 @@ def cmd_propagate(cfg, seed, rec):
     hats = forward_values(grid, np.stack([f.values for f in corpus]))
     base = mod_norms_from_frequency(hats, spec, partition).tolist()
     # the flow is a frequency-side multiplier: one stack of every (t, f)
-    flows = np.stack([heat_symbol(grid, t, beta) for t in times])[:, None]
+    flows = heat_symbol(grid, times, beta)[:, None]
     results = mod_norms_from_frequency(flows * hats, spec,
                                        partition).tolist()
     rows = []
@@ -305,9 +318,7 @@ def cmd_blowup(cfg, seed, rec):
     _check_keys(prob_cfg, {"beta", "k"}, "problem.")
     beta = _positive(_require(prob_cfg, "beta", float, "problem."),
                      "problem.'beta'")
-    k = _require(prob_cfg, "k", int, "problem.")
-    if k < 2:
-        raise ConfigError("config field problem.'k' must be >= 2")
+    k = _parse_k(prob_cfg, grid)
     u0 = _parse_data(_require(cfg, "data", dict, ""), grid)
     hyp_cfg = _require(cfg, "hypothesis", dict, "")
     _check_keys(hyp_cfg, {"gamma", "r"}, "hypothesis.")
@@ -395,11 +406,12 @@ def cmd_picard(cfg, seed, rec):
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     prob_cfg = _require(cfg, "problem", dict, "")
     _check_keys(prob_cfg, {"beta", "k"}, "problem.")
-    beta = _require(prob_cfg, "beta", float, "problem.")
-    k = _require(prob_cfg, "k", int, "problem.")
+    beta = _positive(_require(prob_cfg, "beta", float, "problem."),
+                     "problem.'beta'")
+    k = _parse_k(prob_cfg, grid)
     u0 = _parse_data(_require(cfg, "data", dict, ""), grid)
     depth = _require(cfg, "depth", int, "")
-    t_max = _require(cfg, "t_max", float, "")
+    t_max = _positive(_require(cfg, "t_max", float, ""), "'t_max'")
     t_points = _require(cfg, "t_points", int, "", default=33, required=False)
     if depth < 1:
         raise ConfigError("config field 'depth' must be >= 1")
@@ -412,10 +424,27 @@ def cmd_picard(cfg, seed, rec):
         raise ConfigError("config field 'expect' must be one of "
                           "'summable', 'growing', 'none'")
 
+    dom_cfg = _require(cfg, "domination", dict, "", default=None, required=False)
+    if dom_cfg is not None:
+        _check_keys(dom_cfg, {"gamma", "r"}, "domination.")
+        gamma, r = (_positive(_require(dom_cfg, key, float, "domination."),
+                              f"domination.{key!r}") for key in ("gamma", "r"))
+        hyp = BlowupHypothesis(gamma, r, beta, k, grid.dim)
+
     partition = UniformPartition(grid)
     problem = HeatProblem(beta, k, u0, spec)
     t_grid = np.linspace(0.0, t_max, t_points)
-    res = picard_terms(problem, depth, t_grid, partition)
+    # terms or norms beyond the float range are named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = picard_terms(problem, depth, t_grid, partition)
+        except ValueError as exc:
+            raise ConfigError(
+                "config fields 'data', problem.'k', 'depth' and 't_max' give "
+                f"Picard terms beyond the float range ({exc})") from exc
+    if not (res.sup_norms[0] > 0 and all(map(math.isfinite, res.sup_norms))):
+        raise ConfigError("config fields 'data' and 'norm' give a term norm "
+                          "of 0 or beyond the float range")
     rows = [(idx, res.sup_norms[i],
              res.ratios[i - 1] if i >= 1 else float("nan"))
             for i, idx in enumerate(res.term_indices)]
@@ -427,23 +456,31 @@ def cmd_picard(cfg, seed, rec):
         rec.verdict("ratio_at_least_one", min(late) if late else 0.0, 1.0,
                     direction=">=")
 
-    dom_cfg = _require(cfg, "domination", dict, "", default=None, required=False)
     if dom_cfg is not None:
-        _check_keys(dom_cfg, {"gamma", "r"}, "domination.")
-        hyp = BlowupHypothesis(_require(dom_cfg, "gamma", float, "domination."),
-                               _require(dom_cfg, "r", float, "domination."),
-                               beta, k, grid.dim)
         ball = grid.freq_magnitude <= hyp.r
         dom_rows = []
         worst = math.inf
-        for pos, idx in enumerate(res.term_indices):
-            m = math.inf
-            for ti in range(1, len(t_grid)):
-                uhat = res.spectra[pos][ti]
-                env = lower_bound_envelope(hyp, idx, t_grid[ti], grid)
-                m = min(m, float((uhat.real[ball] / env[ball]).min()))
-            dom_rows.append((idx, m))
-            worst = min(worst, m)
+        try:
+            # an envelope beyond the float range is named below; one that
+            # underflows to 0 bounds nothing (ratio inf, or nan where
+            # uhat = 0, which min skips)
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                for pos, idx in enumerate(res.term_indices):
+                    m = math.inf
+                    for ti in range(1, len(t_grid)):
+                        uhat = res.spectra[pos][ti]
+                        env = lower_bound_envelope(hyp, idx, t_grid[ti],
+                                                   grid)[ball]
+                        if not np.all(np.isfinite(env)):
+                            raise OverflowError("non-finite envelope")
+                        m = min(m, float((uhat.real[ball] / env).min()))
+                    dom_rows.append((idx, m))
+                    worst = min(worst, m)
+        except OverflowError as exc:
+            raise ConfigError(
+                "config fields 'domination', problem.'beta' and problem.'k' "
+                "give a lower envelope beyond the float range") from exc
         rec.write_csv("picard_domination.csv", ["term_index", "min_ratio"],
                       dom_rows)
         rec.verdict("domination_with_slack",

@@ -19,17 +19,21 @@ then taken in one stacked call each.  Steps computed past a detection are
 dropped.
 
 Alongside the time stepper the module builds the iterated-integral series
-whose terms solve the Duhamel equation order by order.  The terms stay on
-the frequency side, and their products are formed on the dealiasing lattice
-for a batch of time slices at once.  It also evaluates the closed-form lower
-envelopes that force divergence of that series for Fourier-positive data
-with a large enough plateau, and certifies the corresponding hypotheses
-(plateau height, support radius, volume condition) on the lattice.
+whose terms solve the Duhamel equation order by order, on a uniform time
+grid.  The terms stay on the frequency side.  Batches of time slices are
+the outer loop: in each, every term's products are formed on the
+dealiasing lattice from the earlier terms, each padded once, and scattered
+forward into the term's later slices through one lag table
+exp(-t_m |xi|^beta) shared by every Duhamel kernel.  It also evaluates the
+closed-form lower envelopes that force divergence of that series for
+Fourier-positive data with a large enough plateau, and certifies the
+corresponding hypotheses (plateau height, support radius, volume
+condition) on the lattice.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations_with_replacement, product
 import math
 
 import numpy as np
@@ -152,6 +156,22 @@ class SolutionTrace:
 # gained less than the run-to-run spread.
 SOLVE_BATCH_VALUES = 1 << 12
 
+# Largest dealiasing-lattice allocation a run may make, in complex values
+# (64 MiB): solve's chunk buffer, which is at least as large as a batch of
+# one padded Picard term.
+MAX_LATTICE_VALUES = 1 << 22
+
+
+def check_lattice(grid, k):
+    """Raise ValueError if solve's chunk buffer on fine_grid(grid, k) would
+    exceed MAX_LATTICE_VALUES; sized without allocating anything."""
+    size = (max(1, SOLVE_BATCH_VALUES // grid.size)
+            * fine_grid(grid, k).size)
+    if size > MAX_LATTICE_VALUES:
+        raise ValueError(f"products of k = {k} factors need {size} values "
+                         "on the dealiasing lattice, above the bound "
+                         f"{MAX_LATTICE_VALUES}")
+
 
 def solve(problem, config, partition=None):
     """March the Duhamel equation with an exponential integrator.
@@ -170,6 +190,7 @@ def solve(problem, config, partition=None):
     steps_discarded.
     """
     g = problem.u0.grid
+    check_lattice(g, problem.k)
     if partition is None:
         partition = UniformPartition(g)
     fine = fine_grid(g, problem.k)
@@ -451,10 +472,24 @@ def _cumulative_weights(t_grid):
     return W
 
 
-def _multiset_products(tuples):
-    """Group ordered tuples by multiset; returns (count, sorted_tuple) pairs."""
-    counts = Counter(tuple(sorted(t)) for t in tuples)
-    return [(c, key) for key, c in sorted(counts.items())]
+def _label_multisets(j, k):
+    """The products feeding the j-th term: (count, key) for every multiset
+    of k earlier labels summing to term_index(j, k), key sorted, count its
+    number of orderings, in key order (the multisets of lambda_index_set).
+
+    The labels' term numbers sum to j - 1, so at most j - 1 of them exceed
+    term 0's: those are enumerated, and term 0 fills the other slots.
+    """
+    r = min(k, j - 1)
+    combos = []
+    for tail in combinations_with_replacement(range(j), r):
+        if sum(tail) == j - 1:
+            terms = (0,) * (k - r) + tail
+            count = math.factorial(k)
+            for m in Counter(terms).values():
+                count //= math.factorial(m)
+            combos.append((count, tuple(term_index(t, k) for t in terms)))
+    return combos
 
 
 # Working-set cap of picard_terms: fine-lattice values per padded term in
@@ -468,8 +503,19 @@ def picard_terms(problem, depth, t_grid, partition=None):
 
     Term 0 is the linear flow of the data; term j >= 1 integrates the
     admissible products of earlier terms against the semigroup kernel
-    (composite Simpson in the Duhamel variable), padding each earlier term
-    once per batch of time slices.  Growth of the term norms is flagged,
+    (composite Simpson in the Duhamel variable).  The grid must be uniform
+    (ValueError otherwise): the kernel e^{-(t_i - t_s)|xi|^beta} is then
+    lags[i - s] of one lag table lags[m] = e^{-t_m |xi|^beta}, and the
+    weights assume one spacing.
+
+    Batches of time slices are the outer loop and terms the inner one.  In
+    a batch each term, in label order, forms its products from the padded
+    slices of the earlier terms, crops them, and scatters each product
+    slice P_s forward into all its later slices, W[i, s] lags[i - s] P_s
+    for i >= s; no product history is kept.  Its slices in the batch are
+    then complete, and are padded once for the later terms (the last term
+    is never padded).  The t = 0 slice of every term j >= 1 is 0, so its
+    sup norm is taken over t > 0.  Growth of the term norms is flagged,
     but the terms are still returned.
     """
     if depth < 1:
@@ -477,49 +523,53 @@ def picard_terms(problem, depth, t_grid, partition=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0 with at least two points")
+    tau = t_grid[1]
+    if not (tau > 0 and np.all(np.abs(np.diff(t_grid) - tau) <= 1e-9 * tau)):
+        raise ValueError("t_grid must be uniform and increasing")
     g = problem.u0.grid
+    k = problem.k
+    check_lattice(g, k)
     if partition is None:
         partition = UniformPartition(g)
-    k = problem.k
     n_t = len(t_grid)
-    symbase = g.freq_magnitude ** problem.beta
-    W = _cumulative_weights(t_grid)
+    lags = heat_symbol(g, t_grid, problem.beta)
+    # W[i, s] behind singleton lattice axes, to weigh a run of lags
+    W = _cumulative_weights(t_grid).reshape((n_t, n_t) + (1,) * g.dim)
     fine = fine_grid(g, k)
     batch = max(1, PICARD_BATCH_VALUES // fine.size)
+    combos = [_label_multisets(j, k) for j in range(1, depth)]
+    indices = [term_index(j, k) for j in range(depth)]
 
     u0_hat = forward_transform(problem.u0).values
-    spectra = {1: np.exp(-np.multiply.outer(t_grid, symbase)) * u0_hat}
-    indices = [1]
-    for j in range(1, depth):
-        combos = _multiset_products(lambda_index_set(j, k))
-        labels = sorted({lab for _, key in combos for lab in key})
-        prod_hat = np.empty((n_t,) + g.shape, dtype=complex)
-        for lo in range(0, n_t, batch):
-            padded = {lab: padded_inverse(g, spectra[lab][lo:lo + batch], fine)
-                      for lab in labels}
+    spectra = [lags * u0_hat] + [np.zeros((n_t,) + g.shape, dtype=complex)
+                                 for _ in range(1, depth)]
+    for lo in range(0, n_t, batch):
+        hi = min(lo + batch, n_t)
+        padded = {}
+        for j in range(1, depth):
+            # term j - 1's slices in this batch are complete
+            padded[indices[j - 1]] = padded_inverse(g, spectra[j - 1][lo:hi],
+                                                    fine)
             acc = 0.0
-            for count, key in combos:
+            for count, key in combos[j - 1]:
                 term = count * padded[key[0]]
                 for lab in key[1:]:
                     term *= padded[lab]
                 acc += term
-            prod_hat[lo:lo + batch] = cropped_forward(g, acc, fine)
-        term_f = np.zeros((n_t,) + g.shape, dtype=complex)
-        for i in range(1, n_t):
-            kernel = np.exp(-np.multiply.outer(t_grid[i] - t_grid[:i + 1],
-                                               symbase))
-            term_f[i] = np.tensordot(W[i, :i + 1],
-                                     kernel * prod_hat[:i + 1], axes=(0, 0))
-        indices.append(term_index(j, k))
-        spectra[indices[-1]] = term_f
+            prods = cropped_forward(g, acc, fine)
+            term_f = spectra[j]
+            for s in range(lo, hi):
+                i0 = max(s, 1)  # W[0, 0] = 0: the t = 0 slice stays 0
+                term_f[i0:] += W[i0:, s] * lags[i0 - s:n_t - s] * prods[s - lo]
 
     sup_norms = [float(mod_norms_from_frequency(
-        spectra[idx], problem.norm_spec, partition).max()) for idx in indices]
+        F if j == 0 else F[1:], problem.norm_spec, partition).max())
+        for j, F in enumerate(spectra)]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
     summable = bool(ratios) and ratios[-1] < 1.0
-    return PicardResult(g, indices, [spectra[i] for i in indices], t_grid,
-                        sup_norms, ratios, summable)
+    return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
+                        summable)
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------

@@ -236,8 +236,14 @@ def fractional_symbol(xi, beta):
 
 
 def heat_symbol(grid, t, beta):
-    """exp(-t |xi|^beta) sampled on the frequency lattice."""
-    return np.exp(-t * grid.freq_magnitude ** beta)
+    """exp(-t |xi|^beta) sampled on the frequency lattice, for a time t or
+    an array of times (leading axes).  The semigroup at t = 0 is the
+    identity: exactly 1 there, also where |xi|^beta overflows."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-np.multiply.outer(t, grid.freq_magnitude ** beta))
+    out[t == 0] = 1.0
+    return out
 
 
 def apply_multiplier(f, m):
@@ -307,7 +313,7 @@ def boundary_tail_ratio(f):
 
 def fine_grid(grid, k):
     """Lattice on which products of k functions on grid are alias-free in band."""
-    m = int(np.ceil((k + 1) * grid.points_per_axis / 2.0))
+    m = -(-(k + 1) * grid.points_per_axis // 2)  # exact for any int k
     return SpectralGrid(grid.dim, m + (m % 2), grid.half_width)
 
 

@@ -495,6 +495,57 @@ class TestConfigValidation:
         assert code == 2
         assert "'beta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["blowup", "picard"])
+    def test_k_beyond_lattice_bound_named(self, tmp_path, capsys, command):
+        # fine_grid(64^2 grid, 1000) has 1.03e9 points per array
+        config = blowup_config if command == "blowup" else picard_config
+        cfg = config(grid={"dim": 2, "points_per_axis": 64, "half_width": 8.0},
+                     problem={"beta": 2.0, "k": 1000})
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "problem.'k'" in err and "dealiasing lattice" in err
+
+    def test_picard_large_k_completes(self, tmp_path):
+        # its products come from the partitions of j - 1, not from j^k tuples
+        code, out = run(tmp_path, "picard", picard_config(
+            problem={"beta": 2.0, "k": 14}, depth=6))
+        assert code in (0, 1)
+        rows = (out / "picard_norms.csv").read_text().strip().splitlines()
+        assert len(rows) == 7
+
+    @pytest.mark.parametrize("command", ["picard", "propagate"])
+    def test_overflowing_beta_gives_a_verdict(self, tmp_path, command):
+        if command == "picard":
+            cfg = picard_config(problem={"beta": 1e300, "k": 2})
+        else:
+            cfg = propagate_config(beta=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, command, cfg)
+        assert code in (0, 1)
+
+    @pytest.mark.parametrize("path,value,named", [
+        ("problem.beta", 0.0, "'beta'"),
+        ("problem.k", 1, "'k'"),
+        ("t_max", 0.0, "'t_max'"),
+        ("t_max", math.nan, "'t_max'"),
+        ("domination.gamma", -1.0, "'gamma'"),
+        ("domination.r", math.inf, "'r'"),
+        ("domination.gamma", 1e300, "'domination'"),
+        ("t_max", 1e300, "'t_max'"),
+        ("norm.p", 1e300, "'norm'"),
+    ])
+    def test_picard_bad_field_named(self, tmp_path, capsys, path, value,
+                                    named):
+        cfg = with_field(dict(dominated_picard_config(), grid=SMALL_GRID,
+                              depth=3, t_points=5), path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "picard", cfg)
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("times", [[], [-0.1, 1.0], [math.inf],
                                        [math.nan]])
     def test_propagate_times_named(self, tmp_path, capsys, times):

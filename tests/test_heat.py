@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -14,9 +15,9 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           solve, term_index, unit_ball_volume)
 from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
-from modheat.heat import _cumulative_weights, _multiset_products
+from modheat.heat import _cumulative_weights, _label_multisets
 from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
-                             mod_norm_from_frequency)
+                             mod_norm_from_frequency, mod_norms_from_frequency)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
                               cropped_forward, dealiased_power_hat, fine_grid,
                               forward_transform, forward_values,
@@ -349,6 +350,12 @@ def _multi_product_hat_oracle(grid, factors):
     return scale * sign * coeffs
 
 
+def _multiset_products(tuples):
+    """Group ordered tuples by multiset; returns (count, sorted_tuple) pairs."""
+    counts = Counter(tuple(sorted(t)) for t in tuples)
+    return [(c, key) for key, c in sorted(counts.items())]
+
+
 def _picard_oracle(problem, depth, t_grid, partition):
     """The per-slice series: physical trajectories, one product and one
     norm per time slice.  Returns (spectra, sup_norms, ratios)."""
@@ -436,6 +443,94 @@ class TestBatchedPicard:
                                        atol=ORACLE_RTOL * np.abs(want).max())
         np.testing.assert_allclose(res.sup_norms, sups, rtol=ORACLE_RTOL)
         np.testing.assert_allclose(res.ratios, ratios, rtol=ORACLE_RTOL)
+
+    # (grid, k, depth, t_points): an even and an odd t_points, depth 2 (its
+    # last term, never padded, is the first product term), and k = 4
+    STREAM_CASES = {
+        "t8": (SpectralGrid(1, 64, 8.0), 2, 4, 8),
+        "t11": (SpectralGrid(1, 64, 8.0), 2, 4, 11),
+        "depth2": (SpectralGrid(1, 64, 8.0), 2, 2, 9),
+        "k4": (SpectralGrid(1, 32, 8.0), 4, 3, 9),
+    }
+
+    @pytest.mark.parametrize("cap", [1, 1 << 30])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_streamed_series_matches_oracle(self, case, cap, monkeypatch):
+        grid, k, depth, n_t = self.STREAM_CASES[case]
+        prob = HeatProblem(2.0, k, GridFunction(
+            grid, 0.5 * np.exp(-grid.x_axis ** 2)), ModNormSpec(1.0, 1.0, 0.0))
+        part = UniformPartition(grid)
+        t_grid = np.linspace(0.0, 0.3, n_t)
+        spectra, sups, ratios = _picard_oracle(prob, depth, t_grid, part)
+        monkeypatch.setattr(heat, "PICARD_BATCH_VALUES", cap)
+        res = picard_terms(prob, depth, t_grid, part)
+        assert len(res.spectra) == depth
+        for got, want in zip(res.spectra, spectra):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=ORACLE_RTOL * np.abs(want).max())
+        np.testing.assert_allclose(res.sup_norms, sups, rtol=ORACLE_RTOL)
+        np.testing.assert_allclose(res.ratios, ratios, rtol=ORACLE_RTOL)
+
+    @pytest.mark.parametrize("case", sorted(PICARD_CASES))
+    def test_sup_norms_are_max_over_all_slices(self, case):
+        # the t = 0 slice of terms j >= 1 is skipped: it is exactly 0
+        grid, k, spec = PICARD_CASES[case]
+        sq = np.sum(grid.x_mesh ** 2, axis=-1)
+        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
+                           spec)
+        part = UniformPartition(grid)
+        res = picard_terms(prob, 4, np.linspace(0.0, 0.3, 9), part)
+        for j, F in enumerate(res.spectra):
+            if j > 0:
+                assert not np.any(F[0])
+            assert res.sup_norms[j] == mod_norms_from_frequency(
+                F, spec, part).max()
+
+    def test_non_uniform_grid_rejected(self, small_problem):
+        t_grid = np.linspace(0.0, 0.5, 9)
+        t_grid[4] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="uniform"):
+            picard_terms(small_problem, 2, t_grid)
+        with pytest.raises(ValueError, match="uniform"):
+            picard_terms(small_problem, 2, -np.linspace(0.0, 0.5, 9))
+        # roundoff of a uniform spacing passes
+        t_grid = np.linspace(0.0, 0.5, 9)
+        t_grid[4] *= 1.0 + 1e-12
+        picard_terms(small_problem, 2, t_grid)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_label_multisets_match_tuple_oracle(self, k):
+        for j in range(1, 6):
+            assert _label_multisets(j, k) == _multiset_products(
+                lambda_index_set(j, k))
+
+    def test_large_k_enumerates_partitions_only(self):
+        # k = 14 and 2000: term 0 fills all but j - 1 slots
+        for k in (14, 2000):
+            combos = _label_multisets(5, k)
+            assert len(combos) == 5  # the partitions of 4
+            assert all(len(key) == k and sum(key) == term_index(5, k)
+                       for _, key in combos)
+            assert combos[0] == (k, (1,) * (k - 1) + (term_index(4, k),))
+
+    def test_overflowing_beta_is_identity_at_zero(self, small_problem):
+        prob = HeatProblem(1e300, 2, small_problem.u0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = picard_terms(prob, 3, np.linspace(0.0, 0.5, 5))
+        u0_hat = forward_transform(prob.u0).values
+        assert np.array_equal(res.spectra[0][0], u0_hat)
+        assert all(np.all(np.isfinite(F)) for F in res.spectra)
+
+    def test_lattice_bound(self, grid2):
+        fine = fine_grid(grid2, 1000)
+        assert fine.size > heat.MAX_LATTICE_VALUES
+        u0 = GridFunction(grid2, np.exp(-np.sum(grid2.x_mesh ** 2, axis=-1)))
+        prob = HeatProblem(2.0, 1000, u0)
+        with pytest.raises(ValueError, match="dealiasing lattice"):
+            picard_terms(prob, 2, np.linspace(0.0, 0.1, 3))
+        with pytest.raises(ValueError, match="dealiasing lattice"):
+            solve(prob, SolverConfig(dt=0.01, t_max=0.1))
 
 
 # -- the chunked solver against the per-step loop --------------------------------

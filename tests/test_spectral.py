@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,25 @@ class TestMultipliers:
         a = apply_multiplier(a, heat_symbol(grid1, 0.6, 1.0))
         b = apply_multiplier(gauss1, heat_symbol(grid1, 1.0, 1.0))
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+    def test_heat_symbol_identity_at_zero(self, grid2):
+        # also where |xi|^beta overflows, and without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(heat_symbol(grid2, 0.0, 1e300),
+                                  np.ones(grid2.shape))
+            big = heat_symbol(grid2, [0.0, 0.5], 1e300)
+        assert np.array_equal(big[0], np.ones(grid2.shape))
+        # |xi|^beta is 0 below |xi| = 1 (no lattice point has |xi| = 1)
+        assert np.array_equal(big[1], 1.0 * (grid2.freq_magnitude < 1))
+
+    def test_heat_symbol_stacks_times(self, grid2):
+        times = [0.0, 0.1, 2.5]
+        stack = heat_symbol(grid2, times, 1.5)
+        for t, row in zip(times, stack):
+            assert np.array_equal(row, heat_symbol(grid2, t, 1.5))
+            assert np.array_equal(
+                row, np.exp(-t * grid2.freq_magnitude ** 1.5))
 
     def test_rejects_nonfinite_symbol(self, grid1, gauss1):
         bad = np.ones(grid1.shape)
