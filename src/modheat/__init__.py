@@ -1,7 +1,7 @@
 """modheat: spectral machinery for fractional heat flows in modulation norms.
 
 Subpackages:
-  spectral  - periodized Fourier transforms, multipliers, dealiased powers
+  spectral  - periodized Fourier transforms, multipliers, dealiased products
   modnorm   - frequency-uniform partition and the two modulation-norm estimators
   heat      - fractional heat semigroup, Duhamel solver, blow-up diagnostics
   hermite   - Hermite transforms and the fractional oscillator heat propagator

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__, constants
 from .corpus import band_limited, hermite_coeff_family, propagation_corpus
-from .heat import (BlowupHypothesis, HeatProblem, SolverConfig, check_lattice,
+from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
+                   SolverConfig, check_lattice,
                    certify_hypothesis, divergence_witness,
                    lower_bound_envelope, picard_terms, plateau_data, solve)
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
@@ -35,10 +36,10 @@ from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norm_decomp, mod_norms_from_frequency,
                       mod_norms_stft, stft_resolution_ok)
-from .spectral import (GridFunction, SpectralGrid, forward_values,
-                       heat_symbol, load_grid_function)
-from .torus import TorusGrid, operator_norm_lower, oscillator_heat_symbol, \
-    transference_check
+from .spectral import (GridFunction, SpectralGrid, boundary_tail_ratio,
+                       forward_values, heat_symbol, load_grid_function)
+from .torus import (TorusGrid, kernel_l1_norm, operator_norm_lower,
+                    oscillator_heat_symbol, transference_check)
 
 
 class ConfigError(Exception):
@@ -95,15 +96,31 @@ def _positive(val, name):
     return val
 
 
+def _bounded(values, fields):
+    """ConfigError naming fields if they give an array of more than
+    MAX_LATTICE_VALUES values."""
+    if values > MAX_LATTICE_VALUES:
+        raise ConfigError(f"config fields {fields} give an array of "
+                          f"{values:.4g} values, above the bound "
+                          f"{MAX_LATTICE_VALUES}")
+
+
 def _parse_grid(cfg, path="grid."):
     _check_keys(cfg, {"dim", "points_per_axis", "half_width"}, path)
     dim = _require(cfg, "dim", int, path)
     n = _require(cfg, "points_per_axis", int, path)
     half = _require(cfg, "half_width", float, path)
     try:
-        return SpectralGrid(dim, n, half)
+        grid = SpectralGrid(dim, n, half)
     except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+        raise ConfigError(f"invalid config field 'grid': {exc}") from exc
+    if not dim * half * half < math.inf:
+        raise ConfigError(f"config field {path}'half_width' is too large: "
+                          "|x|^2 overflows on the grid")
+    # the partition holds 2 k_max + 1 rows of N values, k_max ~ pi N / 2L
+    _bounded(max(grid.size, (2.0 * grid.max_freq_component + 3.0) * n),
+             "'grid'")
+    return grid
 
 
 def _parse_norm(cfg, path="norm."):
@@ -275,8 +292,9 @@ def cmd_propagate(cfg, seed, rec):
     times = _require_list(cfg, "times", float, "")
     count = _require(cfg, "corpus_size", int, "")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
-    tol = _require(cfg, "stability_tolerance", float, "", default=0.05,
-                   required=False)
+    tol = _positive(_require(cfg, "stability_tolerance", float, "",
+                             default=0.05, required=False),
+                    "'stability_tolerance'")
     if count < 1:
         raise ConfigError("config field 'corpus_size' must be >= 1")
     _positive(beta, "'beta'")
@@ -286,15 +304,22 @@ def cmd_propagate(cfg, seed, rec):
         if not (t >= 0 and math.isfinite(t)):
             raise ConfigError(f"config field 'times[{i}]' must be finite "
                               "and >= 0")
+    _bounded(count * len(times) * grid.size, "'corpus_size' and 'times'")
 
     partition = UniformPartition(grid)
     corpus = propagation_corpus(grid, count, seed)
     hats = forward_values(grid, np.stack([f.values for f in corpus]))
-    base = mod_norms_from_frequency(hats, spec, partition).tolist()
-    # the flow is a frequency-side multiplier: one stack of every (t, f)
-    flows = heat_symbol(grid, times, beta)[:, None]
-    results = mod_norms_from_frequency(flows * hats, spec,
-                                       partition).tolist()
+    # the flow is a frequency-side multiplier: one stack of every (t, f);
+    # norms of 0 or beyond the float range are named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = mod_norms_from_frequency(hats, spec, partition)
+        results = mod_norms_from_frequency(
+            heat_symbol(grid, times, beta)[:, None] * hats, spec, partition)
+    if not (np.all(base > 0) and np.all(results > 0)
+            and np.isfinite(results).all()):
+        raise ConfigError("config fields 'norm', 'beta' and 'times' give a "
+                          "norm of 0 or beyond the float range")
+    base, results = base.tolist(), results.tolist()
     rows = []
     uniform = []
     for t, norms in zip(times, results):
@@ -380,6 +405,7 @@ def cmd_blowup(cfg, seed, rec):
     except ValueError as exc:
         raise ConfigError(f"invalid config field 'solver': {exc}") from exc
     trace = solve(problem, config, partition)
+    rec.diagnostics["data"] = {"boundary_tail_ratio": boundary_tail_ratio(u0)}
     rec.diagnostics["solver"] = {"stop_reason": trace.stop_reason,
                                  "steps": len(trace.times) - 1,
                                  "steps_discarded": trace.steps_discarded}
@@ -417,6 +443,9 @@ def cmd_picard(cfg, seed, rec):
         raise ConfigError("config field 'depth' must be >= 1")
     if t_points < 2:
         raise ConfigError("config field 't_points' must be >= 2")
+    # picard_terms' terms and its (t_points, t_points) quadrature weights
+    _bounded(max(depth * t_points * grid.size, t_points * t_points),
+             "'t_points' and 'depth'")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
     converge_by = _require(cfg, "converge_by", int, "", default=3, required=False)
     expect = _require(cfg, "expect", str, "", default="summable", required=False)
@@ -496,10 +525,18 @@ def cmd_modnorm(cfg, seed, rec):
     if count < 1:
         raise ConfigError("config field 'corpus_size' must be >= 1 "
                           "(empty corpus)")
+    _bounded(count * grid.size, "'corpus_size' and 'grid'")
     max_mode = _require(cfg, "max_mode", int, "", default=6, required=False)
+    if not 0 <= max_mode < grid.points_per_axis // 2:
+        raise ConfigError("config field 'max_mode' must be >= 0 and below "
+                          "half of grid.'points_per_axis'")
     raw_specs = _require(cfg, "specs", list, "")
+    if not raw_specs:
+        raise ConfigError("config field 'specs' must not be empty")
     algebra_p = _require(cfg, "algebra_p", float, "", default=2.0,
                          required=False)
+    if not algebra_p >= 1:
+        raise ConfigError("config field 'algebra_p' must be >= 1")
     specs = []
     for i, entry in enumerate(raw_specs):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -562,9 +599,15 @@ def cmd_hermite(cfg, seed, rec):
                       "slope_tolerance"}, "")
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     dim = _require(cfg, "dim", int, "", default=1, required=False)
+    if dim != grid.dim:
+        raise ConfigError("config field 'dim' must equal grid.'dim'")
     cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
     betas = _require_list(cfg, "betas", float, "")
     ps = _require_list(cfg, "ps", float, "")
+    if not (betas and ps and all(0 < b < math.inf for b in betas)
+            and all(p >= 1 for p in ps)):
+        raise ConfigError("config fields 'betas' and 'ps' must hold positive "
+                          "finite values and exponents >= 1, and not be empty")
     prof = _require(cfg, "t_profile", dict, "")
     _check_keys(prof, {"lo", "hi", "points"}, "t_profile.")
     levels = _require(cfg, "coeff_levels", int, "", default=11, required=False)
@@ -573,8 +616,9 @@ def cmd_hermite(cfg, seed, rec):
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("config field 'slope_window' must be [lo, hi] "
                           "with lo < hi")
-    slope_tol = _require(cfg, "slope_tolerance", float, "", default=0.02,
-                         required=False)
+    slope_tol = _positive(_require(cfg, "slope_tolerance", float, "",
+                                   default=0.02, required=False),
+                          "'slope_tolerance'")
 
     basis = HermiteBasis(dim, cap)
     rng = np.random.default_rng(seed)
@@ -606,7 +650,11 @@ def cmd_hermite(cfg, seed, rec):
         return decay_profile(coeffs, beta, p, t_grid, grid, partition)
 
     combos = [(b, p) for b in betas for p in ps]
-    profiles = _pool_map(profile, combos)
+    try:
+        profiles = _pool_map(profile, combos)
+    except OverflowError as exc:
+        raise ConfigError("config fields 'betas' and 't_profile' give a "
+                          "decay profile beyond the float range") from exc
     rows = []
     sup_ratio = 0.0
     slope_err = 0.0
@@ -656,9 +704,14 @@ def cmd_transfer(cfg, seed, rec):
                       "degree_cap", "trials"}, "")
     grid = _parse_grid(_require(cfg, "grid", dict, ""))
     dim = _require(cfg, "dim", int, "", default=1, required=False)
-    beta = _require(cfg, "beta", float, "")
-    t = _require(cfg, "t", float, "")
+    if dim != grid.dim:
+        raise ConfigError("config field 'dim' must equal grid.'dim'")
+    beta = _positive(_require(cfg, "beta", float, ""), "'beta'")
+    t = _positive(_require(cfg, "t", float, ""), "'t'")
     ps = _require_list(cfg, "ps", float, "")
+    if not (ps and all(1 <= p < math.inf for p in ps)):
+        raise ConfigError("config field 'ps' must hold exponents "
+                          "1 <= p < inf and not be empty")
     modes = _require(cfg, "modes_per_axis", int, "", default=64, required=False)
     fam_size = _require(cfg, "family_size", int, "", default=8, required=False)
     if fam_size < 1:
@@ -670,7 +723,20 @@ def cmd_transfer(cfg, seed, rec):
     basis = HermiteBasis(dim, cap)
     partition = UniformPartition(grid)
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
-    sym = oscillator_heat_symbol(tg, t, beta)
+    try:
+        with np.errstate(over="ignore"):
+            sym = oscillator_heat_symbol(tg, t, beta)
+    except OverflowError as exc:
+        raise ConfigError("config fields 'beta' and 't' give a symbol beyond "
+                          "the float range") from exc
+    if sym.sup() == 0.0:
+        raise ConfigError("config fields 'beta' and 't' give a symbol that "
+                          "underflows to 0")
+    try:
+        kernel_l1_norm(sym, tg)
+    except ValueError as exc:
+        raise ConfigError("config fields 't', 'beta' and 'modes_per_axis': "
+                          f"{exc}") from exc
 
     def bounds_for(p):
         lower = operator_norm_lower(sym, p, trials, tg, seed=seed)
@@ -739,12 +805,9 @@ def main(argv=None):
         os.makedirs(out_dir, exist_ok=True)
         rec = RunRecord(args.command, cfg, out_dir)
         _COMMANDS[args.command](cfg, seed, rec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # invalid parameterization surfaced by the numerics (bad grids,
-        # truncation remainders, zero-norm data)
+    except (ConfigError, ValueError) as exc:
+        # a ValueError is an invalid parameterization surfaced by the
+        # numerics (zero-norm data)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     record = rec.finalize(gnuplot=args.gnuplot)

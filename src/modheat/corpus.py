@@ -9,12 +9,9 @@ import numpy as np
 from .spectral import FREQUENCY, PHYSICAL, GridFunction, inverse_transform
 
 
-def gaussian(grid, amplitude=1.0, width=1.0, center=None, modulation=None):
-    """amplitude * exp(-|x-c|^2 / (2 width^2)), optionally modulated."""
-    x = grid.x_mesh
-    if center is not None:
-        x = x - np.asarray(center, dtype=float)
-    sq = np.sum(x ** 2, axis=-1)
+def gaussian(grid, amplitude=1.0, width=1.0, modulation=None):
+    """amplitude * exp(-|x|^2 / (2 width^2)), optionally modulated."""
+    sq = np.sum(grid.x_mesh ** 2, axis=-1)
     vals = amplitude * np.exp(-0.5 * sq / width ** 2)
     if modulation is not None:
         vals = vals * np.exp(1j * np.tensordot(
@@ -22,8 +19,9 @@ def gaussian(grid, amplitude=1.0, width=1.0, center=None, modulation=None):
     return GridFunction(grid, vals, PHYSICAL)
 
 
-def band_limited(grid, max_mode, seed, real=True):
-    """Random function whose transform is supported on |m_j| <= max_mode."""
+def band_limited(grid, max_mode, seed):
+    """Random real function whose transform is supported on |m_j| <= max_mode
+    (before the real part is taken)."""
     rng = np.random.default_rng(seed)
     n = grid.points_per_axis
     coeffs = np.zeros(grid.shape, dtype=complex)
@@ -33,25 +31,23 @@ def band_limited(grid, max_mode, seed, real=True):
     size = (2 * max_mode + 1,) * grid.dim
     coeffs[block] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     f = inverse_transform(GridFunction(grid, coeffs, FREQUENCY))
-    if real:
-        f = GridFunction(grid, f.values.real.astype(complex), PHYSICAL)
-    return f
+    return GridFunction(grid, f.values.real.astype(complex), PHYSICAL)
 
 
-def mixed_family(grid, count, seed, widths=(0.5, 1.0, 2.0), max_mode=6):
-    """Gaussians of several widths, modulated Gaussians, and random band-limited."""
+def mixed_family(grid, count, seed):
+    """Gaussians of widths 0.5, 1 and 2, modulated Gaussians, and random
+    band-limited functions (|m_j| <= 6)."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         kind = i % 3
         if kind == 0:
-            w = widths[i // 3 % len(widths)]
-            out.append(gaussian(grid, 1.0, w))
+            out.append(gaussian(grid, 1.0, (0.5, 1.0, 2.0)[i // 3 % 3]))
         elif kind == 1:
             mod = [float(1 + (i % 4))] * grid.dim
             out.append(gaussian(grid, 1.0, 1.0, modulation=mod))
         else:
-            out.append(band_limited(grid, max_mode, int(rng.integers(2 ** 31))))
+            out.append(band_limited(grid, 6, int(rng.integers(2 ** 31))))
     return out
 
 

@@ -33,7 +33,7 @@ condition) on the lattice.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 import math
 
 import numpy as np
@@ -44,8 +44,6 @@ from .spectral import (FREQUENCY, GridFunction, SpectralGrid, _band_slots,
                        apply_multiplier, cropped_forward, fine_grid,
                        forward_transform, heat_symbol, inverse_transform,
                        inverse_values, padded_inverse)
-
-E = math.e
 
 
 # -- linear flow ---------------------------------------------------------------
@@ -113,7 +111,6 @@ class SolverConfig:
     t_max: float
     blowup_threshold: float = None  # default: 1e6 x initial norm
     scheme: str = "ETD1"
-    snapshot_every: int = 0  # 0 disables field snapshots
 
     def __post_init__(self):
         if not 0 < self.dt < self.t_max:
@@ -138,7 +135,7 @@ class SolutionTrace:
     blowup_detected: bool
     t_detect: float = None
     overflow: bool = False
-    snapshots: list = field(default_factory=list)  # (t, physical values)
+    final_state: np.ndarray = None  # physical values at times[-1]
     stop_reason: str = "t_max"  # "threshold", "overflow" or "t_max"
     steps_discarded: int = 0    # steps computed but not recorded
 
@@ -156,9 +153,10 @@ class SolutionTrace:
 # gained less than the run-to-run spread.
 SOLVE_BATCH_VALUES = 1 << 12
 
-# Largest dealiasing-lattice allocation a run may make, in complex values
-# (64 MiB): solve's chunk buffer, which is at least as large as a batch of
-# one padded Picard term.
+# Largest array a run may allocate, in values (64 MiB complex): solve's
+# chunk buffer on the dealiasing lattice, which is at least as large as a
+# batch of one padded Picard term; the CLI also checks its configs' grids,
+# partitions, corpora and Picard terms and weights against it.
 MAX_LATTICE_VALUES = 1 << 22
 
 
@@ -177,9 +175,10 @@ def solve(problem, config, partition=None):
     """March the Duhamel equation with an exponential integrator.
 
     Records the chosen modulation norm, the FL^1 norm and the sup norm at
-    every step and stops early, with blow-up flagged, once the norm passes
-    the threshold or the state stops being finite (overflow counts as
-    detection at the last finite time).  The state stays on the
+    every step, and the physical state at the last recorded time.  Stops
+    early, with blow-up flagged, once the norm passes the threshold or the
+    state stops being finite (overflow counts as detection at the last
+    finite time).  The state stays on the
     dealiasing lattice fine_grid(grid, k) in DFT-order slots (u_hat on the
     band, 0 elsewhere), so each source evaluation is the padded product
     without the padding and cropping.  Steps run in chunks of
@@ -232,9 +231,7 @@ def solve(problem, config, partition=None):
     norms = [init_norm]
     fl1 = [float(vol * np.sum(np.abs(u_hat)))]
     linf = [float(np.max(np.abs(problem.u0.values)))]
-    snapshots = []
-    if config.snapshot_every > 0:
-        snapshots.append((0.0, problem.u0.values.copy()))
+    final = problem.u0.values
 
     n_steps = int(round(config.t_max / config.dt))
     hats = np.empty((max(1, SOLVE_BATCH_VALUES // g.size),) + fine.shape,
@@ -277,17 +274,16 @@ def solve(problem, config, partition=None):
             norms.append(nom)
             fl1.append(float(chunk_fl1[i]))
             linf.append(float(chunk_linf[i]))
-            if config.snapshot_every > 0 and (step % config.snapshot_every == 0
-                                              or step == n_steps):
-                snapshots.append((t_i, values[i].copy()))
             if not math.isfinite(nom) or nom > threshold:
                 stop = "threshold"
                 break
+        if chunk_times:
+            final = values[i]
 
     detected = stop != "t_max"
     return SolutionTrace(times, norms, fl1, linf, detected,
                          times[-1] if detected else None, stop == "overflow",
-                         snapshots, stop, computed - (len(times) - 1))
+                         final, stop, computed - (len(times) - 1))
 
 
 # -- blow-up hypothesis certification --------------------------------------------
@@ -318,7 +314,7 @@ class BlowupHypothesis:
 
     @property
     def gamma_bound(self):
-        return 4.0 * self.r ** self.beta * (self.k - 1) * E
+        return 4.0 * self.r ** self.beta * (self.k - 1) * math.e
 
     @property
     def horizon(self):
@@ -343,12 +339,6 @@ class HypothesisCertificate:
     @property
     def all_passed(self):
         return all(c.passed for c in self.conditions)
-
-    def condition(self, name):
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def certify_hypothesis(h, u0):
@@ -411,19 +401,6 @@ def term_index(j, k):
     return j * (k - 1) + 1
 
 
-def lambda_index_set(j, k):
-    """Admissible ordered k-tuples feeding the j-th term of the series.
-
-    Entries are earlier term labels t(k-1)+1 with 0 <= t < j, and the labels
-    in each tuple sum to the current label j(k-1)+1 = jk - (j-1).
-    """
-    if j < 1 or k < 2:
-        raise ValueError("need j >= 1 and k >= 2")
-    allowed = [term_index(t, k) for t in range(j)]
-    target = term_index(j, k)
-    return {tup for tup in product(allowed, repeat=k) if sum(tup) == target}
-
-
 @dataclass
 class PicardResult:
     grid: SpectralGrid
@@ -475,7 +452,7 @@ def _cumulative_weights(t_grid):
 def _label_multisets(j, k):
     """The products feeding the j-th term: (count, key) for every multiset
     of k earlier labels summing to term_index(j, k), key sorted, count its
-    number of orderings, in key order (the multisets of lambda_index_set).
+    number of orderings, in key order.
 
     The labels' term numbers sum to j - 1, so at most j - 1 of them exceed
     term 0's: those are enumerated, and term 0 fills the other slots.
@@ -575,28 +552,19 @@ def picard_terms(problem, depth, t_grid, partition=None):
 # -- lower-bound envelopes and the divergence witness ----------------------------
 
 
-def _envelope(h, i, t, mag):
-    """gamma^i e^{-4 r^beta (k-1) m t} t^m e^{-t |xi|^beta} on the ball
-    |xi| <= r (zero outside) at |xi| = mag, with m = (i-1)/(k-1).  The
-    hidden constant is taken to be 1; any slack is measured separately."""
+def lower_bound_envelope(h, i, t, grid):
+    """Closed-form lower envelope for the i-th series term over the
+    frequency lattice: gamma^i e^{-4 r^beta (k-1) m t} t^m e^{-t |xi|^beta}
+    on the ball |xi| <= r (zero outside), with m = (i-1)/(k-1).  The hidden
+    constant is taken to be 1; any slack is measured separately."""
     if (i - 1) % (h.k - 1) != 0:
         raise ValueError(f"series index {i} is not of the form m(k-1)+1")
     m = (i - 1) // (h.k - 1)
+    mag = grid.freq_magnitude
     env = (h.gamma ** i
            * math.exp(-4.0 * h.r ** h.beta * (h.k - 1) * m * t)
            * t ** m * np.exp(-t * mag ** h.beta))
     return env * (mag <= h.r)
-
-
-def lower_bound_sequence(h, i, t, xi):
-    """Closed-form lower envelope for the i-th series term at (t, xi)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return float(_envelope(h, i, t, math.sqrt(np.sum(xi * xi))))
-
-
-def lower_bound_envelope(h, i, t, grid):
-    """The same envelope over the frequency lattice."""
-    return _envelope(h, i, t, grid.freq_magnitude)
 
 
 @dataclass

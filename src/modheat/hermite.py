@@ -1,4 +1,4 @@
-"""Hermite functions, transforms, eigenprojections, and the oscillator heat flow.
+"""Hermite functions, transforms, and the oscillator heat flow.
 
 Normalized Hermite functions are generated by the stable recurrence
 
@@ -36,15 +36,6 @@ def hermite_table(k_max, x):
     return out
 
 
-def hermite_eval(k, x):
-    """Normalized Hermite function h_k at x (scalar in, scalar out)."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    scalar = np.isscalar(x)
-    vals = hermite_table(k, x)[k]
-    return float(vals[0]) if scalar else vals
-
-
 class HermiteBasis:
     """Quadrature nodes/weights and Hermite tables up to a total-degree cap.
 
@@ -53,23 +44,21 @@ class HermiteBasis:
     construction and safe to share.
     """
 
-    def __init__(self, dim, degree_cap, nodes_per_axis=None):
+    def __init__(self, dim, degree_cap):
         if dim < 1 or degree_cap < 0:
             raise ValueError("bad basis parameters")
-        if nodes_per_axis is None:
-            nodes_per_axis = degree_cap + 8  # guard margin for products h_j h_k
         self.dim = dim
         self.degree_cap = degree_cap
-        self.nodes_per_axis = nodes_per_axis
-        nodes, weights = np.polynomial.hermite.hermgauss(nodes_per_axis)
+        # guard margin for products h_j h_k
+        self.nodes_per_axis = degree_cap + 8
+        nodes, weights = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
         self.nodes = nodes
-        self.gauss_weights = weights
         # weights converted out of the e^{-x^2} measure, computed in logs so
         # the far nodes neither underflow nor overflow
         with np.errstate(divide="ignore"):
-            self.total_weights = np.exp(np.log(weights) + nodes ** 2)
+            total_weights = np.exp(np.log(weights) + nodes ** 2)
         self.table = hermite_table(degree_cap, nodes)
-        self._analysis = self.table * self.total_weights[None, :]
+        self._analysis = self.table * total_weights[None, :]
         k = degree_cap + 1
         self.level_mesh = sum(np.indices((k,) * dim))
         self.level_mask = self.level_mesh <= degree_cap
@@ -81,25 +70,6 @@ class HermiteBasis:
     @property
     def node_shape(self):
         return (self.nodes_per_axis,) * self.dim
-
-    def eigenvalue(self, level):
-        return 2 * level + self.dim
-
-    def level_dimension(self, level):
-        return math.comb(level + self.dim - 1, self.dim - 1)
-
-    def recurrence_residual(self):
-        """Max defect of the three-term recurrence across the stored table."""
-        if self.degree_cap < 2:
-            return 0.0
-        x = self.nodes
-        res = 0.0
-        for k in range(1, self.degree_cap):
-            lhs = self.table[k + 1]
-            rhs = (x * math.sqrt(2.0 / (k + 1)) * self.table[k]
-                   - math.sqrt(k / (k + 1.0)) * self.table[k - 1])
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-        return res
 
     def gram_matrix(self):
         """Per-axis quadrature Gram matrix <h_j, h_k>; should be the identity."""
@@ -117,9 +87,6 @@ class HermiteCoeffs:
             raise ValueError("coefficient tensor shape mismatch")
         self.basis = basis
         self.tensor = np.where(basis.level_mask, tensor, 0.0)
-
-    def l2_norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.tensor) ** 2)))
 
 
 def _contract_all_axes(values, matrix):
@@ -143,47 +110,14 @@ def synthesize(coeffs):
     return _contract_all_axes(coeffs.tensor, coeffs.basis.table.T)
 
 
-def synthesize_at(coeffs, axis_points):
-    """Evaluate the expansion on the product mesh of arbitrary per-axis points."""
-    basis = coeffs.basis
-    table = hermite_table(basis.degree_cap, np.asarray(axis_points, dtype=float))
-    return _contract_all_axes(coeffs.tensor, table.T)
-
-
-def analysis_residual(values, basis):
-    """Relative L^2 mass not captured by the retained expansion (tail diagnostic)."""
-    c = analyze(values, basis)
-    back = synthesize(c)
-    values = np.asarray(values, dtype=complex).reshape(basis.node_shape)
-    num = _node_l2(values - back, basis)
-    den = _node_l2(values, basis)
-    return num / den if den > 0 else 0.0
-
-
-def _node_l2(values, basis):
-    """L^2(R^d) norm by Gauss quadrature on the node mesh."""
-    w = basis.total_weights
-    sq = np.abs(np.asarray(values)) ** 2
-    for _ in range(basis.dim):
-        sq = np.tensordot(sq, w, axes=([0], [0]))
-    return float(np.sqrt(sq))
-
-
-def project_eigenspace(values, level, basis):
-    """Orthogonal projection onto the level-`level` eigenspace, on the nodes."""
-    if level > basis.degree_cap:
-        raise ValueError("level exceeds the degree cap")
-    c = analyze(values, basis)
-    keep = np.where(basis.level_mesh == level, c.tensor, 0.0)
-    return synthesize(HermiteCoeffs(basis, keep))
-
-
 def heat_coeff_factors(basis, t, beta):
     """exp(-t (2k+d)^beta) on the coefficient tensor, one per entry of t."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("negative time")
-    return np.exp(-np.multiply.outer(
-        t, (2.0 * basis.level_mesh + basis.dim) ** beta))
+    # a level whose (2k+d)^beta overflows decays to 0 at every t > 0
+    with np.errstate(over="ignore"):
+        return np.exp(-np.multiply.outer(
+            t, (2.0 * basis.level_mesh + basis.dim) ** beta))
 
 
 def oscillator_heat_coeffs(coeffs, t, beta):
@@ -196,16 +130,6 @@ def oscillator_heat(values, t, beta, basis):
     """Level-by-level spectral multiplier exp(-t (2k+d)^beta) on node samples."""
     c = analyze(values, basis)
     return synthesize(oscillator_heat_coeffs(c, t, beta))
-
-
-def heat_truncation_bound(values, t, beta, basis):
-    """Certified bound on what the degree cap discards: e^{-t(2K+d)^beta} x tail mass."""
-    values = np.asarray(values, dtype=complex).reshape(basis.node_shape)
-    c = analyze(values, basis)
-    total = _node_l2(values, basis)
-    captured = c.l2_norm()
-    tail = math.sqrt(max(total ** 2 - captured ** 2, 0.0))
-    return math.exp(-t * (2.0 * basis.degree_cap + basis.dim) ** beta) * tail
 
 
 # -- eigenvalue sums and their closed-form bound ----------------------------------
@@ -243,11 +167,11 @@ def _shell_tail_bound(d, c, beta, n_star):
     return math.exp(log_tail)
 
 
-def eigen_sum(d, beta, t, rel_remainder=1e-14):
+def eigen_sum(d, beta, t):
     """sum over alpha in N^d of exp(-2 t (2|alpha|+d)^beta) by direct summation.
 
     The shell sum is extended until a rigorous remainder bound drops below
-    `rel_remainder` times the accumulated value.
+    1e-14 times the accumulated value.
     """
     if t <= 0 or beta <= 0:
         raise ValueError("t and beta must be positive")
@@ -259,7 +183,7 @@ def eigen_sum(d, beta, t, rel_remainder=1e-14):
         total += float(np.sum(terms))
         n_star = n_lo + block - 1
         tail = _shell_tail_bound(d, c, beta, n_star)
-        if tail <= rel_remainder * total:
+        if tail <= 1e-14 * total:
             return total
         n_lo += block
         block *= 2

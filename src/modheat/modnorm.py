@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
+from .spectral import (FREQUENCY, GridFunction, SpectralGrid,
                        dealiased_product, dft_order, forward_transform,
                        forward_values, frequency_lp_norm, inverse_axis_factor,
                        inverse_transform, lp_norm)
@@ -72,22 +72,14 @@ class UniformPartition:
     That makes the partition-of-unity identity hold essentially to roundoff.
     """
 
-    def __init__(self, grid, k_max=None):
-        if k_max is None:
-            k_max = math.ceil(grid.max_freq_component)
-        if k_max < grid.max_freq_component:
-            raise ValueError(
-                "partition does not cover the lattice: k_max "
-                f"{k_max} < max frequency {grid.max_freq_component:.6g}")
+    def __init__(self, grid):
         self.grid = grid
-        self.k_max = int(k_max)
+        # every lattice frequency lies within 1/2 of a center, where its bump
+        # is 1, so the bump sums below are >= 1
+        self.k_max = math.ceil(grid.max_freq_component)
         centers = np.arange(-self.k_max, self.k_max + 1)
         profile = bump_profile(grid.freq_axis[None, :] - centers[:, None])
-        denom = profile.sum(axis=0)
-        if np.any(denom <= 0.0):
-            raise ValueError("partition does not cover the lattice "
-                             "(zero bump sum at some frequency)")
-        self._rows = profile / denom[None, :]
+        self._rows = profile / profile.sum(axis=0)[None, :]
         # Rows that are nonzero somewhere on the lattice, fixed here because
         # partitions are shared read-only between worker threads.
         active = self._rows.any(axis=1)
@@ -112,13 +104,10 @@ class UniformPartition:
     def _row(self, c):
         return self._rows[c + self.k_max]
 
-    def contains(self, k):
-        return all(abs(c) <= self.k_max for c in k)
-
     def symbol(self, k):
         """sigma_k sampled on the full frequency lattice."""
         k = tuple(int(c) for c in k)
-        if not self.contains(k):
+        if not all(abs(c) <= self.k_max for c in k):
             raise ValueError(f"block center {k} outside k_max {self.k_max}")
         out = self._row(k[0])
         for c in k[1:]:
@@ -132,8 +121,6 @@ class UniformPartition:
 
 def block_project(f, k, partition):
     """Frequency-uniform block: inverse transform of sigma_k times F f."""
-    if f.side != PHYSICAL:
-        raise ValueError("block_project expects a physical-side function")
     F = forward_transform(f)
     sym = partition.symbol(k)
     return inverse_transform(GridFunction(f.grid, sym * F.values, FREQUENCY))
@@ -244,10 +231,6 @@ def mod_norm_from_frequency(F, spec, partition):
 
 def mod_norm_decomp(f, spec, partition):
     """l^q-over-blocks of weighted L^p block norms (quadrature on the grid)."""
-    if f.grid.size == 0:
-        raise ValueError("empty grid")
-    if f.side != PHYSICAL:
-        raise ValueError("mod_norm_decomp expects a physical-side function")
     return mod_norm_from_frequency(forward_transform(f), spec, partition)
 
 
@@ -286,27 +269,6 @@ class STFTPlan:
         while grid.points_per_axis % x_stride != 0:
             x_stride -= 1
         self.x_stride = x_stride
-
-
-def stft(f, plan, x, y):
-    """Quadrature value of the windowed transform at one phase-space point.
-
-    x is snapped to the physical lattice (the window is only known there);
-    y may be any frequency within the sampled band.
-    """
-    g = f.grid
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size != g.dim or y.size != g.dim:
-        raise ValueError("x and y must be d-vectors")
-    if np.any(np.abs(x) > g.half_width) or np.any(np.abs(y) > g.max_freq_component):
-        raise ValueError("phase-space point outside the sampled range")
-    shifts = [int(round(c / g.spacing)) for c in x]
-    win = np.roll(np.conj(plan.window), shifts, axis=tuple(range(g.dim)))
-    phase = np.exp(-1j * np.tensordot(g.x_mesh, y, axes=([-1], [0])))
-    integrand = f.values * win * phase
-    return complex((2.0 * np.pi) ** (-g.dim / 2.0)
-                   * g.spacing ** g.dim * np.sum(integrand))
 
 
 # Working-set cap of the STFT estimator: complex values in one stacked
@@ -392,12 +354,12 @@ def mod_norm_stft(f, plan, spec, refine=1):
     return mod_norms_stft(f, plan, [spec], refine)[0]
 
 
-def stft_resolution_ok(coarse, fine, rel_tol=0.01):
-    """True where halving both sampling steps moves the norm by < rel_tol;
+def stft_resolution_ok(coarse, fine):
+    """True where halving both sampling steps moves the norm by < 1 %;
     elementwise over STFT norms at refine 1 (coarse) and 2 (fine)."""
     coarse, fine = np.asarray(coarse, float), np.asarray(fine, float)
     moved = np.abs(coarse - fine) / np.where(fine == 0.0, 1.0, fine)
-    return np.where(fine == 0.0, coarse == 0.0, moved < rel_tol)
+    return np.where(fine == 0.0, coarse == 0.0, moved < 0.01)
 
 
 # -- measured-inequality helpers ------------------------------------------------

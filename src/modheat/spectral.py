@@ -107,9 +107,6 @@ class GridFunction:
         self.values = values.reshape(grid.shape)
         self.side = side
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy(), self.side)
-
 
 def _alternating_axis(grid):
     """(-1)^m along one axis of the natural-order frequency lattice."""
@@ -225,16 +222,6 @@ def inverse_transform(F):
     return GridFunction(F.grid, inverse_values(F.grid, F.values), PHYSICAL)
 
 
-def fractional_symbol(xi, beta):
-    """|xi|^beta, the Fourier symbol of the fractional Laplacian; 0^beta := 0."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    xi = np.asarray(xi, dtype=float)
-    mag = np.sqrt(np.sum(xi * xi, axis=-1))
-    out = mag ** beta
-    return float(out) if out.ndim == 0 else out
-
-
 def heat_symbol(grid, t, beta):
     """exp(-t |xi|^beta) sampled on the frequency lattice, for a time t or
     an array of times (leading axes).  The semigroup at t = 0 is the
@@ -247,13 +234,10 @@ def heat_symbol(grid, t, beta):
 
 
 def apply_multiplier(f, m):
-    """F^{-1}(m . F f): apply a Fourier multiplier given as array or callable.
-
-    A callable receives the frequency mesh (shape + (d,)) and must return the
-    sampled symbol.  Non-finite symbol values are rejected.
-    """
+    """F^{-1}(m . F f): apply a Fourier multiplier sampled on the frequency
+    lattice.  Non-finite symbol values are rejected."""
     g = f.grid
-    sym = m(g.freq_mesh) if callable(m) else np.asarray(m)
+    sym = np.asarray(m)
     if sym.shape != g.shape:
         raise ValueError("multiplier shape does not match frequency lattice")
     if not np.all(np.isfinite(sym)):
@@ -285,8 +269,8 @@ def frequency_lp_norm(F, p):
 def boundary_tail_ratio(f):
     """max |f| on the outermost lattice faces divided by max |f| overall.
 
-    Periodization silently wraps anything alive near the box edge; experiments
-    are expected to keep this below ~1e-14.
+    Periodization silently wraps anything alive near the box edge; boxes
+    are chosen to keep this below ~1e-14 for Gaussian-type data.
     """
     a = np.abs(f.values)
     peak = a.max()
@@ -367,21 +351,6 @@ def cropped_forward(grid, values, fine):
     on fine, cropped to grid's band."""
     index, factor = _band_slots(grid, fine)
     return _per_axis(np.fft.fft, values, grid.dim)[index] / factor
-
-
-def dealiased_power_hat(f, k):
-    """Transform (our normalization) of f^k, alias-free in band; f may be
-    given on either side."""
-    g = f.grid
-    hat = f.values if f.side == FREQUENCY else forward_values(g, f.values)
-    fine = fine_grid(g, k)
-    power = padded_inverse(g, hat, fine) ** k
-    return GridFunction(g, cropped_forward(g, power, fine), FREQUENCY)
-
-
-def dealiased_power(f, k):
-    """Pointwise u^k with the band-limited (alias-free) projection."""
-    return inverse_transform(dealiased_power_hat(f, k))
 
 
 def dealiased_product(f, g):

@@ -18,7 +18,6 @@ flow are measured as one stack (hermite.expansion_mod_norms).
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 import math
 
 import numpy as np
@@ -41,11 +40,6 @@ class TorusGrid:
     @property
     def shape(self):
         return (self.modes_per_axis,) * self.dim
-
-    @cached_property
-    def theta_axis(self):
-        m = self.modes_per_axis
-        return 2.0 * np.pi * np.arange(m) / m
 
     @cached_property
     def mode_axis(self):
@@ -80,20 +74,11 @@ class MultiplierSpec:
     retained band (zero for finitely supported or user-sampled symbols).
     """
 
-    def __init__(self, values, name="custom", truncation_remainder=0.0):
+    def __init__(self, values, truncation_remainder=0.0):
         self.values = np.asarray(values, dtype=complex)
-        self.name = name
         self.truncation_remainder = float(truncation_remainder)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("multiplier is unbounded on the retained modes")
-
-    @classmethod
-    def from_callable(cls, fn, tg, name="custom"):
-        vals = np.empty(tg.shape, dtype=complex)
-        for idx in product(range(tg.modes_per_axis), repeat=tg.dim):
-            xi = tuple(int(tg.mode_axis[i]) for i in idx)
-            vals[idx] = fn(xi)
-        return cls(vals, name=name)
 
     def sup(self):
         return float(np.max(np.abs(self.values)))
@@ -107,8 +92,7 @@ def oscillator_heat_symbol(tg, t, beta):
     vals = np.where(nonneg, np.exp(-t * (2.0 * level + tg.dim) ** beta), 0.0)
     # modes dropped by the band truncation have |alpha| >= M/2
     rem = multiplier_tail(tg.dim, t, beta, tg.modes_per_axis // 2)
-    return MultiplierSpec(vals, name=f"osc_heat(t={t},beta={beta})",
-                          truncation_remainder=rem)
+    return MultiplierSpec(vals, truncation_remainder=rem)
 
 
 def torus_apply(values, spec, tg):
@@ -124,14 +108,14 @@ def torus_lp_norm(values, tg, p):
     return float((tg.cell_volume * np.sum(a ** p)) ** (1.0 / p))
 
 
-def kernel_l1_norm(spec, tg, remainder_cap=1e-10):
+def kernel_l1_norm(spec, tg):
     """Quadrature L^1 norm of the convolution kernel of the symbol.
 
     This is the Young upper bound for the L^p -> L^p operator norm at every
-    p.  A band-truncation remainder above `remainder_cap` means the retained
-    lattice cannot represent the symbol faithfully; enlarge the grid.
+    p.  A band-truncation remainder above 1e-10 means the retained lattice
+    cannot represent the symbol faithfully; enlarge the grid.
     """
-    if spec.truncation_remainder > remainder_cap:
+    if spec.truncation_remainder > 1e-10:
         raise ValueError(
             f"symbol truncation remainder {spec.truncation_remainder:.3e} "
             "exceeds tolerance; enlarge modes_per_axis")
@@ -180,7 +164,6 @@ class TransferenceReport:
     rows: list
     young_upper: float
     parseval_upper: float
-    slack: float
 
     @property
     def max_ratio(self):
@@ -220,4 +203,4 @@ def transference_check(t, beta, p, family, grid, partition, tg, slack):
         ratio = heated / base_norm
         rows.append(TransferenceRow(label, base_norm, heated, ratio, bound,
                                     ratio <= bound))
-    return TransferenceReport(rows, young, parseval, slack)
+    return TransferenceReport(rows, young, parseval)

@@ -108,6 +108,20 @@ class TestBlowupCommand:
         assert solver == {"stop_reason": "t_max", "steps": 50,
                           "steps_discarded": 0}
 
+    @pytest.mark.parametrize("kind,tail", [("gaussian", 0.0),
+                                           ("plateau", 0.0909)])
+    def test_run_record_reports_data_tail(self, tmp_path, kind, tail):
+        # the plateau's sin(r x)/x tail is still alive at the box edge
+        gamma = 4 * math.e * (1 + 1e-6)
+        data = {"gaussian": {"kind": "gaussian", "amplitude": 41.0},
+                "plateau": {"kind": "plateau", "gamma": gamma, "r": 1.0}}
+        code, out = run(tmp_path, "blowup", blowup_config(
+            data=data[kind], solver={"dt": 2e-4, "t_max": 0.002}))
+        assert code == 1  # too short a run to detect the blow-up
+        record = json.load(open(out / "run_record.json"))
+        assert record["diagnostics"]["data"]["boundary_tail_ratio"] == \
+            pytest.approx(tail, abs=1e-4)
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_blowup_emits_no_runtime_warning(self, tmp_path, monkeypatch,
                                              threads):
@@ -545,6 +559,59 @@ class TestConfigValidation:
             code, _ = run(tmp_path, "picard", cfg)
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,path,value,named", [
+        ("transfer", "t", 0.0, "'t'"),
+        ("transfer", "t", -1.0, "'t'"),
+        ("transfer", "t", math.nan, "'t'"),
+        ("transfer", "beta", -1.0, "'beta'"),
+        ("transfer", "beta", math.inf, "'beta'"),
+        ("transfer", "ps", [], "'ps'"),
+        ("transfer", "ps", [math.inf], "'ps'"),
+        ("modnorm", "algebra_p", 0.5, "'algebra_p'"),
+        ("modnorm", "algebra_p", math.nan, "'algebra_p'"),
+        ("modnorm", "max_mode", -1, "'max_mode'"),
+        ("modnorm", "max_mode", 1000, "'max_mode'"),
+        ("modnorm", "specs", [], "'specs'"),
+        ("hermite", "betas", [-1.0], "'betas'"),
+        ("hermite", "betas", [], "'betas'"),
+        ("hermite", "ps", [], "'ps'"),
+        ("hermite", "slope_tolerance", math.nan, "'slope_tolerance'"),
+        ("hermite", "grid.dim", 2, "'dim'"),
+        ("propagate", "stability_tolerance", -1.0, "'stability_tolerance'"),
+        ("propagate", "stability_tolerance", math.nan,
+         "'stability_tolerance'"),
+        ("propagate", "norm.p", 1e300, "'norm'"),
+        ("propagate", "norm.s", 1e300, "'norm'"),
+        ("propagate", "grid.half_width", 1e-300, "'grid'"),
+        ("propagate", "grid.half_width", 1e300, "'half_width'"),
+        ("picard", "t_points", 100000, "'t_points' and 'depth'"),
+    ])
+    def test_bad_field_named(self, tmp_path, capsys, command, path, value,
+                             named):
+        config = {"transfer": transfer_config, "modnorm": modnorm_config,
+                  "hermite": hermite_config, "propagate": propagate_config,
+                  "picard": picard_config}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, command, with_field(config(), path, value))
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [1e300, 1e-300])
+    def test_extreme_hermite_beta(self, tmp_path, capsys, beta):
+        # 1e300: every level above the ground one decays at once; 1e-300:
+        # the compensator t^(d/beta) leaves the float range, named
+        cfg = hermite_config(betas=[beta])
+        cfg.pop("eigen_lattice")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "hermite", cfg)
+        if beta > 1:
+            assert code in (0, 1)
+        else:
+            assert code == 2
+            assert "'betas'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("times", [[], [-0.1, 1.0], [math.inf],
                                        [math.nan]])

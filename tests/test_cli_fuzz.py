@@ -1,7 +1,8 @@
-"""Seeded config fuzz of the blowup and picard subcommands' CLI contract.
+"""Seeded config fuzz of every subcommand's CLI contract.
 
 Every mutated config must end in exit 0 or 1 (verdicts) or exit 2 with the
-name of a mutated field on stderr; never in an exception or a warning.
+name of a mutated field on stderr (a list entry may be named by its index,
+as 'times[0]'); never in an exception or a warning.
 """
 
 import math
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_cli import (SMALL_GRID, blowup_config,  # noqa: E402
-                      dominated_picard_config, run, with_field)
+                      dominated_picard_config, hermite_config,
+                      propagate_config, run, transfer_config, with_field)
 
 _NUMBERS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 0.5, 1.0, 2.0,
             1e300]
@@ -47,13 +49,52 @@ PICARD_FIELDS = {
     "problem.k": [-1, 0, 1, 2, 3, 14, 100000],
     "depth": [-1, 0, 1, 2, 3, 4],
     "t_max": _NUMBERS,
-    "t_points": [-1, 0, 1, 2, 3, 4, 5, 8],
+    # 100000 points ask for an 80 GB weight matrix: rejected unallocated
+    "t_points": [-1, 0, 1, 2, 3, 4, 5, 8, 100000],
     "norm.p": _NUMBERS,
     "norm.q": _NUMBERS,
     "norm.s": _NUMBERS,
     "domination.gamma": _NUMBERS,
     "domination.r": _NUMBERS,
 }
+
+
+# mutated on _TINY_GRID: 100000 points exceed the bound on the partition's
+# size; every grid that is accepted keeps the STFT estimator's cost, which
+# grows like N^(2d), small
+GRID_FIELDS = {
+    "grid.dim": [-1, 0, 1, 2],
+    "grid.points_per_axis": [-1, 0, 3, 4, 6, 16, 32, 100000],
+    "grid.half_width": _NUMBERS,
+}
+_EXPONENT_LISTS = [[], [0.5], [math.nan], [math.inf], [1.0], [1.0, 4.0]]
+PROPAGATE_FIELDS = dict(GRID_FIELDS, **{
+    "beta": _NUMBERS,
+    "times": [[], [0.0], [-0.1], [math.nan], [math.inf], [0.1, 1.0],
+              [1e300]],
+    "corpus_size": [-1, 0, 1, 3, 40],
+    "stability_tolerance": _NUMBERS,
+    "norm.p": _NUMBERS,
+    "norm.s": _NUMBERS,
+})
+MODNORM_FIELDS = dict(GRID_FIELDS, **{
+    "corpus_size": [-1, 0, 1, 3, 40],
+    "max_mode": [-1, 0, 3, 7, 8, 1000],  # at most 7 on 16 points
+    "specs": [[], [[0.5, 1, 0]], [[2, 1]], [[2, 1, 0], [math.nan, 1, 0]],
+              [[math.inf, math.inf, 0]], [[1, 2, 1.5], [4, 1, 0]]],
+    "algebra_p": _NUMBERS,
+})
+HERMITE_FIELDS = dict(GRID_FIELDS, **{
+    "betas": [[], [-1.0], [0.0], [math.nan], [math.inf], [1e-300], [1e300],
+              [1.0, 2.0]],
+    "ps": _EXPONENT_LISTS,
+    "slope_tolerance": _NUMBERS,
+})
+TRANSFER_FIELDS = dict(GRID_FIELDS, **{
+    "beta": _NUMBERS,
+    "t": _NUMBERS,
+    "ps": _EXPONENT_LISTS,
+})
 
 
 def _mutations(fields):
@@ -74,7 +115,8 @@ def _check_contract(tmp_path, capsys, command, cfg, mutations):
     assert code in (0, 1, 2)
     if code == 2:
         names = {name for path, _ in mutations for name in path.split(".")}
-        assert any(f"'{name}'" in err for name in names), err
+        assert any(f"'{name}'" in err or f"'{name}[" in err
+                   for name in names), err
 
 
 _FUZZ = settings(max_examples=40, derandomize=True, database=None,
@@ -95,3 +137,39 @@ def test_mutated_picard_config(tmp_path, capsys, mutations):
     cfg = dict(dominated_picard_config(), grid=SMALL_GRID, depth=3,
                t_points=5)
     _check_contract(tmp_path, capsys, "picard", cfg, mutations)
+
+
+
+_TINY_GRID = {"dim": 1, "points_per_axis": 16, "half_width": 4.0}
+
+
+@_FUZZ
+@given(_mutations(PROPAGATE_FIELDS))
+def test_mutated_propagate_config(tmp_path, capsys, mutations):
+    _check_contract(tmp_path, capsys, "propagate",
+                    propagate_config(grid=_TINY_GRID), mutations)
+
+
+@_FUZZ
+@given(_mutations(MODNORM_FIELDS))
+def test_mutated_modnorm_config(tmp_path, capsys, mutations):
+    cfg = {"schema_version": 1, "seed": 3, "grid": _TINY_GRID,
+           "corpus_size": 2, "max_mode": 3, "specs": [[2, 1, 0]]}
+    _check_contract(tmp_path, capsys, "modnorm", cfg, mutations)
+
+
+@_FUZZ
+@given(_mutations(HERMITE_FIELDS))
+def test_mutated_hermite_config(tmp_path, capsys, mutations):
+    cfg = hermite_config(grid=_TINY_GRID,
+                         t_profile={"lo": 0.5, "hi": 5.0, "points": 4},
+                         eigen_lattice={"ds": [1], "betas": [1.0],
+                                        "ts": [0.5]})
+    _check_contract(tmp_path, capsys, "hermite", cfg, mutations)
+
+
+@_FUZZ
+@given(_mutations(TRANSFER_FIELDS))
+def test_mutated_transfer_config(tmp_path, capsys, mutations):
+    cfg = dict(transfer_config(), grid=_TINY_GRID, family_size=2, trials=2)
+    _check_contract(tmp_path, capsys, "transfer", cfg, mutations)

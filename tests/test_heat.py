@@ -9,9 +9,8 @@ import pytest
 from modheat import constants
 from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           ball_indicator, certify_hypothesis,
-                          divergence_witness, lambda_index_set,
-                          linear_propagate, lower_bound_envelope,
-                          lower_bound_sequence, picard_terms, plateau_data,
+                          divergence_witness, linear_propagate,
+                          lower_bound_envelope, picard_terms, plateau_data,
                           solve, term_index, unit_ball_volume)
 from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
@@ -19,10 +18,15 @@ from modheat.heat import _cumulative_weights, _label_multisets
 from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
                              mod_norm_from_frequency, mod_norms_from_frequency)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              cropped_forward, dealiased_power_hat, fine_grid,
-                              forward_transform, forward_values,
-                              frequency_lp_norm, inverse_transform,
-                              padded_inverse)
+                              cropped_forward, fine_grid, forward_transform,
+                              forward_values, frequency_lp_norm,
+                              inverse_transform, padded_inverse)
+from test_spectral import dealiased_power_hat
+
+
+def condition(cert, name):
+    """The certificate's report of the named condition."""
+    return next(c for c in cert.conditions if c.name == name)
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +100,8 @@ class TestSolver:
         prob = HeatProblem(2.0, 2, u0)
 
         def final(dt):
-            tr = solve(prob, SolverConfig(dt=dt, t_max=0.25,
-                                          snapshot_every=10 ** 9), part1)
-            return tr.snapshots[-1][1]
+            return solve(prob, SolverConfig(dt=dt, t_max=0.25),
+                         part1).final_state
 
         ref = final(1 / 1024)
         e1 = np.max(np.abs(final(1 / 256) - ref))
@@ -110,9 +113,8 @@ class TestSolver:
         prob = HeatProblem(2.0, 2, u0)
 
         def final(scheme, dt):
-            tr = solve(prob, SolverConfig(dt=dt, t_max=0.25, scheme=scheme,
-                                          snapshot_every=10 ** 9), part1)
-            return tr.snapshots[-1][1]
+            return solve(prob, SolverConfig(dt=dt, t_max=0.25, scheme=scheme),
+                         part1).final_state
 
         ref = final("ETD2", 1 / 2048)
         e1 = np.max(np.abs(final("ETD1", 1 / 256) - ref))
@@ -186,7 +188,7 @@ class TestHypothesisCertificate:
         u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
         cert = certify_hypothesis(hyp, u0)
-        cond = cert.condition("volume")
+        cond = condition(cert, "volume")
         assert cond.value == 2.0 and cond.bound == 2.0 and cond.passed
 
     def test_gamma_threshold_boundary(self, grid1):
@@ -194,8 +196,9 @@ class TestHypothesisCertificate:
         ok = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
         bad = BlowupHypothesis(gamma=10.0, r=1.0, beta=2.0, k=2, d=1)
         assert 4 * math.e == pytest.approx(10.87312731, abs=1e-7)
-        assert certify_hypothesis(ok, u0).condition("gamma_threshold").passed
-        assert not certify_hypothesis(bad, u0).condition("gamma_threshold").passed
+        assert condition(certify_hypothesis(ok, u0), "gamma_threshold").passed
+        assert not condition(certify_hypothesis(bad, u0),
+                             "gamma_threshold").passed
 
     def test_remark_gaussian_passes_all(self, grid1):
         u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
@@ -222,7 +225,7 @@ class TestHypothesisCertificate:
         # plain Gaussian fails the plateau bound at gamma = 11 but certifies
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
         cert = certify_hypothesis(hyp, gauss1)
-        assert not cert.condition("plateau_lower_bound").passed
+        assert not condition(cert, "plateau_lower_bound").passed
         assert not cert.all_passed
 
     def test_unit_ball_volume_from_gamma(self):
@@ -235,6 +238,20 @@ class TestHypothesisCertificate:
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=2)
         with pytest.raises(ValueError):
             certify_hypothesis(hyp, gauss1)
+
+
+def lambda_index_set(j, k):
+    """Admissible ordered k-tuples feeding the j-th term of the series: the
+    oracle of heat._label_multisets.
+
+    Entries are earlier term labels t(k-1)+1 with 0 <= t < j, and the labels
+    in each tuple sum to the current label j(k-1)+1 = jk - (j-1).
+    """
+    if j < 1 or k < 2:
+        raise ValueError("need j >= 1 and k >= 2")
+    allowed = [term_index(t, k) for t in range(j)]
+    target = term_index(j, k)
+    return {tup for tup in product(allowed, repeat=k) if sum(tup) == target}
 
 
 class TestLambdaIndexSet:
@@ -292,11 +309,9 @@ class TestPicardSeries:
     def test_partial_sum_matches_solver(self, small_picard, part1):
         prob, res = small_picard
         partial = sum(res.trajectories[i][-1] for i in range(6))
-        tr = solve(prob, SolverConfig(dt=1 / 512, t_max=0.5,
-                                      snapshot_every=10 ** 9), part1)
-        t_end, u_end = tr.snapshots[-1]
-        assert t_end == pytest.approx(0.5)
-        assert np.max(np.abs(partial - u_end)) <= 1e-4
+        tr = solve(prob, SolverConfig(dt=1 / 512, t_max=0.5), part1)
+        assert tr.times[-1] == pytest.approx(0.5)
+        assert np.max(np.abs(partial - tr.final_state)) <= 1e-4
 
     def test_fourier_positivity_preserved(self, grid1, part1):
         # nonnegative-transform data: every term keeps a nonnegative,
@@ -554,11 +569,10 @@ def _solve_oracle(problem, config, partition):
     times, norms = [0.0], [init_norm]
     fl1 = [frequency_lp_norm(u_hat, 1)]
     linf = [float(np.max(np.abs(u.values)))]
-    snapshots = [(0.0, u.values.copy())] if config.snapshot_every > 0 else []
     detected, t_detect, overflow = False, None, False
     n_steps = int(round(config.t_max / config.dt))
     t = 0.0
-    for step in range(1, n_steps + 1):
+    for _ in range(n_steps):
         n_vals = problem.source_sign * dealiased_power_hat(u_hat,
                                                            problem.k).values
         new_hat = decay * u_hat.values + w1 * n_vals
@@ -578,14 +592,11 @@ def _solve_oracle(problem, config, partition):
         norms.append(nom)
         fl1.append(frequency_lp_norm(u_hat, 1))
         linf.append(float(np.max(np.abs(u.values))))
-        if config.snapshot_every > 0 and (step % config.snapshot_every == 0
-                                          or step == n_steps):
-            snapshots.append((t, u.values.copy()))
         if not math.isfinite(nom) or nom > threshold:
             detected, t_detect = True, t
             break
     return heat.SolutionTrace(times, norms, fl1, linf, detected, t_detect,
-                              overflow, snapshots)
+                              overflow, u.values)
 
 
 def _oracle(problem, config, partition):
@@ -620,13 +631,12 @@ def _assert_matches_oracle(got, want):
     assert got.times == want.times
     assert ((got.blowup_detected, got.t_detect, got.overflow)
             == (want.blowup_detected, want.t_detect, want.overflow))
-    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
     for name in ("norms", "fl1_norms", "linf_norms"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                    rtol=ORACLE_RTOL)
-    for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
-        np.testing.assert_allclose(a, b, rtol=0.0,
-                                   atol=ORACLE_RTOL * np.abs(b).max())
+    np.testing.assert_allclose(got.final_state, want.final_state, rtol=0.0,
+                               atol=ORACLE_RTOL
+                               * np.abs(want.final_state).max())
 
 
 # (k, source_sign, amplitude, p) of data in exp(-2|x|^2)
@@ -650,8 +660,7 @@ class TestChunkedSolver:
 
         def config(n_steps):
             return SolverConfig(dt=SOLVE_DT, t_max=n_steps * SOLVE_DT,
-                                blowup_threshold=threshold, scheme=scheme,
-                                snapshot_every=3)
+                                blowup_threshold=threshold, scheme=scheme)
 
         n_steps = 256
         s = len(_oracle(prob, config(n_steps), part).times) - 1
@@ -707,15 +716,15 @@ class TestChunkedSolver:
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
     def test_snapshots_across_chunks(self, case, chunk, monkeypatch):
+        # the final state comes from the last chunk, a partial one at 5
         grid, scheme = SOLVE_CASES[case]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
         prob = HeatProblem(2.0, 2, GridFunction(grid, 0.5 * np.exp(-sq)))
-        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
-                           snapshot_every=3)
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme)
         want = _oracle(prob, cfg, UniformPartition(grid))
         got = _solve_chunked(prob, cfg, chunk, monkeypatch)
         _assert_matches_oracle(got, want)
-        assert len(got.snapshots) == 1 + 64 // 3 + 1
+        assert got.final_state.shape == grid.shape
         assert not got.blowup_detected and got.stop_reason == "t_max"
         assert got.steps_discarded == 0
 
@@ -729,7 +738,7 @@ class TestChunkedSolver:
         prob = HeatProblem(2.0, k, GridFunction(grid, amp * np.exp(-2 * sq)),
                            ModNormSpec(p, 1.0, 0.0), source_sign=sign)
         cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
-                           blowup_threshold=1e300, snapshot_every=3)
+                           blowup_threshold=1e300)
         want = _oracle(prob, cfg, UniformPartition(grid))
         got = _solve_chunked(prob, cfg, 4, monkeypatch)
         _assert_matches_oracle(got, want)
@@ -787,28 +796,40 @@ class TestPhiWeights:
 
 
 class TestLowerBoundEnvelope:
-    def test_first_term_closed_form(self, certified_hypothesis):
+    # grid1's lattice points in the unit ball: |xi| = m pi / 16, |m| <= 5
+
+    def test_first_term_closed_form(self, grid1, certified_hypothesis):
         h = certified_hypothesis
         t = 0.2
-        for xi in (0.0, 0.5, 0.99):
-            want = h.gamma * math.exp(-t * xi ** h.beta)
-            assert lower_bound_sequence(h, 1, t, [xi]) == pytest.approx(want)
+        xi = np.abs(grid1.freq_axis)
+        inside = xi <= h.r
+        assert np.count_nonzero(inside) == 11
+        want = h.gamma * np.exp(-t * xi[inside] ** h.beta)
+        np.testing.assert_allclose(
+            lower_bound_envelope(h, 1, t, grid1)[inside], want, rtol=1e-13)
 
-    def test_outside_support_is_zero(self, certified_hypothesis):
-        assert lower_bound_sequence(certified_hypothesis, 1, 0.2, [1.01]) == 0.0
+    def test_outside_support_is_zero(self, grid1, certified_hypothesis):
+        env = lower_bound_envelope(certified_hypothesis, 1, 0.2, grid1)
+        outside = np.abs(grid1.freq_axis) > certified_hypothesis.r
+        assert np.all(env[outside] == 0.0)
+        assert np.all(env[~outside] > 0.0)
 
-    def test_invalid_series_index_rejected(self):
+    def test_invalid_series_index_rejected(self, grid1):
         h = BlowupHypothesis(gamma=50.0, r=1.0, beta=2.0, k=3, d=1)
         with pytest.raises(ValueError):
-            lower_bound_sequence(h, 2, 0.1, [0.0])  # 2 != m(k-1)+1 for k=3
+            # 2 != m(k-1)+1 for k=3
+            lower_bound_envelope(h, 2, 0.1, grid1)
 
-    def test_general_k_exponents(self):
+    def test_general_k_exponents(self, grid1):
         h = BlowupHypothesis(gamma=50.0, r=1.0, beta=2.0, k=3, d=1)
         # series index 5 corresponds to the m = 2 envelope
-        t, xi = 0.3, 0.2
+        t = 0.3
+        xi = np.abs(grid1.freq_axis)
+        inside = xi <= h.r
         want = (h.gamma ** 5 * math.exp(-4 * (h.k - 1) * 2 * t) * t ** 2
-                * math.exp(-t * xi ** 2))
-        assert lower_bound_sequence(h, 5, t, [xi]) == pytest.approx(want)
+                * np.exp(-t * xi[inside] ** 2))
+        np.testing.assert_allclose(
+            lower_bound_envelope(h, 5, t, grid1)[inside], want, rtol=1e-13)
 
     def test_picard_terms_dominate_envelope(self, grid1, part1,
                                             certified_hypothesis):

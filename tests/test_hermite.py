@@ -5,14 +5,22 @@ import pytest
 
 from modheat import constants, hermite
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import (HermiteBasis, HermiteCoeffs, analyze,
-                             analysis_residual, decay_profile, eigen_sum,
-                             eigen_sum_bound, heat_truncation_bound,
-                             hermite_eval, hermite_table, oscillator_heat,
-                             oscillator_heat_coeffs, project_eigenspace,
-                             synthesize, synthesize_at)
+from modheat.hermite import (HermiteBasis, HermiteCoeffs, _contract_all_axes,
+                             analyze, decay_profile, eigen_sum,
+                             eigen_sum_bound, heat_coeff_factors,
+                             hermite_table, oscillator_heat,
+                             oscillator_heat_coeffs, synthesize)
 from modheat.modnorm import ModNormSpec, UniformPartition, mod_norm_decomp
 from modheat.spectral import GridFunction, SpectralGrid
+
+
+def synthesize_at(coeffs, axis_points):
+    """Evaluate the expansion on the product mesh of arbitrary per-axis
+    points: the per-function oracle of the stacked synthesis, also used by
+    test_torus."""
+    basis = coeffs.basis
+    table = hermite_table(basis.degree_cap, np.asarray(axis_points, dtype=float))
+    return _contract_all_axes(coeffs.tensor, table.T)
 
 
 def coeff_unit(basis, *level_weights):
@@ -25,11 +33,11 @@ def coeff_unit(basis, *level_weights):
 
 class TestHermiteFunctions:
     def test_ground_state_value(self):
-        assert hermite_eval(0, 0.0) == pytest.approx(math.pi ** -0.25,
-                                                     abs=1e-15)
+        assert hermite_table(0, 0.0)[0, 0] == pytest.approx(math.pi ** -0.25,
+                                                            abs=1e-15)
 
     def test_first_function_is_odd(self):
-        assert hermite_eval(1, 0.0) == 0.0
+        assert hermite_table(1, 0.0)[1, 0] == 0.0
         x = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(hermite_table(1, x)[1],
                                    -hermite_table(1, -x)[1], atol=1e-15)
@@ -51,10 +59,6 @@ class TestHermiteFunctions:
         assert np.all(np.isfinite(vals))
         assert abs(vals[500, 0]) < 1e-100
 
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_eval(-1, 0.0)
-
 
 class TestBasis:
     def test_orthonormality_d1_k60(self, basis60):
@@ -66,16 +70,15 @@ class TestBasis:
         gram = basis.gram_matrix()  # separable quadrature: per-axis suffices
         assert np.max(np.abs(gram - np.eye(21))) <= 1e-10
 
-    def test_recurrence_residual(self, basis60):
-        assert basis60.recurrence_residual() <= 1e-12
-
     def test_eigenvalues_and_level_dimensions(self):
+        # level k of H in d = 2: eigenvalue 2k + 2, dimension k + 1
         basis = HermiteBasis(2, 6)
-        assert basis.eigenvalue(0) == 2
-        assert basis.eigenvalue(3) == 8
-        assert basis.level_dimension(0) == 1
-        assert basis.level_dimension(1) == 2
-        assert basis.level_dimension(4) == 5
+        factors = heat_coeff_factors(basis, 1.0, 1.0)
+        for level in range(7):
+            at_level = basis.level_mesh == level
+            assert np.count_nonzero(at_level) == level + 1
+            np.testing.assert_allclose(factors[at_level],
+                                       math.exp(-(2 * level + 2)), rtol=1e-15)
 
 
 class TestAnalyzeSynthesize:
@@ -101,7 +104,6 @@ class TestAnalyzeSynthesize:
         back = synthesize(analyze(vals, basis16))
         scale = np.max(np.abs(vals))
         np.testing.assert_allclose(back, vals, atol=1e-8 * scale)
-        assert analysis_residual(vals, basis16) <= 1e-8
 
     def test_2d_separable_function(self):
         basis = HermiteBasis(2, 10)
@@ -115,38 +117,6 @@ class TestAnalyzeSynthesize:
         c = coeff_unit(basis16, (0, 1.0), (4, -2.0))
         at_nodes = synthesize_at(c, basis16.nodes)
         np.testing.assert_allclose(at_nodes, synthesize(c), atol=1e-12)
-
-
-class TestEigenprojections:
-    def test_projects_eigenfunction(self, basis16):
-        vals = basis16.table[0]
-        np.testing.assert_allclose(project_eigenspace(vals, 0, basis16), vals,
-                                   atol=1e-12)
-        assert np.max(np.abs(project_eigenspace(vals, 3, basis16))) <= 1e-12
-
-    def test_idempotent_and_orthogonal(self, basis16):
-        rng = np.random.default_rng(9)
-        vals = synthesize(HermiteCoeffs(
-            basis16, rng.standard_normal(basis16.coeff_shape)
-            * basis16.level_mask))
-        p2 = project_eigenspace(vals, 2, basis16)
-        p2p2 = project_eigenspace(p2, 2, basis16)
-        np.testing.assert_allclose(p2p2, p2, atol=1e-10)
-        p3_of_p2 = project_eigenspace(p2, 3, basis16)
-        assert np.max(np.abs(p3_of_p2)) <= 1e-10
-
-    def test_2d_level_one_has_two_dimensions(self):
-        basis = HermiteBasis(2, 6)
-        t = hermite_table(6, basis.nodes)
-        f = (np.multiply.outer(t[1], t[0]) + 2 * np.multiply.outer(t[0], t[1])
-             + np.multiply.outer(t[2], t[2]))
-        p1 = project_eigenspace(f, 1, basis)
-        want = np.multiply.outer(t[1], t[0]) + 2 * np.multiply.outer(t[0], t[1])
-        np.testing.assert_allclose(p1, want, atol=1e-10)
-
-    def test_level_above_cap_rejected(self, basis16):
-        with pytest.raises(ValueError):
-            project_eigenspace(basis16.table[0], 17, basis16)
 
 
 class TestOscillatorHeat:
@@ -182,15 +152,12 @@ class TestOscillatorHeat:
     def test_l2_contraction_sharp_on_ground_state(self, basis16):
         c = coeff_unit(basis16, (0, 1.0), (5, 0.7))
         heated = oscillator_heat_coeffs(c, 0.8, 1.0)
-        assert heated.l2_norm() <= math.exp(-0.8) * c.l2_norm() + 1e-12
+        assert (np.linalg.norm(heated.tensor)
+                <= math.exp(-0.8) * np.linalg.norm(c.tensor) + 1e-12)
         ground = coeff_unit(basis16, (0, 1.0))
         heated0 = oscillator_heat_coeffs(ground, 0.8, 1.0)
-        assert heated0.l2_norm() == pytest.approx(math.exp(-0.8), rel=1e-12)
-
-    def test_truncation_bound_reported(self, basis16):
-        vals = basis16.table[0]
-        bound = heat_truncation_bound(vals, 0.5, 1.0, basis16)
-        assert 0.0 <= bound <= 1e-10  # band-limited data has no tail
+        assert np.linalg.norm(heated0.tensor) == pytest.approx(math.exp(-0.8),
+                                                               rel=1e-12)
 
     def test_negative_time_rejected(self, basis16):
         with pytest.raises(ValueError):

@@ -6,14 +6,30 @@ import pytest
 from modheat.spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
                               _band_slots, _factor_meshes, _per_axis,
                               apply_multiplier, boundary_tail_ratio,
-                              cropped_forward, dealiased_power,
-                              dealiased_power_hat, dealiased_product,
+                              cropped_forward, dealiased_product,
                               dft_order, fine_grid, forward_transform,
-                              forward_values, fractional_symbol,
-                              frequency_lp_norm, heat_symbol,
+                              forward_values, frequency_lp_norm, heat_symbol,
                               inverse_transform, inverse_values,
                               load_grid_function, padded_inverse,
                               physical_lp_norm, save_grid_function)
+
+
+# -- oracles: the padded power of one function, also used by test_heat ----------
+
+
+def dealiased_power_hat(f, k):
+    """Transform (our normalization) of f^k, alias-free in band; f may be
+    given on either side."""
+    g = f.grid
+    hat = f.values if f.side == FREQUENCY else forward_values(g, f.values)
+    fine = fine_grid(g, k)
+    power = padded_inverse(g, hat, fine) ** k
+    return GridFunction(g, cropped_forward(g, power, fine), FREQUENCY)
+
+
+def dealiased_power(f, k):
+    """Pointwise u^k with the band-limited (alias-free) projection."""
+    return inverse_transform(dealiased_power_hat(f, k))
 
 
 def brute_force_forward(f):
@@ -159,21 +175,6 @@ class TestPerAxisTransforms:
         assert np.array_equal(padded, np.fft.ifftn(pad, axes=axes))
         assert np.array_equal(cropped_forward(grid, padded, fine),
                               np.fft.fftn(padded, axes=axes)[index] / factor)
-
-
-class TestFractionalSymbol:
-    def test_zero_vector(self):
-        assert fractional_symbol(np.zeros(3), 0.7) == 0.0
-
-    def test_euclidean_norm(self):
-        assert fractional_symbol([3.0, 4.0], 1.0) == pytest.approx(5.0)
-
-    def test_fractional_power(self):
-        assert fractional_symbol([1.0, 1.0], 0.5) == pytest.approx(2 ** 0.25)
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            fractional_symbol([1.0], 0.0)
 
 
 class TestMultipliers:
