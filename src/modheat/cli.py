@@ -11,8 +11,7 @@ written as CSV tables plus a run_record.json that echoes the config, the
 code version, and one (value, bound, margin, pass) row per asserted
 inequality.  With a fixed config and seed the CSV outputs are byte
 identical across reruns.  Exit codes: 0 all verdicts pass, 1 some verdict
-failed, 2 configuration error.  MODHEAT_THREADS caps the worker pool used
-for parameter sweeps (results are ordered by parameter index regardless).
+failed, 2 configuration error.
 """
 
 import argparse
@@ -21,7 +20,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norms_stft, stft_resolution_ok)
 from .spectral import (GridFunction, SpectralGrid, boundary_tail_ratio,
                        forward_values, heat_symbol, load_grid_function)
-from .torus import (TorusGrid, kernel_l1_norm, operator_norm_lower,
-                    oscillator_heat_symbol, transference_check)
+from .torus import TorusGrid, operator_norm_lower, transference_check
 
 
 class ConfigError(Exception):
@@ -146,6 +144,17 @@ def _parse_k(prob_cfg, grid):
     except ValueError as exc:
         raise ConfigError(f"config field problem.'k': {exc}") from exc
     return k
+
+
+def _parse_degree_cap(cfg, dim, stack, stack_field):
+    """'degree_cap': >= 0, with the quadrature's companion matrix, the level
+    mesh and `stack` coefficient tensors (sized by stack_field) bounded."""
+    cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
+    if cap < 0:
+        raise ConfigError("config field 'degree_cap' must be >= 0")
+    _bounded(max((cap + 8) ** 2, max(stack, dim) * (cap + 1) ** dim),
+             f"'degree_cap' and {stack_field!r}")
+    return cap
 
 
 def _parse_data(cfg, grid, path="data."):
@@ -271,14 +280,6 @@ def _emit_gnuplot(out_dir, csv_name):
               f"plot '{csv_name}' using 1:2 with linespoints\n")
     with open(os.path.join(out_dir, f"{base}.gp"), "w") as fh:
         fh.write(script)
-
-
-def _pool_map(fn, items):
-    workers = int(os.environ.get("MODHEAT_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -601,7 +602,6 @@ def cmd_hermite(cfg, seed, rec):
     dim = _require(cfg, "dim", int, "", default=1, required=False)
     if dim != grid.dim:
         raise ConfigError("config field 'dim' must equal grid.'dim'")
-    cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
     betas = _require_list(cfg, "betas", float, "")
     ps = _require_list(cfg, "ps", float, "")
     if not (betas and ps and all(0 < b < math.inf for b in betas)
@@ -610,7 +610,17 @@ def cmd_hermite(cfg, seed, rec):
                           "finite values and exponents >= 1, and not be empty")
     prof = _require(cfg, "t_profile", dict, "")
     _check_keys(prof, {"lo", "hi", "points"}, "t_profile.")
+    lo, hi = (_finite(prof, key, "t_profile.") for key in ("lo", "hi"))
+    pts = _require(prof, "points", int, "t_profile.")
+    if not 0 < lo < hi:
+        raise ConfigError("config field 't_profile' needs 0 < lo < hi")
+    if pts < 1:
+        raise ConfigError("config field t_profile.'points' must be >= 1")
+    # the data and its flow at every t of the profile, as one stack
+    cap = _parse_degree_cap(cfg, dim, pts + pts // 2 + 3, "t_profile")
     levels = _require(cfg, "coeff_levels", int, "", default=11, required=False)
+    if levels < 1:
+        raise ConfigError("config field 'coeff_levels' must be >= 1")
     window = _require_list(cfg, "slope_window", float, "",
                            default=[3.0, 5.0], required=False)
     if len(window) != 2 or not window[0] < window[1]:
@@ -628,13 +638,6 @@ def cmd_hermite(cfg, seed, rec):
     coeffs = HermiteCoeffs(basis, tensor)
     partition = UniformPartition(grid)
 
-    lo, hi = _require(prof, "lo", float, "t_profile."), _require(
-        prof, "hi", float, "t_profile.")
-    pts = _require(prof, "points", int, "t_profile.")
-    if not 0 < lo < hi:
-        raise ConfigError("config field 't_profile' needs 0 < lo < hi")
-    if pts < 1:
-        raise ConfigError("config field 't_profile.points' must be >= 1")
     brk = 2.5  # t spacing: geometric below, to resolve t -> 0; linear above
     if lo >= brk:
         t_grid = np.linspace(lo, hi, pts)
@@ -645,29 +648,27 @@ def cmd_hermite(cfg, seed, rec):
             # both parts hold the break when the window starts at or below it
             t_grid = np.concatenate([t_grid, lin[lin > t_grid[-1]]])
 
-    def profile(args):
-        beta, p = args
-        return decay_profile(coeffs, beta, p, t_grid, grid, partition)
-
-    combos = [(b, p) for b in betas for p in ps]
-    try:
-        profiles = _pool_map(profile, combos)
-    except OverflowError as exc:
-        raise ConfigError("config fields 'betas' and 't_profile' give a "
-                          "decay profile beyond the float range") from exc
     rows = []
     sup_ratio = 0.0
     slope_err = 0.0
-    for (beta, p), prof_rows in zip(combos, profiles):
-        for t, val, ratio in prof_rows:
-            rows.append((dim, beta, p, t, val, ratio))
-        sup_ratio = max(sup_ratio, max(r for _, _, r in prof_rows))
-        ts = np.array([t for t, _, _ in prof_rows if window[0] <= t <= window[1]])
-        ns = np.array([v for t, v, _ in prof_rows if window[0] <= t <= window[1]])
-        if len(ts) >= 2:
-            slope = np.polyfit(ts, np.log(ns), 1)[0]
-            target = -float(dim) ** beta
-            slope_err = max(slope_err, abs(slope - target) / abs(target))
+    for beta in betas:
+        try:
+            profiles = decay_profile(coeffs, beta, ps, t_grid, grid,
+                                     partition)
+        except OverflowError as exc:
+            raise ConfigError("config fields 'betas' and 't_profile' give a "
+                              "decay profile beyond the float range") from exc
+        for p, prof_rows in zip(ps, profiles):
+            for t, val, ratio in prof_rows:
+                rows.append((dim, beta, p, t, val, ratio))
+            sup_ratio = max(sup_ratio, max(r for _, _, r in prof_rows))
+            in_window = [(t, v) for t, v, _ in prof_rows
+                         if window[0] <= t <= window[1]]
+            if len(in_window) >= 2:
+                ts, ns = np.array(in_window).T
+                slope = np.polyfit(ts, np.log(ns), 1)[0]
+                target = -float(dim) ** beta
+                slope_err = max(slope_err, abs(slope - target) / abs(target))
     rec.write_csv("hermite_decay.csv",
                   ["d", "beta", "p", "t", "value", "ratio"], rows)
     rec.verdict("decay_profile_const", sup_ratio, constants.DECAY_PROFILE_CONST)
@@ -675,23 +676,27 @@ def cmd_hermite(cfg, seed, rec):
 
     lat = _require(cfg, "eigen_lattice", dict, "", default=None, required=False)
     if lat is not None:
-        _check_keys(lat, {"ds", "betas", "ts"}, "eigen_lattice.")
-        ds = _require_list(lat, "ds", int, "eigen_lattice.")
+        path = "eigen_lattice."
+        _check_keys(lat, {"ds", "betas", "ts"}, path)
+        ds = _require_list(lat, "ds", int, path)
         if any(d < 1 for d in ds):
-            raise ConfigError("config field 'eigen_lattice.ds' must hold "
+            raise ConfigError("config field eigen_lattice.'ds' must hold "
                               "dimensions >= 1")
-        lat_betas = _require_list(lat, "betas", float, "eigen_lattice.")
-        lat_ts = _require_list(lat, "ts", float, "eigen_lattice.")
+        lat_betas, lat_ts = (
+            [_positive(v, f"{path}{key!r}[{i}]")
+             for i, v in enumerate(_require_list(lat, key, float, path))]
+            for key in ("betas", "ts"))
         erows = []
-        all_ok = True
-        for d in ds:
-            for beta in lat_betas:
-                for t in lat_ts:
+        try:
+            # a term or bound beyond the float range is named below
+            with np.errstate(over="ignore"):
+                for d, beta, t in product(ds, lat_betas, lat_ts):
                     s = eigen_sum(d, beta, t)
                     b = eigen_sum_bound(d, beta, t)
-                    ok = s <= b
-                    all_ok = all_ok and ok
-                    erows.append((d, beta, t, s, b, int(ok)))
+                    erows.append((d, beta, t, s, b, int(s <= b)))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"config field 'eigen_lattice': {exc}") from exc
+        all_ok = all(row[-1] for row in erows)
         rec.write_csv("hermite_eigen.csv",
                       ["d", "beta", "t", "value", "bound", "pass"], erows)
         rec.verdict("eigen_sum_bound_lattice", float(all_ok), 1.0,
@@ -713,11 +718,18 @@ def cmd_transfer(cfg, seed, rec):
         raise ConfigError("config field 'ps' must hold exponents "
                           "1 <= p < inf and not be empty")
     modes = _require(cfg, "modes_per_axis", int, "", default=64, required=False)
+    if modes < 4 or modes % 2:
+        raise ConfigError("config field 'modes_per_axis' must be even and "
+                          ">= 4")
+    _bounded(dim * modes ** dim, "'modes_per_axis'")  # TorusGrid.mode_mesh
     fam_size = _require(cfg, "family_size", int, "", default=8, required=False)
     if fam_size < 1:
         raise ConfigError("config field 'family_size' must be >= 1")
-    cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
+    # the family and its flow, as one stack
+    cap = _parse_degree_cap(cfg, dim, 2 * fam_size, "family_size")
     trials = _require(cfg, "trials", int, "", default=20, required=False)
+    if trials < 1:
+        raise ConfigError("config field 'trials' must be >= 1")
 
     tg = TorusGrid(dim, modes)
     basis = HermiteBasis(dim, cap)
@@ -725,52 +737,37 @@ def cmd_transfer(cfg, seed, rec):
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
     try:
         with np.errstate(over="ignore"):
-            sym = oscillator_heat_symbol(tg, t, beta)
+            report = transference_check(t, beta, ps, family, grid, partition,
+                                        tg, slack=constants.TRANSFER_SLACK)
     except OverflowError as exc:
         raise ConfigError("config fields 'beta' and 't' give a symbol beyond "
                           "the float range") from exc
-    if sym.sup() == 0.0:
-        raise ConfigError("config fields 'beta' and 't' give a symbol that "
-                          "underflows to 0")
-    try:
-        kernel_l1_norm(sym, tg)
     except ValueError as exc:
         raise ConfigError("config fields 't', 'beta' and 'modes_per_axis': "
                           f"{exc}") from exc
-
-    def bounds_for(p):
-        lower = operator_norm_lower(sym, p, trials, tg, seed=seed)
-        report = transference_check(t, beta, p, family, grid, partition, tg,
-                                    slack=constants.TRANSFER_SLACK)
-        return lower, report
-
-    results = _pool_map(bounds_for, ps)
-    brows = []
-    rrows = []
-    ok_sandwich = True
-    ok_transfer = True
-    p2_err = 0.0
-    for p, (lower, report) in zip(ps, results):
-        ok = lower <= report.young_upper + 1e-8
-        ok_sandwich = ok_sandwich and ok
-        brows.append((dim, beta, t, p, lower, report.young_upper,
-                      report.parseval_upper, int(ok)))
-        if p == 2.0:
-            p2_err = abs(lower - sym.sup()) / sym.sup()
-        for row in report.rows:
-            rrows.append((p, row.label, row.ratio, row.bound, int(row.passed)))
-            ok_transfer = ok_transfer and row.passed
+    sym = report.symbol
+    if sym.sup() == 0.0:
+        raise ConfigError("config fields 'beta' and 't' give a symbol that "
+                          "underflows to 0")
+    lowers = operator_norm_lower(sym, ps, trials, tg, seed=seed)
+    brows = [(dim, beta, t, p, lower, report.young_upper,
+              report.parseval_upper, int(lower <= report.young_upper + 1e-8))
+             for p, lower in zip(ps, lowers)]
+    rrows = [(p, row.label, row.ratio, row.bound, int(row.passed))
+             for p, p_rows in zip(ps, report.rows) for row in p_rows]
     rec.write_csv("transfer_bounds.csv",
                   ["d", "beta", "t", "p", "lower", "young_upper",
                    "parseval_upper", "pass"], brows)
     rec.write_csv("transfer_ratios.csv",
                   ["p", "label", "ratio", "bound", "pass"], rrows)
+    ok_sandwich = all(row[-1] for row in brows)
     rec.verdict("sandwich", float(ok_sandwich), 1.0, passed=ok_sandwich,
                 direction=">=")
     if 2.0 in ps:
+        p2_err = abs(lowers[ps.index(2.0)] - sym.sup()) / sym.sup()
         rec.verdict("p2_parseval_match", p2_err, 0.01)
-    rec.verdict("transference_bound", float(ok_transfer), 1.0,
-                passed=ok_transfer, direction=">=")
+    rec.verdict("transference_bound", float(report.all_passed), 1.0,
+                passed=report.all_passed, direction=">=")
 
 
 _COMMANDS = {

@@ -12,7 +12,8 @@ coefficient tensor.  Inner products use Gauss quadrature in the e^{-x^2}
 measure with a guard margin of extra nodes, which makes the analysis exact
 for polynomial-times-Gaussian integrands up to the degree cap.  Decay
 profiles synthesize the data and its flow at every t as one stack, at most
-NORM_BATCH_VALUES values at a time, for one stacked norm call.
+NORM_BATCH_VALUES values at a time, and take one stacked norm call per
+exponent p of the sweep on each synthesized chunk.
 """
 
 import math
@@ -149,22 +150,28 @@ def _shell_terms(d, c, beta, n_lo, n_hi):
     return mult * np.exp(-c * (2.0 * n + d) ** beta)
 
 
-def _shell_tail_bound(d, c, beta, n_star):
-    """Rigorous bound on sum_{n > n_star} multiplicity(n) e^{-c (2n+d)^beta}.
+def _log_shell_tail_bound(d, c, beta, n_star):
+    """Log of a rigorous bound on sum_{n > n_star} multiplicity(n)
+    e^{-c (2n+d)^beta}; inf while n_star is too small for the bound.
 
     Uses multiplicity(n) <= (n+d)^{d-1}/(d-1)! and the substitution
     u = (2x+d)^beta, under which the integrand is dominated by a decaying
-    exponential once u_star >= 2(d/beta - 1)/c.
+    exponential once u_star >= 2(d/beta - 1)/c.  From there on the bound
+    decreases in n_star.
     """
     y_star = 2.0 * n_star + d
     u_star = y_star ** beta
     a = d / beta
     if u_star < 2.0 * max(a - 1.0, 0.0) / c or y_star < d:
         return math.inf  # caller must push n_star further out
-    log_tail = ((a - 1.0) * math.log(u_star) - c * u_star
-                + math.log(2.0 / c) - math.log(2.0 * beta)
-                - math.lgamma(float(d)))
-    return math.exp(log_tail)
+    return ((a - 1.0) * math.log(u_star) - c * u_star
+            + math.log(2.0 / c) - math.log(2.0 * beta)
+            - math.lgamma(float(d)))
+
+
+def _shell_tail_bound(d, c, beta, n_star):
+    log_tail = _log_shell_tail_bound(d, c, beta, n_star)
+    return math.inf if log_tail == math.inf else math.exp(log_tail)
 
 
 def eigen_sum(d, beta, t):
@@ -176,6 +183,17 @@ def eigen_sum(d, beta, t):
     if t <= 0 or beta <= 0:
         raise ValueError("t and beta must be positive")
     c = 2.0 * t
+    give_up = 50_000_000
+    # The loop below checks the remainder at shells up to `last` at most.
+    # There the bound is smallest, and the sum is at most comb(last + d, d)
+    # terms of at most e^{-c d^beta}: if even that cannot certify, no shell
+    # can, so fail before summing.
+    last = 2 * give_up + 4095
+    log_most = (math.lgamma(last + d + 1.0) - math.lgamma(last + 1.0)
+                - math.lgamma(d + 1.0) - c * d ** beta)
+    if _log_shell_tail_bound(d, c, beta, last) > math.log(1e-14) + log_most:
+        raise ValueError("eigenvalue sum cannot certify its remainder within "
+                         f"{last} shells; beta or t too small")
     total = 0.0
     n_lo, block = 0, 4096
     while True:
@@ -187,9 +205,10 @@ def eigen_sum(d, beta, t):
             return total
         n_lo += block
         block *= 2
-        if n_lo > 50_000_000:
-            raise RuntimeError("eigenvalue sum failed to certify its remainder; "
-                               "parameters too extreme")
+        if n_lo > give_up:
+            raise ValueError("eigenvalue sum failed to certify its remainder "
+                             f"within {give_up} shells; parameters too "
+                             "extreme")
 
 
 def eigen_sum_bound(d, beta, t):
@@ -210,15 +229,16 @@ def multiplier_tail(d, t, beta, n_from):
 # -- decay profile ----------------------------------------------------------------
 
 
-def expansion_mod_norms(tensors, grid, p, partition):
+def expansion_mod_norms(tensors, grid, ps, partition):
     """(p, p, 0) decomposition norms on grid of the expansions stacked along
-    the first axis of tensors: NORM_BATCH_VALUES synthesized values at a
-    time, each chunk one contraction per axis, one transform, one norm call.
+    the first axis of tensors, one row per p in ps: NORM_BATCH_VALUES
+    synthesized values at a time, each chunk one contraction per axis and
+    one transform, then one norm call per p.
     """
     if tensors.ndim - 1 != grid.dim:
         raise ValueError("Hermite basis and grid dimensions differ")
     table = hermite_table(tensors.shape[1] - 1, grid.x_axis)
-    spec = ModNormSpec(p, p, 0.0)
+    specs = [ModNormSpec(p, p, 0.0) for p in ps]
     batch = max(1, NORM_BATCH_VALUES // grid.size)
     norms = []
     for i in range(0, len(tensors), batch):
@@ -226,26 +246,31 @@ def expansion_mod_norms(tensors, grid, p, partition):
         for _ in range(grid.dim):
             # not tensordot: its first BLAS gemm call adds ~0.5 MB peak RSS
             vals = np.einsum("bk...,kn->b...n", vals, table)
-        norms.append(mod_norms_from_frequency(forward_values(grid, vals),
-                                              spec, partition))
-    return np.concatenate(norms)
+        hats = forward_values(grid, vals)
+        norms.append([mod_norms_from_frequency(hats, spec, partition)
+                      for spec in specs])
+    return np.concatenate(norms, axis=1)
 
 
-def decay_profile(coeffs, beta, p, t_grid, grid, partition):
-    """Table of (t, norm of the heat flow, compensated ratio).
+def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
+    """One table of (t, norm of the heat flow, compensated ratio) per p in ps.
 
     The ratio multiplies the measured (p, p, 0) decomposition norm by
     e^{t d^beta} t^{d/beta} and divides by the initial norm; its supremum
     over the grid is the empirical decay constant.  The initial data and
-    the flow at every t are measured as one stack.
+    the flow at every t are synthesized as one stack and measured at every p.
     """
     d = coeffs.basis.dim
     t_grid = [float(t) for t in t_grid]
     heated = heat_coeff_factors(coeffs.basis, t_grid, beta) * coeffs.tensor
-    norms = expansion_mod_norms(np.concatenate([coeffs.tensor[None], heated]),
-                                grid, p, partition).tolist()
-    base = norms[0]
-    if base == 0.0:
-        raise ValueError("decay profile undefined for zero data")
-    return [(t, nrm, nrm * math.exp(t * d ** beta) * t ** (d / beta) / base)
-            for t, nrm in zip(t_grid, norms[1:])]
+    profiles = []
+    for norms in expansion_mod_norms(
+            np.concatenate([coeffs.tensor[None], heated]), grid, ps,
+            partition).tolist():
+        base = norms[0]
+        if base == 0.0:
+            raise ValueError("decay profile undefined for zero data")
+        profiles.append([(t, nrm, nrm * math.exp(t * d ** beta)
+                          * t ** (d / beta) / base)
+                         for t, nrm in zip(t_grid, norms[1:])])
+    return profiles

@@ -13,7 +13,8 @@ oscillator heat symbol restricted to nonnegative modes ties this module to
 the Hermite flow: its multiplier bound on the torus transfers to a bound on
 the modulation-norm decay of the oscillator semigroup, up to one frozen
 slack constant absorbing norm-equivalence factors.  The family and its
-flow are measured as one stack (hermite.expansion_mod_norms).
+flow are measured as one stack (hermite.expansion_mod_norms), at every
+exponent of a sweep.
 """
 
 from dataclasses import dataclass
@@ -123,27 +124,29 @@ def kernel_l1_norm(spec, tg):
     return torus_lp_norm(kernel, tg, 1)
 
 
-def operator_norm_lower(spec, p, trials, tg, seed=0):
-    """Empirical lower bound: max ratio over single modes and random polynomials."""
+def operator_norm_lower(spec, ps, trials, tg, seed=0):
+    """Empirical lower bound at every p in ps: max ratio over single modes
+    and random polynomials, each trial drawn and filtered once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # a pure mode is an eigenfunction with eigenvalue m(xi) and |f| = 1, so
     # its ratio is |m(xi)| at every p: the best pure mode gives the sup
-    best = spec.sup()
+    best = [spec.sup()] * len(ps)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         coeffs = (rng.standard_normal(tg.shape)
                   + 1j * rng.standard_normal(tg.shape))
         f = torus_inverse(coeffs, tg)
-        best = max(best, _ratio(f, spec, tg, p))
+        g = torus_apply(f, spec, tg)
+        best = [max(b, _ratio(f, g, tg, p)) for b, p in zip(best, ps)]
     return best
 
 
-def _ratio(f, spec, tg, p):
+def _ratio(f, g, tg, p):
     denom = torus_lp_norm(f, tg, p)
     if denom == 0.0:
         return 0.0
-    return torus_lp_norm(torus_apply(f, spec, tg), tg, p) / denom
+    return torus_lp_norm(g, tg, p) / denom
 
 
 # -- transference cross-check ------------------------------------------------------
@@ -161,29 +164,34 @@ class TransferenceRow:
 
 @dataclass
 class TransferenceReport:
+    """The family's rows at each p of the sweep (rows[i] at ps[i]) and the
+    p-independent symbol and upper bounds."""
+
     rows: list
     young_upper: float
     parseval_upper: float
+    symbol: MultiplierSpec
 
     @property
     def max_ratio(self):
-        return max(r.ratio for r in self.rows)
+        return max(r.ratio for rows in self.rows for r in rows)
 
     @property
     def all_passed(self):
-        return all(r.passed for r in self.rows)
+        return all(r.passed for rows in self.rows for r in rows)
 
 
-def transference_check(t, beta, p, family, grid, partition, tg, slack):
+def transference_check(t, beta, ps, family, grid, partition, tg, slack):
     """Compare oscillator-heat modulation-norm ratios with the torus Young bound.
 
     `family` is a non-empty list of (label, HermiteCoeffs) on one basis;
     each function is pushed through exp(-t H^beta), resampled on the uniform
-    grid, and measured in the (p, p) modulation norm, all members and their
-    flows as one stack.  Every ratio must stay below the Young upper bound
-    times the frozen slack constant.
+    grid, and measured in the (p, p) modulation norm at every p in ps, all
+    members and their flows as one stack.  Every ratio must stay below the
+    Young upper bound times the frozen slack constant.  The symbol, its
+    bounds and the synthesized stack do not depend on p: each is built once.
     """
-    if math.isinf(p):
+    if any(math.isinf(p) for p in ps):
         raise ValueError("transference check requires p < infinity")
 
     spec = oscillator_heat_symbol(tg, t, beta)
@@ -192,15 +200,17 @@ def transference_check(t, beta, p, family, grid, partition, tg, slack):
         eigen_sum(tg.dim, beta, t))
     base = np.stack([coeffs.tensor for _, coeffs in family])
     factors = heat_coeff_factors(family[0][1].basis, t, beta)
-    norms = expansion_mod_norms(np.concatenate([base, factors * base]),
-                                grid, p, partition).tolist()
-
-    rows = []
     bound = young * slack
-    for (label, _), base_norm, heated in zip(family, norms, norms[len(family):]):
-        if base_norm == 0.0:
-            raise ValueError(f"zero-norm test function {label!r}")
-        ratio = heated / base_norm
-        rows.append(TransferenceRow(label, base_norm, heated, ratio, bound,
-                                    ratio <= bound))
-    return TransferenceReport(rows, young, parseval)
+    rows = []
+    for norms in expansion_mod_norms(np.concatenate([base, factors * base]),
+                                     grid, ps, partition).tolist():
+        p_rows = []
+        for (label, _), base_norm, heated in zip(family, norms,
+                                                 norms[len(family):]):
+            if base_norm == 0.0:
+                raise ValueError(f"zero-norm test function {label!r}")
+            ratio = heated / base_norm
+            p_rows.append(TransferenceRow(label, base_norm, heated, ratio,
+                                          bound, ratio <= bound))
+        rows.append(p_rows)
+    return TransferenceReport(rows, young, parseval, spec)

@@ -122,10 +122,7 @@ class TestBlowupCommand:
         assert record["diagnostics"]["data"]["boundary_tail_ratio"] == \
             pytest.approx(tail, abs=1e-4)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_blowup_emits_no_runtime_warning(self, tmp_path, monkeypatch,
-                                             threads):
-        monkeypatch.setenv("MODHEAT_THREADS", threads)
+    def test_blowup_emits_no_runtime_warning(self, tmp_path):
         gamma = 4 * math.e * (1 + 1e-6)
         cfg = blowup_config(data={"kind": "plateau", "gamma": gamma, "r": 1.0},
                             hypothesis={"gamma": gamma, "r": 1.0})
@@ -586,6 +583,20 @@ class TestConfigValidation:
         ("propagate", "grid.half_width", 1e-300, "'grid'"),
         ("propagate", "grid.half_width", 1e300, "'half_width'"),
         ("picard", "t_points", 100000, "'t_points' and 'depth'"),
+        ("transfer", "modes_per_axis", 3, "'modes_per_axis'"),
+        ("transfer", "modes_per_axis", 1 << 23, "'modes_per_axis'"),
+        ("transfer", "trials", 0, "'trials'"),
+        ("transfer", "degree_cap", -1, "'degree_cap'"),
+        ("transfer", "degree_cap", 100000, "'degree_cap'"),
+        ("transfer", "family_size", 1 << 20, "'family_size'"),
+        ("hermite", "degree_cap", -1, "'degree_cap'"),
+        ("hermite", "degree_cap", 100000, "'degree_cap'"),
+        ("hermite", "coeff_levels", -1, "'coeff_levels'"),
+        ("hermite", "t_profile.hi", math.inf, "'hi'"),
+        ("hermite", "t_profile.points", 1 << 20, "'t_profile'"),
+        ("hermite", "eigen_lattice.ts", [0.0], "'ts'"),
+        ("hermite", "eigen_lattice.betas", [0.001], "'eigen_lattice'"),
+        ("hermite", "eigen_lattice.ds", [200], "'eigen_lattice'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):
@@ -620,59 +631,30 @@ class TestConfigValidation:
         assert code == 2
         assert "'times" in capsys.readouterr().err
 
-    def test_env_thread_cap_respected(self, tmp_path, monkeypatch):
-        cfg = {
-            "schema_version": 1,
-            "seed": 1,
-            "grid": SMALL_GRID,
-            "beta": 2.0,
-            "times": [0.1, 1.0],
-            "corpus_size": 3,
-            "stability_tolerance": 0.5,
-        }
-        # p = 2 and p = 1 take different block-norm paths
-        for p in (2.0, 1.0):
-            cfg["norm"] = {"p": p, "q": 1.0, "s": 0.0}
-            ratios = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("MODHEAT_THREADS", threads)
-                run_dir = tmp_path / f"p{p:g}_threads{threads}"
-                run_dir.mkdir()
-                code, out = run(run_dir, "propagate", cfg)
-                assert code == 0
-                ratios.append((out / "propagate_ratios.csv").read_bytes())
-            assert ratios[0] == ratios[1]
-
-    def test_pooled_sweeps_thread_independent(self, tmp_path, monkeypatch):
-        # hermite sweeps (beta, p) pairs and transfer sweeps p on the pool;
-        # modnorm's stacked norms must not depend on the cap either
-        for command, cfg in (("hermite", hermite_config()),
-                             ("transfer", transfer_config()),
-                             ("modnorm", modnorm_config())):
+    @pytest.mark.parametrize("command", ["propagate", "hermite", "transfer",
+                                         "picard"])
+    def test_rerun_byte_identical(self, tmp_path, command):
+        # every CSV of a rerun with the same config and seed is the same
+        # file; propagate at p = 2 and p = 1 takes both block-norm paths
+        configs = {
+            "propagate": [propagate_config(corpus_size=3,
+                                           stability_tolerance=0.5,
+                                           norm={"p": p, "q": 1.0, "s": 0.0})
+                          for p in (2.0, 1.0)],
+            "hermite": [hermite_config()],
+            "transfer": [transfer_config()],
+            "picard": [picard_config(), dominated_picard_config()],
+        }[command]
+        names = set()
+        for i, cfg in enumerate(configs):
             tables = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("MODHEAT_THREADS", threads)
-                run_dir = tmp_path / f"{command}_threads{threads}"
+            for rerun in ("a", "b"):
+                run_dir = tmp_path / f"{i}{rerun}"
                 run_dir.mkdir()
                 code, out = run(run_dir, command, cfg)
                 assert code == 0
                 tables.append({p.name: p.read_bytes()
                                for p in sorted(out.glob("*.csv"))})
-            assert len(tables[0]) >= 2
             assert tables[0] == tables[1]
-
-    def test_picard_tables_thread_independent(self, tmp_path, monkeypatch):
-        for name, cfg in (("small", picard_config()),
-                          ("dominated", dominated_picard_config())):
-            tables = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("MODHEAT_THREADS", threads)
-                run_dir = tmp_path / f"{name}_threads{threads}"
-                run_dir.mkdir()
-                code, out = run(run_dir, "picard", cfg)
-                assert code == 0
-                tables.append({p.name: p.read_bytes()
-                               for p in sorted(out.glob("*.csv"))})
-            assert "picard_norms.csv" in tables[0]
-            assert tables[0] == tables[1]
-        assert "picard_domination.csv" in tables[0]
+            names |= set(tables[0])
+        assert len(names) == (1 if command == "propagate" else 2)

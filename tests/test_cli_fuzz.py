@@ -84,16 +84,40 @@ MODNORM_FIELDS = dict(GRID_FIELDS, **{
               [[math.inf, math.inf, 0]], [[1, 2, 1.5], [4, 1, 0]]],
     "algebra_p": _NUMBERS,
 })
+# the degree cap, the profile's points and the family size stay small or
+# exceed the bound on an array's size (rejected unallocated); d = 200 in
+# the eigenvalue lattice overflows its multiplicities in 0.07 s
+_DEGREE_CAPS = [-1, 0, 1, 3, 16, 100000]
+_POSITIVE_LISTS = [[], [-1.0], [0.0], [math.nan], [math.inf], [1e-300],
+                   [1e300], [0.5, 2.0]]
 HERMITE_FIELDS = dict(GRID_FIELDS, **{
     "betas": [[], [-1.0], [0.0], [math.nan], [math.inf], [1e-300], [1e300],
               [1.0, 2.0]],
     "ps": _EXPONENT_LISTS,
     "slope_tolerance": _NUMBERS,
+    "dim": [-1, 0, 1, 2],
+    "degree_cap": _DEGREE_CAPS,
+    "coeff_levels": [-1, 0, 1, 3, 11, 100000],
+    "slope_window": [[], [3.0], [5.0, 3.0], [0.5, 5.0], [math.nan, 5.0],
+                     [-math.inf, math.inf], [1e300, math.inf],
+                     [3.0, 4.0, 5.0]],
+    "t_profile.lo": _NUMBERS,
+    "t_profile.hi": _NUMBERS,
+    "t_profile.points": [-1, 0, 1, 2, 3, 10, 60, 1 << 22],
+    "eigen_lattice.ds": [[], [-1], [0], [1], [3], [1, 2], [12], [200]],
+    "eigen_lattice.betas": _POSITIVE_LISTS + [[0.001], [0.25]],
+    "eigen_lattice.ts": _POSITIVE_LISTS,
 })
 TRANSFER_FIELDS = dict(GRID_FIELDS, **{
     "beta": _NUMBERS,
     "t": _NUMBERS,
     "ps": _EXPONENT_LISTS,
+    "dim": [-1, 0, 1, 2],
+    # 3 is odd; 2^22 modes exceed the bound on TorusGrid.mode_mesh
+    "modes_per_axis": [-1, 0, 3, 4, 8, 16, 64, 1 << 22],
+    "trials": [-1, 0, 1, 3],
+    "family_size": [-1, 0, 1, 3, 1 << 22],
+    "degree_cap": _DEGREE_CAPS,
 })
 
 

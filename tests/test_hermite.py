@@ -193,6 +193,21 @@ class TestEigenSums:
     def test_bound_holds_on_lattice(self, d, beta, t):
         assert eigen_sum(d, beta, t) <= eigen_sum_bound(d, beta, t)
 
+    @pytest.mark.parametrize("beta,t", [(0.001, 0.5), (1.0, 1e-300),
+                                        (0.25, 0.1)])
+    def test_uncertifiable_remainder_fails_before_summing(self, monkeypatch,
+                                                         beta, t):
+        # beta = 0.001: the remainder bound is infinite up to shell 1e3000;
+        # t = 1e-300: it is finite, and e^690 at every shell summed; 0.25,
+        # 0.1: finite from shell 4e5 on, still too large, where summing
+        # took 2.5 s to give up
+        def no_shells(*args):
+            raise AssertionError("shells summed")
+
+        monkeypatch.setattr(hermite, "_shell_terms", no_shells)
+        with pytest.raises(ValueError, match="cannot certify"):
+            eigen_sum(1, beta, t)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             eigen_sum(1, 1.0, 0.0)
@@ -218,13 +233,19 @@ def oracle_decay_profile(coeffs, beta, p, t_grid, grid, partition):
     return rows
 
 
+def sweep_order(first):
+    """The exponents 1, 2 and 4, with `first` at the head of the sweep."""
+    return [first] + [p for p in (1.0, 2.0, 4.0) if p != first]
+
+
 class TestDecayProfile:
     @pytest.mark.parametrize("cap", [None, 1, 3])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("first", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_stack_matches_per_t_loop(self, monkeypatch, dim, p, cap):
-        # cap: slices per synthesized chunk (None: the module's cap); 3
-        # leaves a partial last chunk of the 1 + 7 slices
+    def test_stack_matches_per_t_loop(self, monkeypatch, dim, first, cap):
+        # one sweep over p = 1, 2, 4 against the per-(p, t) oracle; `first`
+        # heads the sweep.  cap: slices per synthesized chunk (None: the
+        # module's cap); 3 leaves a partial last chunk of the 1 + 7 slices
         if dim == 1:
             grid, degree = SpectralGrid(1, 192, 12.0), 16
         else:
@@ -235,21 +256,26 @@ class TestDecayProfile:
         t_grid = [0.05, 0.2, 0.7, 1.5, 2.5, 3.0, 4.5]
         if cap is not None:
             monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
-        got = decay_profile(coeffs, 1.5, p, t_grid, grid, part)
-        want = oracle_decay_profile(coeffs, 1.5, p, t_grid, grid, part)
-        assert [r[0] for r in got] == [r[0] for r in want]
-        np.testing.assert_allclose([r[1:] for r in got],
-                                   [r[1:] for r in want], rtol=1e-13, atol=0)
+        ps = sweep_order(first)
+        profiles = decay_profile(coeffs, 1.5, ps, t_grid, grid, part)
+        assert len(profiles) == len(ps)
+        for p, got in zip(ps, profiles):
+            want = oracle_decay_profile(coeffs, 1.5, p, t_grid, grid, part)
+            assert [r[0] for r in got] == [r[0] for r in want]
+            np.testing.assert_allclose([r[1:] for r in got],
+                                       [r[1:] for r in want], rtol=1e-13,
+                                       atol=0)
 
     def test_grid_dimension_must_match_basis(self, basis16):
         grid = SpectralGrid(2, 16, 4.0)
         with pytest.raises(ValueError):
-            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, 2.0, [0.5],
+            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0], [0.5],
                           grid, UniformPartition(grid))
 
     def test_ground_state_ratio_is_power_law(self, basis16, hgrid, hpart):
         coeffs = coeff_unit(basis16, (0, 1.0))
-        rows = decay_profile(coeffs, 1.0, 2.0, [0.1, 1.0, 2.0], hgrid, hpart)
+        rows, = decay_profile(coeffs, 1.0, [2.0], [0.1, 1.0, 2.0], hgrid,
+                              hpart)
         for t, _, ratio in rows:
             assert ratio == pytest.approx(t, rel=1e-8)
 
@@ -261,8 +287,8 @@ class TestDecayProfile:
         t_grid = np.concatenate([np.geomspace(0.05, 2.5, 12),
                                  np.linspace(3.0, 5.0, 9)])
         for beta in (1.0, 2.0):
-            for p in (1.0, 2.0, 4.0):
-                rows = decay_profile(coeffs, beta, p, t_grid, hgrid, hpart)
+            for rows in decay_profile(coeffs, beta, [1.0, 2.0, 4.0], t_grid,
+                                      hgrid, hpart):
                 assert max(r for _, _, r in rows) <= constants.DECAY_PROFILE_CONST
                 ts = np.array([t for t, _, _ in rows if t >= 3.0])
                 ns = np.array([v for t, v, _ in rows if t >= 3.0])
@@ -271,13 +297,13 @@ class TestDecayProfile:
 
     def test_negative_time_rejected(self, basis16, hgrid, hpart):
         with pytest.raises(ValueError):
-            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, 2.0,
+            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0],
                           [0.5, -0.1], hgrid, hpart)
 
     def test_zero_data_rejected(self, basis16, hgrid, hpart):
         coeffs = coeff_unit(basis16)
         with pytest.raises(ValueError):
-            decay_profile(coeffs, 1.0, 2.0, [0.5], hgrid, hpart)
+            decay_profile(coeffs, 1.0, [2.0], [0.5], hgrid, hpart)
 
 
 class TestCorpusHelpers:

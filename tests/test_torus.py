@@ -12,7 +12,7 @@ from modheat.torus import (MultiplierSpec, TorusGrid, kernel_l1_norm,
                            operator_norm_lower, oscillator_heat_symbol,
                            torus_apply, torus_forward, torus_inverse,
                            torus_lp_norm, transference_check)
-from test_hermite import synthesize_at
+from test_hermite import sweep_order, synthesize_at
 
 
 def theta_axis(tg):
@@ -111,28 +111,63 @@ class TestKernelBound:
             kernel_l1_norm(spec, small)
 
 
+def oracle_operator_norm_lower(spec, p, trials, tg, seed=0):
+    """operator_norm_lower at one p, as it was before the sweep: every p
+    redraws the seeded trials and filters each again."""
+    best = spec.sup()
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        coeffs = (rng.standard_normal(tg.shape)
+                  + 1j * rng.standard_normal(tg.shape))
+        f = torus_inverse(coeffs, tg)
+        denom = torus_lp_norm(f, tg, p)
+        ratio = (0.0 if denom == 0.0
+                 else torus_lp_norm(torus_apply(f, spec, tg), tg, p) / denom)
+        best = max(best, ratio)
+    return best
+
+
 class TestOperatorNormBracket:
+    @pytest.mark.parametrize("symbol", ["heat", "phase", "phase_2d"])
+    def test_sweep_matches_per_p_loop(self, tg, heat_spec, symbol):
+        # a random unimodular symbol: at p != 2 some trials beat its sup, so
+        # the trials, not only the sup, decide the bound
+        if symbol == "heat":
+            grid, spec = tg, heat_spec
+        else:
+            grid = tg if symbol == "phase" else TorusGrid(2, 8)
+            rng = np.random.default_rng(10)
+            spec = MultiplierSpec(np.exp(2j * np.pi
+                                         * rng.uniform(size=grid.shape)))
+        ps = [4.0, 1.0, 2.0, np.inf, 3.0]
+        got = operator_norm_lower(spec, ps, 7, grid, seed=11)
+        want = [oracle_operator_norm_lower(spec, p, 7, grid, seed=11)
+                for p in ps]
+        assert got == want  # bit for bit
+        if symbol != "heat":
+            assert sum(lower > spec.sup() for lower in got) >= 3
+
     def test_identity_symbol_brackets_to_one(self, tg):
         spec = MultiplierSpec(np.ones(tg.shape))
-        lower = operator_norm_lower(spec, 3.0, 5, tg, seed=2)
+        lower, = operator_norm_lower(spec, [3.0], 5, tg, seed=2)
         assert lower == pytest.approx(1.0, rel=1e-10)
         assert kernel_l1_norm(spec, tg) == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
     def test_sandwich(self, tg, heat_spec, p):
-        lower = operator_norm_lower(heat_spec, p, 20, tg, seed=3)
+        lower, = operator_norm_lower(heat_spec, [p], 20, tg, seed=3)
         assert lower <= kernel_l1_norm(heat_spec, tg) + 1e-8
 
     def test_p2_equals_symbol_sup(self, tg, heat_spec):
-        lower = operator_norm_lower(heat_spec, 2.0, 20, tg, seed=4)
+        lower, = operator_norm_lower(heat_spec, [2.0], 20, tg, seed=4)
         assert abs(lower - heat_spec.sup()) <= 0.01 * heat_spec.sup()
 
     def test_random_bounded_symbol_sandwich(self, tg):
         rng = np.random.default_rng(8)
         spec = MultiplierSpec(rng.uniform(-1, 1, tg.shape)
                               + 1j * rng.uniform(-1, 1, tg.shape))
-        for p in (1.0, 2.0, 4.0):
-            lower = operator_norm_lower(spec, p, 10, tg, seed=5)
+        for lower in operator_norm_lower(spec, [1.0, 2.0, 4.0], 10, tg,
+                                         seed=5):
             assert lower <= kernel_l1_norm(spec, tg) + 1e-8
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
@@ -155,11 +190,11 @@ class TestOperatorNormBracket:
                 / torus_lp_norm(f, grid, p)
             best = max(best, ratio)
         assert best == pytest.approx(spec.sup(), rel=1e-12, abs=0.0)
-        assert operator_norm_lower(spec, p, 1, grid, seed=6) >= spec.sup()
+        assert operator_norm_lower(spec, [p], 1, grid, seed=6)[0] >= spec.sup()
 
     def test_requires_positive_trials(self, tg, heat_spec):
         with pytest.raises(ValueError):
-            operator_norm_lower(heat_spec, 2.0, 0, tg)
+            operator_norm_lower(heat_spec, [2.0], 0, tg)
 
 
 @pytest.fixture(scope="module")
@@ -189,40 +224,48 @@ def oracle_transfer_norms(t, beta, p, family, grid, partition):
 
 class TestTransference:
     @pytest.mark.parametrize("cap", [None, 1, 3])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-    def test_stack_matches_per_member_loop(self, setup, monkeypatch, p, cap):
-        # cap: slices per synthesized chunk; 3 splits the 2 x 7 slices
-        # unevenly and across the base/heated boundary
+    @pytest.mark.parametrize("first", [1.0, 2.0, 4.0])
+    def test_stack_matches_per_member_loop(self, setup, monkeypatch, first,
+                                           cap):
+        # one sweep over p = 1, 2, 4 against the per-(p, member) oracle;
+        # `first` heads the sweep.  cap: slices per synthesized chunk; 3
+        # splits the 2 x 7 slices unevenly and across the base/heated
+        # boundary
         grid, part, family = setup
         if cap is not None:
             monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
-        rep = transference_check(0.7, 1.5, p, family, grid, part,
-                                 TorusGrid(1, 64), slack=1.0)
-        want = oracle_transfer_norms(0.7, 1.5, p, family, grid, part)
-        assert [r.label for r in rep.rows] == [w[0] for w in want]
-        np.testing.assert_allclose(
-            [(r.base_norm, r.heated_norm, r.ratio) for r in rep.rows],
-            [w[1:] for w in want], rtol=1e-13, atol=0)
+        ps = sweep_order(first)
+        tg = TorusGrid(1, 64)
+        rep = transference_check(0.7, 1.5, ps, family, grid, part, tg,
+                                 slack=1.0)
+        assert len(rep.rows) == len(ps)
+        assert rep.young_upper == kernel_l1_norm(rep.symbol, tg)
+        for p, rows in zip(ps, rep.rows):
+            want = oracle_transfer_norms(0.7, 1.5, p, family, grid, part)
+            assert [r.label for r in rows] == [w[0] for w in want]
+            np.testing.assert_allclose(
+                [(r.base_norm, r.heated_norm, r.ratio) for r in rows],
+                [w[1:] for w in want], rtol=1e-13, atol=0)
 
     def test_empty_family_rejected(self, setup):
         grid, part, _ = setup
         with pytest.raises(ValueError):
-            transference_check(1.0, 1.0, 2.0, [], grid, part,
+            transference_check(1.0, 1.0, [2.0], [], grid, part,
                                TorusGrid(1, 64), slack=1.5)
 
     def test_ground_state_ratio_matches_spectrum(self, setup):
         grid, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, 2.0, family[:1], grid, part, tg,
+        rep = transference_check(1.0, 1.0, [2.0], family[:1], grid, part, tg,
                                  slack=constants.TRANSFER_SLACK)
-        assert rep.rows[0].ratio == pytest.approx(math.exp(-1.0), rel=1e-6)
+        assert rep.rows[0][0].ratio == pytest.approx(math.exp(-1.0), rel=1e-6)
         assert rep.all_passed
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_family_respects_young_bound(self, setup, p):
         grid, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, p, family, grid, part, tg,
+        rep = transference_check(1.0, 1.0, [p], family, grid, part, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.all_passed
         assert rep.max_ratio <= rep.young_upper * constants.TRANSFER_SLACK
@@ -231,15 +274,15 @@ class TestTransference:
     def test_twenty_function_sweep_beta2(self, hgrid, hpart, basis16):
         family = hermite_coeff_family(basis16, 20, seed=17, max_level=10)
         tg = TorusGrid(1, 64)
-        rep = transference_check(0.5, 2.0, 4.0, family, hgrid, hpart, tg,
+        rep = transference_check(0.5, 2.0, [4.0], family, hgrid, hpart, tg,
                                  slack=constants.TRANSFER_SLACK)
-        assert len(rep.rows) == 20
+        assert len(rep.rows[0]) == 20
         assert rep.all_passed
 
     def test_p2_exact_spectral_bound(self, setup):
         grid, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, 2.0, family, grid, part, tg,
+        rep = transference_check(1.0, 1.0, [2.0], family, grid, part, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.max_ratio <= math.exp(-1.0) * 1.001
         assert rep.young_upper > math.exp(-1.0)
@@ -249,13 +292,13 @@ class TestTransference:
         tg = TorusGrid(1, 64)
         zero = HermiteCoeffs(basis16, np.zeros(basis16.coeff_shape))
         with pytest.raises(ValueError):
-            transference_check(1.0, 1.0, 2.0, [("zero", zero)], grid, part,
+            transference_check(1.0, 1.0, [2.0], [("zero", zero)], grid, part,
                                tg, slack=1.5)
 
     def test_infinite_p_rejected(self, setup):
         grid, part, family = setup
         with pytest.raises(ValueError):
-            transference_check(1.0, 1.0, np.inf, family, grid, part,
+            transference_check(1.0, 1.0, [2.0, np.inf], family, grid, part,
                                TorusGrid(1, 64), slack=1.5)
 
 

@@ -79,9 +79,9 @@ def main():
     torus = TorusGrid(1, 64)
     need = 0.0
     for beta, t in [(1.0, 1.0), (2.0, 0.5)]:
-        for p in (1.0, 2.0, 4.0):
-            rep = transference_check(t, beta, p, fam, grid, partg, torus, slack=2.0)
-            need = max(need, rep.max_ratio / rep.young_upper)
+        rep = transference_check(t, beta, [1.0, 2.0, 4.0], fam, grid, partg,
+                                 torus, slack=2.0)
+        need = max(need, rep.max_ratio / rep.young_upper)
     print(f"TRANSFER max ratio/young: {need:.5f}")
 
     rng = np.random.default_rng(11)
@@ -91,8 +91,8 @@ def main():
     tgrid = np.concatenate([np.geomspace(0.05, 2.5, 12), np.linspace(3, 5, 9)])
     sup_all = 0.0
     for beta in (1.0, 2.0):
-        for p in (1.0, 2.0, 4.0):
-            rows = decay_profile(f, beta, p, tgrid, grid, partg)
+        for rows in decay_profile(f, beta, [1.0, 2.0, 4.0], tgrid, grid,
+                                  partg):
             sup_all = max(sup_all, max(r[2] for r in rows))
     print(f"DECAY_PROFILE sup ratio: {sup_all:.4f}")
 
