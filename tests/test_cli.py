@@ -122,14 +122,19 @@ class TestBlowupCommand:
         assert record["diagnostics"]["data"]["boundary_tail_ratio"] == \
             pytest.approx(tail, abs=1e-4)
 
-    def test_blowup_emits_no_runtime_warning(self, tmp_path):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_blowup_emits_no_runtime_warning(self, tmp_path, runs):
+        # A second run in the same process starts from warm caches.
         gamma = 4 * math.e * (1 + 1e-6)
         cfg = blowup_config(data={"kind": "plateau", "gamma": gamma, "r": 1.0},
                             hypothesis={"gamma": gamma, "r": 1.0})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _ = run(tmp_path, "blowup", cfg)
-        assert code == 0
+        for i in range(runs):
+            run_dir = tmp_path / str(i)
+            run_dir.mkdir()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _ = run(run_dir, "blowup", cfg)
+            assert code == 0
 
     def test_failed_certificate_gives_exit_one(self, tmp_path):
         cfg = blowup_config(hypothesis={"gamma": 10.0, "r": 1.0})
