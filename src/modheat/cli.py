@@ -29,14 +29,16 @@ from .corpus import band_limited, hermite_coeff_family, propagation_corpus
 from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
                    SolverConfig, check_lattice,
                    certify_hypothesis, divergence_witness,
-                   lower_bound_envelope, picard_terms, plateau_data, solve)
+                   lower_bound_envelope, picard_product_count, picard_terms,
+                   plateau_data, solve)
 from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
                       eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norm_decomp, mod_norms_from_frequency,
                       mod_norms_stft, stft_resolution_ok)
 from .spectral import (GridFunction, SpectralGrid, boundary_tail_ratio,
-                       forward_values, heat_symbol, load_grid_function)
+                       fine_grid, forward_values, heat_symbol,
+                       load_grid_function)
 from .torus import TorusGrid, operator_norm_lower, transference_check
 
 
@@ -447,6 +449,14 @@ def cmd_picard(cfg, seed, rec):
     # picard_terms' terms and its (t_points, t_points) quadrature weights
     _bounded(max(depth * t_points * grid.size, t_points * t_points),
              "'t_points' and 'depth'")
+    # the time of the series: every product is formed on the fine lattice
+    fine_size = fine_grid(grid, k).size
+    products = picard_product_count(depth, k, MAX_LATTICE_VALUES / fine_size)
+    if products * fine_size > MAX_LATTICE_VALUES:
+        raise ConfigError(f"config field 'depth' gives {products:.4g} "
+                          f"products of {k} factors on a lattice of "
+                          f"{fine_size} values, above the bound "
+                          f"{MAX_LATTICE_VALUES}")
     spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
     converge_by = _require(cfg, "converge_by", int, "", default=3, required=False)
     expect = _require(cfg, "expect", str, "", default="summable", required=False)
@@ -475,6 +485,13 @@ def cmd_picard(cfg, seed, rec):
     if not (res.sup_norms[0] > 0 and all(map(math.isfinite, res.sup_norms))):
         raise ConfigError("config fields 'data' and 'norm' give a term norm "
                           "of 0 or beyond the float range")
+    # the slices each term's sup runs over, and those the engine evaluated
+    terms = [{"term_index": idx, "slices": t_points - (i > 0),
+              "exact_evaluations": res.exact_evaluations[i]}
+             for i, idx in enumerate(res.term_indices)]
+    rec.diagnostics["picard"] = {
+        "slices": sum(t["slices"] for t in terms),
+        "exact_evaluations": sum(res.exact_evaluations), "terms": terms}
     rows = [(idx, res.sup_norms[i],
              res.ratios[i - 1] if i >= 1 else float("nan"))
             for i, idx in enumerate(res.term_indices)]

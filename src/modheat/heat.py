@@ -24,21 +24,23 @@ grid.  The terms stay on the frequency side.  Batches of time slices are
 the outer loop: in each, every term's products are formed on the
 dealiasing lattice from the earlier terms, each padded once, and scattered
 forward into the term's later slices through one lag table
-exp(-t_m |xi|^beta) shared by every Duhamel kernel.  It also evaluates the
-closed-form lower envelopes that force divergence of that series for
-Fourier-positive data with a large enough plateau, and certifies the
-corresponding hypotheses (plateau height, support radius, volume
-condition) on the lattice.
+exp(-t_m |xi|^beta) shared by every Duhamel kernel.  Each term's sup over
+time is max_mod_norm's, which at p != 2 evaluates exactly only the slices
+whose Parseval bound can still beat the largest norm found.  It also
+evaluates the closed-form lower envelopes that force divergence of that
+series for Fourier-positive data with a large enough plateau, and
+certifies the corresponding hypotheses (plateau height, support radius,
+volume condition) on the lattice.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 import math
 
 import numpy as np
 
-from .modnorm import ModNormSpec, UniformPartition, mod_norms_from_frequency
+from .modnorm import (ModNormSpec, UniformPartition, max_mod_norm,
+                      mod_norms_from_frequency)
 from .spectral import (FREQUENCY, GridFunction, SpectralGrid, _band_slots,
                        _fine_slots, _per_axis, _to_fine_slots,
                        apply_multiplier, cropped_forward, fine_grid,
@@ -410,6 +412,7 @@ class PicardResult:
     sup_norms: list      # modulation norm maxima over the time grid
     ratios: list         # sup_norms[i+1] / sup_norms[i]
     summable: bool
+    exact_evaluations: list  # slices per term the norm engine evaluated
 
     @property
     def trajectories(self):
@@ -449,24 +452,62 @@ def _cumulative_weights(t_grid):
     return W
 
 
+def _partitions(n, parts, least=1):
+    """Non-decreasing tuples of `parts` integers >= least summing to n, in
+    lexicographic order; each choice of a leading entry leads to at least
+    one tuple, so the time is proportional to the output."""
+    if parts <= 1:
+        if parts == 1 or n == 0:
+            yield (n,) * parts
+        return
+    for first in range(least, n // parts + 1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
 def _label_multisets(j, k):
     """The products feeding the j-th term: (count, key) for every multiset
     of k earlier labels summing to term_index(j, k), key sorted, count its
     number of orderings, in key order.
 
-    The labels' term numbers sum to j - 1, so at most j - 1 of them exceed
-    term 0's: those are enumerated, and term 0 fills the other slots.
+    The labels' term numbers sum to j - 1, so the multisets are the
+    partitions of j - 1 into at most k positive parts, with term 0 filling
+    the other slots.  Fewer parts means more leading term-0 labels, so key
+    order runs over the number of parts, then over the parts in
+    lexicographic order.
     """
-    r = min(k, j - 1)
     combos = []
-    for tail in combinations_with_replacement(range(j), r):
-        if sum(tail) == j - 1:
-            terms = (0,) * (k - r) + tail
+    for parts in range(min(k, j - 1) + 1):
+        for tail in _partitions(j - 1, parts):
+            terms = (0,) * (k - parts) + tail
             count = math.factorial(k)
             for m in Counter(terms).values():
                 count //= math.factorial(m)
             combos.append((count, tuple(term_index(t, k) for t in terms)))
     return combos
+
+
+def picard_product_count(depth, k, limit):
+    """Number of products picard_terms forms for its terms 1 .. depth - 1,
+    or a number above limit once the count is known to exceed it.
+
+    Term j has one product per partition of j - 1 into at most k parts.
+    They are counted by admitting part sizes one at a time: for a part size
+    m, c[n] += c[n - m] for increasing n is a running sum over each residue
+    class of n mod m.  The total only grows with each part size, so the
+    count stops as soon as it passes limit.  Counts are floats: exact below
+    2^53, and inf rather than a wrapped integer above the float range.
+    """
+    n = max(depth - 1, 0)
+    c = np.zeros(n)
+    c[:1] = 1.0
+    for m in range(1, min(k, n - 1) + 1):
+        rows = np.zeros(-(-n // m) * m)
+        rows[:n] = c
+        c = np.cumsum(rows.reshape(-1, m), axis=0).ravel()[:n]
+        if c.sum() > limit:
+            break
+    return c.sum()
 
 
 # Working-set cap of picard_terms: fine-lattice values per padded term in
@@ -492,8 +533,10 @@ def picard_terms(problem, depth, t_grid, partition=None):
     for i >= s; no product history is kept.  Its slices in the batch are
     then complete, and are padded once for the later terms (the last term
     is never padded).  The t = 0 slice of every term j >= 1 is 0, so its
-    sup norm is taken over t > 0.  Growth of the term norms is flagged,
-    but the terms are still returned.
+    sup norm is taken over t > 0.  Each sup is max_mod_norm's: at p != 2
+    the engine evaluates only the slices whose Parseval bound can still
+    beat the largest norm found.  Growth of the term norms is flagged, but
+    the terms are still returned.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -539,14 +582,14 @@ def picard_terms(problem, depth, t_grid, partition=None):
                 i0 = max(s, 1)  # W[0, 0] = 0: the t = 0 slice stays 0
                 term_f[i0:] += W[i0:, s] * lags[i0 - s:n_t - s] * prods[s - lo]
 
-    sup_norms = [float(mod_norms_from_frequency(
-        F if j == 0 else F[1:], problem.norm_spec, partition).max())
-        for j, F in enumerate(spectra)]
+    sups = [max_mod_norm(F if j == 0 else F[1:], problem.norm_spec,
+                         partition) for j, F in enumerate(spectra)]
+    sup_norms = [float(sup) for sup, _ in sups]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
     summable = bool(ratios) and ratios[-1] < 1.0
     return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
-                        summable)
+                        summable, [n for _, n in sups])
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------

@@ -14,9 +14,17 @@ one by one: the shifted windows of a batch are gathered into one stack,
 multiplied by f and transformed in a single call, with each stack capped at
 STFT_BATCH_VALUES values because larger ones raise peak memory over
 repeated runs.  The spectrogram does not depend on (p, q, s), so one pass
-over it serves a whole list of specs (mod_norms_stft).  The two estimators agree up to an equivalence constant that
-is measured once and frozen as a regression value (no explicit constant is
-available analytically).
+over it serves a whole list of specs (mod_norms_stft).  The two estimators
+agree up to an equivalence constant that is measured once and frozen as a
+regression value (no explicit constant is available analytically).
+
+The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
+need not evaluate every function at p != 2.  On the box every block obeys
+||b||_p <= c_p ||b||_2, so c_p (1 + BOUND_ROUNDOFF) times a function's
+(2, q, s) norm, from the Parseval path with no FFT, bounds its (p, q, s)
+norm; functions are evaluated in descending bound until the next bound is
+at most the largest norm found, and the maximum is the one of the full
+evaluation bit for bit.
 
 Partitions and STFT plans are immutable after construction; per-block work
 is independent, and norm reductions use a fixed summation order so results
@@ -80,8 +88,7 @@ class UniformPartition:
         centers = np.arange(-self.k_max, self.k_max + 1)
         profile = bump_profile(grid.freq_axis[None, :] - centers[:, None])
         self._rows = profile / profile.sum(axis=0)[None, :]
-        # Rows that are nonzero somewhere on the lattice, fixed here because
-        # partitions are shared read-only between worker threads.
+        # Rows that are nonzero somewhere on the lattice.
         active = self._rows.any(axis=1)
         self._active_centers = tuple(int(c) for c in centers[active])
         rows = self._rows[active]
@@ -222,6 +229,103 @@ def mod_norms_from_frequency(values, spec, partition):
         # order that does not depend on how many functions share the stack
         out = np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
     return out.reshape(values.shape[:values.ndim - g.dim])
+
+
+# Relative slack of max_mod_norm's bound, for the roundoff of both paths
+# (u = 2^-53).  Take a function's N^d values and its K^d blocks each at most
+# 2^32 (32 GiB of them).  A rounded sum of n nonnegative terms is within
+# n u of the exact sum in any order (Higham, Accuracy and Stability of
+# Numerical Algorithms, 4.2), so each of the four sums -- a block's p-th
+# powers and its Parseval contraction, and the q-sums over blocks on both
+# sides -- adds at most 2^-21.  The per-axis FFTs add at most
+# 6 u log2(N^d) <= 2^-45 (Higham, Thm 24.2), and the squares, powers,
+# roots and weights a few u each.  That is below 2^-19; 2^-18 also covers
+# the products of these factors.
+BOUND_ROUNDOFF = 2.0 ** -18
+
+
+def _bound_constants(spec, partition):
+    """(scale, floor): every function's (p, q, s) norm, as the engine
+    computes it, is at most scale * (its (2, q, s) norm) + floor.
+
+    Every block b on the N^d-point box of side 2L = N h has
+    ||b||_p <= c_p ||b||_2: Hoelder on the quadrature with
+    c_p = (2L)^{d (1/p - 1/2)} for p <= 2, l^p in l^2 with
+    c_p = h^{d (1/p - 1/2)} for p >= 2.  The weighted l^q sum over blocks
+    is monotone in each block, so the bound carries over to the norm, and
+    scale = c_p (1 + BOUND_ROUNDOFF + rho).
+
+    Subnormal results round absolutely, by up to 2^-1075 each, which no
+    relative slack covers.  A squared partition row below 2^-1022 loses up
+    to 2^-1075 of |F|^2 per axis, so a block's Parseval value up to
+    2^{(d - 1075)/2} ||f||_2; each lattice point has at most two rows per
+    axis, which sum to 1, so ||f||_2 <= 2^{d/2} K^{d/2} max_i ||b_i||_2 over
+    the K^d blocks, and the loss is the relative rho =
+    2^{d - 537} K^{d/2} ||w||_q / min w of the (2, q, s) norm, w the block
+    weights.  The other subnormal roundings are absolute, and floor is their
+    per-block total times ||w||_q (Minkowski): at p != inf the p-th powers'
+    rounding (N^d values at <= 2^-1074 each, plus 2^-1075 when the sum is
+    scaled by h^d), ((2L)^d + 1)^{1/p} 2^{-1073/p}; and c_p times the
+    Parseval sum's (< 4 N^d roundings at <= 2^-1075, times b^d),
+    (2 b N)^{d/2} 2^-536, and the engine's own (each value passes fewer
+    than 2^10 roundings, amplified at most N^d-fold),
+    (2L)^{d/2} N^d 2^-1060.
+    """
+    g = partition.grid
+    d = g.dim
+    # NumPy floats, which overflow to inf where Python's raise
+    side, h, n, k = np.float64([2.0 * g.half_width, g.spacing,
+                                g.points_per_axis,
+                                len(partition._active_centers)])
+    c = (side if spec.p < 2 else h) ** (d * (1.0 / spec.p - 0.5))
+    weights = (1.0 + partition._key_radii) ** spec.s
+    w_q = (weights.max() if np.isinf(spec.q)
+           else np.sum(weights ** spec.q) ** (1.0 / spec.q))
+    rho = 2.0 ** (d - 537) * k ** (d / 2.0) * w_q / weights.min()
+    scale = c * (1.0 + BOUND_ROUNDOFF + rho)
+    underflow = ((2.0 * g.freq_spacing * n) ** (d / 2.0) * 2.0 ** -536
+                 + side ** (d / 2.0) * n ** d * 2.0 ** -1060)
+    powers = (2.0 ** -1073 if np.isinf(spec.p) else
+              (side ** d + 1.0) ** (1.0 / spec.p) * 2.0 ** (-1073 / spec.p))
+    return scale, (scale * underflow + powers) * w_q
+
+
+def max_mod_norm(values, spec, partition):
+    """(mod_norms_from_frequency(values, spec, partition).max(), the number
+    of functions the engine evaluated); the maximum is the same bit for bit.
+
+    At p = 2 the engine evaluates every function.  Otherwise each function's
+    norm is first bounded by U = c_p (1 + BOUND_ROUNDOFF) (its (2, q, s)
+    norm), plus subnormal allowances (_bound_constants), which costs the
+    Parseval path and no FFT.  The engine then evaluates the functions in descending U, one of
+    its batches at a time, and stops once the next U is at most the largest
+    norm found: no function left can exceed it.  NaN and inf bounds come
+    first, so they are always evaluated, and a NaN norm propagates as in
+    ndarray.max.  Non-finite values raise ValueError before any pruning.
+    """
+    if spec.p == 2:
+        norms = mod_norms_from_frequency(values, spec, partition)
+        return norms.max(), norms.size
+    # |F|^2 or a weight may overflow: such bounds are inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        parseval = mod_norms_from_frequency(
+            values, ModNormSpec(2.0, spec.q, spec.s), partition).ravel()
+        scale, floor = _bound_constants(spec, partition)
+        bounds = scale * parseval + floor
+    g = partition.grid
+    stack = np.asarray(values).reshape((-1,) + g.shape)
+    order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
+                       kind="stable")
+    batch = max(1, NORM_BATCH_VALUES // (len(partition._active_centers)
+                                         * g.size))
+    found = []
+    for lo in range(0, len(order), batch):
+        if found and bounds[order[lo]] <= best:
+            break
+        found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
+                                              spec, partition))
+        best = np.concatenate(found).max()
+    return best, sum(len(n) for n in found)
 
 
 def mod_norm_from_frequency(F, spec, partition):

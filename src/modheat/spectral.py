@@ -9,8 +9,7 @@ unitary angular-frequency Fourier transform
 by the trapezoid rule, which at the dual lattice xi = (pi/L) m,
 -N/2 <= m_j < N/2, reduces to a scaled DFT.  The pair (forward, inverse) is
 an exact two-sided inverse on the lattice, and discrete Parseval holds to
-roundoff.  Grids and multiplier arrays are immutable after construction, so
-they can be shared freely across threads.
+roundoff.  Grids and multiplier arrays are immutable after construction.
 """
 
 from dataclasses import dataclass

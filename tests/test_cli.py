@@ -255,6 +255,21 @@ class TestPicardCommand:
         lines = (out / "picard_norms.csv").read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 terms
 
+    def test_run_record_counts_exact_evaluations(self, tmp_path):
+        # at p = 1 the Parseval bound spares slices of every term
+        cfg = picard_config(norm={"p": 1.0, "q": 1.0, "s": 0.0})
+        code, out = run(tmp_path, "picard", cfg)
+        assert code == 0
+        record = json.loads((out / "run_record.json").read_text())
+        diag = record["diagnostics"]["picard"]
+        terms = diag["terms"]
+        assert [t["term_index"] for t in terms] == [1, 2, 3, 4, 5]
+        assert [t["slices"] for t in terms] == [17, 16, 16, 16, 16]
+        assert all(1 <= t["exact_evaluations"] <= t["slices"] for t in terms)
+        assert diag["slices"] == 81
+        assert diag["exact_evaluations"] == sum(
+            t["exact_evaluations"] for t in terms) < 81
+
     def test_certified_data_grows_and_dominates(self, tmp_path):
         code, out = run(tmp_path, "picard", dominated_picard_config())
         assert code == 0

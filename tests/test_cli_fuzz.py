@@ -6,6 +6,7 @@ as 'times[0]'); never in an exception or a warning.
 """
 
 import math
+import time
 import warnings
 
 import pytest
@@ -42,12 +43,14 @@ FIELDS = {
     "norm.s": _NUMBERS,
 }
 
-# t_points and depth stay small: a term costs O(t_points^2) lattice-wide
-# updates, and its number of products grows with depth
+# t_points stays small: a term costs O(t_points^2) lattice-wide updates.
+# A depth of 1000 or more is rejected before any term is formed: its
+# products, counted without enumerating them, exceed the lattice bound on
+# this grid (picard_product_count), so the large values cost no time.
 PICARD_FIELDS = {
     "problem.beta": _NUMBERS,
     "problem.k": [-1, 0, 1, 2, 3, 14, 100000],
-    "depth": [-1, 0, 1, 2, 3, 4],
+    "depth": [-1, 0, 1, 2, 3, 4, 1000, 3000, 10 ** 4],
     "t_max": _NUMBERS,
     # 100000 points ask for an 80 GB weight matrix: rejected unallocated
     "t_points": [-1, 0, 1, 2, 3, 4, 5, 8, 100000],
@@ -162,6 +165,19 @@ def test_mutated_picard_config(tmp_path, capsys, mutations):
                t_points=5)
     _check_contract(tmp_path, capsys, "picard", cfg, mutations)
 
+
+@pytest.mark.parametrize("depth", [1000, 10 ** 4])
+def test_large_depth_rejected_at_once(tmp_path, capsys, depth):
+    # t_points = 2 passes the bound on the terms' size; the product count
+    # rejects the depth (enumerating the products took hours at 10^4)
+    cfg = dict(dominated_picard_config(), grid=SMALL_GRID, depth=depth,
+               t_points=2)
+    start = time.monotonic()
+    code, _ = run(tmp_path, "picard", cfg)
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 2 and "config field 'depth' gives" in err, err
+    assert elapsed < 1.0
 
 
 _TINY_GRID = {"dim": 1, "points_per_axis": 16, "half_width": 4.0}

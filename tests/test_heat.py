@@ -1,7 +1,7 @@
 import math
 import warnings
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           solve, term_index, unit_ball_volume)
 from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
-from modheat.heat import _cumulative_weights, _label_multisets
+from modheat.heat import (_cumulative_weights, _label_multisets,
+                          picard_product_count)
 from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
                              mod_norm_from_frequency, mod_norms_from_frequency)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
@@ -252,6 +253,22 @@ def lambda_index_set(j, k):
     allowed = [term_index(t, k) for t in range(j)]
     target = term_index(j, k)
     return {tup for tup in product(allowed, repeat=k) if sum(tup) == target}
+
+
+def _combination_walk(j, k):
+    """heat._label_multisets as it was: every non-decreasing tuple of
+    min(k, j - 1) term numbers below j, kept where they sum to j - 1.
+    O(j^k) for small k; the oracle of the direct partition enumeration."""
+    r = min(k, j - 1)
+    combos = []
+    for tail in combinations_with_replacement(range(j), r):
+        if sum(tail) == j - 1:
+            terms = (0,) * (k - r) + tail
+            count = math.factorial(k)
+            for m in Counter(terms).values():
+                count //= math.factorial(m)
+            combos.append((count, tuple(term_index(t, k) for t in terms)))
+    return combos
 
 
 class TestLambdaIndexSet:
@@ -501,6 +518,22 @@ class TestBatchedPicard:
             assert res.sup_norms[j] == mod_norms_from_frequency(
                 F, spec, part).max()
 
+    @pytest.mark.parametrize("p", [1.0, 4.0, np.inf])
+    @pytest.mark.parametrize("case", sorted(PICARD_CASES))
+    def test_pruned_sup_norms_are_max_over_all_slices(self, case, p):
+        # the case's grid and k at p != 2, where max_mod_norm prunes slices
+        grid, k, spec = PICARD_CASES[case]
+        spec = ModNormSpec(p, spec.q, spec.s)
+        sq = np.sum(grid.x_mesh ** 2, axis=-1)
+        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
+                           spec)
+        part = UniformPartition(grid)
+        res = picard_terms(prob, 4, np.linspace(0.0, 0.3, 9), part)
+        for j, F in enumerate(res.spectra):
+            assert res.sup_norms[j] == mod_norms_from_frequency(
+                F, spec, part).max()
+            assert 1 <= res.exact_evaluations[j] <= len(F) - (j > 0)
+
     def test_non_uniform_grid_rejected(self, small_problem):
         t_grid = np.linspace(0.0, 0.5, 9)
         t_grid[4] *= 1.0 + 1e-6
@@ -518,6 +551,23 @@ class TestBatchedPicard:
         for j in range(1, 6):
             assert _label_multisets(j, k) == _multiset_products(
                 lambda_index_set(j, k))
+
+    def test_label_multisets_match_combination_walk(self):
+        # the enumeration the partition generator replaced, kept as oracle
+        for k in range(2, 7):
+            for j in range(1, 16):
+                assert _label_multisets(j, k) == _combination_walk(j, k)
+
+    def test_product_count_matches_enumeration(self):
+        for k in range(2, 7):
+            for depth in range(1, 17):
+                assert picard_product_count(depth, k, math.inf) == sum(
+                    len(_label_multisets(j, k)) for j in range(1, depth))
+
+    def test_product_count_stops_above_limit(self):
+        # depth 10^5 at k = 3 has ~10^13 products; counting stops early
+        assert picard_product_count(10 ** 5, 3, 1000) > 1000
+        assert picard_product_count(10 ** 5, 10 ** 6, 1000) > 1000
 
     def test_large_k_enumerates_partitions_only(self):
         # k = 14 and 2000: term 0 fills all but j - 1 slots

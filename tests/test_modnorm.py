@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,10 @@ from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _block_lp_norms, _stft_batches, algebra_defect,
                              block_project, bump_profile,
-                             fourier_lebesgue_norm, mod_norm_decomp,
-                             mod_norm_from_frequency, mod_norm_stft,
-                             mod_norms_from_frequency, mod_norms_stft,
-                             stft_resolution_ok)
+                             fourier_lebesgue_norm, max_mod_norm,
+                             mod_norm_decomp, mod_norm_from_frequency,
+                             mod_norm_stft, mod_norms_from_frequency,
+                             mod_norms_stft, stft_resolution_ok)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
                               forward_transform, lp_norm, physical_lp_norm)
 
@@ -298,6 +299,114 @@ class TestStackedNorms:
         got = mod_norms_from_frequency(stack, spec, part)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestMaxModNorm:
+    """max_mod_norm against mod_norms_from_frequency(...).max(), bit for bit;
+    tests/test_modnorm_bound.py checks the bound itself over random stacks."""
+
+    @staticmethod
+    def _flow(part, times):
+        """Heat-flow slices of random data: the norm is largest at t = 0."""
+        g = part.grid
+        rng = np.random.default_rng(5)
+        F0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        decay = np.exp(-np.multiply.outer(times, g.freq_magnitude ** 2))
+        return decay * F0
+
+    @pytest.mark.parametrize("p", [1.0, 4.0, np.inf])
+    def test_max_at_first_slice_is_pruned_to(self, part1, p):
+        # the linear term of a Picard series: the t = 0 slice wins, and
+        # slices that have decayed below it are never evaluated exactly
+        stack = self._flow(part1, np.linspace(0.0, 2.0, 17))
+        spec = ModNormSpec(p, 1.0, 0.0)
+        want = mod_norms_from_frequency(stack, spec, part1)
+        assert want.argmax() == 0
+        got, evaluated = max_mod_norm(stack, spec, part1)
+        assert got == want.max()
+        assert evaluated < len(stack)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plane_wave_attains_the_bound(self, dim, p):
+        # on a box of side 2 pi the lattice is the integers, where one row
+        # is exactly 1: a single mode is one block of constant modulus, for
+        # which Hoelder is an equality, so only the roundoff slack separates
+        # the norm from its bound
+        g = SpectralGrid(dim, 8, math.pi)
+        part = UniformPartition(g)
+        F = np.zeros(g.shape, complex)
+        F[(3,) * dim] = 1.0
+        spec = ModNormSpec(p, 1.0, 1.5)
+        exact = mod_norms_from_frequency(F, spec, part)
+        scale, floor = modnorm._bound_constants(spec, part)
+        bound = scale * mod_norms_from_frequency(
+            F, ModNormSpec(2.0, 1.0, 1.5), part) + floor
+        assert exact <= bound <= exact * (1.0 + 2.0 * modnorm.BOUND_ROUNDOFF)
+
+    def test_max_found_after_a_larger_bound(self, monkeypatch):
+        # one function per engine batch.  The noise has the largest bound
+        # but not the largest norm: its norm sits further below its bound
+        # than the plane wave's (a mode at an integer frequency, one block),
+        # which must still be evaluated after it
+        g = SpectralGrid(1, 64, 2.0 * math.pi)
+        part = UniformPartition(g)
+        spec = ModNormSpec(1.0, 1.0, 0.0)
+        rng = np.random.default_rng(3)
+        noise = (rng.standard_normal(g.shape)
+                 + 1j * rng.standard_normal(g.shape)) \
+            * np.exp(-g.freq_axis ** 2 / 8)
+        wave = np.zeros(g.shape, complex)
+        wave[40] = 1.0  # frequency 4
+        stack = np.array([wave, noise, wave])
+        norms = mod_norms_from_frequency(stack, spec, part)
+        stack[1] *= 0.95 * norms[0] / norms[1]
+        stack[2] *= 0.1
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            len(part._active_centers) * g.size)
+        want = mod_norms_from_frequency(stack, spec, part)
+        bounds = modnorm._bound_constants(spec, part)[0] \
+            * mod_norms_from_frequency(stack, ModNormSpec(2.0, 1.0, 0.0), part)
+        assert bounds.argmax() == 1 and want.argmax() == 0
+        assert max_mod_norm(stack, spec, part) == (want.max(), 2)
+
+    def test_p2_evaluates_every_function(self, part1):
+        stack = self._flow(part1, np.linspace(0.0, 2.0, 5))
+        spec = ModNormSpec(2.0, 2.0, 1.5)
+        got, evaluated = max_mod_norm(stack, spec, part1)
+        assert got == mod_norms_from_frequency(stack, spec, part1).max()
+        assert evaluated == len(stack)
+
+    def test_overflowing_square_is_evaluated(self, part1):
+        # |F|^2 overflows for the 1e160 function, so its bound is inf (or
+        # NaN where a zero row meets it); it must be evaluated, not pruned
+        stack = self._flow(part1, np.linspace(0.0, 1.0, 6))
+        stack[3] *= 1e160
+        spec = ModNormSpec(1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = max_mod_norm(stack, spec, part1)
+        want = mod_norms_from_frequency(stack, spec, part1)
+        assert np.isfinite(want.max()) and want.argmax() == 3
+        assert got == want.max()
+
+    def test_nan_norm_propagates(self, part1):
+        # weights (1 + |k|)^s overflow to inf, and inf times an empty block
+        # is NaN, in the exact norms and in the bounds alike
+        stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
+        stack[:, np.abs(part1.grid.freq_axis) > 3.0] = 0.0
+        spec = ModNormSpec(1.0, 1.0, 400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = mod_norms_from_frequency(stack, spec, part1).max()
+            got, _ = max_mod_norm(stack, spec, part1)
+        assert np.isnan(want) and np.isnan(got)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, part1, bad):
+        stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
+        stack[2, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            max_mod_norm(stack, ModNormSpec(1.0, 1.0, 0.0), part1)
 
 
 class TestSTFT:
