@@ -485,13 +485,16 @@ def cmd_picard(cfg, seed, rec):
     if not (res.sup_norms[0] > 0 and all(map(math.isfinite, res.sup_norms))):
         raise ConfigError("config fields 'data' and 'norm' give a term norm "
                           "of 0 or beyond the float range")
-    # the slices each term's sup runs over, and those the engine evaluated
+    # the slices each term's sup runs over, those the engine evaluated and
+    # the neighbour bounds taken to prune the others
     terms = [{"term_index": idx, "slices": t_points - (i > 0),
-              "exact_evaluations": res.exact_evaluations[i]}
+              "exact_evaluations": res.exact_evaluations[i],
+              "difference_bounds": res.difference_bounds[i]}
              for i, idx in enumerate(res.term_indices)]
     rec.diagnostics["picard"] = {
         "slices": sum(t["slices"] for t in terms),
-        "exact_evaluations": sum(res.exact_evaluations), "terms": terms}
+        "exact_evaluations": sum(res.exact_evaluations),
+        "difference_bounds": sum(res.difference_bounds), "terms": terms}
     rows = [(idx, res.sup_norms[i],
              res.ratios[i - 1] if i >= 1 else float("nan"))
             for i, idx in enumerate(res.term_indices)]
@@ -510,18 +513,17 @@ def cmd_picard(cfg, seed, rec):
         try:
             # an envelope beyond the float range is named below; one that
             # underflows to 0 bounds nothing (ratio inf, or nan where
-            # uhat = 0, which min skips)
+            # uhat = 0: that slice's minimum is nan, which fmin skips)
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
                 for pos, idx in enumerate(res.term_indices):
-                    m = math.inf
-                    for ti in range(1, len(t_grid)):
-                        uhat = res.spectra[pos][ti]
-                        env = lower_bound_envelope(hyp, idx, t_grid[ti],
-                                                   grid)[ball]
-                        if not np.all(np.isfinite(env)):
-                            raise OverflowError("non-finite envelope")
-                        m = min(m, float((uhat.real[ball] / env).min()))
+                    env = lower_bound_envelope(hyp, idx, t_grid[1:],
+                                               grid)[:, ball]
+                    if not np.all(np.isfinite(env)):
+                        raise OverflowError("non-finite envelope")
+                    mins = (res.spectra[pos][1:].real[:, ball] / env).min(
+                        axis=1)
+                    m = float(np.fmin.reduce(mins, initial=math.inf))
                     dom_rows.append((idx, m))
                     worst = min(worst, m)
         except OverflowError as exc:

@@ -26,7 +26,9 @@ dealiasing lattice from the earlier terms, each padded once, and scattered
 forward into the term's later slices through one lag table
 exp(-t_m |xi|^beta) shared by every Duhamel kernel.  Each term's sup over
 time is max_mod_norm's, which at p != 2 evaluates exactly only the slices
-whose Parseval bound can still beat the largest norm found.  It also
+whose bound can still beat the largest norm found: the Parseval bound, or
+an evaluated neighbour's norm plus the Parseval bound of the difference,
+which is small between slices close in time.  It also
 evaluates the closed-form lower envelopes that force divergence of that
 series for Fourier-positive data with a large enough plateau, and
 certifies the corresponding hypotheses (plateau height, support radius,
@@ -413,6 +415,7 @@ class PicardResult:
     ratios: list         # sup_norms[i+1] / sup_norms[i]
     summable: bool
     exact_evaluations: list  # slices per term the norm engine evaluated
+    difference_bounds: list  # neighbour bounds per term (max_mod_norm)
 
     @property
     def trajectories(self):
@@ -534,9 +537,9 @@ def picard_terms(problem, depth, t_grid, partition=None):
     then complete, and are padded once for the later terms (the last term
     is never padded).  The t = 0 slice of every term j >= 1 is 0, so its
     sup norm is taken over t > 0.  Each sup is max_mod_norm's: at p != 2
-    the engine evaluates only the slices whose Parseval bound can still
-    beat the largest norm found.  Growth of the term norms is flagged, but
-    the terms are still returned.
+    the engine evaluates only the slices whose bound (Parseval, or from an
+    evaluated neighbour) can still beat the largest norm found.  Growth of
+    the term norms is flagged, but the terms are still returned.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -584,12 +587,13 @@ def picard_terms(problem, depth, t_grid, partition=None):
 
     sups = [max_mod_norm(F if j == 0 else F[1:], problem.norm_spec,
                          partition) for j, F in enumerate(spectra)]
-    sup_norms = [float(sup) for sup, _ in sups]
+    sup_norms = [float(sup) for sup, _, _ in sups]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
     summable = bool(ratios) and ratios[-1] < 1.0
     return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
-                        summable, [n for _, n in sups])
+                        summable, [n for _, n, _ in sups],
+                        [n for _, _, n in sups])
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------
@@ -599,15 +603,25 @@ def lower_bound_envelope(h, i, t, grid):
     """Closed-form lower envelope for the i-th series term over the
     frequency lattice: gamma^i e^{-4 r^beta (k-1) m t} t^m e^{-t |xi|^beta}
     on the ball |xi| <= r (zero outside), with m = (i-1)/(k-1).  The hidden
-    constant is taken to be 1; any slack is measured separately."""
+    constant is taken to be 1; any slack is measured separately.
+
+    t is one time or a 1-D array of them; an array gives the envelopes
+    stacked along a leading axis.  The factors without xi are scalars
+    taken per time (math.exp, **), as for a single time, so the stack
+    holds the single-time envelopes bit for bit."""
     if (i - 1) % (h.k - 1) != 0:
         raise ValueError(f"series index {i} is not of the form m(k-1)+1")
     m = (i - 1) // (h.k - 1)
     mag = grid.freq_magnitude
-    env = (h.gamma ** i
-           * math.exp(-4.0 * h.r ** h.beta * (h.k - 1) * m * t)
-           * t ** m * np.exp(-t * mag ** h.beta))
-    return env * (mag <= h.r)
+    times = np.atleast_1d(t)
+    factors = np.array([h.gamma ** i
+                        * math.exp(-4.0 * h.r ** h.beta * (h.k - 1) * m * s)
+                        * s ** m for s in times])
+    lead = (len(times),) + (1,) * grid.dim
+    env = factors.reshape(lead) * np.exp(-times.reshape(lead)
+                                         * mag ** h.beta)
+    env = env * (mag <= h.r)
+    return env if np.ndim(t) else env[0]
 
 
 @dataclass

@@ -146,7 +146,18 @@ def _shell_terms(d, c, beta, n_lo, n_hi):
     elif d == 3:
         mult = (n + 1.0) * (n + 2.0) / 2.0
     else:
-        mult = np.array([math.comb(int(m) + d - 1, d - 1) for m in n])
+        # C(n + d - 1, d - 1) through C(n + i, i) = C(n + i - 1, i - 1)
+        # (n + i) / i, i = 1 .. d - 1: each product is the integer
+        # i C(n + i, i), so a multiplicity is exact while d - 1 times it is
+        # below 2^53 (as at d = 3), within 2 (d - 1) roundings beyond, and inf
+        # beyond the float range
+        mult = np.ones_like(n)
+        with np.errstate(over="ignore"):
+            for i in range(1, d):
+                mult = mult * (n + i) / i
+        if not np.all(np.isfinite(mult)):
+            raise OverflowError("shell multiplicity too large to convert "
+                                "to float")
     return mult * np.exp(-c * (2.0 * n + d) ** beta)
 
 

@@ -22,9 +22,11 @@ The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
 need not evaluate every function at p != 2.  On the box every block obeys
 ||b||_p <= c_p ||b||_2, so c_p (1 + BOUND_ROUNDOFF) times a function's
 (2, q, s) norm, from the Parseval path with no FFT, bounds its (p, q, s)
-norm; functions are evaluated in descending bound until the next bound is
-at most the largest norm found, and the maximum is the one of the full
-evaluation bit for bit.
+norm.  Once a function g is evaluated, the triangle inequality bounds
+every other f by g's norm plus that Parseval bound of f - g, which is
+tight for neighbouring time slices.  Functions are evaluated in descending
+bound until the next bound is at most the largest norm found, and the
+maximum is the one of the full evaluation bit for bit.
 
 Partitions and STFT plans are immutable after construction; per-block work
 is independent, and norm reductions use a fixed summation order so results
@@ -290,42 +292,131 @@ def _bound_constants(spec, partition):
     return scale, (scale * underflow + powers) * w_q
 
 
+# The neighbour bound of max_mod_norm, for functions f, g and the rounded
+# difference d = fl(f - g).  Write N for the exact (p, q, s) norm (a norm:
+# block L^p norms are seminorms and the weighted l^q sum is monotone and
+# subadditive), N' for the engine's value, U for the bound above, which
+# bounds N as well as N' (its derivation passes through N).
+#  - The engine's relative error at p is e < 2^-20 + 2^-44: two of the four
+#    sums above (a block's p-th powers and the q-sum), the FFTs and a few u.
+#    Its absolute error a, from subnormal roundings, is below floor, which
+#    holds it and the Parseval side's besides.  So N'(f) <= (1 + e) N(f) + a
+#    and N(g) <= (N'(g) + a) / (1 - e), on f and g alike.
+#  - Real and imaginary parts of f - g round apart, so |d - (f - g)| <=
+#    u |f - g| at every point, and the (2, q, s) norm grows with |F| at
+#    every point: N(f - g) <= U(d) / (1 - u) (a subnormal difference rounds
+#    by less than floor's Parseval term allows).
+#  - By the triangle inequality N(f) <= N(g) + N(f - g), so
+#    N'(f) <= (1 + e) / ((1 - e) (1 - u)) (N'(g) + U(d)) + (2 + 2^-18) a.
+#  - The final sum (N'(g) + U(d) + 2 floor) (1 + BOUND_ROUNDOFF) takes three
+#    roundings, each a factor 1 - u at worst.
+# (1 + e) / ((1 - e) (1 - u)^4) < 1 + 2^-19 + 2^-38, below 1 +
+# BOUND_ROUNDOFF, which therefore covers this bound too.
+
+
+def _parseval_bounds(values, spec, partition, scale, floor):
+    """U = scale (its (2, q, s) norm) + floor of every function of a stack,
+    scale and floor from _bound_constants; inf or NaN where |F|^2 or a
+    weight overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * mod_norms_from_frequency(
+            values, ModNormSpec(2.0, spec.q, spec.s), partition) + floor
+
+
+def _neighbour_bounds(f, g, g_norms, spec, partition, scale, floor):
+    """(N(g) + U(f - g) + 2 floor) (1 + BOUND_ROUNDOFF), the neighbour
+    bound above, on the (p, q, s) norm of every function of the stack f
+    (columns) from every function of g (rows), whose norms as the engine
+    computes them are g_norms; inf where a difference overflows."""
+    with np.errstate(over="ignore"):
+        diffs = f - g[:, None]
+    if not np.all(np.isfinite(diffs)):
+        return np.full(diffs.shape[:2], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (g_norms[:, None]
+                + _parseval_bounds(diffs, spec, partition, scale, floor)
+                + 2.0 * floor) * (1.0 + BOUND_ROUNDOFF)
+
+
+def _overflow_ceiling(spec, partition):
+    """Bounds above this prune nothing: only a norm N at most it is sure to
+    be computed without overflow.  Every block b of weight w has
+    w ||b||_p <= N, and the engine's largest intermediates are a block's
+    sum of p-th powers, ||b||_p^p max(1, h^-d), and the q-sum over blocks,
+    N^q; the ceiling keeps them below 2^-p and 2^-q of the float range,
+    which leaves room for their roundoff.  p = inf and q = inf take
+    maxima, which do not overflow."""
+    top = np.finfo(float).max
+    weights = (1.0 + partition._key_radii) ** spec.s
+    vol = min(1.0, partition.grid.spacing ** partition.grid.dim)
+    blocks = (np.inf if np.isinf(spec.p)
+              else weights.min() * (top * vol) ** (1.0 / spec.p))
+    total = np.inf if np.isinf(spec.q) else top ** (1.0 / spec.q)
+    return 0.5 * min(blocks, total)
+
+
 def max_mod_norm(values, spec, partition):
     """(mod_norms_from_frequency(values, spec, partition).max(), the number
-    of functions the engine evaluated); the maximum is the same bit for bit.
+    of functions the engine evaluated, the number of neighbour bounds
+    taken); the maximum is the same bit for bit.
 
-    At p = 2 the engine evaluates every function.  Otherwise each function's
-    norm is first bounded by U = c_p (1 + BOUND_ROUNDOFF) (its (2, q, s)
+    At p = 2 the engine evaluates every function.  Otherwise each function
+    f is first bounded by U(f) = c_p (1 + BOUND_ROUNDOFF) (its (2, q, s)
     norm), plus subnormal allowances (_bound_constants), which costs the
-    Parseval path and no FFT.  The engine then evaluates the functions in descending U, one of
-    its batches at a time, and stops once the next U is at most the largest
-    norm found: no function left can exceed it.  NaN and inf bounds come
-    first, so they are always evaluated, and a NaN norm propagates as in
-    ndarray.max.  Non-finite values raise ValueError before any pruning.
+    Parseval path and no FFT.  The engine evaluates the functions in
+    descending bound, one of its batches at a time, and stops once the next
+    bound is at most the largest norm found: no function left can exceed
+    it.  After each batch, every function g just evaluated whose norm is
+    below the largest one tightens the bound of every pending f whose bound
+    still exceeds that norm to the neighbour bound N(g) + U(f - g), with
+    its allowances, all differences in one Parseval call: a slice of a
+    Picard term is bounded so by the evaluated slices next to it in time.
+    A g with a NaN or inf norm, or at the largest norm, could prune nothing
+    and is skipped.  A bound above _overflow_ceiling counts as inf, since
+    the engine may overflow on such a function where its bound does not.
+    NaN bounds sort first and are never tightened, so they are always
+    evaluated, and a NaN norm propagates as in ndarray.max.  Non-finite
+    values raise ValueError before any pruning.
     """
     if spec.p == 2:
         norms = mod_norms_from_frequency(values, spec, partition)
-        return norms.max(), norms.size
-    # |F|^2 or a weight may overflow: such bounds are inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        parseval = mod_norms_from_frequency(
-            values, ModNormSpec(2.0, spec.q, spec.s), partition).ravel()
-        scale, floor = _bound_constants(spec, partition)
-        bounds = scale * parseval + floor
+        return norms.max(), norms.size, 0
+    # weights (1 + |k|)^s may overflow or underflow to 0, and make these
+    # inf, NaN or 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        constants = _bound_constants(spec, partition)
+        ceiling = _overflow_ceiling(spec, partition)
+    bounds = _parseval_bounds(values, spec, partition, *constants).ravel()
+    bounds[bounds > ceiling] = np.inf
     g = partition.grid
     stack = np.asarray(values).reshape((-1,) + g.shape)
-    order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
-                       kind="stable")
+    pending = np.ones(len(stack), dtype=bool)
     batch = max(1, NORM_BATCH_VALUES // (len(partition._active_centers)
                                          * g.size))
-    found = []
-    for lo in range(0, len(order), batch):
-        if found and bounds[order[lo]] <= best:
+    found, neighbours = [], 0
+    while pending.any():
+        rest = np.flatnonzero(pending)
+        rest = rest[np.argsort(-np.where(np.isnan(bounds[rest]), np.inf,
+                                         bounds[rest]), kind="stable")]
+        if found and bounds[rest[0]] <= best:
             break
-        found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
-                                              spec, partition))
+        taken = rest[:batch]
+        norms = mod_norms_from_frequency(stack[taken], spec, partition)
+        found.append(norms)
         best = np.concatenate(found).max()
-    return best, sum(len(n) for n in found)
+        pending[taken] = False
+        close = norms < best  # False for NaN norms, and all once best is NaN
+        targets = np.flatnonzero(pending & (bounds > best))
+        if close.any() and targets.size:
+            pairs = _neighbour_bounds(stack[targets], stack[taken[close]],
+                                      norms[close], spec, partition,
+                                      *constants)
+            neighbours += pairs.size
+            # fmin: a NaN neighbour bound tightens nothing
+            tight = np.fmin.reduce(pairs, axis=0)
+            tight[tight > ceiling] = np.inf
+            bounds[targets] = np.fmin(bounds[targets], tight)
+    return best, sum(len(n) for n in found), neighbours
 
 
 def mod_norm_from_frequency(F, spec, partition):

@@ -256,7 +256,8 @@ class TestPicardCommand:
         assert len(lines) == 6  # header + 5 terms
 
     def test_run_record_counts_exact_evaluations(self, tmp_path):
-        # at p = 1 the Parseval bound spares slices of every term
+        # at p = 1 the Parseval and neighbour bounds spare slices of every
+        # term, the linear term (index 1) included
         cfg = picard_config(norm={"p": 1.0, "q": 1.0, "s": 0.0})
         code, out = run(tmp_path, "picard", cfg)
         assert code == 0
@@ -266,9 +267,12 @@ class TestPicardCommand:
         assert [t["term_index"] for t in terms] == [1, 2, 3, 4, 5]
         assert [t["slices"] for t in terms] == [17, 16, 16, 16, 16]
         assert all(1 <= t["exact_evaluations"] <= t["slices"] for t in terms)
+        assert terms[0]["exact_evaluations"] < terms[0]["slices"]
         assert diag["slices"] == 81
         assert diag["exact_evaluations"] == sum(
             t["exact_evaluations"] for t in terms) < 81
+        assert diag["difference_bounds"] == sum(
+            t["difference_bounds"] for t in terms) > 0
 
     def test_certified_data_grows_and_dominates(self, tmp_path):
         code, out = run(tmp_path, "picard", dominated_picard_config())

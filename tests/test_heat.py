@@ -881,6 +881,23 @@ class TestLowerBoundEnvelope:
         np.testing.assert_allclose(
             lower_bound_envelope(h, 5, t, grid1)[inside], want, rtol=1e-13)
 
+    def test_stacked_times_match_single_times(self, grid1):
+        # the single-time formula, scalar factors first, is the oracle: the
+        # stack over t must hold it bit for bit (picard_domination.csv)
+        h = BlowupHypothesis(gamma=50.0, r=1.0, beta=1.5, k=3, d=1)
+        t_grid = np.linspace(0.0, 0.5, 9)[1:]
+        mag = grid1.freq_magnitude
+        for i in (1, 3, 5, 9):
+            m = (i - 1) // (h.k - 1)
+            want = np.array([
+                (h.gamma ** i * math.exp(-4.0 * h.r ** h.beta * (h.k - 1)
+                                         * m * t)
+                 * t ** m * np.exp(-t * mag ** h.beta)) * (mag <= h.r)
+                for t in t_grid])
+            got = lower_bound_envelope(h, i, t_grid, grid1)
+            assert got.shape == (len(t_grid),) + grid1.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_picard_terms_dominate_envelope(self, grid1, part1,
                                             certified_hypothesis):
         h = certified_hypothesis

@@ -208,6 +208,24 @@ class TestEigenSums:
         with pytest.raises(ValueError, match="cannot certify"):
             eigen_sum(1, beta, t)
 
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_shell_multiplicities_match_comb(self, d):
+        # c = 0: the terms are the multiplicities C(n + d - 1, d - 1)
+        n_hi = 20000
+        got = hermite._shell_terms(d, 0.0, 1.0, 0, n_hi)
+        combs = [math.comb(n + d - 1, d - 1) for n in range(n_hi)]
+        want = np.array([float(c) for c in combs])
+        exact = np.array([(d - 1) * c < 2 ** 53 for c in combs])
+        assert exact.any()
+        np.testing.assert_array_equal(got[exact], want[exact])
+        np.testing.assert_allclose(got, want, rtol=2 * (d - 1) * 2.0 ** -53,
+                                   atol=0.0)
+
+    def test_infinite_multiplicity_overflows(self):
+        # C(n + 199, 199) passes the float range within the first shells
+        with pytest.raises(OverflowError):
+            eigen_sum(200, 1.0, 0.5)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             eigen_sum(1, 1.0, 0.0)

@@ -322,9 +322,26 @@ class TestMaxModNorm:
         spec = ModNormSpec(p, 1.0, 0.0)
         want = mod_norms_from_frequency(stack, spec, part1)
         assert want.argmax() == 0
-        got, evaluated = max_mod_norm(stack, spec, part1)
+        got, evaluated, _ = max_mod_norm(stack, spec, part1)
         assert got == want.max()
         assert evaluated < len(stack)
+
+    def test_neighbour_bounds_counted_per_pair(self, part1, monkeypatch):
+        # three functions per engine batch: the first is t = 0, 1e-4, 2e-4,
+        # t = 0 sets the maximum, and each of the other two bounds every
+        # later slice whose Parseval bound still exceeds it (all three here)
+        stack = self._flow(part1, np.linspace(0.0, 5e-4, 6))
+        spec = ModNormSpec(1.0, 1.0, 0.0)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            3 * len(part1._active_centers) * part1.grid.size)
+        norms = mod_norms_from_frequency(stack, spec, part1)
+        bounds = modnorm._parseval_bounds(
+            stack, spec, part1, *modnorm._bound_constants(spec, part1))
+        assert np.all(np.diff(bounds) < 0) and norms.argmax() == 0
+        targets = np.count_nonzero(bounds[3:] > norms[0])
+        got, _, neighbours = max_mod_norm(stack, spec, part1)
+        assert got == norms[0]
+        assert targets == 3 and neighbours == 2 * targets
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -368,12 +385,12 @@ class TestMaxModNorm:
         bounds = modnorm._bound_constants(spec, part)[0] \
             * mod_norms_from_frequency(stack, ModNormSpec(2.0, 1.0, 0.0), part)
         assert bounds.argmax() == 1 and want.argmax() == 0
-        assert max_mod_norm(stack, spec, part) == (want.max(), 2)
+        assert max_mod_norm(stack, spec, part) == (want.max(), 2, 0)
 
     def test_p2_evaluates_every_function(self, part1):
         stack = self._flow(part1, np.linspace(0.0, 2.0, 5))
         spec = ModNormSpec(2.0, 2.0, 1.5)
-        got, evaluated = max_mod_norm(stack, spec, part1)
+        got, evaluated, _ = max_mod_norm(stack, spec, part1)
         assert got == mod_norms_from_frequency(stack, spec, part1).max()
         assert evaluated == len(stack)
 
@@ -385,10 +402,43 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, _ = max_mod_norm(stack, spec, part1)
+            got, _, _ = max_mod_norm(stack, spec, part1)
         want = mod_norms_from_frequency(stack, spec, part1)
         assert np.isfinite(want.max()) and want.argmax() == 3
         assert got == want.max()
+
+    def test_overflowing_powers_are_evaluated(self, monkeypatch):
+        # at p = 4 the 1e80 mode's fourth powers overflow, so its norm is
+        # inf, while its Parseval bound (from |F|^2 ~ 1e160) is finite and
+        # below the norm of the heavily weighted high mode, whose bound is
+        # larger: that bound must not prune it once the high mode is in
+        g = SpectralGrid(1, 64, 8.0)
+        part = UniformPartition(g)
+        stack = np.zeros((2,) + g.shape, complex)
+        stack[0, 32] = 1e80  # frequency 0, weight 1
+        stack[1, 60] = 1e60  # frequency 11, weight ~1e108
+        spec = ModNormSpec(4.0, 1.0, 100.0)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            len(part._active_centers) * g.size)
+        with np.errstate(over="ignore"):
+            want = mod_norms_from_frequency(stack, spec, part)
+            bounds = modnorm._parseval_bounds(
+                stack, spec, part, *modnorm._bound_constants(spec, part))
+            got, _, _ = max_mod_norm(stack, spec, part)
+        assert np.isinf(want[0]) and np.isfinite(want[1])
+        assert bounds[0] < want[1] < bounds[1]
+        assert np.isinf(got)
+
+    def test_underflowing_weights_warn_nothing(self, part1):
+        # (1 + |k|)^-400 underflows to 0 away from k = 0, so the subnormal
+        # allowance divides by a zero weight: an infinite bound, no warning
+        stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
+        spec = ModNormSpec(1.0, 1.0, -400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, evaluated, _ = max_mod_norm(stack, spec, part1)
+        assert got == mod_norms_from_frequency(stack, spec, part1).max()
+        assert evaluated == len(stack)
 
     def test_nan_norm_propagates(self, part1):
         # weights (1 + |k|)^s overflow to inf, and inf times an empty block
@@ -398,8 +448,10 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 400.0)
         with np.errstate(over="ignore", invalid="ignore"):
             want = mod_norms_from_frequency(stack, spec, part1).max()
-            got, _ = max_mod_norm(stack, spec, part1)
+            got, evaluated, neighbours = max_mod_norm(stack, spec, part1)
         assert np.isnan(want) and np.isnan(got)
+        # NaN bounds are all evaluated, and a NaN norm tightens nothing
+        assert evaluated == len(stack) and neighbours == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, part1, bad):
