@@ -6,12 +6,13 @@ Usage:
 
 Subcommands: propagate, blowup, picard, modnorm, hermite, transfer.
 
-Configs are versioned JSON; unknown keys are rejected by name.  Results are
-written as CSV tables plus a run_record.json that echoes the config, the
-code version, and one (value, bound, margin, pass) row per asserted
-inequality.  With a fixed config and seed the CSV outputs are byte
-identical across reruns.  Exit codes: 0 all verdicts pass, 1 some verdict
-failed, 2 configuration error.
+Configs are versioned JSON.  Each subcommand declares its fields (type,
+range or choices, default) once, in its table in TABLES; unknown keys are
+rejected by name.  Results are written as CSV tables plus a run_record.json
+that echoes the config, the code version, and one (value, bound, margin,
+pass) row per asserted inequality.  With a fixed config and seed the CSV
+outputs are byte identical across reruns.  Exit codes: 0 all verdicts pass,
+1 some verdict failed, 2 configuration error.
 """
 
 import argparse
@@ -46,148 +47,270 @@ class ConfigError(Exception):
     pass
 
 
-# -- config validation -----------------------------------------------------------
+# -- config tables ---------------------------------------------------------------
+#
+# A row of a subcommand's table is (path, type, check, default).  A field
+# "section.key" follows its section's row, of type dict.  A type is int,
+# float (an int passes as a float, a bool as neither), str, dict or list[T],
+# a non-empty list of T.  A check is None, an interval such as "(0, inf)"
+# that the value (each number of a list) must lie in, or a tuple of choices.
+# An absent field takes its default unless that is REQUIRED; the fields of
+# an absent section whose default is None are None.  An int field whose
+# interval ends at MAX_LATTICE_VALUES sizes an array or a loop.  Rules across
+# fields and the checks of the library's constructors run in cmd_*.
+
+REQUIRED = object()
+_FINITE = "(-inf, inf)"
+_POSITIVE = "(0, inf)"
 
 
-def _check_keys(obj, allowed, path):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown config field {path}{key!r}")
+def _size(lo):
+    return f"[{lo}, {MAX_LATTICE_VALUES}]"
 
 
-def _require(obj, key, typ, path, default=None, required=True):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing config field {path}{key!r}")
-        return default
-    return _typed(obj[key], typ, f"{path}{key!r}")
+_COMMON = (
+    ("schema_version", int, (1,), REQUIRED),
+    ("seed", int, "[0, inf)", 0),
+    ("output_dir", str, None, "."),
+    ("grid", dict, None, REQUIRED),
+    ("grid.dim", int, _size("-inf"), REQUIRED),
+    ("grid.points_per_axis", int, None, REQUIRED),
+    ("grid.half_width", float, None, REQUIRED),
+)
+_NORM = (
+    ("norm", dict, None, {}),
+    ("norm.p", float, None, 2.0),
+    ("norm.q", float, None, 1.0),
+    ("norm.s", float, None, 0.0),
+)
+# the equation and its data, whose kind decides the fields it needs
+_PROBLEM = (
+    ("problem", dict, None, REQUIRED),
+    ("problem.beta", float, _POSITIVE, REQUIRED),
+    ("problem.k", int, "[2, inf)", REQUIRED),
+    ("data", dict, None, REQUIRED),
+    ("data.kind", str, ("gaussian", "plateau", "csv"), REQUIRED),
+    ("data.amplitude", float, _FINITE, None),
+    ("data.exponent", float, _FINITE, 2 * math.pi),
+    ("data.gamma", float, _FINITE, None),
+    ("data.r", float, _FINITE, 1.0),
+    ("data.path", str, None, None),
+    ("data.scale", float, _FINITE, 1.0),
+)
+_BETA = ("beta", float, _POSITIVE, REQUIRED)
+_CORPUS_SIZE = ("corpus_size", int, _size(1), REQUIRED)
+_DIM = ("dim", int, None, 1)
+_DEGREE_CAP = ("degree_cap", int, _size(0), 16)
+
+TABLES = {
+    "propagate": _COMMON + _NORM + (
+        _BETA,
+        ("times", list[float], "[0, inf)", REQUIRED),
+        _CORPUS_SIZE,
+        ("stability_tolerance", float, _POSITIVE, 0.05),
+    ),
+    "blowup": _COMMON + _NORM + _PROBLEM + (
+        ("hypothesis", dict, None, REQUIRED),
+        ("hypothesis.gamma", float, _POSITIVE, REQUIRED),
+        ("hypothesis.r", float, _POSITIVE, REQUIRED),
+        ("solver", dict, None, REQUIRED),
+        ("solver.dt", float, None, REQUIRED),
+        ("solver.t_max", float, None, REQUIRED),
+        ("solver.threshold_factor", float, "(1, inf)", 1e6),
+        ("solver.scheme", str, None, "ETD1"),
+        ("detect_by", float, _POSITIVE, None),
+        ("witness_terms", int, _size(1), 12),
+    ),
+    "picard": _COMMON + _NORM + _PROBLEM + (
+        ("depth", int, _size(1), REQUIRED),
+        ("t_max", float, _POSITIVE, REQUIRED),
+        ("t_points", int, _size(2), 33),
+        ("domination", dict, None, None),
+        ("domination.gamma", float, _POSITIVE, REQUIRED),
+        ("domination.r", float, _POSITIVE, REQUIRED),
+        ("converge_by", int, None, 3),
+        ("expect", str, ("summable", "growing", "none"), "summable"),
+    ),
+    "modnorm": _COMMON + (
+        _CORPUS_SIZE,
+        ("max_mode", int, "[0, inf)", 6),
+        ("specs", list[list[float]], None, REQUIRED),
+        ("algebra_p", float, "[1, inf]", 2.0),
+    ),
+    "hermite": _COMMON + (
+        _DIM, _DEGREE_CAP,
+        ("betas", list[float], _POSITIVE, REQUIRED),
+        ("ps", list[float], "[1, inf]", REQUIRED),
+        ("t_profile", dict, None, REQUIRED),
+        ("t_profile.lo", float, _POSITIVE, REQUIRED),
+        ("t_profile.hi", float, _FINITE, REQUIRED),
+        ("t_profile.points", int, _size(1), REQUIRED),
+        ("eigen_lattice", dict, None, None),
+        ("eigen_lattice.ds", list[int], "[1, inf)", REQUIRED),
+        ("eigen_lattice.betas", list[float], _POSITIVE, REQUIRED),
+        ("eigen_lattice.ts", list[float], _POSITIVE, REQUIRED),
+        ("coeff_levels", int, "[1, inf)", 11),
+        ("slope_window", list[float], None, [3.0, 5.0]),
+        ("slope_tolerance", float, _POSITIVE, 0.02),
+    ),
+    "transfer": _COMMON + (
+        _DIM, _DEGREE_CAP, _BETA,
+        ("t", float, _POSITIVE, REQUIRED),
+        ("ps", list[float], "[1, inf)", REQUIRED),
+        ("modes_per_axis", int, None, 64),
+        ("family_size", int, _size(1), 8),
+        ("trials", int, _size(1), 20),
+    ),
+}
 
 
-def _typed(val, typ, name):
-    """val checked against typ; an int passes as a float, a bool as neither."""
-    if typ is float and type(val) is int:
-        val = float(val)
-    if not isinstance(val, typ) or isinstance(val, bool):
+def _name(path):
+    """A field as messages name it: 'key' or section.'key'."""
+    section, _, key = path.rpartition(".")
+    return f"{section}.{key!r}" if section else repr(key)
+
+
+def _parse(cfg, table):
+    """The flat {path: value} of the config cfg under table: unknown keys
+    rejected per section, every value type- and range-checked, defaults
+    filled; else a ConfigError naming the field."""
+    known = {path for path, *_ in table}
+
+    def reject_unknown(obj, section):
+        for key in obj:
+            path = f"{section}.{key}" if section else key
+            if "." in key or path not in known:
+                raise ConfigError(f"unknown config field {_name(path)}")
+
+    reject_unknown(cfg, "")
+    values = {}
+    for path, typ, check, default in table:
+        section, _, key = path.rpartition(".")
+        obj = values[section] if section else cfg
+        if obj is None:
+            values[path] = None
+        elif key in obj:
+            values[path] = _checked(obj[key], typ, check, _name(path))
+            if typ is dict:
+                reject_unknown(obj[key], path)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing config field {_name(path)}")
+        else:
+            values[path] = default
+    return values
+
+
+def _checked(val, typ, check, name):
+    """val as a typ within check (see TABLES); a list entry is named
+    'key'[i]."""
+    if typ is float and type(val) is int:  # json reads 1e400 as inf too
+        val = (float(val) if abs(val) <= sys.float_info.max
+               else math.copysign(math.inf, val))
+    kind = getattr(typ, "__origin__", typ)
+    if not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"config field {name} has wrong type "
-                          f"(expected {getattr(typ, '__name__', typ)})")
-    return val
-
-
-def _finite(obj, key, path, default=None, required=True):
-    """A float field that must be finite."""
-    val = _require(obj, key, float, path, default=default, required=required)
-    if not math.isfinite(val):
-        raise ConfigError(f"config field {path}{key!r} must be finite")
-    return val
-
-
-def _require_list(obj, key, typ, path, default=None, required=True):
-    """A list field whose entries all have type typ."""
-    vals = _require(obj, key, list, path, default=default, required=required)
-    if vals is None:
-        return None
-    return [_typed(v, typ, f"{path}{key!r}[{i}]") for i, v in enumerate(vals)]
-
-
-def _positive(val, name):
-    """val, which must be finite and > 0; else a ConfigError naming it."""
-    if not (val > 0 and math.isfinite(val)):
-        raise ConfigError(f"config field {name} must be positive and finite")
+                          f"(expected {kind.__name__})")
+    if kind is list:
+        if not val:
+            raise ConfigError(f"config field {name} must not be empty")
+        return [_checked(v, typ.__args__[0], check, f"{name}[{i}]")
+                for i, v in enumerate(val)]
+    if isinstance(check, tuple):
+        if val not in check:
+            raise ConfigError(f"config field {name} must be one of "
+                              + ", ".join(map(repr, check)))
+    elif check is not None:
+        lo, hi = (float(end) for end in check[1:-1].split(","))
+        if not ((lo < val if check[0] == "(" else lo <= val)
+                and (val < hi if check[-1] == ")" else val <= hi)):
+            raise ConfigError(f"config field {name} must lie in {check}")
     return val
 
 
 def _bounded(values, fields):
-    """ConfigError naming fields if they give an array of more than
-    MAX_LATTICE_VALUES values."""
+    """ConfigError naming fields if values exceeds MAX_LATTICE_VALUES."""
     if values > MAX_LATTICE_VALUES:
         raise ConfigError(f"config fields {fields} give an array of "
                           f"{values:.4g} values, above the bound "
                           f"{MAX_LATTICE_VALUES}")
 
 
-def _parse_grid(cfg, path="grid."):
-    _check_keys(cfg, {"dim", "points_per_axis", "half_width"}, path)
-    dim = _require(cfg, "dim", int, path)
-    n = _require(cfg, "points_per_axis", int, path)
-    half = _require(cfg, "half_width", float, path)
+def _parse_grid(v):
+    dim, half = v["grid.dim"], v["grid.half_width"]
     try:
-        grid = SpectralGrid(dim, n, half)
+        grid = SpectralGrid(dim, v["grid.points_per_axis"], half)
     except ValueError as exc:
         raise ConfigError(f"invalid config field 'grid': {exc}") from exc
     if not dim * half * half < math.inf:
-        raise ConfigError(f"config field {path}'half_width' is too large: "
+        raise ConfigError("config field grid.'half_width' is too large: "
                           "|x|^2 overflows on the grid")
     # the partition holds 2 k_max + 1 rows of N values, k_max ~ pi N / 2L
-    _bounded(max(grid.size, (2.0 * grid.max_freq_component + 3.0) * n),
-             "'grid'")
+    _bounded(max(grid.size, (2.0 * grid.max_freq_component + 3.0)
+                 * grid.points_per_axis), "'grid'")
     return grid
 
 
-def _parse_norm(cfg, path="norm."):
-    _check_keys(cfg, {"p", "q", "s"}, path)
-    p = _require(cfg, "p", float, path, default=2.0, required=False)
-    q = _require(cfg, "q", float, path, default=1.0, required=False)
-    s = _require(cfg, "s", float, path, default=0.0, required=False)
+def _parse_norm(v):
     try:
-        return ModNormSpec(p, q, s)
+        return ModNormSpec(v["norm.p"], v["norm.q"], v["norm.s"])
     except ValueError as exc:
-        raise ConfigError(f"invalid config field {path[:-1]!r}: {exc}") \
-            from exc
+        raise ConfigError(f"invalid config field 'norm': {exc}") from exc
 
 
-def _parse_k(prob_cfg, grid):
-    """problem.k: >= 2, and within the dealiasing-lattice bound on grid
-    (checked before anything is allocated)."""
-    k = _require(prob_cfg, "k", int, "problem.")
-    if k < 2:
-        raise ConfigError("config field problem.'k' must be >= 2")
+def _parse_problem(v):
+    """The grid, problem.beta and problem.k (within the dealiasing-lattice
+    bound, checked before anything is allocated) and the initial data."""
+    grid = _parse_grid(v)
     try:
-        check_lattice(grid, k)
+        check_lattice(grid, v["problem.k"])
     except ValueError as exc:
         raise ConfigError(f"config field problem.'k': {exc}") from exc
-    return k
+    return grid, v["problem.beta"], v["problem.k"], _parse_data(v, grid)
 
 
-def _parse_degree_cap(cfg, dim, stack, stack_field):
-    """'degree_cap': >= 0, with the quadrature's companion matrix, the level
-    mesh and `stack` coefficient tensors (sized by stack_field) bounded."""
-    cap = _require(cfg, "degree_cap", int, "", default=16, required=False)
-    if cap < 0:
-        raise ConfigError("config field 'degree_cap' must be >= 0")
+def _parse_degree_cap(v, dim, stack, stack_field):
+    """'degree_cap', with the quadrature's companion matrix, the level mesh
+    and `stack` coefficient tensors (sized by stack_field) bounded."""
+    cap = v["degree_cap"]
     _bounded(max((cap + 8) ** 2, max(stack, dim) * (cap + 1) ** dim),
              f"'degree_cap' and {stack_field!r}")
     return cap
 
 
-def _parse_data(cfg, grid, path="data."):
-    _check_keys(cfg, {"kind", "amplitude", "exponent", "gamma", "r", "path",
-                      "scale"}, path)
-    kind = _require(cfg, "kind", str, path)
-    scale = _finite(cfg, "scale", path, default=1.0, required=False)
+def _data_field(v, path):
+    """v[path], a data field that data.kind needs."""
+    if v[path] is None:
+        raise ConfigError(f"missing config field {_name(path)}, needed by "
+                          f"data.'kind' {v['data.kind']!r}")
+    return v[path]
+
+
+def _parse_data(v, grid):
+    kind, scale = v["data.kind"], v["data.scale"]
     # overflow shows as a non-finite sample, rejected below by name
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "gaussian":
-            amp = _finite(cfg, "amplitude", path)
-            expo = _finite(cfg, "exponent", path, default=2 * math.pi,
-                           required=False)
+            amp = _data_field(v, "data.amplitude")
             sq = np.sum(grid.x_mesh ** 2, axis=-1)
-            f = GridFunction(grid, scale * amp * np.exp(-expo * sq))
+            f = GridFunction(grid,
+                             scale * amp * np.exp(-v["data.exponent"] * sq))
         elif kind == "plateau":
-            gam = _finite(cfg, "gamma", path)
-            r = _finite(cfg, "r", path, default=1.0, required=False)
-            f = GridFunction(grid, scale * plateau_data(grid, gam, r).values)
-        elif kind == "csv":
-            base = _require(cfg, "path", str, path)
-            f = load_grid_function(base)
-            if f.grid != grid:
-                raise ConfigError(f"data file {path}path grid mismatch")
-            f = GridFunction(grid, scale * f.values, f.side)
+            gam = _data_field(v, "data.gamma")
+            f = GridFunction(grid, scale * plateau_data(grid, gam,
+                                                        v["data.r"]).values)
         else:
-            raise ConfigError(
-                f"config field {path}kind has unknown value {kind!r}")
+            base = _data_field(v, "data.path")
+            try:
+                f = load_grid_function(base)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"config field data.'path' names no "
+                                  f"readable grid function: {exc!r}") from exc
+            if f.grid != grid:
+                raise ConfigError("config field data.'path' holds a grid "
+                                  "other than 'grid'")
+            f = GridFunction(grid, scale * f.values, f.side)
     if not np.all(np.isfinite(f.values)):
-        raise ConfigError(f"config field {path[:-1]!r} gives non-finite "
-                          "samples")
+        raise ConfigError("config field 'data' gives non-finite samples")
     return f
 
 
@@ -199,9 +322,6 @@ def _load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    version = cfg.get("schema_version")
-    if version != 1:
-        raise ConfigError("config field 'schema_version' must be 1")
     return cfg
 
 
@@ -288,25 +408,10 @@ def _emit_gnuplot(out_dir, csv_name):
 
 
 def cmd_propagate(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid", "beta",
-                      "times", "corpus_size", "norm", "stability_tolerance"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    beta = _require(cfg, "beta", float, "")
-    times = _require_list(cfg, "times", float, "")
-    count = _require(cfg, "corpus_size", int, "")
-    spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
-    tol = _positive(_require(cfg, "stability_tolerance", float, "",
-                             default=0.05, required=False),
-                    "'stability_tolerance'")
-    if count < 1:
-        raise ConfigError("config field 'corpus_size' must be >= 1")
-    _positive(beta, "'beta'")
-    if not times:
-        raise ConfigError("config field 'times' must not be empty")
-    for i, t in enumerate(times):
-        if not (t >= 0 and math.isfinite(t)):
-            raise ConfigError(f"config field 'times[{i}]' must be finite "
-                              "and >= 0")
+    grid = _parse_grid(cfg)
+    spec = _parse_norm(cfg)
+    beta, times, count = cfg["beta"], cfg["times"], cfg["corpus_size"]
+    tol = cfg["stability_tolerance"]
     _bounded(count * len(times) * grid.size, "'corpus_size' and 'times'")
 
     partition = UniformPartition(grid)
@@ -338,36 +443,12 @@ def cmd_propagate(cfg, seed, rec):
 
 
 def cmd_blowup(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid", "problem",
-                      "data", "hypothesis", "solver", "detect_by",
-                      "witness_terms", "norm"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    prob_cfg = _require(cfg, "problem", dict, "")
-    _check_keys(prob_cfg, {"beta", "k"}, "problem.")
-    beta = _positive(_require(prob_cfg, "beta", float, "problem."),
-                     "problem.'beta'")
-    k = _parse_k(prob_cfg, grid)
-    u0 = _parse_data(_require(cfg, "data", dict, ""), grid)
-    hyp_cfg = _require(cfg, "hypothesis", dict, "")
-    _check_keys(hyp_cfg, {"gamma", "r"}, "hypothesis.")
-    gamma, r = (_positive(_require(hyp_cfg, key, float, "hypothesis."),
-                          f"hypothesis.{key!r}") for key in ("gamma", "r"))
-    hyp = BlowupHypothesis(gamma, r, beta, k, grid.dim)
-    sol_cfg = _require(cfg, "solver", dict, "")
-    _check_keys(sol_cfg, {"dt", "t_max", "threshold_factor", "scheme"}, "solver.")
-    factor = _require(sol_cfg, "threshold_factor", float, "solver.",
-                      default=1e6, required=False)
-    if not (factor > 1 and math.isfinite(factor)):
-        raise ConfigError("config field solver.'threshold_factor' must be "
-                          "finite and > 1")
-    spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
-    detect_by = _require(cfg, "detect_by", float, "", default=None, required=False)
-    if detect_by is not None:
-        _positive(detect_by, "'detect_by'")
-    witness_terms = _require(cfg, "witness_terms", int, "", default=12,
-                             required=False)
-    if witness_terms < 1:
-        raise ConfigError("config field 'witness_terms' must be >= 1")
+    grid, beta, k, u0 = _parse_problem(cfg)
+    hyp = BlowupHypothesis(cfg["hypothesis.gamma"], cfg["hypothesis.r"], beta,
+                           k, grid.dim)
+    factor = cfg["solver.threshold_factor"]
+    spec = _parse_norm(cfg)
+    detect_by, witness_terms = cfg["detect_by"], cfg["witness_terms"]
 
     if spec.p > 2:
         rec.note(f"norm exponent p={spec.p} is outside the certified blow-up "
@@ -399,14 +480,13 @@ def cmd_blowup(cfg, seed, rec):
 
     problem = HeatProblem(beta, k, u0, spec)
     try:
-        config = SolverConfig(
-            dt=_require(sol_cfg, "dt", float, "solver."),
-            t_max=_require(sol_cfg, "t_max", float, "solver."),
-            blowup_threshold=factor * init_norm,
-            scheme=_require(sol_cfg, "scheme", str, "solver.", default="ETD1",
-                            required=False))
+        config = SolverConfig(dt=cfg["solver.dt"], t_max=cfg["solver.t_max"],
+                              blowup_threshold=factor * init_norm,
+                              scheme=cfg["solver.scheme"])
     except ValueError as exc:
         raise ConfigError(f"invalid config field 'solver': {exc}") from exc
+    # the trace records every step
+    _bounded(config.t_max / config.dt, "solver.'dt' and solver.'t_max'")
     trace = solve(problem, config, partition)
     rec.diagnostics["data"] = {"boundary_tail_ratio": boundary_tail_ratio(u0)}
     rec.diagnostics["solver"] = {"stop_reason": trace.stop_reason,
@@ -429,23 +509,8 @@ def cmd_blowup(cfg, seed, rec):
 
 
 def cmd_picard(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid", "problem",
-                      "data", "depth", "t_max", "t_points", "domination",
-                      "norm", "converge_by", "expect"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    prob_cfg = _require(cfg, "problem", dict, "")
-    _check_keys(prob_cfg, {"beta", "k"}, "problem.")
-    beta = _positive(_require(prob_cfg, "beta", float, "problem."),
-                     "problem.'beta'")
-    k = _parse_k(prob_cfg, grid)
-    u0 = _parse_data(_require(cfg, "data", dict, ""), grid)
-    depth = _require(cfg, "depth", int, "")
-    t_max = _positive(_require(cfg, "t_max", float, ""), "'t_max'")
-    t_points = _require(cfg, "t_points", int, "", default=33, required=False)
-    if depth < 1:
-        raise ConfigError("config field 'depth' must be >= 1")
-    if t_points < 2:
-        raise ConfigError("config field 't_points' must be >= 2")
+    grid, beta, k, u0 = _parse_problem(cfg)
+    depth, t_max, t_points = cfg["depth"], cfg["t_max"], cfg["t_points"]
     # picard_terms' terms and its (t_points, t_points) quadrature weights
     _bounded(max(depth * t_points * grid.size, t_points * t_points),
              "'t_points' and 'depth'")
@@ -457,19 +522,12 @@ def cmd_picard(cfg, seed, rec):
                           f"products of {k} factors on a lattice of "
                           f"{fine_size} values, above the bound "
                           f"{MAX_LATTICE_VALUES}")
-    spec = _parse_norm(_require(cfg, "norm", dict, "", default={}, required=False) or {})
-    converge_by = _require(cfg, "converge_by", int, "", default=3, required=False)
-    expect = _require(cfg, "expect", str, "", default="summable", required=False)
-    if expect not in ("summable", "growing", "none"):
-        raise ConfigError("config field 'expect' must be one of "
-                          "'summable', 'growing', 'none'")
-
-    dom_cfg = _require(cfg, "domination", dict, "", default=None, required=False)
-    if dom_cfg is not None:
-        _check_keys(dom_cfg, {"gamma", "r"}, "domination.")
-        gamma, r = (_positive(_require(dom_cfg, key, float, "domination."),
-                              f"domination.{key!r}") for key in ("gamma", "r"))
-        hyp = BlowupHypothesis(gamma, r, beta, k, grid.dim)
+    spec = _parse_norm(cfg)
+    converge_by, expect = cfg["converge_by"], cfg["expect"]
+    dominated = cfg["domination"] is not None
+    if dominated:
+        hyp = BlowupHypothesis(cfg["domination.gamma"], cfg["domination.r"],
+                               beta, k, grid.dim)
 
     partition = UniformPartition(grid)
     problem = HeatProblem(beta, k, u0, spec)
@@ -506,7 +564,7 @@ def cmd_picard(cfg, seed, rec):
         rec.verdict("ratio_at_least_one", min(late) if late else 0.0, 1.0,
                     direction=">=")
 
-    if dom_cfg is not None:
+    if dominated:
         ball = grid.freq_magnitude <= hyp.r
         dom_rows = []
         worst = math.inf
@@ -538,33 +596,18 @@ def cmd_picard(cfg, seed, rec):
 
 
 def cmd_modnorm(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid",
-                      "corpus_size", "max_mode", "specs", "algebra_p"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    count = _require(cfg, "corpus_size", int, "")
-    if count < 1:
-        raise ConfigError("config field 'corpus_size' must be >= 1 "
-                          "(empty corpus)")
+    grid = _parse_grid(cfg)
+    count, max_mode = cfg["corpus_size"], cfg["max_mode"]
     _bounded(count * grid.size, "'corpus_size' and 'grid'")
-    max_mode = _require(cfg, "max_mode", int, "", default=6, required=False)
-    if not 0 <= max_mode < grid.points_per_axis // 2:
-        raise ConfigError("config field 'max_mode' must be >= 0 and below "
-                          "half of grid.'points_per_axis'")
-    raw_specs = _require(cfg, "specs", list, "")
-    if not raw_specs:
-        raise ConfigError("config field 'specs' must not be empty")
-    algebra_p = _require(cfg, "algebra_p", float, "", default=2.0,
-                         required=False)
-    if not algebra_p >= 1:
-        raise ConfigError("config field 'algebra_p' must be >= 1")
+    if max_mode >= grid.points_per_axis // 2:
+        raise ConfigError("config field 'max_mode' must be below half of "
+                          "grid.'points_per_axis'")
+    algebra_p = cfg["algebra_p"]
     specs = []
-    for i, entry in enumerate(raw_specs):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ConfigError(f"config field 'specs[{i}]' must be [p, q, s]")
+    for i, entry in enumerate(cfg["specs"]):
         try:
-            specs.append(ModNormSpec(*(_typed(v, float, f"'specs[{i}]'")
-                                       for v in entry)))
-        except ValueError as exc:
+            specs.append(ModNormSpec(*entry))  # a TypeError unless [p, q, s]
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid norm spec 'specs[{i}]': {exc}") from exc
 
     partition = UniformPartition(grid)
@@ -613,41 +656,22 @@ def cmd_modnorm(cfg, seed, rec):
 
 
 def cmd_hermite(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid", "dim",
-                      "degree_cap", "betas", "ps", "t_profile",
-                      "eigen_lattice", "coeff_levels", "slope_window",
-                      "slope_tolerance"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    dim = _require(cfg, "dim", int, "", default=1, required=False)
-    if dim != grid.dim:
+    grid = _parse_grid(cfg)
+    dim = grid.dim
+    if cfg["dim"] != dim:
         raise ConfigError("config field 'dim' must equal grid.'dim'")
-    betas = _require_list(cfg, "betas", float, "")
-    ps = _require_list(cfg, "ps", float, "")
-    if not (betas and ps and all(0 < b < math.inf for b in betas)
-            and all(p >= 1 for p in ps)):
-        raise ConfigError("config fields 'betas' and 'ps' must hold positive "
-                          "finite values and exponents >= 1, and not be empty")
-    prof = _require(cfg, "t_profile", dict, "")
-    _check_keys(prof, {"lo", "hi", "points"}, "t_profile.")
-    lo, hi = (_finite(prof, key, "t_profile.") for key in ("lo", "hi"))
-    pts = _require(prof, "points", int, "t_profile.")
-    if not 0 < lo < hi:
-        raise ConfigError("config field 't_profile' needs 0 < lo < hi")
-    if pts < 1:
-        raise ConfigError("config field t_profile.'points' must be >= 1")
+    betas, ps = cfg["betas"], cfg["ps"]
+    lo, hi = cfg["t_profile.lo"], cfg["t_profile.hi"]
+    pts = cfg["t_profile.points"]
+    if not lo < hi:
+        raise ConfigError("config field 't_profile' needs lo < hi")
     # the data and its flow at every t of the profile, as one stack
     cap = _parse_degree_cap(cfg, dim, pts + pts // 2 + 3, "t_profile")
-    levels = _require(cfg, "coeff_levels", int, "", default=11, required=False)
-    if levels < 1:
-        raise ConfigError("config field 'coeff_levels' must be >= 1")
-    window = _require_list(cfg, "slope_window", float, "",
-                           default=[3.0, 5.0], required=False)
+    levels, window = cfg["coeff_levels"], cfg["slope_window"]
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("config field 'slope_window' must be [lo, hi] "
                           "with lo < hi")
-    slope_tol = _positive(_require(cfg, "slope_tolerance", float, "",
-                                   default=0.02, required=False),
-                          "'slope_tolerance'")
+    slope_tol = cfg["slope_tolerance"]
 
     basis = HermiteBasis(dim, cap)
     rng = np.random.default_rng(seed)
@@ -693,23 +717,14 @@ def cmd_hermite(cfg, seed, rec):
     rec.verdict("decay_profile_const", sup_ratio, constants.DECAY_PROFILE_CONST)
     rec.verdict("decay_log_slope_err", slope_err, slope_tol)
 
-    lat = _require(cfg, "eigen_lattice", dict, "", default=None, required=False)
-    if lat is not None:
-        path = "eigen_lattice."
-        _check_keys(lat, {"ds", "betas", "ts"}, path)
-        ds = _require_list(lat, "ds", int, path)
-        if any(d < 1 for d in ds):
-            raise ConfigError("config field eigen_lattice.'ds' must hold "
-                              "dimensions >= 1")
-        lat_betas, lat_ts = (
-            [_positive(v, f"{path}{key!r}[{i}]")
-             for i, v in enumerate(_require_list(lat, key, float, path))]
-            for key in ("betas", "ts"))
+    if cfg["eigen_lattice"] is not None:
         erows = []
         try:
             # a term or bound beyond the float range is named below
             with np.errstate(over="ignore"):
-                for d, beta, t in product(ds, lat_betas, lat_ts):
+                for d, beta, t in product(cfg["eigen_lattice.ds"],
+                                          cfg["eigen_lattice.betas"],
+                                          cfg["eigen_lattice.ts"]):
                     s = eigen_sum(d, beta, t)
                     b = eigen_sum_bound(d, beta, t)
                     erows.append((d, beta, t, s, b, int(s <= b)))
@@ -723,34 +738,22 @@ def cmd_hermite(cfg, seed, rec):
 
 
 def cmd_transfer(cfg, seed, rec):
-    _check_keys(cfg, {"schema_version", "seed", "output_dir", "grid", "dim",
-                      "beta", "t", "ps", "modes_per_axis", "family_size",
-                      "degree_cap", "trials"}, "")
-    grid = _parse_grid(_require(cfg, "grid", dict, ""))
-    dim = _require(cfg, "dim", int, "", default=1, required=False)
-    if dim != grid.dim:
+    grid = _parse_grid(cfg)
+    dim = grid.dim
+    if cfg["dim"] != dim:
         raise ConfigError("config field 'dim' must equal grid.'dim'")
-    beta = _positive(_require(cfg, "beta", float, ""), "'beta'")
-    t = _positive(_require(cfg, "t", float, ""), "'t'")
-    ps = _require_list(cfg, "ps", float, "")
-    if not (ps and all(1 <= p < math.inf for p in ps)):
-        raise ConfigError("config field 'ps' must hold exponents "
-                          "1 <= p < inf and not be empty")
-    modes = _require(cfg, "modes_per_axis", int, "", default=64, required=False)
-    if modes < 4 or modes % 2:
-        raise ConfigError("config field 'modes_per_axis' must be even and "
-                          ">= 4")
-    _bounded(dim * modes ** dim, "'modes_per_axis'")  # TorusGrid.mode_mesh
-    fam_size = _require(cfg, "family_size", int, "", default=8, required=False)
-    if fam_size < 1:
-        raise ConfigError("config field 'family_size' must be >= 1")
+    beta, t, ps = cfg["beta"], cfg["t"], cfg["ps"]
+    modes, trials = cfg["modes_per_axis"], cfg["trials"]
+    try:
+        tg = TorusGrid(dim, modes)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'modes_per_axis': {exc}") from exc
+    # TorusGrid.mode_mesh, and operator_norm_lower's trials of modes^d each
+    _bounded(max(dim, trials) * modes ** dim, "'modes_per_axis' and 'trials'")
+    fam_size = cfg["family_size"]
     # the family and its flow, as one stack
     cap = _parse_degree_cap(cfg, dim, 2 * fam_size, "family_size")
-    trials = _require(cfg, "trials", int, "", default=20, required=False)
-    if trials < 1:
-        raise ConfigError("config field 'trials' must be >= 1")
 
-    tg = TorusGrid(dim, modes)
     basis = HermiteBasis(dim, cap)
     partition = UniformPartition(grid)
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
@@ -789,14 +792,7 @@ def cmd_transfer(cfg, seed, rec):
                 passed=report.all_passed, direction=">=")
 
 
-_COMMANDS = {
-    "propagate": cmd_propagate,
-    "blowup": cmd_blowup,
-    "picard": cmd_picard,
-    "modnorm": cmd_modnorm,
-    "hermite": cmd_hermite,
-    "transfer": cmd_transfer,
-}
+_COMMANDS = {name: globals()[f"cmd_{name}"] for name in TABLES}
 
 
 def main(argv=None):
@@ -814,13 +810,15 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("config field 'seed' must be an integer")
-        out_dir = args.out or cfg.get("output_dir") or "."
-        os.makedirs(out_dir, exist_ok=True)
+        seeded = cfg if args.seed is None else dict(cfg, seed=args.seed)
+        params = _parse(seeded, TABLES[args.command])
+        out_dir = args.out or params["output_dir"] or "."
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory: {exc}") from exc
         rec = RunRecord(args.command, cfg, out_dir)
-        _COMMANDS[args.command](cfg, seed, rec)
+        _COMMANDS[args.command](params, params["seed"], rec)
     except (ConfigError, ValueError) as exc:
         # a ValueError is an invalid parameterization surfaced by the
         # numerics (zero-norm data)

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from modheat import heat
@@ -12,7 +13,7 @@ from modheat.corpus import band_limited, propagation_corpus
 from modheat.heat import linear_propagate
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norm_decomp, mod_norm_stft)
-from modheat.spectral import SpectralGrid
+from modheat.spectral import GridFunction, SpectralGrid, save_grid_function
 
 GRID = {"dim": 1, "points_per_axis": 256, "half_width": 16.0}
 SMALL_GRID = {"dim": 1, "points_per_axis": 128, "half_width": 12.0}
@@ -496,6 +497,7 @@ class TestConfigValidation:
         ("detect_by", -1.0, "'detect_by'"),
         ("data.amplitude", 0.0, "'data'"),
         ("data.amplitude", math.inf, "'amplitude'"),
+        ("hypothesis.gamma", -1.0, "'gamma'"),
     ])
     def test_blowup_bad_field_named(self, tmp_path, capsys, path, value,
                                     named):
@@ -621,6 +623,25 @@ class TestConfigValidation:
         ("hermite", "eigen_lattice.ts", [0.0], "'ts'"),
         ("hermite", "eigen_lattice.betas", [0.001], "'eigen_lattice'"),
         ("hermite", "eigen_lattice.ds", [200], "'eigen_lattice'"),
+        ("propagate", "output_dir", 5, "'output_dir'"),
+        ("propagate", "output_dir", ["a"], "'output_dir'"),
+        ("propagate", "seed", -1, "'seed'"),
+        ("picard", "data", {"kind": "csv", "path": "no_such_grid_function"},
+         "'path'"),
+        ("picard", "data.kind", "plateau", "'kind'"),
+        ("picard", "expect", "sometimes", "'expect'"),
+        ("hermite", "eigen_lattice.ds", [0], "'ds'"),
+        ("modnorm", "schema_version", 2, "'schema_version'"),
+        ("picard", "data.kind", "sphere", "data.'kind' must be one of"),
+        ("picard", "data.exponent", math.nan, "'exponent'"),
+        ("picard", "data.scale", math.inf, "'scale'"),
+        ("picard", "data.gamma", math.nan, "'gamma'"),
+        ("picard", "data.r", -math.inf, "'r'"),
+        ("picard", "depth", -1, "config field 'depth' must lie in"),
+        ("picard", "t_max", -1.0, "config field 't_max' must lie in"),
+        ("hermite", "ps", [0.5], "'ps'"),
+        ("hermite", "t_profile.lo", 0.0, "'lo'"),
+        ("hermite", "eigen_lattice.betas", [-1.0], "'betas'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):
@@ -632,6 +653,39 @@ class TestConfigValidation:
             code, _ = run(tmp_path, command, with_field(config(), path, value))
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_negative_seed_option_named(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "propagate", propagate_config(), "--seed",
+                      "-1")
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["", "header", "row", "grid"])
+    def test_csv_data_file(self, tmp_path, capsys, damage):
+        # a damaged file exits 2 naming data.'path', never a traceback
+        cfg = picard_config()
+        grid = SpectralGrid(**cfg["grid"])
+        base = str(tmp_path / "u0")
+        values = np.exp(-grid.x_mesh[..., 0] ** 2)
+        save_grid_function(GridFunction(grid, values), base)
+        with open(base + ".json") as fh:
+            header = json.load(fh)
+        if damage == "header":
+            del header["points_per_axis"]
+        elif damage == "grid":
+            header["half_width"] = 2 * header["half_width"]
+        elif damage == "row":
+            with open(base + ".csv", "a") as fh:
+                fh.write("3,x,0.0\n")
+        with open(base + ".json", "w") as fh:
+            json.dump(header, fh)
+        cfg["data"] = {"kind": "csv", "path": base}
+        code, _ = run(tmp_path, "picard", cfg)
+        if damage:
+            assert code == 2
+            assert "data.'path'" in capsys.readouterr().err
+        else:
+            assert code == 0
 
     @pytest.mark.parametrize("beta", [1e300, 1e-300])
     def test_extreme_hermite_beta(self, tmp_path, capsys, beta):
