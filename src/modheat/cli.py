@@ -99,7 +99,6 @@ _PROBLEM = (
 )
 _BETA = ("beta", float, _POSITIVE, REQUIRED)
 _CORPUS_SIZE = ("corpus_size", int, _size(1), REQUIRED)
-_DIM = ("dim", int, None, 1)
 _DEGREE_CAP = ("degree_cap", int, _size(0), 16)
 
 TABLES = {
@@ -138,7 +137,7 @@ TABLES = {
         ("algebra_p", float, "[1, inf]", 2.0),
     ),
     "hermite": _COMMON + (
-        _DIM, _DEGREE_CAP,
+        _DEGREE_CAP,
         ("betas", list[float], _POSITIVE, REQUIRED),
         ("ps", list[float], "[1, inf]", REQUIRED),
         ("t_profile", dict, None, REQUIRED),
@@ -154,7 +153,7 @@ TABLES = {
         ("slope_tolerance", float, _POSITIVE, 0.02),
     ),
     "transfer": _COMMON + (
-        _DIM, _DEGREE_CAP, _BETA,
+        _DEGREE_CAP, _BETA,
         ("t", float, _POSITIVE, REQUIRED),
         ("ps", list[float], "[1, inf)", REQUIRED),
         ("modes_per_axis", int, None, 64),
@@ -637,13 +636,10 @@ def cmd_modnorm(cfg, seed, rec):
                   ["func_id", "p", "q", "s", "estimator", "value"], csv_rows)
     rec.write_json("modnorm_report.json", json_rows)
 
-    defects = []
-    for i in range(len(corpus) - 1):
-        try:
-            defects.append((i, algebra_defect(corpus[i], corpus[i + 1],
-                                              algebra_p, partition)))
-        except ValueError:
-            continue
+    # a pair with a zero-norm factor has no defect
+    defects = [(i, d) for i, d in enumerate(
+        algebra_defect(hats, algebra_p, partition).tolist())
+        if not math.isnan(d)]
     rec.write_csv("modnorm_algebra.csv", ["pair", "defect"], defects)
 
     if cross:
@@ -658,8 +654,6 @@ def cmd_modnorm(cfg, seed, rec):
 def cmd_hermite(cfg, seed, rec):
     grid = _parse_grid(cfg)
     dim = grid.dim
-    if cfg["dim"] != dim:
-        raise ConfigError("config field 'dim' must equal grid.'dim'")
     betas, ps = cfg["betas"], cfg["ps"]
     lo, hi = cfg["t_profile.lo"], cfg["t_profile.hi"]
     pts = cfg["t_profile.points"]
@@ -740,8 +734,6 @@ def cmd_hermite(cfg, seed, rec):
 def cmd_transfer(cfg, seed, rec):
     grid = _parse_grid(cfg)
     dim = grid.dim
-    if cfg["dim"] != dim:
-        raise ConfigError("config field 'dim' must equal grid.'dim'")
     beta, t, ps = cfg["beta"], cfg["t"], cfg["ps"]
     modes, trials = cfg["modes_per_axis"], cfg["trials"]
     try:
@@ -768,10 +760,18 @@ def cmd_transfer(cfg, seed, rec):
         raise ConfigError("config fields 't', 'beta' and 'modes_per_axis': "
                           f"{exc}") from exc
     sym = report.symbol
-    if sym.sup() == 0.0:
+    sup = sym.sup()
+    if sup == 0.0:
         raise ConfigError("config fields 'beta' and 't' give a symbol that "
                           "underflows to 0")
-    lowers = operator_norm_lower(sym, ps, trials, tg, seed=seed)
+    lowers, ratios = operator_norm_lower(sym, ps, trials, tg, seed=seed)
+    # per p, the trials whose ratio beats the single-mode bound, and the
+    # best trial: whether the random trials move `lower` at all
+    rec.diagnostics["operator_norm_lower"] = {
+        "trials": trials, "sup": sup,
+        "per_p": [{"p": p, "trials_above_sup": int(np.sum(row > sup)),
+                   "best_trial_ratio": float(row.max())}
+                  for p, row in zip(ps, ratios)]}
     brows = [(dim, beta, t, p, lower, report.young_upper,
               report.parseval_upper, int(lower <= report.young_upper + 1e-8))
              for p, lower in zip(ps, lowers)]
@@ -786,7 +786,7 @@ def cmd_transfer(cfg, seed, rec):
     rec.verdict("sandwich", float(ok_sandwich), 1.0, passed=ok_sandwich,
                 direction=">=")
     if 2.0 in ps:
-        p2_err = abs(lowers[ps.index(2.0)] - sym.sup()) / sym.sup()
+        p2_err = abs(lowers[ps.index(2.0)] - sup) / sup
         rec.verdict("p2_parseval_match", p2_err, 0.01)
     rec.verdict("transference_bound", float(report.all_passed), 1.0,
                 passed=report.all_passed, direction=">=")

@@ -11,10 +11,15 @@ term at every time slice) goes through at once.  The second samples the
 short-time Fourier transform against a normalized window and takes the
 mixed L^p_x L^q_y quadrature norm.  The window shifts are not transformed
 one by one: the shifted windows of a batch are gathered into one stack,
-multiplied by f and transformed in a single call, with each stack capped at
-STFT_BATCH_VALUES values because larger ones raise peak memory over
-repeated runs.  The spectrogram does not depend on (p, q, s), so one pass
-over it serves a whole list of specs (mod_norms_stft).  The two estimators
+multiplied by f and transformed in a single call into one reused buffer,
+with each stack capped at STFT_BATCH_VALUES values because larger ones
+raise peak memory over repeated runs.  The transform stays in DFT order
+(its scale and phase are multiplied in that order), and |V_g f|^p of a
+batch is added to the running sum in one reduction over the shifts,
+seeded with that sum, which adds the shifts in the order a loop over them
+would; the sums go back to natural order once, at the end.  The
+spectrogram does not depend on (p, q, s), so one pass over it serves a
+whole list of specs (mod_norms_stft).  The two estimators
 agree up to an equivalence constant that is measured once and frozen as a
 regression value (no explicit constant is available analytically).
 
@@ -40,9 +45,11 @@ import math
 import numpy as np
 
 from .spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                       dealiased_product, dft_order, forward_transform,
-                       forward_values, frequency_lp_norm, inverse_axis_factor,
-                       inverse_transform, lp_norm)
+                       _factor_meshes, _per_axis, cropped_forward, dft_order,
+                       fine_grid, forward_transform, forward_values,
+                       frequency_lp_norm, inverse_axis_factor,
+                       inverse_transform, inverse_values, lp_norm,
+                       padded_inverse)
 
 
 # -- smooth bump profile --------------------------------------------------------
@@ -208,18 +215,23 @@ def _block_lp_norms(F, partition, p):
     return np.concatenate(chunks, axis=1)
 
 
-def mod_norms_from_frequency(values, spec, partition):
+def mod_norms_from_frequency(values, spec, partition, batch=None):
     """Decomposition norms, in an array of the batch shape, of frequency
     samples on partition.grid in the last d axes of values, behind any
-    batch axes; they reach the block engine NORM_BATCH_VALUES at a time."""
+    batch axes; they reach the block engine NORM_BATCH_VALUES at a time,
+    or `batch` functions at a time.  At p = 2 the contraction's BLAS
+    kernel, and so a norm's last bit, depends on how many functions share
+    an engine batch (dgemv for one, dgemm for more): batch=1 gives every
+    norm the bits of a call on that function alone."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
-    # the engine holds one row per function at p = 2, K (active) otherwise
-    rows = 1 if spec.p == 2 else len(partition._active_centers)
-    batch = max(1, NORM_BATCH_VALUES // (rows * g.size))
+    if batch is None:
+        # the engine holds one row per function at p = 2, K (active) else
+        rows = 1 if spec.p == 2 else len(partition._active_centers)
+        batch = max(1, NORM_BATCH_VALUES // (rows * g.size))
     norms = np.concatenate([_block_lp_norms(stack[i:i + batch], partition,
                                             spec.p)
                             for i in range(0, len(stack), batch)])
@@ -474,13 +486,17 @@ STFT_BATCH_VALUES = 1 << 12
 
 
 def _stft_batches(f, plan, stride, fine):
-    """V_g f on fine's frequency lattice, one batch of window shifts at a time.
+    """V_g f on fine's frequency lattice in DFT order, one batch of window
+    shifts at a time.
 
     The shift tuples run through product(range(0, n, stride), repeat=d),
     last axis fastest; each yielded stack has shape (batch,) + fine.shape
     and at most STFT_BATCH_VALUES values, or one shift if that is larger.
+    Every stack is a view of one buffer, valid until the next is drawn.
     fine is f's grid, or a box of the same spacing padded with zeros, which
-    samples y more finely.
+    samples y more finely.  The values are forward_values' bit for bit,
+    with its dft_order left out: its scale and phase are multiplied in DFT
+    order instead.
     """
     g = f.grid
     d = g.dim
@@ -492,25 +508,31 @@ def _stft_batches(f, plan, stride, fine):
     # row i of gather shifts the last axis by shifts[i], as np.roll does
     gather = (np.arange(n)[None, :] - shifts[:, None]) % n
     window = np.conj(plan.window)
+    mesh = _factor_meshes(fine)[2]
+    out = np.empty((batch,) + fine.shape, dtype=complex)
     # one padded buffer per call: only its centre box is ever written
     pad = np.zeros((batch,) + fine.shape, dtype=complex) if lo > 0 else None
     for lead in product(shifts.tolist(), repeat=d - 1):
         rolled = np.roll(window, lead, axis=tuple(range(d - 1))) if lead \
             else window
         for start in range(0, len(shifts), batch):
-            win = np.moveaxis(rolled[..., gather[start:start + batch]], -2, 0)
+            win = rolled[..., gather[start:start + batch]]
+            if d > 1:  # the shift axis sits behind the leading axes
+                win = np.moveaxis(win, -2, 0)
             if pad is None:
                 w = np.multiply(f.values, win, out=win)
             else:
                 w = pad[:len(win)]
                 np.multiply(f.values, win, out=w[box])
-            yield forward_values(fine, w)
+            v = _per_axis(np.fft.fft, w, d, out=out[:len(w)])
+            v *= mesh
+            yield v
 
 
 def mod_norms_stft(f, plan, specs, refine=1):
     """mod_norm_stft for every spec in specs, from one pass over |V_g f|:
     each batch of window shifts is transformed once, and one inner L^p_x sum
-    is accumulated per distinct p."""
+    is accumulated per distinct p, in DFT order until the end."""
     g = f.grid
     d = g.dim
     n = g.points_per_axis
@@ -521,15 +543,22 @@ def mod_norms_stft(f, plan, specs, refine=1):
     # lattice; refining y means transforming on a zero-padded box
     fine = SpectralGrid(d, n * refine, g.half_width * refine) if refine > 1 else g
     inner = {spec.p: np.zeros(fine.shape) for spec in specs}
+    # p = 1 last: its rows are the magnitudes themselves, which it changes
+    order = sorted(inner, key=lambda p: p == 1)
     for batch in _stft_batches(f, plan, stride, fine):
         mags = np.abs(batch)
-        for p, acc in inner.items():
+        for p in order:
+            acc = inner[p]
             if np.isinf(p):
                 np.maximum(acc, mags.max(axis=0), out=acc)
                 continue
-            # row by row in shift order, so the summation order is fixed
-            for row in (mags if p == 1 else mags ** p):
-                acc += row
+            # one reduction over the shifts, seeded with the running sum:
+            # ((acc + r0) + r1) + ..., the order of adding row by row
+            rows = mags if p == 1 else mags ** p
+            rows[0] += acc
+            np.add.reduce(rows, axis=0, out=acc)
+    # DFT order back to natural order, an exact permutation
+    inner = {p: dft_order(acc) for p, acc in inner.items()}
     a_vol = (stride * g.spacing) ** d
     # weight and outer q-norm over the y lattice
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
@@ -560,12 +589,30 @@ def stft_resolution_ok(coarse, fine):
 # -- measured-inequality helpers ------------------------------------------------
 
 
-def algebra_defect(f, g, p, partition):
-    """||fg|| / (||f|| ||g||) in the (p, 1) norm; certifies the algebra bound."""
+def algebra_defect(hats, p, partition):
+    """||f_i f_{i+1}|| / (||f_i|| ||f_{i+1}||) in the (p, 1) norm, for every
+    consecutive pair of a stack of transforms on partition.grid; NaN where
+    a factor's norm is 0.  Certifies the algebra bound.
+
+    The products are formed on the dealiasing lattice in one pass and taken
+    through the physical side and back, as a product of two grid functions
+    is; all norms come from two calls of the engine.
+    """
+    g = partition.grid
+    if len(hats) < 2:
+        return np.empty(0)
     spec = ModNormSpec(p, 1.0, 0.0)
-    nf = mod_norm_decomp(f, spec, partition)
-    ng = mod_norm_decomp(g, spec, partition)
-    if nf == 0.0 or ng == 0.0:
-        raise ValueError("algebra defect undefined for zero-norm input")
-    prod = dealiased_product(f, g)
-    return mod_norm_decomp(prod, spec, partition) / (nf * ng)
+    # one function per engine batch: each norm has the bits it has alone,
+    # so a defect does not depend on the stack its pair came in
+    norms = mod_norms_from_frequency(hats, spec, partition, batch=1)
+    fine = fine_grid(g, 2)
+    values = padded_inverse(g, hats, fine)
+    prods = cropped_forward(g, values[:-1] * values[1:], fine)
+    prods = forward_values(g, inverse_values(g, prods))
+    denom = norms[:-1] * norms[1:]
+    zero = (norms[:-1] == 0.0) | (norms[1:] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        defects = (mod_norms_from_frequency(prods, spec, partition, batch=1)
+                   / denom)
+    defects[zero] = np.nan
+    return defects

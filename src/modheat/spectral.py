@@ -167,12 +167,14 @@ def inverse_axis_factor(grid):
 
 @lru_cache(maxsize=8)
 def _factor_meshes(grid):
-    """forward_values' scale and phase mesh (natural order) and
-    inverse_values' (DFT order) on grid; read-only, made once per grid."""
+    """forward_values' scale and phase mesh (natural order), inverse_values'
+    (DFT order) and forward_values' again in DFT order, for a raw transform
+    that stays in DFT order; read-only, made once per grid."""
     # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
     scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
-    meshes = (scale * _outer(_alternating_axis(grid), grid.dim),
-              _outer(inverse_axis_factor(grid), grid.dim))
+    forward = scale * _outer(_alternating_axis(grid), grid.dim)
+    meshes = (forward, _outer(inverse_axis_factor(grid), grid.dim),
+              dft_order(forward))
     for mesh in meshes:
         mesh.setflags(write=False)
     return meshes
@@ -350,18 +352,6 @@ def cropped_forward(grid, values, fine):
     on fine, cropped to grid's band."""
     index, factor = _band_slots(grid, fine)
     return _per_axis(np.fft.fft, values, grid.dim)[index] / factor
-
-
-def dealiased_product(f, g):
-    """Alias-free pointwise product of two physical-side grid functions."""
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise ValueError("operands live on different grids")
-    gr = f.grid
-    fine = fine_grid(gr, 2)
-    hats = forward_values(gr, np.stack([f.values, g.values]))
-    a, b = padded_inverse(gr, hats, fine)
-    prod = cropped_forward(gr, a * b, fine)
-    return GridFunction(gr, inverse_values(gr, prod), PHYSICAL)
 
 
 # -- serialization -------------------------------------------------------------

@@ -57,14 +57,26 @@ class TorusGrid:
         return (2.0 * np.pi / self.modes_per_axis) ** self.dim
 
 
+def _mode_axes(tg):
+    return tuple(range(-tg.dim, 0))
+
+
 def torus_forward(values, tg):
-    values = np.asarray(values, dtype=complex).reshape(tg.shape)
-    return np.fft.fftshift(np.fft.fftn(values)) * tg.cell_volume
+    """Torus transform of a stack of sample arrays (the last d axes; any
+    leading axes index functions)."""
+    values = np.asarray(values, dtype=complex)
+    axes = _mode_axes(tg)
+    return (np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+            * tg.cell_volume)
 
 
 def torus_inverse(coeffs, tg):
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(tg.shape)
-    raw = np.fft.ifftn(np.fft.ifftshift(coeffs)) * tg.modes_per_axis ** tg.dim
+    """Inverse torus transform of a stack of coefficient arrays (the last d
+    axes; any leading axes index functions)."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    axes = _mode_axes(tg)
+    raw = (np.fft.ifftn(np.fft.ifftshift(coeffs, axes=axes), axes=axes)
+           * tg.modes_per_axis ** tg.dim)
     return raw * (2.0 * np.pi) ** (-tg.dim)
 
 
@@ -103,10 +115,15 @@ def torus_apply(values, spec, tg):
 
 
 def torus_lp_norm(values, tg, p):
+    """Quadrature L^p norm over the last d axes: a float for one function,
+    an array over the leading axes of a stack."""
     a = np.abs(np.asarray(values))
     if np.isinf(p):
-        return float(a.max())
-    return float((tg.cell_volume * np.sum(a ** p)) ** (1.0 / p))
+        norms = a.max(axis=_mode_axes(tg))
+    else:
+        norms = (tg.cell_volume * np.sum(a ** p, axis=_mode_axes(tg))) \
+            ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def kernel_l1_norm(spec, tg):
@@ -124,29 +141,39 @@ def kernel_l1_norm(spec, tg):
     return torus_lp_norm(kernel, tg, 1)
 
 
+# Working-set cap of operator_norm_lower: complex values in one stack of
+# random trials (256 KiB); trials * modes^d may reach MAX_LATTICE_VALUES.
+TRIAL_BATCH_VALUES = 1 << 14
+
+
 def operator_norm_lower(spec, ps, trials, tg, seed=0):
     """Empirical lower bound at every p in ps: max ratio over single modes
-    and random polynomials, each trial drawn and filtered once."""
+    and random polynomials, each trial drawn and filtered once.
+
+    Returns (lowers, ratios): lowers[i] is the bound at ps[i], and ratios
+    (len(ps), trials) the ratio ||T f||_p / ||f||_p of every trial, 0 where
+    ||f||_p = 0.  The trials are drawn, filtered and measured as stacks of
+    at most TRIAL_BATCH_VALUES values, from one random stream in trial
+    order: real then imaginary part of each trial's coefficients.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    size = tg.modes_per_axis ** tg.dim
+    batch = max(1, TRIAL_BATCH_VALUES // size)
+    ratios = np.zeros((len(ps), trials))
+    for start in range(0, trials, batch):
+        z = rng.standard_normal((min(batch, trials - start), 2) + tg.shape)
+        f = torus_inverse(z[:, 0] + 1j * z[:, 1], tg)
+        g = torus_apply(f, spec, tg)
+        for row, p in zip(ratios, ps):
+            denom = torus_lp_norm(f, tg, p)
+            np.divide(torus_lp_norm(g, tg, p), denom,
+                      out=row[start:start + len(z)], where=denom != 0.0)
     # a pure mode is an eigenfunction with eigenvalue m(xi) and |f| = 1, so
     # its ratio is |m(xi)| at every p: the best pure mode gives the sup
-    best = [spec.sup()] * len(ps)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = (rng.standard_normal(tg.shape)
-                  + 1j * rng.standard_normal(tg.shape))
-        f = torus_inverse(coeffs, tg)
-        g = torus_apply(f, spec, tg)
-        best = [max(b, _ratio(f, g, tg, p)) for b, p in zip(best, ps)]
-    return best
-
-
-def _ratio(f, g, tg, p):
-    denom = torus_lp_norm(f, tg, p)
-    if denom == 0.0:
-        return 0.0
-    return torus_lp_norm(g, tg, p) / denom
+    lowers = [max([spec.sup()] + row) for row in ratios.tolist()]
+    return lowers, ratios
 
 
 # -- transference cross-check ------------------------------------------------------

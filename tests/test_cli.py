@@ -358,6 +358,56 @@ class TestTransferCommand:
         header = (out / "transfer_bounds.csv").read_text().splitlines()[0]
         assert header == "d,beta,t,p,lower,young_upper,parseval_upper,pass"
 
+    def test_trial_diagnostics(self, tmp_path):
+        # the lower column is the single-mode bound or the best trial,
+        # whichever is larger; on the heat symbol no trial beats the sup
+        cfg = transfer_config()
+        code, out = run(tmp_path, "transfer", cfg)
+        assert code == 0
+        record = json.loads((out / "run_record.json").read_text())
+        diag = record["diagnostics"]["operator_norm_lower"]
+        assert diag["trials"] == cfg["trials"]
+        lines = (out / "transfer_bounds.csv").read_text().splitlines()[1:]
+        assert [entry["p"] for entry in diag["per_p"]] == cfg["ps"]
+        for line, entry in zip(lines, diag["per_p"]):
+            assert entry["trials_above_sup"] == 0
+            assert 0.0 < entry["best_trial_ratio"] < diag["sup"]
+            assert float(line.split(",")[4]) == max(diag["sup"],
+                                                    entry["best_trial_ratio"])
+
+
+class TestEstimatorDimension:
+    """hermite and transfer take their dimension from grid.dim."""
+
+    TWO_DIM = {"dim": 2, "points_per_axis": 32, "half_width": 8.0}
+
+    def configs(self):
+        return {
+            "hermite": hermite_config(
+                grid=self.TWO_DIM, betas=[1.0], degree_cap=8,
+                eigen_lattice={"ds": [2], "betas": [1.0], "ts": [1.0]}),
+            "transfer": dict(transfer_config(), grid=self.TWO_DIM,
+                             modes_per_axis=32, family_size=2, degree_cap=8,
+                             trials=3),
+        }
+
+    @pytest.mark.parametrize("command", ["hermite", "transfer"])
+    def test_two_dim_grid_runs(self, tmp_path, command):
+        code, out = run(tmp_path, command, self.configs()[command])
+        assert code == 0
+        table = {"hermite": "hermite_decay.csv",
+                 "transfer": "transfer_bounds.csv"}[command]
+        rows = (out / table).read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[0] == "2" for row in rows)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("command", ["hermite", "transfer"])
+    def test_dim_field_is_unknown(self, tmp_path, capsys, command, dim):
+        cfg = dict(self.configs()[command], dim=dim)
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "unknown config field 'dim'" in capsys.readouterr().err
+
 
 def propagate_config(**overrides):
     cfg = {"schema_version": 1, "seed": 1, "grid": SMALL_GRID, "beta": 2.0,
@@ -600,7 +650,7 @@ class TestConfigValidation:
         ("hermite", "betas", [], "'betas'"),
         ("hermite", "ps", [], "'ps'"),
         ("hermite", "slope_tolerance", math.nan, "'slope_tolerance'"),
-        ("hermite", "grid.dim", 2, "'dim'"),
+        ("hermite", "dim", 2, "'dim'"),
         ("propagate", "stability_tolerance", -1.0, "'stability_tolerance'"),
         ("propagate", "stability_tolerance", math.nan,
          "'stability_tolerance'"),

@@ -17,7 +17,9 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norm_stft, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              forward_transform, lp_norm, physical_lp_norm)
+                              dft_order, forward_transform, forward_values,
+                              lp_norm, physical_lp_norm)
+from test_spectral import dealiased_product
 
 
 def stft(f, plan, x, y):
@@ -607,10 +609,13 @@ def _oracle_stft_norm(name, spec, refine):
 
 
 def _batched_rows(name, refine):
+    """_stft_batches' stacks, each copied out of its buffer and moved from
+    DFT order to natural order."""
     f, plan = _stft_case(name)
     fine, _ = _oracle_stft_rows(name, refine)
-    return np.concatenate(list(_stft_batches(f, plan, _stride(plan, refine),
-                                             fine)))
+    axes = range(1, f.grid.dim + 1)
+    return np.concatenate([dft_order(v, axes=axes) for v in _stft_batches(
+        f, plan, _stride(plan, refine), fine)])
 
 
 class TestSTFTEngine:
@@ -648,14 +653,26 @@ class TestSTFTEngine:
         np.testing.assert_allclose(_batched_rows(name, refine), rows,
                                    rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("cap", [1, 1 << 30])
+    @pytest.mark.parametrize("cap", [1, 3 * 512, 1 << 30])
     def test_batch_size_does_not_change_result(self, monkeypatch, cap):
-        # one shift per batch, and every shift in one batch
+        # one shift per batch, three (the last of the 128 shifts' batches
+        # holds two), and every shift in one batch
         f, plan = _stft_case("d1")
         spec = ModNormSpec(1.0, 2.0, 1.5)
         want = mod_norm_stft(f, plan, spec, 2)
         monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
         assert mod_norm_stft(f, plan, spec, 2) == want
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_partial_last_batch_matches_shift_loop(self, monkeypatch, refine):
+        # three shifts a batch: 64 (refine 1) and 128 (refine 2) shifts
+        # leave a last batch of one and of two
+        f, plan = _stft_case("d1")
+        fine, _ = _oracle_stft_rows("d1", refine)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", 3 * fine.size)
+        specs = [ModNormSpec(p, 2.0, 1.5) for p in (4.0, 1.0, np.inf, 2.0)]
+        want = [_oracle_stft_norm("d1", spec, refine) for spec in specs]
+        assert mod_norms_stft(f, plan, specs, refine) == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1_stride", "d2"])
@@ -679,20 +696,54 @@ class TestSTFTEngine:
             assert abs(rows[(k,) + m] - stft(f, plan, x, y)) <= 1e-12 * scale
 
 
+def oracle_algebra_defect(f, g, p, partition):
+    """algebra_defect of one pair, as it was before the pairs were stacked:
+    each norm and the product on their own."""
+    spec = ModNormSpec(p, 1.0, 0.0)
+    nf = mod_norm_decomp(f, spec, partition)
+    ng = mod_norm_decomp(g, spec, partition)
+    if nf == 0.0 or ng == 0.0:
+        raise ValueError("algebra defect undefined for zero-norm input")
+    prod = dealiased_product(f, g)
+    return mod_norm_decomp(prod, spec, partition) / (nf * ng)
+
+
+def _hats(*fs):
+    return forward_values(fs[0].grid, np.stack([f.values for f in fs]))
+
+
 class TestAlgebraDefect:
     def test_gaussian_pair_within_frozen_cap(self, grid1, part1, gauss1):
-        d = algebra_defect(gauss1, gauss1, 2.0, part1)
+        d, = algebra_defect(_hats(gauss1, gauss1), 2.0, part1)
         assert 0.0 < d <= constants.ALGEBRA_DEFECT_CAP
 
     def test_flat_bump_factor_is_finite(self, grid1, part1, gauss1):
         plateau = GridFunction(grid1, bump_profile(grid1.x_axis / 10.0))
-        d = algebra_defect(gauss1, plateau, 2.0, part1)
+        d, = algebra_defect(_hats(gauss1, plateau), 2.0, part1)
         assert np.isfinite(d) and d > 0.0
 
     def test_zero_norm_rejected(self, grid1, part1, gauss1):
+        # every pair with the zero function has no defect, the others do
         z = GridFunction(grid1, np.zeros(grid1.shape))
         with pytest.raises(ValueError):
-            algebra_defect(gauss1, z, 2.0, part1)
+            oracle_algebra_defect(gauss1, z, 2.0, part1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = algebra_defect(_hats(gauss1, z, gauss1, gauss1), 2.0, part1)
+        assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+
+    @pytest.mark.parametrize("p", [2.0, 1.0, 4.0, np.inf])
+    def test_stack_matches_pairwise(self, grid1, part1, p):
+        # the modnorm command's corpus at seed 0; at p = 2 a stacked
+        # engine batch moved the fourth pair's defect by one ulp
+        corpus = [band_limited(grid1, 6, seed=i) for i in range(8)]
+        got = algebra_defect(_hats(*corpus), p, part1)
+        want = [oracle_algebra_defect(f, g, p, part1)
+                for f, g in zip(corpus, corpus[1:])]
+        assert got.tolist() == want  # bit for bit
+
+    def test_fewer_than_two_functions(self, part1, gauss1):
+        assert algebra_defect(_hats(gauss1), 2.0, part1).shape == (0,)
 
 
 class TestFourierLebesgue:

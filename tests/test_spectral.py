@@ -6,9 +6,9 @@ import pytest
 from modheat.spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
                               _band_slots, _factor_meshes, _per_axis,
                               apply_multiplier, boundary_tail_ratio,
-                              cropped_forward, dealiased_product,
-                              dft_order, fine_grid, forward_transform,
-                              forward_values, frequency_lp_norm, heat_symbol,
+                              cropped_forward, dft_order, fine_grid,
+                              forward_transform, forward_values,
+                              frequency_lp_norm, heat_symbol,
                               inverse_transform, inverse_values,
                               load_grid_function, padded_inverse,
                               physical_lp_norm, save_grid_function)
@@ -30,6 +30,16 @@ def dealiased_power_hat(f, k):
 def dealiased_power(f, k):
     """Pointwise u^k with the band-limited (alias-free) projection."""
     return inverse_transform(dealiased_power_hat(f, k))
+
+
+def dealiased_product(f, g):
+    """Alias-free pointwise product of two physical-side grid functions."""
+    gr = f.grid
+    fine = fine_grid(gr, 2)
+    hats = forward_values(gr, np.stack([f.values, g.values]))
+    a, b = padded_inverse(gr, hats, fine)
+    prod = cropped_forward(gr, a * b, fine)
+    return GridFunction(gr, inverse_values(gr, prod), PHYSICAL)
 
 
 def brute_force_forward(f):
@@ -162,7 +172,8 @@ class TestPerAxisTransforms:
         shape = (3,) + grid.shape
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         axes = tuple(range(-dim, 0))
-        forward_mesh, inverse_mesh = _factor_meshes(grid)
+        forward_mesh, inverse_mesh, forward_dft = _factor_meshes(grid)
+        assert np.array_equal(forward_dft, dft_order(forward_mesh))
         want = np.fft.fftshift(np.fft.fftn(a, axes=axes), axes=axes)
         assert np.array_equal(forward_values(grid, a), want * forward_mesh)
         want = np.fft.ifftn(np.fft.ifftshift(a, axes=axes) * inverse_mesh,

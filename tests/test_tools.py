@@ -1,7 +1,10 @@
 """Smoke test of the maintenance scripts under tools/."""
 
+import math
 import pathlib
 import runpy
+
+import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -17,3 +20,27 @@ def test_measure_constants_runs(capsys):
     runpy.run_path(str(TOOLS / "measure_constants.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == CONSTANT_LABELS
+
+
+def test_compare_outputs_self_reports_nothing(capsys):
+    # every invocation of the workload runs in both checkouts; one checkout
+    # against itself differs in no CSV
+    tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
+    root = str(TOOLS.parent)
+    code = tool["main"]([root, root, "--workload", "estimators",
+                         "--seeds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines == ["estimators: 6 CSV files compared at seeds [0], "
+                     "all byte-identical"]
+
+
+def test_compare_outputs_column_diffs():
+    tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
+    old = "i,name,value\n0,a,1.0\n1,b,2.0\n2,c,nan\n"
+    assert tool["column_diffs"](old, old) == {}
+    new = "i,name,value\n0,a,1.0\n1,b,2.000000000000001\n2,x,nan\n"
+    diffs = tool["column_diffs"](old, new)
+    assert diffs["name"] == math.inf
+    assert diffs["value"] == pytest.approx(5e-16, rel=0.2)
+    assert tool["column_diffs"](old, old + "3,d,0.0\n") == {None: math.inf}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modheat import constants, hermite
+from modheat import constants, hermite, torus
 from modheat.corpus import hermite_coeff_family
 from modheat.hermite import HermiteCoeffs, eigen_sum, oscillator_heat_coeffs
 from modheat.modnorm import ModNormSpec, mod_norm_decomp
@@ -111,20 +111,34 @@ class TestKernelBound:
             kernel_l1_norm(spec, small)
 
 
-def oracle_operator_norm_lower(spec, p, trials, tg, seed=0):
-    """operator_norm_lower at one p, as it was before the sweep: every p
-    redraws the seeded trials and filters each again."""
-    best = spec.sup()
+def oracle_trial_ratios(spec, p, trials, tg, seed=0):
+    """The seeded trials' ratios at one p, one trial at a time, as before
+    the trials were stacked: every p redraws the trials and filters each
+    again."""
+    ratios = []
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         coeffs = (rng.standard_normal(tg.shape)
                   + 1j * rng.standard_normal(tg.shape))
         f = torus_inverse(coeffs, tg)
         denom = torus_lp_norm(f, tg, p)
-        ratio = (0.0 if denom == 0.0
-                 else torus_lp_norm(torus_apply(f, spec, tg), tg, p) / denom)
+        ratios.append(0.0 if denom == 0.0 else
+                      torus_lp_norm(torus_apply(f, spec, tg), tg, p) / denom)
+    return ratios
+
+
+def oracle_operator_norm_lower(spec, p, trials, tg, seed=0):
+    """operator_norm_lower at one p from the per-trial loop."""
+    best = spec.sup()
+    for ratio in oracle_trial_ratios(spec, p, trials, tg, seed):
         best = max(best, ratio)
     return best
+
+
+def phase_symbol(grid, seed):
+    """A random unimodular symbol: at p != 2 some trials beat its sup."""
+    rng = np.random.default_rng(seed)
+    return MultiplierSpec(np.exp(2j * np.pi * rng.uniform(size=grid.shape)))
 
 
 class TestOperatorNormBracket:
@@ -136,38 +150,56 @@ class TestOperatorNormBracket:
             grid, spec = tg, heat_spec
         else:
             grid = tg if symbol == "phase" else TorusGrid(2, 8)
-            rng = np.random.default_rng(10)
-            spec = MultiplierSpec(np.exp(2j * np.pi
-                                         * rng.uniform(size=grid.shape)))
+            spec = phase_symbol(grid, 10)
         ps = [4.0, 1.0, 2.0, np.inf, 3.0]
-        got = operator_norm_lower(spec, ps, 7, grid, seed=11)
+        got, _ = operator_norm_lower(spec, ps, 7, grid, seed=11)
         want = [oracle_operator_norm_lower(spec, p, 7, grid, seed=11)
                 for p in ps]
         assert got == want  # bit for bit
         if symbol != "heat":
             assert sum(lower > spec.sup() for lower in got) >= 3
 
+    @pytest.mark.parametrize("per_stack", [1, 4, 9])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_trials_match_trial_loop(self, monkeypatch, dim,
+                                             per_stack):
+        # one trial a stack, four (the last stack holds one) and all 9 in
+        # one; the trials decide the bound
+        grid = TorusGrid(dim, 32 if dim == 1 else 8)
+        spec = phase_symbol(grid, 12)
+        monkeypatch.setattr(torus, "TRIAL_BATCH_VALUES",
+                            per_stack * grid.modes_per_axis ** dim)
+        ps = [1.0, 4.0, np.inf, 2.0]
+        lowers, ratios = operator_norm_lower(spec, ps, 9, grid, seed=13)
+        want = [oracle_trial_ratios(spec, p, 9, grid, seed=13) for p in ps]
+        if dim == 1:
+            assert ratios.tolist() == want  # bit for bit
+        else:
+            np.testing.assert_allclose(ratios, want, rtol=1e-13, atol=0.0)
+        assert lowers == [max([spec.sup()] + row) for row in ratios.tolist()]
+        assert np.sum(ratios > spec.sup()) >= 3
+
     def test_identity_symbol_brackets_to_one(self, tg):
         spec = MultiplierSpec(np.ones(tg.shape))
-        lower, = operator_norm_lower(spec, [3.0], 5, tg, seed=2)
+        (lower,), _ = operator_norm_lower(spec, [3.0], 5, tg, seed=2)
         assert lower == pytest.approx(1.0, rel=1e-10)
         assert kernel_l1_norm(spec, tg) == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
     def test_sandwich(self, tg, heat_spec, p):
-        lower, = operator_norm_lower(heat_spec, [p], 20, tg, seed=3)
+        (lower,), _ = operator_norm_lower(heat_spec, [p], 20, tg, seed=3)
         assert lower <= kernel_l1_norm(heat_spec, tg) + 1e-8
 
     def test_p2_equals_symbol_sup(self, tg, heat_spec):
-        lower, = operator_norm_lower(heat_spec, [2.0], 20, tg, seed=4)
+        (lower,), _ = operator_norm_lower(heat_spec, [2.0], 20, tg, seed=4)
         assert abs(lower - heat_spec.sup()) <= 0.01 * heat_spec.sup()
 
     def test_random_bounded_symbol_sandwich(self, tg):
         rng = np.random.default_rng(8)
         spec = MultiplierSpec(rng.uniform(-1, 1, tg.shape)
                               + 1j * rng.uniform(-1, 1, tg.shape))
-        for lower in operator_norm_lower(spec, [1.0, 2.0, 4.0], 10, tg,
-                                         seed=5):
+        lowers, _ = operator_norm_lower(spec, [1.0, 2.0, 4.0], 10, tg, seed=5)
+        for lower in lowers:
             assert lower <= kernel_l1_norm(spec, tg) + 1e-8
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
@@ -190,7 +222,8 @@ class TestOperatorNormBracket:
                 / torus_lp_norm(f, grid, p)
             best = max(best, ratio)
         assert best == pytest.approx(spec.sup(), rel=1e-12, abs=0.0)
-        assert operator_norm_lower(spec, [p], 1, grid, seed=6)[0] >= spec.sup()
+        (lower,), _ = operator_norm_lower(spec, [p], 1, grid, seed=6)
+        assert lower >= spec.sup()
 
     def test_requires_positive_trials(self, tg, heat_spec):
         with pytest.raises(ValueError):

@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Compare the CSV outputs of two checkouts on a benchmark workload.
+
+Run from anywhere:
+
+    python tools/compare_outputs.py OLD NEW --workload estimators \
+        --seeds 0 3 5
+
+OLD and NEW are checkout roots.  Every invocation of the workload (the
+configs in this checkout's perfbench/workloads.py, which is only read) runs
+at every seed in each checkout, through that checkout's own
+modheat.cli.main in a fresh interpreter with the benchmark's thread caps.
+Every CSV is then compared byte for byte.  For each CSV that differs, one
+line names the invocation, seed, file and column, with the largest relative
+difference |a - b| / max(|a|, |b|) over the column's cells (inf where only
+one side is NaN or a cell is not a number).  A differing exit code or set
+of files is reported too.  The last line counts the files compared.  Exit
+status: 0 if every CSV is byte-identical, 1 otherwise.
+"""
+
+import argparse
+import importlib.util
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the benchmark's caps (perfbench/run.py), so BLAS picks the same kernels
+THREAD_CAPS = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+# argv: src directory, then the CLI arguments
+RUN_CLI = ("import sys; src = sys.argv[1]; sys.path.insert(0, src); "
+           "import modheat.cli as cli; "
+           "assert cli.__file__.startswith(src), cli.__file__; "
+           "sys.exit(cli.main(sys.argv[2:]))")
+
+
+def load_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_checkout(checkout, workloads, inv, config, out_dir, seed):
+    """Exit code of one invocation in one checkout."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **THREAD_CAPS)
+    args = workloads.argv(inv, config, out_dir, seed)
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, src, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=900)
+    return done.returncode
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _rel_diff(a, b):
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return math.inf
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    if x == y:
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if math.isfinite(scale) else math.inf
+
+
+def column_diffs(old, new):
+    """{column: largest relative difference} of the columns in which two
+    CSV texts differ; {None: inf} if their headers or shapes differ."""
+    rows_a = [line.split(",") for line in old.splitlines()]
+    rows_b = [line.split(",") for line in new.splitlines()]
+    if (len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]
+            or any(len(a) != len(b) for a, b in zip(rows_a, rows_b))):
+        return {None: math.inf}
+    diffs = {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, a, b in zip(rows_a[0], row_a, row_b):
+            if a != b:
+                diffs[name] = max(diffs.get(name, 0.0), _rel_diff(a, b))
+    return diffs
+
+
+def compare(old, new, workload, seeds, work):
+    """Difference lines, and the number of CSV files compared."""
+    workloads = load_workloads()
+    configs = workloads.write_configs(workload, os.path.join(work, "configs"))
+    lines, compared = [], 0
+    for seed in seeds:
+        for inv in workloads.WORKLOADS[workload]:
+            where = f"{inv.name} seed {seed}"
+            outs, codes = [], []
+            for side, checkout in (("old", old), ("new", new)):
+                out_dir = os.path.join(work, side, str(seed), inv.name)
+                codes.append(run_checkout(checkout, workloads, inv,
+                                          configs[inv.name], out_dir, seed))
+                outs.append(pathlib.Path(out_dir))
+            if codes[0] != codes[1]:
+                lines.append(f"{where}: exit code {codes[0]} -> {codes[1]}")
+            names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+            if names[0] != names[1]:
+                lines.append(f"{where}: CSV files {names[0]} -> {names[1]}")
+            for name in sorted(set(names[0]) & set(names[1])):
+                compared += 1
+                old_bytes, new_bytes = ((out / name).read_bytes()
+                                        for out in outs)
+                if old_bytes == new_bytes:
+                    continue
+                diffs = column_diffs(old_bytes.decode(), new_bytes.decode())
+                for column, diff in diffs.items():
+                    label = ("header or shape" if column is None
+                             else f"column {column}")
+                    lines.append(f"{where} {name} {label}: max relative "
+                                 f"difference {diff:.3g}")
+    return lines, compared
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old", help="checkout root of the reference")
+    parser.add_argument("new", help="checkout root to compare with it")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        lines, compared = compare(args.old, args.new, args.workload,
+                                  args.seeds, work)
+    for line in lines:
+        print(line)
+    print(f"{args.workload}: {compared} CSV files compared at seeds "
+          f"{args.seeds}, {'some differ' if lines else 'all byte-identical'}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

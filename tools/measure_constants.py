@@ -21,7 +21,7 @@ from modheat.hermite import HermiteBasis, HermiteCoeffs, decay_profile
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              algebra_defect, fourier_lebesgue_norm,
                              mod_norm_decomp, mod_norm_stft)
-from modheat.spectral import GridFunction, SpectralGrid, physical_lp_norm
+from modheat.spectral import SpectralGrid, forward_values, physical_lp_norm
 from modheat.torus import TorusGrid, transference_check
 
 
@@ -41,8 +41,10 @@ def main():
            for f in mixed_family(g, 12, seed=77)]
     print(f"M22_OVER_L2 range: [{min(m22):.4f}, {max(m22):.4f}]")
 
-    gauss = GridFunction(g, np.exp(-g.x_axis ** 2 / 2))
-    print(f"ALGEBRA_DEFECT gaussian pair: {algebra_defect(gauss, gauss, 2.0, part):.4f}")
+    gauss = np.exp(-g.x_axis ** 2 / 2)
+    pair = forward_values(g, np.stack([gauss, gauss]))
+    print(f"ALGEBRA_DEFECT gaussian pair: "
+          f"{algebra_defect(pair, 2.0, part)[0]:.4f}")
 
     fl1 = [fourier_lebesgue_norm(f, 1) / mod_norm_decomp(f, ModNormSpec(2, 1, 0), part)
            for f in mixed_family(g, 12, seed=99)]
