@@ -213,12 +213,7 @@ def solve(problem, config, partition=None):
         starts zeroed, and the slots off the band stay 0."""
         a = np.multiply(u, fine_factor, out=work)
         _per_axis(np.fft.ifft, a, g.dim, out=a)
-        if problem.k == 2:
-            # the same bits as **= 2, without relying on NumPy's fast path
-            # for a Python int exponent (an np.int64 2 took 4x as long)
-            np.multiply(a, a, out=a)
-        else:
-            a **= problem.k
+        a **= problem.k
         _per_axis(np.fft.fft, a, g.dim, out=a)
         # like the crop, ignores whatever overflows off the band
         np.divide(a, fine_factor, out=out, where=band)

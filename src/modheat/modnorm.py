@@ -516,9 +516,7 @@ def _stft_batches(f, plan, stride, fine):
         rolled = np.roll(window, lead, axis=tuple(range(d - 1))) if lead \
             else window
         for start in range(0, len(shifts), batch):
-            win = rolled[..., gather[start:start + batch]]
-            if d > 1:  # the shift axis sits behind the leading axes
-                win = np.moveaxis(win, -2, 0)
+            win = np.moveaxis(rolled[..., gather[start:start + batch]], -2, 0)
             if pad is None:
                 w = np.multiply(f.values, win, out=win)
             else:
@@ -589,14 +587,22 @@ def stft_resolution_ok(coarse, fine):
 # -- measured-inequality helpers ------------------------------------------------
 
 
+# Working-set cap of algebra_defect: complex values in one stack of
+# functions on the dealiasing lattice (512 KiB), at least two functions.
+ALGEBRA_BATCH_VALUES = 1 << 15
+
+
 def algebra_defect(hats, p, partition):
     """||f_i f_{i+1}|| / (||f_i|| ||f_{i+1}||) in the (p, 1) norm, for every
     consecutive pair of a stack of transforms on partition.grid; NaN where
     a factor's norm is 0.  Certifies the algebra bound.
 
-    The products are formed on the dealiasing lattice in one pass and taken
-    through the physical side and back, as a product of two grid functions
-    is; all norms come from two calls of the engine.
+    The products are formed on the dealiasing lattice a chunk of
+    consecutive functions at a time, each chunk of at most
+    ALGEBRA_BATCH_VALUES values overlapping the last by one function, and
+    taken through the physical side and back, as a product of two grid
+    functions is; the norms come from one engine call per chunk and one
+    for the factors.
     """
     g = partition.grid
     if len(hats) < 2:
@@ -606,13 +612,17 @@ def algebra_defect(hats, p, partition):
     # so a defect does not depend on the stack its pair came in
     norms = mod_norms_from_frequency(hats, spec, partition, batch=1)
     fine = fine_grid(g, 2)
-    values = padded_inverse(g, hats, fine)
-    prods = cropped_forward(g, values[:-1] * values[1:], fine)
-    prods = forward_values(g, inverse_values(g, prods))
+    pairs = max(1, ALGEBRA_BATCH_VALUES // fine.size - 1)
+    prod_norms = []
+    for start in range(0, len(hats) - 1, pairs):
+        values = padded_inverse(g, hats[start:start + pairs + 1], fine)
+        prods = cropped_forward(g, values[:-1] * values[1:], fine)
+        prods = forward_values(g, inverse_values(g, prods))
+        prod_norms.append(
+            mod_norms_from_frequency(prods, spec, partition, batch=1))
     denom = norms[:-1] * norms[1:]
     zero = (norms[:-1] == 0.0) | (norms[1:] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        defects = (mod_norms_from_frequency(prods, spec, partition, batch=1)
-                   / denom)
+        defects = np.concatenate(prod_norms) / denom
     defects[zero] = np.nan
     return defects

@@ -17,8 +17,8 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norm_stft, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              dft_order, forward_transform, forward_values,
-                              lp_norm, physical_lp_norm)
+                              dft_order, fine_grid, forward_transform,
+                              forward_values, lp_norm, physical_lp_norm)
 from test_spectral import dealiased_product
 
 
@@ -741,6 +741,20 @@ class TestAlgebraDefect:
         want = [oracle_algebra_defect(f, g, p, part1)
                 for f, g in zip(corpus, corpus[1:])]
         assert got.tolist() == want  # bit for bit
+
+    @pytest.mark.parametrize("functions", [2, 3, 5])
+    def test_small_cap_matches_one_chunk(self, grid1, part1, monkeypatch,
+                                         functions):
+        # chunks of 1, 2 and 4 pairs: the last chunk of 7 pairs is partial
+        # at 2 and 4, and every chunk overlaps the last by one function
+        corpus = [band_limited(grid1, 6, seed=i) for i in range(8)]
+        hats = _hats(*corpus)
+        want = algebra_defect(hats, 2.0, part1)
+        fine = fine_grid(grid1, 2)
+        monkeypatch.setattr(modnorm, "ALGEBRA_BATCH_VALUES",
+                            functions * fine.size)
+        got = algebra_defect(hats, 2.0, part1)
+        assert got.tolist() == want.tolist()  # bit for bit
 
     def test_fewer_than_two_functions(self, part1, gauss1):
         assert algebra_defect(_hats(gauss1), 2.0, part1).shape == (0,)
