@@ -32,8 +32,8 @@ from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
                    certify_hypothesis, divergence_witness,
                    lower_bound_envelope, picard_product_count, picard_terms,
                    plateau_data, solve)
-from .hermite import (HermiteBasis, HermiteCoeffs, decay_profile, eigen_sum,
-                      eigen_sum_bound)
+from .hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
+                      decay_profile, eigen_sum, eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norm_decomp, mod_norms_from_frequency,
                       mod_norms_stft, stft_resolution_ok)
@@ -419,9 +419,10 @@ def cmd_propagate(cfg, seed, rec):
     # the flow is a frequency-side multiplier: one stack of every (t, f);
     # norms of 0 or beyond the float range are named below
     with np.errstate(over="ignore", invalid="ignore"):
-        base = mod_norms_from_frequency(hats, spec, partition)
+        base = mod_norms_from_frequency(hats, [spec], partition)[0]
         results = mod_norms_from_frequency(
-            heat_symbol(grid, times, beta)[:, None] * hats, spec, partition)
+            heat_symbol(grid, times, beta)[:, None] * hats, [spec],
+            partition)[0]
     if not (np.all(base > 0) and np.all(results > 0)
             and np.isfinite(results).all()):
         raise ConfigError("config fields 'norm', 'beta' and 'times' give a "
@@ -605,8 +606,10 @@ def cmd_modnorm(cfg, seed, rec):
     specs = []
     for i, entry in enumerate(cfg["specs"]):
         try:
-            specs.append(ModNormSpec(*entry))  # a TypeError unless [p, q, s]
-        except (TypeError, ValueError) as exc:
+            if len(entry) != 3:
+                raise ValueError("need [p, q, s]")
+            specs.append(ModNormSpec(*entry))
+        except ValueError as exc:
             raise ConfigError(f"invalid norm spec 'specs[{i}]': {exc}") from exc
 
     partition = UniformPartition(grid)
@@ -614,15 +617,23 @@ def cmd_modnorm(cfg, seed, rec):
     corpus = [band_limited(grid, max_mode, seed=seed + i) for i in range(count)]
 
     hats = forward_values(grid, np.stack([f.values for f in corpus]))
-    decomp = np.stack([mod_norms_from_frequency(hats, spec, partition)
-                       for spec in specs], axis=1).tolist()
+    # (function, spec) tables; norms beyond the float range are named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        decomp = mod_norms_from_frequency(hats, specs, partition).T
+        coarse = np.array([mod_norms_stft(f, plan, specs) for f in corpus])
+        fine = np.array([mod_norms_stft(f, plan, specs, 2) for f in corpus])
+    for i in range(len(specs)):
+        if not np.isfinite([decomp[:, i], coarse[:, i], fine[:, i]]).all():
+            raise ConfigError(f"config field 'specs[{i}]' gives a norm "
+                              "beyond the float range")
+    flags = stft_resolution_ok(coarse, fine).tolist()
+    decomp, coarse = decomp.tolist(), coarse.tolist()
     json_rows = []
     csv_rows = []
     cross = []
-    for fi, f in enumerate(corpus):
-        coarse = mod_norms_stft(f, plan, specs)
-        flags = stft_resolution_ok(coarse, mod_norms_stft(f, plan, specs, 2))
-        for spec, dval, sval, flag in zip(specs, decomp[fi], coarse, flags):
+    for fi in range(count):
+        for spec, dval, sval, flag in zip(specs, decomp[fi], coarse[fi],
+                                          flags[fi]):
             for est, val in (("decomp", dval), ("stft", sval)):
                 json_rows.append({"norm_id": f"f{fi}_p{spec.p}q{spec.q}s{spec.s}",
                                   "p": spec.p, "q": spec.q, "s": spec.s,
@@ -695,6 +706,8 @@ def cmd_hermite(cfg, seed, rec):
         except OverflowError as exc:
             raise ConfigError("config fields 'betas' and 't_profile' give a "
                               "decay profile beyond the float range") from exc
+        except ZeroNormError as exc:
+            raise ConfigError(f"config field 'ps': {exc}") from exc
         for p, prof_rows in zip(ps, profiles):
             for t, val, ratio in prof_rows:
                 rows.append((dim, beta, p, t, val, ratio))
@@ -756,6 +769,8 @@ def cmd_transfer(cfg, seed, rec):
     except OverflowError as exc:
         raise ConfigError("config fields 'beta' and 't' give a symbol beyond "
                           "the float range") from exc
+    except ZeroNormError as exc:
+        raise ConfigError(f"config field 'ps': {exc}") from exc
     except ValueError as exc:
         raise ConfigError("config fields 't', 'beta' and 'modes_per_axis': "
                           f"{exc}") from exc

@@ -222,7 +222,7 @@ def solve(problem, config, partition=None):
 
     u_hat = forward_transform(problem.u0).values
     spec = problem.norm_spec
-    init_norm = float(mod_norms_from_frequency(u_hat, spec, partition))
+    init_norm = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
     threshold = config.blowup_threshold
     if threshold is None:
         threshold = 1e6 * init_norm if init_norm > 0 else 1e6
@@ -267,7 +267,8 @@ def solve(problem, config, partition=None):
                 chunk_times.append(t)
             chunk = hats[:len(chunk_times)][band_index]
             if len(chunk):
-                chunk_norms = mod_norms_from_frequency(chunk, spec, partition)
+                chunk_norms = mod_norms_from_frequency(
+                    chunk, [spec], partition)[0]
                 chunk_fl1 = vol * np.sum(np.abs(chunk), axis=lattice)
                 values = inverse_values(g, chunk)
                 chunk_linf = np.max(np.abs(values), axis=lattice)

@@ -12,8 +12,9 @@ coefficient tensor.  Inner products use Gauss quadrature in the e^{-x^2}
 measure with a guard margin of extra nodes, which makes the analysis exact
 for polynomial-times-Gaussian integrands up to the degree cap.  Decay
 profiles synthesize the data and its flow at every t as one stack, at most
-NORM_BATCH_VALUES values at a time, and take one stacked norm call per
-exponent p of the sweep on each synthesized chunk.
+NORM_BATCH_VALUES values at a time, and take one stacked norm call for
+every exponent p of the sweep on each synthesized chunk, which forms the
+chunk's blocks once.
 """
 
 import math
@@ -35,6 +36,11 @@ def hermite_table(k_max, x):
         out[k + 1] = (x * math.sqrt(2.0 / (k + 1)) * out[k]
                       - math.sqrt(k / (k + 1.0)) * out[k - 1])
     return out
+
+
+class ZeroNormError(ValueError):
+    """A measured (p, p, 0) norm of the data or its flow is 0: the data is
+    0, or its p-th powers underflow at that p."""
 
 
 class HermiteBasis:
@@ -244,7 +250,8 @@ def expansion_mod_norms(tensors, grid, ps, partition):
     """(p, p, 0) decomposition norms on grid of the expansions stacked along
     the first axis of tensors, one row per p in ps: NORM_BATCH_VALUES
     synthesized values at a time, each chunk one contraction per axis and
-    one transform, then one norm call per p.
+    one transform, then one norm call for every p, which forms the chunk's
+    blocks once.
     """
     if tensors.ndim - 1 != grid.dim:
         raise ValueError("Hermite basis and grid dimensions differ")
@@ -258,8 +265,7 @@ def expansion_mod_norms(tensors, grid, ps, partition):
             # not tensordot: its first BLAS gemm call adds ~0.5 MB peak RSS
             vals = np.einsum("bk...,kn->b...n", vals, table)
         hats = forward_values(grid, vals)
-        norms.append([mod_norms_from_frequency(hats, spec, partition)
-                      for spec in specs])
+        norms.append(mod_norms_from_frequency(hats, specs, partition))
     return np.concatenate(norms, axis=1)
 
 
@@ -269,18 +275,21 @@ def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
     The ratio multiplies the measured (p, p, 0) decomposition norm by
     e^{t d^beta} t^{d/beta} and divides by the initial norm; its supremum
     over the grid is the empirical decay constant.  The initial data and
-    the flow at every t are synthesized as one stack and measured at every p.
+    the flow at every t are synthesized as one stack and measured at every
+    p; ZeroNormError if a norm at some p is 0, which for nonzero data is
+    an underflow: the flow of nonzero data is nonzero at every t.
     """
     d = coeffs.basis.dim
     t_grid = [float(t) for t in t_grid]
     heated = heat_coeff_factors(coeffs.basis, t_grid, beta) * coeffs.tensor
     profiles = []
-    for norms in expansion_mod_norms(
+    for p, norms in zip(ps, expansion_mod_norms(
             np.concatenate([coeffs.tensor[None], heated]), grid, ps,
-            partition).tolist():
+            partition).tolist()):
         base = norms[0]
-        if base == 0.0:
-            raise ValueError("decay profile undefined for zero data")
+        if min(norms) == 0.0:
+            raise ZeroNormError("(p, p, 0) norm of the data or its flow is 0 "
+                                f"at p = {p}")
         profiles.append([(t, nrm, nrm * math.exp(t * d ** beta)
                           * t ** (d / beta) / base)
                          for t, nrm in zip(t_grid, norms[1:])])

@@ -7,7 +7,10 @@ block is transformed on its own: at p = 2 the block norms are an exact
 discrete-Parseval contraction of the squared rows with |F|^2, at other p
 they come from inverse transforms taken one axis at a time, with all blocks
 of the last axis in one batched call, and a stack of functions (a Picard
-term at every time slice) goes through at once.  The second samples the
+term at every time slice) goes through at once.  One call serves a list of
+specs (mod_norms_from_frequency): the blocks and their magnitudes are
+formed once for every p != 2, and each p's block table once for all specs
+that share it, with the bits of one call per spec.  The second samples the
 short-time Fourier transform against a normalized window and takes the
 mixed L^p_x L^q_y quadrature norm.  The window shifts are not transformed
 one by one: the shifted windows of a batch are gathered into one stack,
@@ -163,39 +166,56 @@ class ModNormSpec:
 
 # Working-set cap of the block-norm engine: complex values in its largest
 # temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB)
-# and N^d at p = 2, where the Parseval contraction holds one row.
-# On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
-# slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
+# and N^d at p = 2, where the Parseval contraction holds one row.  Two or
+# more p outside {1, 2, inf} in one call add a real scratch buffer of half
+# the size of the temporary.  On repeated Picard runs (N = 256, two
+# functions a batch) 2^14 was ~1.6x slower, and 2^16 raised peak memory by
+# 1-3 % for a small, unsteady gain.
 NORM_BATCH_VALUES = 1 << 15
 
 
-def _block_lp_norms(F, partition, p):
-    """L^p norms of every active block of each function in a stack.
+def _parseval_block_norms(F, partition):
+    """L^2 norms of every active block of each function in a stack.
 
     F holds frequency samples in its last d axes behind one batch axis; the
     result is (batch, active keys), keys in active_keys() order.  sigma_k
-    is the outer product of one row per axis.  At p = 2 discrete Parseval
-    turns each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2,
-    one contraction per axis with no transform.  Otherwise the inverse
-    transform factors into one 1-D transform per axis: the leading axes are
+    is the outer product of one row per axis, so discrete Parseval turns
+    each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2,
+    one contraction per axis with no transform.
+    """
+    g = partition.grid
+    acc = np.abs(F) ** 2
+    for _ in range(g.dim):
+        # contracts the first lattice axis and appends its block axis
+        acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
+    return np.sqrt(g.freq_spacing ** g.dim * acc).reshape(len(F), -1)
+
+
+def _block_lp_norms(F, partition, ps):
+    """L^p norms of every active block of each function in a stack, one
+    (batch, active keys) table per p of ps (distinct, none of them 2).
+
+    F is laid out as for _parseval_block_norms.  The inverse transform
+    factors into one 1-D transform per axis: the leading axes are
     transformed block by block, and all blocks of the last axis in one
     batched call, so K N^d values (K active rows) are live per function.
+    Each chunk's blocks and |.| are formed once for every p: p = inf and
+    p = 1 read the magnitudes first, any other p but the last takes its
+    powers into one scratch buffer, and the last takes them in place.
     """
     g = partition.grid
     d = g.dim
-    if p == 2:
-        acc = np.abs(F) ** 2
-        for _ in range(d):
-            # contracts the first lattice axis and appends its block axis
-            acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
-        return np.sqrt(g.freq_spacing ** d * acc).reshape(len(F), -1)
     rows = partition._folded_rows
     nrows, n = rows.shape
     last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
     block_axes = tuple(range(2, d + 2))
     vol = g.spacing ** d
+    powered = [p for p in ps if not (np.isinf(p) or p == 1)]
+    # p = inf and p = 1 read the magnitudes first; the last power overwrites
+    order = [p for p in ps if p not in powered] + powered
+    scratch = None
     F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
-    chunks = []
+    chunks = {p: [] for p in ps}
     for lead in product(range(nrows), repeat=d - 1):
         partial = F_dft
         for j in range(d - 1):
@@ -206,43 +226,69 @@ def _block_lp_norms(F, partition, p):
         # in place: fresh temporaries of this size cost more than the FFT
         blocks = partial[:, None] * last
         a = np.abs(np.fft.ifft(blocks, axis=-1, out=blocks))
-        if np.isinf(p):
-            chunks.append(a.max(axis=block_axes))
-            continue
-        if p != 1:
-            a **= p
-        chunks.append((vol * np.sum(a, axis=block_axes)) ** (1.0 / p))
-    return np.concatenate(chunks, axis=1)
+        for p in order:
+            if np.isinf(p):
+                chunks[p].append(a.max(axis=block_axes))
+                continue
+            if p == 1:
+                powers = a
+            elif p == powered[-1]:
+                powers = np.power(a, p, out=a)
+            else:
+                if scratch is None:
+                    scratch = np.empty_like(a)
+                powers = np.power(a, p, out=scratch)
+            chunks[p].append((vol * np.sum(powers, axis=block_axes))
+                             ** (1.0 / p))
+    return [np.concatenate(chunks[p], axis=1) for p in ps]
 
 
-def mod_norms_from_frequency(values, spec, partition, batch=None):
-    """Decomposition norms, in an array of the batch shape, of frequency
-    samples on partition.grid in the last d axes of values, behind any
-    batch axes; they reach the block engine NORM_BATCH_VALUES at a time,
-    or `batch` functions at a time.  At p = 2 the contraction's BLAS
-    kernel, and so a norm's last bit, depends on how many functions share
-    an engine batch (dgemv for one, dgemm for more): batch=1 gives every
-    norm the bits of a call on that function alone."""
+def mod_norms_from_frequency(values, specs, partition, batch=None):
+    """Decomposition norms of frequency samples on partition.grid in the
+    last d axes of values, behind any batch axes: an array of shape
+    (len(specs),) + batch shape, row i at specs[i].
+
+    The functions reach the block engine NORM_BATCH_VALUES at a time, or
+    `batch` functions at a time.  Each batch's blocks are formed once for
+    every distinct p != 2, and each distinct p's block table once for all
+    the specs that share it; only the weights and the q-sum are per spec,
+    so a norm has the bits a call on its spec alone gives.  At p = 2 the
+    contraction's BLAS kernel, and so a norm's last bit, depends on how
+    many functions share an engine batch (dgemv for one, dgemm for more):
+    batch=1 gives every norm the bits of a call on that function alone."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
-    if batch is None:
-        # the engine holds one row per function at p = 2, K (active) else
-        rows = 1 if spec.p == 2 else len(partition._active_centers)
-        batch = max(1, NORM_BATCH_VALUES // (rows * g.size))
-    norms = np.concatenate([_block_lp_norms(stack[i:i + batch], partition,
-                                            spec.p)
-                            for i in range(0, len(stack), batch)])
-    terms = norms * (1.0 + partition._key_radii) ** spec.s
-    if np.isinf(spec.q):
-        out = terms.max(axis=-1)
-    else:
-        # cumsum adds the blocks one by one in key order: a fixed summation
-        # order that does not depend on how many functions share the stack
-        out = np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
-    return out.reshape(values.shape[:values.ndim - g.dim])
+
+    def batches(rows):
+        # the engine holds `rows` rows of N^d values per function
+        step = (max(1, NORM_BATCH_VALUES // (rows * g.size)) if batch is None
+                else batch)
+        return [stack[i:i + step] for i in range(0, len(stack), step)]
+
+    ps = list(dict.fromkeys(spec.p for spec in specs))
+    general = [p for p in ps if p != 2]
+    tables = {}
+    if 2 in ps:
+        tables[2.0] = np.concatenate([_parseval_block_norms(F, partition)
+                                      for F in batches(1)])
+    if general:
+        per_batch = [_block_lp_norms(F, partition, general)
+                     for F in batches(len(partition._active_centers))]
+        tables.update(zip(general, map(np.concatenate, zip(*per_batch))))
+    out = np.empty((len(specs), len(stack)))
+    for row, spec in zip(out, specs):
+        terms = tables[spec.p] * (1.0 + partition._key_radii) ** spec.s
+        if np.isinf(spec.q):
+            row[:] = terms.max(axis=-1)
+        else:
+            # cumsum adds the blocks one by one in key order: a fixed
+            # summation order that does not depend on the stack
+            row[:] = (np.cumsum(terms ** spec.q, axis=-1)[:, -1]
+                      ** (1.0 / spec.q))
+    return out.reshape((len(specs),) + values.shape[:values.ndim - g.dim])
 
 
 # Relative slack of max_mod_norm's bound, for the roundoff of both paths
@@ -332,7 +378,7 @@ def _parseval_bounds(values, spec, partition, scale, floor):
     weight overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         return scale * mod_norms_from_frequency(
-            values, ModNormSpec(2.0, spec.q, spec.s), partition) + floor
+            values, [ModNormSpec(2.0, spec.q, spec.s)], partition)[0] + floor
 
 
 def _neighbour_bounds(f, g, g_norms, spec, partition, scale, floor):
@@ -368,7 +414,7 @@ def _overflow_ceiling(spec, partition):
 
 
 def max_mod_norm(values, spec, partition):
-    """(mod_norms_from_frequency(values, spec, partition).max(), the number
+    """(mod_norms_from_frequency(values, [spec], partition).max(), the number
     of functions the engine evaluated, the number of neighbour bounds
     taken); the maximum is the same bit for bit.
 
@@ -391,7 +437,7 @@ def max_mod_norm(values, spec, partition):
     values raise ValueError before any pruning.
     """
     if spec.p == 2:
-        norms = mod_norms_from_frequency(values, spec, partition)
+        norms = mod_norms_from_frequency(values, [spec], partition)[0]
         return norms.max(), norms.size, 0
     # weights (1 + |k|)^s may overflow or underflow to 0, and make these
     # inf, NaN or 0
@@ -413,7 +459,7 @@ def max_mod_norm(values, spec, partition):
         if found and bounds[rest[0]] <= best:
             break
         taken = rest[:batch]
-        norms = mod_norms_from_frequency(stack[taken], spec, partition)
+        norms = mod_norms_from_frequency(stack[taken], [spec], partition)[0]
         found.append(norms)
         best = np.concatenate(found).max()
         pending[taken] = False
@@ -433,7 +479,7 @@ def max_mod_norm(values, spec, partition):
 
 def mod_norm_from_frequency(F, spec, partition):
     """Decomposition norm evaluated from frequency-side samples."""
-    return float(mod_norms_from_frequency(F.values, spec, partition))
+    return float(mod_norms_from_frequency(F.values, [spec], partition)[0])
 
 
 def mod_norm_decomp(f, spec, partition):
@@ -610,7 +656,7 @@ def algebra_defect(hats, p, partition):
     spec = ModNormSpec(p, 1.0, 0.0)
     # one function per engine batch: each norm has the bits it has alone,
     # so a defect does not depend on the stack its pair came in
-    norms = mod_norms_from_frequency(hats, spec, partition, batch=1)
+    norms = mod_norms_from_frequency(hats, [spec], partition, batch=1)[0]
     fine = fine_grid(g, 2)
     pairs = max(1, ALGEBRA_BATCH_VALUES // fine.size - 1)
     prod_norms = []
@@ -619,7 +665,7 @@ def algebra_defect(hats, p, partition):
         prods = cropped_forward(g, values[:-1] * values[1:], fine)
         prods = forward_values(g, inverse_values(g, prods))
         prod_norms.append(
-            mod_norms_from_frequency(prods, spec, partition, batch=1))
+            mod_norms_from_frequency(prods, [spec], partition, batch=1)[0])
     denom = norms[:-1] * norms[1:]
     zero = (norms[:-1] == 0.0) | (norms[1:] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .hermite import (eigen_sum, expansion_mod_norms, heat_coeff_factors,
-                      multiplier_tail)
+from .hermite import (ZeroNormError, eigen_sum, expansion_mod_norms,
+                      heat_coeff_factors, multiplier_tail)
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,7 @@ def transference_check(t, beta, ps, family, grid, partition, tg, slack):
     members and their flows as one stack.  Every ratio must stay below the
     Young upper bound times the frozen slack constant.  The symbol, its
     bounds and the synthesized stack do not depend on p: each is built once.
+    ZeroNormError if a member's norm at some p is 0.
     """
     if any(math.isinf(p) for p in ps):
         raise ValueError("transference check requires p < infinity")
@@ -229,13 +230,15 @@ def transference_check(t, beta, ps, family, grid, partition, tg, slack):
     factors = heat_coeff_factors(family[0][1].basis, t, beta)
     bound = young * slack
     rows = []
-    for norms in expansion_mod_norms(np.concatenate([base, factors * base]),
-                                     grid, ps, partition).tolist():
+    for p, norms in zip(ps, expansion_mod_norms(
+            np.concatenate([base, factors * base]), grid, ps,
+            partition).tolist()):
         p_rows = []
         for (label, _), base_norm, heated in zip(family, norms,
                                                  norms[len(family):]):
             if base_norm == 0.0:
-                raise ValueError(f"zero-norm test function {label!r}")
+                raise ZeroNormError(f"(p, p, 0) norm of test function "
+                                    f"{label!r} is 0 at p = {p}")
             ratio = heated / base_norm
             p_rows.append(TransferenceRow(label, base_norm, heated, ratio,
                                           bound, ratio <= bound))

@@ -692,6 +692,13 @@ class TestConfigValidation:
         ("hermite", "ps", [0.5], "'ps'"),
         ("hermite", "t_profile.lo", 0.0, "'lo'"),
         ("hermite", "eigen_lattice.betas", [-1.0], "'betas'"),
+        ("modnorm", "specs", [[1]], "'specs[0]'"),
+        ("modnorm", "specs", [[2, 1, 0], [1, 1, 0, 5]], "'specs[1]'"),
+        ("modnorm", "specs", [[1, 1, 1e6]], "'specs[0]'"),
+        ("modnorm", "specs", [[2, 1, 0], [1, 1e300, 0]], "'specs[1]'"),
+        ("transfer", "ps", [2.0, 1e300], "'ps'"),
+        ("hermite", "ps", [2.0, 1e300], "'ps'"),
+        ("hermite", "ps", [200.0], "'ps'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):

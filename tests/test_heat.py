@@ -516,7 +516,7 @@ class TestBatchedPicard:
             if j > 0:
                 assert not np.any(F[0])
             assert res.sup_norms[j] == mod_norms_from_frequency(
-                F, spec, part).max()
+                F, [spec], part)[0].max()
 
     @pytest.mark.parametrize("p", [1.0, 4.0, np.inf])
     @pytest.mark.parametrize("case", sorted(PICARD_CASES))
@@ -531,7 +531,7 @@ class TestBatchedPicard:
         res = picard_terms(prob, 4, np.linspace(0.0, 0.3, 9), part)
         for j, F in enumerate(res.spectra):
             assert res.sup_norms[j] == mod_norms_from_frequency(
-                F, spec, part).max()
+                F, [spec], part)[0].max()
             assert 1 <= res.exact_evaluations[j] <= len(F) - (j > 0)
 
     def test_non_uniform_grid_rejected(self, small_problem):

@@ -5,9 +5,9 @@ import pytest
 
 from modheat import constants, hermite
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import (HermiteBasis, HermiteCoeffs, _contract_all_axes,
-                             analyze, decay_profile, eigen_sum,
-                             eigen_sum_bound, heat_coeff_factors,
+from modheat.hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
+                             _contract_all_axes, analyze, decay_profile,
+                             eigen_sum, eigen_sum_bound, heat_coeff_factors,
                              hermite_table, oscillator_heat,
                              oscillator_heat_coeffs, synthesize)
 from modheat.modnorm import ModNormSpec, UniformPartition, mod_norm_decomp
@@ -320,7 +320,7 @@ class TestDecayProfile:
 
     def test_zero_data_rejected(self, basis16, hgrid, hpart):
         coeffs = coeff_unit(basis16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroNormError, match="p = 2.0"):
             decay_profile(coeffs, 1.0, [2.0], [0.5], hgrid, hpart)
 
 

@@ -10,7 +10,8 @@ from modheat import constants
 from modheat.corpus import band_limited, mixed_family
 from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
-                             _block_lp_norms, _stft_batches, algebra_defect,
+                             _block_lp_norms, _parseval_block_norms,
+                             _stft_batches, algebra_defect,
                              block_project, bump_profile,
                              fourier_lebesgue_norm, max_mod_norm,
                              mod_norm_decomp, mod_norm_from_frequency,
@@ -247,9 +248,16 @@ def _oracle_block_norms(dim, p):
             for k in sorted(part.active_keys())]
 
 
+def _engine_block_norms(F, part, p):
+    """The engine's block table of a stack at one p."""
+    if p == 2:
+        return _parseval_block_norms(F, part)
+    return _block_lp_norms(F, part, [p])[0]
+
+
 def _assert_blocks_match(dim, p):
     part, f = _equiv_case(dim)
-    got = _block_lp_norms(forward_transform(f).values[None], part, p)[0]
+    got = _engine_block_norms(forward_transform(f).values[None], part, p)[0]
     want = _oracle_block_norms(dim, p)
     assert list(part.active_keys()) == [k for k, _ in want]
     np.testing.assert_allclose(got, [n for _, n in want],
@@ -298,9 +306,142 @@ class TestStackedNorms:
         # the rows the engine holds per function: one at p = 2
         rows = 1 if p == 2 else len(part._active_centers)
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", 2 * rows * g.size)
-        got = mod_norms_from_frequency(stack, spec, part)
+        got = mod_norms_from_frequency(stack, [spec], part)[0]
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def per_p_block_norms(F, partition, p):
+    """The block engine at a single p, one pass over the blocks per p: the
+    oracle of the multi-p engine, bit for bit."""
+    g = partition.grid
+    d = g.dim
+    if p == 2:
+        acc = np.abs(F) ** 2
+        for _ in range(d):
+            acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
+        return np.sqrt(g.freq_spacing ** d * acc).reshape(len(F), -1)
+    rows = partition._folded_rows
+    nrows, n = rows.shape
+    last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
+    block_axes = tuple(range(2, d + 2))
+    vol = g.spacing ** d
+    F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
+    chunks = []
+    for lead in product(range(nrows), repeat=d - 1):
+        partial = F_dft
+        for j in range(d - 1):
+            shape = [1] * (d + 1)
+            shape[j + 1] = n
+            partial = np.fft.ifft(
+                partial * rows[lead[j]].reshape(shape), axis=j + 1)
+        blocks = partial[:, None] * last
+        a = np.abs(np.fft.ifft(blocks, axis=-1, out=blocks))
+        if np.isinf(p):
+            chunks.append(a.max(axis=block_axes))
+            continue
+        if p != 1:
+            a **= p
+        chunks.append((vol * np.sum(a, axis=block_axes)) ** (1.0 / p))
+    return np.concatenate(chunks, axis=1)
+
+
+def per_spec_norms(values, spec, partition, batch=None):
+    """mod_norms_from_frequency at a single spec, on per_p_block_norms:
+    the oracle of the list form, bit for bit."""
+    g = partition.grid
+    stack = values.reshape((-1,) + g.shape)
+    if batch is None:
+        rows = 1 if spec.p == 2 else len(partition._active_centers)
+        batch = max(1, modnorm.NORM_BATCH_VALUES // (rows * g.size))
+    norms = np.concatenate([per_p_block_norms(stack[i:i + batch], partition,
+                                              spec.p)
+                            for i in range(0, len(stack), batch)])
+    terms = norms * (1.0 + partition._key_radii) ** spec.s
+    if np.isinf(spec.q):
+        out = terms.max(axis=-1)
+    else:
+        out = np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
+    return out.reshape(values.shape[:values.ndim - g.dim])
+
+
+# spec lists that mix p, repeat a spec and come in different orders; two
+# or more p outside {1, 2, inf} take the scratch buffer
+MIXED_SPECS = {
+    "mixed": [(1, 1, 0), (4, 2, 1.5), (2, 1, 0), (np.inf, 1, 0), (3, 2, 0),
+              (4, 2, 1.5)],
+    "reversed": [(4, 2, 1.5), (3, 2, 0), (np.inf, 1, 0), (2, 1, 0),
+                 (4, 2, 1.5), (1, 1, 0)],
+    "powers_only": [(3, 1, 0), (1.5, np.inf, -1.0), (4, 1, 0)],
+    "p2_only": [(2, 2, 0), (2, 1, 1.5), (2, 2, 0)],
+    "one_and_inf": [(np.inf, 2, 0), (1, 1, 0)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _multi_case(dim):
+    """Partition and a stack of three random complex functions."""
+    part, _ = _equiv_case(dim)
+    g = part.grid
+    rng = np.random.default_rng(11 + dim)
+    stack = rng.standard_normal((3,) + g.shape) \
+        + 1j * rng.standard_normal((3,) + g.shape)
+    return part, stack
+
+
+@functools.lru_cache(maxsize=None)
+def _single_spec_norms(dim, spec, batch):
+    """(one single-spec call, the per-p oracle) on _multi_case(dim)."""
+    part, stack = _multi_case(dim)
+    spec = ModNormSpec(*spec)
+    return (mod_norms_from_frequency(stack, [spec], part, batch=batch)[0],
+            per_spec_norms(stack, spec, part, batch=batch))
+
+
+class TestMultiSpecEngine:
+    """One list call against one single-spec call per spec and against the
+    per-p oracle, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 1 << 30])
+    @pytest.mark.parametrize("specs", sorted(MIXED_SPECS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_list_matches_single_specs(self, dim, specs, batch):
+        part, stack = _multi_case(dim)
+        got = mod_norms_from_frequency(
+            stack, [ModNormSpec(*t) for t in MIXED_SPECS[specs]], part,
+            batch=batch)
+        assert got.shape == (len(MIXED_SPECS[specs]), 3)
+        for row, spec in zip(got, MIXED_SPECS[specs]):
+            alone, want = _single_spec_norms(dim, spec, batch)
+            np.testing.assert_array_equal(row, alone)
+            np.testing.assert_array_equal(row, want)
+
+    def test_batch_shape_and_partial_batches(self, monkeypatch):
+        # five functions in engine batches of two at p != 2 (and of 2K at
+        # p = 2): the last batch is a partial one on both paths
+        part, _ = _equiv_case(1)
+        g = part.grid
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((5, 1) + g.shape) + 0j
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            2 * len(part._active_centers) * g.size)
+        specs = [ModNormSpec(*t) for t in MIXED_SPECS["mixed"]]
+        got = mod_norms_from_frequency(values, specs, part)
+        assert got.shape == (len(specs), 5, 1)
+        for row, spec in zip(got, specs):
+            np.testing.assert_array_equal(row,
+                                          per_spec_norms(values, spec, part))
+
+    def test_scratch_keeps_magnitudes(self):
+        # p = 3 powers into the scratch buffer, p = 4 in place, and p = 1
+        # and inf read the magnitudes before either: each p's block table
+        # is the per-p oracle's
+        part, f = _equiv_case(2)
+        F = forward_transform(f).values[None]
+        ps = [3.0, 1.0, 4.0, np.inf, 1.5]
+        for p, table in zip(ps, _block_lp_norms(F, part, ps)):
+            np.testing.assert_array_equal(table,
+                                          per_p_block_norms(F, part, p))
 
 
 class TestMaxModNorm:
@@ -322,7 +463,7 @@ class TestMaxModNorm:
         # slices that have decayed below it are never evaluated exactly
         stack = self._flow(part1, np.linspace(0.0, 2.0, 17))
         spec = ModNormSpec(p, 1.0, 0.0)
-        want = mod_norms_from_frequency(stack, spec, part1)
+        want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert want.argmax() == 0
         got, evaluated, _ = max_mod_norm(stack, spec, part1)
         assert got == want.max()
@@ -336,7 +477,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 0.0)
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             3 * len(part1._active_centers) * part1.grid.size)
-        norms = mod_norms_from_frequency(stack, spec, part1)
+        norms = mod_norms_from_frequency(stack, [spec], part1)[0]
         bounds = modnorm._parseval_bounds(
             stack, spec, part1, *modnorm._bound_constants(spec, part1))
         assert np.all(np.diff(bounds) < 0) and norms.argmax() == 0
@@ -357,10 +498,10 @@ class TestMaxModNorm:
         F = np.zeros(g.shape, complex)
         F[(3,) * dim] = 1.0
         spec = ModNormSpec(p, 1.0, 1.5)
-        exact = mod_norms_from_frequency(F, spec, part)
+        exact = mod_norms_from_frequency(F, [spec], part)[0]
         scale, floor = modnorm._bound_constants(spec, part)
         bound = scale * mod_norms_from_frequency(
-            F, ModNormSpec(2.0, 1.0, 1.5), part) + floor
+            F, [ModNormSpec(2.0, 1.0, 1.5)], part)[0] + floor
         assert exact <= bound <= exact * (1.0 + 2.0 * modnorm.BOUND_ROUNDOFF)
 
     def test_max_found_after_a_larger_bound(self, monkeypatch):
@@ -378,14 +519,15 @@ class TestMaxModNorm:
         wave = np.zeros(g.shape, complex)
         wave[40] = 1.0  # frequency 4
         stack = np.array([wave, noise, wave])
-        norms = mod_norms_from_frequency(stack, spec, part)
+        norms = mod_norms_from_frequency(stack, [spec], part)[0]
         stack[1] *= 0.95 * norms[0] / norms[1]
         stack[2] *= 0.1
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             len(part._active_centers) * g.size)
-        want = mod_norms_from_frequency(stack, spec, part)
+        want = mod_norms_from_frequency(stack, [spec], part)[0]
         bounds = modnorm._bound_constants(spec, part)[0] \
-            * mod_norms_from_frequency(stack, ModNormSpec(2.0, 1.0, 0.0), part)
+            * mod_norms_from_frequency(
+                stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0]
         assert bounds.argmax() == 1 and want.argmax() == 0
         assert max_mod_norm(stack, spec, part) == (want.max(), 2, 0)
 
@@ -393,7 +535,7 @@ class TestMaxModNorm:
         stack = self._flow(part1, np.linspace(0.0, 2.0, 5))
         spec = ModNormSpec(2.0, 2.0, 1.5)
         got, evaluated, _ = max_mod_norm(stack, spec, part1)
-        assert got == mod_norms_from_frequency(stack, spec, part1).max()
+        assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
     def test_overflowing_square_is_evaluated(self, part1):
@@ -405,7 +547,7 @@ class TestMaxModNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, _, _ = max_mod_norm(stack, spec, part1)
-        want = mod_norms_from_frequency(stack, spec, part1)
+        want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert np.isfinite(want.max()) and want.argmax() == 3
         assert got == want.max()
 
@@ -423,7 +565,7 @@ class TestMaxModNorm:
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             len(part._active_centers) * g.size)
         with np.errstate(over="ignore"):
-            want = mod_norms_from_frequency(stack, spec, part)
+            want = mod_norms_from_frequency(stack, [spec], part)[0]
             bounds = modnorm._parseval_bounds(
                 stack, spec, part, *modnorm._bound_constants(spec, part))
             got, _, _ = max_mod_norm(stack, spec, part)
@@ -439,7 +581,7 @@ class TestMaxModNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, evaluated, _ = max_mod_norm(stack, spec, part1)
-        assert got == mod_norms_from_frequency(stack, spec, part1).max()
+        assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
     def test_nan_norm_propagates(self, part1):
@@ -449,7 +591,7 @@ class TestMaxModNorm:
         stack[:, np.abs(part1.grid.freq_axis) > 3.0] = 0.0
         spec = ModNormSpec(1.0, 1.0, 400.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = mod_norms_from_frequency(stack, spec, part1).max()
+            want = mod_norms_from_frequency(stack, [spec], part1)[0].max()
             got, evaluated, neighbours = max_mod_norm(stack, spec, part1)
         assert np.isnan(want) and np.isnan(got)
         # NaN bounds are all evaluated, and a NaN norm tightens nothing

@@ -51,7 +51,7 @@ def _parseval_only_max(values, spec, partition):
         if found and bounds[order[lo]] <= best:
             break
         found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
-                                              spec, partition))
+                                              [spec], partition)[0])
         best = np.concatenate(found).max()
     return best, sum(len(n) for n in found)
 
@@ -60,7 +60,7 @@ def _check_pruned_max(stack, spec, part, batch):
     """max_mod_norm with engine batches of `batch` functions: bitwise the
     full maximum, and at most one batch more evaluations than the oracle."""
     g = part.grid
-    exact = mod_norms_from_frequency(stack, spec, part)
+    exact = mod_norms_from_frequency(stack, [spec], part)[0]
     rows = len(part._active_centers)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modnorm, "NORM_BATCH_VALUES", batch * rows * g.size)
@@ -96,13 +96,14 @@ def test_bound_holds_and_pruned_max_is_exact(dim, p, q, s, n, batch, decades,
     stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         * np.exp(-np.multiply.outer(decay, g.freq_magnitude ** 2)) \
         * (rng.random(shape) < density.reshape((n,) + (1,) * dim))
-    norms = mod_norms_from_frequency(stack, spec, part)
+    norms = mod_norms_from_frequency(stack, [spec], part)[0]
     amp = 10.0 ** rng.uniform(-decades / 2, decades / 2, n) \
         / np.where(norms > 0, norms, 1.0)
     stack *= amp.reshape((n,) + (1,) * dim)
-    exact = mod_norms_from_frequency(stack, spec, part)
+    exact = mod_norms_from_frequency(stack, [spec], part)[0]
     scale, floor = modnorm._bound_constants(spec, part)
-    parseval = mod_norms_from_frequency(stack, ModNormSpec(2.0, q, s), part)
+    parseval = mod_norms_from_frequency(stack, [ModNormSpec(2.0, q, s)],
+                                        part)[0]
     assert np.all(exact <= scale * parseval + floor)
     # engine batches of `batch` functions, so that pruning can stop early
     _check_pruned_max(stack, spec, part, batch)
@@ -164,7 +165,7 @@ def test_neighbour_bound_holds_for_every_pair(kind, dim, p, q, s, n, batch,
     part = (WAVE_PARTITIONS if kind == "plane_waves" else PARTITIONS)[dim]
     spec = ModNormSpec(p, q, s)
     stack = STACKS[kind](part, n, np.random.default_rng(seed))
-    exact = mod_norms_from_frequency(stack, spec, part)
+    exact = mod_norms_from_frequency(stack, [spec], part)[0]
     # row g, column f: every function bounds every other through their
     # difference, itself included
     tight = modnorm._neighbour_bounds(stack, stack, exact, spec, part,

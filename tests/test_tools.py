@@ -24,15 +24,15 @@ def test_measure_constants_runs(capsys):
 
 def test_compare_outputs_self_reports_nothing(capsys):
     # every invocation of the workload runs in both checkouts; one checkout
-    # against itself differs in no CSV
+    # against itself differs in no CSV and no JSON file
     tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
     root = str(TOOLS.parent)
     code = tool["main"]([root, root, "--workload", "estimators",
                          "--seeds", "0"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines == ["estimators: 6 CSV files compared at seeds [0], "
-                     "all byte-identical"]
+    assert lines == ["estimators: 6 CSV and 1 JSON files compared at "
+                     "seeds [0], all byte-identical"]
 
 
 def test_compare_outputs_column_diffs():
@@ -44,3 +44,16 @@ def test_compare_outputs_column_diffs():
     assert diffs["name"] == math.inf
     assert diffs["value"] == pytest.approx(5e-16, rel=0.2)
     assert tool["column_diffs"](old, old + "3,d,0.0\n") == {None: math.inf}
+
+
+def test_compare_outputs_json_diff():
+    tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
+    old = [{"norm_id": "f0", "value": 2.0, "flags": []},
+           {"norm_id": "f1", "value": math.nan, "flags": ["moved"]}]
+    assert tool["json_diff"](old, old) == 0.0
+    new = [dict(old[0], value=2.000000000000001), old[1]]
+    assert tool["json_diff"](old, new) == pytest.approx(5e-16, rel=0.2)
+    for other in ([old[0]], [dict(old[0], norm_id="g0"), old[1]],
+                  [old[0], dict(old[1], flags=[])],
+                  [dict(old[0], value=True), old[1]]):
+        assert tool["json_diff"](old, other) == math.inf

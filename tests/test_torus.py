@@ -5,7 +5,8 @@ import pytest
 
 from modheat import constants, hermite, torus
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import HermiteCoeffs, eigen_sum, oscillator_heat_coeffs
+from modheat.hermite import (HermiteCoeffs, ZeroNormError, eigen_sum,
+                             oscillator_heat_coeffs)
 from modheat.modnorm import ModNormSpec, mod_norm_decomp
 from modheat.spectral import GridFunction
 from modheat.torus import (MultiplierSpec, TorusGrid, kernel_l1_norm,
@@ -324,7 +325,7 @@ class TestTransference:
         grid, part, _ = setup
         tg = TorusGrid(1, 64)
         zero = HermiteCoeffs(basis16, np.zeros(basis16.coeff_shape))
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroNormError, match="'zero' is 0 at p = 2.0"):
             transference_check(1.0, 1.0, [2.0], [("zero", zero)], grid, part,
                                tg, slack=1.5)
 

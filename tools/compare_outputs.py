@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CSV outputs of two checkouts on a benchmark workload.
+"""Compare the CSV and JSON outputs of two checkouts on a benchmark workload.
 
 Run from anywhere:
 
@@ -10,16 +10,20 @@ OLD and NEW are checkout roots.  Every invocation of the workload (the
 configs in this checkout's perfbench/workloads.py, which is only read) runs
 at every seed in each checkout, through that checkout's own
 modheat.cli.main in a fresh interpreter with the benchmark's thread caps.
-Every CSV is then compared byte for byte.  For each CSV that differs, one
-line names the invocation, seed, file and column, with the largest relative
-difference |a - b| / max(|a|, |b|) over the column's cells (inf where only
-one side is NaN or a cell is not a number).  A differing exit code or set
-of files is reported too.  The last line counts the files compared.  Exit
-status: 0 if every CSV is byte-identical, 1 otherwise.
+Every CSV and every JSON file but run_record.json, which holds timings, is
+then compared byte for byte.  For each CSV that differs, one line names the
+invocation, seed, file and column, with the largest relative difference
+|a - b| / max(|a|, |b|) over the column's cells (inf where only one side is
+NaN or a cell is not a number); for each JSON file, one line gives that
+difference over all its numbers (inf where anything else differs).  A
+differing exit code or set of files is reported too.  The last line counts
+the files compared.  Exit status: 0 if every file is byte-identical, 1
+otherwise.
 """
 
 import argparse
 import importlib.util
+import json
 import math
 import os
 import pathlib
@@ -93,11 +97,30 @@ def column_diffs(old, new):
     return diffs
 
 
+def json_diff(old, new):
+    """Largest relative difference between the numbers of two parsed JSON
+    values of one structure; inf where a key, a length or a value that is
+    not a number differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return math.inf
+        return max((json_diff(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return math.inf
+        return max(map(json_diff, old, new), default=0.0)
+    if old == new:
+        return 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (old, new))
+    return _rel_diff(old, new) if numbers else math.inf
+
+
 def compare(old, new, workload, seeds, work):
-    """Difference lines, and the number of CSV files compared."""
+    """Difference lines, and the numbers of CSV and JSON files compared."""
     workloads = load_workloads()
     configs = workloads.write_configs(workload, os.path.join(work, "configs"))
-    lines, compared = [], 0
+    lines, compared = [], {".csv": 0, ".json": 0}
     for seed in seeds:
         for inv in workloads.WORKLOADS[workload]:
             where = f"{inv.name} seed {seed}"
@@ -109,14 +132,25 @@ def compare(old, new, workload, seeds, work):
                 outs.append(pathlib.Path(out_dir))
             if codes[0] != codes[1]:
                 lines.append(f"{where}: exit code {codes[0]} -> {codes[1]}")
-            names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+            names = [sorted(p.name for p in out.glob("*")
+                            if p.suffix in compared
+                            and p.name != "run_record.json")
+                     for out in outs]
             if names[0] != names[1]:
-                lines.append(f"{where}: CSV files {names[0]} -> {names[1]}")
+                lines.append(f"{where}: output files {names[0]} -> "
+                             f"{names[1]}")
             for name in sorted(set(names[0]) & set(names[1])):
-                compared += 1
+                suffix = pathlib.Path(name).suffix
+                compared[suffix] += 1
                 old_bytes, new_bytes = ((out / name).read_bytes()
                                         for out in outs)
                 if old_bytes == new_bytes:
+                    continue
+                if suffix == ".json":
+                    diff = json_diff(*(json.loads(b) for b in (old_bytes,
+                                                                new_bytes)))
+                    lines.append(f"{where} {name}: max relative difference "
+                                 f"{diff:.3g}")
                     continue
                 diffs = column_diffs(old_bytes.decode(), new_bytes.decode())
                 for column, diff in diffs.items():
@@ -139,8 +173,9 @@ def main(argv=None):
                                   args.seeds, work)
     for line in lines:
         print(line)
-    print(f"{args.workload}: {compared} CSV files compared at seeds "
-          f"{args.seeds}, {'some differ' if lines else 'all byte-identical'}")
+    print(f"{args.workload}: {compared['.csv']} CSV and "
+          f"{compared['.json']} JSON files compared at seeds {args.seeds}, "
+          f"{'some differ' if lines else 'all byte-identical'}")
     return 1 if lines else 0
 
 
