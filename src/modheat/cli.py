@@ -617,15 +617,17 @@ def cmd_modnorm(cfg, seed, rec):
     corpus = [band_limited(grid, max_mode, seed=seed + i) for i in range(count)]
 
     hats = forward_values(grid, np.stack([f.values for f in corpus]))
-    # (function, spec) tables; norms beyond the float range are named below
+    # (function, spec) tables; norms of 0 or beyond the float range are
+    # named below
     with np.errstate(over="ignore", invalid="ignore"):
         decomp = mod_norms_from_frequency(hats, specs, partition).T
         coarse = np.array([mod_norms_stft(f, plan, specs) for f in corpus])
         fine = np.array([mod_norms_stft(f, plan, specs, 2) for f in corpus])
     for i in range(len(specs)):
-        if not np.isfinite([decomp[:, i], coarse[:, i], fine[:, i]]).all():
-            raise ConfigError(f"config field 'specs[{i}]' gives a norm "
-                              "beyond the float range")
+        norms = np.array([decomp[:, i], coarse[:, i], fine[:, i]])
+        if not (np.all(norms > 0) and np.isfinite(norms).all()):
+            raise ConfigError(f"config field 'specs[{i}]' gives a norm of 0 "
+                              "or beyond the float range")
     flags = stft_resolution_ok(coarse, fine).tolist()
     decomp, coarse = decomp.tolist(), coarse.tolist()
     json_rows = []
@@ -641,8 +643,7 @@ def cmd_modnorm(cfg, seed, rec):
                                   "resolution_flags": [] if flag else
                                   ["stft_refinement_moved_norm"]})
                 csv_rows.append((fi, spec.p, spec.q, spec.s, est, val))
-            if dval > 0:
-                cross.append(sval / dval)
+            cross.append(sval / dval)
     rec.write_csv("modnorm_values.csv",
                   ["func_id", "p", "q", "s", "estimator", "value"], csv_rows)
     rec.write_json("modnorm_report.json", json_rows)
@@ -653,10 +654,9 @@ def cmd_modnorm(cfg, seed, rec):
         if not math.isnan(d)]
     rec.write_csv("modnorm_algebra.csv", ["pair", "defect"], defects)
 
-    if cross:
-        c = constants.CROSS_ESTIMATOR_CONST
-        rec.verdict("cross_estimator_hi", max(cross), c)
-        rec.verdict("cross_estimator_lo", min(cross), 1.0 / c, direction=">=")
+    c = constants.CROSS_ESTIMATOR_CONST
+    rec.verdict("cross_estimator_hi", max(cross), c)
+    rec.verdict("cross_estimator_lo", min(cross), 1.0 / c, direction=">=")
     if defects:
         rec.verdict("algebra_defect_finite",
                     max(d for _, d in defects), math.inf)
@@ -707,7 +707,9 @@ def cmd_hermite(cfg, seed, rec):
             raise ConfigError("config fields 'betas' and 't_profile' give a "
                               "decay profile beyond the float range") from exc
         except ZeroNormError as exc:
-            raise ConfigError(f"config field 'ps': {exc}") from exc
+            fields = ("config fields 'ps', 'betas' and 't_profile'"
+                      if exc.of_flow else "config field 'ps'")
+            raise ConfigError(f"{fields}: {exc}") from exc
         for p, prof_rows in zip(ps, profiles):
             for t, val, ratio in prof_rows:
                 rows.append((dim, beta, p, t, val, ratio))

@@ -40,7 +40,12 @@ def hermite_table(k_max, x):
 
 class ZeroNormError(ValueError):
     """A measured (p, p, 0) norm of the data or its flow is 0: the data is
-    0, or its p-th powers underflow at that p."""
+    0, or its p-th powers underflow at that p.  of_flow is true when only
+    a flow's norm is 0, an underflow that the flow's time brings about."""
+
+    def __init__(self, message, of_flow=False):
+        super().__init__(message)
+        self.of_flow = of_flow
 
 
 class HermiteBasis:
@@ -277,7 +282,8 @@ def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
     over the grid is the empirical decay constant.  The initial data and
     the flow at every t are synthesized as one stack and measured at every
     p; ZeroNormError if a norm at some p is 0, which for nonzero data is
-    an underflow: the flow of nonzero data is nonzero at every t.
+    an underflow: the flow of nonzero data is nonzero at every t, but its
+    norm falls like e^{-t d^beta} and leaves the float range at large t.
     """
     d = coeffs.basis.dim
     t_grid = [float(t) for t in t_grid]
@@ -287,9 +293,12 @@ def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
             np.concatenate([coeffs.tensor[None], heated]), grid, ps,
             partition).tolist()):
         base = norms[0]
+        if base == 0.0:
+            raise ZeroNormError(f"(p, p, 0) norm of the data is 0 at p = {p}")
         if min(norms) == 0.0:
-            raise ZeroNormError("(p, p, 0) norm of the data or its flow is 0 "
-                                f"at p = {p}")
+            t = t_grid[norms.index(0.0) - 1]
+            raise ZeroNormError("(p, p, 0) norm of the flow underflows to 0 "
+                                f"at p = {p}, t = {t:g}", of_flow=True)
         profiles.append([(t, nrm, nrm * math.exp(t * d ** beta)
                           * t ** (d / beta) / base)
                          for t, nrm in zip(t_grid, norms[1:])])

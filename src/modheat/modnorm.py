@@ -166,11 +166,9 @@ class ModNormSpec:
 
 # Working-set cap of the block-norm engine: complex values in its largest
 # temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB)
-# and N^d at p = 2, where the Parseval contraction holds one row.  Two or
-# more p outside {1, 2, inf} in one call add a real scratch buffer of half
-# the size of the temporary.  On repeated Picard runs (N = 256, two
-# functions a batch) 2^14 was ~1.6x slower, and 2^16 raised peak memory by
-# 1-3 % for a small, unsteady gain.
+# and N^d at p = 2, where the Parseval contraction holds one row.
+# On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
+# slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
 NORM_BATCH_VALUES = 1 << 15
 
 
@@ -201,7 +199,7 @@ def _block_lp_norms(F, partition, ps):
     batched call, so K N^d values (K active rows) are live per function.
     Each chunk's blocks and |.| are formed once for every p: p = inf and
     p = 1 read the magnitudes first, any other p but the last takes its
-    powers into one scratch buffer, and the last takes them in place.
+    powers into a fresh array, and the last takes them in place.
     """
     g = partition.grid
     d = g.dim
@@ -213,7 +211,6 @@ def _block_lp_norms(F, partition, ps):
     powered = [p for p in ps if not (np.isinf(p) or p == 1)]
     # p = inf and p = 1 read the magnitudes first; the last power overwrites
     order = [p for p in ps if p not in powered] + powered
-    scratch = None
     F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
     chunks = {p: [] for p in ps}
     for lead in product(range(nrows), repeat=d - 1):
@@ -235,9 +232,7 @@ def _block_lp_norms(F, partition, ps):
             elif p == powered[-1]:
                 powers = np.power(a, p, out=a)
             else:
-                if scratch is None:
-                    scratch = np.empty_like(a)
-                powers = np.power(a, p, out=scratch)
+                powers = a ** p
             chunks[p].append((vol * np.sum(powers, axis=block_axes))
                              ** (1.0 / p))
     return [np.concatenate(chunks[p], axis=1) for p in ps]

@@ -699,6 +699,9 @@ class TestConfigValidation:
         ("transfer", "ps", [2.0, 1e300], "'ps'"),
         ("hermite", "ps", [2.0, 1e300], "'ps'"),
         ("hermite", "ps", [200.0], "'ps'"),
+        ("modnorm", "specs", [[2, 1, 0], [1e300, 1, 0]], "'specs[1]'"),
+        ("hermite", "t_profile.hi", 500.0,
+         "'ps', 'betas' and 't_profile'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):

@@ -366,7 +366,7 @@ def per_spec_norms(values, spec, partition, batch=None):
 
 
 # spec lists that mix p, repeat a spec and come in different orders; two
-# or more p outside {1, 2, inf} take the scratch buffer
+# or more p outside {1, 2, inf} take a power into a fresh array
 MIXED_SPECS = {
     "mixed": [(1, 1, 0), (4, 2, 1.5), (2, 1, 0), (np.inf, 1, 0), (3, 2, 0),
               (4, 2, 1.5)],
@@ -432,10 +432,10 @@ class TestMultiSpecEngine:
             np.testing.assert_array_equal(row,
                                           per_spec_norms(values, spec, part))
 
-    def test_scratch_keeps_magnitudes(self):
-        # p = 3 powers into the scratch buffer, p = 4 in place, and p = 1
-        # and inf read the magnitudes before either: each p's block table
-        # is the per-p oracle's
+    def test_reduction_order_keeps_magnitudes(self):
+        # p = 3 powers into a fresh array, p = 4 in place, and p = 1 and
+        # inf read the magnitudes before either: each p's block table is
+        # the per-p oracle's
         part, f = _equiv_case(2)
         F = forward_transform(f).values[None]
         ps = [3.0, 1.0, 4.0, np.inf, 1.5]
