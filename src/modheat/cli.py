@@ -35,8 +35,8 @@ from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
 from .hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
                       decay_profile, eigen_sum, eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
-                      mod_norm_decomp, mod_norms_from_frequency,
-                      mod_norms_stft, stft_resolution_ok)
+                      mod_norms_from_frequency, mod_norms_stft,
+                      stft_resolution_ok)
 from .spectral import (GridFunction, SpectralGrid, boundary_tail_ratio,
                        fine_grid, forward_values, heat_symbol,
                        load_grid_function)
@@ -456,7 +456,8 @@ def cmd_blowup(cfg, seed, rec):
     partition = UniformPartition(grid)
     # an overflowed norm is named below
     with np.errstate(over="ignore", invalid="ignore"):
-        init_norm = mod_norm_decomp(u0, spec, partition)
+        init_norm = float(mod_norms_from_frequency(
+            forward_values(grid, u0.values), [spec], partition)[0])
     if not factor * init_norm > init_norm:
         raise ConfigError(f"config fields 'data' and 'norm' give initial "
                           f"norm {init_norm:g}: no blow-up threshold "
@@ -701,8 +702,7 @@ def cmd_hermite(cfg, seed, rec):
     slope_err = 0.0
     for beta in betas:
         try:
-            profiles = decay_profile(coeffs, beta, ps, t_grid, grid,
-                                     partition)
+            profiles = decay_profile(coeffs, beta, ps, t_grid, partition)
         except OverflowError as exc:
             raise ConfigError("config fields 'betas' and 't_profile' give a "
                               "decay profile beyond the float range") from exc
@@ -766,8 +766,8 @@ def cmd_transfer(cfg, seed, rec):
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
     try:
         with np.errstate(over="ignore"):
-            report = transference_check(t, beta, ps, family, grid, partition,
-                                        tg, slack=constants.TRANSFER_SLACK)
+            report = transference_check(t, beta, ps, family, partition, tg,
+                                        slack=constants.TRANSFER_SLACK)
     except OverflowError as exc:
         raise ConfigError("config fields 'beta' and 't' give a symbol beyond "
                           "the float range") from exc

@@ -40,7 +40,7 @@ PICARD_DOMINATION_SLACK = 4.0
 
 # Transference slack: modulation-norm decay ratio of the oscillator heat flow
 # over the torus Young bound, absorbing window/equivalence constants
-# (measured max ratio/young 0.9999).
+# (measured max ratio/young 0.615).
 TRANSFER_SLACK = 1.25
 
 # Empirical decay constant: sup over t in [0.05, 5] of

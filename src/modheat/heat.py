@@ -165,14 +165,16 @@ MAX_LATTICE_VALUES = 1 << 22
 
 
 def check_lattice(grid, k):
-    """Raise ValueError if solve's chunk buffer on fine_grid(grid, k) would
-    exceed MAX_LATTICE_VALUES; sized without allocating anything."""
-    size = (max(1, SOLVE_BATCH_VALUES // grid.size)
-            * fine_grid(grid, k).size)
+    """Steps in one of solve's chunks; ValueError if the chunk's buffer on
+    fine_grid(grid, k) would exceed MAX_LATTICE_VALUES.  Sized without
+    allocating anything."""
+    steps = max(1, SOLVE_BATCH_VALUES // grid.size)
+    size = steps * fine_grid(grid, k).size
     if size > MAX_LATTICE_VALUES:
         raise ValueError(f"products of k = {k} factors need {size} values "
                          "on the dealiasing lattice, above the bound "
                          f"{MAX_LATTICE_VALUES}")
+    return steps
 
 
 def solve(problem, config, partition=None):
@@ -193,7 +195,7 @@ def solve(problem, config, partition=None):
     steps_discarded.
     """
     g = problem.u0.grid
-    check_lattice(g, problem.k)
+    per_chunk = check_lattice(g, problem.k)
     if partition is None:
         partition = UniformPartition(g)
     fine = fine_grid(g, problem.k)
@@ -238,8 +240,7 @@ def solve(problem, config, partition=None):
     final = problem.u0.values
 
     n_steps = int(round(config.t_max / config.dt))
-    hats = np.empty((max(1, SOLVE_BATCH_VALUES // g.size),) + fine.shape,
-                    complex)
+    hats = np.empty((per_chunk,) + fine.shape, complex)
     u = _to_fine_slots(g, u_hat, fine)
     n_vals = np.zeros(fine.shape, complex)
     n_stage = np.zeros(fine.shape, complex) if w2 is not None else None
@@ -417,11 +418,6 @@ class PicardResult:
     summable: bool
     exact_evaluations: list  # slices per term the norm engine evaluated
     difference_bounds: list  # neighbour bounds per term (max_mod_norm)
-
-    @property
-    def trajectories(self):
-        """Physical values per term, inverse-transformed on every access."""
-        return [inverse_values(self.grid, F) for F in self.spectra]
 
 
 def _cumulative_weights(t_grid):

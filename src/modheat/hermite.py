@@ -251,13 +251,14 @@ def multiplier_tail(d, t, beta, n_from):
 # -- decay profile ----------------------------------------------------------------
 
 
-def expansion_mod_norms(tensors, grid, ps, partition):
-    """(p, p, 0) decomposition norms on grid of the expansions stacked along
-    the first axis of tensors, one row per p in ps: NORM_BATCH_VALUES
-    synthesized values at a time, each chunk one contraction per axis and
-    one transform, then one norm call for every p, which forms the chunk's
-    blocks once.
+def expansion_mod_norms(tensors, ps, partition):
+    """(p, p, 0) decomposition norms on partition.grid of the expansions
+    stacked along the first axis of tensors, one row per p in ps:
+    NORM_BATCH_VALUES synthesized values at a time, each chunk one
+    contraction per axis and one transform, then one norm call for every
+    p, which forms the chunk's blocks once.
     """
+    grid = partition.grid
     if tensors.ndim - 1 != grid.dim:
         raise ValueError("Hermite basis and grid dimensions differ")
     table = hermite_table(tensors.shape[1] - 1, grid.x_axis)
@@ -274,7 +275,7 @@ def expansion_mod_norms(tensors, grid, ps, partition):
     return np.concatenate(norms, axis=1)
 
 
-def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
+def decay_profile(coeffs, beta, ps, t_grid, partition):
     """One table of (t, norm of the heat flow, compensated ratio) per p in ps.
 
     The ratio multiplies the measured (p, p, 0) decomposition norm by
@@ -290,7 +291,7 @@ def decay_profile(coeffs, beta, ps, t_grid, grid, partition):
     heated = heat_coeff_factors(coeffs.basis, t_grid, beta) * coeffs.tensor
     profiles = []
     for p, norms in zip(ps, expansion_mod_norms(
-            np.concatenate([coeffs.tensor[None], heated]), grid, ps,
+            np.concatenate([coeffs.tensor[None], heated]), ps,
             partition).tolist()):
         base = norms[0]
         if base == 0.0:

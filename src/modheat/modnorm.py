@@ -47,11 +47,9 @@ import math
 
 import numpy as np
 
-from .spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                       _factor_meshes, _per_axis, cropped_forward, dft_order,
-                       fine_grid, forward_transform, forward_values,
-                       frequency_lp_norm, inverse_axis_factor,
-                       inverse_transform, inverse_values, lp_norm,
+from .spectral import (SpectralGrid, _factor_meshes, _per_axis,
+                       cropped_forward, dft_order, fine_grid, forward_values,
+                       inverse_axis_factor, inverse_values, lp_norm,
                        padded_inverse)
 
 
@@ -99,11 +97,11 @@ class UniformPartition:
         self.k_max = math.ceil(grid.max_freq_component)
         centers = np.arange(-self.k_max, self.k_max + 1)
         profile = bump_profile(grid.freq_axis[None, :] - centers[:, None])
-        self._rows = profile / profile.sum(axis=0)[None, :]
+        rows = profile / profile.sum(axis=0)[None, :]
         # Rows that are nonzero somewhere on the lattice.
-        active = self._rows.any(axis=1)
+        active = rows.any(axis=1)
         self._active_centers = tuple(int(c) for c in centers[active])
-        rows = self._rows[active]
+        rows = rows[active]
         self._sq_rows = rows ** 2
         # Rows with inverse_transform's per-axis factor folded in, in DFT
         # order, so each axis's blocks inverse-transform on their own.
@@ -112,37 +110,12 @@ class UniformPartition:
         # |k| of every active key, in active_keys() order, for the weights
         keys = np.array(list(self.active_keys()), dtype=float)
         self._key_radii = np.sqrt(np.sum(keys ** 2, axis=1))
-        for arr in (self._rows, self._sq_rows, self._folded_rows,
-                    self._key_radii):
+        for arr in (self._sq_rows, self._folded_rows, self._key_radii):
             arr.setflags(write=False)
-
-    def keys(self):
-        rng = range(-self.k_max, self.k_max + 1)
-        return product(rng, repeat=self.grid.dim)
-
-    def _row(self, c):
-        return self._rows[c + self.k_max]
-
-    def symbol(self, k):
-        """sigma_k sampled on the full frequency lattice."""
-        k = tuple(int(c) for c in k)
-        if not all(abs(c) <= self.k_max for c in k):
-            raise ValueError(f"block center {k} outside k_max {self.k_max}")
-        out = self._row(k[0])
-        for c in k[1:]:
-            out = np.multiply.outer(out, self._row(c))
-        return out
 
     def active_keys(self):
         """Block centers whose symbol is nonzero somewhere on the lattice."""
         return product(self._active_centers, repeat=self.grid.dim)
-
-
-def block_project(f, k, partition):
-    """Frequency-uniform block: inverse transform of sigma_k times F f."""
-    F = forward_transform(f)
-    sym = partition.symbol(k)
-    return inverse_transform(GridFunction(f.grid, sym * F.values, FREQUENCY))
 
 
 # -- decomposition-side norm ----------------------------------------------------
@@ -170,6 +143,12 @@ class ModNormSpec:
 # On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
 # slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
 NORM_BATCH_VALUES = 1 << 15
+
+
+def _engine_batch(rows, grid):
+    """Functions per engine batch when the engine holds `rows` rows of N^d
+    values per function: one row at p = 2, the K active rows at p != 2."""
+    return max(1, NORM_BATCH_VALUES // (rows * grid.size))
 
 
 def _parseval_block_norms(F, partition):
@@ -258,9 +237,7 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     stack = values.reshape((-1,) + g.shape)
 
     def batches(rows):
-        # the engine holds `rows` rows of N^d values per function
-        step = (max(1, NORM_BATCH_VALUES // (rows * g.size)) if batch is None
-                else batch)
+        step = _engine_batch(rows, g) if batch is None else batch
         return [stack[i:i + step] for i in range(0, len(stack), step)]
 
     ps = list(dict.fromkeys(spec.p for spec in specs))
@@ -444,8 +421,7 @@ def max_mod_norm(values, spec, partition):
     g = partition.grid
     stack = np.asarray(values).reshape((-1,) + g.shape)
     pending = np.ones(len(stack), dtype=bool)
-    batch = max(1, NORM_BATCH_VALUES // (len(partition._active_centers)
-                                         * g.size))
+    batch = _engine_batch(len(partition._active_centers), g)
     found, neighbours = [], 0
     while pending.any():
         rest = np.flatnonzero(pending)
@@ -470,22 +446,6 @@ def max_mod_norm(values, spec, partition):
             tight[tight > ceiling] = np.inf
             bounds[targets] = np.fmin(bounds[targets], tight)
     return best, sum(len(n) for n in found), neighbours
-
-
-def mod_norm_from_frequency(F, spec, partition):
-    """Decomposition norm evaluated from frequency-side samples."""
-    return float(mod_norms_from_frequency(F.values, [spec], partition)[0])
-
-
-def mod_norm_decomp(f, spec, partition):
-    """l^q-over-blocks of weighted L^p block norms (quadrature on the grid)."""
-    return mod_norm_from_frequency(forward_transform(f), spec, partition)
-
-
-def fourier_lebesgue_norm(f, p):
-    """Quadrature L^p norm of the Fourier transform of f."""
-    F = f if f.side == FREQUENCY else forward_transform(f)
-    return frequency_lp_norm(F, p)
 
 
 # -- STFT-side norm -------------------------------------------------------------
@@ -569,9 +529,10 @@ def _stft_batches(f, plan, stride, fine):
 
 
 def mod_norms_stft(f, plan, specs, refine=1):
-    """mod_norm_stft for every spec in specs, from one pass over |V_g f|:
-    each batch of window shifts is transformed once, and one inner L^p_x sum
-    is accumulated per distinct p, in DFT order until the end."""
+    """Mixed L^p_x L^q_y quadrature norms of V_g f with weight <y>^s, one
+    per spec in specs, from one pass over |V_g f|: each batch of window
+    shifts is transformed once, and one inner L^p_x sum is accumulated per
+    distinct p, in DFT order until the end."""
     g = f.grid
     d = g.dim
     n = g.points_per_axis
@@ -610,11 +571,6 @@ def mod_norms_stft(f, plan, specs, refine=1):
         weight = (1.0 + ysq) ** (spec.s / 2.0)
         norms.append(lp_norm(amp * weight, b_vol, spec.q))
     return norms
-
-
-def mod_norm_stft(f, plan, spec, refine=1):
-    """Mixed L^p_x L^q_y quadrature norm of V_g f with weight <y>^s."""
-    return mod_norms_stft(f, plan, [spec], refine)[0]
 
 
 def stft_resolution_ok(coarse, fine):

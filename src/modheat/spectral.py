@@ -259,14 +259,6 @@ def lp_norm(values, volume_element, p):
     return float((volume_element * np.sum(a ** p)) ** (1.0 / p))
 
 
-def physical_lp_norm(f, p):
-    return lp_norm(f.values, f.grid.spacing ** f.grid.dim, p)
-
-
-def frequency_lp_norm(F, p):
-    return lp_norm(F.values, F.grid.freq_spacing ** F.grid.dim, p)
-
-
 def boundary_tail_ratio(f):
     """max |f| on the outermost lattice faces divided by max |f| overall.
 
@@ -357,25 +349,9 @@ def cropped_forward(grid, values, fine):
 # -- serialization -------------------------------------------------------------
 
 
-def save_grid_function(f, path_base):
-    """Write <base>.csv rows (index, re, im) plus a <base>.json grid header."""
-    flat = f.values.reshape(-1)
-    with open(path_base + ".csv", "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
-    header = {
-        "dim": f.grid.dim,
-        "points_per_axis": f.grid.points_per_axis,
-        "half_width": f.grid.half_width,
-        "side": f.side,
-    }
-    with open(path_base + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_grid_function(path_base):
+    """Read <base>.csv rows (index, re, im) and the <base>.json grid header
+    (dim, points_per_axis, half_width, side)."""
     with open(path_base + ".json") as fh:
         header = json.load(fh)
     grid = SpectralGrid(header["dim"], header["points_per_axis"],

@@ -208,16 +208,16 @@ class TransferenceReport:
         return all(r.passed for rows in self.rows for r in rows)
 
 
-def transference_check(t, beta, ps, family, grid, partition, tg, slack):
+def transference_check(t, beta, ps, family, partition, tg, slack):
     """Compare oscillator-heat modulation-norm ratios with the torus Young bound.
 
     `family` is a non-empty list of (label, HermiteCoeffs) on one basis;
     each function is pushed through exp(-t H^beta), resampled on the uniform
-    grid, and measured in the (p, p) modulation norm at every p in ps, all
-    members and their flows as one stack.  Every ratio must stay below the
-    Young upper bound times the frozen slack constant.  The symbol, its
-    bounds and the synthesized stack do not depend on p: each is built once.
-    ZeroNormError if a member's norm at some p is 0.
+    grid partition.grid, and measured in the (p, p) modulation norm at
+    every p in ps, all members and their flows as one stack.  Every ratio
+    must stay below the Young upper bound times the frozen slack constant.
+    The symbol, its bounds and the synthesized stack do not depend on p:
+    each is built once.  ZeroNormError if a member's norm at some p is 0.
     """
     if any(math.isinf(p) for p in ps):
         raise ValueError("transference check requires p < infinity")
@@ -231,7 +231,7 @@ def transference_check(t, beta, ps, family, grid, partition, tg, slack):
     bound = young * slack
     rows = []
     for p, norms in zip(ps, expansion_mod_norms(
-            np.concatenate([base, factors * base]), grid, ps,
+            np.concatenate([base, factors * base]), ps,
             partition).tolist()):
         p_rows = []
         for (label, _), base_norm, heated in zip(family, norms,

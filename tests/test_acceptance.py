@@ -20,13 +20,15 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           picard_terms, solve)
 from modheat.hermite import (HermiteCoeffs, decay_profile, eigen_sum,
                              eigen_sum_bound, oscillator_heat, synthesize)
-from modheat.modnorm import (ModNormSpec, UniformPartition, block_project,
-                             mod_norm_decomp)
+from modheat.modnorm import ModNormSpec, UniformPartition
 from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
-                              frequency_lp_norm, inverse_transform,
-                              physical_lp_norm)
+                              inverse_transform)
 from modheat.torus import (TorusGrid, kernel_l1_norm, operator_norm_lower,
                            oscillator_heat_symbol, transference_check)
+from test_heat import physical_terms
+from test_modnorm import (block_project, mod_norm_decomp, partition_keys,
+                          partition_symbol)
+from test_spectral import frequency_lp_norm, physical_lp_norm
 
 REMARK_AMPLITUDE = 41.0   # just above the certifiable level for gamma = 11
 REMARK_GAMMA = 11.0
@@ -75,13 +77,13 @@ def test_criterion_02_partition_machinery(grid1, part1, grid2, part2):
     worst_sum = 0.0
     for grid, part in ((grid1, part1), (grid2, part2)):
         total = np.zeros(grid.shape)
-        for k in part.keys():
-            total += part.symbol(k)
+        for k in partition_keys(part):
+            total += partition_symbol(part, k)
         worst_sum = max(worst_sum, float(np.max(np.abs(total - 1.0))))
     assert worst_sum <= 1e-12
 
     for k in ((0,), (7,), (-13,)):
-        sym = part1.symbol(k)
+        sym = partition_symbol(part1, k)
         assert np.max(np.abs(sym[np.abs(grid1.freq_axis - k[0]) > 1.0])) == 0.0
 
     worst_orth = 0.0
@@ -180,7 +182,7 @@ def test_criterion_05_lower_bound_witness(grid1, part1):
     ball = grid1.freq_magnitude <= hyp.r
     slack = constants.PICARD_DOMINATION_SLACK
     worst = math.inf
-    trajectories = res.trajectories  # inverse-transformed on each access
+    trajectories = physical_terms(res)
     for pos, idx in enumerate(res.term_indices):
         for ti in range(1, 33):
             uhat = forward_transform(
@@ -229,7 +231,7 @@ def test_criterion_07_eigenvalue_sum_numbers():
               "lattice points")
 
 
-def test_criterion_08_decay_profile(basis16, hgrid, hpart):
+def test_criterion_08_decay_profile(basis16, hpart):
     rng = np.random.default_rng(11)
     tensor = np.zeros(basis16.coeff_shape, dtype=complex)
     tensor[:11] = rng.standard_normal(11)
@@ -240,7 +242,7 @@ def test_criterion_08_decay_profile(basis16, hgrid, hpart):
     worst_slope = 0.0
     for beta in (1.0, 2.0):
         for rows in decay_profile(coeffs, beta, [1.0, 2.0, 4.0], t_grid,
-                                  hgrid, hpart):
+                                  hpart):
             sup_all = max(sup_all, max(r for _, _, r in rows))
             ts = np.array([t for t, _, _ in rows if 3.0 <= t <= 5.0])
             ns = np.array([v for t, v, _ in rows if 3.0 <= t <= 5.0])
@@ -254,7 +256,7 @@ def test_criterion_08_decay_profile(basis16, hgrid, hpart):
               f"{worst_slope:.4f} <= 0.02")
 
 
-def test_criterion_09_transference_sandwich(basis16, hgrid, hpart):
+def test_criterion_09_transference_sandwich(basis16, hpart):
     family = hermite_coeff_family(basis16, 6, seed=42, max_level=10)
     tensor = np.zeros(basis16.coeff_shape, dtype=complex)
     tensor[0] = 1.0
@@ -275,7 +277,7 @@ def test_criterion_09_transference_sandwich(basis16, hgrid, hpart):
                 err = abs(lower - sym.sup()) / sym.sup()
                 assert err <= 0.01
                 p2_err = err if p2_err is None else max(p2_err, err)
-        rep = transference_check(t, beta, ps, family, hgrid, hpart, tg,
+        rep = transference_check(t, beta, ps, family, hpart, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.young_upper == young
         assert rep.all_passed

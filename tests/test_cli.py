@@ -12,8 +12,10 @@ from modheat.cli import main
 from modheat.corpus import band_limited, propagation_corpus
 from modheat.heat import linear_propagate
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
-                             mod_norm_decomp, mod_norm_stft)
-from modheat.spectral import GridFunction, SpectralGrid, save_grid_function
+                             mod_norms_stft)
+from modheat.spectral import GridFunction, SpectralGrid
+from test_modnorm import mod_norm_decomp
+from test_spectral import save_grid_function
 
 GRID = {"dim": 1, "points_per_axis": 256, "half_width": 16.0}
 SMALL_GRID = {"dim": 1, "points_per_axis": 128, "half_width": 12.0}
@@ -167,8 +169,8 @@ class TestModnormCommand:
             f = band_limited(grid, cfg["max_mode"], seed=cfg["seed"] + i)
             for p, q, s in cfg["specs"]:
                 spec = ModNormSpec(float(p), float(q), float(s))
-                coarse = mod_norm_stft(f, plan, spec)
-                fine = mod_norm_stft(f, plan, spec, refine=2)
+                coarse = mod_norms_stft(f, plan, [spec])[0]
+                fine = mod_norms_stft(f, plan, [spec], refine=2)[0]
                 want[i, spec, "decomp"] = mod_norm_decomp(f, spec, part)
                 want[i, spec, "stft"] = coarse
                 flags[f"f{i}_p{spec.p}q{spec.q}s{spec.s}"] = \

@@ -16,13 +16,20 @@ from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
 from modheat.heat import (_cumulative_weights, _label_multisets,
                           picard_product_count)
-from modheat.modnorm import (ModNormSpec, UniformPartition, mod_norm_decomp,
-                             mod_norm_from_frequency, mod_norms_from_frequency)
+from modheat.modnorm import (ModNormSpec, UniformPartition,
+                             mod_norms_from_frequency)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
                               cropped_forward, fine_grid, forward_transform,
-                              forward_values, frequency_lp_norm,
-                              inverse_transform, padded_inverse)
-from test_spectral import dealiased_power_hat
+                              forward_values, inverse_transform,
+                              inverse_values, padded_inverse)
+from test_modnorm import mod_norm_decomp
+from test_spectral import dealiased_power_hat, frequency_lp_norm
+
+
+def physical_terms(res):
+    """Physical values of every term of a PicardResult, one row per time
+    slice."""
+    return [inverse_values(res.grid, F) for F in res.spectra]
 
 
 def condition(cert, name):
@@ -316,7 +323,7 @@ class TestPicardSeries:
         prob, res = small_picard
         t = res.t_grid[17]
         lin = linear_propagate(prob.u0, t, prob.beta)
-        assert np.max(np.abs(res.trajectories[0][17] - lin.values)) == 0.0
+        assert np.max(np.abs(physical_terms(res)[0][17] - lin.values)) == 0.0
 
     def test_ratios_fall_below_one_by_third_term(self, small_picard):
         _, res = small_picard
@@ -325,7 +332,7 @@ class TestPicardSeries:
 
     def test_partial_sum_matches_solver(self, small_picard, part1):
         prob, res = small_picard
-        partial = sum(res.trajectories[i][-1] for i in range(6))
+        partial = sum(traj[-1] for traj in physical_terms(res)[:6])
         tr = solve(prob, SolverConfig(dt=1 / 512, t_max=0.5), part1)
         assert tr.times[-1] == pytest.approx(0.5)
         assert np.max(np.abs(partial - tr.final_state)) <= 1e-4
@@ -336,7 +343,7 @@ class TestPicardSeries:
         u0 = plateau_data(grid1, 0.1, 1.0)
         prob = HeatProblem(2.0, 2, u0)
         res = picard_terms(prob, 6, np.linspace(0.0, 0.25, 17), part1)
-        for traj in res.trajectories:
+        for traj in physical_terms(res):
             for vals in traj:
                 uhat = forward_transform(GridFunction(grid1, vals)).values
                 assert uhat.real.min() >= -1e-10
@@ -419,8 +426,8 @@ def _picard_oracle(problem, depth, t_grid, partition):
         phys[idx] = np.array([inverse_transform(GridFunction(
             g, F, FREQUENCY)).values for F in term_f])
         indices.append(idx)
-    sups = [max(mod_norm_from_frequency(GridFunction(g, F, FREQUENCY),
-                                        problem.norm_spec, partition)
+    sups = [max(float(mod_norms_from_frequency(F, [problem.norm_spec],
+                                               partition)[0])
                 for F in freq[idx]) for idx in indices]
     ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
     return [freq[i] for i in indices], sups, ratios
@@ -612,7 +619,8 @@ def _solve_oracle(problem, config, partition):
     u = problem.u0
     u_hat = forward_transform(u)
     spec = problem.norm_spec
-    init_norm = mod_norm_from_frequency(u_hat, spec, partition)
+    init_norm = float(mod_norms_from_frequency(u_hat.values, [spec],
+                                               partition)[0])
     threshold = config.blowup_threshold
     if threshold is None:
         threshold = 1e6 * init_norm if init_norm > 0 else 1e6
@@ -637,7 +645,8 @@ def _solve_oracle(problem, config, partition):
             break
         u_hat = GridFunction(g, new_hat, FREQUENCY)
         u = inverse_transform(u_hat)
-        nom = mod_norm_from_frequency(u_hat, spec, partition)
+        nom = float(mod_norms_from_frequency(u_hat.values, [spec],
+                                             partition)[0])
         times.append(t)
         norms.append(nom)
         fl1.append(frequency_lp_norm(u_hat, 1))
@@ -907,7 +916,7 @@ class TestLowerBoundEnvelope:
         res = picard_terms(prob, 6, t_grid, part1)
         ball = grid1.freq_magnitude <= h.r
         slack = constants.PICARD_DOMINATION_SLACK
-        trajectories = res.trajectories  # inverse-transformed on each access
+        trajectories = physical_terms(res)
         for pos, idx in enumerate(res.term_indices):
             for ti in range(1, len(t_grid)):
                 uhat = forward_transform(

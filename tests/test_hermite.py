@@ -10,8 +10,9 @@ from modheat.hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
                              eigen_sum, eigen_sum_bound, heat_coeff_factors,
                              hermite_table, oscillator_heat,
                              oscillator_heat_coeffs, synthesize)
-from modheat.modnorm import ModNormSpec, UniformPartition, mod_norm_decomp
+from modheat.modnorm import ModNormSpec, UniformPartition
 from modheat.spectral import GridFunction, SpectralGrid
+from test_modnorm import mod_norm_decomp
 
 
 def synthesize_at(coeffs, axis_points):
@@ -233,9 +234,10 @@ class TestEigenSums:
             eigen_sum_bound(1, -1.0, 1.0)
 
 
-def oracle_decay_profile(coeffs, beta, p, t_grid, grid, partition):
+def oracle_decay_profile(coeffs, beta, p, t_grid, partition):
     """decay_profile as a loop over t: one synthesis and one norm per t."""
     spec = ModNormSpec(p, p, 0.0)
+    grid = partition.grid
 
     def norm(c):
         vals = synthesize_at(c, grid.x_axis)
@@ -275,10 +277,10 @@ class TestDecayProfile:
         if cap is not None:
             monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
         ps = sweep_order(first)
-        profiles = decay_profile(coeffs, 1.5, ps, t_grid, grid, part)
+        profiles = decay_profile(coeffs, 1.5, ps, t_grid, part)
         assert len(profiles) == len(ps)
         for p, got in zip(ps, profiles):
-            want = oracle_decay_profile(coeffs, 1.5, p, t_grid, grid, part)
+            want = oracle_decay_profile(coeffs, 1.5, p, t_grid, part)
             assert [r[0] for r in got] == [r[0] for r in want]
             np.testing.assert_allclose([r[1:] for r in got],
                                        [r[1:] for r in want], rtol=1e-13,
@@ -288,16 +290,15 @@ class TestDecayProfile:
         grid = SpectralGrid(2, 16, 4.0)
         with pytest.raises(ValueError):
             decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0], [0.5],
-                          grid, UniformPartition(grid))
+                          UniformPartition(grid))
 
-    def test_ground_state_ratio_is_power_law(self, basis16, hgrid, hpart):
+    def test_ground_state_ratio_is_power_law(self, basis16, hpart):
         coeffs = coeff_unit(basis16, (0, 1.0))
-        rows, = decay_profile(coeffs, 1.0, [2.0], [0.1, 1.0, 2.0], hgrid,
-                              hpart)
+        rows, = decay_profile(coeffs, 1.0, [2.0], [0.1, 1.0, 2.0], hpart)
         for t, _, ratio in rows:
             assert ratio == pytest.approx(t, rel=1e-8)
 
-    def test_multi_level_bounded_and_slope(self, basis16, hgrid, hpart):
+    def test_multi_level_bounded_and_slope(self, basis16, hpart):
         rng = np.random.default_rng(11)
         tensor = np.zeros(basis16.coeff_shape, dtype=complex)
         tensor[:11] = rng.standard_normal(11)
@@ -306,22 +307,22 @@ class TestDecayProfile:
                                  np.linspace(3.0, 5.0, 9)])
         for beta in (1.0, 2.0):
             for rows in decay_profile(coeffs, beta, [1.0, 2.0, 4.0], t_grid,
-                                      hgrid, hpart):
+                                      hpart):
                 assert max(r for _, _, r in rows) <= constants.DECAY_PROFILE_CONST
                 ts = np.array([t for t, _, _ in rows if t >= 3.0])
                 ns = np.array([v for t, v, _ in rows if t >= 3.0])
                 slope = np.polyfit(ts, np.log(ns), 1)[0]
                 assert slope == pytest.approx(-1.0, rel=0.02)
 
-    def test_negative_time_rejected(self, basis16, hgrid, hpart):
+    def test_negative_time_rejected(self, basis16, hpart):
         with pytest.raises(ValueError):
             decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0],
-                          [0.5, -0.1], hgrid, hpart)
+                          [0.5, -0.1], hpart)
 
-    def test_zero_data_rejected(self, basis16, hgrid, hpart):
+    def test_zero_data_rejected(self, basis16, hpart):
         coeffs = coeff_unit(basis16)
         with pytest.raises(ZeroNormError, match="p = 2.0"):
-            decay_profile(coeffs, 1.0, [2.0], [0.5], hgrid, hpart)
+            decay_profile(coeffs, 1.0, [2.0], [0.5], hpart)
 
 
 class TestCorpusHelpers:

@@ -11,16 +11,53 @@ from modheat.corpus import band_limited, mixed_family
 from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _block_lp_norms, _parseval_block_norms,
-                             _stft_batches, algebra_defect,
-                             block_project, bump_profile,
-                             fourier_lebesgue_norm, max_mod_norm,
-                             mod_norm_decomp, mod_norm_from_frequency,
-                             mod_norm_stft, mod_norms_from_frequency,
+                             _stft_batches, algebra_defect, bump_profile,
+                             max_mod_norm, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
 from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
                               dft_order, fine_grid, forward_transform,
-                              forward_values, lp_norm, physical_lp_norm)
-from test_spectral import dealiased_product
+                              forward_values, inverse_transform, lp_norm)
+from test_spectral import (dealiased_product, frequency_lp_norm,
+                           physical_lp_norm)
+
+
+# -- oracles: the partition's symbols and blocks one at a time, and the
+# -- decomposition norm of one function; also used by other test modules
+
+
+def partition_keys(partition):
+    """Every block center k with |k_j| <= k_max, active or not."""
+    rng = range(-partition.k_max, partition.k_max + 1)
+    return product(rng, repeat=partition.grid.dim)
+
+
+def partition_symbol(partition, k):
+    """sigma_k sampled on the full frequency lattice, rebuilt from the bump
+    profile: the normalized row of each center, one outer product per axis."""
+    k = tuple(int(c) for c in k)
+    if not all(abs(c) <= partition.k_max for c in k):
+        raise ValueError(f"block center {k} outside k_max {partition.k_max}")
+    centers = np.arange(-partition.k_max, partition.k_max + 1)
+    profile = bump_profile(partition.grid.freq_axis[None, :]
+                           - centers[:, None])
+    rows = profile / profile.sum(axis=0)[None, :]
+    out = rows[k[0] + partition.k_max]
+    for c in k[1:]:
+        out = np.multiply.outer(out, rows[c + partition.k_max])
+    return out
+
+
+def block_project(f, k, partition):
+    """Frequency-uniform block: inverse transform of sigma_k times F f."""
+    F = forward_transform(f)
+    sym = partition_symbol(partition, k)
+    return inverse_transform(GridFunction(f.grid, sym * F.values, FREQUENCY))
+
+
+def mod_norm_decomp(f, spec, partition):
+    """Decomposition norm of one physical-side function: a stack of one."""
+    return float(mod_norms_from_frequency(forward_transform(f).values, [spec],
+                                          partition)[0])
 
 
 def stft(f, plan, x, y):
@@ -61,19 +98,19 @@ class TestBumpProfile:
 class TestPartition:
     def test_sums_to_one_everywhere(self, grid1, part1):
         total = np.zeros(grid1.shape)
-        for k in part1.keys():
-            total += part1.symbol(k)
+        for k in partition_keys(part1):
+            total += partition_symbol(part1, k)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_sums_to_one_2d(self, grid2, part2):
         total = np.zeros(grid2.shape)
-        for k in part2.keys():
-            total += part2.symbol(k)
+        for k in partition_keys(part2):
+            total += partition_symbol(part2, k)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("k", [(0,), (4,), (-9,)])
     def test_support_confined_to_unit_cube(self, grid1, part1, k):
-        sym = part1.symbol(k)
+        sym = partition_symbol(part1, k)
         outside = np.abs(grid1.freq_axis - k[0]) > 1.0
         assert np.max(np.abs(sym[outside])) == 0.0
 
@@ -83,9 +120,10 @@ class TestPartition:
         part = UniformPartition(g)
         idx = np.argmin(np.abs(g.freq_axis - 3.0))
         assert g.freq_axis[idx] == pytest.approx(3.0, abs=1e-14)
-        assert part.symbol((3,))[idx] == pytest.approx(1.0, abs=1e-14)
-        assert part.symbol((2,))[idx] == 0.0
-        assert part.symbol((4,))[idx] == 0.0
+        assert partition_symbol(part, (3,))[idx] == pytest.approx(1.0,
+                                                                  abs=1e-14)
+        assert partition_symbol(part, (2,))[idx] == 0.0
+        assert partition_symbol(part, (4,))[idx] == 0.0
 
     def test_block_center_out_of_range(self, grid1, part1, gauss1):
         with pytest.raises(ValueError):
@@ -128,7 +166,6 @@ class TestBlockProjection:
     def test_single_cell_data_reproduced(self, grid1, part1):
         # transform supported strictly inside one unit cell: the cell block
         # plus its neighbors reproduce f, and non-adjacent blocks vanish
-        from modheat.spectral import inverse_transform
         coeffs = np.zeros(grid1.shape, dtype=complex)
         sel = np.abs(grid1.freq_axis - 5.0) <= 0.4
         coeffs[sel] = 1.0
@@ -143,7 +180,6 @@ class TestBlockProjection:
     def test_center_supported_data_is_one_block(self, part1):
         # data whose transform sits exactly at an integer center belongs to
         # that block alone (sigma_k = 1 there)
-        from modheat.spectral import inverse_transform
         g = SpectralGrid(1, 128, 8 * np.pi)
         part = UniformPartition(g)
         coeffs = np.zeros(g.shape, dtype=complex)
@@ -301,8 +337,7 @@ class TestStackedNorms:
         stack = rng.standard_normal((3,) + g.shape) \
             + 1j * rng.standard_normal((3,) + g.shape)
         spec = ModNormSpec(p, q, s)
-        want = [mod_norm_from_frequency(GridFunction(g, F, FREQUENCY), spec,
-                                        part) for F in stack]
+        want = [mod_norms_from_frequency(F, [spec], part)[0] for F in stack]
         # the rows the engine holds per function: one at p = 2
         rows = 1 if p == 2 else len(part._active_centers)
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", 2 * rows * g.size)
@@ -646,18 +681,19 @@ class TestSTFT:
 class TestSTFTNorm:
     def test_zero(self, grid1, plan1):
         z = GridFunction(grid1, np.zeros(grid1.shape))
-        assert mod_norm_stft(z, plan1, ModNormSpec(2, 2, 0)) == 0.0
+        assert mod_norms_stft(z, plan1, [ModNormSpec(2, 2, 0)])[0] == 0.0
 
     def test_orthogonality_identity(self, grid1, plan1, gauss1):
         # (2,2,0) norm equals ||f||_2 ||g||_2 with the normalized window
-        got = mod_norm_stft(gauss1, plan1, ModNormSpec(2, 2, 0))
+        got = mod_norms_stft(gauss1, plan1, [ModNormSpec(2, 2, 0)])[0]
         want = physical_lp_norm(gauss1, 2)
         assert got == pytest.approx(want, rel=0.01)
 
     def test_homogeneity(self, grid1, plan1, gauss1):
         spec = ModNormSpec(2, 1, 0)
-        a = mod_norm_stft(GridFunction(grid1, 2.5 * gauss1.values), plan1, spec)
-        b = mod_norm_stft(gauss1, plan1, spec)
+        a = mod_norms_stft(GridFunction(grid1, 2.5 * gauss1.values), plan1,
+                           [spec])[0]
+        b = mod_norms_stft(gauss1, plan1, [spec])[0]
         assert a == pytest.approx(2.5 * b, rel=1e-12)
 
     def test_cross_estimator_bracket(self, grid1, part1, plan1):
@@ -665,14 +701,14 @@ class TestSTFTNorm:
         spec = ModNormSpec(2, 1, 0)
         for i in range(20):
             f = band_limited(grid1, 6, seed=1000 + i)
-            ratio = mod_norm_stft(f, plan1, spec) \
+            ratio = mod_norms_stft(f, plan1, [spec])[0] \
                 / mod_norm_decomp(f, spec, part1)
             assert 1.0 / c <= ratio <= c
 
     def test_resolution_flag(self, grid1, plan1, gauss1):
         spec = ModNormSpec(2, 1, 0)
-        coarse = mod_norm_stft(gauss1, plan1, spec)
-        fine = mod_norm_stft(gauss1, plan1, spec, refine=2)
+        coarse = mod_norms_stft(gauss1, plan1, [spec])[0]
+        fine = mod_norms_stft(gauss1, plan1, [spec], refine=2)[0]
         assert stft_resolution_ok(coarse, fine)
 
     def test_resolution_flag_elementwise(self):
@@ -732,7 +768,8 @@ def _oracle_stft_rows(name, refine):
 
 
 def _oracle_stft_norm(name, spec, refine):
-    """mod_norm_stft as a loop over window shifts, summed in shift order."""
+    """One spec's STFT norm as a loop over window shifts, summed in shift
+    order."""
     f, plan = _stft_case(name)
     fine, rows = _oracle_stft_rows(name, refine)
     inner = np.zeros(fine.shape)
@@ -769,7 +806,7 @@ class TestSTFTEngine:
     def test_norm_matches_shift_loop(self, name, p, q, s, refine):
         f, plan = _stft_case(name)
         spec = ModNormSpec(p, q, s)
-        got = mod_norm_stft(f, plan, spec, refine)
+        got = mod_norms_stft(f, plan, [spec], refine)[0]
         want = _oracle_stft_norm(name, spec, refine)
         if f.grid.dim == 1:
             assert got == want
@@ -785,7 +822,7 @@ class TestSTFTEngine:
             (2.0, 1.0, 0.0), (1.0, 2.0, 1.5), (np.inf, 1.0, 0.0),
             (2.0, np.inf, 1.5), (4.0, 2.0, 0.0), (1.0, 1.0, 0.0),
             (np.inf, 2.0, 1.5), (2.0, 2.0, -1.0))]
-        want = [mod_norm_stft(f, plan, spec, refine) for spec in specs]
+        want = [mod_norms_stft(f, plan, [spec], refine)[0] for spec in specs]
         assert mod_norms_stft(f, plan, specs, refine) == want
 
     @pytest.mark.parametrize("refine", [1, 2])
@@ -801,9 +838,9 @@ class TestSTFTEngine:
         # holds two), and every shift in one batch
         f, plan = _stft_case("d1")
         spec = ModNormSpec(1.0, 2.0, 1.5)
-        want = mod_norm_stft(f, plan, spec, 2)
+        want = mod_norms_stft(f, plan, [spec], 2)[0]
         monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
-        assert mod_norm_stft(f, plan, spec, 2) == want
+        assert mod_norms_stft(f, plan, [spec], 2)[0] == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     def test_partial_last_batch_matches_shift_loop(self, monkeypatch, refine):
@@ -905,14 +942,14 @@ class TestAlgebraDefect:
 class TestFourierLebesgue:
     def test_zero(self, grid1):
         z = GridFunction(grid1, np.zeros(grid1.shape))
-        assert fourier_lebesgue_norm(z, 1) == 0.0
+        assert frequency_lp_norm(forward_transform(z), 1) == 0.0
 
     def test_gaussian_l1(self, gauss1):
-        assert fourier_lebesgue_norm(gauss1, 1) == pytest.approx(
-            np.sqrt(2 * np.pi), rel=1e-10)
+        assert frequency_lp_norm(forward_transform(gauss1), 1) \
+            == pytest.approx(np.sqrt(2 * np.pi), rel=1e-10)
 
     def test_embedding_into_m21(self, grid1, part1):
         spec = ModNormSpec(2, 1, 0)
         for f in mixed_family(grid1, 12, seed=99):
-            assert fourier_lebesgue_norm(f, 1) <= \
+            assert frequency_lp_norm(forward_transform(f), 1) <= \
                 constants.FL1_EMBEDDING_CONST * mod_norm_decomp(f, spec, part1)

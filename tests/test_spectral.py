@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,13 +9,37 @@ from modheat.spectral import (FREQUENCY, PHYSICAL, GridFunction, SpectralGrid,
                               apply_multiplier, boundary_tail_ratio,
                               cropped_forward, dft_order, fine_grid,
                               forward_transform, forward_values,
-                              frequency_lp_norm, heat_symbol,
-                              inverse_transform, inverse_values,
-                              load_grid_function, padded_inverse,
-                              physical_lp_norm, save_grid_function)
+                              heat_symbol, inverse_transform, inverse_values,
+                              load_grid_function, lp_norm, padded_inverse)
 
 
-# -- oracles: the padded power of one function, also used by test_heat ----------
+# -- oracles: quadrature norms of one function, the grid-function writer and
+# -- the padded power of one function; also used by other test modules
+
+
+def physical_lp_norm(f, p):
+    """Quadrature L^p norm of a grid function's samples."""
+    return lp_norm(f.values, f.grid.spacing ** f.grid.dim, p)
+
+
+def frequency_lp_norm(F, p):
+    """Quadrature L^p norm on the frequency lattice: the FL^p norm of a
+    frequency-side grid function."""
+    return lp_norm(F.values, F.grid.freq_spacing ** F.grid.dim, p)
+
+
+def save_grid_function(f, path_base):
+    """Write <base>.csv rows (index, re, im) plus a <base>.json grid header,
+    the files load_grid_function reads."""
+    with open(path_base + ".csv", "w") as fh:
+        fh.write("index,re,im\n")
+        for i, v in enumerate(f.values.reshape(-1)):
+            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
+    header = {"dim": f.grid.dim, "points_per_axis": f.grid.points_per_axis,
+              "half_width": f.grid.half_width, "side": f.side}
+    with open(path_base + ".json", "w") as fh:
+        json.dump(header, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def dealiased_power_hat(f, k):

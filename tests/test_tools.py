@@ -1,25 +1,43 @@
-"""Smoke test of the maintenance scripts under tools/."""
+"""Tests of the maintenance scripts under tools/."""
 
 import math
 import pathlib
+import re
 import runpy
 
 import pytest
 
+from modheat import constants as C
+
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
-# one line per frozen constant, in the order the script prints them
-CONSTANT_LABELS = ["CROSS_ESTIMATOR", "M22_OVER_L2", "ALGEBRA_DEFECT",
-                   "FL1_EMBEDDING", "PROPAGATOR_UNIFORM", "PICARD_DOMINATION",
-                   "TRANSFER", "DECAY_PROFILE"]
+# one line per frozen constant, in the order the script prints them, with
+# the check of the line's printed numbers against that constant
+CONSTANT_CHECKS = {
+    "CROSS_ESTIMATOR": lambda lo, hi: (1.0 / C.CROSS_ESTIMATOR_CONST <= lo
+                                       <= hi <= C.CROSS_ESTIMATOR_CONST),
+    "M22_OVER_L2": lambda lo, hi: (C.M22_OVER_L2_LO <= lo <= hi
+                                   <= C.M22_OVER_L2_HI),
+    "ALGEBRA_DEFECT": lambda defect: defect <= C.ALGEBRA_DEFECT_CAP,
+    "FL1_EMBEDDING": lambda lo, hi: lo <= hi <= C.FL1_EMBEDDING_CONST,
+    "PROPAGATOR_UNIFORM": lambda lo, hi: (lo <= hi
+                                          <= C.PROPAGATOR_UNIFORM_CONST),
+    "PICARD_DOMINATION": lambda worst, s: s <= C.PICARD_DOMINATION_SLACK,
+    "TRANSFER": lambda ratio: ratio <= C.TRANSFER_SLACK,
+    "DECAY_PROFILE": lambda sup: sup <= C.DECAY_PROFILE_CONST,
+}
 
 
 def test_measure_constants_runs(capsys):
     # runs the script against the library as it is, so a signature change
-    # there cannot break it silently
+    # there cannot break it silently, and holds every printed value to its
+    # frozen constant, so a script that measures something else fails
     runpy.run_path(str(TOOLS / "measure_constants.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == CONSTANT_LABELS
+    assert [line.split()[0] for line in lines] == list(CONSTANT_CHECKS)
+    for line in lines:
+        values = [float(x) for x in re.findall(r"\d+\.\d+", line)]
+        assert CONSTANT_CHECKS[line.split()[0]](*values), line
 
 
 def test_compare_outputs_self_reports_nothing(capsys):

@@ -7,13 +7,14 @@ from modheat import constants, hermite, torus
 from modheat.corpus import hermite_coeff_family
 from modheat.hermite import (HermiteCoeffs, ZeroNormError, eigen_sum,
                              oscillator_heat_coeffs)
-from modheat.modnorm import ModNormSpec, mod_norm_decomp
+from modheat.modnorm import ModNormSpec
 from modheat.spectral import GridFunction
 from modheat.torus import (MultiplierSpec, TorusGrid, kernel_l1_norm,
                            operator_norm_lower, oscillator_heat_symbol,
                            torus_apply, torus_forward, torus_inverse,
                            torus_lp_norm, transference_check)
 from test_hermite import sweep_order, synthesize_at
+from test_modnorm import mod_norm_decomp
 
 
 def theta_axis(tg):
@@ -240,9 +241,10 @@ def setup(hgrid, hpart, basis16):
     return hgrid, hpart, family
 
 
-def oracle_transfer_norms(t, beta, p, family, grid, partition):
+def oracle_transfer_norms(t, beta, p, family, partition):
     """(label, base, heated, ratio) of every member, one member at a time."""
     spec = ModNormSpec(p, p, 0.0)
+    grid = partition.grid
 
     def norm(c):
         vals = synthesize_at(c, grid.x_axis)
@@ -270,69 +272,69 @@ class TestTransference:
             monkeypatch.setattr(hermite, "NORM_BATCH_VALUES", cap * grid.size)
         ps = sweep_order(first)
         tg = TorusGrid(1, 64)
-        rep = transference_check(0.7, 1.5, ps, family, grid, part, tg,
+        rep = transference_check(0.7, 1.5, ps, family, part, tg,
                                  slack=1.0)
         assert len(rep.rows) == len(ps)
         assert rep.young_upper == kernel_l1_norm(rep.symbol, tg)
         for p, rows in zip(ps, rep.rows):
-            want = oracle_transfer_norms(0.7, 1.5, p, family, grid, part)
+            want = oracle_transfer_norms(0.7, 1.5, p, family, part)
             assert [r.label for r in rows] == [w[0] for w in want]
             np.testing.assert_allclose(
                 [(r.base_norm, r.heated_norm, r.ratio) for r in rows],
                 [w[1:] for w in want], rtol=1e-13, atol=0)
 
     def test_empty_family_rejected(self, setup):
-        grid, part, _ = setup
+        _, part, _ = setup
         with pytest.raises(ValueError):
-            transference_check(1.0, 1.0, [2.0], [], grid, part,
+            transference_check(1.0, 1.0, [2.0], [], part,
                                TorusGrid(1, 64), slack=1.5)
 
     def test_ground_state_ratio_matches_spectrum(self, setup):
-        grid, part, family = setup
+        _, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, [2.0], family[:1], grid, part, tg,
+        rep = transference_check(1.0, 1.0, [2.0], family[:1], part, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.rows[0][0].ratio == pytest.approx(math.exp(-1.0), rel=1e-6)
         assert rep.all_passed
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_family_respects_young_bound(self, setup, p):
-        grid, part, family = setup
+        _, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, [p], family, grid, part, tg,
+        rep = transference_check(1.0, 1.0, [p], family, part, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.all_passed
         assert rep.max_ratio <= rep.young_upper * constants.TRANSFER_SLACK
         assert rep.young_upper <= rep.parseval_upper
 
-    def test_twenty_function_sweep_beta2(self, hgrid, hpart, basis16):
+    def test_twenty_function_sweep_beta2(self, hpart, basis16):
         family = hermite_coeff_family(basis16, 20, seed=17, max_level=10)
         tg = TorusGrid(1, 64)
-        rep = transference_check(0.5, 2.0, [4.0], family, hgrid, hpart, tg,
+        rep = transference_check(0.5, 2.0, [4.0], family, hpart, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert len(rep.rows[0]) == 20
         assert rep.all_passed
 
     def test_p2_exact_spectral_bound(self, setup):
-        grid, part, family = setup
+        _, part, family = setup
         tg = TorusGrid(1, 64)
-        rep = transference_check(1.0, 1.0, [2.0], family, grid, part, tg,
+        rep = transference_check(1.0, 1.0, [2.0], family, part, tg,
                                  slack=constants.TRANSFER_SLACK)
         assert rep.max_ratio <= math.exp(-1.0) * 1.001
         assert rep.young_upper > math.exp(-1.0)
 
     def test_zero_norm_member_rejected(self, setup, basis16):
-        grid, part, _ = setup
+        _, part, _ = setup
         tg = TorusGrid(1, 64)
         zero = HermiteCoeffs(basis16, np.zeros(basis16.coeff_shape))
         with pytest.raises(ZeroNormError, match="'zero' is 0 at p = 2.0"):
-            transference_check(1.0, 1.0, [2.0], [("zero", zero)], grid, part,
-                               tg, slack=1.5)
+            transference_check(1.0, 1.0, [2.0], [("zero", zero)], part, tg,
+                               slack=1.5)
 
     def test_infinite_p_rejected(self, setup):
-        grid, part, family = setup
+        _, part, family = setup
         with pytest.raises(ValueError):
-            transference_check(1.0, 1.0, [2.0, np.inf], family, grid, part,
+            transference_check(1.0, 1.0, [2.0, np.inf], family, part,
                                TorusGrid(1, 64), slack=1.5)
 
 

@@ -15,30 +15,38 @@ import numpy as np
 
 from modheat.corpus import (band_limited, hermite_coeff_family, mixed_family,
                             propagation_corpus)
-from modheat.heat import (BlowupHypothesis, HeatProblem, linear_propagate,
+from modheat.heat import (BlowupHypothesis, HeatProblem,
                           lower_bound_envelope, picard_terms, plateau_data)
 from modheat.hermite import HermiteBasis, HermiteCoeffs, decay_profile
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
-                             algebra_defect, fourier_lebesgue_norm,
-                             mod_norm_decomp, mod_norm_stft)
-from modheat.spectral import SpectralGrid, forward_values, physical_lp_norm
+                             algebra_defect, mod_norms_from_frequency,
+                             mod_norms_stft)
+from modheat.spectral import (SpectralGrid, forward_values, heat_symbol,
+                              lp_norm)
 from modheat.torus import TorusGrid, transference_check
+
+
+def transforms(grid, corpus):
+    """Frequency samples of a list of grid functions, as one stack."""
+    return forward_values(grid, np.stack([f.values for f in corpus]))
 
 
 def main():
     g = SpectralGrid(1, 256, 16.0)
     part = UniformPartition(g)
     plan = STFTPlan(g)
+    spec = ModNormSpec(2, 1, 0)
 
-    ratios = []
-    for i in range(20):
-        f = band_limited(g, 6, seed=1000 + i)
-        ratios.append(mod_norm_stft(f, plan, ModNormSpec(2, 1, 0))
-                      / mod_norm_decomp(f, ModNormSpec(2, 1, 0), part))
+    corpus = [band_limited(g, 6, seed=1000 + i) for i in range(20)]
+    decomp = mod_norms_from_frequency(transforms(g, corpus), [spec], part)[0]
+    ratios = [mod_norms_stft(f, plan, [spec])[0] / n
+              for f, n in zip(corpus, decomp)]
     print(f"CROSS_ESTIMATOR ratios: [{min(ratios):.4f}, {max(ratios):.4f}]")
 
-    m22 = [mod_norm_decomp(f, ModNormSpec(2, 2, 0), part) / physical_lp_norm(f, 2)
-           for f in mixed_family(g, 12, seed=77)]
+    corpus = mixed_family(g, 12, seed=77)
+    m22 = (mod_norms_from_frequency(transforms(g, corpus),
+                                    [ModNormSpec(2, 2, 0)], part)[0]
+           / [lp_norm(f.values, g.spacing, 2) for f in corpus])
     print(f"M22_OVER_L2 range: [{min(m22):.4f}, {max(m22):.4f}]")
 
     gauss = np.exp(-g.x_axis ** 2 / 2)
@@ -46,18 +54,19 @@ def main():
     print(f"ALGEBRA_DEFECT gaussian pair: "
           f"{algebra_defect(pair, 2.0, part)[0]:.4f}")
 
-    fl1 = [fourier_lebesgue_norm(f, 1) / mod_norm_decomp(f, ModNormSpec(2, 1, 0), part)
-           for f in mixed_family(g, 12, seed=99)]
+    hats = transforms(g, mixed_family(g, 12, seed=99))
+    fl1 = ([lp_norm(F, g.freq_spacing, 1) for F in hats]
+           / mod_norms_from_frequency(hats, [spec], part)[0])
     print(f"FL1_EMBEDDING range: [{min(fl1):.4f}, {max(fl1):.4f}]")
 
     g2 = SpectralGrid(1, 2048, 160.0)
     part2 = UniformPartition(g2)
-    corpus = propagation_corpus(g2, 10, seed=1234)
-    spec = ModNormSpec(2, 1, 0)
+    hats = transforms(g2, propagation_corpus(g2, 10, seed=1234))
+    base = mod_norms_from_frequency(hats, [spec], part2)[0]
     cs = []
     for t in (0.01, 0.1, 1.0, 10.0):
-        cs.append(max(mod_norm_decomp(linear_propagate(f, t, 2.0), spec, part2)
-                      / mod_norm_decomp(f, spec, part2) for f in corpus))
+        flow = hats * heat_symbol(g2, t, 2.0)
+        cs.append(max(mod_norms_from_frequency(flow, [spec], part2)[0] / base))
     print(f"PROPAGATOR_UNIFORM C(t): [{min(cs):.5f}, {max(cs):.5f}]")
 
     gam = 4 * math.e * (1 + 1e-6)
@@ -81,8 +90,8 @@ def main():
     torus = TorusGrid(1, 64)
     need = 0.0
     for beta, t in [(1.0, 1.0), (2.0, 0.5)]:
-        rep = transference_check(t, beta, [1.0, 2.0, 4.0], fam, grid, partg,
-                                 torus, slack=2.0)
+        rep = transference_check(t, beta, [1.0, 2.0, 4.0], fam, partg, torus,
+                                 slack=2.0)
         need = max(need, rep.max_ratio / rep.young_upper)
     print(f"TRANSFER max ratio/young: {need:.5f}")
 
@@ -93,8 +102,7 @@ def main():
     tgrid = np.concatenate([np.geomspace(0.05, 2.5, 12), np.linspace(3, 5, 9)])
     sup_all = 0.0
     for beta in (1.0, 2.0):
-        for rows in decay_profile(f, beta, [1.0, 2.0, 4.0], tgrid, grid,
-                                  partg):
+        for rows in decay_profile(f, beta, [1.0, 2.0, 4.0], tgrid, partg):
             sup_all = max(sup_all, max(r[2] for r in rows))
     print(f"DECAY_PROFILE sup ratio: {sup_all:.4f}")
 
