@@ -1,10 +1,16 @@
 """modheat: spectral machinery for fractional heat flows in modulation norms.
 
-Subpackages:
-  spectral  - periodized Fourier transforms, multipliers, dealiased products
+A function on R^d is the ndarray of its samples on a SpectralGrid (physical
+or frequency side), with the grid passed alongside; a stack of functions is
+one array with leading axes.
+
+Modules:
+  spectral  - periodized Fourier transforms, the heat symbol, dealiased
+              products
   modnorm   - frequency-uniform partition and the two modulation-norm estimators
   heat      - fractional heat semigroup, Duhamel solver, blow-up diagnostics
-  hermite   - Hermite transforms and the fractional oscillator heat propagator
+  hermite   - Hermite functions, coefficient tensors and the fractional
+              oscillator heat propagator
   torus     - toroidal Fourier multipliers and operator-norm bracketing
   cli       - experiment runner (`modheat <subcommand> --config ...`)
 """

@@ -37,9 +37,8 @@ from .hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norms_from_frequency, mod_norms_stft,
                       stft_resolution_ok)
-from .spectral import (GridFunction, SpectralGrid, boundary_tail_ratio,
-                       fine_grid, forward_values, heat_symbol,
-                       load_grid_function)
+from .spectral import (SpectralGrid, boundary_tail_ratio, fine_grid,
+                       forward_values, heat_symbol, load_grid_function)
 from .torus import TorusGrid, operator_norm_lower, transference_check
 
 
@@ -267,11 +266,14 @@ def _parse_problem(v):
     return grid, v["problem.beta"], v["problem.k"], _parse_data(v, grid)
 
 
-def _parse_degree_cap(v, dim, stack, stack_field):
-    """'degree_cap', with the quadrature's companion matrix, the level mesh
-    and `stack` coefficient tensors (sized by stack_field) bounded."""
+def _parse_degree_cap(v, grid, stack, stack_field):
+    """'degree_cap', with the level mesh, `stack` coefficient tensors (sized
+    by stack_field) and the table of the Hermite functions on grid's axis
+    bounded.  A batch's synthesis intermediates then are too: each holds at
+    most the larger of its tensors and one norm batch of N^d values."""
     cap = v["degree_cap"]
-    _bounded(max((cap + 8) ** 2, max(stack, dim) * (cap + 1) ** dim),
+    _bounded(max((cap + 1) * grid.points_per_axis,
+                 max(stack, grid.dim) * (cap + 1) ** grid.dim),
              f"'degree_cap' and {stack_field!r}")
     return cap
 
@@ -285,32 +287,32 @@ def _data_field(v, path):
 
 
 def _parse_data(v, grid):
+    """The data's complex physical samples on grid."""
     kind, scale = v["data.kind"], v["data.scale"]
     # overflow shows as a non-finite sample, rejected below by name
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "gaussian":
             amp = _data_field(v, "data.amplitude")
             sq = np.sum(grid.x_mesh ** 2, axis=-1)
-            f = GridFunction(grid,
-                             scale * amp * np.exp(-v["data.exponent"] * sq))
+            u0 = scale * amp * np.exp(-v["data.exponent"] * sq)
         elif kind == "plateau":
             gam = _data_field(v, "data.gamma")
-            f = GridFunction(grid, scale * plateau_data(grid, gam,
-                                                        v["data.r"]).values)
+            u0 = scale * plateau_data(grid, gam, v["data.r"])
         else:
             base = _data_field(v, "data.path")
             try:
-                f = load_grid_function(base)
+                file_grid, u0 = load_grid_function(base)
             except (OSError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"config field data.'path' names no "
                                   f"readable grid function: {exc!r}") from exc
-            if f.grid != grid:
+            if file_grid != grid:
                 raise ConfigError("config field data.'path' holds a grid "
                                   "other than 'grid'")
-            f = GridFunction(grid, scale * f.values, f.side)
-    if not np.all(np.isfinite(f.values)):
+            u0 = scale * u0
+        u0 = np.asarray(u0, dtype=complex)
+    if not np.all(np.isfinite(u0)):
         raise ConfigError("config field 'data' gives non-finite samples")
-    return f
+    return u0
 
 
 def _load_config(path):
@@ -415,7 +417,7 @@ def cmd_propagate(cfg, seed, rec):
 
     partition = UniformPartition(grid)
     corpus = propagation_corpus(grid, count, seed)
-    hats = forward_values(grid, np.stack([f.values for f in corpus]))
+    hats = forward_values(grid, corpus)
     # the flow is a frequency-side multiplier: one stack of every (t, f);
     # norms of 0 or beyond the float range are named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -457,13 +459,13 @@ def cmd_blowup(cfg, seed, rec):
     # an overflowed norm is named below
     with np.errstate(over="ignore", invalid="ignore"):
         init_norm = float(mod_norms_from_frequency(
-            forward_values(grid, u0.values), [spec], partition)[0])
+            forward_values(grid, u0), [spec], partition)[0])
     if not factor * init_norm > init_norm:
         raise ConfigError(f"config fields 'data' and 'norm' give initial "
                           f"norm {init_norm:g}: no blow-up threshold "
                           "exceeds it")
     try:
-        cert = certify_hypothesis(hyp, u0)
+        cert = certify_hypothesis(hyp, grid, u0)
         wit = divergence_witness(hyp, cert.horizon, witness_terms)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(
@@ -479,7 +481,7 @@ def cmd_blowup(cfg, seed, rec):
         rec.verdict(f"certificate_{c.name}", c.value, c.bound, passed=c.passed,
                     direction=">=")
 
-    problem = HeatProblem(beta, k, u0, spec)
+    problem = HeatProblem(beta, k, grid, u0, spec)
     try:
         config = SolverConfig(dt=cfg["solver.dt"], t_max=cfg["solver.t_max"],
                               blowup_threshold=factor * init_norm,
@@ -531,7 +533,7 @@ def cmd_picard(cfg, seed, rec):
                                beta, k, grid.dim)
 
     partition = UniformPartition(grid)
-    problem = HeatProblem(beta, k, u0, spec)
+    problem = HeatProblem(beta, k, grid, u0, spec)
     t_grid = np.linspace(0.0, t_max, t_points)
     # terms or norms beyond the float range are named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -615,9 +617,10 @@ def cmd_modnorm(cfg, seed, rec):
 
     partition = UniformPartition(grid)
     plan = STFTPlan(grid)
-    corpus = [band_limited(grid, max_mode, seed=seed + i) for i in range(count)]
+    corpus = np.stack([band_limited(grid, max_mode, seed=seed + i)
+                       for i in range(count)])
 
-    hats = forward_values(grid, np.stack([f.values for f in corpus]))
+    hats = forward_values(grid, corpus)
     # (function, spec) tables; norms of 0 or beyond the float range are
     # named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -672,7 +675,7 @@ def cmd_hermite(cfg, seed, rec):
     if not lo < hi:
         raise ConfigError("config field 't_profile' needs lo < hi")
     # the data and its flow at every t of the profile, as one stack
-    cap = _parse_degree_cap(cfg, dim, pts + pts // 2 + 3, "t_profile")
+    cap = _parse_degree_cap(cfg, grid, pts + pts // 2 + 3, "t_profile")
     levels, window = cfg["coeff_levels"], cfg["slope_window"]
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("config field 'slope_window' must be [lo, hi] "
@@ -759,7 +762,7 @@ def cmd_transfer(cfg, seed, rec):
     _bounded(max(dim, trials) * modes ** dim, "'modes_per_axis' and 'trials'")
     fam_size = cfg["family_size"]
     # the family and its flow, as one stack
-    cap = _parse_degree_cap(cfg, dim, 2 * fam_size, "family_size")
+    cap = _parse_degree_cap(cfg, grid, 2 * fam_size, "family_size")
 
     basis = HermiteBasis(dim, cap)
     partition = UniformPartition(grid)

@@ -1,12 +1,14 @@
 """Deterministic test-function families shared by the tests and the CLI.
 
 Every family is a pure function of (grid, count, seed), so runs that echo
-their seed are reproducible bit for bit.
+their seed are reproducible bit for bit.  A function is the complex array of
+its physical samples on the grid; a family is one (count,) + grid.shape
+stack.
 """
 
 import numpy as np
 
-from .spectral import FREQUENCY, PHYSICAL, GridFunction, inverse_transform
+from .spectral import inverse_values
 
 
 def gaussian(grid, amplitude=1.0, width=1.0, modulation=None):
@@ -16,7 +18,7 @@ def gaussian(grid, amplitude=1.0, width=1.0, modulation=None):
     if modulation is not None:
         vals = vals * np.exp(1j * np.tensordot(
             grid.x_mesh, np.asarray(modulation, dtype=float), axes=([-1], [0])))
-    return GridFunction(grid, vals, PHYSICAL)
+    return np.asarray(vals, dtype=complex)
 
 
 def band_limited(grid, max_mode, seed):
@@ -30,24 +32,23 @@ def band_limited(grid, max_mode, seed):
     block = tuple(slice(lo, hi) for _ in range(grid.dim))
     size = (2 * max_mode + 1,) * grid.dim
     coeffs[block] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    f = inverse_transform(GridFunction(grid, coeffs, FREQUENCY))
-    return GridFunction(grid, f.values.real.astype(complex), PHYSICAL)
+    return inverse_values(grid, coeffs).real.astype(complex)
 
 
 def mixed_family(grid, count, seed):
     """Gaussians of widths 0.5, 1 and 2, modulated Gaussians, and random
     band-limited functions (|m_j| <= 6)."""
     rng = np.random.default_rng(seed)
-    out = []
+    out = np.empty((count,) + grid.shape, dtype=complex)
     for i in range(count):
         kind = i % 3
         if kind == 0:
-            out.append(gaussian(grid, 1.0, (0.5, 1.0, 2.0)[i // 3 % 3]))
+            out[i] = gaussian(grid, 1.0, (0.5, 1.0, 2.0)[i // 3 % 3])
         elif kind == 1:
             mod = [float(1 + (i % 4))] * grid.dim
-            out.append(gaussian(grid, 1.0, 1.0, modulation=mod))
+            out[i] = gaussian(grid, 1.0, 1.0, modulation=mod)
         else:
-            out.append(band_limited(grid, 6, int(rng.integers(2 ** 31))))
+            out[i] = band_limited(grid, 6, int(rng.integers(2 ** 31)))
     return out
 
 
@@ -57,10 +58,8 @@ def propagation_corpus(grid, count, seed):
     Includes one very wide Gaussian so the near-identity ratio at tiny
     frequencies anchors the uniform constant.
     """
-    wide_width = grid.half_width / 8.5
-    out = [gaussian(grid, 1.0, wide_width)]
-    out.extend(mixed_family(grid, count - 1, seed))
-    return out[:count]
+    wide = gaussian(grid, 1.0, grid.half_width / 8.5)
+    return np.concatenate([wide[None], mixed_family(grid, count - 1, seed)])
 
 
 def hermite_coeff_family(basis, count, seed, max_level=None):

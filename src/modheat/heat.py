@@ -43,21 +43,13 @@ import numpy as np
 
 from .modnorm import (ModNormSpec, UniformPartition, max_mod_norm,
                       mod_norms_from_frequency)
-from .spectral import (FREQUENCY, GridFunction, SpectralGrid, _band_slots,
-                       _fine_slots, _per_axis, _to_fine_slots,
-                       apply_multiplier, cropped_forward, fine_grid,
-                       forward_transform, heat_symbol, inverse_transform,
-                       inverse_values, padded_inverse)
+from .spectral import (SpectralGrid, _band_slots, _fine_slots, _per_axis,
+                       _to_fine_slots, cropped_forward, fine_grid,
+                       forward_values, heat_symbol, inverse_values,
+                       padded_inverse)
 
 
-# -- linear flow ---------------------------------------------------------------
-
-
-def linear_propagate(f, t, beta):
-    """Apply the semigroup multiplier exp(-t |xi|^beta); t >= 0."""
-    if t < 0:
-        raise ValueError("negative time in linear_propagate")
-    return apply_multiplier(f, heat_symbol(f.grid, t, beta))
+# -- exponential-integrator weights ---------------------------------------------
 
 
 def phi1(z):
@@ -92,7 +84,8 @@ def phi2(z):
 class HeatProblem:
     beta: float
     k: int
-    u0: GridFunction
+    grid: SpectralGrid
+    u0: np.ndarray  # physical samples on grid
     norm_spec: ModNormSpec = field(default_factory=lambda: ModNormSpec(2.0, 1.0, 0.0))
     # +1 solves d_t u + (-Delta)^{beta/2} u = +u^k; -1 flips the source sign
     # (the Fourier-positive blow-up mechanism only operates with +1).
@@ -103,7 +96,10 @@ class HeatProblem:
             raise ValueError("nonlinearity exponent k must be >= 2")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if not np.all(np.isfinite(self.u0.values)):
+        if np.shape(self.u0) != self.grid.shape:
+            raise ValueError(f"u0 has shape {np.shape(self.u0)}, the grid "
+                             f"{self.grid.shape}")
+        if not np.all(np.isfinite(self.u0)):
             raise ValueError("u0 must be finite everywhere")
         if self.source_sign not in (1, -1):
             raise ValueError("source_sign must be +1 or -1")
@@ -194,7 +190,7 @@ def solve(problem, config, partition=None):
     computed past the detection are dropped and counted in
     steps_discarded.
     """
-    g = problem.u0.grid
+    g = problem.grid
     per_chunk = check_lattice(g, problem.k)
     if partition is None:
         partition = UniformPartition(g)
@@ -222,7 +218,7 @@ def solve(problem, config, partition=None):
         out *= problem.source_sign
         return out
 
-    u_hat = forward_transform(problem.u0).values
+    u_hat = forward_values(g, problem.u0)
     spec = problem.norm_spec
     init_norm = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
     threshold = config.blowup_threshold
@@ -236,8 +232,8 @@ def solve(problem, config, partition=None):
     times = [0.0]
     norms = [init_norm]
     fl1 = [float(vol * np.sum(np.abs(u_hat)))]
-    linf = [float(np.max(np.abs(problem.u0.values)))]
-    final = problem.u0.values
+    linf = [float(np.max(np.abs(problem.u0)))]
+    final = problem.u0
 
     n_steps = int(round(config.t_max / config.dt))
     hats = np.empty((per_chunk,) + fine.shape, complex)
@@ -347,15 +343,15 @@ class HypothesisCertificate:
         return all(c.passed for c in self.conditions)
 
 
-def certify_hypothesis(h, u0):
-    """Check every blow-up condition on the lattice; failures are reported, not raised."""
-    g = u0.grid
+def certify_hypothesis(h, g, u0):
+    """Check every blow-up condition on the lattice for the physical samples
+    u0 on grid g; failures are reported, not raised."""
     if g.dim != h.d:
         raise ValueError("hypothesis dimension does not match the grid")
-    F = forward_transform(u0)
-    re = F.values.real
-    im = F.values.imag
-    scale = float(np.max(np.abs(F.values)))
+    F = forward_values(g, u0)
+    re = F.real
+    im = F.imag
+    scale = float(np.max(np.abs(F)))
     conds = []
 
     vol = h.r ** h.d * unit_ball_volume(h.d)
@@ -390,13 +386,13 @@ def ball_indicator(grid, r):
 
 
 def plateau_data(grid, gamma, r):
-    """Initial data built spectrally: Fourier transform exactly gamma on the ball.
+    """Physical samples of initial data built spectrally: Fourier transform
+    exactly gamma on the ball.
 
     In one dimension this is the periodized version of
     gamma * sqrt(2/pi) * sin(r x) / x.
     """
-    F = GridFunction(grid, gamma * ball_indicator(grid, r), FREQUENCY)
-    return inverse_transform(F)
+    return inverse_values(grid, gamma * ball_indicator(grid, r))
 
 
 # -- iterated Duhamel series -----------------------------------------------------
@@ -546,7 +542,7 @@ def picard_terms(problem, depth, t_grid, partition=None):
     tau = t_grid[1]
     if not (tau > 0 and np.all(np.abs(np.diff(t_grid) - tau) <= 1e-9 * tau)):
         raise ValueError("t_grid must be uniform and increasing")
-    g = problem.u0.grid
+    g = problem.grid
     k = problem.k
     check_lattice(g, k)
     if partition is None:
@@ -560,7 +556,7 @@ def picard_terms(problem, depth, t_grid, partition=None):
     combos = [_label_multisets(j, k) for j in range(1, depth)]
     indices = [term_index(j, k) for j in range(depth)]
 
-    u0_hat = forward_transform(problem.u0).values
+    u0_hat = forward_values(g, problem.u0)
     spectra = [lags * u0_hat] + [np.zeros((n_t,) + g.shape, dtype=complex)
                                  for _ in range(1, depth)]
     for lo in range(0, n_t, batch):

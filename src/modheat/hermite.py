@@ -1,4 +1,4 @@
-"""Hermite functions, transforms, and the oscillator heat flow.
+"""Hermite functions, coefficient tensors, and the oscillator heat flow.
 
 Normalized Hermite functions are generated by the stable recurrence
 
@@ -8,9 +8,9 @@ Normalized Hermite functions are generated by the stable recurrence
 and tensorized to d dimensions.  The oscillator H = -Delta + |x|^2 acts on
 the level-k eigenspace with eigenvalue 2k + d, so any bounded spectral
 multiplier, in particular exp(-t (2k+d)^beta), is diagonal in the
-coefficient tensor.  Inner products use Gauss quadrature in the e^{-x^2}
-measure with a guard margin of extra nodes, which makes the analysis exact
-for polynomial-times-Gaussian integrands up to the degree cap.  Decay
+coefficient tensor, and the flow is taken there.  Functions are given by
+their coefficient tensors and synthesized on a uniform grid from a table of
+the Hermite functions at its points, one contraction per axis.  Decay
 profiles synthesize the data and its flow at every t as one stack, at most
 NORM_BATCH_VALUES values at a time, and take one stacked norm call for
 every exponent p of the sweep on each synthesized chunk, which forms the
@@ -49,7 +49,7 @@ class ZeroNormError(ValueError):
 
 
 class HermiteBasis:
-    """Quadrature nodes/weights and Hermite tables up to a total-degree cap.
+    """Coefficient index set up to a total-degree cap.
 
     Coefficient tensors are indexed by the per-axis degrees; entries with
     total degree above the cap are masked out.  The basis is immutable after
@@ -61,16 +61,6 @@ class HermiteBasis:
             raise ValueError("bad basis parameters")
         self.dim = dim
         self.degree_cap = degree_cap
-        # guard margin for products h_j h_k
-        self.nodes_per_axis = degree_cap + 8
-        nodes, weights = np.polynomial.hermite.hermgauss(self.nodes_per_axis)
-        self.nodes = nodes
-        # weights converted out of the e^{-x^2} measure, computed in logs so
-        # the far nodes neither underflow nor overflow
-        with np.errstate(divide="ignore"):
-            total_weights = np.exp(np.log(weights) + nodes ** 2)
-        self.table = hermite_table(degree_cap, nodes)
-        self._analysis = self.table * total_weights[None, :]
         k = degree_cap + 1
         self.level_mesh = sum(np.indices((k,) * dim))
         self.level_mask = self.level_mesh <= degree_cap
@@ -78,14 +68,6 @@ class HermiteBasis:
     @property
     def coeff_shape(self):
         return (self.degree_cap + 1,) * self.dim
-
-    @property
-    def node_shape(self):
-        return (self.nodes_per_axis,) * self.dim
-
-    def gram_matrix(self):
-        """Per-axis quadrature Gram matrix <h_j, h_k>; should be the identity."""
-        return self._analysis @ self.table.T
 
 
 class HermiteCoeffs:
@@ -101,27 +83,6 @@ class HermiteCoeffs:
         self.tensor = np.where(basis.level_mask, tensor, 0.0)
 
 
-def _contract_all_axes(values, matrix):
-    """Apply `matrix` (new_idx, node) along every axis, preserving axis order."""
-    out = np.asarray(values, dtype=complex)
-    d = out.ndim
-    for _ in range(d):
-        out = np.tensordot(out, matrix, axes=([0], [1]))
-    return out
-
-
-def analyze(values, basis):
-    """Hermite coefficients of samples given on the quadrature node mesh."""
-    values = np.asarray(values, dtype=complex).reshape(basis.node_shape)
-    tensor = _contract_all_axes(values, basis._analysis)
-    return HermiteCoeffs(basis, tensor)
-
-
-def synthesize(coeffs):
-    """Evaluate the coefficient tensor back on the quadrature node mesh."""
-    return _contract_all_axes(coeffs.tensor, coeffs.basis.table.T)
-
-
 def heat_coeff_factors(basis, t, beta):
     """exp(-t (2k+d)^beta) on the coefficient tensor, one per entry of t."""
     if np.any(np.asarray(t) < 0):
@@ -130,18 +91,6 @@ def heat_coeff_factors(basis, t, beta):
     with np.errstate(over="ignore"):
         return np.exp(-np.multiply.outer(
             t, (2.0 * basis.level_mesh + basis.dim) ** beta))
-
-
-def oscillator_heat_coeffs(coeffs, t, beta):
-    """Heat flow of the fractional oscillator applied in coefficient space."""
-    basis = coeffs.basis
-    return HermiteCoeffs(basis, heat_coeff_factors(basis, t, beta) * coeffs.tensor)
-
-
-def oscillator_heat(values, t, beta, basis):
-    """Level-by-level spectral multiplier exp(-t (2k+d)^beta) on node samples."""
-    c = analyze(values, basis)
-    return synthesize(oscillator_heat_coeffs(c, t, beta))
 
 
 # -- eigenvalue sums and their closed-form bound ----------------------------------

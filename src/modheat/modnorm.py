@@ -103,7 +103,7 @@ class UniformPartition:
         self._active_centers = tuple(int(c) for c in centers[active])
         rows = rows[active]
         self._sq_rows = rows ** 2
-        # Rows with inverse_transform's per-axis factor folded in, in DFT
+        # Rows with inverse_values' per-axis factor folded in, in DFT
         # order, so each axis's blocks inverse-transform on their own.
         self._folded_rows = (dft_order(rows, axes=-1)
                              * inverse_axis_factor(grid))
@@ -486,7 +486,7 @@ class STFTPlan:
 STFT_BATCH_VALUES = 1 << 12
 
 
-def _stft_batches(f, plan, stride, fine):
+def _stft_batches(values, plan, stride, fine):
     """V_g f on fine's frequency lattice in DFT order, one batch of window
     shifts at a time.
 
@@ -494,12 +494,13 @@ def _stft_batches(f, plan, stride, fine):
     last axis fastest; each yielded stack has shape (batch,) + fine.shape
     and at most STFT_BATCH_VALUES values, or one shift if that is larger.
     Every stack is a view of one buffer, valid until the next is drawn.
-    fine is f's grid, or a box of the same spacing padded with zeros, which
-    samples y more finely.  The values are forward_values' bit for bit,
-    with its dft_order left out: its scale and phase are multiplied in DFT
-    order instead.
+    values are f's physical samples on plan.grid; fine is plan.grid, or a
+    box of the same spacing padded with zeros, which samples y more
+    finely.  The transforms are forward_values' bit for bit, with its
+    dft_order left out: its scale and phase are multiplied in DFT order
+    instead.
     """
-    g = f.grid
+    g = plan.grid
     d = g.dim
     n = g.points_per_axis
     lo = (fine.points_per_axis - n) // 2
@@ -519,21 +520,22 @@ def _stft_batches(f, plan, stride, fine):
         for start in range(0, len(shifts), batch):
             win = np.moveaxis(rolled[..., gather[start:start + batch]], -2, 0)
             if pad is None:
-                w = np.multiply(f.values, win, out=win)
+                w = np.multiply(values, win, out=win)
             else:
                 w = pad[:len(win)]
-                np.multiply(f.values, win, out=w[box])
+                np.multiply(values, win, out=w[box])
             v = _per_axis(np.fft.fft, w, d, out=out[:len(w)])
             v *= mesh
             yield v
 
 
-def mod_norms_stft(f, plan, specs, refine=1):
+def mod_norms_stft(values, plan, specs, refine=1):
     """Mixed L^p_x L^q_y quadrature norms of V_g f with weight <y>^s, one
-    per spec in specs, from one pass over |V_g f|: each batch of window
-    shifts is transformed once, and one inner L^p_x sum is accumulated per
-    distinct p, in DFT order until the end."""
-    g = f.grid
+    per spec in specs, from one pass over |V_g f|, where values are f's
+    physical samples on plan.grid: each batch of window shifts is
+    transformed once, and one inner L^p_x sum is accumulated per distinct
+    p, in DFT order until the end."""
+    g = plan.grid
     d = g.dim
     n = g.points_per_axis
     stride = max(1, plan.x_stride // refine)
@@ -545,7 +547,7 @@ def mod_norms_stft(f, plan, specs, refine=1):
     inner = {spec.p: np.zeros(fine.shape) for spec in specs}
     # p = 1 last: its rows are the magnitudes themselves, which it changes
     order = sorted(inner, key=lambda p: p == 1)
-    for batch in _stft_batches(f, plan, stride, fine):
+    for batch in _stft_batches(values, plan, stride, fine):
         mags = np.abs(batch)
         for p in order:
             acc = inner[p]

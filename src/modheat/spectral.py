@@ -9,7 +9,9 @@ unitary angular-frequency Fourier transform
 by the trapezoid rule, which at the dual lattice xi = (pi/L) m,
 -N/2 <= m_j < N/2, reduces to a scaled DFT.  The pair (forward, inverse) is
 an exact two-sided inverse on the lattice, and discrete Parseval holds to
-roundoff.  Grids and multiplier arrays are immutable after construction.
+roundoff.  A function is the ndarray of its samples on one side, with its
+grid alongside; a stack of functions holds them in leading axes.  Grids are
+immutable after construction.
 """
 
 from dataclasses import dataclass
@@ -17,9 +19,6 @@ from functools import cached_property, lru_cache
 import json
 
 import numpy as np
-
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,6 @@ class SpectralGrid:
         return self.freq_spacing * (self.points_per_axis // 2)
 
 
-class GridFunction:
-    """Complex samples of a function on a SpectralGrid, physical or frequency side."""
-
-    __slots__ = ("grid", "values", "side")
-
-    def __init__(self, grid, values, side=PHYSICAL):
-        values = np.asarray(values, dtype=complex)
-        if values.size != grid.size:
-            raise ValueError(
-                f"expected {grid.size} values for grid, got {values.size}")
-        if side not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"unknown side {side!r}")
-        self.grid = grid
-        self.values = values.reshape(grid.shape)
-        self.side = side
-
-
 def _alternating_axis(grid):
     """(-1)^m along one axis of the natural-order frequency lattice."""
     n = grid.points_per_axis
@@ -155,9 +137,9 @@ def _per_axis(transform, values, dim, out=None):
 
 
 def inverse_axis_factor(grid):
-    """One axis's share of inverse_transform's scale and phase, in DFT order.
+    """One axis's share of inverse_values' scale and phase, in DFT order.
 
-    inverse_transform(F) is ifftn of dft_order(F.values) times the outer
+    inverse_values(grid, F) is ifftn of dft_order(F) times the outer
     product of this vector over all axes, so a separable symbol can fold it
     into its per-axis rows and be inverse-transformed one axis at a time.
     """
@@ -181,10 +163,13 @@ def _factor_meshes(grid):
 
 
 def forward_values(grid, values):
-    """forward_transform's frequency samples, for a stack of functions.
+    """Trapezoid-rule Fourier transform onto the dual lattice, for a stack
+    of functions.
 
     values holds physical samples on grid in its last grid.dim axes; any
     leading axes index independent functions, transformed in one call.
+    Linear and exact (to roundoff) as a map between trigonometric
+    interpolants; matches the (2 pi)^{-d/2} convention.
     """
     # the lattice has even length, so dft_order is also fftshift here
     raw = dft_order(_per_axis(np.fft.fft, values, grid.dim),
@@ -193,19 +178,9 @@ def forward_values(grid, values):
     return raw
 
 
-def forward_transform(f):
-    """Trapezoid-rule Fourier transform onto the dual lattice.
-
-    Linear in f and exact (to roundoff) as a map between trigonometric
-    interpolants; matches the (2 pi)^{-d/2} convention.
-    """
-    if f.side != PHYSICAL:
-        raise ValueError("forward_transform expects a physical-side function")
-    return GridFunction(f.grid, forward_values(f.grid, f.values), FREQUENCY)
-
-
 def inverse_values(grid, values):
-    """inverse_transform's physical samples, for a stack of functions.
+    """Exact two-sided inverse of forward_values on the lattice, for a
+    stack of functions.
 
     values holds frequency samples on grid in its last grid.dim axes; any
     leading axes index independent functions, transformed in one call.
@@ -214,13 +189,6 @@ def inverse_values(grid, values):
     raw = np.multiply(dft_order(values, axes=range(-grid.dim, 0)), mesh,
                       dtype=complex)
     return _per_axis(np.fft.ifft, raw, grid.dim, out=raw)
-
-
-def inverse_transform(F):
-    """Exact two-sided inverse of forward_transform on the lattice."""
-    if F.side != FREQUENCY:
-        raise ValueError("inverse_transform expects a frequency-side function")
-    return GridFunction(F.grid, inverse_values(F.grid, F.values), PHYSICAL)
 
 
 def heat_symbol(grid, t, beta):
@@ -234,21 +202,6 @@ def heat_symbol(grid, t, beta):
     return out
 
 
-def apply_multiplier(f, m):
-    """F^{-1}(m . F f): apply a Fourier multiplier sampled on the frequency
-    lattice.  Non-finite symbol values are rejected."""
-    g = f.grid
-    sym = np.asarray(m)
-    if sym.shape != g.shape:
-        raise ValueError("multiplier shape does not match frequency lattice")
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("multiplier has non-finite values on the lattice")
-    if f.side == FREQUENCY:
-        return GridFunction(g, sym * f.values, FREQUENCY)
-    F = forward_transform(f)
-    return inverse_transform(GridFunction(g, sym * F.values, FREQUENCY))
-
-
 def lp_norm(values, volume_element, p):
     """Rectangle-rule L^p norm; p = inf gives the max over samples."""
     a = np.abs(np.asarray(values))
@@ -259,18 +212,19 @@ def lp_norm(values, volume_element, p):
     return float((volume_element * np.sum(a ** p)) ** (1.0 / p))
 
 
-def boundary_tail_ratio(f):
-    """max |f| on the outermost lattice faces divided by max |f| overall.
+def boundary_tail_ratio(values):
+    """max |f| on the outermost lattice faces divided by max |f| overall,
+    for the physical samples of one function.
 
     Periodization silently wraps anything alive near the box edge; boxes
     are chosen to keep this below ~1e-14 for Gaussian-type data.
     """
-    a = np.abs(f.values)
+    a = np.abs(values)
     peak = a.max()
     if peak == 0.0:
         return 0.0
     edge = 0.0
-    for axis in range(f.grid.dim):
+    for axis in range(a.ndim):
         for idx in (0, -1):
             face = np.take(a, idx, axis=axis)
             edge = max(edge, float(np.max(face)))
@@ -297,7 +251,7 @@ def fine_grid(grid, k):
 @lru_cache(maxsize=8)
 def _band_slots(grid, fine):
     """Index of grid's modes among fine's DFT-order slots, and fine's
-    inverse_transform factor at those slots (natural order of grid)."""
+    inverse_values factor at those slots (natural order of grid)."""
     n = grid.points_per_axis
     slots = np.arange(-n // 2, n // 2) % fine.points_per_axis
     index = (Ellipsis,) + np.ix_(*[slots] * grid.dim)
@@ -350,14 +304,30 @@ def cropped_forward(grid, values, fine):
 
 
 def load_grid_function(path_base):
-    """Read <base>.csv rows (index, re, im) and the <base>.json grid header
-    (dim, points_per_axis, half_width, side)."""
+    """(grid, physical samples) from <base>.csv rows (index, re, im) and the
+    <base>.json grid header (dim, points_per_axis, half_width, side).
+
+    The index column must be a permutation of 0 .. N^d - 1 (the row-major
+    position of each sample); a "frequency"-side file holds transform
+    samples and is inverse-transformed here.
+    """
     with open(path_base + ".json") as fh:
         header = json.load(fh)
     grid = SpectralGrid(header["dim"], header["points_per_axis"],
                         header["half_width"])
+    side = header["side"]
+    if side not in ("physical", "frequency"):
+        raise ValueError(f"unknown side {side!r}")
     data = np.loadtxt(path_base + ".csv", delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
+    if data.shape != (grid.size, 3):
+        raise ValueError(f"expected {grid.size} rows (index, re, im) for "
+                         f"grid, got an array of shape {data.shape}")
     order = np.argsort(data[:, 0])
-    values = data[order, 1] + 1j * data[order, 2]
-    return GridFunction(grid, values, header["side"])
+    if not np.array_equal(data[order, 0], np.arange(grid.size)):
+        raise ValueError("index column is not a permutation of "
+                         f"0 .. {grid.size - 1}")
+    values = (data[order, 1] + 1j * data[order, 2]).reshape(grid.shape)
+    if side == "frequency":
+        values = inverse_values(grid, values)
+    return grid, values

@@ -3,7 +3,7 @@ import pytest
 
 from modheat.hermite import HermiteBasis
 from modheat.modnorm import STFTPlan, UniformPartition
-from modheat.spectral import GridFunction, SpectralGrid
+from modheat.spectral import SpectralGrid
 
 
 @pytest.fixture(scope="session")
@@ -54,4 +54,4 @@ def basis60():
 
 @pytest.fixture()
 def gauss1(grid1):
-    return GridFunction(grid1, np.exp(-grid1.x_axis ** 2 / 2))
+    return np.exp(-grid1.x_axis ** 2 / 2).astype(complex)

@@ -16,16 +16,15 @@ from modheat.cli import main as cli_main
 from modheat.corpus import hermite_coeff_family, propagation_corpus
 from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           certify_hypothesis, divergence_witness,
-                          linear_propagate, lower_bound_envelope,
-                          picard_terms, solve)
+                          lower_bound_envelope, picard_terms, solve)
 from modheat.hermite import (HermiteCoeffs, decay_profile, eigen_sum,
-                             eigen_sum_bound, oscillator_heat, synthesize)
+                             eigen_sum_bound)
 from modheat.modnorm import ModNormSpec, UniformPartition
-from modheat.spectral import (GridFunction, SpectralGrid, forward_transform,
-                              inverse_transform)
+from modheat.spectral import SpectralGrid, forward_values, inverse_values
 from modheat.torus import (TorusGrid, kernel_l1_norm, operator_norm_lower,
                            oscillator_heat_symbol, transference_check)
-from test_heat import physical_terms
+from test_heat import linear_flow, physical_terms
+from test_hermite import gram_matrix, oscillator_heat, quadrature, synthesize
 from test_modnorm import (block_project, mod_norm_decomp, partition_keys,
                           partition_symbol)
 from test_spectral import frequency_lp_norm, physical_lp_norm
@@ -43,14 +42,14 @@ def test_criterion_01_spectral_correctness(grid1):
     worst_round = 0.0
     worst_pars = 0.0
     for _ in range(100):
-        f = GridFunction(grid1, rng.standard_normal(grid1.shape)
-                         + 1j * rng.standard_normal(grid1.shape))
-        F = forward_transform(f)
-        back = inverse_transform(F)
+        f = (rng.standard_normal(grid1.shape)
+             + 1j * rng.standard_normal(grid1.shape))
+        F = forward_values(grid1, f)
+        back = inverse_values(grid1, F)
         worst_round = max(worst_round,
-                          np.max(np.abs(back.values - f.values))
-                          / np.max(np.abs(f.values)))
-        a, b = physical_lp_norm(f, 2), frequency_lp_norm(F, 2)
+                          np.max(np.abs(back - f)) / np.max(np.abs(f)))
+        a = physical_lp_norm(grid1, f, 2)
+        b = frequency_lp_norm(grid1, F, 2)
         worst_pars = max(worst_pars, abs(a - b) / a)
     assert worst_round <= 1e-12
     assert worst_pars <= 1e-12
@@ -58,14 +57,13 @@ def test_criterion_01_spectral_correctness(grid1):
     worst_oracle = 0.0
     for dim, n in ((1, 8), (1, 16), (2, 8)):
         g = SpectralGrid(dim, n, 3.0)
-        f = GridFunction(g, rng.standard_normal(g.shape)
-                         + 1j * rng.standard_normal(g.shape))
-        F = forward_transform(f)
+        f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        F = forward_values(g, f)
         x = g.x_mesh.reshape(-1, dim)
         xi = g.freq_mesh.reshape(-1, dim)
         brute = ((2 * np.pi) ** (-dim / 2) * g.spacing ** dim
-                 * np.exp(-1j * xi @ x.T) @ f.values.reshape(-1))
-        err = np.max(np.abs(F.values.reshape(-1) - brute)) \
+                 * np.exp(-1j * xi @ x.T) @ f.reshape(-1))
+        err = np.max(np.abs(F.reshape(-1) - brute)) \
             / np.max(np.abs(brute))
         worst_oracle = max(worst_oracle, err)
     assert worst_oracle <= 1e-12
@@ -87,20 +85,20 @@ def test_criterion_02_partition_machinery(grid1, part1, grid2, part2):
         assert np.max(np.abs(sym[np.abs(grid1.freq_axis - k[0]) > 1.0])) == 0.0
 
     worst_orth = 0.0
-    f1 = GridFunction(grid1, np.exp(-grid1.x_axis ** 2 / 2))
+    f1 = np.exp(-grid1.x_axis ** 2 / 2)
     for k in ((0,), (4,), (-9,)):
         base = block_project(f1, k, part1)
         total = np.zeros(grid1.shape, dtype=complex)
         for ell in (-1, 0, 1):
-            total += block_project(base, (k[0] + ell,), part1).values
-        worst_orth = max(worst_orth, float(np.max(np.abs(total - base.values))))
+            total += block_project(base, (k[0] + ell,), part1)
+        worst_orth = max(worst_orth, float(np.max(np.abs(total - base))))
     rng = np.random.default_rng(2)
-    f2 = GridFunction(grid2, rng.standard_normal(grid2.shape))
+    f2 = rng.standard_normal(grid2.shape)
     base = block_project(f2, (1, -2), part2)
     total = np.zeros(grid2.shape, dtype=complex)
     for ex, ey in product((-1, 0, 1), repeat=2):
-        total += block_project(base, (1 + ex, -2 + ey), part2).values
-    worst_orth = max(worst_orth, float(np.max(np.abs(total - base.values))))
+        total += block_project(base, (1 + ex, -2 + ey), part2)
+    worst_orth = max(worst_orth, float(np.max(np.abs(total - base))))
     assert worst_orth <= 1e-10
     report(2, f"partition sum {worst_sum:.2e}, almost-orth {worst_orth:.2e}")
 
@@ -111,15 +109,15 @@ def test_criterion_03_semigroup_and_closed_forms(grid1, gauss1):
     for _ in range(20):
         t1, t2 = rng.uniform(0.01, 2.0, size=2)
         beta = rng.choice([0.5, 1.0, 2.0])
-        a = linear_propagate(linear_propagate(gauss1, t1, beta), t2, beta)
-        b = linear_propagate(gauss1, t1 + t2, beta)
-        worst_semi = max(worst_semi, float(np.max(np.abs(a.values - b.values))))
+        a = linear_flow(grid1, linear_flow(grid1, gauss1, t1, beta), t2, beta)
+        b = linear_flow(grid1, gauss1, t1 + t2, beta)
+        worst_semi = max(worst_semi, float(np.max(np.abs(a - b))))
     assert worst_semi <= 1e-12
 
     t = 0.5
-    out = linear_propagate(gauss1, t, 2.0)
+    out = linear_flow(grid1, gauss1, t, 2.0)
     ref = (1 + 2 * t) ** -0.5 * np.exp(-grid1.x_axis ** 2 / (2 * (1 + 2 * t)))
-    gauss_err = float(np.max(np.abs(out.values - ref)))
+    gauss_err = float(np.max(np.abs(out - ref)))
     assert gauss_err <= 1e-8
 
     grid = SpectralGrid(1, 2048, 160.0)
@@ -129,7 +127,8 @@ def test_criterion_03_semigroup_and_closed_forms(grid1, gauss1):
     base = [mod_norm_decomp(f, spec, part) for f in corpus]
     cs = []
     for tt in (0.01, 0.1, 1.0, 10.0):
-        cs.append(max(mod_norm_decomp(linear_propagate(f, tt, 2.0), spec, part)
+        cs.append(max(mod_norm_decomp(linear_flow(grid, f, tt, 2.0), spec,
+                                      part)
                       / b for f, b in zip(corpus, base)))
     stability = max(cs) / min(cs)
     assert stability <= 1.05
@@ -139,26 +138,25 @@ def test_criterion_03_semigroup_and_closed_forms(grid1, gauss1):
 
 
 def test_criterion_04_blowup_reproduction(grid1, part1):
-    u0 = GridFunction(grid1,
-                      REMARK_AMPLITUDE * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+    u0 = REMARK_AMPLITUDE * np.exp(-2 * np.pi * grid1.x_axis ** 2)
     hyp = BlowupHypothesis(gamma=REMARK_GAMMA, r=1.0, beta=2.0, k=2, d=1)
-    cert = certify_hypothesis(hyp, u0)
+    cert = certify_hypothesis(hyp, grid1, u0)
     assert cert.all_passed
     assert cert.horizon == pytest.approx(0.25)
 
-    prob = HeatProblem(2.0, 2, u0)
+    prob = HeatProblem(2.0, 2, grid1, u0)
     trace = solve(prob, SolverConfig(dt=2e-4, t_max=0.5), part1)
     assert trace.blowup_detected
     assert trace.t_detect < 0.5
     assert trace.norms[-1] > 1e6 * trace.norms[0]
 
-    small = GridFunction(grid1, 1e-3 * u0.values)
-    strace = solve(HeatProblem(2.0, 2, small),
+    small = 1e-3 * u0
+    strace = solve(HeatProblem(2.0, 2, grid1, small),
                    SolverConfig(dt=2e-3, t_max=1.0), part1)
     assert not strace.blowup_detected
     assert max(strace.norms) <= 2.0 * strace.norms[0]
 
-    sres = picard_terms(HeatProblem(2.0, 2, small), 5,
+    sres = picard_terms(HeatProblem(2.0, 2, grid1, small), 5,
                         np.linspace(0.0, 0.5, 17), part1)
     assert all(r < 1.0 for r in sres.ratios[1:])
     report(4, f"detection at t={trace.t_detect:.4f} with ratio "
@@ -177,7 +175,7 @@ def test_criterion_05_lower_bound_witness(grid1, part1):
     from modheat.heat import plateau_data
 
     u0 = plateau_data(grid1, gamma, 1.0)
-    res = picard_terms(HeatProblem(2.0, 2, u0), 6,
+    res = picard_terms(HeatProblem(2.0, 2, grid1, u0), 6,
                        np.linspace(0.0, 0.25, 33), part1)
     ball = grid1.freq_magnitude <= hyp.r
     slack = constants.PICARD_DOMINATION_SLACK
@@ -185,8 +183,7 @@ def test_criterion_05_lower_bound_witness(grid1, part1):
     trajectories = physical_terms(res)
     for pos, idx in enumerate(res.term_indices):
         for ti in range(1, 33):
-            uhat = forward_transform(
-                GridFunction(grid1, trajectories[pos][ti])).values
+            uhat = forward_values(grid1, trajectories[pos][ti])
             env = lower_bound_envelope(hyp, idx, res.t_grid[ti], grid1)
             worst = min(worst, float((uhat.real[ball] * slack
                                       / env[ball]).min()))
@@ -196,10 +193,10 @@ def test_criterion_05_lower_bound_witness(grid1, part1):
 
 
 def test_criterion_06_hermite_suite(basis60):
-    gram_err = float(np.max(np.abs(basis60.gram_matrix() - np.eye(61))))
+    gram_err = float(np.max(np.abs(gram_matrix(basis60) - np.eye(61))))
     assert gram_err <= 1e-10
 
-    phi0 = basis60.table[0]
+    phi0 = quadrature(basis60).table[0]
     for beta, t in ((1.0, 0.7), (2.0, 0.3)):
         out = oscillator_heat(phi0, t, beta, basis60)
         err = float(np.max(np.abs(out - math.exp(-t * 1.0 ** beta) * phi0)))

@@ -10,10 +10,10 @@ import pytest
 from modheat import heat
 from modheat.cli import main
 from modheat.corpus import band_limited, propagation_corpus
-from modheat.heat import linear_propagate
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norms_stft)
-from modheat.spectral import GridFunction, SpectralGrid
+from modheat.spectral import SpectralGrid, forward_values
+from test_heat import linear_flow
 from test_modnorm import mod_norm_decomp
 from test_spectral import save_grid_function
 
@@ -453,8 +453,8 @@ class TestPropagateCommand:
                                       for f in range(4)]):
             assert (int(row["func_id"]), float(row["t"])) == (f, t)
             base = mod_norm_decomp(corpus[f], spec, part)
-            flow = mod_norm_decomp(linear_propagate(corpus[f], t, 1.5), spec,
-                                   part)
+            flow = mod_norm_decomp(linear_flow(grid, corpus[f], t, 1.5),
+                                   spec, part)
             assert float(row["norm_0"]) == pytest.approx(base, rel=1e-13)
             assert float(row["norm_t"]) == pytest.approx(flow, rel=1e-13)
             assert float(row["ratio"]) == pytest.approx(flow / base,
@@ -722,14 +722,16 @@ class TestConfigValidation:
         assert code == 2
         assert "'seed'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["", "header", "row", "grid"])
+    @pytest.mark.parametrize("damage", ["", "header", "row", "grid",
+                                        "duplicate", "out_of_range"])
     def test_csv_data_file(self, tmp_path, capsys, damage):
-        # a damaged file exits 2 naming data.'path', never a traceback
+        # a damaged file exits 2 naming data.'path', never a traceback; the
+        # index column must be a permutation of 0 .. N^d - 1
         cfg = picard_config()
         grid = SpectralGrid(**cfg["grid"])
         base = str(tmp_path / "u0")
         values = np.exp(-grid.x_mesh[..., 0] ** 2)
-        save_grid_function(GridFunction(grid, values), base)
+        save_grid_function(grid, values, base)
         with open(base + ".json") as fh:
             header = json.load(fh)
         if damage == "header":
@@ -739,6 +741,13 @@ class TestConfigValidation:
         elif damage == "row":
             with open(base + ".csv", "a") as fh:
                 fh.write("3,x,0.0\n")
+        elif damage in ("duplicate", "out_of_range"):
+            with open(base + ".csv") as fh:
+                lines = fh.readlines()
+            index = "0" if damage == "duplicate" else str(grid.size)
+            lines[2] = index + lines[2][lines[2].index(","):]
+            with open(base + ".csv", "w") as fh:
+                fh.writelines(lines)
         with open(base + ".json", "w") as fh:
             json.dump(header, fh)
         cfg["data"] = {"kind": "csv", "path": base}
@@ -748,6 +757,50 @@ class TestConfigValidation:
             assert "data.'path'" in capsys.readouterr().err
         else:
             assert code == 0
+
+    @pytest.mark.parametrize("command", ["picard", "blowup"])
+    def test_csv_frequency_side(self, tmp_path, command):
+        # the same Gaussian written as its transform: the file is
+        # inverse-transformed when read, so the runs agree to roundoff
+        cfg = {"picard": picard_config(),
+               "blowup": blowup_config(solver={"dt": 2e-4,
+                                               "t_max": 0.002})}[command]
+        grid = SpectralGrid(**cfg["grid"])
+        values = np.exp(-grid.x_mesh[..., 0] ** 2)
+        tables = {}
+        for side, samples in (("physical", values),
+                              ("frequency", forward_values(grid, values))):
+            (tmp_path / side).mkdir()
+            base = str(tmp_path / side / "u0")
+            save_grid_function(grid, samples, base, side)
+            cfg["data"] = {"kind": "csv", "path": base}
+            code, out = run(tmp_path / side, command, cfg)
+            assert code != 2, side
+            table = {"picard": "picard_norms.csv",
+                     "blowup": "blowup_trace.csv"}[command]
+            with open(out / table) as fh:
+                tables[side] = (code, list(csv.reader(fh)))
+        (code, want), (got_code, got) = tables["physical"], tables["frequency"]
+        assert got_code == code
+        assert code == 0 or command == "blowup"
+        assert got[0] == want[0] and len(got) == len(want)
+        for row, ref in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(np.array(row, float),
+                                       np.array(ref, float), rtol=1e-12)
+
+    @pytest.mark.parametrize("command", ["hermite", "transfer"])
+    def test_hermite_table_bounded(self, tmp_path, capsys, command):
+        # degree_cap 300 on 16384 points: a table of 301 x 16384 values,
+        # above MAX_LATTICE_VALUES, though the tensors and the grid are not
+        grid = {"dim": 1, "points_per_axis": 16384, "half_width": 256.0}
+        assert 301 * 16384 > heat.MAX_LATTICE_VALUES
+        config = {"hermite": hermite_config,
+                  "transfer": transfer_config}[command]()
+        config = with_field(with_field(config, "grid", grid), "degree_cap",
+                            300)
+        code, _ = run(tmp_path, command, config)
+        assert code == 2
+        assert "'degree_cap'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("beta", [1e300, 1e-300])
     def test_extreme_hermite_beta(self, tmp_path, capsys, beta):

@@ -9,7 +9,7 @@ import pytest
 from modheat import constants
 from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           ball_indicator, certify_hypothesis,
-                          divergence_witness, linear_propagate,
+                          divergence_witness,
                           lower_bound_envelope, picard_terms, plateau_data,
                           solve, term_index, unit_ball_volume)
 from modheat import heat, modnorm
@@ -18,12 +18,18 @@ from modheat.heat import (_cumulative_weights, _label_multisets,
                           picard_product_count)
 from modheat.modnorm import (ModNormSpec, UniformPartition,
                              mod_norms_from_frequency)
-from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              cropped_forward, fine_grid, forward_transform,
-                              forward_values, inverse_transform,
-                              inverse_values, padded_inverse)
+from modheat.spectral import (SpectralGrid, cropped_forward, fine_grid,
+                              forward_values, heat_symbol, inverse_values,
+                              padded_inverse)
 from test_modnorm import mod_norm_decomp
-from test_spectral import dealiased_power_hat, frequency_lp_norm
+from test_spectral import dealiased_power_hat, frequency_lp_norm, multiply
+
+
+def linear_flow(g, f, t, beta):
+    """The heat flow e^{-t (-Delta)^{beta/2}} f of one function's physical
+    samples f on grid g: the symbol times the transform, then back.  The
+    per-pair reference of the propagate command's stacked flow."""
+    return multiply(g, f, heat_symbol(g, t, beta))
 
 
 def physical_terms(res):
@@ -39,8 +45,8 @@ def condition(cert, name):
 
 @pytest.fixture(scope="module")
 def small_problem(grid1):
-    u0 = GridFunction(grid1, 0.01 * np.exp(-grid1.x_axis ** 2 / 2))
-    return HeatProblem(2.0, 2, u0)
+    u0 = 0.01 * np.exp(-grid1.x_axis ** 2 / 2)
+    return HeatProblem(2.0, 2, grid1, u0)
 
 
 @pytest.fixture(scope="module")
@@ -50,28 +56,25 @@ def certified_hypothesis():
 
 
 class TestLinearPropagator:
-    def test_time_zero_is_identity(self, gauss1):
-        out = linear_propagate(gauss1, 0.0, 1.3)
-        assert np.max(np.abs(out.values - gauss1.values)) <= 1e-14
+    def test_time_zero_is_identity(self, grid1, gauss1):
+        out = linear_flow(grid1, gauss1, 0.0, 1.3)
+        assert np.max(np.abs(out - gauss1)) <= 1e-14
 
-    def test_negative_time_rejected(self, gauss1):
-        with pytest.raises(ValueError):
-            linear_propagate(gauss1, -0.1, 2.0)
-
-    def test_semigroup_property(self, gauss1):
+    def test_semigroup_property(self, grid1, gauss1):
         rng = np.random.default_rng(12)
         for _ in range(20):
             t1, t2 = rng.uniform(0.01, 2.0, size=2)
             beta = rng.choice([0.5, 1.0, 2.0])
-            a = linear_propagate(linear_propagate(gauss1, t1, beta), t2, beta)
-            b = linear_propagate(gauss1, t1 + t2, beta)
-            assert np.max(np.abs(a.values - b.values)) <= 1e-12
+            a = linear_flow(grid1, linear_flow(grid1, gauss1, t1, beta), t2,
+                            beta)
+            b = linear_flow(grid1, gauss1, t1 + t2, beta)
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_gaussian_closed_form(self, grid1, gauss1):
         t = 0.5
-        out = linear_propagate(gauss1, t, 2.0)
+        out = linear_flow(grid1, gauss1, t, 2.0)
         ref = (1 + 2 * t) ** -0.5 * np.exp(-grid1.x_axis ** 2 / (2 * (1 + 2 * t)))
-        np.testing.assert_allclose(out.values, ref, atol=1e-8)
+        np.testing.assert_allclose(out, ref, atol=1e-8)
 
     def test_uniform_modulation_bound(self):
         grid = SpectralGrid(1, 2048, 160.0)
@@ -81,16 +84,16 @@ class TestLinearPropagator:
         base = [mod_norm_decomp(f, spec, part) for f in corpus]
         for t in (0.01, 0.1, 1.0, 10.0):
             for f, b in zip(corpus, base):
-                ratio = mod_norm_decomp(linear_propagate(f, t, 2.0), spec,
+                ratio = mod_norm_decomp(linear_flow(grid, f, t, 2.0), spec,
                                         part) / b
                 assert ratio <= constants.PROPAGATOR_UNIFORM_CONST
 
 
 class TestSolver:
     def test_zero_data_stays_zero(self, grid1, part1):
-        z = GridFunction(grid1, np.zeros(grid1.shape))
-        tr = solve(HeatProblem(2.0, 2, z), SolverConfig(dt=0.05, t_max=0.5),
-                   part1)
+        z = np.zeros(grid1.shape)
+        tr = solve(HeatProblem(2.0, 2, grid1, z),
+                   SolverConfig(dt=0.05, t_max=0.5), part1)
         assert max(tr.norms) == 0.0
         assert not tr.blowup_detected
 
@@ -104,8 +107,8 @@ class TestSolver:
         assert np.max(np.abs(coarse - fine) / fine) <= 0.01
 
     def test_etd1_first_order_convergence(self, grid1, part1):
-        u0 = GridFunction(grid1, 0.5 * np.exp(-grid1.x_axis ** 2 / 2))
-        prob = HeatProblem(2.0, 2, u0)
+        u0 = 0.5 * np.exp(-grid1.x_axis ** 2 / 2)
+        prob = HeatProblem(2.0, 2, grid1, u0)
 
         def final(dt):
             return solve(prob, SolverConfig(dt=dt, t_max=0.25),
@@ -117,8 +120,8 @@ class TestSolver:
         assert e1 / e2 >= 1.8
 
     def test_etd2_beats_etd1(self, grid1, part1):
-        u0 = GridFunction(grid1, 0.5 * np.exp(-grid1.x_axis ** 2 / 2))
-        prob = HeatProblem(2.0, 2, u0)
+        u0 = 0.5 * np.exp(-grid1.x_axis ** 2 / 2)
+        prob = HeatProblem(2.0, 2, grid1, u0)
 
         def final(scheme, dt):
             return solve(prob, SolverConfig(dt=dt, t_max=0.25, scheme=scheme),
@@ -151,15 +154,25 @@ class TestSolver:
             SolverConfig(dt=dt, t_max=t_max)
         SolverConfig(dt=1e-5, t_max=0.5)  # 49999.99999999999 steps: whole
 
+    def test_data_must_fit_the_grid(self):
+        # the samples take the grid's shape, and every one is finite
+        grid = SpectralGrid(1, 16, 4.0)
+        with pytest.raises(ValueError, match="shape"):
+            HeatProblem(2.0, 2, grid, np.ones(15))
+        with pytest.raises(ValueError, match="shape"):
+            HeatProblem(2.0, 2, SpectralGrid(2, 4, 4.0), np.ones(16))
+        with pytest.raises(ValueError, match="finite"):
+            HeatProblem(2.0, 2, grid, np.full(16, np.nan))
+
     @pytest.mark.parametrize("sign", [0, 2, -3])
     def test_source_sign_must_be_unit(self, sign):
-        u0 = GridFunction(SpectralGrid(1, 16, 4.0), np.ones(16))
+        grid = SpectralGrid(1, 16, 4.0)
         with pytest.raises(ValueError, match="source_sign"):
-            HeatProblem(2.0, 2, u0, source_sign=sign)
+            HeatProblem(2.0, 2, grid, np.ones(16), source_sign=sign)
 
     def test_certified_data_blows_up_with_monotone_tail(self, grid1, part1):
-        u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
-        tr = solve(HeatProblem(2.0, 2, u0),
+        u0 = 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2)
+        tr = solve(HeatProblem(2.0, 2, grid1, u0),
                    SolverConfig(dt=2e-4, t_max=0.5), part1)
         assert tr.blowup_detected
         assert tr.t_detect < 0.5
@@ -172,46 +185,46 @@ class TestSolver:
         # (4 e r^beta (k-1))^(1/(k-1)) e^(2 pi r^beta) ~ 5823: detection is
         # near-immediate and well before twice the guaranteed horizon
         amp = (4 * math.e) * math.exp(2 * math.pi)
-        u0 = GridFunction(grid1, 1.001 * amp
-                          * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+        u0 = 1.001 * amp * np.exp(-2 * np.pi * grid1.x_axis ** 2)
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
-        assert certify_hypothesis(hyp, u0).all_passed
-        tr = solve(HeatProblem(2.0, 2, u0),
+        assert certify_hypothesis(hyp, grid1, u0).all_passed
+        tr = solve(HeatProblem(2.0, 2, grid1, u0),
                    SolverConfig(dt=1e-5, t_max=0.5), part1)
         assert tr.blowup_detected
         assert tr.t_detect < 0.5
         assert tr.norms[-1] > 1e6 * tr.norms[0]
 
     def test_sign_flag_changes_dynamics(self, grid1, part1):
-        u0 = GridFunction(grid1, 0.5 * np.exp(-grid1.x_axis ** 2 / 2))
-        grow = solve(HeatProblem(2.0, 2, u0, source_sign=1),
+        u0 = 0.5 * np.exp(-grid1.x_axis ** 2 / 2)
+        grow = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=1),
                      SolverConfig(dt=0.01, t_max=0.2), part1)
-        damp = solve(HeatProblem(2.0, 2, u0, source_sign=-1),
+        damp = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=-1),
                      SolverConfig(dt=0.01, t_max=0.2), part1)
         assert damp.norms[-1] < grow.norms[-1]
 
 
 class TestHypothesisCertificate:
     def test_volume_condition_at_equality(self, grid1):
-        u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+        u0 = 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2)
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
-        cert = certify_hypothesis(hyp, u0)
+        cert = certify_hypothesis(hyp, grid1, u0)
         cond = condition(cert, "volume")
         assert cond.value == 2.0 and cond.bound == 2.0 and cond.passed
 
     def test_gamma_threshold_boundary(self, grid1):
-        u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+        u0 = 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2)
         ok = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
         bad = BlowupHypothesis(gamma=10.0, r=1.0, beta=2.0, k=2, d=1)
         assert 4 * math.e == pytest.approx(10.87312731, abs=1e-7)
-        assert condition(certify_hypothesis(ok, u0), "gamma_threshold").passed
-        assert not condition(certify_hypothesis(bad, u0),
+        assert condition(certify_hypothesis(ok, grid1, u0),
+                         "gamma_threshold").passed
+        assert not condition(certify_hypothesis(bad, grid1, u0),
                              "gamma_threshold").passed
 
     def test_remark_gaussian_passes_all(self, grid1):
-        u0 = GridFunction(grid1, 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+        u0 = 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2)
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
-        cert = certify_hypothesis(hyp, u0)
+        cert = certify_hypothesis(hyp, grid1, u0)
         assert cert.all_passed
         assert cert.horizon == pytest.approx(0.25)
 
@@ -219,20 +232,20 @@ class TestHypothesisCertificate:
                                                    certified_hypothesis):
         h = certified_hypothesis
         u0 = plateau_data(grid1, h.gamma, h.r)
-        cert = certify_hypothesis(h, u0)
+        cert = certify_hypothesis(h, grid1, u0)
         assert cert.all_passed
 
     def test_plateau_transform_is_exact_box(self, grid1, certified_hypothesis):
         h = certified_hypothesis
         u0 = plateau_data(grid1, h.gamma, h.r)
-        F = forward_transform(u0)
+        F = forward_values(grid1, u0)
         ball = ball_indicator(grid1, h.r)
-        np.testing.assert_allclose(F.values.real, h.gamma * ball, atol=1e-10)
+        np.testing.assert_allclose(F.real, h.gamma * ball, atol=1e-10)
 
     def test_failed_conditions_reported_not_raised(self, grid1, gauss1):
         # plain Gaussian fails the plateau bound at gamma = 11 but certifies
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
-        cert = certify_hypothesis(hyp, gauss1)
+        cert = certify_hypothesis(hyp, grid1, gauss1)
         assert not condition(cert, "plateau_lower_bound").passed
         assert not cert.all_passed
 
@@ -242,10 +255,10 @@ class TestHypothesisCertificate:
         assert unit_ball_volume(5) == pytest.approx(8 * math.pi ** 2 / 15,
                                                     rel=1e-15)
 
-    def test_dimension_mismatch_rejected(self, grid2, gauss1):
+    def test_dimension_mismatch_rejected(self, grid1, gauss1):
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=2)
         with pytest.raises(ValueError):
-            certify_hypothesis(hyp, gauss1)
+            certify_hypothesis(hyp, grid1, gauss1)
 
 
 def lambda_index_set(j, k):
@@ -312,8 +325,8 @@ class TestLambdaIndexSet:
 
 @pytest.fixture(scope="module")
 def small_picard(grid1, part1):
-    u0 = GridFunction(grid1, 0.01 * np.exp(-grid1.x_axis ** 2 / 2))
-    prob = HeatProblem(2.0, 2, u0)
+    u0 = 0.01 * np.exp(-grid1.x_axis ** 2 / 2)
+    prob = HeatProblem(2.0, 2, grid1, u0)
     t_grid = np.linspace(0.0, 0.5, 33)
     return prob, picard_terms(prob, 6, t_grid, part1)
 
@@ -322,8 +335,8 @@ class TestPicardSeries:
     def test_first_term_is_linear_flow(self, small_picard):
         prob, res = small_picard
         t = res.t_grid[17]
-        lin = linear_propagate(prob.u0, t, prob.beta)
-        assert np.max(np.abs(physical_terms(res)[0][17] - lin.values)) == 0.0
+        lin = linear_flow(prob.grid, prob.u0, t, prob.beta)
+        assert np.max(np.abs(physical_terms(res)[0][17] - lin)) == 0.0
 
     def test_ratios_fall_below_one_by_third_term(self, small_picard):
         _, res = small_picard
@@ -341,17 +354,17 @@ class TestPicardSeries:
         # nonnegative-transform data: every term keeps a nonnegative,
         # real transform up to roundoff
         u0 = plateau_data(grid1, 0.1, 1.0)
-        prob = HeatProblem(2.0, 2, u0)
+        prob = HeatProblem(2.0, 2, grid1, u0)
         res = picard_terms(prob, 6, np.linspace(0.0, 0.25, 17), part1)
         for traj in physical_terms(res):
             for vals in traj:
-                uhat = forward_transform(GridFunction(grid1, vals)).values
+                uhat = forward_values(grid1, vals)
                 assert uhat.real.min() >= -1e-10
                 assert np.max(np.abs(uhat.imag)) <= 1e-10
 
     def test_cubic_nonlinearity_runs(self, grid1, part1):
-        u0 = GridFunction(grid1, 0.05 * np.exp(-grid1.x_axis ** 2 / 2))
-        prob = HeatProblem(2.0, 3, u0)
+        u0 = 0.05 * np.exp(-grid1.x_axis ** 2 / 2)
+        prob = HeatProblem(2.0, 3, grid1, u0)
         res = picard_terms(prob, 3, np.linspace(0.0, 0.3, 17), part1)
         assert res.term_indices == [1, 3, 5]
         assert res.sup_norms[2] < res.sup_norms[1] < res.sup_norms[0]
@@ -398,15 +411,14 @@ def _multiset_products(tuples):
 def _picard_oracle(problem, depth, t_grid, partition):
     """The per-slice series: physical trajectories, one product and one
     norm per time slice.  Returns (spectra, sup_norms, ratios)."""
-    g = problem.u0.grid
+    g = problem.grid
     k = problem.k
     n_t = len(t_grid)
     symbase = g.freq_magnitude ** problem.beta
     W = _cumulative_weights(t_grid)
-    u0_hat = forward_transform(problem.u0).values
+    u0_hat = forward_values(g, problem.u0)
     freq = {1: np.array([np.exp(-t * symbase) * u0_hat for t in t_grid])}
-    phys = {1: np.array([inverse_transform(GridFunction(g, F, FREQUENCY))
-                         .values for F in freq[1]])}
+    phys = {1: np.array([inverse_values(g, F) for F in freq[1]])}
     indices = [1]
     for j in range(1, depth):
         idx = term_index(j, k)
@@ -423,8 +435,7 @@ def _picard_oracle(problem, depth, t_grid, partition):
             term_f[i] = np.tensordot(W[i, :i + 1],
                                      kernel * prod_hat[:i + 1], axes=(0, 0))
         freq[idx] = term_f
-        phys[idx] = np.array([inverse_transform(GridFunction(
-            g, F, FREQUENCY)).values for F in term_f])
+        phys[idx] = np.array([inverse_values(g, F) for F in term_f])
         indices.append(idx)
     sups = [max(float(mod_norms_from_frequency(F, [problem.norm_spec],
                                                partition)[0])
@@ -468,8 +479,7 @@ class TestBatchedPicard:
     def test_matches_per_slice_oracle(self, case, cap, monkeypatch):
         grid, k, spec = PICARD_CASES[case]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
-                           spec)
+        prob = HeatProblem(2.0, k, grid, 0.5 * np.exp(-sq), spec)
         part = UniformPartition(grid)
         t_grid = np.linspace(0.0, 0.3, 9)
         spectra, sups, ratios = _picard_oracle(prob, 4, t_grid, part)
@@ -496,8 +506,8 @@ class TestBatchedPicard:
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
     def test_streamed_series_matches_oracle(self, case, cap, monkeypatch):
         grid, k, depth, n_t = self.STREAM_CASES[case]
-        prob = HeatProblem(2.0, k, GridFunction(
-            grid, 0.5 * np.exp(-grid.x_axis ** 2)), ModNormSpec(1.0, 1.0, 0.0))
+        prob = HeatProblem(2.0, k, grid, 0.5 * np.exp(-grid.x_axis ** 2),
+                           ModNormSpec(1.0, 1.0, 0.0))
         part = UniformPartition(grid)
         t_grid = np.linspace(0.0, 0.3, n_t)
         spectra, sups, ratios = _picard_oracle(prob, depth, t_grid, part)
@@ -515,8 +525,7 @@ class TestBatchedPicard:
         # the t = 0 slice of terms j >= 1 is skipped: it is exactly 0
         grid, k, spec = PICARD_CASES[case]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
-                           spec)
+        prob = HeatProblem(2.0, k, grid, 0.5 * np.exp(-sq), spec)
         part = UniformPartition(grid)
         res = picard_terms(prob, 4, np.linspace(0.0, 0.3, 9), part)
         for j, F in enumerate(res.spectra):
@@ -532,8 +541,7 @@ class TestBatchedPicard:
         grid, k, spec = PICARD_CASES[case]
         spec = ModNormSpec(p, spec.q, spec.s)
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        prob = HeatProblem(2.0, k, GridFunction(grid, 0.5 * np.exp(-sq)),
-                           spec)
+        prob = HeatProblem(2.0, k, grid, 0.5 * np.exp(-sq), spec)
         part = UniformPartition(grid)
         res = picard_terms(prob, 4, np.linspace(0.0, 0.3, 9), part)
         for j, F in enumerate(res.spectra):
@@ -586,19 +594,19 @@ class TestBatchedPicard:
             assert combos[0] == (k, (1,) * (k - 1) + (term_index(4, k),))
 
     def test_overflowing_beta_is_identity_at_zero(self, small_problem):
-        prob = HeatProblem(1e300, 2, small_problem.u0)
+        prob = HeatProblem(1e300, 2, small_problem.grid, small_problem.u0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = picard_terms(prob, 3, np.linspace(0.0, 0.5, 5))
-        u0_hat = forward_transform(prob.u0).values
+        u0_hat = forward_values(prob.grid, prob.u0)
         assert np.array_equal(res.spectra[0][0], u0_hat)
         assert all(np.all(np.isfinite(F)) for F in res.spectra)
 
     def test_lattice_bound(self, grid2):
         fine = fine_grid(grid2, 1000)
         assert fine.size > heat.MAX_LATTICE_VALUES
-        u0 = GridFunction(grid2, np.exp(-np.sum(grid2.x_mesh ** 2, axis=-1)))
-        prob = HeatProblem(2.0, 1000, u0)
+        u0 = np.exp(-np.sum(grid2.x_mesh ** 2, axis=-1))
+        prob = HeatProblem(2.0, 1000, grid2, u0)
         with pytest.raises(ValueError, match="dealiasing lattice"):
             picard_terms(prob, 2, np.linspace(0.0, 0.1, 3))
         with pytest.raises(ValueError, match="dealiasing lattice"):
@@ -611,51 +619,48 @@ class TestBatchedPicard:
 def _solve_oracle(problem, config, partition):
     """The per-step solver: every step takes its norm, FL^1 norm and inverse
     transform before the next one, and stops at the first detection."""
-    g = problem.u0.grid
+    g = problem.grid
     z = config.dt * g.freq_magnitude ** problem.beta
     decay = np.exp(-z)
     w1 = config.dt * heat.phi1(z)
     w2 = config.dt * heat.phi2(z) if config.scheme == "ETD2" else None
     u = problem.u0
-    u_hat = forward_transform(u)
+    u_hat = forward_values(g, u)
     spec = problem.norm_spec
-    init_norm = float(mod_norms_from_frequency(u_hat.values, [spec],
-                                               partition)[0])
+    init_norm = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
     threshold = config.blowup_threshold
     if threshold is None:
         threshold = 1e6 * init_norm if init_norm > 0 else 1e6
     times, norms = [0.0], [init_norm]
-    fl1 = [frequency_lp_norm(u_hat, 1)]
-    linf = [float(np.max(np.abs(u.values)))]
+    fl1 = [frequency_lp_norm(g, u_hat, 1)]
+    linf = [float(np.max(np.abs(u)))]
     detected, t_detect, overflow = False, None, False
     n_steps = int(round(config.t_max / config.dt))
     t = 0.0
     for _ in range(n_steps):
-        n_vals = problem.source_sign * dealiased_power_hat(u_hat,
-                                                           problem.k).values
-        new_hat = decay * u_hat.values + w1 * n_vals
+        n_vals = problem.source_sign * dealiased_power_hat(g, u_hat,
+                                                           problem.k)
+        new_hat = decay * u_hat + w1 * n_vals
         if config.scheme == "ETD2":
-            stage = GridFunction(g, new_hat, FREQUENCY)
             n_stage = problem.source_sign * dealiased_power_hat(
-                stage, problem.k).values
+                g, new_hat, problem.k)
             new_hat = new_hat + w2 * (n_stage - n_vals)
         t += config.dt
         if not np.all(np.isfinite(new_hat)):
             detected, overflow, t_detect = True, True, times[-1]
             break
-        u_hat = GridFunction(g, new_hat, FREQUENCY)
-        u = inverse_transform(u_hat)
-        nom = float(mod_norms_from_frequency(u_hat.values, [spec],
-                                             partition)[0])
+        u_hat = new_hat
+        u = inverse_values(g, u_hat)
+        nom = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
         times.append(t)
         norms.append(nom)
-        fl1.append(frequency_lp_norm(u_hat, 1))
-        linf.append(float(np.max(np.abs(u.values))))
+        fl1.append(frequency_lp_norm(g, u_hat, 1))
+        linf.append(float(np.max(np.abs(u))))
         if not math.isfinite(nom) or nom > threshold:
             detected, t_detect = True, t
             break
     return heat.SolutionTrace(times, norms, fl1, linf, detected, t_detect,
-                              overflow, u.values)
+                              overflow, u)
 
 
 def _oracle(problem, config, partition):
@@ -676,12 +681,12 @@ SOLVE_DT = 1 / 512
 def _growing_problem(grid, p=2.0):
     """Data whose flow overflows within ~50 steps of SOLVE_DT."""
     sq = np.sum(grid.x_mesh ** 2, axis=-1)
-    return HeatProblem(2.0, 2, GridFunction(grid, 20.0 * np.exp(-2 * sq)),
+    return HeatProblem(2.0, 2, grid, 20.0 * np.exp(-2 * sq),
                        ModNormSpec(p, 1.0, 0.0))
 
 
 def _solve_chunked(problem, config, chunk, monkeypatch):
-    grid = problem.u0.grid
+    grid = problem.grid
     monkeypatch.setattr(heat, "SOLVE_BATCH_VALUES", chunk * grid.size)
     return solve(problem, config, UniformPartition(grid))
 
@@ -778,7 +783,7 @@ class TestChunkedSolver:
         # the final state comes from the last chunk, a partial one at 5
         grid, scheme = SOLVE_CASES[case]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        prob = HeatProblem(2.0, 2, GridFunction(grid, 0.5 * np.exp(-sq)))
+        prob = HeatProblem(2.0, 2, grid, 0.5 * np.exp(-sq))
         cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme)
         want = _oracle(prob, cfg, UniformPartition(grid))
         got = _solve_chunked(prob, cfg, chunk, monkeypatch)
@@ -794,7 +799,7 @@ class TestChunkedSolver:
         grid, scheme = SOLVE_CASES[case]
         k, sign, amp, p = SIGN_AND_POWER[variant]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
-        prob = HeatProblem(2.0, k, GridFunction(grid, amp * np.exp(-2 * sq)),
+        prob = HeatProblem(2.0, k, grid, amp * np.exp(-2 * sq),
                            ModNormSpec(p, 1.0, 0.0), source_sign=sign)
         cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
                            blowup_threshold=1e300)
@@ -809,15 +814,14 @@ class TestChunkedSolver:
         grid = SpectralGrid(2, 16, 4.0)
         fine = fine_grid(grid, 2)
         xi = grid.freq_spacing * (fine.points_per_axis // 4)
-        u0 = GridFunction(grid, 1e153 * np.exp(
-            1j * xi * np.sum(grid.x_mesh, axis=-1)))
+        u0 = 1e153 * np.exp(1j * xi * np.sum(grid.x_mesh, axis=-1))
         with np.errstate(over="ignore", invalid="ignore"):
-            power = padded_inverse(grid, forward_values(grid, u0.values),
+            power = padded_inverse(grid, forward_values(grid, u0),
                                    fine) ** 2
             raw = np.fft.fftn(power)
             assert not np.all(np.isfinite(raw))
             assert np.all(np.isfinite(cropped_forward(grid, power, fine)))
-        prob = HeatProblem(2.0, 2, u0)
+        prob = HeatProblem(2.0, 2, grid, u0)
         cfg = SolverConfig(dt=SOLVE_DT, t_max=8 * SOLVE_DT,
                            blowup_threshold=1e308)
         want = _oracle(prob, cfg, UniformPartition(grid))
@@ -827,7 +831,7 @@ class TestChunkedSolver:
 
     def test_blowup_and_overflow_emit_no_runtime_warning(self, grid1, part1):
         gamma = 4 * math.e * (1 + 1e-6)
-        plateau = HeatProblem(2.0, 2, plateau_data(grid1, gamma, 1.0))
+        plateau = HeatProblem(2.0, 2, grid1, plateau_data(grid1, gamma, 1.0))
         cfg = SolverConfig(dt=2e-4, t_max=0.5)
         overflow = _growing_problem(SpectralGrid(1, 64, 8.0), p=1.0)
         with warnings.catch_warnings():
@@ -840,7 +844,7 @@ class TestChunkedSolver:
         with pytest.warns(RuntimeWarning):
             _solve_oracle(overflow, SolverConfig(
                 dt=SOLVE_DT, t_max=0.5, blowup_threshold=1e300),
-                UniformPartition(overflow.u0.grid))
+                UniformPartition(overflow.grid))
 
 
 class TestPhiWeights:
@@ -911,7 +915,7 @@ class TestLowerBoundEnvelope:
                                             certified_hypothesis):
         h = certified_hypothesis
         u0 = plateau_data(grid1, h.gamma, h.r)
-        prob = HeatProblem(2.0, 2, u0)
+        prob = HeatProblem(2.0, 2, grid1, u0)
         t_grid = np.linspace(0.0, 0.25, 33)
         res = picard_terms(prob, 6, t_grid, part1)
         ball = grid1.freq_magnitude <= h.r
@@ -919,8 +923,7 @@ class TestLowerBoundEnvelope:
         trajectories = physical_terms(res)
         for pos, idx in enumerate(res.term_indices):
             for ti in range(1, len(t_grid)):
-                uhat = forward_transform(
-                    GridFunction(grid1, trajectories[pos][ti])).values
+                uhat = forward_values(grid1, trajectories[pos][ti])
                 env = lower_bound_envelope(h, idx, t_grid[ti], grid1)
                 assert np.all(uhat.real[ball] * slack >= env[ball])
 

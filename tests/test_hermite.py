@@ -1,4 +1,6 @@
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,13 +8,79 @@ import pytest
 from modheat import constants, hermite
 from modheat.corpus import hermite_coeff_family
 from modheat.hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
-                             _contract_all_axes, analyze, decay_profile,
-                             eigen_sum, eigen_sum_bound, heat_coeff_factors,
-                             hermite_table, oscillator_heat,
-                             oscillator_heat_coeffs, synthesize)
+                             decay_profile, eigen_sum, eigen_sum_bound,
+                             heat_coeff_factors, hermite_table)
 from modheat.modnorm import ModNormSpec, UniformPartition
-from modheat.spectral import GridFunction, SpectralGrid
+from modheat.spectral import SpectralGrid
 from test_modnorm import mod_norm_decomp
+
+
+# -- oracle: Gauss-Hermite quadrature analysis and synthesis, and the
+# -- oscillator flow taken through them; also used by other test modules
+
+
+class Quadrature(NamedTuple):
+    """Gauss quadrature of a basis in the e^{-x^2} measure: nodes per axis,
+    the Hermite table at them, (degree_cap + 1, nodes), and the analysis
+    matrix, the table times the weights converted out of the measure."""
+
+    nodes: np.ndarray
+    table: np.ndarray
+    analysis: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature(basis):
+    """degree_cap + 8 nodes per axis: the guard margin for products
+    h_j h_k makes the analysis exact for polynomial-times-Gaussian
+    integrands up to the degree cap."""
+    nodes, weights = np.polynomial.hermite.hermgauss(basis.degree_cap + 8)
+    # in logs, so the far nodes neither underflow nor overflow
+    with np.errstate(divide="ignore"):
+        total_weights = np.exp(np.log(weights) + nodes ** 2)
+    table = hermite_table(basis.degree_cap, nodes)
+    return Quadrature(nodes, table, table * total_weights[None, :])
+
+
+def gram_matrix(basis):
+    """Per-axis quadrature Gram matrix <h_j, h_k>; should be the identity."""
+    q = quadrature(basis)
+    return q.analysis @ q.table.T
+
+
+def _contract_all_axes(values, matrix):
+    """Apply `matrix` (new_idx, node) along every axis, keeping their order."""
+    out = np.asarray(values, dtype=complex)
+    for _ in range(out.ndim):
+        out = np.tensordot(out, matrix, axes=([0], [1]))
+    return out
+
+
+def analyze(values, basis):
+    """Hermite coefficients of samples given on the quadrature node mesh."""
+    q = quadrature(basis)
+    values = np.asarray(values, dtype=complex).reshape(
+        (len(q.nodes),) * basis.dim)
+    tensor = _contract_all_axes(values, q.analysis)
+    return HermiteCoeffs(basis, tensor)
+
+
+def synthesize(coeffs):
+    """Evaluate the coefficient tensor back on the quadrature node mesh."""
+    return _contract_all_axes(coeffs.tensor, quadrature(coeffs.basis).table.T)
+
+
+def oscillator_heat_coeffs(coeffs, t, beta):
+    """Heat flow of the fractional oscillator applied in coefficient space."""
+    basis = coeffs.basis
+    return HermiteCoeffs(basis,
+                         heat_coeff_factors(basis, t, beta) * coeffs.tensor)
+
+
+def oscillator_heat(values, t, beta, basis):
+    """Level-by-level spectral multiplier exp(-t (2k+d)^beta) on node
+    samples: analysis, the flow on the coefficients, synthesis."""
+    return synthesize(oscillator_heat_coeffs(analyze(values, basis), t, beta))
 
 
 def synthesize_at(coeffs, axis_points):
@@ -63,12 +131,12 @@ class TestHermiteFunctions:
 
 class TestBasis:
     def test_orthonormality_d1_k60(self, basis60):
-        gram = basis60.gram_matrix()
+        gram = gram_matrix(basis60)
         assert np.max(np.abs(gram - np.eye(61))) <= 1e-10
 
     def test_orthonormality_d2_k20(self):
         basis = HermiteBasis(2, 20)
-        gram = basis.gram_matrix()  # separable quadrature: per-axis suffices
+        gram = gram_matrix(basis)  # separable quadrature: per-axis suffices
         assert np.max(np.abs(gram - np.eye(21))) <= 1e-10
 
     def test_eigenvalues_and_level_dimensions(self):
@@ -84,13 +152,14 @@ class TestBasis:
 
 class TestAnalyzeSynthesize:
     def test_ground_state_coefficients(self, basis16):
-        vals = basis16.table[0]
+        vals = quadrature(basis16).table[0]
         c = analyze(vals, basis16)
         assert c.tensor[0].real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(c.tensor.ravel()[1:])) <= 1e-10
 
     def test_two_mode_combination(self, basis16):
-        vals = 3.0 * basis16.table[2] + 4.0 * basis16.table[5]
+        table = quadrature(basis16).table
+        vals = 3.0 * table[2] + 4.0 * table[5]
         c = analyze(vals, basis16)
         assert c.tensor[2].real == pytest.approx(3.0, abs=1e-10)
         assert c.tensor[5].real == pytest.approx(4.0, abs=1e-10)
@@ -100,15 +169,16 @@ class TestAnalyzeSynthesize:
     def test_polynomial_gaussian_roundtrip(self, basis16):
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(basis16.degree_cap - 1)
-        poly = np.polynomial.polynomial.polyval(basis16.nodes, coeffs)
-        vals = poly * np.exp(-basis16.nodes ** 2 / 2)
+        nodes = quadrature(basis16).nodes
+        poly = np.polynomial.polynomial.polyval(nodes, coeffs)
+        vals = poly * np.exp(-nodes ** 2 / 2)
         back = synthesize(analyze(vals, basis16))
         scale = np.max(np.abs(vals))
         np.testing.assert_allclose(back, vals, atol=1e-8 * scale)
 
     def test_2d_separable_function(self):
         basis = HermiteBasis(2, 10)
-        t1 = hermite_table(10, basis.nodes)
+        t1 = hermite_table(10, quadrature(basis).nodes)
         vals = np.multiply.outer(t1[3], t1[2])
         c = analyze(vals, basis)
         assert c.tensor[3, 2].real == pytest.approx(1.0, abs=1e-10)
@@ -116,26 +186,27 @@ class TestAnalyzeSynthesize:
 
     def test_synthesize_at_matches_nodes(self, basis16):
         c = coeff_unit(basis16, (0, 1.0), (4, -2.0))
-        at_nodes = synthesize_at(c, basis16.nodes)
+        at_nodes = synthesize_at(c, quadrature(basis16).nodes)
         np.testing.assert_allclose(at_nodes, synthesize(c), atol=1e-12)
 
 
 class TestOscillatorHeat:
     def test_ground_state_eigenvalue(self, basis16):
-        out = oscillator_heat(basis16.table[0], 1.3, 2.0, basis16)
-        np.testing.assert_allclose(out, math.exp(-1.3) * basis16.table[0],
-                                   atol=1e-12)
+        ground = quadrature(basis16).table[0]
+        out = oscillator_heat(ground, 1.3, 2.0, basis16)
+        np.testing.assert_allclose(out, math.exp(-1.3) * ground, atol=1e-12)
 
     def test_time_zero_identity(self, basis16):
-        vals = basis16.table[0] + 0.5 * basis16.table[3]
+        table = quadrature(basis16).table
+        vals = table[0] + 0.5 * table[3]
         np.testing.assert_allclose(oscillator_heat(vals, 0.0, 1.0, basis16),
                                    vals, atol=1e-12)
 
     def test_two_level_closed_form(self, basis16):
-        vals = basis16.table[0] + basis16.table[1]
+        table = quadrature(basis16).table
+        vals = table[0] + table[1]
         out = oscillator_heat(vals, 1.0, 1.0, basis16)
-        want = (math.exp(-1) * basis16.table[0]
-                + math.exp(-3) * basis16.table[1])
+        want = math.exp(-1) * table[0] + math.exp(-3) * table[1]
         assert math.exp(-1) == pytest.approx(0.3678794, abs=1e-7)
         assert math.exp(-3) == pytest.approx(0.0497871, abs=1e-7)
         np.testing.assert_allclose(out, want, atol=1e-10)
@@ -161,8 +232,9 @@ class TestOscillatorHeat:
                                                                rel=1e-12)
 
     def test_negative_time_rejected(self, basis16):
+        # heat_coeff_factors rejects it
         with pytest.raises(ValueError):
-            oscillator_heat(basis16.table[0], -0.1, 1.0, basis16)
+            oscillator_heat(quadrature(basis16).table[0], -0.1, 1.0, basis16)
 
 
 class TestEigenSums:
@@ -241,7 +313,7 @@ def oracle_decay_profile(coeffs, beta, p, t_grid, partition):
 
     def norm(c):
         vals = synthesize_at(c, grid.x_axis)
-        return mod_norm_decomp(GridFunction(grid, vals), spec, partition)
+        return mod_norm_decomp(vals, spec, partition)
 
     d = coeffs.basis.dim
     base = norm(coeffs)

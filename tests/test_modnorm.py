@@ -14,9 +14,8 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _stft_batches, algebra_defect, bump_profile,
                              max_mod_norm, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
-from modheat.spectral import (FREQUENCY, GridFunction, SpectralGrid,
-                              dft_order, fine_grid, forward_transform,
-                              forward_values, inverse_transform, lp_norm)
+from modheat.spectral import (SpectralGrid, dft_order, fine_grid,
+                              forward_values, inverse_values, lp_norm)
 from test_spectral import (dealiased_product, frequency_lp_norm,
                            physical_lp_norm)
 
@@ -48,16 +47,18 @@ def partition_symbol(partition, k):
 
 
 def block_project(f, k, partition):
-    """Frequency-uniform block: inverse transform of sigma_k times F f."""
-    F = forward_transform(f)
+    """Frequency-uniform block of physical samples f on partition.grid:
+    inverse transform of sigma_k times F f."""
+    g = partition.grid
     sym = partition_symbol(partition, k)
-    return inverse_transform(GridFunction(f.grid, sym * F.values, FREQUENCY))
+    return inverse_values(g, sym * forward_values(g, f))
 
 
 def mod_norm_decomp(f, spec, partition):
-    """Decomposition norm of one physical-side function: a stack of one."""
-    return float(mod_norms_from_frequency(forward_transform(f).values, [spec],
-                                          partition)[0])
+    """Decomposition norm of one function's physical samples on
+    partition.grid: a stack of one."""
+    return float(mod_norms_from_frequency(
+        forward_values(partition.grid, f), [spec], partition)[0])
 
 
 def stft(f, plan, x, y):
@@ -65,9 +66,10 @@ def stft(f, plan, x, y):
     the pointwise oracle of the batched estimator.
 
     x is snapped to the physical lattice (the window is only known there);
-    y may be any frequency within the sampled band.
+    y may be any frequency within the sampled band; f holds physical
+    samples on plan.grid.
     """
-    g = f.grid
+    g = plan.grid
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size != g.dim or y.size != g.dim:
@@ -77,7 +79,7 @@ def stft(f, plan, x, y):
     shifts = [int(round(c / g.spacing)) for c in x]
     win = np.roll(np.conj(plan.window), shifts, axis=tuple(range(g.dim)))
     phase = np.exp(-1j * np.tensordot(g.x_mesh, y, axes=([-1], [0])))
-    integrand = f.values * win * phase
+    integrand = f * win * phase
     return complex((2.0 * np.pi) ** (-g.dim / 2.0)
                    * g.spacing ** g.dim * np.sum(integrand))
 
@@ -134,23 +136,23 @@ class TestBlockProjection:
     def test_blocks_reconstruct(self, grid1, part1, gauss1):
         total = np.zeros(grid1.shape, dtype=complex)
         for k in part1.active_keys():
-            total += block_project(gauss1, k, part1).values
-        assert np.max(np.abs(total - gauss1.values)) <= 1e-10
+            total += block_project(gauss1, k, part1)
+        assert np.max(np.abs(total - gauss1)) <= 1e-10
 
     def test_reconstruction_band_limited_2d(self, grid2, part2):
         f = band_limited(grid2, 3, seed=8)
         total = np.zeros(grid2.shape, dtype=complex)
         for k in part2.active_keys():
-            total += block_project(f, k, part2).values
-        assert np.max(np.abs(total - f.values)) <= 1e-10
+            total += block_project(f, k, part2)
+        assert np.max(np.abs(total - f)) <= 1e-10
 
     @pytest.mark.parametrize("k", [(0,), (5,), (-11,)])
     def test_almost_orthogonality(self, grid1, part1, gauss1, k):
         base = block_project(gauss1, k, part1)
         total = np.zeros(grid1.shape, dtype=complex)
         for ell in (-1, 0, 1):
-            total += block_project(base, (k[0] + ell,), part1).values
-        assert np.max(np.abs(total - base.values)) <= 1e-10
+            total += block_project(base, (k[0] + ell,), part1)
+        assert np.max(np.abs(total - base)) <= 1e-10
 
     def test_almost_orthogonality_2d(self, grid2, part2):
         f = band_limited(grid2, 3, seed=3)
@@ -160,8 +162,8 @@ class TestBlockProjection:
         for ex in (-1, 0, 1):
             for ey in (-1, 0, 1):
                 total += block_project(base, (k[0] + ex, k[1] + ey),
-                                       part2).values
-        assert np.max(np.abs(total - base.values)) <= 1e-10
+                                       part2)
+        assert np.max(np.abs(total - base)) <= 1e-10
 
     def test_single_cell_data_reproduced(self, grid1, part1):
         # transform supported strictly inside one unit cell: the cell block
@@ -169,13 +171,13 @@ class TestBlockProjection:
         coeffs = np.zeros(grid1.shape, dtype=complex)
         sel = np.abs(grid1.freq_axis - 5.0) <= 0.4
         coeffs[sel] = 1.0
-        fp = inverse_transform(GridFunction(grid1, coeffs, "frequency"))
+        fp = inverse_values(grid1, coeffs)
         total = np.zeros(grid1.shape, dtype=complex)
         for ell in (-1, 0, 1):
-            total += block_project(fp, (5 + ell,), part1).values
-        np.testing.assert_allclose(total, fp.values, atol=1e-12)
+            total += block_project(fp, (5 + ell,), part1)
+        np.testing.assert_allclose(total, fp, atol=1e-12)
         far = block_project(fp, (8,), part1)
-        assert np.max(np.abs(far.values)) <= 1e-12
+        assert np.max(np.abs(far)) <= 1e-12
 
     def test_center_supported_data_is_one_block(self, part1):
         # data whose transform sits exactly at an integer center belongs to
@@ -184,28 +186,28 @@ class TestBlockProjection:
         part = UniformPartition(g)
         coeffs = np.zeros(g.shape, dtype=complex)
         coeffs[np.argmin(np.abs(g.freq_axis - 3.0))] = 1.0
-        fp = inverse_transform(GridFunction(g, coeffs, "frequency"))
+        fp = inverse_values(g, coeffs)
         blk = block_project(fp, (3,), part)
-        np.testing.assert_allclose(blk.values, fp.values, atol=1e-13)
+        np.testing.assert_allclose(blk, fp, atol=1e-13)
         for other in ((2,), (4,), (0,)):
-            assert np.max(np.abs(block_project(fp, other, part).values)) <= 1e-13
+            assert np.max(np.abs(block_project(fp, other, part))) <= 1e-13
 
 
 class TestDecompositionNorm:
     def test_zero(self, grid1, part1):
-        z = GridFunction(grid1, np.zeros(grid1.shape))
+        z = np.zeros(grid1.shape)
         assert mod_norm_decomp(z, ModNormSpec(2, 1, 0), part1) == 0.0
 
     def test_homogeneity(self, grid1, part1, gauss1):
         c = 3.7
         spec = ModNormSpec(2, 1, 0)
-        a = mod_norm_decomp(GridFunction(grid1, c * gauss1.values), spec, part1)
+        a = mod_norm_decomp(c * gauss1, spec, part1)
         b = mod_norm_decomp(gauss1, spec, part1)
         assert a == pytest.approx(c * b, rel=1e-12)
 
     def test_l2_equivalence_bracket(self, grid1, part1, gauss1):
         ratio = mod_norm_decomp(gauss1, ModNormSpec(2, 2, 0), part1) \
-            / physical_lp_norm(gauss1, 2)
+            / physical_lp_norm(grid1, gauss1, 2)
         assert constants.M22_OVER_L2_LO <= ratio <= constants.M22_OVER_L2_HI
 
     def test_nestedness_in_q(self, grid1, part1):
@@ -225,14 +227,14 @@ class TestDecompositionNorm:
     def test_sup_exponent_dominates_peak(self, grid1, part1, gauss1):
         # (inf, 1) norm: triangle inequality forces it above the sup of f
         n = mod_norm_decomp(gauss1, ModNormSpec(np.inf, 1, 0), part1)
-        assert n >= np.max(np.abs(gauss1.values)) - 1e-12
+        assert n >= np.max(np.abs(gauss1)) - 1e-12
 
     def test_lp_sandwich_via_frozen_constants(self, grid1, part1):
         # L^2 sits between the (2,1) and (2,inf) norms up to the frozen
         # equivalence constants
         for i in range(10):
             f = band_limited(grid1, 6, seed=700 + i)
-            l2 = physical_lp_norm(f, 2)
+            l2 = physical_lp_norm(grid1, f, 2)
             n21 = mod_norm_decomp(f, ModNormSpec(2, 1, 0), part1)
             ninf = mod_norm_decomp(f, ModNormSpec(2, np.inf, 0), part1)
             assert l2 <= n21 / constants.M22_OVER_L2_LO * 1.01
@@ -245,9 +247,8 @@ class TestDecompositionNorm:
         dual_part = UniformPartition(dual)
         spec = ModNormSpec(2, 2, 0)
         for f in mixed_family(grid1, 8, seed=21):
-            F = forward_transform(f)
-            ratio = mod_norm_decomp(GridFunction(dual, F.values), spec,
-                                    dual_part) \
+            F = forward_values(grid1, f)
+            ratio = mod_norm_decomp(F, spec, dual_part) \
                 / mod_norm_decomp(f, spec, part1)
             assert constants.FOURIER_ISO_LO <= ratio <= constants.FOURIER_ISO_HI
 
@@ -271,16 +272,15 @@ def _equiv_case(dim):
     """Partition and random complex data; no symmetry, so axis swaps show."""
     g = EQUIV_GRIDS[dim]
     rng = np.random.default_rng(40 + dim)
-    f = GridFunction(g, rng.standard_normal(g.shape)
-                     + 1j * rng.standard_normal(g.shape))
+    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     return UniformPartition(g), f
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_block_norms(dim, p):
     part, f = _equiv_case(dim)
-    vol = f.grid.spacing ** dim
-    return [(k, lp_norm(block_project(f, k, part).values, vol, p))
+    vol = part.grid.spacing ** dim
+    return [(k, lp_norm(block_project(f, k, part), vol, p))
             for k in sorted(part.active_keys())]
 
 
@@ -293,7 +293,8 @@ def _engine_block_norms(F, part, p):
 
 def _assert_blocks_match(dim, p):
     part, f = _equiv_case(dim)
-    got = _engine_block_norms(forward_transform(f).values[None], part, p)[0]
+    got = _engine_block_norms(forward_values(part.grid, f)[None], part,
+                              p)[0]
     want = _oracle_block_norms(dim, p)
     assert list(part.active_keys()) == [k for k, _ in want]
     np.testing.assert_allclose(got, [n for _, n in want],
@@ -472,7 +473,7 @@ class TestMultiSpecEngine:
         # inf read the magnitudes before either: each p's block table is
         # the per-p oracle's
         part, f = _equiv_case(2)
-        F = forward_transform(f).values[None]
+        F = forward_values(part.grid, f)[None]
         ps = [3.0, 1.0, 4.0, np.inf, 1.5]
         for p, table in zip(ps, _block_lp_norms(F, part, ps)):
             np.testing.assert_array_equal(table,
@@ -660,11 +661,11 @@ class TestSTFT:
         assert abs(got - want) <= 1e-8
 
     def test_zero_function(self, grid1, plan1):
-        z = GridFunction(grid1, np.zeros(grid1.shape))
+        z = np.zeros(grid1.shape)
         assert stft(z, plan1, [0.5], [1.5]) == 0
 
     def test_cauchy_schwarz_bound(self, grid1, plan1, gauss1):
-        bound = (2 * np.pi) ** -0.5 * physical_lp_norm(gauss1, 2) * 1.0
+        bound = (2 * np.pi) ** -0.5 * physical_lp_norm(grid1, gauss1, 2) * 1.0
         rng = np.random.default_rng(1)
         for _ in range(25):
             x = rng.uniform(-8, 8)
@@ -680,19 +681,18 @@ class TestSTFT:
 
 class TestSTFTNorm:
     def test_zero(self, grid1, plan1):
-        z = GridFunction(grid1, np.zeros(grid1.shape))
+        z = np.zeros(grid1.shape, complex)
         assert mod_norms_stft(z, plan1, [ModNormSpec(2, 2, 0)])[0] == 0.0
 
     def test_orthogonality_identity(self, grid1, plan1, gauss1):
         # (2,2,0) norm equals ||f||_2 ||g||_2 with the normalized window
         got = mod_norms_stft(gauss1, plan1, [ModNormSpec(2, 2, 0)])[0]
-        want = physical_lp_norm(gauss1, 2)
+        want = physical_lp_norm(grid1, gauss1, 2)
         assert got == pytest.approx(want, rel=0.01)
 
     def test_homogeneity(self, grid1, plan1, gauss1):
         spec = ModNormSpec(2, 1, 0)
-        a = mod_norms_stft(GridFunction(grid1, 2.5 * gauss1.values), plan1,
-                           [spec])[0]
+        a = mod_norms_stft(2.5 * gauss1, plan1, [spec])[0]
         b = mod_norms_stft(gauss1, plan1, [spec])[0]
         assert a == pytest.approx(2.5 * b, rel=1e-12)
 
@@ -718,8 +718,8 @@ class TestSTFTNorm:
             True, True, False, True, False]
 
     def test_default_window_is_normalized(self, grid1, plan1):
-        w = GridFunction(grid1, plan1.window)
-        assert physical_lp_norm(w, 2) == pytest.approx(1.0, abs=1e-12)
+        assert physical_lp_norm(grid1, plan1.window, 2) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 # -- batched STFT estimator against the per-shift loop ---------------------------
@@ -737,8 +737,7 @@ def _stft_case(name):
     """Random complex data and a complex, non-symmetric window."""
     g, x_stride = STFT_CASES[name]
     rng = np.random.default_rng(len(name) + g.dim)
-    f = GridFunction(g, rng.standard_normal(g.shape)
-                     + 1j * rng.standard_normal(g.shape))
+    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     window = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     return f, STFTPlan(g, window, x_stride=x_stride)
 
@@ -752,9 +751,9 @@ def _stride(plan, refine):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_stft_rows(name, refine):
-    """V_g f per window shift: one np.roll and one forward_transform each."""
+    """V_g f per window shift: one np.roll and one forward_values each."""
     f, plan = _stft_case(name)
-    g = f.grid
+    g = plan.grid
     n = g.points_per_axis
     big = SpectralGrid(g.dim, n * refine, g.half_width * refine)
     lo = (big.points_per_axis - n) // 2
@@ -762,8 +761,8 @@ def _oracle_stft_rows(name, refine):
     for pos in product(range(0, n, _stride(plan, refine)), repeat=g.dim):
         win = np.roll(np.conj(plan.window), pos, axis=tuple(range(g.dim)))
         pad = np.zeros(big.shape, dtype=complex)
-        pad[tuple(slice(lo, lo + n) for _ in range(g.dim))] = f.values * win
-        rows.append(forward_transform(GridFunction(big, pad)).values)
+        pad[tuple(slice(lo, lo + n) for _ in range(g.dim))] = f * win
+        rows.append(forward_values(big, pad))
     return big, rows
 
 
@@ -780,11 +779,12 @@ def _oracle_stft_norm(name, spec, refine):
         else:
             inner += a ** spec.p
     if not np.isinf(spec.p):
-        a_vol = (_stride(plan, refine) * f.grid.spacing) ** f.grid.dim
+        a_vol = (_stride(plan, refine) * plan.grid.spacing) ** plan.grid.dim
         inner = (a_vol * inner) ** (1.0 / spec.p)
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
     weight = (1.0 + ysq) ** (spec.s / 2.0)
-    return lp_norm(inner * weight, fine.freq_spacing ** f.grid.dim, spec.q)
+    return lp_norm(inner * weight, fine.freq_spacing ** plan.grid.dim,
+                   spec.q)
 
 
 def _batched_rows(name, refine):
@@ -792,7 +792,7 @@ def _batched_rows(name, refine):
     DFT order to natural order."""
     f, plan = _stft_case(name)
     fine, _ = _oracle_stft_rows(name, refine)
-    axes = range(1, f.grid.dim + 1)
+    axes = range(1, plan.grid.dim + 1)
     return np.concatenate([dft_order(v, axes=axes) for v in _stft_batches(
         f, plan, _stride(plan, refine), fine)])
 
@@ -808,7 +808,7 @@ class TestSTFTEngine:
         spec = ModNormSpec(p, q, s)
         got = mod_norms_stft(f, plan, [spec], refine)[0]
         want = _oracle_stft_norm(name, spec, refine)
-        if f.grid.dim == 1:
+        if plan.grid.dim == 1:
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -857,7 +857,7 @@ class TestSTFTEngine:
     @pytest.mark.parametrize("name", ["d1_stride", "d2"])
     def test_rows_match_pointwise_stft(self, name, refine):
         f, plan = _stft_case(name)
-        g = f.grid
+        g = plan.grid
         n = g.points_per_axis
         fine, _ = _oracle_stft_rows(name, refine)
         rows = _batched_rows(name, refine).reshape((-1,) + fine.shape)
@@ -883,32 +883,33 @@ def oracle_algebra_defect(f, g, p, partition):
     ng = mod_norm_decomp(g, spec, partition)
     if nf == 0.0 or ng == 0.0:
         raise ValueError("algebra defect undefined for zero-norm input")
-    prod = dealiased_product(f, g)
+    prod = dealiased_product(partition.grid, f, g)
     return mod_norm_decomp(prod, spec, partition) / (nf * ng)
 
 
-def _hats(*fs):
-    return forward_values(fs[0].grid, np.stack([f.values for f in fs]))
+def _hats(grid, *fs):
+    return forward_values(grid, np.stack(fs))
 
 
 class TestAlgebraDefect:
     def test_gaussian_pair_within_frozen_cap(self, grid1, part1, gauss1):
-        d, = algebra_defect(_hats(gauss1, gauss1), 2.0, part1)
+        d, = algebra_defect(_hats(grid1, gauss1, gauss1), 2.0, part1)
         assert 0.0 < d <= constants.ALGEBRA_DEFECT_CAP
 
     def test_flat_bump_factor_is_finite(self, grid1, part1, gauss1):
-        plateau = GridFunction(grid1, bump_profile(grid1.x_axis / 10.0))
-        d, = algebra_defect(_hats(gauss1, plateau), 2.0, part1)
+        plateau = bump_profile(grid1.x_axis / 10.0)
+        d, = algebra_defect(_hats(grid1, gauss1, plateau), 2.0, part1)
         assert np.isfinite(d) and d > 0.0
 
     def test_zero_norm_rejected(self, grid1, part1, gauss1):
         # every pair with the zero function has no defect, the others do
-        z = GridFunction(grid1, np.zeros(grid1.shape))
+        z = np.zeros(grid1.shape)
         with pytest.raises(ValueError):
             oracle_algebra_defect(gauss1, z, 2.0, part1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = algebra_defect(_hats(gauss1, z, gauss1, gauss1), 2.0, part1)
+            got = algebra_defect(_hats(grid1, gauss1, z, gauss1, gauss1), 2.0,
+                                 part1)
         assert np.isnan(got[:2]).all() and np.isfinite(got[2])
 
     @pytest.mark.parametrize("p", [2.0, 1.0, 4.0, np.inf])
@@ -916,7 +917,7 @@ class TestAlgebraDefect:
         # the modnorm command's corpus at seed 0; at p = 2 a stacked
         # engine batch moved the fourth pair's defect by one ulp
         corpus = [band_limited(grid1, 6, seed=i) for i in range(8)]
-        got = algebra_defect(_hats(*corpus), p, part1)
+        got = algebra_defect(_hats(grid1, *corpus), p, part1)
         want = [oracle_algebra_defect(f, g, p, part1)
                 for f, g in zip(corpus, corpus[1:])]
         assert got.tolist() == want  # bit for bit
@@ -927,7 +928,7 @@ class TestAlgebraDefect:
         # chunks of 1, 2 and 4 pairs: the last chunk of 7 pairs is partial
         # at 2 and 4, and every chunk overlaps the last by one function
         corpus = [band_limited(grid1, 6, seed=i) for i in range(8)]
-        hats = _hats(*corpus)
+        hats = _hats(grid1, *corpus)
         want = algebra_defect(hats, 2.0, part1)
         fine = fine_grid(grid1, 2)
         monkeypatch.setattr(modnorm, "ALGEBRA_BATCH_VALUES",
@@ -935,21 +936,21 @@ class TestAlgebraDefect:
         got = algebra_defect(hats, 2.0, part1)
         assert got.tolist() == want.tolist()  # bit for bit
 
-    def test_fewer_than_two_functions(self, part1, gauss1):
-        assert algebra_defect(_hats(gauss1), 2.0, part1).shape == (0,)
+    def test_fewer_than_two_functions(self, grid1, part1, gauss1):
+        assert algebra_defect(_hats(grid1, gauss1), 2.0, part1).shape == (0,)
 
 
 class TestFourierLebesgue:
     def test_zero(self, grid1):
-        z = GridFunction(grid1, np.zeros(grid1.shape))
-        assert frequency_lp_norm(forward_transform(z), 1) == 0.0
+        z = np.zeros(grid1.shape)
+        assert frequency_lp_norm(grid1, forward_values(grid1, z), 1) == 0.0
 
-    def test_gaussian_l1(self, gauss1):
-        assert frequency_lp_norm(forward_transform(gauss1), 1) \
+    def test_gaussian_l1(self, grid1, gauss1):
+        assert frequency_lp_norm(grid1, forward_values(grid1, gauss1), 1) \
             == pytest.approx(np.sqrt(2 * np.pi), rel=1e-10)
 
     def test_embedding_into_m21(self, grid1, part1):
         spec = ModNormSpec(2, 1, 0)
         for f in mixed_family(grid1, 12, seed=99):
-            assert frequency_lp_norm(forward_transform(f), 1) <= \
+            assert frequency_lp_norm(grid1, forward_values(grid1, f), 1) <= \
                 constants.FL1_EMBEDDING_CONST * mod_norm_decomp(f, spec, part1)

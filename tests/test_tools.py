@@ -1,5 +1,7 @@
-"""Tests of the maintenance scripts under tools/."""
+"""Tests of the maintenance scripts under tools/, and of the package's
+public API against them."""
 
+import ast
 import math
 import pathlib
 import re
@@ -9,7 +11,8 @@ import pytest
 
 from modheat import constants as C
 
-TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 # one line per frozen constant, in the order the script prints them, with
 # the check of the line's printed numbers against that constant
@@ -75,3 +78,52 @@ def test_compare_outputs_json_diff():
                   [old[0], dict(old[1], flags=[])],
                   [dict(old[0], value=True), old[1]]):
         assert tool["json_diff"](old, other) == math.inf
+
+
+def _public_api(tree):
+    """Public top-level functions and classes of a module, and the public
+    methods and properties of its classes, as (qualified name, name)."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def _names_used(tree):
+    """Every name a module refers to: ast.Name ids, ast.Attribute
+    attributes and the last part of imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_no_test_only_public_api():
+    # every public function, class, method and property of src/modheat is
+    # named by some module of src/modheat, tools/ or perfbench/, so none
+    # is reached only by the tests.  Matching is by bare name: a name that
+    # shares its spelling with a used one (a method named like a used
+    # attribute elsewhere) passes unseen.  cli.cmd_* are reached through
+    # globals(), by the command table.
+    used = set()
+    for folder in ("src/modheat", "tools", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= _names_used(ast.parse(path.read_text()))
+    unused = []
+    for path in sorted((ROOT / "src" / "modheat").glob("*.py")):
+        for qualified, name in _public_api(ast.parse(path.read_text())):
+            if path.stem == "cli" and name.startswith("cmd_"):
+                continue
+            if name not in used:
+                unused.append(f"{path.stem}.{qualified}")
+    assert unused == []

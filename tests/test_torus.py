@@ -5,15 +5,13 @@ import pytest
 
 from modheat import constants, hermite, torus
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import (HermiteCoeffs, ZeroNormError, eigen_sum,
-                             oscillator_heat_coeffs)
+from modheat.hermite import HermiteCoeffs, ZeroNormError, eigen_sum
 from modheat.modnorm import ModNormSpec
-from modheat.spectral import GridFunction
 from modheat.torus import (MultiplierSpec, TorusGrid, kernel_l1_norm,
                            operator_norm_lower, oscillator_heat_symbol,
                            torus_apply, torus_forward, torus_inverse,
                            torus_lp_norm, transference_check)
-from test_hermite import sweep_order, synthesize_at
+from test_hermite import oscillator_heat_coeffs, sweep_order, synthesize_at
 from test_modnorm import mod_norm_decomp
 
 
@@ -248,7 +246,7 @@ def oracle_transfer_norms(t, beta, p, family, partition):
 
     def norm(c):
         vals = synthesize_at(c, grid.x_axis)
-        return mod_norm_decomp(GridFunction(grid, vals), spec, partition)
+        return mod_norm_decomp(vals, spec, partition)
 
     rows = []
     for label, coeffs in family:

@@ -26,27 +26,23 @@ from modheat.spectral import (SpectralGrid, forward_values, heat_symbol,
 from modheat.torus import TorusGrid, transference_check
 
 
-def transforms(grid, corpus):
-    """Frequency samples of a list of grid functions, as one stack."""
-    return forward_values(grid, np.stack([f.values for f in corpus]))
-
-
 def main():
     g = SpectralGrid(1, 256, 16.0)
     part = UniformPartition(g)
     plan = STFTPlan(g)
     spec = ModNormSpec(2, 1, 0)
 
-    corpus = [band_limited(g, 6, seed=1000 + i) for i in range(20)]
-    decomp = mod_norms_from_frequency(transforms(g, corpus), [spec], part)[0]
+    corpus = np.stack([band_limited(g, 6, seed=1000 + i) for i in range(20)])
+    decomp = mod_norms_from_frequency(forward_values(g, corpus), [spec],
+                                      part)[0]
     ratios = [mod_norms_stft(f, plan, [spec])[0] / n
               for f, n in zip(corpus, decomp)]
     print(f"CROSS_ESTIMATOR ratios: [{min(ratios):.4f}, {max(ratios):.4f}]")
 
     corpus = mixed_family(g, 12, seed=77)
-    m22 = (mod_norms_from_frequency(transforms(g, corpus),
+    m22 = (mod_norms_from_frequency(forward_values(g, corpus),
                                     [ModNormSpec(2, 2, 0)], part)[0]
-           / [lp_norm(f.values, g.spacing, 2) for f in corpus])
+           / [lp_norm(f, g.spacing, 2) for f in corpus])
     print(f"M22_OVER_L2 range: [{min(m22):.4f}, {max(m22):.4f}]")
 
     gauss = np.exp(-g.x_axis ** 2 / 2)
@@ -54,14 +50,14 @@ def main():
     print(f"ALGEBRA_DEFECT gaussian pair: "
           f"{algebra_defect(pair, 2.0, part)[0]:.4f}")
 
-    hats = transforms(g, mixed_family(g, 12, seed=99))
+    hats = forward_values(g, mixed_family(g, 12, seed=99))
     fl1 = ([lp_norm(F, g.freq_spacing, 1) for F in hats]
            / mod_norms_from_frequency(hats, [spec], part)[0])
     print(f"FL1_EMBEDDING range: [{min(fl1):.4f}, {max(fl1):.4f}]")
 
     g2 = SpectralGrid(1, 2048, 160.0)
     part2 = UniformPartition(g2)
-    hats = transforms(g2, propagation_corpus(g2, 10, seed=1234))
+    hats = forward_values(g2, propagation_corpus(g2, 10, seed=1234))
     base = mod_norms_from_frequency(hats, [spec], part2)[0]
     cs = []
     for t in (0.01, 0.1, 1.0, 10.0):
@@ -71,7 +67,7 @@ def main():
 
     gam = 4 * math.e * (1 + 1e-6)
     h = BlowupHypothesis(gamma=gam, r=1.0, beta=2.0, k=2, d=1)
-    pr = HeatProblem(2.0, 2, plateau_data(g, gam, 1.0))
+    pr = HeatProblem(2.0, 2, g, plateau_data(g, gam, 1.0))
     tg = np.linspace(0, 0.25, 33)
     res = picard_terms(pr, 6, tg, part)
     ball = g.freq_magnitude <= 1.0
