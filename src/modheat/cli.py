@@ -39,7 +39,7 @@ from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       stft_resolution_ok)
 from .spectral import (SpectralGrid, boundary_tail_ratio, fine_grid,
                        forward_values, heat_symbol, load_grid_function)
-from .torus import TorusGrid, operator_norm_lower, transference_check
+from .torus import operator_norm_lower, transference_check
 
 
 class ConfigError(Exception):
@@ -527,6 +527,12 @@ def cmd_picard(cfg, seed, rec):
                           f"{MAX_LATTICE_VALUES}")
     spec = _parse_norm(cfg)
     converge_by, expect = cfg["converge_by"], cfg["expect"]
+    # a verdict needs a ratio of terms from converge_by on: the depth-th
+    # term is the last, and ratios start at the second
+    if expect != "none" and depth < max(converge_by, 2):
+        raise ConfigError("config fields 'depth' and 'converge_by' need "
+                          f"depth >= max(converge_by, 2) for expect "
+                          f"{expect!r}, got {depth} and {converge_by}")
     dominated = cfg["domination"] is not None
     if dominated:
         hyp = BlowupHypothesis(cfg["domination.gamma"], cfg["domination.r"],
@@ -562,10 +568,9 @@ def cmd_picard(cfg, seed, rec):
     rec.write_csv("picard_norms.csv", ["term_index", "sup_norm", "ratio"], rows)
     late = [r for i, r in enumerate(res.ratios) if i + 2 >= converge_by]
     if expect == "summable":
-        rec.verdict("ratio_below_one", max(late) if late else math.inf, 1.0)
+        rec.verdict("ratio_below_one", max(late), 1.0)
     elif expect == "growing":
-        rec.verdict("ratio_at_least_one", min(late) if late else 0.0, 1.0,
-                    direction=">=")
+        rec.verdict("ratio_at_least_one", min(late), 1.0, direction=">=")
 
     if dominated:
         ball = grid.freq_magnitude <= hyp.r
@@ -682,14 +687,6 @@ def cmd_hermite(cfg, seed, rec):
                           "with lo < hi")
     slope_tol = cfg["slope_tolerance"]
 
-    basis = HermiteBasis(dim, cap)
-    rng = np.random.default_rng(seed)
-    tensor = np.zeros(basis.coeff_shape, dtype=complex)
-    mask = basis.level_mesh < levels
-    tensor[mask] = rng.standard_normal(int(mask.sum()))
-    coeffs = HermiteCoeffs(basis, tensor)
-    partition = UniformPartition(grid)
-
     brk = 2.5  # t spacing: geometric below, to resolve t -> 0; linear above
     if lo >= brk:
         t_grid = np.linspace(lo, hi, pts)
@@ -699,6 +696,19 @@ def cmd_hermite(cfg, seed, rec):
             lin = np.linspace(max(window[0], brk), hi, pts // 2 + 2)
             # both parts hold the break when the window starts at or below it
             t_grid = np.concatenate([t_grid, lin[lin > t_grid[-1]]])
+    # the slope verdict fits a line through the profile inside the window
+    if np.count_nonzero((t_grid >= window[0]) & (t_grid <= window[1])) < 2:
+        raise ConfigError("config fields 'slope_window' and 't_profile' "
+                          "give fewer than two profile times inside the "
+                          "slope window")
+
+    basis = HermiteBasis(dim, cap)
+    rng = np.random.default_rng(seed)
+    tensor = np.zeros(basis.coeff_shape, dtype=complex)
+    mask = basis.level_mesh < levels
+    tensor[mask] = rng.standard_normal(int(mask.sum()))
+    coeffs = HermiteCoeffs(basis, tensor)
+    partition = UniformPartition(grid)
 
     rows = []
     sup_ratio = 0.0
@@ -717,13 +727,11 @@ def cmd_hermite(cfg, seed, rec):
             for t, val, ratio in prof_rows:
                 rows.append((dim, beta, p, t, val, ratio))
             sup_ratio = max(sup_ratio, max(r for _, _, r in prof_rows))
-            in_window = [(t, v) for t, v, _ in prof_rows
-                         if window[0] <= t <= window[1]]
-            if len(in_window) >= 2:
-                ts, ns = np.array(in_window).T
-                slope = np.polyfit(ts, np.log(ns), 1)[0]
-                target = -float(dim) ** beta
-                slope_err = max(slope_err, abs(slope - target) / abs(target))
+            ts, ns = np.array([(t, v) for t, v, _ in prof_rows
+                               if window[0] <= t <= window[1]]).T
+            slope = np.polyfit(ts, np.log(ns), 1)[0]
+            target = -float(dim) ** beta
+            slope_err = max(slope_err, abs(slope - target) / abs(target))
     rec.write_csv("hermite_decay.csv",
                   ["d", "beta", "p", "t", "value", "ratio"], rows)
     rec.verdict("decay_profile_const", sup_ratio, constants.DECAY_PROFILE_CONST)
@@ -755,10 +763,12 @@ def cmd_transfer(cfg, seed, rec):
     beta, t, ps = cfg["beta"], cfg["t"], cfg["ps"]
     modes, trials = cfg["modes_per_axis"], cfg["trials"]
     try:
-        tg = TorusGrid(dim, modes)
+        # the torus [0, 2pi)^d as the periodized box [-pi, pi)^d
+        torus = SpectralGrid(dim, modes, math.pi)
     except ValueError as exc:
         raise ConfigError(f"config field 'modes_per_axis': {exc}") from exc
-    # TorusGrid.mode_mesh, and operator_norm_lower's trials of modes^d each
+    # the symbol's level indices (dim (modes / 2)^dim) and
+    # operator_norm_lower's trials of modes^dim each
     _bounded(max(dim, trials) * modes ** dim, "'modes_per_axis' and 'trials'")
     fam_size = cfg["family_size"]
     # the family and its flow, as one stack
@@ -769,8 +779,8 @@ def cmd_transfer(cfg, seed, rec):
     family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
     try:
         with np.errstate(over="ignore"):
-            report = transference_check(t, beta, ps, family, partition, tg,
-                                        slack=constants.TRANSFER_SLACK)
+            report = transference_check(t, beta, ps, family, partition,
+                                        torus, slack=constants.TRANSFER_SLACK)
     except OverflowError as exc:
         raise ConfigError("config fields 'beta' and 't' give a symbol beyond "
                           "the float range") from exc
@@ -780,11 +790,11 @@ def cmd_transfer(cfg, seed, rec):
         raise ConfigError("config fields 't', 'beta' and 'modes_per_axis': "
                           f"{exc}") from exc
     sym = report.symbol
-    sup = sym.sup()
+    sup = float(np.abs(sym).max())
     if sup == 0.0:
         raise ConfigError("config fields 'beta' and 't' give a symbol that "
                           "underflows to 0")
-    lowers, ratios = operator_norm_lower(sym, ps, trials, tg, seed=seed)
+    lowers, ratios = operator_norm_lower(sym, ps, trials, torus, seed=seed)
     # per p, the trials whose ratio beats the single-mode bound, and the
     # best trial: whether the random trials move `lower` at all
     rec.diagnostics["operator_norm_lower"] = {

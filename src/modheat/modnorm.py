@@ -466,7 +466,7 @@ class STFTPlan:
             sq = np.sum(grid.x_mesh ** 2, axis=-1)
             window_values = np.exp(-0.5 * sq)
         w = np.asarray(window_values, dtype=complex).reshape(grid.shape)
-        nrm = lp_norm(w, grid.spacing ** grid.dim, 2)
+        nrm = lp_norm(w, grid.spacing ** grid.dim, 2, grid.dim)
         if nrm == 0.0:
             raise ValueError("window must be nonzero")
         self.window = w / nrm if normalize else w
@@ -571,7 +571,7 @@ def mod_norms_stft(values, plan, specs, refine=1):
         if not np.isinf(spec.p):
             amp = (a_vol * amp) ** (1.0 / spec.p)
         weight = (1.0 + ysq) ** (spec.s / 2.0)
-        norms.append(lp_norm(amp * weight, b_vol, spec.q))
+        norms.append(lp_norm(amp * weight, b_vol, spec.q, d))
     return norms
 
 

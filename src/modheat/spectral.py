@@ -202,14 +202,19 @@ def heat_symbol(grid, t, beta):
     return out
 
 
-def lp_norm(values, volume_element, p):
-    """Rectangle-rule L^p norm; p = inf gives the max over samples."""
+def lp_norm(values, volume_element, p, dim):
+    """Rectangle-rule L^p norm over the last dim axes of values; p = inf
+    gives the max over samples.  A float for one function, an array over
+    the leading axes of a stack."""
     a = np.abs(np.asarray(values))
+    axes = tuple(range(-dim, 0))
     if np.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    if p < 1:
+        norms = a.max(axis=axes)
+    elif p < 1:
         raise ValueError("p must be >= 1")
-    return float((volume_element * np.sum(a ** p)) ** (1.0 / p))
+    else:
+        norms = (volume_element * np.sum(a ** p, axis=axes)) ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def boundary_tail_ratio(values):

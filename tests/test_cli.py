@@ -282,6 +282,19 @@ class TestPicardCommand:
         assert code == 0
         assert (out / "picard_domination.csv").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"depth": 4, "converge_by": 50},
+        {"depth": 4, "converge_by": 50, "expect": "growing"},
+        {"depth": 1}])
+    def test_verdict_without_a_ratio_is_config_error(self, tmp_path, capsys,
+                                                     overrides):
+        # no ratio of terms from converge_by on: no verdict to judge
+        code, out = run(tmp_path, "picard", picard_config(**overrides))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'depth'" in err and "'converge_by'" in err
+        assert not (out / "picard_norms.csv").exists()
+
 
 def hermite_config(**overrides):
     cfg = {
@@ -335,7 +348,7 @@ class TestHermiteCommand:
         ({"lo": 3.0, "hi": 5.0, "points": 6}, [3.0, 5.0]),
         ({"lo": 2.5, "hi": 5.0, "points": 6}, [3.0, 5.0]),
         ({"lo": 0.05, "hi": 5.0, "points": 10}, [2.0, 5.0]),
-        ({"lo": 0.05, "hi": 2.0, "points": 5}, [3.0, 5.0])])
+        ({"lo": 0.05, "hi": 2.0, "points": 5}, [0.5, 2.0])])
     def test_t_grid_increasing_inside_profile(self, tmp_path, profile,
                                               window):
         # a profile starting past the geometric break used to run backwards
@@ -351,6 +364,15 @@ class TestHermiteCommand:
             assert len(ts) >= profile["points"]
             assert all(a < b for a, b in zip(ts, ts[1:]))
             assert profile["lo"] <= ts[0] and ts[-1] <= profile["hi"]
+
+
+    def test_slope_window_without_two_profile_times(self, tmp_path, capsys):
+        # a profile ending below the window leaves the slope nothing to fit
+        cfg = hermite_config(t_profile={"lo": 0.05, "hi": 2.0, "points": 5})
+        code, _ = run(tmp_path, "hermite", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'slope_window'" in err and "'t_profile'" in err
 
 
 class TestTransferCommand:
@@ -489,6 +511,17 @@ class TestConfigValidation:
                        "corpus_size": True, "specs": [[2, 1, 0]]})
         assert code == 2
         assert "corpus_size" in capsys.readouterr().err
+
+    def test_flow_underflow_named(self, tmp_path, capsys):
+        # the flow's norm underflows to 0 at t = 500; the window holds two
+        # profile times (3 and 85.8), so the slope rule passes
+        cfg = hermite_config(t_profile={"lo": 0.05, "hi": 500.0, "points": 10},
+                             slope_window=[3.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "hermite", cfg)
+        assert code == 2
+        assert "'ps', 'betas' and 't_profile'" in capsys.readouterr().err
 
     def test_eigen_lattice_lists_checked(self, tmp_path, capsys):
         lattice = {"ds": 3, "betas": [1.0], "ts": [0.5]}
@@ -702,8 +735,6 @@ class TestConfigValidation:
         ("hermite", "ps", [2.0, 1e300], "'ps'"),
         ("hermite", "ps", [200.0], "'ps'"),
         ("modnorm", "specs", [[2, 1, 0], [1e300, 1, 0]], "'specs[1]'"),
-        ("hermite", "t_profile.hi", 500.0,
-         "'ps', 'betas' and 't_profile'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):

@@ -280,7 +280,7 @@ def _equiv_case(dim):
 def _oracle_block_norms(dim, p):
     part, f = _equiv_case(dim)
     vol = part.grid.spacing ** dim
-    return [(k, lp_norm(block_project(f, k, part), vol, p))
+    return [(k, lp_norm(block_project(f, k, part), vol, p, dim))
             for k in sorted(part.active_keys())]
 
 
@@ -784,7 +784,7 @@ def _oracle_stft_norm(name, spec, refine):
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
     weight = (1.0 + ysq) ** (spec.s / 2.0)
     return lp_norm(inner * weight, fine.freq_spacing ** plan.grid.dim,
-                   spec.q)
+                   spec.q, plan.grid.dim)
 
 
 def _batched_rows(name, refine):

@@ -17,13 +17,13 @@ from modheat.spectral import (SpectralGrid, _band_slots, _factor_meshes,
 
 def physical_lp_norm(g, f, p):
     """Quadrature L^p norm of one function's physical samples on grid g."""
-    return lp_norm(f, g.spacing ** g.dim, p)
+    return lp_norm(f, g.spacing ** g.dim, p, g.dim)
 
 
 def frequency_lp_norm(g, F, p):
     """Quadrature L^p norm on the frequency lattice of grid g: the FL^p
     norm of one function's frequency samples."""
-    return lp_norm(F, g.freq_spacing ** g.dim, p)
+    return lp_norm(F, g.freq_spacing ** g.dim, p, g.dim)
 
 
 def save_grid_function(g, values, path_base, side="physical"):

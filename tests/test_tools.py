@@ -2,6 +2,7 @@
 public API against them."""
 
 import ast
+import json
 import math
 import pathlib
 import re
@@ -45,14 +46,15 @@ def test_measure_constants_runs(capsys):
 
 def test_compare_outputs_self_reports_nothing(capsys):
     # every invocation of the workload runs in both checkouts; one checkout
-    # against itself differs in no CSV and no JSON file
+    # against itself differs in no CSV and no JSON file, the run records
+    # (one per invocation) included
     tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
     root = str(TOOLS.parent)
     code = tool["main"]([root, root, "--workload", "estimators",
                          "--seeds", "0"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines == ["estimators: 6 CSV and 1 JSON files compared at "
+    assert lines == ["estimators: 6 CSV and 4 JSON files compared at "
                      "seeds [0], all byte-identical"]
 
 
@@ -78,6 +80,28 @@ def test_compare_outputs_json_diff():
                   [old[0], dict(old[1], flags=[])],
                   [dict(old[0], value=True), old[1]]):
         assert tool["json_diff"](old, other) == math.inf
+
+
+def test_compare_outputs_run_record_without_wall_time():
+    # run_record.json is compared without its timing; a diagnostics number
+    # that moves is reported as any JSON file's difference is
+    tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
+    record = {"command": "transfer", "verdicts": [{"value": math.nan}],
+              "diagnostics": {"per_p": [{"best_trial_ratio": 0.5}]},
+              "wall_time_s": 0.25}
+    old = json.dumps(record, indent=2).encode()
+    slower = json.dumps(dict(record, wall_time_s=7.5)).encode()
+    assert tool["file_diffs"]("t seed 0", "run_record.json", old,
+                              slower) == []
+    moved = dict(record, diagnostics={"per_p": [
+        {"best_trial_ratio": 0.5000000000000002}]})
+    lines = tool["file_diffs"]("t seed 0", "run_record.json", old,
+                               json.dumps(moved).encode())
+    assert lines == ["t seed 0 run_record.json: max relative difference "
+                     "4.44e-16"]
+    # any other JSON file is compared byte for byte, its timing included
+    assert tool["file_diffs"]("t seed 0", "report.json", old, slower) == [
+        "t seed 0 report.json: max relative difference 0.967"]
 
 
 def _public_api(tree):

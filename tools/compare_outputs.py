@@ -10,12 +10,13 @@ OLD and NEW are checkout roots.  Every invocation of the workload (the
 configs in this checkout's perfbench/workloads.py, which is only read) runs
 at every seed in each checkout, through that checkout's own
 modheat.cli.main in a fresh interpreter with the benchmark's thread caps.
-Every CSV and every JSON file but run_record.json, which holds timings, is
-then compared byte for byte.  For each CSV that differs, one line names the
-invocation, seed, file and column, with the largest relative difference
-|a - b| / max(|a|, |b|) over the column's cells (inf where only one side is
-NaN or a cell is not a number); for each JSON file, one line gives that
-difference over all its numbers (inf where anything else differs).  A
+Every CSV and JSON file is then compared byte for byte, but run_record.json
+as parsed JSON without its wall_time_s, a timing.  For each CSV that
+differs, one line names the invocation, seed, file and column, with the
+largest relative difference |a - b| / max(|a|, |b|) over the column's cells
+(inf where only one side is NaN or a cell is not a number); for each JSON
+file, one line gives that difference over all its numbers (inf where
+anything else differs).  A
 differing exit code or set of files is reported too.  The last line counts
 the files compared.  Exit status: 0 if every file is byte-identical, 1
 otherwise.
@@ -116,6 +117,32 @@ def json_diff(old, new):
     return _rel_diff(old, new) if numbers else math.inf
 
 
+def _comparable(name, data):
+    """The bytes of an output file that two checkouts must share:
+    run_record.json is re-serialized without its wall_time_s, a timing."""
+    if name != "run_record.json":
+        return data
+    record = json.loads(data)
+    record.pop("wall_time_s", None)
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def file_diffs(where, name, old_bytes, new_bytes):
+    """Difference lines of one output file of two checkouts."""
+    old, new = (_comparable(name, b) for b in (old_bytes, new_bytes))
+    if old == new:
+        return []
+    if name.endswith(".json"):
+        diff = json_diff(*(json.loads(b) for b in (old, new)))
+        return [f"{where} {name}: max relative difference {diff:.3g}"]
+    lines = []
+    for column, diff in column_diffs(old.decode(), new.decode()).items():
+        label = "header or shape" if column is None else f"column {column}"
+        lines.append(f"{where} {name} {label}: max relative difference "
+                     f"{diff:.3g}")
+    return lines
+
+
 def compare(old, new, workload, seeds, work):
     """Difference lines, and the numbers of CSV and JSON files compared."""
     workloads = load_workloads()
@@ -133,31 +160,15 @@ def compare(old, new, workload, seeds, work):
             if codes[0] != codes[1]:
                 lines.append(f"{where}: exit code {codes[0]} -> {codes[1]}")
             names = [sorted(p.name for p in out.glob("*")
-                            if p.suffix in compared
-                            and p.name != "run_record.json")
+                            if p.suffix in compared)
                      for out in outs]
             if names[0] != names[1]:
                 lines.append(f"{where}: output files {names[0]} -> "
                              f"{names[1]}")
             for name in sorted(set(names[0]) & set(names[1])):
-                suffix = pathlib.Path(name).suffix
-                compared[suffix] += 1
-                old_bytes, new_bytes = ((out / name).read_bytes()
-                                        for out in outs)
-                if old_bytes == new_bytes:
-                    continue
-                if suffix == ".json":
-                    diff = json_diff(*(json.loads(b) for b in (old_bytes,
-                                                                new_bytes)))
-                    lines.append(f"{where} {name}: max relative difference "
-                                 f"{diff:.3g}")
-                    continue
-                diffs = column_diffs(old_bytes.decode(), new_bytes.decode())
-                for column, diff in diffs.items():
-                    label = ("header or shape" if column is None
-                             else f"column {column}")
-                    lines.append(f"{where} {name} {label}: max relative "
-                                 f"difference {diff:.3g}")
+                compared[pathlib.Path(name).suffix] += 1
+                lines += file_diffs(where, name, *((out / name).read_bytes()
+                                                   for out in outs))
     return lines, compared
 
 

@@ -23,7 +23,7 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norms_stft)
 from modheat.spectral import (SpectralGrid, forward_values, heat_symbol,
                               lp_norm)
-from modheat.torus import TorusGrid, transference_check
+from modheat.torus import transference_check
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     corpus = mixed_family(g, 12, seed=77)
     m22 = (mod_norms_from_frequency(forward_values(g, corpus),
                                     [ModNormSpec(2, 2, 0)], part)[0]
-           / [lp_norm(f, g.spacing, 2) for f in corpus])
+           / lp_norm(corpus, g.spacing, 2, 1))
     print(f"M22_OVER_L2 range: [{min(m22):.4f}, {max(m22):.4f}]")
 
     gauss = np.exp(-g.x_axis ** 2 / 2)
@@ -51,7 +51,7 @@ def main():
           f"{algebra_defect(pair, 2.0, part)[0]:.4f}")
 
     hats = forward_values(g, mixed_family(g, 12, seed=99))
-    fl1 = ([lp_norm(F, g.freq_spacing, 1) for F in hats]
+    fl1 = (lp_norm(hats, g.freq_spacing, 1, 1)
            / mod_norms_from_frequency(hats, [spec], part)[0])
     print(f"FL1_EMBEDDING range: [{min(fl1):.4f}, {max(fl1):.4f}]")
 
@@ -83,7 +83,7 @@ def main():
     partg = UniformPartition(grid)
     basis = HermiteBasis(1, 16)
     fam = hermite_coeff_family(basis, 8, seed=42, max_level=10)
-    torus = TorusGrid(1, 64)
+    torus = SpectralGrid(1, 64, math.pi)
     need = 0.0
     for beta, t in [(1.0, 1.0), (2.0, 0.5)]:
         rep = transference_check(t, beta, [1.0, 2.0, 4.0], fam, partg, torus,
