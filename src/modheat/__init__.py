@@ -2,7 +2,9 @@
 
 A function on R^d is the ndarray of its samples on a SpectralGrid (physical
 or frequency side), with the grid passed alongside; a stack of functions is
-one array with leading axes.
+one array with leading axes.  A Hermite expansion is the ndarray of its
+coefficients, a (degree_cap + 1,) * d tensor, and a stack of expansions is
+one array with a leading axis.
 
 Modules:
   spectral  - periodized Fourier transforms, the heat symbol, dealiased

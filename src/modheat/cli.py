@@ -28,12 +28,11 @@ import numpy as np
 from . import __version__, constants
 from .corpus import band_limited, hermite_coeff_family, propagation_corpus
 from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
-                   SolverConfig, check_lattice,
-                   certify_hypothesis, divergence_witness,
-                   lower_bound_envelope, picard_product_count, picard_terms,
-                   plateau_data, solve)
-from .hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
-                      decay_profile, eigen_sum, eigen_sum_bound)
+                   SolverConfig, check_lattice, certify_hypothesis,
+                   divergence_witness, domination_ratios,
+                   picard_product_count, picard_terms, plateau_data, solve)
+from .hermite import (ZeroNormError, decay_profile, eigen_sum,
+                      eigen_sum_bound, level_mesh)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norms_from_frequency, mod_norms_stft,
                       stft_resolution_ok)
@@ -465,8 +464,8 @@ def cmd_blowup(cfg, seed, rec):
                           f"norm {init_norm:g}: no blow-up threshold "
                           "exceeds it")
     try:
-        cert = certify_hypothesis(hyp, grid, u0)
-        wit = divergence_witness(hyp, cert.horizon, witness_terms)
+        conditions = certify_hypothesis(hyp, grid, u0)
+        wit = divergence_witness(hyp, witness_terms)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(
             "config fields problem.'beta', problem.'k', 'hypothesis' and "
@@ -476,8 +475,8 @@ def cmd_blowup(cfg, seed, rec):
     rec.write_csv("blowup_certificate.csv",
                   ["condition", "value", "bound", "margin", "pass"],
                   [(c.name, c.value, c.bound, c.margin, int(c.passed))
-                   for c in cert.conditions])
-    for c in cert.conditions:
+                   for c in conditions])
+    for c in conditions:
         rec.verdict(f"certificate_{c.name}", c.value, c.bound, passed=c.passed,
                     direction=">=")
 
@@ -498,7 +497,7 @@ def cmd_blowup(cfg, seed, rec):
     rec.write_csv("blowup_trace.csv",
                   ["t", "norm_Mp1", "norm_FL1", "linf", "blowup_flag"],
                   list(trace.rows()))
-    horizon = detect_by if detect_by is not None else 2.0 * cert.horizon
+    horizon = detect_by if detect_by is not None else 2.0 * hyp.horizon
     rec.verdict("blowup_detected", float(trace.blowup_detected), 1.0,
                 passed=trace.blowup_detected, direction=">=")
     rec.verdict("detection_time", trace.t_detect if trace.t_detect is not None
@@ -573,33 +572,16 @@ def cmd_picard(cfg, seed, rec):
         rec.verdict("ratio_at_least_one", min(late), 1.0, direction=">=")
 
     if dominated:
-        ball = grid.freq_magnitude <= hyp.r
-        dom_rows = []
-        worst = math.inf
         try:
-            # an envelope beyond the float range is named below; one that
-            # underflows to 0 bounds nothing (ratio inf, or nan where
-            # uhat = 0: that slice's minimum is nan, which fmin skips)
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                for pos, idx in enumerate(res.term_indices):
-                    env = lower_bound_envelope(hyp, idx, t_grid[1:],
-                                               grid)[:, ball]
-                    if not np.all(np.isfinite(env)):
-                        raise OverflowError("non-finite envelope")
-                    mins = (res.spectra[pos][1:].real[:, ball] / env).min(
-                        axis=1)
-                    m = float(np.fmin.reduce(mins, initial=math.inf))
-                    dom_rows.append((idx, m))
-                    worst = min(worst, m)
+            ratios = domination_ratios(hyp, res)
         except OverflowError as exc:
             raise ConfigError(
                 "config fields 'domination', problem.'beta' and problem.'k' "
                 "give a lower envelope beyond the float range") from exc
         rec.write_csv("picard_domination.csv", ["term_index", "min_ratio"],
-                      dom_rows)
+                      list(zip(res.term_indices, ratios)))
         rec.verdict("domination_with_slack",
-                    worst * constants.PICARD_DOMINATION_SLACK, 1.0,
+                    min(ratios) * constants.PICARD_DOMINATION_SLACK, 1.0,
                     direction=">=")
 
 
@@ -702,12 +684,12 @@ def cmd_hermite(cfg, seed, rec):
                           "give fewer than two profile times inside the "
                           "slope window")
 
-    basis = HermiteBasis(dim, cap)
+    mesh = level_mesh(dim, cap)
     rng = np.random.default_rng(seed)
-    tensor = np.zeros(basis.coeff_shape, dtype=complex)
-    mask = basis.level_mesh < levels
-    tensor[mask] = rng.standard_normal(int(mask.sum()))
-    coeffs = HermiteCoeffs(basis, tensor)
+    tensor = np.zeros(mesh.shape, dtype=complex)
+    drawn = mesh < levels
+    tensor[drawn] = rng.standard_normal(int(drawn.sum()))
+    tensor[mesh > cap] = 0.0
     partition = UniformPartition(grid)
 
     rows = []
@@ -715,7 +697,7 @@ def cmd_hermite(cfg, seed, rec):
     slope_err = 0.0
     for beta in betas:
         try:
-            profiles = decay_profile(coeffs, beta, ps, t_grid, partition)
+            profiles = decay_profile(tensor, beta, ps, t_grid, partition)
         except OverflowError as exc:
             raise ConfigError("config fields 'betas' and 't_profile' give a "
                               "decay profile beyond the float range") from exc
@@ -774,9 +756,8 @@ def cmd_transfer(cfg, seed, rec):
     # the family and its flow, as one stack
     cap = _parse_degree_cap(cfg, grid, 2 * fam_size, "family_size")
 
-    basis = HermiteBasis(dim, cap)
     partition = UniformPartition(grid)
-    family = hermite_coeff_family(basis, fam_size, seed=seed, max_level=10)
+    family = hermite_coeff_family(dim, cap, fam_size, seed)
     try:
         with np.errstate(over="ignore"):
             report = transference_check(t, beta, ps, family, partition,
@@ -805,8 +786,9 @@ def cmd_transfer(cfg, seed, rec):
     brows = [(dim, beta, t, p, lower, report.young_upper,
               report.parseval_upper, int(lower <= report.young_upper + 1e-8))
              for p, lower in zip(ps, lowers)]
-    rrows = [(p, row.label, row.ratio, row.bound, int(row.passed))
-             for p, p_rows in zip(ps, report.rows) for row in p_rows]
+    rrows = [(p, f"rand{i}", row.ratio, row.bound, int(row.passed))
+             for p, p_rows in zip(ps, report.rows)
+             for i, row in enumerate(p_rows)]
     rec.write_csv("transfer_bounds.csv",
                   ["d", "beta", "t", "p", "lower", "young_upper",
                    "parseval_upper", "pass"], brows)

@@ -1,13 +1,15 @@
 """Deterministic test-function families shared by the tests and the CLI.
 
-Every family is a pure function of (grid, count, seed), so runs that echo
-their seed are reproducible bit for bit.  A function is the complex array of
-its physical samples on the grid; a family is one (count,) + grid.shape
-stack.
+Every family is a pure function of its arguments and seed, so runs that
+echo their seed are reproducible bit for bit.  A function is the complex
+array of its physical samples on the grid, and a Hermite expansion is the
+ndarray of its coefficients; a family is one stack of either, with a leading
+axis of length count.
 """
 
 import numpy as np
 
+from .hermite import level_mesh
 from .spectral import inverse_values
 
 
@@ -62,18 +64,15 @@ def propagation_corpus(grid, count, seed):
     return np.concatenate([wide[None], mixed_family(grid, count - 1, seed)])
 
 
-def hermite_coeff_family(basis, count, seed, max_level=None):
-    """Random coefficient tensors supported on low total degrees."""
-    from .hermite import HermiteCoeffs
-
-    if max_level is None:
-        max_level = min(10, basis.degree_cap)
+def hermite_coeff_family(dim, degree_cap, count, seed):
+    """Random coefficient tensors of degree cap degree_cap in dimension dim,
+    a (count, degree_cap + 1, ...) stack: standard normal draws on total
+    degrees up to 10, one tensor after another, then 0 above the cap."""
+    levels = level_mesh(dim, degree_cap)
+    drawn = levels <= 10
     rng = np.random.default_rng(seed)
-    fams = []
-    for i in range(count):
-        tensor = np.zeros(basis.coeff_shape, dtype=complex)
-        mask = basis.level_mesh <= max_level
-        vals = rng.standard_normal(int(mask.sum()))
-        tensor[mask] = vals
-        fams.append((f"rand{i}", HermiteCoeffs(basis, tensor)))
-    return fams
+    out = np.zeros((count,) + levels.shape, dtype=complex)
+    for tensor in out:
+        tensor[drawn] = rng.standard_normal(int(drawn.sum()))
+    out[:, levels > degree_cap] = 0.0
+    return out

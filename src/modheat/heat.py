@@ -134,7 +134,6 @@ class SolutionTrace:
     linf_norms: list
     blowup_detected: bool
     t_detect: float = None
-    overflow: bool = False
     final_state: np.ndarray = None  # physical values at times[-1]
     stop_reason: str = "t_max"  # "threshold", "overflow" or "t_max"
     steps_discarded: int = 0    # steps computed but not recorded
@@ -284,8 +283,8 @@ def solve(problem, config, partition=None):
 
     detected = stop != "t_max"
     return SolutionTrace(times, norms, fl1, linf, detected,
-                         times[-1] if detected else None, stop == "overflow",
-                         final, stop, computed - (len(times) - 1))
+                         times[-1] if detected else None, final, stop,
+                         computed - (len(times) - 1))
 
 
 # -- blow-up hypothesis certification --------------------------------------------
@@ -315,13 +314,24 @@ class BlowupHypothesis:
             raise ValueError("hypothesis parameters out of range")
 
     @property
+    def envelope_rate(self):
+        """4 r^beta (k-1): the envelopes decay as e^{-4 r^beta (k-1) m t}."""
+        return 4.0 * self.r ** self.beta * (self.k - 1)
+
+    @property
     def gamma_bound(self):
-        return 4.0 * self.r ** self.beta * (self.k - 1) * math.e
+        return self.envelope_rate * math.e
 
     @property
     def horizon(self):
         """Time by which the witness series is forced to diverge."""
-        return 1.0 / (4.0 * self.r ** self.beta * (self.k - 1))
+        return 1.0 / self.envelope_rate
+
+    def envelope_factor(self, m, t):
+        """The factor without xi of the m-th envelope at one time t:
+        gamma^{m(k-1)+1} e^{-4 r^beta (k-1) m t} t^m."""
+        return (self.gamma ** (m * (self.k - 1) + 1)
+                * math.exp(-self.envelope_rate * m * t) * t ** m)
 
 
 @dataclass
@@ -333,19 +343,9 @@ class ConditionReport:
     passed: bool
 
 
-@dataclass
-class HypothesisCertificate:
-    conditions: list
-    horizon: float
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.conditions)
-
-
 def certify_hypothesis(h, g, u0):
-    """Check every blow-up condition on the lattice for the physical samples
-    u0 on grid g; failures are reported, not raised."""
+    """A ConditionReport of every blow-up condition, checked on the lattice
+    for the physical samples u0 on grid g; failures are not raised."""
     if g.dim != h.d:
         raise ValueError("hypothesis dimension does not match the grid")
     F = forward_values(g, u0)
@@ -377,7 +377,7 @@ def certify_hypothesis(h, g, u0):
     conds.append(ConditionReport("gamma_threshold", lhs, h.gamma_bound,
                                  lhs - h.gamma_bound, lhs >= h.gamma_bound))
 
-    return HypothesisCertificate(conds, h.horizon)
+    return conds
 
 
 def ball_indicator(grid, r):
@@ -411,7 +411,6 @@ class PicardResult:
     t_grid: np.ndarray
     sup_norms: list      # modulation norm maxima over the time grid
     ratios: list         # sup_norms[i+1] / sup_norms[i]
-    summable: bool
     exact_evaluations: list  # slices per term the norm engine evaluated
     difference_bounds: list  # neighbour bounds per term (max_mod_norm)
 
@@ -531,8 +530,7 @@ def picard_terms(problem, depth, t_grid, partition=None):
     is never padded).  The t = 0 slice of every term j >= 1 is 0, so its
     sup norm is taken over t > 0.  Each sup is max_mod_norm's: at p != 2
     the engine evaluates only the slices whose bound (Parseval, or from an
-    evaluated neighbour) can still beat the largest norm found.  Growth of
-    the term norms is flagged, but the terms are still returned.
+    evaluated neighbour) can still beat the largest norm found.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -583,10 +581,8 @@ def picard_terms(problem, depth, t_grid, partition=None):
     sup_norms = [float(sup) for sup, _, _ in sups]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
-    summable = bool(ratios) and ratios[-1] < 1.0
     return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
-                        summable, [n for _, n, _ in sups],
-                        [n for _, _, n in sups])
+                        [n for _, n, _ in sups], [n for _, _, n in sups])
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------
@@ -594,27 +590,45 @@ def picard_terms(problem, depth, t_grid, partition=None):
 
 def lower_bound_envelope(h, i, t, grid):
     """Closed-form lower envelope for the i-th series term over the
-    frequency lattice: gamma^i e^{-4 r^beta (k-1) m t} t^m e^{-t |xi|^beta}
-    on the ball |xi| <= r (zero outside), with m = (i-1)/(k-1).  The hidden
-    constant is taken to be 1; any slack is measured separately.
+    frequency lattice: h.envelope_factor(m, t) e^{-t |xi|^beta} on the ball
+    |xi| <= r (zero outside), with m = (i-1)/(k-1).  The hidden constant is
+    taken to be 1; any slack is measured separately.
 
     t is one time or a 1-D array of them; an array gives the envelopes
-    stacked along a leading axis.  The factors without xi are scalars
-    taken per time (math.exp, **), as for a single time, so the stack
-    holds the single-time envelopes bit for bit."""
+    stacked along a leading axis.  The factors without xi are taken per
+    time, as for a single time, so the stack holds the single-time
+    envelopes bit for bit."""
     if (i - 1) % (h.k - 1) != 0:
         raise ValueError(f"series index {i} is not of the form m(k-1)+1")
     m = (i - 1) // (h.k - 1)
     mag = grid.freq_magnitude
     times = np.atleast_1d(t)
-    factors = np.array([h.gamma ** i
-                        * math.exp(-4.0 * h.r ** h.beta * (h.k - 1) * m * s)
-                        * s ** m for s in times])
+    factors = np.array([h.envelope_factor(m, s) for s in times])
     lead = (len(times),) + (1,) * grid.dim
     env = factors.reshape(lead) * np.exp(-times.reshape(lead)
                                          * mag ** h.beta)
     env = env * (mag <= h.r)
     return env if np.ndim(t) else env[0]
+
+
+def domination_ratios(h, res):
+    """Per term of the PicardResult res, the least ratio Re u_hat / envelope
+    over the ball |xi| <= r and the times t > 0 of its grid.
+
+    An envelope that underflows to 0 bounds nothing: its ratio is inf, or
+    nan where u_hat = 0, and a slice's nan minimum is skipped.
+    OverflowError if an envelope is beyond the float range."""
+    ball = res.grid.freq_magnitude <= h.r
+    ratios = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for idx, spectra in zip(res.term_indices, res.spectra):
+            env = lower_bound_envelope(h, idx, res.t_grid[1:],
+                                       res.grid)[:, ball]
+            if not np.all(np.isfinite(env)):
+                raise OverflowError("non-finite envelope")
+            mins = (spectra[1:].real[:, ball] / env).min(axis=1)
+            ratios.append(float(np.fmin.reduce(mins, initial=math.inf)))
+    return ratios
 
 
 @dataclass
@@ -623,32 +637,23 @@ class WitnessResult:
     partial_sums: list
     ratio: float
     hypothesis_ok: bool
-    label: str
 
     @property
     def divergent(self):
         return self.hypothesis_ok and self.ratio >= 1.0 - 1e-12
 
 
-def divergence_witness(h, T, i_max):
-    """Partial sums of the L^1-lower-bound series evaluated at time T.
+def divergence_witness(h, i_max):
+    """Partial sums of the L^1-lower-bound series at T = h.horizon.
 
-    Term j is gamma^{(j-1)(k-1)+1} e^{-4 r^beta (k-1)(j-1) T} T^{j-1} |B(r)|;
-    consecutive terms have the constant ratio gamma^{k-1} T e^{-4 r^beta (k-1) T},
-    so ratio >= 1 certifies divergence of the witness series.
+    Term j is h.envelope_factor(j - 1, T) |B(r)|; consecutive terms have the
+    constant ratio gamma^{k-1} T e^{-4 r^beta (k-1) T}, so ratio >= 1
+    certifies divergence of the witness series.
     """
     vol = unit_ball_volume(h.d) * h.r ** h.d
-    decay = 4.0 * h.r ** h.beta * (h.k - 1)
-    terms = [h.gamma ** ((j - 1) * (h.k - 1) + 1)
-             * math.exp(-decay * (j - 1) * T) * T ** (j - 1) * vol
-             for j in range(1, i_max + 1)]
+    T = h.horizon
+    terms = [h.envelope_factor(m, T) * vol for m in range(i_max)]
     sums = list(np.cumsum(terms))
-    ratio = h.gamma ** (h.k - 1) * T * math.exp(-decay * T)
-    ok = (h.gamma ** (h.k - 1) >= h.gamma_bound) and (T >= h.horizon)
-    if not ok:
-        label = "no divergence guarantee (hypothesis preconditions fail)"
-    elif ratio >= 1.0 - 1e-12:
-        label = "divergent"
-    else:
-        label = "inconclusive (term ratio below 1 at this T)"
-    return WitnessResult(terms, sums, ratio, ok, label)
+    ratio = h.gamma ** (h.k - 1) * T * math.exp(-h.envelope_rate * T)
+    return WitnessResult(terms, sums, ratio,
+                         h.gamma ** (h.k - 1) >= h.gamma_bound)

@@ -8,8 +8,11 @@ Normalized Hermite functions are generated by the stable recurrence
 and tensorized to d dimensions.  The oscillator H = -Delta + |x|^2 acts on
 the level-k eigenspace with eigenvalue 2k + d, so any bounded spectral
 multiplier, in particular exp(-t (2k+d)^beta), is diagonal in the
-coefficient tensor, and the flow is taken there.  Functions are given by
-their coefficient tensors and synthesized on a uniform grid from a table of
+coefficient tensor, and the flow is taken there.  A Hermite expansion is
+the ndarray of its coefficients: a (degree_cap + 1,) * d tensor indexed by
+the per-axis degrees, 0 above total degree degree_cap (level_mesh gives
+every entry's total degree), and a stack of expansions is one array with a
+leading axis.  Expansions are synthesized on a uniform grid from a table of
 the Hermite functions at its points, one contraction per axis.  Decay
 profiles synthesize the data and its flow at every t as one stack, at most
 NORM_BATCH_VALUES values at a time, and take one stacked norm call for
@@ -18,6 +21,7 @@ chunk's blocks once.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -48,49 +52,21 @@ class ZeroNormError(ValueError):
         self.of_flow = of_flow
 
 
-class HermiteBasis:
-    """Coefficient index set up to a total-degree cap.
-
-    Coefficient tensors are indexed by the per-axis degrees; entries with
-    total degree above the cap are masked out.  The basis is immutable after
-    construction and safe to share.
-    """
-
-    def __init__(self, dim, degree_cap):
-        if dim < 1 or degree_cap < 0:
-            raise ValueError("bad basis parameters")
-        self.dim = dim
-        self.degree_cap = degree_cap
-        k = degree_cap + 1
-        self.level_mesh = sum(np.indices((k,) * dim))
-        self.level_mask = self.level_mesh <= degree_cap
-
-    @property
-    def coeff_shape(self):
-        return (self.degree_cap + 1,) * self.dim
+def level_mesh(dim, degree_cap):
+    """Total degree |alpha| of every entry of a (degree_cap + 1,) * dim
+    coefficient tensor."""
+    return sum(np.indices((degree_cap + 1,) * dim))
 
 
-class HermiteCoeffs:
-    """Coefficient tensor <f, Phi_alpha> over retained multi-indices."""
-
-    __slots__ = ("basis", "tensor")
-
-    def __init__(self, basis, tensor):
-        tensor = np.asarray(tensor, dtype=complex)
-        if tensor.shape != basis.coeff_shape:
-            raise ValueError("coefficient tensor shape mismatch")
-        self.basis = basis
-        self.tensor = np.where(basis.level_mask, tensor, 0.0)
-
-
-def heat_coeff_factors(basis, t, beta):
-    """exp(-t (2k+d)^beta) on the coefficient tensor, one per entry of t."""
+def heat_coeff_factors(levels, t, beta):
+    """exp(-t (2|alpha|+d)^beta) on a level mesh of dimension d, one per
+    entry of t."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("negative time")
     # a level whose (2k+d)^beta overflows decays to 0 at every t > 0
     with np.errstate(over="ignore"):
         return np.exp(-np.multiply.outer(
-            t, (2.0 * basis.level_mesh + basis.dim) ** beta))
+            t, (2.0 * levels + levels.ndim) ** beta))
 
 
 # -- eigenvalue sums and their closed-form bound ----------------------------------
@@ -165,8 +141,15 @@ def eigen_sum(d, beta, t):
     if _log_shell_tail_bound(d, c, beta, last) > math.log(1e-14) + log_most:
         raise ValueError("eigenvalue sum cannot certify its remainder within "
                          f"{last} shells; beta or t too small")
-    total = 0.0
     n_lo, block = 0, 4096
+    # the first block's largest multiplicity C(block + d - 2, d - 1) in logs:
+    # clearly beyond the float range, d passes over the block would only
+    # overflow (_shell_terms' own check keeps the borderline d)
+    if (math.lgamma(block - 1.0 + d) - math.lgamma(float(block))
+            - math.lgamma(d) > math.log(sys.float_info.max) + 1.0):
+        raise OverflowError("shell multiplicity too large to convert to "
+                            "float")
+    total = 0.0
     while True:
         terms = _shell_terms(d, c, beta, n_lo, n_lo + block)
         total += float(np.sum(terms))
@@ -209,7 +192,7 @@ def expansion_mod_norms(tensors, ps, partition):
     """
     grid = partition.grid
     if tensors.ndim - 1 != grid.dim:
-        raise ValueError("Hermite basis and grid dimensions differ")
+        raise ValueError("Hermite expansion and grid dimensions differ")
     table = hermite_table(tensors.shape[1] - 1, grid.x_axis)
     specs = [ModNormSpec(p, p, 0.0) for p in ps]
     batch = max(1, NORM_BATCH_VALUES // grid.size)
@@ -224,7 +207,7 @@ def expansion_mod_norms(tensors, ps, partition):
     return np.concatenate(norms, axis=1)
 
 
-def decay_profile(coeffs, beta, ps, t_grid, partition):
+def decay_profile(tensor, beta, ps, t_grid, partition):
     """One table of (t, norm of the heat flow, compensated ratio) per p in ps.
 
     The ratio multiplies the measured (p, p, 0) decomposition norm by
@@ -235,12 +218,13 @@ def decay_profile(coeffs, beta, ps, t_grid, partition):
     an underflow: the flow of nonzero data is nonzero at every t, but its
     norm falls like e^{-t d^beta} and leaves the float range at large t.
     """
-    d = coeffs.basis.dim
+    d = tensor.ndim
     t_grid = [float(t) for t in t_grid]
-    heated = heat_coeff_factors(coeffs.basis, t_grid, beta) * coeffs.tensor
+    heated = heat_coeff_factors(level_mesh(d, tensor.shape[0] - 1), t_grid,
+                                beta) * tensor
     profiles = []
     for p, norms in zip(ps, expansion_mod_norms(
-            np.concatenate([coeffs.tensor[None], heated]), ps,
+            np.concatenate([tensor[None], heated]), ps,
             partition).tolist()):
         base = norms[0]
         if base == 0.0:

@@ -17,8 +17,10 @@ upper bound, the L^1 norm of the kernel.  The oscillator heat symbol
 restricted to nonnegative modes ties this module to the Hermite flow: its
 multiplier bound on the torus transfers to a bound on the modulation-norm
 decay of the oscillator semigroup, up to one frozen slack constant
-absorbing norm-equivalence factors.  The family and its flow are measured
-as one stack (hermite.expansion_mod_norms), at every exponent of a sweep.
+absorbing norm-equivalence factors.  A Hermite expansion is the ndarray
+of its coefficients, so the family is one stack of coefficient tensors; it
+and its flow are measured as one stack (hermite.expansion_mod_norms), at
+every exponent of a sweep.
 """
 
 from dataclasses import dataclass
@@ -26,9 +28,8 @@ import math
 
 import numpy as np
 
-from .hermite import (HermiteBasis, ZeroNormError, eigen_sum,
-                      expansion_mod_norms, heat_coeff_factors,
-                      multiplier_tail)
+from .hermite import (ZeroNormError, eigen_sum, expansion_mod_norms,
+                      heat_coeff_factors, level_mesh, multiplier_tail)
 from .spectral import inverse_values, lp_norm
 
 
@@ -48,7 +49,7 @@ def oscillator_heat_symbol(grid, t, beta):
                          "tolerance; enlarge modes_per_axis")
     sym = np.zeros(grid.shape)
     sym[(slice(half, None),) * grid.dim] = heat_coeff_factors(
-        HermiteBasis(grid.dim, half - 1), t, beta)
+        level_mesh(grid.dim, half - 1), t, beta)
     return sym
 
 
@@ -102,7 +103,6 @@ def operator_norm_lower(sym, ps, trials, grid, seed=0):
 
 @dataclass
 class TransferenceRow:
-    label: str
     base_norm: float
     heated_norm: float
     ratio: float
@@ -112,8 +112,8 @@ class TransferenceRow:
 
 @dataclass
 class TransferenceReport:
-    """The family's rows at each p of the sweep (rows[i] at ps[i]) and the
-    p-independent symbol and upper bounds."""
+    """The family's rows at each p of the sweep (rows[i] at ps[i], in family
+    order) and the p-independent symbol and upper bounds."""
 
     rows: list
     young_upper: float
@@ -132,8 +132,8 @@ class TransferenceReport:
 def transference_check(t, beta, ps, family, partition, torus, slack):
     """Compare oscillator-heat modulation-norm ratios with the torus Young bound.
 
-    `family` is a non-empty list of (label, HermiteCoeffs) on one basis;
-    each function is pushed through exp(-t H^beta), resampled on the uniform
+    `family` is a non-empty stack of coefficient tensors, one expansion
+    each; each is pushed through exp(-t H^beta), resampled on the uniform
     grid partition.grid, and measured in the (p, p) modulation norm at
     every p in ps, all members and their flows as one stack.  Every ratio
     must stay below the Young upper bound times the frozen slack constant.
@@ -148,21 +148,21 @@ def transference_check(t, beta, ps, family, partition, torus, slack):
     young = kernel_l1_norm(sym, torus)
     parseval = (2.0 * np.pi) ** (torus.dim / 2.0) * math.sqrt(
         eigen_sum(torus.dim, beta, t))
-    base = np.stack([coeffs.tensor for _, coeffs in family])
-    factors = heat_coeff_factors(family[0][1].basis, t, beta)
+    factors = heat_coeff_factors(
+        level_mesh(family.ndim - 1, family.shape[1] - 1), t, beta)
     bound = young * slack
     rows = []
     for p, norms in zip(ps, expansion_mod_norms(
-            np.concatenate([base, factors * base]), ps,
+            np.concatenate([family, factors * family]), ps,
             partition).tolist()):
         p_rows = []
-        for (label, _), base_norm, heated in zip(family, norms,
-                                                 norms[len(family):]):
+        for i, (base_norm, heated) in enumerate(zip(norms[:len(family)],
+                                                    norms[len(family):])):
             if base_norm == 0.0:
-                raise ZeroNormError(f"(p, p, 0) norm of test function "
-                                    f"{label!r} is 0 at p = {p}")
+                raise ZeroNormError(f"(p, p, 0) norm of family member {i} "
+                                    f"is 0 at p = {p}")
             ratio = heated / base_norm
-            p_rows.append(TransferenceRow(label, base_norm, heated, ratio,
-                                          bound, ratio <= bound))
+            p_rows.append(TransferenceRow(base_norm, heated, ratio, bound,
+                                          ratio <= bound))
         rows.append(p_rows)
     return TransferenceReport(rows, young, parseval, sym)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from modheat.hermite import HermiteBasis
 from modheat.modnorm import STFTPlan, UniformPartition
 from modheat.spectral import SpectralGrid
 
@@ -40,16 +39,6 @@ def hgrid():
 @pytest.fixture(scope="session")
 def hpart(hgrid):
     return UniformPartition(hgrid)
-
-
-@pytest.fixture(scope="session")
-def basis16():
-    return HermiteBasis(1, 16)
-
-
-@pytest.fixture(scope="session")
-def basis60():
-    return HermiteBasis(1, 60)
 
 
 @pytest.fixture()

@@ -735,6 +735,8 @@ class TestConfigValidation:
         ("hermite", "ps", [2.0, 1e300], "'ps'"),
         ("hermite", "ps", [200.0], "'ps'"),
         ("modnorm", "specs", [[2, 1, 0], [1e300, 1, 0]], "'specs[1]'"),
+        # d passes over a 4096-shell block once took minutes to overflow
+        ("hermite", "eigen_lattice.ds", [10000000], "'eigen_lattice'"),
     ])
     def test_bad_field_named(self, tmp_path, capsys, command, path, value,
                              named):

@@ -5,46 +5,52 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from modheat import constants, hermite
+from modheat import cli, constants, hermite
 from modheat.corpus import hermite_coeff_family
-from modheat.hermite import (HermiteBasis, HermiteCoeffs, ZeroNormError,
-                             decay_profile, eigen_sum, eigen_sum_bound,
-                             heat_coeff_factors, hermite_table)
+from modheat.hermite import (ZeroNormError, decay_profile, eigen_sum,
+                             eigen_sum_bound, heat_coeff_factors,
+                             hermite_table, level_mesh)
 from modheat.modnorm import ModNormSpec, UniformPartition
 from modheat.spectral import SpectralGrid
+from test_cli import hermite_config, write_config
 from test_modnorm import mod_norm_decomp
 
 
 # -- oracle: Gauss-Hermite quadrature analysis and synthesis, and the
-# -- oscillator flow taken through them; also used by other test modules
+# -- oscillator flow taken through them; also used by other test modules.
+# -- An expansion is its coefficient tensor, of shape (degree_cap + 1,) * d.
 
 
 class Quadrature(NamedTuple):
-    """Gauss quadrature of a basis in the e^{-x^2} measure: nodes per axis,
-    the Hermite table at them, (degree_cap + 1, nodes), and the analysis
-    matrix, the table times the weights converted out of the measure."""
+    """Gauss quadrature of the expansions of degree cap degree_cap in d
+    dimensions, in the e^{-x^2} measure: nodes per axis, the Hermite table
+    at them, (degree_cap + 1, nodes), the analysis matrix, the table times
+    the weights converted out of the measure, and the (d-dimensional) level
+    mesh."""
 
     nodes: np.ndarray
     table: np.ndarray
     analysis: np.ndarray
+    levels: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def quadrature(basis):
+def quadrature(dim, degree_cap):
     """degree_cap + 8 nodes per axis: the guard margin for products
     h_j h_k makes the analysis exact for polynomial-times-Gaussian
     integrands up to the degree cap."""
-    nodes, weights = np.polynomial.hermite.hermgauss(basis.degree_cap + 8)
+    nodes, weights = np.polynomial.hermite.hermgauss(degree_cap + 8)
     # in logs, so the far nodes neither underflow nor overflow
     with np.errstate(divide="ignore"):
         total_weights = np.exp(np.log(weights) + nodes ** 2)
-    table = hermite_table(basis.degree_cap, nodes)
-    return Quadrature(nodes, table, table * total_weights[None, :])
+    table = hermite_table(degree_cap, nodes)
+    return Quadrature(nodes, table, table * total_weights[None, :],
+                      level_mesh(dim, degree_cap))
 
 
-def gram_matrix(basis):
+def gram_matrix(dim, degree_cap):
     """Per-axis quadrature Gram matrix <h_j, h_k>; should be the identity."""
-    q = quadrature(basis)
+    q = quadrature(dim, degree_cap)
     return q.analysis @ q.table.T
 
 
@@ -56,48 +62,69 @@ def _contract_all_axes(values, matrix):
     return out
 
 
-def analyze(values, basis):
-    """Hermite coefficients of samples given on the quadrature node mesh."""
-    q = quadrature(basis)
-    values = np.asarray(values, dtype=complex).reshape(
-        (len(q.nodes),) * basis.dim)
+def _degree_cap(tensor):
+    return tensor.shape[0] - 1
+
+
+def analyze(values, dim, degree_cap):
+    """Hermite coefficients of samples given on the quadrature node mesh,
+    0 above total degree degree_cap."""
+    q = quadrature(dim, degree_cap)
+    values = np.asarray(values, dtype=complex).reshape((len(q.nodes),) * dim)
     tensor = _contract_all_axes(values, q.analysis)
-    return HermiteCoeffs(basis, tensor)
+    return np.where(q.levels <= degree_cap, tensor, 0.0)
 
 
-def synthesize(coeffs):
+def synthesize(tensor):
     """Evaluate the coefficient tensor back on the quadrature node mesh."""
-    return _contract_all_axes(coeffs.tensor, quadrature(coeffs.basis).table.T)
+    q = quadrature(tensor.ndim, _degree_cap(tensor))
+    return _contract_all_axes(tensor, q.table.T)
 
 
-def oscillator_heat_coeffs(coeffs, t, beta):
+def oscillator_heat_coeffs(tensor, t, beta):
     """Heat flow of the fractional oscillator applied in coefficient space."""
-    basis = coeffs.basis
-    return HermiteCoeffs(basis,
-                         heat_coeff_factors(basis, t, beta) * coeffs.tensor)
+    levels = level_mesh(tensor.ndim, _degree_cap(tensor))
+    return heat_coeff_factors(levels, t, beta) * tensor
 
 
-def oscillator_heat(values, t, beta, basis):
+def oscillator_heat(values, t, beta, dim, degree_cap):
     """Level-by-level spectral multiplier exp(-t (2k+d)^beta) on node
     samples: analysis, the flow on the coefficients, synthesis."""
-    return synthesize(oscillator_heat_coeffs(analyze(values, basis), t, beta))
+    return synthesize(oscillator_heat_coeffs(
+        analyze(values, dim, degree_cap), t, beta))
 
 
-def synthesize_at(coeffs, axis_points):
+def synthesize_at(tensor, axis_points):
     """Evaluate the expansion on the product mesh of arbitrary per-axis
     points: the per-function oracle of the stacked synthesis, also used by
     test_torus."""
-    basis = coeffs.basis
-    table = hermite_table(basis.degree_cap, np.asarray(axis_points, dtype=float))
-    return _contract_all_axes(coeffs.tensor, table.T)
+    table = hermite_table(_degree_cap(tensor),
+                          np.asarray(axis_points, dtype=float))
+    return _contract_all_axes(tensor, table.T)
 
 
-def coeff_unit(basis, *level_weights):
+def coeff_unit(degree_cap, *level_weights):
     """Coefficient tensor with prescribed (level, weight) entries (d = 1)."""
-    tensor = np.zeros(basis.coeff_shape, dtype=complex)
+    tensor = np.zeros(degree_cap + 1, dtype=complex)
     for level, weight in level_weights:
         tensor[level] = weight
-    return HermiteCoeffs(basis, tensor)
+    return tensor
+
+
+def masked_draws(dim, degree_cap, count, seed, below):
+    """The construction the coefficient stacks replaced: per tensor of the
+    (degree_cap + 1)^dim cube, standard normal draws on the total degrees
+    below `below`, one tensor after another from one stream, then every
+    entry above total degree degree_cap set to 0."""
+    level = sum(np.indices((degree_cap + 1,) * dim))
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        tensor = np.zeros(level.shape, dtype=complex)
+        tensor[level < below] = rng.standard_normal(
+            int(np.count_nonzero(level < below)))
+        out.append(np.where(level <= degree_cap, tensor, 0.0))
+    return np.stack(out)
 
 
 class TestHermiteFunctions:
@@ -130,111 +157,108 @@ class TestHermiteFunctions:
 
 
 class TestBasis:
-    def test_orthonormality_d1_k60(self, basis60):
-        gram = gram_matrix(basis60)
+    def test_orthonormality_d1_k60(self):
+        gram = gram_matrix(1, 60)
         assert np.max(np.abs(gram - np.eye(61))) <= 1e-10
 
     def test_orthonormality_d2_k20(self):
-        basis = HermiteBasis(2, 20)
-        gram = gram_matrix(basis)  # separable quadrature: per-axis suffices
+        gram = gram_matrix(2, 20)  # separable quadrature: per-axis suffices
         assert np.max(np.abs(gram - np.eye(21))) <= 1e-10
 
     def test_eigenvalues_and_level_dimensions(self):
         # level k of H in d = 2: eigenvalue 2k + 2, dimension k + 1
-        basis = HermiteBasis(2, 6)
-        factors = heat_coeff_factors(basis, 1.0, 1.0)
+        levels = level_mesh(2, 6)
+        factors = heat_coeff_factors(levels, 1.0, 1.0)
         for level in range(7):
-            at_level = basis.level_mesh == level
+            at_level = levels == level
             assert np.count_nonzero(at_level) == level + 1
             np.testing.assert_allclose(factors[at_level],
                                        math.exp(-(2 * level + 2)), rtol=1e-15)
 
 
 class TestAnalyzeSynthesize:
-    def test_ground_state_coefficients(self, basis16):
-        vals = quadrature(basis16).table[0]
-        c = analyze(vals, basis16)
-        assert c.tensor[0].real == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(c.tensor.ravel()[1:])) <= 1e-10
+    def test_ground_state_coefficients(self):
+        vals = quadrature(1, 16).table[0]
+        c = analyze(vals, 1, 16)
+        assert c[0].real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(c.ravel()[1:])) <= 1e-10
 
-    def test_two_mode_combination(self, basis16):
-        table = quadrature(basis16).table
+    def test_two_mode_combination(self):
+        table = quadrature(1, 16).table
         vals = 3.0 * table[2] + 4.0 * table[5]
-        c = analyze(vals, basis16)
-        assert c.tensor[2].real == pytest.approx(3.0, abs=1e-10)
-        assert c.tensor[5].real == pytest.approx(4.0, abs=1e-10)
+        c = analyze(vals, 1, 16)
+        assert c[2].real == pytest.approx(3.0, abs=1e-10)
+        assert c[5].real == pytest.approx(4.0, abs=1e-10)
         back = synthesize(c)
         np.testing.assert_allclose(back, vals, atol=1e-10)
 
-    def test_polynomial_gaussian_roundtrip(self, basis16):
+    def test_polynomial_gaussian_roundtrip(self):
         rng = np.random.default_rng(4)
-        coeffs = rng.standard_normal(basis16.degree_cap - 1)
-        nodes = quadrature(basis16).nodes
+        coeffs = rng.standard_normal(16 - 1)
+        nodes = quadrature(1, 16).nodes
         poly = np.polynomial.polynomial.polyval(nodes, coeffs)
         vals = poly * np.exp(-nodes ** 2 / 2)
-        back = synthesize(analyze(vals, basis16))
+        back = synthesize(analyze(vals, 1, 16))
         scale = np.max(np.abs(vals))
         np.testing.assert_allclose(back, vals, atol=1e-8 * scale)
 
     def test_2d_separable_function(self):
-        basis = HermiteBasis(2, 10)
-        t1 = hermite_table(10, quadrature(basis).nodes)
+        t1 = hermite_table(10, quadrature(2, 10).nodes)
         vals = np.multiply.outer(t1[3], t1[2])
-        c = analyze(vals, basis)
-        assert c.tensor[3, 2].real == pytest.approx(1.0, abs=1e-10)
-        assert np.sum(np.abs(c.tensor) > 1e-8) == 1
+        c = analyze(vals, 2, 10)
+        assert c[3, 2].real == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(np.abs(c) > 1e-8) == 1
 
-    def test_synthesize_at_matches_nodes(self, basis16):
-        c = coeff_unit(basis16, (0, 1.0), (4, -2.0))
-        at_nodes = synthesize_at(c, quadrature(basis16).nodes)
+    def test_synthesize_at_matches_nodes(self):
+        c = coeff_unit(16, (0, 1.0), (4, -2.0))
+        at_nodes = synthesize_at(c, quadrature(1, 16).nodes)
         np.testing.assert_allclose(at_nodes, synthesize(c), atol=1e-12)
 
 
 class TestOscillatorHeat:
-    def test_ground_state_eigenvalue(self, basis16):
-        ground = quadrature(basis16).table[0]
-        out = oscillator_heat(ground, 1.3, 2.0, basis16)
+    def test_ground_state_eigenvalue(self):
+        ground = quadrature(1, 16).table[0]
+        out = oscillator_heat(ground, 1.3, 2.0, 1, 16)
         np.testing.assert_allclose(out, math.exp(-1.3) * ground, atol=1e-12)
 
-    def test_time_zero_identity(self, basis16):
-        table = quadrature(basis16).table
+    def test_time_zero_identity(self):
+        table = quadrature(1, 16).table
         vals = table[0] + 0.5 * table[3]
-        np.testing.assert_allclose(oscillator_heat(vals, 0.0, 1.0, basis16),
+        np.testing.assert_allclose(oscillator_heat(vals, 0.0, 1.0, 1, 16),
                                    vals, atol=1e-12)
 
-    def test_two_level_closed_form(self, basis16):
-        table = quadrature(basis16).table
+    def test_two_level_closed_form(self):
+        table = quadrature(1, 16).table
         vals = table[0] + table[1]
-        out = oscillator_heat(vals, 1.0, 1.0, basis16)
+        out = oscillator_heat(vals, 1.0, 1.0, 1, 16)
         want = math.exp(-1) * table[0] + math.exp(-3) * table[1]
         assert math.exp(-1) == pytest.approx(0.3678794, abs=1e-7)
         assert math.exp(-3) == pytest.approx(0.0497871, abs=1e-7)
         np.testing.assert_allclose(out, want, atol=1e-10)
 
-    def test_semigroup(self, basis16):
+    def test_semigroup(self):
         rng = np.random.default_rng(2)
-        c = HermiteCoeffs(basis16, rng.standard_normal(basis16.coeff_shape)
-                          * basis16.level_mask)
+        c = rng.standard_normal(17).astype(complex)
         vals = synthesize(c)
-        a = oscillator_heat(oscillator_heat(vals, 0.4, 1.5, basis16), 0.6,
-                            1.5, basis16)
-        b = oscillator_heat(vals, 1.0, 1.5, basis16)
+        a = oscillator_heat(oscillator_heat(vals, 0.4, 1.5, 1, 16), 0.6,
+                            1.5, 1, 16)
+        b = oscillator_heat(vals, 1.0, 1.5, 1, 16)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
-    def test_l2_contraction_sharp_on_ground_state(self, basis16):
-        c = coeff_unit(basis16, (0, 1.0), (5, 0.7))
+    def test_l2_contraction_sharp_on_ground_state(self):
+        c = coeff_unit(16, (0, 1.0), (5, 0.7))
         heated = oscillator_heat_coeffs(c, 0.8, 1.0)
-        assert (np.linalg.norm(heated.tensor)
-                <= math.exp(-0.8) * np.linalg.norm(c.tensor) + 1e-12)
-        ground = coeff_unit(basis16, (0, 1.0))
+        assert (np.linalg.norm(heated)
+                <= math.exp(-0.8) * np.linalg.norm(c) + 1e-12)
+        ground = coeff_unit(16, (0, 1.0))
         heated0 = oscillator_heat_coeffs(ground, 0.8, 1.0)
-        assert np.linalg.norm(heated0.tensor) == pytest.approx(math.exp(-0.8),
-                                                               rel=1e-12)
+        assert np.linalg.norm(heated0) == pytest.approx(math.exp(-0.8),
+                                                        rel=1e-12)
 
-    def test_negative_time_rejected(self, basis16):
+    def test_negative_time_rejected(self):
         # heat_coeff_factors rejects it
         with pytest.raises(ValueError):
-            oscillator_heat(quadrature(basis16).table[0], -0.1, 1.0, basis16)
+            oscillator_heat(quadrature(1, 16).table[0], -0.1, 1.0, 1, 16)
 
 
 class TestEigenSums:
@@ -299,6 +323,38 @@ class TestEigenSums:
         with pytest.raises(OverflowError):
             eigen_sum(200, 1.0, 0.5)
 
+    def test_huge_dimension_overflows_before_summing(self, monkeypatch):
+        # C(4094 + d, d - 1) at d = 10^7 is far beyond the float range:
+        # summing took d passes over the first block to find it
+        def no_shells(*args):
+            raise AssertionError("shells summed")
+
+        monkeypatch.setattr(hermite, "_shell_terms", no_shells)
+        with pytest.raises(OverflowError):
+            eigen_sum(10 ** 7, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d", range(160, 200, 3))
+    def test_early_overflow_only_where_the_block_overflows(self, monkeypatch,
+                                                           d):
+        # around the float range's edge (the first block overflows from
+        # d = 170 on) the lgamma check must stay silent wherever the
+        # block's multiplicities are finite, so every d that summed still
+        # sums, through the same shells
+        shell_terms = hermite._shell_terms
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return shell_terms(*args)
+
+        monkeypatch.setattr(hermite, "_shell_terms", spy)
+        try:
+            eigen_sum(d, 1.0, 1.0)
+        except OverflowError:
+            if not calls:
+                with pytest.raises(OverflowError):
+                    shell_terms(d, 2.0, 1.0, 0, 4096)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             eigen_sum(1, 1.0, 0.0)
@@ -315,7 +371,7 @@ def oracle_decay_profile(coeffs, beta, p, t_grid, partition):
         vals = synthesize_at(c, grid.x_axis)
         return mod_norm_decomp(vals, spec, partition)
 
-    d = coeffs.basis.dim
+    d = coeffs.ndim
     base = norm(coeffs)
     rows = []
     for t in t_grid:
@@ -342,8 +398,7 @@ class TestDecayProfile:
             grid, degree = SpectralGrid(1, 192, 12.0), 16
         else:
             grid, degree = SpectralGrid(2, 24, 6.0), 6
-        basis = HermiteBasis(dim, degree)
-        (_, coeffs), = hermite_coeff_family(basis, 1, seed=3)
+        coeffs, = hermite_coeff_family(dim, degree, 1, seed=3)
         part = UniformPartition(grid)
         t_grid = [0.05, 0.2, 0.7, 1.5, 2.5, 3.0, 4.5]
         if cap is not None:
@@ -358,23 +413,22 @@ class TestDecayProfile:
                                        [r[1:] for r in want], rtol=1e-13,
                                        atol=0)
 
-    def test_grid_dimension_must_match_basis(self, basis16):
+    def test_grid_dimension_must_match_basis(self):
         grid = SpectralGrid(2, 16, 4.0)
         with pytest.raises(ValueError):
-            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0], [0.5],
+            decay_profile(coeff_unit(16, (0, 1.0)), 1.0, [2.0], [0.5],
                           UniformPartition(grid))
 
-    def test_ground_state_ratio_is_power_law(self, basis16, hpart):
-        coeffs = coeff_unit(basis16, (0, 1.0))
+    def test_ground_state_ratio_is_power_law(self, hpart):
+        coeffs = coeff_unit(16, (0, 1.0))
         rows, = decay_profile(coeffs, 1.0, [2.0], [0.1, 1.0, 2.0], hpart)
         for t, _, ratio in rows:
             assert ratio == pytest.approx(t, rel=1e-8)
 
-    def test_multi_level_bounded_and_slope(self, basis16, hpart):
+    def test_multi_level_bounded_and_slope(self, hpart):
         rng = np.random.default_rng(11)
-        tensor = np.zeros(basis16.coeff_shape, dtype=complex)
-        tensor[:11] = rng.standard_normal(11)
-        coeffs = HermiteCoeffs(basis16, tensor)
+        coeffs = np.zeros(17, dtype=complex)
+        coeffs[:11] = rng.standard_normal(11)
         t_grid = np.concatenate([np.geomspace(0.05, 2.5, 12),
                                  np.linspace(3.0, 5.0, 9)])
         for beta in (1.0, 2.0):
@@ -386,21 +440,59 @@ class TestDecayProfile:
                 slope = np.polyfit(ts, np.log(ns), 1)[0]
                 assert slope == pytest.approx(-1.0, rel=0.02)
 
-    def test_negative_time_rejected(self, basis16, hpart):
+    def test_negative_time_rejected(self, hpart):
         with pytest.raises(ValueError):
-            decay_profile(coeff_unit(basis16, (0, 1.0)), 1.0, [2.0],
+            decay_profile(coeff_unit(16, (0, 1.0)), 1.0, [2.0],
                           [0.5, -0.1], hpart)
 
-    def test_zero_data_rejected(self, basis16, hpart):
-        coeffs = coeff_unit(basis16)
+    def test_zero_data_rejected(self, hpart):
+        coeffs = coeff_unit(16)
         with pytest.raises(ZeroNormError, match="p = 2.0"):
             decay_profile(coeffs, 1.0, [2.0], [0.5], hpart)
 
 
+class Captured(Exception):
+    """Raised by a stand-in to stop a CLI run at the captured call."""
+
+
 class TestCorpusHelpers:
-    def test_family_is_deterministic(self, basis16):
-        a = hermite_coeff_family(basis16, 3, seed=5)
-        b = hermite_coeff_family(basis16, 3, seed=5)
-        for (la, ca), (lb, cb) in zip(a, b):
-            assert la == lb
-            np.testing.assert_array_equal(ca.tensor, cb.tensor)
+    def test_family_is_deterministic(self):
+        a = hermite_coeff_family(1, 16, 3, seed=5)
+        b = hermite_coeff_family(1, 16, 3, seed=5)
+        assert a.shape == (3, 17)
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("cap", [5, 16])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_family_matches_masked_draws(self, dim, cap):
+        # draws on total degrees up to 10, then 0 above the cap, bit for bit
+        got = hermite_coeff_family(dim, cap, 4, seed=42)
+        want = masked_draws(dim, cap, 4, 42, 11)
+        assert got.shape == (4,) + (cap + 1,) * dim
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("levels", [3, 11])
+    @pytest.mark.parametrize("cap", [5, 16])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cmd_hermite_data_matches_masked_draws(self, tmp_path,
+                                                    monkeypatch, dim, cap,
+                                                    levels):
+        # the CLI's data: draws on total degrees below coeff_levels, then
+        # 0 above degree_cap, bit for bit; the run stops at its first
+        # decay profile
+        tensors = []
+
+        def capture(tensor, *args):
+            tensors.append(tensor)
+            raise Captured
+
+        monkeypatch.setattr(cli, "decay_profile", capture)
+        grid = {"dim": dim, "points_per_axis": 192 if dim == 1 else 24,
+                "half_width": 12.0 if dim == 1 else 6.0}
+        cfg = write_config(tmp_path / "hermite.json", hermite_config(
+            seed=7, grid=grid, degree_cap=cap, coeff_levels=levels))
+        with pytest.raises(Captured):
+            cli.main(["hermite", "--config", cfg, "--out",
+                      str(tmp_path / "out")])
+        want = masked_draws(dim, cap, 1, 7, levels)[0]
+        assert tensors[0].tobytes() == want.tobytes()

@@ -151,3 +151,29 @@ def test_no_test_only_public_api():
             if name not in used:
                 unused.append(f"{path.stem}.{qualified}")
     assert unused == []
+
+
+def _unused_imports(tree):
+    """Names a module imports (the bound name: the alias, or the first part
+    of a dotted `import a.b`) that no ast.Name of it reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names
+                         if a.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # no module of src/modheat, tools/ or tests/ imports a name it never
+    # uses, so a deletion cannot leave an import of the deleted code behind
+    unused = []
+    for folder in ("src/modheat", "tools", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            unused += [f"{path.relative_to(ROOT)}: {name}" for name in
+                       _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []

@@ -15,9 +15,9 @@ import numpy as np
 
 from modheat.corpus import (band_limited, hermite_coeff_family, mixed_family,
                             propagation_corpus)
-from modheat.heat import (BlowupHypothesis, HeatProblem,
-                          lower_bound_envelope, picard_terms, plateau_data)
-from modheat.hermite import HermiteBasis, HermiteCoeffs, decay_profile
+from modheat.heat import (BlowupHypothesis, HeatProblem, domination_ratios,
+                          picard_terms, plateau_data)
+from modheat.hermite import decay_profile
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              algebra_defect, mod_norms_from_frequency,
                              mod_norms_stft)
@@ -69,20 +69,12 @@ def main():
     h = BlowupHypothesis(gamma=gam, r=1.0, beta=2.0, k=2, d=1)
     pr = HeatProblem(2.0, 2, g, plateau_data(g, gam, 1.0))
     tg = np.linspace(0, 0.25, 33)
-    res = picard_terms(pr, 6, tg, part)
-    ball = g.freq_magnitude <= 1.0
-    worst = math.inf
-    for pos, idx in enumerate(res.term_indices):
-        for ti in range(1, len(tg)):
-            uhat = res.spectra[pos][ti]
-            env = lower_bound_envelope(h, idx, tg[ti], g)
-            worst = min(worst, float((uhat.real[ball] / env[ball]).min()))
+    worst = min(domination_ratios(h, picard_terms(pr, 6, tg, part)))
     print(f"PICARD_DOMINATION worst ratio: {worst:.4f} (S >= {1 / worst:.3f})")
 
     grid = SpectralGrid(1, 192, 12.0)
     partg = UniformPartition(grid)
-    basis = HermiteBasis(1, 16)
-    fam = hermite_coeff_family(basis, 8, seed=42, max_level=10)
+    fam = hermite_coeff_family(1, 16, 8, seed=42)
     torus = SpectralGrid(1, 64, math.pi)
     need = 0.0
     for beta, t in [(1.0, 1.0), (2.0, 0.5)]:
@@ -92,13 +84,12 @@ def main():
     print(f"TRANSFER max ratio/young: {need:.5f}")
 
     rng = np.random.default_rng(11)
-    tensor = np.zeros(basis.coeff_shape, dtype=complex)
+    tensor = np.zeros(17, dtype=complex)
     tensor[:11] = rng.standard_normal(11)
-    f = HermiteCoeffs(basis, tensor)
     tgrid = np.concatenate([np.geomspace(0.05, 2.5, 12), np.linspace(3, 5, 9)])
     sup_all = 0.0
     for beta in (1.0, 2.0):
-        for rows in decay_profile(f, beta, [1.0, 2.0, 4.0], tgrid, partg):
+        for rows in decay_profile(tensor, beta, [1.0, 2.0, 4.0], tgrid, partg):
             sup_all = max(sup_all, max(r[2] for r in rows))
     print(f"DECAY_PROFILE sup ratio: {sup_all:.4f}")
 
