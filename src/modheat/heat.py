@@ -185,9 +185,11 @@ def solve(problem, config, partition=None):
     without the padding and cropping.  Steps run in chunks of
     SOLVE_BATCH_VALUES // grid.size (at least one): a chunk runs only the
     ETD steps, then gathers its band once and takes the norms, FL^1 and sup
-    norms of all its steps in one stacked call each.  Steps a chunk
-    computed past the detection are dropped and counted in
-    steps_discarded.
+    norms of all its steps in one stacked call each.  Finiteness is
+    checked once per chunk, on that band gather, and the chunk is cut at
+    its first non-finite step.  Steps a chunk computed past the detection
+    are dropped and counted in steps_discarded, up to that first
+    non-finite one.
     """
     g = problem.grid
     per_chunk = check_lattice(g, problem.k)
@@ -199,23 +201,23 @@ def solve(problem, config, partition=None):
     with np.errstate(over="ignore"):
         z = config.dt * g.freq_magnitude ** problem.beta
     decay = _to_fine_slots(g, np.exp(-z), fine)
-    w1 = _to_fine_slots(g, config.dt * phi1(z), fine)
-    w2 = (_to_fine_slots(g, config.dt * phi2(z), fine)
+    # the weights carry source_sign (exact: a negation)
+    sign = problem.source_sign
+    w1 = _to_fine_slots(g, sign * config.dt * phi1(z), fine)
+    w2 = (_to_fine_slots(g, sign * config.dt * phi2(z), fine)
           if config.scheme == "ETD2" else None)
     work = np.empty(fine.shape, complex)
 
     def source(u, out):
-        """source_sign * u^k in out's band slots: padded_inverse, the
-        power and cropped_forward without leaving the fine lattice.  out
-        starts zeroed, and the slots off the band stay 0."""
+        """u^k in out's band slots: padded_inverse, the power and
+        cropped_forward without leaving the fine lattice.  out starts
+        zeroed, and the slots off the band stay 0."""
         a = np.multiply(u, fine_factor, out=work)
         _per_axis(np.fft.ifft, a, g.dim, out=a)
         a **= problem.k
         _per_axis(np.fft.fft, a, g.dim, out=a)
         # like the crop, ignores whatever overflows off the band
-        np.divide(a, fine_factor, out=out, where=band)
-        out *= problem.source_sign
-        return out
+        return np.divide(a, fine_factor, out=out, where=band)
 
     u_hat = forward_values(g, problem.u0)
     spec = problem.norm_spec
@@ -247,21 +249,31 @@ def solve(problem, config, partition=None):
         chunk_times = []
         # steps past the detection are dropped, and may overflow meanwhile
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(chunk_times) < min(len(hats), n_steps - step):
+            for new in hats[:min(len(hats), n_steps - step)]:
                 source(u, n_vals)
                 # u may be this slot (one-step chunks): it is read first
-                new = np.multiply(decay, u, out=hats[len(chunk_times)])
-                new += w1 * n_vals
-                if w2 is not None:
-                    new += w2 * (source(new, n_stage) - n_vals)
-                t += config.dt
-                computed += 1
-                if not np.isfinite(new).all():
-                    stop = "overflow"
-                    break
+                np.multiply(decay, u, out=new)
+                if w2 is None:
+                    new += np.multiply(n_vals, w1, out=n_vals)
+                else:
+                    new += w1 * n_vals
+                    stage = source(new, n_stage)
+                    stage -= n_vals
+                    new += np.multiply(stage, w2, out=stage)
                 u = new
+                t += config.dt
                 chunk_times.append(t)
             chunk = hats[:len(chunk_times)][band_index]
+            # every slot off the band is 0: a chunk that overflows ends at
+            # its first non-finite step, the last one counted as computed
+            finite = np.isfinite(chunk).all(axis=lattice)
+            if finite.all():
+                computed += len(chunk)
+            else:
+                stop = "overflow"
+                bad = int(np.argmin(finite))
+                computed += bad + 1
+                chunk_times, chunk = chunk_times[:bad], chunk[:bad]
             if len(chunk):
                 chunk_norms = mod_norms_from_frequency(
                     chunk, [spec], partition)[0]

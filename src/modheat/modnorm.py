@@ -20,11 +20,17 @@ raise peak memory over repeated runs.  The transform stays in DFT order
 (its scale and phase are multiplied in that order), and |V_g f|^p of a
 batch is added to the running sum in one reduction over the shifts,
 seeded with that sum, which adds the shifts in the order a loop over them
-would; the sums go back to natural order once, at the end.  The
-spectrogram does not depend on (p, q, s), so one pass over it serves a
-whole list of specs (mod_norms_stft).  The two estimators
-agree up to an equivalence constant that is measured once and frozen as a
-regression value (no explicit constant is available analytically).
+would; the sums go back to natural order once, at the end.  When f and the
+window are real (the heat flows and the default Gaussian window are),
+V_g f(x, -y) is the conjugate of V_g f(x, y): the last axis is then
+transformed by a real FFT, only its bins 0 .. M/2 are powered, from
+|V|^2 = re^2 + im^2, and the sums are mirrored to the other half of the
+lattice; those norms match the complex path, which serves every other
+input, to roundoff rather than bit for bit.  The spectrogram does not
+depend on (p, q, s), so one pass over it serves a whole list of specs
+(mod_norms_stft).  The two estimators agree up to an equivalence constant
+that is measured once and frozen as a regression value (no explicit
+constant is available analytically).
 
 The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
 need not evaluate every function at p != 2.  On the box every block obeys
@@ -44,6 +50,7 @@ do not depend on evaluation schedule.
 from dataclasses import dataclass
 from itertools import product
 import math
+import operator
 
 import numpy as np
 
@@ -451,12 +458,24 @@ def max_mod_norm(values, spec, partition):
 # -- STFT-side norm -------------------------------------------------------------
 
 
+def _positive_int(value, name):
+    """value as an int >= 1, else ValueError naming it."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = 0
+    if number < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return number
+
+
 class STFTPlan:
     """Window plus phase-space sampling steps for the STFT estimator.
 
     x is sampled on a sub-lattice of the physical grid (step a = stride * h)
     and y on the dual lattice (step b = pi/L), optionally refined by
-    zero-padding.  The window is L^2-normalized on the grid.
+    zero-padding.  The window is L^2-normalized on the grid.  x_stride is
+    an integer >= 1, stepped down until it divides the axis length.
     """
 
     def __init__(self, grid, window_values=None, x_stride=None, normalize=True):
@@ -472,33 +491,45 @@ class STFTPlan:
         self.window = w / nrm if normalize else w
         if x_stride is None:
             x_stride = max(1, int(round(0.5 / grid.spacing)))
-        x_stride = int(x_stride)
-        # uniform x quadrature needs the stride to divide the axis length
-        while grid.points_per_axis % x_stride != 0:
-            x_stride -= 1
-        self.x_stride = x_stride
+        self.x_stride = _divisor_below(grid.points_per_axis,
+                                       _positive_int(x_stride, "x_stride"))
 
 
-# Working-set cap of the STFT estimator: complex values in one stacked
-# temporary (64 KiB).  Over repeated runs, transforming every window shift
+def _divisor_below(n, stride):
+    """The largest divisor of n that is at most stride: uniform x
+    quadrature needs the stride to divide the axis length."""
+    while n % stride != 0:
+        stride -= 1
+    return stride
+
+
+# Working-set cap of the STFT estimator: lattice values in one stacked
+# temporary, STFT_BATCH_VALUES // (points of the transform's box) window
+# shifts (64 KiB for complex data; a real stack and its half spectrum hold
+# half as many bytes).  Over repeated runs, transforming every window shift
 # at once raised peak memory by ~9 % and 256 KiB batches by ~3 %; at this
 # size it stays within ~1.5 % of the per-shift loop, at the same speed.
 STFT_BATCH_VALUES = 1 << 12
 
 
-def _stft_batches(values, plan, stride, fine):
+def _stft_batches(values, plan, stride, fine, real=False):
     """V_g f on fine's frequency lattice in DFT order, one batch of window
     shifts at a time.
 
     The shift tuples run through product(range(0, n, stride), repeat=d),
-    last axis fastest; each yielded stack has shape (batch,) + fine.shape
-    and at most STFT_BATCH_VALUES values, or one shift if that is larger.
+    last axis fastest; each yielded stack has shape (batch,) + fine.shape,
+    batch = STFT_BATCH_VALUES // fine.size shifts, or one if that is 0.
     Every stack is a view of one buffer, valid until the next is drawn.
     values are f's physical samples on plan.grid; fine is plan.grid, or a
     box of the same spacing padded with zeros, which samples y more
     finely.  The transforms are forward_values' bit for bit, with its
     dft_order left out: its scale and phase are multiplied in DFT order
     instead.
+
+    real=True, for real f and a real window, yields |V_g f| correctly but
+    not its phase: the last axis is transformed by rfft, so a stack holds
+    its bins 0 .. M/2 only (M = fine.points_per_axis), the mesh's scale is
+    folded into the window once, and its signs are dropped.
     """
     g = plan.grid
     d = g.dim
@@ -509,11 +540,19 @@ def _stft_batches(values, plan, stride, fine):
     batch = min(len(shifts), max(1, STFT_BATCH_VALUES // fine.size))
     # row i of gather shifts the last axis by shifts[i], as np.roll does
     gather = (np.arange(n)[None, :] - shifts[:, None]) % n
-    window = np.conj(plan.window)
     mesh = _factor_meshes(fine)[2]
-    out = np.empty((batch,) + fine.shape, dtype=complex)
+    if real:
+        values = values.real
+        # every entry of the mesh is +-scale
+        window = plan.window.real * abs(mesh.flat[0])
+        spectrum = fine.shape[:-1] + (fine.points_per_axis // 2 + 1,)
+    else:
+        window = np.conj(plan.window)
+        spectrum = fine.shape
+    out = np.empty((batch,) + spectrum, dtype=complex)
     # one padded buffer per call: only its centre box is ever written
-    pad = np.zeros((batch,) + fine.shape, dtype=complex) if lo > 0 else None
+    pad = (np.zeros((batch,) + fine.shape, dtype=window.dtype) if lo > 0
+           else None)
     for lead in product(shifts.tolist(), repeat=d - 1):
         rolled = np.roll(window, lead, axis=tuple(range(d - 1))) if lead \
             else window
@@ -524,9 +563,68 @@ def _stft_batches(values, plan, stride, fine):
             else:
                 w = pad[:len(win)]
                 np.multiply(values, win, out=w[box])
-            v = _per_axis(np.fft.fft, w, d, out=out[:len(w)])
-            v *= mesh
+            if real:
+                # the order of _per_axis: last axis first
+                v = np.fft.rfft(w, axis=-1, out=out[:len(w)])
+                for axis in range(-2, -d - 1, -1):
+                    np.fft.fft(v, axis=axis, out=v)
+            else:
+                v = _per_axis(np.fft.fft, w, d, out=out[:len(w)])
+                v *= mesh
             yield v
+
+
+def _unfold(half, m):
+    """Sums over the half spectrum (last-axis bins 0 .. m/2, DFT order) of
+    a real function's |V_g f| on the full lattice: V_g f(x, -y) is the
+    conjugate of V_g f(x, y), so bin (j, k) with k > m/2 holds the sum of
+    bin ((-j) mod m, m - k), j over the leading axes."""
+    mirror = half[..., m // 2 - 1:0:-1]
+    negated = -np.arange(m) % m
+    for axis in range(half.ndim - 1):
+        mirror = np.take(mirror, negated, axis=axis)
+    return np.concatenate([half, mirror], axis=-1)
+
+
+def _stft_inner(values, plan, ps, stride, fine):
+    """{p: sum over the x lattice of |V_g f|^p} on fine's frequency lattice
+    in natural order (the max for p = inf), for every p of ps; the scale
+    a^d of the x quadrature is left out.
+
+    One reduction per batch over its shifts, seeded with the running sum:
+    ((acc + r0) + r1) + ..., the order of adding shift by shift, whatever
+    the batch size.  Real f with a real window takes the half spectrum
+    (_stft_batches' real path) and |V|^p = (|V|^2)^(p/2) from
+    |V|^2 = re^2 + im^2, then unfolds the sums by conjugate symmetry."""
+    values = np.asarray(values)
+    real = not ((np.iscomplexobj(values) and values.imag.any())
+                or plan.window.imag.any())
+    m = fine.points_per_axis
+    shape = fine.shape[:-1] + (m // 2 + 1,) if real else fine.shape
+    inner = {p: np.zeros(shape) for p in ps}
+    # the power each p takes of the magnitudes, |V|^2 (real) or |V|;
+    # NumPy takes ** 0.5 and ** 2 as one sqrt and one square
+    powers = {p: p / 2.0 if real else p for p in inner}
+    # the p whose rows are the magnitudes themselves goes last: it changes
+    # them
+    order = sorted(inner, key=lambda p: powers[p] == 1)
+    for batch in _stft_batches(values, plan, stride, fine, real):
+        # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
+        mags = (np.square(batch.real) + np.square(batch.imag) if real
+                else np.abs(batch))
+        for p in order:
+            acc = inner[p]
+            if np.isinf(p):
+                np.maximum(acc, mags.max(axis=0), out=acc)
+                continue
+            rows = mags if powers[p] == 1 else mags ** powers[p]
+            rows[0] += acc
+            np.add.reduce(rows, axis=0, out=acc)
+    if real:
+        inner = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
+                 for p, acc in inner.items()}
+    # DFT order back to natural order, an exact permutation
+    return {p: dft_order(acc) for p, acc in inner.items()}
 
 
 def mod_norms_stft(values, plan, specs, refine=1):
@@ -534,33 +632,25 @@ def mod_norms_stft(values, plan, specs, refine=1):
     per spec in specs, from one pass over |V_g f|, where values are f's
     physical samples on plan.grid: each batch of window shifts is
     transformed once, and one inner L^p_x sum is accumulated per distinct
-    p, in DFT order until the end."""
+    p, in DFT order until the end.  refine (an integer >= 1) divides the x
+    stride and multiplies the y sampling density.
+
+    When f and plan.window have no nonzero imaginary part, V_g f(x, -y) is
+    the conjugate of V_g f(x, y): only the last axis's bins 0 .. M/2 are
+    transformed (rfft) and powered, and the sums are mirrored to the rest
+    of the lattice.  The norms then agree with the complex path, which
+    serves every other input, to a few units of roundoff (1e-13 relative
+    is tested), not bit for bit."""
+    refine = _positive_int(refine, "refine")
     g = plan.grid
     d = g.dim
     n = g.points_per_axis
-    stride = max(1, plan.x_stride // refine)
-    while n % stride != 0:
-        stride -= 1
+    stride = _divisor_below(n, max(1, plan.x_stride // refine))
     # shifting the window through the full stride orbit enumerates the x
     # lattice; refining y means transforming on a zero-padded box
     fine = SpectralGrid(d, n * refine, g.half_width * refine) if refine > 1 else g
-    inner = {spec.p: np.zeros(fine.shape) for spec in specs}
-    # p = 1 last: its rows are the magnitudes themselves, which it changes
-    order = sorted(inner, key=lambda p: p == 1)
-    for batch in _stft_batches(values, plan, stride, fine):
-        mags = np.abs(batch)
-        for p in order:
-            acc = inner[p]
-            if np.isinf(p):
-                np.maximum(acc, mags.max(axis=0), out=acc)
-                continue
-            # one reduction over the shifts, seeded with the running sum:
-            # ((acc + r0) + r1) + ..., the order of adding row by row
-            rows = mags if p == 1 else mags ** p
-            rows[0] += acc
-            np.add.reduce(rows, axis=0, out=acc)
-    # DFT order back to natural order, an exact permutation
-    inner = {p: dft_order(acc) for p, acc in inner.items()}
+    inner = _stft_inner(values, plan, {spec.p for spec in specs}, stride,
+                        fine)
     a_vol = (stride * g.spacing) ** d
     # weight and outer q-norm over the y lattice
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)

@@ -733,12 +733,25 @@ STFT_CASES = {"d1": (SpectralGrid(1, 256, 16.0), None),
 
 
 @functools.lru_cache(maxsize=None)
-def _stft_case(name):
-    """Random complex data and a complex, non-symmetric window."""
+def _stft_case(name, kind="complex"):
+    """Random data and a random, non-symmetric window: both complex, or
+    (kind "real") real values stored as complex, as the corpus stores
+    them, and a real window.  "one_imag" is the real case with one
+    imaginary sample added to f, "complex_window" real f with a complex
+    window: both take the complex path."""
     g, x_stride = STFT_CASES[name]
     rng = np.random.default_rng(len(name) + g.dim)
-    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    window = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    if kind == "complex":
+        f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        window = (rng.standard_normal(g.shape)
+                  + 1j * rng.standard_normal(g.shape))
+    else:
+        f = rng.standard_normal(g.shape).astype(complex)
+        window = rng.standard_normal(g.shape)
+        if kind == "one_imag":
+            f.flat[f.size // 3] += 0.5j
+        elif kind == "complex_window":
+            window = window * np.exp(1j * g.x_mesh[..., 0])
     return f, STFTPlan(g, window, x_stride=x_stride)
 
 
@@ -750,9 +763,9 @@ def _stride(plan, refine):
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_stft_rows(name, refine):
+def _oracle_stft_rows(name, refine, kind="complex"):
     """V_g f per window shift: one np.roll and one forward_values each."""
-    f, plan = _stft_case(name)
+    f, plan = _stft_case(name, kind)
     g = plan.grid
     n = g.points_per_axis
     big = SpectralGrid(g.dim, n * refine, g.half_width * refine)
@@ -766,18 +779,26 @@ def _oracle_stft_rows(name, refine):
     return big, rows
 
 
-def _oracle_stft_norm(name, spec, refine):
-    """One spec's STFT norm as a loop over window shifts, summed in shift
-    order."""
-    f, plan = _stft_case(name)
-    fine, rows = _oracle_stft_rows(name, refine)
+def _oracle_stft_inner(name, p, refine, kind="complex"):
+    """Sum over the window shifts of |V_g f|^p (max at p = inf), shift by
+    shift, in natural order."""
+    fine, rows = _oracle_stft_rows(name, refine, kind)
     inner = np.zeros(fine.shape)
     for row in rows:
         a = np.abs(row)
-        if np.isinf(spec.p):
+        if np.isinf(p):
             np.maximum(inner, a, out=inner)
         else:
-            inner += a ** spec.p
+            inner += a ** p
+    return inner
+
+
+def _oracle_stft_norm(name, spec, refine, kind="complex"):
+    """One spec's STFT norm as a loop over window shifts, summed in shift
+    order."""
+    f, plan = _stft_case(name, kind)
+    fine, _ = _oracle_stft_rows(name, refine, kind)
+    inner = _oracle_stft_inner(name, spec.p, refine, kind)
     if not np.isinf(spec.p):
         a_vol = (_stride(plan, refine) * plan.grid.spacing) ** plan.grid.dim
         inner = (a_vol * inner) ** (1.0 / spec.p)
@@ -873,6 +894,88 @@ class TestSTFTEngine:
             x = [(s if s < n // 2 else s - n) * g.spacing for s in positions[k]]
             y = [fine.freq_axis[i] for i in m]
             assert abs(rows[(k,) + m] - stft(f, plan, x, y)) <= 1e-12 * scale
+
+
+# -- real data with a real window: the half spectrum, mirrored ----------------
+
+MULTI_SPECS = [ModNormSpec(*t) for t in (
+    (2.0, 1.0, 0.0), (1.0, 2.0, 1.5), (np.inf, 1.0, 0.0), (2.0, np.inf, 1.5),
+    (4.0, 2.0, 0.0), (1.0, 1.0, 0.0), (np.inf, 2.0, 1.5), (3.0, 2.0, -1.0))]
+
+
+class TestRealSTFT:
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("name", ["d1", "d1_stride", "d2", "d3"])
+    def test_norm_matches_shift_loop(self, name, p, q, s, refine):
+        f, plan = _stft_case(name, "real")
+        spec = ModNormSpec(p, q, s)
+        got = mod_norms_stft(f, plan, [spec], refine)[0]
+        want = _oracle_stft_norm(name, spec, refine, "real")
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d1_stride", "d2", "d3"])
+    def test_mirrored_sums_match_shift_loop(self, name, refine):
+        # every bin of the unfolded sums, not only the norms, which a
+        # mirror that misplaces bins within an orbit of y -> -y keeps
+        f, plan = _stft_case(name, "real")
+        ps = (1.0, 2.0, 3.0, np.inf)
+        fine, _ = _oracle_stft_rows(name, refine, "real")
+        got = modnorm._stft_inner(f, plan, ps, _stride(plan, refine), fine)
+        for p in ps:
+            want = _oracle_stft_inner(name, p, refine, "real")
+            np.testing.assert_allclose(got[p], want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_many_specs_match_one_at_a_time(self, name, refine):
+        f, plan = _stft_case(name, "real")
+        want = [mod_norms_stft(f, plan, [spec], refine)[0]
+                for spec in MULTI_SPECS]
+        assert mod_norms_stft(f, plan, MULTI_SPECS, refine) == want
+
+    @pytest.mark.parametrize("cap", [1, 3 * 512, 1 << 30])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_batch_size_does_not_change_result(self, monkeypatch, name, cap):
+        # one shift per batch; three at d = 1 (the last of the 128 shifts'
+        # batches holds two); every shift of a leading-axis tuple at once
+        f, plan = _stft_case(name, "real")
+        want = mod_norms_stft(f, plan, MULTI_SPECS, 2)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
+        assert mod_norms_stft(f, plan, MULTI_SPECS, 2) == want
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("kind", ["one_imag", "complex_window"])
+    def test_complex_input_takes_complex_path(self, kind, refine):
+        # bit for bit with the shift loop, as only the complex path is
+        f, plan = _stft_case("d1", kind)
+        specs = [ModNormSpec(p, 2.0, 1.5) for p in (4.0, 1.0, np.inf, 2.0)]
+        want = [_oracle_stft_norm("d1", spec, refine, kind) for spec in specs]
+        assert mod_norms_stft(f, plan, specs, refine) == want
+
+    def test_real_dtype_input(self):
+        f, plan = _stft_case("d2", "real")
+        assert (mod_norms_stft(f.real, plan, MULTI_SPECS, 2)
+                == mod_norms_stft(f, plan, MULTI_SPECS, 2))
+
+
+class TestSTFTArguments:
+    @pytest.mark.parametrize("stride", [0, -3, 1.5, 2.0, "2"])
+    def test_bad_x_stride_rejected(self, grid1, stride):
+        with pytest.raises(ValueError, match="x_stride"):
+            STFTPlan(grid1, x_stride=stride)
+
+    @pytest.mark.parametrize("refine", [0, -1, 1.5, 2.0, None])
+    def test_bad_refine_rejected(self, grid1, plan1, gauss1, refine):
+        with pytest.raises(ValueError, match="refine"):
+            mod_norms_stft(gauss1, plan1, [ModNormSpec()], refine)
+
+    def test_stride_steps_down_to_a_divisor(self, grid1):
+        assert STFTPlan(grid1, x_stride=np.int64(7)).x_stride == 4
+        assert STFTPlan(grid1, x_stride=1000).x_stride == 256
 
 
 def oracle_algebra_defect(f, g, p, partition):
