@@ -588,7 +588,9 @@ def cmd_picard(cfg, seed, rec):
 def cmd_modnorm(cfg, seed, rec):
     grid = _parse_grid(cfg)
     count, max_mode = cfg["corpus_size"], cfg["max_mode"]
-    _bounded(count * grid.size, "'corpus_size' and 'grid'")
+    # the STFT estimator's refine-2 pass takes every function on a box of
+    # (2N)^d values
+    _bounded(count * 2 ** grid.dim * grid.size, "'corpus_size' and 'grid'")
     if max_mode >= grid.points_per_axis // 2:
         raise ConfigError("config field 'max_mode' must be below half of "
                           "grid.'points_per_axis'")
@@ -612,8 +614,8 @@ def cmd_modnorm(cfg, seed, rec):
     # named below
     with np.errstate(over="ignore", invalid="ignore"):
         decomp = mod_norms_from_frequency(hats, specs, partition).T
-        coarse = np.array([mod_norms_stft(f, plan, specs) for f in corpus])
-        fine = np.array([mod_norms_stft(f, plan, specs, 2) for f in corpus])
+        coarse = mod_norms_stft(corpus, plan, specs).T
+        fine = mod_norms_stft(corpus, plan, specs, 2).T
     for i in range(len(specs)):
         norms = np.array([decomp[:, i], coarse[:, i], fine[:, i]])
         if not (np.all(norms > 0) and np.isfinite(norms).all()):

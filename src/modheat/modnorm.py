@@ -12,25 +12,28 @@ specs (mod_norms_from_frequency): the blocks and their magnitudes are
 formed once for every p != 2, and each p's block table once for all specs
 that share it, with the bits of one call per spec.  The second samples the
 short-time Fourier transform against a normalized window and takes the
-mixed L^p_x L^q_y quadrature norm.  The window shifts are not transformed
-one by one: the shifted windows of a batch are gathered into one stack,
-multiplied by f and transformed in a single call into one reused buffer,
-with each stack capped at STFT_BATCH_VALUES values because larger ones
-raise peak memory over repeated runs.  The transform stays in DFT order
-(its scale and phase are multiplied in that order), and |V_g f|^p of a
-batch is added to the running sum in one reduction over the shifts,
-seeded with that sum, which adds the shifts in the order a loop over them
-would; the sums go back to natural order once, at the end.  When f and the
+mixed L^p_x L^q_y quadrature norm, for a whole stack of functions in one
+pass (mod_norms_stft).  The window shifts are not transformed one by one:
+the shifted windows of a batch are gathered once into one stack for a
+group of functions, multiplied by each of them and transformed in a
+single call into one reused buffer, with each (function x shift) stack,
+and each p's sums over a group, capped at STFT_BATCH_VALUES values, so the
+working set does not grow with the stack.  The transform stays in DFT
+order (its scale and phase are multiplied in that order), and |V_g f|^p of
+a batch is added to each function's running sum in one reduction over the
+shifts, seeded with that sum, which adds the shifts in the order a loop
+over them would; the sums go back to natural order once per group, and
+every function's norms are the bits of a call on it alone.  When f and the
 window are real (the heat flows and the default Gaussian window are),
 V_g f(x, -y) is the conjugate of V_g f(x, y): the last axis is then
 transformed by a real FFT, only its bins 0 .. M/2 are powered, from
 |V|^2 = re^2 + im^2, and the sums are mirrored to the other half of the
 lattice; those norms match the complex path, which serves every other
-input, to roundoff rather than bit for bit.  The spectrogram does not
-depend on (p, q, s), so one pass over it serves a whole list of specs
-(mod_norms_stft).  The two estimators agree up to an equivalence constant
-that is measured once and frozen as a regression value (no explicit
-constant is available analytically).
+function, to roundoff rather than bit for bit.  The spectrogram does not
+depend on (p, q, s), so the pass serves a whole list of specs.  The two
+estimators agree up to an equivalence constant that is measured once and
+frozen as a regression value (no explicit constant is available
+analytically).
 
 The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
 need not evaluate every function at p != 2.  On the box every block obeys
@@ -484,7 +487,10 @@ class STFTPlan:
             # default window: L^2-normalized Gaussian
             sq = np.sum(grid.x_mesh ** 2, axis=-1)
             window_values = np.exp(-0.5 * sq)
-        w = np.asarray(window_values, dtype=complex).reshape(grid.shape)
+        w = np.asarray(window_values, dtype=complex)
+        if w.shape != grid.shape:
+            raise ValueError(f"window_values of shape {w.shape} do not have "
+                             f"the grid's shape {grid.shape}")
         nrm = lp_norm(w, grid.spacing ** grid.dim, 2, grid.dim)
         if nrm == 0.0:
             raise ValueError("window must be nonzero")
@@ -503,28 +509,37 @@ def _divisor_below(n, stride):
     return stride
 
 
-# Working-set cap of the STFT estimator: lattice values in one stacked
-# temporary, STFT_BATCH_VALUES // (points of the transform's box) window
-# shifts (64 KiB for complex data; a real stack and its half spectrum hold
-# half as many bytes).  Over repeated runs, transforming every window shift
-# at once raised peak memory by ~9 % and 256 KiB batches by ~3 %; at this
-# size it stays within ~1.5 % of the per-shift loop, at the same speed.
-STFT_BATCH_VALUES = 1 << 12
+# Working-set cap of the STFT estimator: lattice values in one (function x
+# window shift) temporary of the transform's box, and in each distinct p's
+# sums over a group of functions; one function's box when that is larger.
+# 2^14 values (256 KiB of complex values, half as many bytes for real data)
+# put the modnorm corpus's 8 functions in one group.  Median peak memory of
+# repeated estimators runs (4 runs of 8 s per cap, 2-vCPU Xeon host): 41.6
+# MB with one call per function, 41.6-41.7 MB at caps 2^12 .. 2^14, 42.1 MB
+# at 2^15 and 43.4 MB at 2^16; the run time was lowest at 2^14.
+STFT_BATCH_VALUES = 1 << 14
 
 
-def _stft_batches(values, plan, stride, fine, real=False):
-    """V_g f on fine's frequency lattice in DFT order, one batch of window
-    shifts at a time.
+def _stft_batches(stack, index, plan, stride, fine, real=False):
+    """V_g f on fine's frequency lattice in DFT order, for the functions
+    stack[index], a group of functions and a batch of window shifts at a
+    time.
 
-    The shift tuples run through product(range(0, n, stride), repeat=d),
-    last axis fastest; each yielded stack has shape (batch,) + fine.shape,
-    batch = STFT_BATCH_VALUES // fine.size shifts, or one if that is 0.
-    Every stack is a view of one buffer, valid until the next is drawn.
-    values are f's physical samples on plan.grid; fine is plan.grid, or a
-    box of the same spacing padded with zeros, which samples y more
-    finely.  The transforms are forward_values' bit for bit, with its
-    dft_order left out: its scale and phase are multiplied in DFT order
-    instead.
+    stack holds physical samples on plan.grid behind one function axis.
+    Each group holds G = STFT_BATCH_VALUES // fine.size functions of index
+    (at least one), and each batch B = STFT_BATCH_VALUES // (G fine.size)
+    window shifts (at least one), so a (G, B) stack holds at most
+    STFT_BATCH_VALUES values, or one function's box.  Yields (rows,
+    batches) per group, rows its indices into stack and batches an
+    iterator of stacks of shape (len(rows), b) + fine.shape, b <= B: the
+    shift tuples run through product(range(0, n, stride), repeat=d), last
+    axis fastest, and each batch's shifted windows are gathered once for
+    the whole group.  Every stack is a view of one buffer, valid until the
+    next is drawn; the gather index, the mesh and the buffers are made once
+    per call.  fine is plan.grid, or a box of the same spacing padded with
+    zeros, which samples y more finely.  The transforms are
+    forward_values' bit for bit, with its dft_order left out: its scale
+    and phase are multiplied in DFT order instead.
 
     real=True, for real f and a real window, yields |V_g f| correctly but
     not its phase: the last axis is transformed by rfft, so a stack holds
@@ -535,134 +550,188 @@ def _stft_batches(values, plan, stride, fine, real=False):
     d = g.dim
     n = g.points_per_axis
     lo = (fine.points_per_axis - n) // 2
-    box = (slice(None),) + (slice(lo, lo + n),) * d
+    box = (slice(None), slice(None)) + (slice(lo, lo + n),) * d
     shifts = np.arange(0, n, stride)
-    batch = min(len(shifts), max(1, STFT_BATCH_VALUES // fine.size))
+    functions = min(len(index), max(1, STFT_BATCH_VALUES // fine.size))
+    batch = min(len(shifts),
+                max(1, STFT_BATCH_VALUES // (functions * fine.size)))
     # row i of gather shifts the last axis by shifts[i], as np.roll does
     gather = (np.arange(n)[None, :] - shifts[:, None]) % n
     mesh = _factor_meshes(fine)[2]
     if real:
-        values = values.real
+        stack = stack.real
         # every entry of the mesh is +-scale
         window = plan.window.real * abs(mesh.flat[0])
         spectrum = fine.shape[:-1] + (fine.points_per_axis // 2 + 1,)
     else:
         window = np.conj(plan.window)
         spectrum = fine.shape
-    out = np.empty((batch,) + spectrum, dtype=complex)
-    # one padded buffer per call: only its centre box is ever written
-    pad = (np.zeros((batch,) + fine.shape, dtype=window.dtype) if lo > 0
-           else None)
-    for lead in product(shifts.tolist(), repeat=d - 1):
-        rolled = np.roll(window, lead, axis=tuple(range(d - 1))) if lead \
-            else window
-        for start in range(0, len(shifts), batch):
-            win = np.moveaxis(rolled[..., gather[start:start + batch]], -2, 0)
-            if pad is None:
-                w = np.multiply(values, win, out=win)
-            else:
-                w = pad[:len(win)]
-                np.multiply(values, win, out=w[box])
-            if real:
-                # the order of _per_axis: last axis first
-                v = np.fft.rfft(w, axis=-1, out=out[:len(w)])
-                for axis in range(-2, -d - 1, -1):
-                    np.fft.fft(v, axis=axis, out=v)
-            else:
-                v = _per_axis(np.fft.fft, w, d, out=out[:len(w)])
-                v *= mesh
-            yield v
+    # flat (function x shift) rows, so every view below is contiguous and
+    # a row keeps its place: only the centre box of a padded row is ever
+    # written
+    out = np.empty((functions * batch,) + spectrum, dtype=complex)
+    prod = np.zeros((functions * batch,) + fine.shape,
+                    dtype=np.result_type(stack, window))
+
+    def batches(values):
+        for lead in product(shifts.tolist(), repeat=d - 1):
+            rolled = np.roll(window, lead, axis=tuple(range(d - 1))) \
+                if lead else window
+            for start in range(0, len(shifts), batch):
+                win = np.moveaxis(rolled[..., gather[start:start + batch]],
+                                  -2, 0)
+                block = (len(values), len(win))
+                w = prod[:block[0] * block[1]].reshape(block + fine.shape)
+                np.multiply(values[:, None], win, out=w[box])
+                v = out[:block[0] * block[1]].reshape(block + spectrum)
+                if real:
+                    # the order of _per_axis: last axis first
+                    np.fft.rfft(w, axis=-1, out=v)
+                    for axis in range(-2, -d - 1, -1):
+                        np.fft.fft(v, axis=axis, out=v)
+                else:
+                    _per_axis(np.fft.fft, w, d, out=v)
+                    v *= mesh
+                yield v
+
+    for start in range(0, len(index), functions):
+        rows = index[start:start + functions]
+        yield rows, batches(stack[rows])
 
 
 def _unfold(half, m):
     """Sums over the half spectrum (last-axis bins 0 .. m/2, DFT order) of
-    a real function's |V_g f| on the full lattice: V_g f(x, -y) is the
-    conjugate of V_g f(x, y), so bin (j, k) with k > m/2 holds the sum of
-    bin ((-j) mod m, m - k), j over the leading axes."""
+    real functions' |V_g f| on the full lattice, behind one function axis:
+    V_g f(x, -y) is the conjugate of V_g f(x, y), so bin (j, k) with
+    k > m/2 holds the sum of bin ((-j) mod m, m - k), j over the lattice's
+    leading axes."""
     mirror = half[..., m // 2 - 1:0:-1]
     negated = -np.arange(m) % m
-    for axis in range(half.ndim - 1):
+    for axis in range(1, half.ndim - 1):
         mirror = np.take(mirror, negated, axis=axis)
     return np.concatenate([half, mirror], axis=-1)
 
 
-def _stft_inner(values, plan, ps, stride, fine):
-    """{p: sum over the x lattice of |V_g f|^p} on fine's frequency lattice
-    in natural order (the max for p = inf), for every p of ps; the scale
-    a^d of the x quadrature is left out.
+def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
+    """For each of _stft_batches' groups of the functions stack[index],
+    (rows, {p: sums}): the sum over the x lattice of |V_g f|^p on fine's
+    frequency lattice in natural order (the max for p = inf), one row per
+    function of the group, for every p of ps; the scale a^d of the x
+    quadrature is left out.
 
-    One reduction per batch over its shifts, seeded with the running sum:
-    ((acc + r0) + r1) + ..., the order of adding shift by shift, whatever
-    the batch size.  Real f with a real window takes the half spectrum
-    (_stft_batches' real path) and |V|^p = (|V|^2)^(p/2) from
-    |V|^2 = re^2 + im^2, then unfolds the sums by conjugate symmetry."""
-    values = np.asarray(values)
-    real = not ((np.iscomplexobj(values) and values.imag.any())
-                or plan.window.imag.any())
+    A group keeps one accumulator per function and p, and each batch is
+    added to it in one reduction over the batch's shift axis, seeded with
+    the running sum: ((acc + r0) + r1) + ..., the order of adding shift by
+    shift, so a function's sums do not depend on the batch size or on the
+    functions it shares a group with.  real=True (real f, real window)
+    takes the half spectrum (_stft_batches' real path) and
+    |V|^p = (|V|^2)^(p/2) from |V|^2 = re^2 + im^2, then unfolds the sums
+    by conjugate symmetry."""
     m = fine.points_per_axis
     shape = fine.shape[:-1] + (m // 2 + 1,) if real else fine.shape
-    inner = {p: np.zeros(shape) for p in ps}
     # the power each p takes of the magnitudes, |V|^2 (real) or |V|;
     # NumPy takes ** 0.5 and ** 2 as one sqrt and one square
-    powers = {p: p / 2.0 if real else p for p in inner}
+    powers = {p: p / 2.0 if real else p for p in ps}
     # the p whose rows are the magnitudes themselves goes last: it changes
     # them
-    order = sorted(inner, key=lambda p: powers[p] == 1)
-    for batch in _stft_batches(values, plan, stride, fine, real):
-        # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
-        mags = (np.square(batch.real) + np.square(batch.imag) if real
-                else np.abs(batch))
-        for p in order:
-            acc = inner[p]
-            if np.isinf(p):
-                np.maximum(acc, mags.max(axis=0), out=acc)
-                continue
-            rows = mags if powers[p] == 1 else mags ** powers[p]
-            rows[0] += acc
-            np.add.reduce(rows, axis=0, out=acc)
-    if real:
-        inner = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
-                 for p, acc in inner.items()}
-    # DFT order back to natural order, an exact permutation
-    return {p: dft_order(acc) for p, acc in inner.items()}
+    order = sorted(ps, key=lambda p: powers[p] == 1)
+    for rows, batches in _stft_batches(stack, index, plan, stride, fine,
+                                       real):
+        inner = {p: np.zeros((len(rows),) + shape) for p in ps}
+        for batch in batches:
+            # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
+            mags = (np.square(batch.real) + np.square(batch.imag) if real
+                    else np.abs(batch))
+            for p in order:
+                acc = inner[p]
+                if np.isinf(p):
+                    np.maximum(acc, mags.max(axis=1), out=acc)
+                    continue
+                power = mags if powers[p] == 1 else mags ** powers[p]
+                power[:, 0] += acc
+                np.add.reduce(power, axis=1, out=acc)
+        if real:
+            inner = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
+                     for p, acc in inner.items()}
+        # DFT order back to natural order, an exact permutation
+        yield rows, {p: dft_order(acc, axes=range(1, fine.dim + 1))
+                     for p, acc in inner.items()}
+
+
+def _outer_norms(amp, volume_element, q, dim):
+    """lp_norm(amp[i], volume_element, q, dim) of every function i of a
+    stack, bit for bit: the root is taken one function at a time, as a
+    NumPy scalar power, because the array power differs from it in the
+    last bit on some values."""
+    a = np.abs(amp)
+    axes = tuple(range(1, dim + 1))
+    if np.isinf(q):
+        return a.max(axis=axes)
+    sums = volume_element * np.sum(a ** q, axis=axes)
+    return [total ** (1.0 / q) for total in sums]
 
 
 def mod_norms_stft(values, plan, specs, refine=1):
-    """Mixed L^p_x L^q_y quadrature norms of V_g f with weight <y>^s, one
-    per spec in specs, from one pass over |V_g f|, where values are f's
-    physical samples on plan.grid: each batch of window shifts is
-    transformed once, and one inner L^p_x sum is accumulated per distinct
-    p, in DFT order until the end.  refine (an integer >= 1) divides the x
-    stride and multiplies the y sampling density.
+    """Mixed L^p_x L^q_y quadrature norms of V_g f with weight <y>^s, for
+    every function f of a stack: values holds physical samples on
+    plan.grid in its last d axes, behind any stack axes, and the result
+    has shape (len(specs),) + stack shape, row i at specs[i].  refine (an
+    integer >= 1) divides the x stride and multiplies the y sampling
+    density.
 
-    When f and plan.window have no nonzero imaginary part, V_g f(x, -y) is
-    the conjugate of V_g f(x, y): only the last axis's bins 0 .. M/2 are
-    transformed (rfft) and powered, and the sums are mirrored to the rest
-    of the lattice.  The norms then agree with the complex path, which
-    serves every other input, to a few units of roundoff (1e-13 relative
-    is tested), not bit for bit."""
+    One pass over |V_g f| serves every spec and every function: each batch
+    of window shifts is gathered once for a group of functions and
+    transformed, powered and added to one inner L^p_x sum per function and
+    distinct p, in DFT order until the end (_stft_inner).  The refined
+    grid, its weights (one per distinct s) and the pass's buffers are made
+    once per call.  A function's norms are the bits of a call on it alone.
+
+    Where f and plan.window have no nonzero imaginary part (checked per
+    function), V_g f(x, -y) is the conjugate of V_g f(x, y): only the last
+    axis's bins 0 .. M/2 are transformed (rfft) and powered, and the sums
+    are mirrored to the rest of the lattice.  Those norms agree with the
+    complex path, which serves every other function, to a few units of
+    roundoff (1e-13 relative is tested), not bit for bit.  Values whose
+    last d axes are not plan.grid's shape, or that are not finite, raise
+    ValueError."""
     refine = _positive_int(refine, "refine")
     g = plan.grid
     d = g.dim
+    values = np.asarray(values)
+    if values.shape[-d:] != g.shape:
+        raise ValueError(f"values of shape {values.shape} do not end in "
+                         f"plan.grid's shape {g.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite values in norm input")
+    stack = values.reshape((-1,) + g.shape)
     n = g.points_per_axis
     stride = _divisor_below(n, max(1, plan.x_stride // refine))
     # shifting the window through the full stride orbit enumerates the x
     # lattice; refining y means transforming on a zero-padded box
     fine = SpectralGrid(d, n * refine, g.half_width * refine) if refine > 1 else g
-    inner = _stft_inner(values, plan, {spec.p for spec in specs}, stride,
-                        fine)
     a_vol = (stride * g.spacing) ** d
     # weight and outer q-norm over the y lattice
     ysq = np.sum(fine.freq_mesh ** 2, axis=-1)
+    weights = {s: (1.0 + ysq) ** (s / 2.0)
+               for s in dict.fromkeys(spec.s for spec in specs)}
     b_vol = fine.freq_spacing ** d
-    norms = []
-    for spec in specs:
-        amp = inner[spec.p]
-        if not np.isinf(spec.p):
-            amp = (a_vol * amp) ** (1.0 / spec.p)
-        weight = (1.0 + ysq) ** (spec.s / 2.0)
-        norms.append(lp_norm(amp * weight, b_vol, spec.q, d))
-    return norms
+    ps = list(dict.fromkeys(spec.p for spec in specs))
+    complex_rows = np.full(len(stack), bool(plan.window.imag.any()))
+    if np.iscomplexobj(stack):
+        complex_rows |= stack.imag.reshape(len(stack), g.size).any(axis=1)
+    out = np.empty((len(specs), len(stack)))
+    for real, index in ((True, np.flatnonzero(~complex_rows)),
+                        (False, np.flatnonzero(complex_rows))):
+        if not index.size:
+            continue
+        for rows, inner in _stft_inner(stack, index, plan, ps, stride, fine,
+                                       real):
+            amps = {p: acc if np.isinf(p) else (a_vol * acc) ** (1.0 / p)
+                    for p, acc in inner.items()}
+            for row, spec in zip(out, specs):
+                row[rows] = _outer_norms(amps[spec.p] * weights[spec.s],
+                                         b_vol, spec.q, d)
+    return out.reshape((len(specs),) + values.shape[:values.ndim - d])
 
 
 def stft_resolution_ok(coarse, fine):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from modheat import heat
+from modheat import cli, heat
 from modheat.cli import main
 from modheat.corpus import band_limited, propagation_corpus
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
@@ -221,6 +221,22 @@ class TestModnormCommand:
         cfg["corpus_size"] = 0
         code, _ = run(tmp_path, "modnorm", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("count", [5, 6])
+    def test_corpus_bounded_on_the_refined_box(self, tmp_path, capsys,
+                                               monkeypatch, count):
+        # 32 points, refined to 64 for the STFT's second pass: 5 functions
+        # hold 320 values there; the grid's own check needs 297
+        monkeypatch.setattr(cli, "MAX_LATTICE_VALUES", 320)
+        cfg = dict(self.config(), corpus_size=count, max_mode=3,
+                   grid={"dim": 1, "points_per_axis": 32, "half_width": 16.0})
+        code, _ = run(tmp_path, "modnorm", cfg)
+        err = capsys.readouterr().err
+        if count == 5:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert "'corpus_size'" in err and "above the bound 320" in err
 
     def test_gnuplot_companions(self, tmp_path):
         code, out = run(tmp_path, "modnorm", self.config(), "--gnuplot")

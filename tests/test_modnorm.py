@@ -762,10 +762,9 @@ def _stride(plan, refine):
     return stride
 
 
-@functools.lru_cache(maxsize=None)
-def _oracle_stft_rows(name, refine, kind="complex"):
-    """V_g f per window shift: one np.roll and one forward_values each."""
-    f, plan = _stft_case(name, kind)
+def _shift_loop_rows(f, plan, refine):
+    """The refined grid and V_g f per window shift: one np.roll and one
+    forward_values each."""
     g = plan.grid
     n = g.points_per_axis
     big = SpectralGrid(g.dim, n * refine, g.half_width * refine)
@@ -779,10 +778,9 @@ def _oracle_stft_rows(name, refine, kind="complex"):
     return big, rows
 
 
-def _oracle_stft_inner(name, p, refine, kind="complex"):
+def _shift_loop_inner(fine, rows, p):
     """Sum over the window shifts of |V_g f|^p (max at p = inf), shift by
     shift, in natural order."""
-    fine, rows = _oracle_stft_rows(name, refine, kind)
     inner = np.zeros(fine.shape)
     for row in rows:
         a = np.abs(row)
@@ -793,12 +791,10 @@ def _oracle_stft_inner(name, p, refine, kind="complex"):
     return inner
 
 
-def _oracle_stft_norm(name, spec, refine, kind="complex"):
-    """One spec's STFT norm as a loop over window shifts, summed in shift
+def _shift_loop_norm(plan, refine, fine, rows, spec):
+    """One spec's STFT norm from the per-shift rows, summed in shift
     order."""
-    f, plan = _stft_case(name, kind)
-    fine, _ = _oracle_stft_rows(name, refine, kind)
-    inner = _oracle_stft_inner(name, spec.p, refine, kind)
+    inner = _shift_loop_inner(fine, rows, spec.p)
     if not np.isinf(spec.p):
         a_vol = (_stride(plan, refine) * plan.grid.spacing) ** plan.grid.dim
         inner = (a_vol * inner) ** (1.0 / spec.p)
@@ -808,14 +804,34 @@ def _oracle_stft_norm(name, spec, refine, kind="complex"):
                    spec.q, plan.grid.dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_stft_rows(name, refine, kind="complex"):
+    """_shift_loop_rows of _stft_case(name, kind)."""
+    return _shift_loop_rows(*_stft_case(name, kind), refine)
+
+
+def _oracle_stft_inner(name, p, refine, kind="complex"):
+    """_shift_loop_inner of _stft_case(name, kind)."""
+    return _shift_loop_inner(*_oracle_stft_rows(name, refine, kind), p)
+
+
+def _oracle_stft_norm(name, spec, refine, kind="complex"):
+    """One spec's STFT norm of _stft_case(name, kind) as a loop over window
+    shifts."""
+    _, plan = _stft_case(name, kind)
+    return _shift_loop_norm(plan, refine,
+                            *_oracle_stft_rows(name, refine, kind), spec)
+
+
 def _batched_rows(name, refine):
     """_stft_batches' stacks, each copied out of its buffer and moved from
     DFT order to natural order."""
     f, plan = _stft_case(name)
     fine, _ = _oracle_stft_rows(name, refine)
     axes = range(1, plan.grid.dim + 1)
-    return np.concatenate([dft_order(v, axes=axes) for v in _stft_batches(
-        f, plan, _stride(plan, refine), fine)])
+    (_, batches), = _stft_batches(f[None], np.arange(1), plan,
+                                  _stride(plan, refine), fine)
+    return np.concatenate([dft_order(v[0], axes=axes) for v in batches])
 
 
 class TestSTFTEngine:
@@ -844,7 +860,7 @@ class TestSTFTEngine:
             (2.0, np.inf, 1.5), (4.0, 2.0, 0.0), (1.0, 1.0, 0.0),
             (np.inf, 2.0, 1.5), (2.0, 2.0, -1.0))]
         want = [mod_norms_stft(f, plan, [spec], refine)[0] for spec in specs]
-        assert mod_norms_stft(f, plan, specs, refine) == want
+        assert mod_norms_stft(f, plan, specs, refine).tolist() == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
@@ -872,7 +888,7 @@ class TestSTFTEngine:
         monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", 3 * fine.size)
         specs = [ModNormSpec(p, 2.0, 1.5) for p in (4.0, 1.0, np.inf, 2.0)]
         want = [_oracle_stft_norm("d1", spec, refine) for spec in specs]
-        assert mod_norms_stft(f, plan, specs, refine) == want
+        assert mod_norms_stft(f, plan, specs, refine).tolist() == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1_stride", "d2"])
@@ -924,10 +940,11 @@ class TestRealSTFT:
         f, plan = _stft_case(name, "real")
         ps = (1.0, 2.0, 3.0, np.inf)
         fine, _ = _oracle_stft_rows(name, refine, "real")
-        got = modnorm._stft_inner(f, plan, ps, _stride(plan, refine), fine)
+        (_, got), = modnorm._stft_inner(f[None], np.arange(1), plan, ps,
+                                        _stride(plan, refine), fine, True)
         for p in ps:
             want = _oracle_stft_inner(name, p, refine, "real")
-            np.testing.assert_allclose(got[p], want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got[p][0], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1", "d2"])
@@ -935,7 +952,7 @@ class TestRealSTFT:
         f, plan = _stft_case(name, "real")
         want = [mod_norms_stft(f, plan, [spec], refine)[0]
                 for spec in MULTI_SPECS]
-        assert mod_norms_stft(f, plan, MULTI_SPECS, refine) == want
+        assert mod_norms_stft(f, plan, MULTI_SPECS, refine).tolist() == want
 
     @pytest.mark.parametrize("cap", [1, 3 * 512, 1 << 30])
     @pytest.mark.parametrize("name", ["d1", "d2"])
@@ -943,9 +960,9 @@ class TestRealSTFT:
         # one shift per batch; three at d = 1 (the last of the 128 shifts'
         # batches holds two); every shift of a leading-axis tuple at once
         f, plan = _stft_case(name, "real")
-        want = mod_norms_stft(f, plan, MULTI_SPECS, 2)
+        want = mod_norms_stft(f, plan, MULTI_SPECS, 2).tolist()
         monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
-        assert mod_norms_stft(f, plan, MULTI_SPECS, 2) == want
+        assert mod_norms_stft(f, plan, MULTI_SPECS, 2).tolist() == want
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("kind", ["one_imag", "complex_window"])
@@ -954,12 +971,134 @@ class TestRealSTFT:
         f, plan = _stft_case("d1", kind)
         specs = [ModNormSpec(p, 2.0, 1.5) for p in (4.0, 1.0, np.inf, 2.0)]
         want = [_oracle_stft_norm("d1", spec, refine, kind) for spec in specs]
-        assert mod_norms_stft(f, plan, specs, refine) == want
+        assert mod_norms_stft(f, plan, specs, refine).tolist() == want
 
     def test_real_dtype_input(self):
         f, plan = _stft_case("d2", "real")
-        assert (mod_norms_stft(f.real, plan, MULTI_SPECS, 2)
-                == mod_norms_stft(f, plan, MULTI_SPECS, 2))
+        assert (mod_norms_stft(f.real, plan, MULTI_SPECS, 2).tolist()
+                == mod_norms_stft(f, plan, MULTI_SPECS, 2).tolist())
+
+
+# -- stacks of functions: one pass, the bits of one call per function -------
+
+# kinds of a stack's functions ("r" real values stored as complex, "c"
+# complex) and whether its window is complex; a complex function takes the
+# complex path, a real one the real path unless the window is complex
+STFT_STACKS = {"real": ("rrrr", False), "complex": ("cccc", True),
+               "mixed": ("crrc", False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _stft_stack(name, stack):
+    """STFT_STACKS[stack]'s functions on STFT_CASES[name]'s grid, random,
+    and its random window: every function of the stack shares the plan."""
+    g, x_stride = STFT_CASES[name]
+    kinds, complex_window = STFT_STACKS[stack]
+    rng = np.random.default_rng([g.dim, len(name), len(stack)])
+    window = rng.standard_normal(g.shape)
+    if complex_window:
+        window = window + 1j * rng.standard_normal(g.shape)
+    fs = rng.standard_normal((len(kinds),) + g.shape).astype(complex)
+    for f, kind in zip(fs, kinds):
+        if kind == "c":
+            f += 1j * rng.standard_normal(g.shape)
+    return fs, STFTPlan(g, window, x_stride=x_stride)
+
+
+def _stft_cap(cap, functions, fine):
+    """STFT_BATCH_VALUES for a named case of a stack of `functions`."""
+    return {"one": 1,
+            # groups of 3 functions, the last one partial
+            "three_functions": 3 * fine.size,
+            # every function in one group, batches of 3 shifts, which
+            # divides no shift count of STFT_CASES
+            "three_shifts": 3 * functions * fine.size,
+            "below_one_box": fine.size // 2,
+            "huge": 1 << 30}[cap]
+
+
+@functools.lru_cache(maxsize=None)
+def _one_call_per_function(name, refine, stack):
+    """mod_norms_stft of each function of _stft_stack(name, stack) alone,
+    as a (spec, function) table of Python floats."""
+    fs, plan = _stft_stack(name, stack)
+    return np.stack([mod_norms_stft(f, plan, MULTI_SPECS, refine)
+                     for f in fs], axis=1).tolist()
+
+
+class TestSTFTStacks:
+    @pytest.mark.parametrize("cap", ["one", "three_functions",
+                                     "three_shifts", "below_one_box",
+                                     "huge"])
+    @pytest.mark.parametrize("stack", sorted(STFT_STACKS))
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+    def test_stack_matches_one_call_per_function(self, monkeypatch, name,
+                                                 refine, stack, cap):
+        fs, plan = _stft_stack(name, stack)
+        want = _one_call_per_function(name, refine, stack)
+        fine, _ = _oracle_stft_rows(name, refine)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES",
+                            _stft_cap(cap, len(fs), fine))
+        got = mod_norms_stft(fs, plan, MULTI_SPECS, refine)
+        assert got.shape == (len(MULTI_SPECS), len(fs))
+        assert got.tolist() == want  # bit for bit
+
+    @pytest.mark.parametrize("stack", sorted(STFT_STACKS))
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+    def test_every_function_matches_shift_loop(self, name, refine, stack):
+        fs, plan = _stft_stack(name, stack)
+        got = mod_norms_stft(fs, plan, MULTI_SPECS, refine)
+        kinds, complex_window = STFT_STACKS[stack]
+        for f, kind, norms in zip(fs, kinds, got.T):
+            fine, rows = _shift_loop_rows(f, plan, refine)
+            want = [_shift_loop_norm(plan, refine, fine, rows, spec)
+                    for spec in MULTI_SPECS]
+            if plan.grid.dim == 1 and (kind == "c" or complex_window):
+                assert norms.tolist() == want
+            else:
+                np.testing.assert_allclose(norms, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+    def test_stack_shapes(self, name, refine):
+        # a mixed (2, 3) stack, its rows one at a time, and one function
+        fs, plan = _stft_stack(name, "mixed")
+        six = np.concatenate([fs, fs[:2]]).reshape((2, 3) + plan.grid.shape)
+        got = mod_norms_stft(six, plan, MULTI_SPECS, refine)
+        assert got.shape == (len(MULTI_SPECS), 2, 3)
+        for i in range(2):
+            row = mod_norms_stft(six[i], plan, MULTI_SPECS, refine)
+            assert got[:, i].tolist() == row.tolist()
+        one = mod_norms_stft(six[1, 2], plan, MULTI_SPECS, refine)
+        assert one.shape == (len(MULTI_SPECS),)
+        assert one.tolist() == got[:, 1, 2].tolist()
+
+    def test_empty_stack(self):
+        fs, plan = _stft_stack("d1", "mixed")
+        got = mod_norms_stft(fs[:0], plan, MULTI_SPECS)
+        assert got.shape == (len(MULTI_SPECS), 0)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("cap", [1, 3 * 512, 5 * 4 * 512, 1 << 30])
+    def test_batches_stay_within_the_cap(self, monkeypatch, cap, refine):
+        # every (function x shift) stack holds at most the cap, or one
+        # function's box, and every group's sums at most the cap per p
+        fs, plan = _stft_stack("d1", "real")
+        stack = np.concatenate([fs] * 3)
+        fine, _ = _oracle_stft_rows("d1", refine)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
+        covered = []
+        for rows, batches in _stft_batches(stack, np.arange(len(stack)),
+                                           plan, _stride(plan, refine), fine):
+            assert len(rows) * fine.size <= max(cap, fine.size)
+            for v in batches:
+                assert v.shape[0] == len(rows)
+                assert v.shape[0] * v.shape[1] * fine.size <= max(cap,
+                                                                 fine.size)
+            covered.extend(rows.tolist())
+        assert covered == list(range(len(stack)))
 
 
 class TestSTFTArguments:
@@ -972,6 +1111,26 @@ class TestSTFTArguments:
     def test_bad_refine_rejected(self, grid1, plan1, gauss1, refine):
         with pytest.raises(ValueError, match="refine"):
             mod_norms_stft(gauss1, plan1, [ModNormSpec()], refine)
+
+    @pytest.mark.parametrize("shape", [(1,), (128,), (256, 2), ()])
+    def test_values_must_end_in_the_grid_shape(self, plan1, shape):
+        with pytest.raises(ValueError, match=r"values of shape .* \(256,\)"):
+            mod_norms_stft(np.ones(shape), plan1, [ModNormSpec()])
+
+    def test_window_must_have_the_grid_shape(self, grid1):
+        with pytest.raises(ValueError, match=r"window_values .*\(3,\).*"
+                                             r"\(256,\)"):
+            STFTPlan(grid1, window_values=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, plan1, gauss1, bad):
+        stack = np.stack([gauss1, gauss1])
+        stack[1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite values in norm "
+                                             "input"):
+            mod_norms_stft(stack, plan1, [ModNormSpec()])
+        with pytest.raises(ValueError, match="non-finite"):
+            mod_norms_stft(np.full(256, np.nan), plan1, [ModNormSpec()])
 
     def test_stride_steps_down_to_a_divisor(self, grid1):
         assert STFTPlan(grid1, x_stride=np.int64(7)).x_stride == 4

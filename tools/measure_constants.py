@@ -35,8 +35,7 @@ def main():
     corpus = np.stack([band_limited(g, 6, seed=1000 + i) for i in range(20)])
     decomp = mod_norms_from_frequency(forward_values(g, corpus), [spec],
                                       part)[0]
-    ratios = [mod_norms_stft(f, plan, [spec])[0] / n
-              for f, n in zip(corpus, decomp)]
+    ratios = mod_norms_stft(corpus, plan, [spec])[0] / decomp
     print(f"CROSS_ESTIMATOR ratios: [{min(ratios):.4f}, {max(ratios):.4f}]")
 
     corpus = mixed_family(g, 12, seed=77)
