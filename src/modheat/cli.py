@@ -363,9 +363,10 @@ class RunRecord:
 
     def write_json(self, name, payload):
         path = os.path.join(self.out_dir, name)
+        # one write: json.dump would issue one per token
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         return path
 
     def finalize(self, gnuplot=False):
@@ -513,9 +514,16 @@ def cmd_blowup(cfg, seed, rec):
 def cmd_picard(cfg, seed, rec):
     grid, beta, k, u0 = _parse_problem(cfg)
     depth, t_max, t_points = cfg["depth"], cfg["t_max"], cfg["t_points"]
-    # picard_terms' terms and its (t_points, t_points) quadrature weights
+    # picard_terms' terms, and max_mod_norm's neighbour bounds: at most
+    # about t_points^2 pairs of slices per term
     _bounded(max(depth * t_points * grid.size, t_points * t_points),
              "'t_points' and 'depth'")
+    # a subnormal spacing cannot be told uniform, nor weigh the quadrature
+    spacing = t_max / (t_points - 1)
+    if not spacing >= sys.float_info.min:
+        raise ConfigError(f"config fields 't_max' and 't_points' give a time "
+                          f"spacing of {spacing:.4g}, below the smallest "
+                          f"normal float {sys.float_info.min:.4g}")
     # the time of the series: every product is formed on the fine lattice
     fine_size = fine_grid(grid, k).size
     products = picard_product_count(depth, k, MAX_LATTICE_VALUES / fine_size)
@@ -551,6 +559,11 @@ def cmd_picard(cfg, seed, rec):
     if not (res.sup_norms[0] > 0 and all(map(math.isfinite, res.sup_norms))):
         raise ConfigError("config fields 'data' and 'norm' give a term norm "
                           "of 0 or beyond the float range")
+    if not all(sup > 0 for sup in res.sup_norms):
+        zero = res.term_indices[res.sup_norms.index(0.0)]
+        raise ConfigError("config fields 't_max', 'data' and 'depth' give a "
+                          f"norm of 0 for term {zero}, so its ratio is "
+                          "undefined")
     # the slices each term's sup runs over, those the engine evaluated and
     # the neighbour bounds taken to prune the others
     terms = [{"term_index": idx, "slices": t_points - (i > 0),

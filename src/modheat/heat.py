@@ -22,13 +22,15 @@ Alongside the time stepper the module builds the iterated-integral series
 whose terms solve the Duhamel equation order by order, on a uniform time
 grid.  The terms stay on the frequency side.  Batches of time slices are
 the outer loop: in each, every term's products are formed on the
-dealiasing lattice from the earlier terms, each padded once, and scattered
-forward into the term's later slices through one lag table
-exp(-t_m |xi|^beta) shared by every Duhamel kernel.  Each term's sup over
-time is max_mod_norm's, which at p != 2 evaluates exactly only the slices
-whose bound can still beat the largest norm found: the Parseval bound, or
-an evaluated neighbour's norm plus the Parseval bound of the difference,
-which is small between slices close in time.  It also
+dealiasing lattice from the earlier terms, each padded once, and each
+term's Duhamel integral over its products advances one slice at a time:
+the kernel exp(-(t_i - t_s)|xi|^beta) is a semigroup, so the composite
+Simpson and 3/8 sums follow a one-step recurrence that keeps a running
+sum and the last three product slices, O(t_points) work per term.  Each
+term's sup over time is max_mod_norm's, which at p != 2 evaluates exactly
+only the slices whose bound can still beat the largest norm found: the
+Parseval bound, or an evaluated neighbour's norm plus the Parseval bound
+of the difference, which is small between slices close in time.  It also
 evaluates the closed-form lower envelopes that force divergence of that
 series for Fourier-positive data with a large enough plateau, and
 certifies the corresponding hypotheses (plateau height, support radius,
@@ -155,7 +157,7 @@ SOLVE_BATCH_VALUES = 1 << 12
 # Largest array a run may allocate, in values (64 MiB complex): solve's
 # chunk buffer on the dealiasing lattice, which is at least as large as a
 # batch of one padded Picard term; the CLI also checks its configs' grids,
-# partitions, corpora and Picard terms and weights against it.
+# partitions, corpora, Picard terms and neighbour-bound pairs against it.
 MAX_LATTICE_VALUES = 1 << 22
 
 
@@ -427,38 +429,6 @@ class PicardResult:
     difference_bounds: list  # neighbour bounds per term (max_mod_norm)
 
 
-def _cumulative_weights(t_grid):
-    """Quadrature weights over [0, t_i] for every i (composite Simpson family).
-
-    Even panel counts use composite Simpson; odd counts splice a 3/8 block at
-    the end; a single panel falls back to the trapezoid.
-    """
-    n = len(t_grid)
-    tau = t_grid[1] - t_grid[0]
-    W = np.zeros((n, n))
-    for i in range(1, n):
-        if i == 1:
-            W[1, 0] = W[1, 1] = tau / 2.0
-            continue
-        w = np.zeros(i + 1)
-        if i % 2 == 0:
-            w[0] = w[i] = 1.0
-            w[1:i:2] = 4.0
-            w[2:i:2] = 2.0
-            w *= tau / 3.0
-        else:
-            m = i - 3
-            if m > 0:
-                w[0] = 1.0
-                w[1:m:2] = 4.0
-                w[2:m:2] = 2.0
-                w[m] = 1.0
-                w[:m + 1] *= tau / 3.0
-            w[m:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * tau / 8.0)
-        W[i, :i + 1] = w
-    return W
-
-
 def _partitions(n, parts, least=1):
     """Non-decreasing tuples of `parts` integers >= least summing to n, in
     lexicographic order; each choice of a leading entry leads to at least
@@ -523,23 +493,88 @@ def picard_product_count(depth, k, limit):
 PICARD_BATCH_VALUES = 1 << 12
 
 
+class _DuhamelQuadrature:
+    """The slices F[i] = sum_s w_is lags[i - s] P_s of one Picard term, for
+    the composite rule in the Duhamel variable on a uniform grid of
+    spacing tau: the trapezoid at i = 1, Simpson at even i, and at odd
+    i >= 3 Simpson up to i - 3 spliced with a 3/8 panel on [i - 3, i].
+
+    The kernel is a semigroup, lags[m] = E^m with E = lags[1], so the
+    Simpson sums follow from the running sum A_s = E A_{s-1} + a_s P_s
+    (a_0 = 1, a_s = 4 at odd s, 2 at even s > 0):
+
+        F[1] = tau/2 (E P_0 + P_1)
+        F[i] = tau/3 (E A_{i-1} + P_i)                                even i
+        F[i] = lags[3] F[i-3] + 3 tau/8 (lags[3] P_{i-3}
+               + 3 lags[2] P_{i-2} + 3 E P_{i-1} + P_i)   odd i (F[0] = 0)
+
+    extend takes the product slices in time order, one batch at a time;
+    between batches only A and the last three product slices are kept.
+    """
+
+    def __init__(self, lags, tau):
+        self.lags = lags
+        self.third = tau / 3.0
+        self.half = tau / 2.0
+        # the 3/8 panel's weights on P_{i-3}, P_{i-2}, P_{i-1} and P_i
+        self.three_eighths = 3.0 * tau / 8.0
+        if len(lags) > 3:
+            self.panel = self.three_eighths * np.stack(
+                [lags[3], 3.0 * lags[2], 3.0 * lags[1]])
+        self.running = None
+        self.recent = [None] * 3  # P_s at s mod 3
+
+    def extend(self, F, lo, prods):
+        """Fill F[lo:lo + len(prods)] from the product slices P_lo, ...;
+        F[0] stays 0."""
+        E = self.lags[1]
+        recent = self.recent
+        for s, P in enumerate(prods, lo):
+            if s == 0:
+                self.running = P.copy()
+            else:
+                A = self.running
+                A *= E
+                out = F[s]
+                if s == 1:
+                    np.multiply(E, recent[0], out=out)
+                    out += P
+                    out *= self.half
+                elif s % 2 == 0:
+                    np.add(A, P, out=out)
+                    out *= self.third
+                else:
+                    w = self.panel
+                    np.multiply(w[0], recent[s % 3], out=out)
+                    out += w[1] * recent[(s - 2) % 3]
+                    out += w[2] * recent[(s - 1) % 3]
+                    out += self.three_eighths * P
+                    if s >= 5:
+                        out += self.lags[3] * F[s - 3]
+                A += (4.0 if s % 2 else 2.0) * P
+            recent[s % 3] = P
+
+
 def picard_terms(problem, depth, t_grid, partition=None):
     """First `depth` terms of the iterated-integral series on a uniform t grid.
 
     Term 0 is the linear flow of the data; term j >= 1 integrates the
     admissible products of earlier terms against the semigroup kernel
-    (composite Simpson in the Duhamel variable).  The grid must be uniform
-    (ValueError otherwise): the kernel e^{-(t_i - t_s)|xi|^beta} is then
-    lags[i - s] of one lag table lags[m] = e^{-t_m |xi|^beta}, and the
-    weights assume one spacing.
+    (composite Simpson in the Duhamel variable, a 3/8 panel spliced at the
+    end for an odd panel count, the trapezoid for one panel).  The grid
+    must be uniform (ValueError otherwise): the kernel
+    e^{-(t_i - t_s)|xi|^beta} is then lags[i - s] of one lag table
+    lags[m] = e^{-t_m |xi|^beta}, and lags[m] = lags[1]^m up to roundoff.
 
     Batches of time slices are the outer loop and terms the inner one.  In
     a batch each term, in label order, forms its products from the padded
-    slices of the earlier terms, crops them, and scatters each product
-    slice P_s forward into all its later slices, W[i, s] lags[i - s] P_s
-    for i >= s; no product history is kept.  Its slices in the batch are
-    then complete, and are padded once for the later terms (the last term
-    is never padded).  The t = 0 slice of every term j >= 1 is 0, so its
+    slices of the earlier terms, crops them, and hands the product slices
+    in time order to its _DuhamelQuadrature, which fills each slice from
+    the previous ones by the semigroup recurrence; between batches a term
+    keeps one running sum and its last three product slices.  Its slices
+    in the batch are then complete, and are padded once for the later
+    terms (the last term is never padded).  The t = 0 slice of every term
+    j >= 1 is 0, so its
     sup norm is taken over t > 0.  Each sup is max_mod_norm's: at p != 2
     the engine evaluates only the slices whose bound (Parseval, or from an
     evaluated neighbour) can still beat the largest norm found.
@@ -559,8 +594,6 @@ def picard_terms(problem, depth, t_grid, partition=None):
         partition = UniformPartition(g)
     n_t = len(t_grid)
     lags = heat_symbol(g, t_grid, problem.beta)
-    # W[i, s] behind singleton lattice axes, to weigh a run of lags
-    W = _cumulative_weights(t_grid).reshape((n_t, n_t) + (1,) * g.dim)
     fine = fine_grid(g, k)
     batch = max(1, PICARD_BATCH_VALUES // fine.size)
     combos = [_label_multisets(j, k) for j in range(1, depth)]
@@ -569,6 +602,7 @@ def picard_terms(problem, depth, t_grid, partition=None):
     u0_hat = forward_values(g, problem.u0)
     spectra = [lags * u0_hat] + [np.zeros((n_t,) + g.shape, dtype=complex)
                                  for _ in range(1, depth)]
+    quadratures = [_DuhamelQuadrature(lags, tau) for _ in range(1, depth)]
     for lo in range(0, n_t, batch):
         hi = min(lo + batch, n_t)
         padded = {}
@@ -582,11 +616,8 @@ def picard_terms(problem, depth, t_grid, partition=None):
                 for lab in key[1:]:
                     term *= padded[lab]
                 acc += term
-            prods = cropped_forward(g, acc, fine)
-            term_f = spectra[j]
-            for s in range(lo, hi):
-                i0 = max(s, 1)  # W[0, 0] = 0: the t = 0 slice stays 0
-                term_f[i0:] += W[i0:, s] * lags[i0 - s:n_t - s] * prods[s - lo]
+            quadratures[j - 1].extend(spectra[j], lo,
+                                      cropped_forward(g, acc, fine))
 
     sups = [max_mod_norm(F if j == 0 else F[1:], problem.norm_spec,
                          partition) for j, F in enumerate(spectra)]

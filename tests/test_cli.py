@@ -311,6 +311,34 @@ class TestPicardCommand:
         assert "'depth'" in err and "'converge_by'" in err
         assert not (out / "picard_norms.csv").exists()
 
+    @pytest.mark.parametrize("p,zero", [(1.0, 3), (2.0, 2)])
+    def test_underflowed_term_is_config_error(self, tmp_path, capsys, p,
+                                              zero):
+        # at t_max 1e-300 and p = 1 terms 3-5 underflow to 0 (at p = 2 the
+        # squares underflow from term 2 on): their ratios, 0 / 0, read 0
+        # and inf, and once gave a FAIL verdict of inf
+        cfg = picard_config(t_max=1e-300, norm={"p": p, "q": 1.0, "s": 0.0})
+        code, out = run(tmp_path, "picard", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'t_max', 'data' and 'depth'" in err
+        assert f"norm of 0 for term {zero}," in err
+        assert "ratio is undefined" in err
+        assert not (out / "picard_norms.csv").exists()
+
+    @pytest.mark.parametrize("t_max,t_points", [(1e-320, 17), (1e-308, 17),
+                                                (1e-307, 1000)])
+    def test_subnormal_spacing_is_config_error(self, tmp_path, capsys, t_max,
+                                               t_points):
+        # t_max / (t_points - 1) is subnormal; the uniformity check it then
+        # fails once blamed terms beyond the float range
+        code, _ = run(tmp_path, "picard",
+                      picard_config(t_max=t_max, t_points=t_points))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'t_max' and 't_points'" in err and "time spacing" in err
+        assert "float range" not in err
+
 
 def hermite_config(**overrides):
     cfg = {

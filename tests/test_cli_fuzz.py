@@ -34,7 +34,8 @@ _TINY_GRID = {"dim": 1, "points_per_axis": 16, "half_width": 4.0}
 BASES = {
     "blowup": lambda: blowup_config(grid=SMALL_GRID,
                                     solver={"dt": 1e-3, "t_max": 0.02}),
-    # t_points stays small: a term costs O(t_points^2) lattice-wide updates
+    # t_points stays small: every slice of every term is a product on the
+    # dealiasing lattice
     "picard": lambda: dict(dominated_picard_config(), grid=SMALL_GRID,
                            depth=3, t_points=5),
     "propagate": lambda: propagate_config(grid=_TINY_GRID),

@@ -14,8 +14,7 @@ from modheat.heat import (BlowupHypothesis, HeatProblem, SolverConfig,
                           solve, term_index, unit_ball_volume)
 from modheat import heat, modnorm
 from modheat.corpus import propagation_corpus
-from modheat.heat import (_cumulative_weights, _label_multisets,
-                          picard_product_count)
+from modheat.heat import _label_multisets, picard_product_count
 from modheat.modnorm import (ModNormSpec, UniformPartition,
                              mod_norms_from_frequency)
 from modheat.spectral import (SpectralGrid, cropped_forward, fine_grid,
@@ -409,6 +408,40 @@ def _multiset_products(tuples):
     return [(c, key) for key, c in sorted(counts.items())]
 
 
+def _cumulative_weights(t_grid):
+    """Quadrature weights over [0, t_i] for every i, row i of a
+    (t_points, t_points) matrix: the rule picard_terms runs as a
+    recurrence.
+
+    Even panel counts use composite Simpson; odd counts splice a 3/8 block at
+    the end; a single panel falls back to the trapezoid.
+    """
+    n = len(t_grid)
+    tau = t_grid[1] - t_grid[0]
+    W = np.zeros((n, n))
+    for i in range(1, n):
+        if i == 1:
+            W[1, 0] = W[1, 1] = tau / 2.0
+            continue
+        w = np.zeros(i + 1)
+        if i % 2 == 0:
+            w[0] = w[i] = 1.0
+            w[1:i:2] = 4.0
+            w[2:i:2] = 2.0
+            w *= tau / 3.0
+        else:
+            m = i - 3
+            if m > 0:
+                w[0] = 1.0
+                w[1:m:2] = 4.0
+                w[2:m:2] = 2.0
+                w[m] = 1.0
+                w[:m + 1] *= tau / 3.0
+            w[m:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * tau / 8.0)
+        W[i, :i + 1] = w
+    return W
+
+
 def _picard_oracle(problem, depth, t_grid, partition):
     """The per-slice series: physical trajectories, one product and one
     norm per time slice.  Returns (spectra, sup_norms, ratios)."""
@@ -494,20 +527,28 @@ class TestBatchedPicard:
         np.testing.assert_allclose(res.sup_norms, sups, rtol=ORACLE_RTOL)
         np.testing.assert_allclose(res.ratios, ratios, rtol=ORACLE_RTOL)
 
-    # (grid, k, depth, t_points): an even and an odd t_points, depth 2 (its
-    # last term, never padded, is the first product term), and k = 4
+    # (grid, k, depth, t_points, beta): an even and an odd t_points, depth 2
+    # (its last term, never padded, is the first product term), k = 4,
+    # t_points 2 to 7 (the trapezoid slice, the pure 3/8 slice, the first
+    # Simpson-3/8 splice; at cap 1 the 3/8 panel's history crosses every
+    # batch edge), and beta off 2
     STREAM_CASES = {
-        "t8": (SpectralGrid(1, 64, 8.0), 2, 4, 8),
-        "t11": (SpectralGrid(1, 64, 8.0), 2, 4, 11),
-        "depth2": (SpectralGrid(1, 64, 8.0), 2, 2, 9),
-        "k4": (SpectralGrid(1, 32, 8.0), 4, 3, 9),
+        "t8": (SpectralGrid(1, 64, 8.0), 2, 4, 8, 2.0),
+        "t11": (SpectralGrid(1, 64, 8.0), 2, 4, 11, 2.0),
+        "depth2": (SpectralGrid(1, 64, 8.0), 2, 2, 9, 2.0),
+        "k4": (SpectralGrid(1, 32, 8.0), 4, 3, 9, 2.0),
+        **{f"t{n}": (SpectralGrid(1, 32, 8.0), 2, 4, n, 2.0)
+           for n in range(2, 8)},
+        "beta0.5": (SpectralGrid(1, 64, 8.0), 2, 4, 10, 0.5),
+        "beta1": (SpectralGrid(1, 64, 8.0), 3, 3, 11, 1.0),
+        "beta3": (SpectralGrid(1, 64, 8.0), 2, 4, 10, 3.0),
     }
 
     @pytest.mark.parametrize("cap", [1, 1 << 30])
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
     def test_streamed_series_matches_oracle(self, case, cap, monkeypatch):
-        grid, k, depth, n_t = self.STREAM_CASES[case]
-        prob = HeatProblem(2.0, k, grid, 0.5 * np.exp(-grid.x_axis ** 2),
+        grid, k, depth, n_t, beta = self.STREAM_CASES[case]
+        prob = HeatProblem(beta, k, grid, 0.5 * np.exp(-grid.x_axis ** 2),
                            ModNormSpec(1.0, 1.0, 0.0))
         part = UniformPartition(grid)
         t_grid = np.linspace(0.0, 0.3, n_t)
@@ -612,6 +653,50 @@ class TestBatchedPicard:
             picard_terms(prob, 2, np.linspace(0.0, 0.1, 3))
         with pytest.raises(ValueError, match="dealiasing lattice"):
             solve(prob, SolverConfig(dt=0.01, t_max=0.1))
+
+
+# -- constant data against the Taylor series of u' = u^k -------------------------
+
+
+def _taylor_errors(grid, k, t_points, c=0.7, depth=8):
+    """Largest error of each Picard term of the data u0 = c over the grid
+    and the times, relative to the term's largest value, on [0, 0.9 T*]
+    with T* = 1 / ((k-1) c^{k-1}).  The flow leaves a constant alone, so
+    term j is the t^j coefficient of the solution c (1 - t / T*)^{-a} of
+    u' = u^k, a = 1/(k-1): c (a)_j / j! (t / T*)^j."""
+    rate = (k - 1) * c ** (k - 1)
+    t_grid = np.linspace(0.0, 0.9 / rate, t_points)
+    res = picard_terms(HeatProblem(2.0, k, grid, np.full(grid.shape, c)),
+                       depth, t_grid)
+    a = 1.0 / (k - 1)
+    errors = []
+    for j, values in enumerate(physical_terms(res)):
+        exact = (c * math.prod(a + i for i in range(j)) / math.factorial(j)
+                 * (rate * t_grid) ** j).reshape((-1,) + (1,) * grid.dim)
+        errors.append(np.abs(values - exact).max() / np.abs(exact).max())
+    return errors
+
+
+class TestConstantDataTaylor:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("grid", [SpectralGrid(1, 32, 8.0),
+                                      SpectralGrid(2, 16, 4.0)],
+                             ids=["d1", "d2"])
+    def test_terms_match_taylor_coefficients(self, grid, k):
+        # term 0 is the data; terms 1-2 integrate polynomials of degree
+        # <= 1, which every panel of the rule (trapezoid, Simpson, 3/8)
+        # integrates exactly.  Term
+        # 3's integrand is quadratic: only the one trapezoid panel at t_1
+        # errs, O(tau^3); the later terms carry Simpson's O(tau^4).  A
+        # quarter of the spacing (33 -> 129 points) must cut the error by
+        # at least 4^(order - 1/2): measured 64x for term 3, 256-272x for
+        # terms 4-7
+        coarse = _taylor_errors(grid, k, 33)
+        fine = _taylor_errors(grid, k, 129)
+        assert max(coarse[:3] + fine[:3]) <= ORACLE_RTOL
+        for j in range(3, 8):
+            order = 3 if j == 3 else 4
+            assert coarse[j] / fine[j] >= 4.0 ** (order - 0.5), j
 
 
 # -- the chunked solver against the per-step loop --------------------------------
