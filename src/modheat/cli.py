@@ -32,7 +32,7 @@ from .heat import (MAX_LATTICE_VALUES, BlowupHypothesis, HeatProblem,
                    divergence_witness, domination_ratios,
                    picard_product_count, picard_terms, plateau_data, solve)
 from .hermite import (ZeroNormError, decay_profile, eigen_sum,
-                      eigen_sum_bound, level_mesh)
+                      eigen_sum_bound)
 from .modnorm import (ModNormSpec, STFTPlan, UniformPartition, algebra_defect,
                       mod_norms_from_frequency, mod_norms_stft,
                       stft_resolution_ok)
@@ -699,12 +699,7 @@ def cmd_hermite(cfg, seed, rec):
                           "give fewer than two profile times inside the "
                           "slope window")
 
-    mesh = level_mesh(dim, cap)
-    rng = np.random.default_rng(seed)
-    tensor = np.zeros(mesh.shape, dtype=complex)
-    drawn = mesh < levels
-    tensor[drawn] = rng.standard_normal(int(drawn.sum()))
-    tensor[mesh > cap] = 0.0
+    tensor = hermite_coeff_family(dim, cap, 1, seed, levels)[0]
     partition = UniformPartition(grid)
 
     rows = []

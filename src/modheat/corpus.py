@@ -25,15 +25,17 @@ def gaussian(grid, amplitude=1.0, width=1.0, modulation=None):
 
 def band_limited(grid, max_mode, seed):
     """Random real function whose transform is supported on |m_j| <= max_mode
-    (before the real part is taken)."""
-    rng = np.random.default_rng(seed)
+    (before the real part is taken); max_mode must be below N/2."""
     n = grid.points_per_axis
+    if not 0 <= max_mode < n // 2:
+        raise ValueError(f"max_mode must lie in [0, {n // 2}), got {max_mode}")
+    rng = np.random.default_rng(seed)
     coeffs = np.zeros(grid.shape, dtype=complex)
-    lo = n // 2 - max_mode
-    hi = n // 2 + max_mode + 1
-    block = tuple(slice(lo, hi) for _ in range(grid.dim))
+    # the draws run over the modes from -max_mode up; mode m is in slot m % n
+    slots = np.arange(-max_mode, max_mode + 1) % n
     size = (2 * max_mode + 1,) * grid.dim
-    coeffs[block] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    coeffs[np.ix_(*[slots] * grid.dim)] = (rng.standard_normal(size)
+                                           + 1j * rng.standard_normal(size))
     return inverse_values(grid, coeffs).real.astype(complex)
 
 
@@ -64,15 +66,15 @@ def propagation_corpus(grid, count, seed):
     return np.concatenate([wide[None], mixed_family(grid, count - 1, seed)])
 
 
-def hermite_coeff_family(dim, degree_cap, count, seed):
+def hermite_coeff_family(dim, degree_cap, count, seed, levels=11):
     """Random coefficient tensors of degree cap degree_cap in dimension dim,
     a (count, degree_cap + 1, ...) stack: standard normal draws on total
-    degrees up to 10, one tensor after another, then 0 above the cap."""
-    levels = level_mesh(dim, degree_cap)
-    drawn = levels <= 10
+    degrees below levels, one tensor after another, then 0 above the cap."""
+    mesh = level_mesh(dim, degree_cap)
+    drawn = mesh < levels
     rng = np.random.default_rng(seed)
-    out = np.zeros((count,) + levels.shape, dtype=complex)
+    out = np.zeros((count,) + mesh.shape, dtype=complex)
     for tensor in out:
         tensor[drawn] = rng.standard_normal(int(drawn.sum()))
-    out[:, levels > degree_cap] = 0.0
+    out[:, mesh > degree_cap] = 0.0
     return out

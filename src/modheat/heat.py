@@ -182,7 +182,7 @@ def solve(problem, config, partition=None):
     early, with blow-up flagged, once the norm passes the threshold or the
     state stops being finite (overflow counts as detection at the last
     finite time).  The state stays on the
-    dealiasing lattice fine_grid(grid, k) in DFT-order slots (u_hat on the
+    dealiasing lattice fine_grid(grid, k) in its slots (u_hat on the
     band, 0 elsewhere), so each source evaluation is the padded product
     without the padding and cropping.  Steps run in chunks of
     SOLVE_BATCH_VALUES // grid.size (at least one): a chunk runs only the

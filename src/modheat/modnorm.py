@@ -18,13 +18,11 @@ the shifted windows of a batch are gathered once into one stack for a
 group of functions, multiplied by each of them and transformed in a
 single call into one reused buffer, with each (function x shift) stack,
 and each p's sums over a group, capped at STFT_BATCH_VALUES values, so the
-working set does not grow with the stack.  The transform stays in DFT
-order (its scale and phase are multiplied in that order), and |V_g f|^p of
-a batch is added to each function's running sum in one reduction over the
-shifts, seeded with that sum, which adds the shifts in the order a loop
-over them would; the sums go back to natural order once per group, and
-every function's norms are the bits of a call on it alone.  When f and the
-window are real (the heat flows and the default Gaussian window are),
+working set does not grow with the stack.  |V_g f|^p of a batch is added
+to each function's running sum in one reduction over the shifts, seeded
+with that sum, which adds the shifts in the order a loop over them would,
+so every function's norms are the bits of a call on it alone.  When f and
+the window are real (the heat flows and the default Gaussian window are),
 V_g f(x, -y) is the conjugate of V_g f(x, y): the last axis is then
 transformed by a real FFT, only its bins 0 .. M/2 are powered, from
 |V|^2 = re^2 + im^2, and the sums are mirrored to the other half of the
@@ -58,7 +56,7 @@ import operator
 import numpy as np
 
 from .spectral import (SpectralGrid, _factor_meshes, _per_axis,
-                       cropped_forward, dft_order, fine_grid, forward_values,
+                       cropped_forward, fine_grid, forward_values,
                        inverse_axis_factor, inverse_values, lp_norm,
                        padded_inverse)
 
@@ -113,10 +111,9 @@ class UniformPartition:
         self._active_centers = tuple(int(c) for c in centers[active])
         rows = rows[active]
         self._sq_rows = rows ** 2
-        # Rows with inverse_values' per-axis factor folded in, in DFT
-        # order, so each axis's blocks inverse-transform on their own.
-        self._folded_rows = (dft_order(rows, axes=-1)
-                             * inverse_axis_factor(grid))
+        # Rows with inverse_values' per-axis factor folded in, so each
+        # axis's blocks inverse-transform on their own.
+        self._folded_rows = rows * inverse_axis_factor(grid)
         # |k| of every active key, in active_keys() order, for the weights
         keys = np.array(list(self.active_keys()), dtype=float)
         self._key_radii = np.sqrt(np.sum(keys ** 2, axis=1))
@@ -200,10 +197,9 @@ def _block_lp_norms(F, partition, ps):
     powered = [p for p in ps if not (np.isinf(p) or p == 1)]
     # p = inf and p = 1 read the magnitudes first; the last power overwrites
     order = [p for p in ps if p not in powered] + powered
-    F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
     chunks = {p: [] for p in ps}
     for lead in product(range(nrows), repeat=d - 1):
-        partial = F_dft
+        partial = F
         for j in range(d - 1):
             shape = [1] * (d + 1)
             shape[j + 1] = n
@@ -521,7 +517,7 @@ STFT_BATCH_VALUES = 1 << 14
 
 
 def _stft_batches(stack, index, plan, stride, fine, real=False):
-    """V_g f on fine's frequency lattice in DFT order, for the functions
+    """V_g f on fine's frequency lattice, for the functions
     stack[index], a group of functions and a batch of window shifts at a
     time.
 
@@ -538,8 +534,7 @@ def _stft_batches(stack, index, plan, stride, fine, real=False):
     next is drawn; the gather index, the mesh and the buffers are made once
     per call.  fine is plan.grid, or a box of the same spacing padded with
     zeros, which samples y more finely.  The transforms are
-    forward_values' bit for bit, with its dft_order left out: its scale
-    and phase are multiplied in DFT order instead.
+    forward_values' bit for bit.
 
     real=True, for real f and a real window, yields |V_g f| correctly but
     not its phase: the last axis is transformed by rfft, so a stack holds
@@ -557,7 +552,7 @@ def _stft_batches(stack, index, plan, stride, fine, real=False):
                 max(1, STFT_BATCH_VALUES // (functions * fine.size)))
     # row i of gather shifts the last axis by shifts[i], as np.roll does
     gather = (np.arange(n)[None, :] - shifts[:, None]) % n
-    mesh = _factor_meshes(fine)[2]
+    mesh = _factor_meshes(fine)[0]
     if real:
         stack = stack.real
         # every entry of the mesh is +-scale
@@ -600,7 +595,7 @@ def _stft_batches(stack, index, plan, stride, fine, real=False):
 
 
 def _unfold(half, m):
-    """Sums over the half spectrum (last-axis bins 0 .. m/2, DFT order) of
+    """Sums over the half spectrum (last-axis bins 0 .. m/2) of
     real functions' |V_g f| on the full lattice, behind one function axis:
     V_g f(x, -y) is the conjugate of V_g f(x, y), so bin (j, k) with
     k > m/2 holds the sum of bin ((-j) mod m, m - k), j over the lattice's
@@ -615,7 +610,7 @@ def _unfold(half, m):
 def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
     """For each of _stft_batches' groups of the functions stack[index],
     (rows, {p: sums}): the sum over the x lattice of |V_g f|^p on fine's
-    frequency lattice in natural order (the max for p = inf), one row per
+    frequency lattice (the max for p = inf), one row per
     function of the group, for every p of ps; the scale a^d of the x
     quadrature is left out.
 
@@ -653,22 +648,7 @@ def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
         if real:
             inner = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
                      for p, acc in inner.items()}
-        # DFT order back to natural order, an exact permutation
-        yield rows, {p: dft_order(acc, axes=range(1, fine.dim + 1))
-                     for p, acc in inner.items()}
-
-
-def _outer_norms(amp, volume_element, q, dim):
-    """lp_norm(amp[i], volume_element, q, dim) of every function i of a
-    stack, bit for bit: the root is taken one function at a time, as a
-    NumPy scalar power, because the array power differs from it in the
-    last bit on some values."""
-    a = np.abs(amp)
-    axes = tuple(range(1, dim + 1))
-    if np.isinf(q):
-        return a.max(axis=axes)
-    sums = volume_element * np.sum(a ** q, axis=axes)
-    return [total ** (1.0 / q) for total in sums]
+        yield rows, inner
 
 
 def mod_norms_stft(values, plan, specs, refine=1):
@@ -682,7 +662,7 @@ def mod_norms_stft(values, plan, specs, refine=1):
     One pass over |V_g f| serves every spec and every function: each batch
     of window shifts is gathered once for a group of functions and
     transformed, powered and added to one inner L^p_x sum per function and
-    distinct p, in DFT order until the end (_stft_inner).  The refined
+    distinct p (_stft_inner).  The refined
     grid, its weights (one per distinct s) and the pass's buffers are made
     once per call.  A function's norms are the bits of a call on it alone.
 
@@ -729,8 +709,8 @@ def mod_norms_stft(values, plan, specs, refine=1):
             amps = {p: acc if np.isinf(p) else (a_vol * acc) ** (1.0 / p)
                     for p, acc in inner.items()}
             for row, spec in zip(out, specs):
-                row[rows] = _outer_norms(amps[spec.p] * weights[spec.s],
-                                         b_vol, spec.q, d)
+                row[rows] = lp_norm(amps[spec.p] * weights[spec.s], b_vol,
+                                    spec.q, d)
     return out.reshape((len(specs),) + values.shape[:values.ndim - d])
 
 

@@ -10,8 +10,11 @@ by the trapezoid rule, which at the dual lattice xi = (pi/L) m,
 -N/2 <= m_j < N/2, reduces to a scaled DFT.  The pair (forward, inverse) is
 an exact two-sided inverse on the lattice, and discrete Parseval holds to
 roundoff.  A function is the ndarray of its samples on one side, with its
-grid alongside; a stack of functions holds them in leading axes.  Grids are
-immutable after construction.
+grid alongside; a stack of functions holds them in leading axes.  Frequency
+samples are kept in the FFT's slot order on every axis: slot i holds mode i
+for i < N/2 and mode i - N above, and grid.freq_axis gives each slot's
+frequency.  Only the csv file format (load_grid_function) orders modes
+from -N/2 up.  Grids are immutable after construction.
 """
 
 from dataclasses import dataclass
@@ -65,8 +68,8 @@ class SpectralGrid:
 
     @cached_property
     def freq_axis(self):
-        n = self.points_per_axis
-        return self.freq_spacing * np.arange(-n // 2, n // 2)
+        """Frequency of each slot of an axis, in the FFT's slot order."""
+        return self.freq_spacing * _axis_modes(self.points_per_axis)
 
     @cached_property
     def freq_mesh(self):
@@ -89,10 +92,18 @@ class SpectralGrid:
         return self.freq_spacing * (self.points_per_axis // 2)
 
 
+def _axis_modes(n):
+    """Mode of each slot of an axis of even length n: slot i holds mode i
+    for i < n/2 and mode i - n above (np.fft.fftfreq's order)."""
+    modes = np.arange(n)
+    modes[n // 2:] -= n
+    return modes
+
+
 def _alternating_axis(grid):
-    """(-1)^m along one axis of the natural-order frequency lattice."""
-    n = grid.points_per_axis
-    return (-1.0) ** np.arange(-n // 2, n // 2)
+    """(-1)^m along one axis of the frequency lattice: (-1)^i at slot i,
+    since every slot's mode differs from i by the even length N or 0."""
+    return (-1.0) ** np.arange(grid.points_per_axis)
 
 
 def _outer(vec, dim):
@@ -101,29 +112,6 @@ def _outer(vec, dim):
     for _ in range(dim - 1):
         out = np.multiply.outer(out, vec)
     return out
-
-
-@lru_cache(maxsize=16)
-def _dft_index(n):
-    """ifftshift of an axis of length n as an index: natural -> DFT order.
-    For even n it is also fftshift's (DFT -> natural order), as on every
-    grid's lattice."""
-    index = (np.arange(n) + n // 2) % n
-    index.setflags(write=False)
-    return index
-
-
-def dft_order(values, axes=None):
-    """Frequency-side samples moved from natural lattice order to DFT order
-    (np.fft.ifftshift, one gather per axis)."""
-    values = np.asarray(values)
-    if axes is None:
-        axes = range(values.ndim)
-    elif isinstance(axes, int):
-        axes = (axes,)
-    for axis in axes:
-        values = np.take(values, _dft_index(values.shape[axis]), axis=axis)
-    return values
 
 
 def _per_axis(transform, values, dim, out=None):
@@ -137,26 +125,24 @@ def _per_axis(transform, values, dim, out=None):
 
 
 def inverse_axis_factor(grid):
-    """One axis's share of inverse_values' scale and phase, in DFT order.
+    """One axis's share of inverse_values' scale and phase.
 
-    inverse_values(grid, F) is ifftn of dft_order(F) times the outer
-    product of this vector over all axes, so a separable symbol can fold it
-    into its per-axis rows and be inverse-transformed one axis at a time.
+    inverse_values(grid, F) is ifftn of F times the outer product of this
+    vector over all axes, so a separable symbol can fold it into its
+    per-axis rows and be inverse-transformed one axis at a time.
     """
     axis_scale = (2.0 * np.pi) ** -0.5 * grid.spacing
-    return dft_order(_alternating_axis(grid) / axis_scale)
+    return _alternating_axis(grid) / axis_scale
 
 
 @lru_cache(maxsize=8)
 def _factor_meshes(grid):
-    """forward_values' scale and phase mesh (natural order), inverse_values'
-    (DFT order) and forward_values' again in DFT order, for a raw transform
-    that stays in DFT order; read-only, made once per grid."""
+    """forward_values' scale and phase mesh and inverse_values'; read-only,
+    made once per grid."""
     # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
     scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
-    forward = scale * _outer(_alternating_axis(grid), grid.dim)
-    meshes = (forward, _outer(inverse_axis_factor(grid), grid.dim),
-              dft_order(forward))
+    meshes = (scale * _outer(_alternating_axis(grid), grid.dim),
+              _outer(inverse_axis_factor(grid), grid.dim))
     for mesh in meshes:
         mesh.setflags(write=False)
     return meshes
@@ -171,9 +157,7 @@ def forward_values(grid, values):
     Linear and exact (to roundoff) as a map between trigonometric
     interpolants; matches the (2 pi)^{-d/2} convention.
     """
-    # the lattice has even length, so dft_order is also fftshift here
-    raw = dft_order(_per_axis(np.fft.fft, values, grid.dim),
-                    axes=range(-grid.dim, 0))
+    raw = _per_axis(np.fft.fft, values, grid.dim)
     raw *= _factor_meshes(grid)[0]
     return raw
 
@@ -185,9 +169,7 @@ def inverse_values(grid, values):
     values holds frequency samples on grid in its last grid.dim axes; any
     leading axes index independent functions, transformed in one call.
     """
-    mesh = _factor_meshes(grid)[1]
-    raw = np.multiply(dft_order(values, axes=range(-grid.dim, 0)), mesh,
-                      dtype=complex)
+    raw = np.multiply(values, _factor_meshes(grid)[1], dtype=complex)
     return _per_axis(np.fft.ifft, raw, grid.dim, out=raw)
 
 
@@ -213,7 +195,12 @@ def lp_norm(values, volume_element, p, dim):
     elif p < 1:
         raise ValueError("p must be >= 1")
     else:
-        norms = (volume_element * np.sum(a ** p, axis=axes)) ** (1.0 / p)
+        sums = volume_element * np.sum(a ** p, axis=axes)
+        # the root one function at a time, as a NumPy scalar power: the
+        # array power differs from it in the last bit on some values, and a
+        # function's norm must not depend on the stack it comes in
+        norms = np.reshape([total ** (1.0 / p) for total in sums.flat],
+                           sums.shape)
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -241,8 +228,8 @@ def boundary_tail_ratio(values):
 # A product of k functions is a k-fold spectral convolution; evaluated
 # pointwise on the stock lattice it aliases modes beyond N/2 into the band.
 # On a fine lattice of M >= (k+1) N / 2 points per axis (same box) every
-# retained mode is exact.  Padding and cropping place modes by index, not by
-# shifts: in DFT order mode m sits in slot m mod M of a fine axis.  Both
+# retained mode is exact.  Padding and cropping place modes by index: mode m
+# sits in slot m mod N of a stock axis and in slot m mod M of a fine one.  Both
 # helpers take stacks with leading batch axes, so a sum of products is
 # formed on the fine lattice and transformed back in one call.
 
@@ -255,10 +242,9 @@ def fine_grid(grid, k):
 
 @lru_cache(maxsize=8)
 def _band_slots(grid, fine):
-    """Index of grid's modes among fine's DFT-order slots, and fine's
-    inverse_values factor at those slots (natural order of grid)."""
-    n = grid.points_per_axis
-    slots = np.arange(-n // 2, n // 2) % fine.points_per_axis
+    """Index of grid's slots among fine's slots, and fine's inverse_values
+    factor at those slots (in grid's slots)."""
+    slots = _axis_modes(grid.points_per_axis) % fine.points_per_axis
     index = (Ellipsis,) + np.ix_(*[slots] * grid.dim)
     factor = _outer(inverse_axis_factor(fine)[slots], grid.dim)
     for arr in index[1:] + (factor,):
@@ -281,8 +267,8 @@ def _fine_slots(grid, fine):
 
 
 def _to_fine_slots(grid, values, fine):
-    """values on grid's band (natural order, behind any leading axes) in
-    fine's DFT-order slots, 0 in every other slot; the dtype is kept."""
+    """values on grid's band (behind any leading axes) in fine's slots, 0
+    in every other slot; the dtype is kept."""
     values = np.asarray(values)
     out = np.zeros(values.shape[:values.ndim - grid.dim] + fine.shape,
                    values.dtype)
@@ -314,7 +300,8 @@ def load_grid_function(path_base):
 
     The index column must be a permutation of 0 .. N^d - 1 (the row-major
     position of each sample); a "frequency"-side file holds transform
-    samples and is inverse-transformed here.
+    samples with the modes of each axis from -N/2 up, which are moved to
+    the FFT's slot order and inverse-transformed here.
     """
     with open(path_base + ".json") as fh:
         header = json.load(fh)
@@ -334,5 +321,5 @@ def load_grid_function(path_base):
                          f"0 .. {grid.size - 1}")
     values = (data[order, 1] + 1j * data[order, 2]).reshape(grid.shape)
     if side == "frequency":
-        values = inverse_values(grid, values)
+        values = inverse_values(grid, np.fft.ifftshift(values))
     return grid, values

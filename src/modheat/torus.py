@@ -3,7 +3,8 @@
 The torus [0, 2pi)^d is the periodized box [-pi, pi)^d: SpectralGrid(d, M,
 pi), whose dual lattice is the integer modes -M/2 <= xi_j < M/2 and whose
 transform pair (spectral.forward_values, inverse_values) is the unitary
-one.  A symbol is an array on that lattice, in natural order.  The
+one.  A symbol is an array on that lattice, in the FFT's slot order of
+every frequency array (grid.freq_axis gives each slot's mode).  The
 convolution kernel of the multiplier m is
 
     K = (2pi)^{-d} sum_xi m(xi) exp(i xi.x) = (2pi)^{-d/2} inverse_values(m),
@@ -48,7 +49,8 @@ def oscillator_heat_symbol(grid, t, beta):
         raise ValueError(f"symbol truncation remainder {rem:.3e} exceeds "
                          "tolerance; enlarge modes_per_axis")
     sym = np.zeros(grid.shape)
-    sym[(slice(half, None),) * grid.dim] = heat_coeff_factors(
+    # slots 0 .. M/2 - 1 of each axis hold the modes 0 .. M/2 - 1
+    sym[(slice(0, half),) * grid.dim] = heat_coeff_factors(
         level_mesh(grid.dim, half - 1), t, beta)
     return sym
 
@@ -74,7 +76,8 @@ def operator_norm_lower(sym, ps, trials, grid, seed=0):
     (len(ps), trials) the ratio ||T f||_p / ||f||_p of every trial, 0 where
     ||f||_p = 0.  The trials are drawn, filtered and measured as stacks of
     at most TRIAL_BATCH_VALUES values, from one random stream in trial
-    order: real then imaginary part of each trial's coefficients.
+    order: real then imaginary part of each trial's coefficients, each
+    lattice from mode -M/2 up on every axis.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -84,7 +87,11 @@ def operator_norm_lower(sym, ps, trials, grid, seed=0):
     ratios = np.zeros((len(ps), trials))
     for start in range(0, trials, batch):
         z = rng.standard_normal((min(batch, trials - start), 2) + grid.shape)
-        coeffs = z[:, 0] + 1j * z[:, 1]
+        # the draws fill each lattice from mode -M/2 up, so a seed keeps
+        # its trials whatever the library's frequency order; ifftshift
+        # moves them to slot order
+        coeffs = np.fft.ifftshift(z[:, 0] + 1j * z[:, 1],
+                                  axes=tuple(range(1, grid.dim + 1)))
         f = inverse_values(grid, coeffs)
         g = inverse_values(grid, sym * coeffs)
         for row, p in zip(ratios, ps):

@@ -393,9 +393,11 @@ def _multi_product_hat_oracle(grid, factors):
         fine *= np.fft.ifftn(np.fft.ifftshift(np.pad(A, [(lo, lo)] * d))) \
             * (m / n) ** d
     C = np.fft.fftshift(np.fft.fftn(fine)) * (n / m) ** d
-    coeffs = C[tuple(slice(lo, lo + n) for _ in range(d))]
+    # the band, moved back to the FFT's slot order
+    coeffs = np.fft.ifftshift(C[tuple(slice(lo, lo + n) for _ in range(d))])
     scale = (2.0 * np.pi) ** (-d / 2.0) * grid.spacing ** d
-    alt = (-1.0) ** np.arange(-n // 2, n // 2)
+    # (-1)^m at every slot: a slot's mode differs from its index by 0 or n
+    alt = (-1.0) ** np.arange(n)
     sign = alt
     for _ in range(d - 1):
         sign = np.multiply.outer(sign, alt)

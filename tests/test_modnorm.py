@@ -14,7 +14,7 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _stft_batches, algebra_defect, bump_profile,
                              max_mod_norm, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
-from modheat.spectral import (SpectralGrid, dft_order, fine_grid,
+from modheat.spectral import (SpectralGrid, fine_grid,
                               forward_values, inverse_values, lp_norm)
 from test_spectral import (dealiased_product, frequency_lp_norm,
                            physical_lp_norm)
@@ -362,10 +362,9 @@ def per_p_block_norms(F, partition, p):
     last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
     block_axes = tuple(range(2, d + 2))
     vol = g.spacing ** d
-    F_dft = dft_order(F, axes=tuple(range(1, d + 1)))
     chunks = []
     for lead in product(range(nrows), repeat=d - 1):
-        partial = F_dft
+        partial = F
         for j in range(d - 1):
             shape = [1] * (d + 1)
             shape[j + 1] = n
@@ -549,11 +548,12 @@ class TestMaxModNorm:
         part = UniformPartition(g)
         spec = ModNormSpec(1.0, 1.0, 0.0)
         rng = np.random.default_rng(3)
-        noise = (rng.standard_normal(g.shape)
-                 + 1j * rng.standard_normal(g.shape)) \
+        # the draws run from mode -32 up: ifftshift moves them to slot order
+        noise = np.fft.ifftshift(rng.standard_normal(g.shape)
+                                 + 1j * rng.standard_normal(g.shape)) \
             * np.exp(-g.freq_axis ** 2 / 8)
         wave = np.zeros(g.shape, complex)
-        wave[40] = 1.0  # frequency 4
+        wave[8] = 1.0  # mode 8: frequency 4
         stack = np.array([wave, noise, wave])
         norms = mod_norms_from_frequency(stack, [spec], part)[0]
         stack[1] *= 0.95 * norms[0] / norms[1]
@@ -595,8 +595,8 @@ class TestMaxModNorm:
         g = SpectralGrid(1, 64, 8.0)
         part = UniformPartition(g)
         stack = np.zeros((2,) + g.shape, complex)
-        stack[0, 32] = 1e80  # frequency 0, weight 1
-        stack[1, 60] = 1e60  # frequency 11, weight ~1e108
+        stack[0, 0] = 1e80  # frequency 0, weight 1
+        stack[1, 28] = 1e60  # mode 28: frequency 11, weight ~1e108
         spec = ModNormSpec(4.0, 1.0, 100.0)
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             len(part._active_centers) * g.size)
@@ -780,7 +780,7 @@ def _shift_loop_rows(f, plan, refine):
 
 def _shift_loop_inner(fine, rows, p):
     """Sum over the window shifts of |V_g f|^p (max at p = inf), shift by
-    shift, in natural order."""
+    shift."""
     inner = np.zeros(fine.shape)
     for row in rows:
         a = np.abs(row)
@@ -824,14 +824,12 @@ def _oracle_stft_norm(name, spec, refine, kind="complex"):
 
 
 def _batched_rows(name, refine):
-    """_stft_batches' stacks, each copied out of its buffer and moved from
-    DFT order to natural order."""
+    """_stft_batches' stacks, each copied out of its buffer."""
     f, plan = _stft_case(name)
     fine, _ = _oracle_stft_rows(name, refine)
-    axes = range(1, plan.grid.dim + 1)
     (_, batches), = _stft_batches(f[None], np.arange(1), plan,
                                   _stride(plan, refine), fine)
-    return np.concatenate([dft_order(v[0], axes=axes) for v in batches])
+    return np.concatenate([v[0].copy() for v in batches])
 
 
 class TestSTFTEngine:

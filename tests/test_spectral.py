@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from modheat.corpus import band_limited
 from modheat.spectral import (SpectralGrid, _band_slots, _factor_meshes,
                               _per_axis, boundary_tail_ratio,
-                              cropped_forward, dft_order, fine_grid,
+                              cropped_forward, fine_grid,
                               forward_values, heat_symbol, inverse_values,
                               load_grid_function, lp_norm, padded_inverse)
 
@@ -29,7 +30,10 @@ def frequency_lp_norm(g, F, p):
 def save_grid_function(g, values, path_base, side="physical"):
     """Write <base>.csv rows (index, re, im) plus a <base>.json grid header,
     the files load_grid_function reads; values are one function's samples
-    on grid g, on the given side."""
+    on grid g, on the given side.  The file orders frequency samples from
+    mode -N/2 up on each axis, so they are moved out of slot order."""
+    if side == "frequency":
+        values = np.fft.fftshift(values)
     with open(path_base + ".csv", "w") as fh:
         fh.write("index,re,im\n")
         for i, v in enumerate(np.reshape(values, -1)):
@@ -89,8 +93,9 @@ class TestGrid:
         g = SpectralGrid(1, 8, 2.0)
         assert g.spacing * g.points_per_axis == pytest.approx(2 * g.half_width)
         assert g.freq_spacing == pytest.approx(np.pi / 2.0)
-        np.testing.assert_allclose(g.freq_axis,
-                                   np.pi / 2.0 * np.arange(-4, 4))
+        # the FFT's slot order: modes 0 .. 3, then -4 .. -1
+        np.testing.assert_allclose(
+            g.freq_axis, np.pi / 2.0 * np.array([0, 1, 2, 3, -4, -3, -2, -1]))
 
     @pytest.mark.parametrize("n", [3, 5, 2])
     def test_rejects_bad_point_count(self, n):
@@ -142,7 +147,7 @@ class TestTransforms:
 
     def test_dc_mode_gives_constant(self, grid1):
         coeffs = np.zeros(grid1.shape, dtype=complex)
-        coeffs[grid1.points_per_axis // 2] = 1.0
+        coeffs[0] = 1.0
         f = inverse_values(grid1, coeffs)
         assert np.max(np.abs(f - f.reshape(-1)[0])) < 1e-14
 
@@ -172,15 +177,6 @@ class TestPerAxisTransforms:
         assert np.array_equal(b, want)
         assert np.array_equal(_per_axis(np.fft.fft, a, dim),
                               np.fft.fftn(a, axes=axes))
-        assert np.array_equal(dft_order(a, axes=axes),
-                              np.fft.ifftshift(a, axes=axes))
-        assert np.array_equal(dft_order(a), np.fft.ifftshift(a))
-        assert np.array_equal(dft_order(a, axes=-1),
-                              np.fft.ifftshift(a, axes=-1))
-
-    def test_odd_length_shift(self):
-        a = np.arange(35.0).reshape(5, 7)
-        assert np.array_equal(dft_order(a), np.fft.ifftshift(a))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_spectral_helpers_equal_nd(self, dim):
@@ -190,12 +186,10 @@ class TestPerAxisTransforms:
         shape = (3,) + grid.shape
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         axes = tuple(range(-dim, 0))
-        forward_mesh, inverse_mesh, forward_dft = _factor_meshes(grid)
-        assert np.array_equal(forward_dft, dft_order(forward_mesh))
-        want = np.fft.fftshift(np.fft.fftn(a, axes=axes), axes=axes)
+        forward_mesh, inverse_mesh = _factor_meshes(grid)
+        want = np.fft.fftn(a, axes=axes)
         assert np.array_equal(forward_values(grid, a), want * forward_mesh)
-        want = np.fft.ifftn(np.fft.ifftshift(a, axes=axes) * inverse_mesh,
-                            axes=axes)
+        want = np.fft.ifftn(a * inverse_mesh, axes=axes)
         assert np.array_equal(inverse_values(grid, a), want)
         index, factor = _band_slots(grid, fine)
         pad = np.zeros((3,) + fine.shape, complex)
@@ -274,12 +268,14 @@ class TestDealiasing:
         # discrete convolution of the coefficients
         g = SpectralGrid(1, 64, 8.0)
         rng = np.random.default_rng(5)
+        draws = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+        # modes -6 .. 6; mode m sits in slot m mod 64
         coeffs = np.zeros(g.shape, dtype=complex)
-        band = slice(32 - 6, 32 + 7)
-        coeffs[band] = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+        coeffs[np.arange(-6, 7) % 64] = draws
         f = inverse_values(g, coeffs)
         got = dealiased_power_hat(g, forward_values(g, f), 2)
-        conv = np.convolve(coeffs, coeffs)[32:32 + 64]
+        conv = np.zeros(g.shape, dtype=complex)
+        conv[np.arange(-12, 13) % 64] = np.convolve(draws, draws)
         expected = (2 * np.pi) ** -0.5 * g.freq_spacing * conv
         np.testing.assert_allclose(got, expected, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -329,3 +325,69 @@ class TestDiagnosticsAndIO:
         save_grid_function(g, f, base, "momentum")
         with pytest.raises(ValueError, match="side"):
             load_grid_function(base)
+
+    def test_frequency_file_rows_run_from_mode_minus_half(self, tmp_path):
+        # a frequency-side file lists each axis's modes from -N/2 up; its
+        # samples load to the inverse transform of that array moved to slot
+        # order by ifftshift, bit for bit
+        g = SpectralGrid(2, 8, 2.0)
+        rng = np.random.default_rng(2)
+        natural = (rng.standard_normal(g.shape)
+                   + 1j * rng.standard_normal(g.shape))
+        base = str(tmp_path / "field")
+        save_grid_function(g, np.fft.ifftshift(natural), base, "frequency")
+        with open(base + ".csv") as fh:
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], natural.ravel())
+        want = np.fft.ifftn(np.fft.ifftshift(natural) * _factor_meshes(g)[1])
+        assert np.array_equal(load_grid_function(base)[1], want)
+        # one row: the mode (1, -2) of natural row (1 + 4) * 8 + (-2 + 4)
+        single = np.zeros(g.shape, complex)
+        single[5, 2] = 1.0
+        save_grid_function(g, np.fft.ifftshift(single), base, "frequency")
+        wave = ((2 * np.pi) ** -1 * g.freq_spacing ** 2
+                * np.exp(1j * g.x_mesh @ (g.freq_spacing * np.array([1, -2]))))
+        np.testing.assert_allclose(load_grid_function(base)[1], wave,
+                                   rtol=0, atol=1e-15)
+
+
+def natural_band_limited(grid, max_mode, seed):
+    """band_limited built from mode -N/2 up on every axis: the draws fill
+    the lattice's centre block in that order, moved to slot order by
+    ifftshift."""
+    rng = np.random.default_rng(seed)
+    n = grid.points_per_axis
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    block = (slice(n // 2 - max_mode, n // 2 + max_mode + 1),) * grid.dim
+    size = (2 * max_mode + 1,) * grid.dim
+    coeffs[block] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return inverse_values(grid, np.fft.ifftshift(coeffs)).real.astype(complex)
+
+
+class TestBandLimited:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_matches_natural_order_construction(self, dim, n):
+        grid = SpectralGrid(dim, n, 4.0)
+        for max_mode in (0, 2, n // 2 - 1):
+            assert np.array_equal(band_limited(grid, max_mode, seed=5),
+                                  natural_band_limited(grid, max_mode, 5))
+
+    def test_rejects_modes_beyond_the_band(self):
+        grid = SpectralGrid(1, 16, 4.0)
+        for max_mode in (-1, 8):
+            with pytest.raises(ValueError, match="max_mode"):
+                band_limited(grid, max_mode, seed=0)
+
+
+class TestLpNorm:
+    def test_stack_norms_equal_single_norms(self):
+        # a function's norm does not depend on the stack it comes in: the
+        # root is taken one function at a time, bit for bit
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((2, 300, 16)) * rng.uniform(
+            0.1, 10.0, (2, 300, 1))
+        for p in (1.5, 3.0, 4.0, np.inf):
+            norms = lp_norm(stack, 0.3, p, 1)
+            assert norms.shape == (2, 300)
+            assert norms.tolist() == [[lp_norm(f, 0.3, p, 1) for f in row]
+                                      for row in stack]

@@ -177,3 +177,38 @@ def test_no_unused_imports():
             unused += [f"{path.relative_to(ROOT)}: {name}" for name in
                        _unused_imports(ast.parse(path.read_text()))]
     assert unused == []
+
+
+# the only functions of src/modheat that reorder frequency samples between
+# the FFT's slot order and the order from mode -N/2 up: the csv reader and
+# the random trials' draws
+SHIFT_SITES = {("spectral", "load_grid_function"),
+               ("torus", "operator_norm_lower")}
+
+
+def _shift_sites(tree):
+    """(top-level definition, line) of every fftshift or ifftshift a module
+    names: attribute, bare name or import."""
+    shifts = {"fftshift", "ifftshift"}
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name.rpartition(".")[2]
+                    if isinstance(node, ast.alias) else None)
+            if name in shifts:
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_one_frequency_order():
+    # every frequency array of src/modheat stays in slot order: a shift
+    # anywhere but the two boundary sites would bring a second order back
+    stray, sites = [], set()
+    for path in sorted((ROOT / "src" / "modheat").glob("*.py")):
+        for owner, line in _shift_sites(ast.parse(path.read_text())):
+            if (path.stem, owner) in SHIFT_SITES:
+                sites.add((path.stem, owner))
+            else:
+                stray.append(f"{path.relative_to(ROOT)}:{line} in {owner}")
+    assert stray == []
+    assert sites == SHIFT_SITES

@@ -42,6 +42,7 @@ def apply_symbol(values, sym, grid):
 #
 # on the samples theta_j = 2 pi j / M, with the cell volume (2 pi / M)^d as
 # quadrature weight: the single-mode projector's kernel has L^1 mass one.
+# Coefficients are in the FFT's slot order, as every frequency array is.
 
 
 def cell_volume(grid):
@@ -51,14 +52,13 @@ def cell_volume(grid):
 def oracle_forward(values, grid):
     axes = tuple(range(-grid.dim, 0))
     values = np.asarray(values, dtype=complex)
-    return (np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
-            * cell_volume(grid))
+    return np.fft.fftn(values, axes=axes) * cell_volume(grid)
 
 
 def oracle_inverse(coeffs, grid):
     axes = tuple(range(-grid.dim, 0))
     coeffs = np.asarray(coeffs, dtype=complex)
-    raw = (np.fft.ifftn(np.fft.ifftshift(coeffs, axes=axes), axes=axes)
+    raw = (np.fft.ifftn(coeffs, axes=axes)
            * grid.points_per_axis ** grid.dim)
     return raw * (2.0 * np.pi) ** (-grid.dim)
 
@@ -74,15 +74,22 @@ def oracle_kernel_l1_norm(sym, grid):
 
 def mode_mesh_symbol(grid, t, beta):
     """exp(-t (2|alpha| + d)^beta) on nonnegative modes, zero elsewhere,
-    from the mesh of integer modes."""
+    from the mesh of integer modes from -M/2 up, moved to slot order."""
     m = grid.points_per_axis
     axis = np.arange(-m // 2, m // 2)
     mesh = np.stack(np.meshgrid(*([axis] * grid.dim), indexing="ij"),
                     axis=-1)
     level = np.maximum(np.sum(mesh, axis=-1), 0)  # clamp: masked out below
     nonneg = np.all(mesh >= 0, axis=-1)
-    return np.where(nonneg, np.exp(-t * (2.0 * level + grid.dim) ** beta),
-                    0.0)
+    return np.fft.ifftshift(np.where(
+        nonneg, np.exp(-t * (2.0 * level + grid.dim) ** beta), 0.0))
+
+
+def natural_trial(rng, grid):
+    """One seeded trial's coefficients: the draws fill the lattice from mode
+    -M/2 up on every axis, moved to slot order."""
+    return np.fft.ifftshift(rng.standard_normal(grid.shape)
+                            + 1j * rng.standard_normal(grid.shape))
 
 
 def convention_trial_ratios(sym, p, trials, grid, seed=0):
@@ -92,9 +99,7 @@ def convention_trial_ratios(sym, p, trials, grid, seed=0):
     rng = np.random.default_rng(seed)
     vol = cell_volume(grid)
     for _ in range(trials):
-        coeffs = (rng.standard_normal(grid.shape)
-                  + 1j * rng.standard_normal(grid.shape))
-        f = oracle_inverse(coeffs, grid)
+        f = oracle_inverse(natural_trial(rng, grid), grid)
         denom = lp_norm(f, vol, p, grid.dim)
         g = oracle_apply(f, sym, grid)
         ratios.append(0.0 if denom == 0.0 else
@@ -241,17 +246,14 @@ class TestKernelBound:
 def oracle_trial_ratios(sym, p, trials, grid, seed=0):
     """The seeded trials' ratios at one p, one trial at a time, as before
     the trials were stacked: every p redraws the trials and filters each
-    again.  Each trial is measured as a stack of one, so that its norm's
-    root is taken by NumPy's array power, as in a stack; the scalar power
-    of one function's norm can differ from it in the last bit."""
+    again."""
     ratios = []
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        coeffs = (rng.standard_normal((1,) + grid.shape)
-                  + 1j * rng.standard_normal((1,) + grid.shape))
-        denom = norm(inverse_values(grid, coeffs), grid, p)[0]
+        coeffs = natural_trial(rng, grid)
+        denom = norm(inverse_values(grid, coeffs), grid, p)
         ratios.append(0.0 if denom == 0.0 else
-                      norm(inverse_values(grid, sym * coeffs), grid, p)[0]
+                      norm(inverse_values(grid, sym * coeffs), grid, p)
                       / denom)
     return ratios
 
