@@ -354,10 +354,11 @@ class RunRecord:
 
     def write_csv(self, name, header, rows):
         path = os.path.join(self.out_dir, name)
+        lines = [",".join(header)]
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
+        # one write call for the whole file, not one per row
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write("\n".join(lines) + "\n")
         self.csv_files.append(name)
         return path
 
@@ -389,9 +390,8 @@ class RunRecord:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+    # float.__repr__ of a NumPy float64 is the repr of the float it holds
+    return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def _emit_gnuplot(out_dir, csv_name):
@@ -444,6 +444,23 @@ def cmd_propagate(cfg, seed, rec):
     rec.verdict("uniform_stability", max(uniform) / min(uniform), 1.0 + tol)
 
 
+def _resolution_shares(grid, values):
+    """How far one function's physical samples are from resolved, real
+    data: the largest |F| on the -N/2 slots (of any axis) over max |F|,
+    and max |Im f| over max |f|; 0 for the zero function.  The -N/2 mode
+    has no mirror on the lattice, so where it carries mass real data turns
+    complex."""
+    # the state before an overflow may transform to inf: a NaN share
+    with np.errstate(over="ignore", invalid="ignore"):
+        hat = np.abs(forward_values(grid, values))
+        nyquist = max(np.take(hat, grid.points_per_axis // 2, axis=axis).max()
+                      for axis in range(grid.dim))
+        peak, top = hat.max(), np.abs(values).max()
+        return {"nyquist_share": float(nyquist / peak) if peak else 0.0,
+                "imaginary_share": (float(np.abs(values.imag).max() / top)
+                                    if top else 0.0)}
+
+
 def cmd_blowup(cfg, seed, rec):
     grid, beta, k, u0 = _parse_problem(cfg)
     hyp = BlowupHypothesis(cfg["hypothesis.gamma"], cfg["hypothesis.r"], beta,
@@ -494,7 +511,9 @@ def cmd_blowup(cfg, seed, rec):
     rec.diagnostics["data"] = {"boundary_tail_ratio": boundary_tail_ratio(u0)}
     rec.diagnostics["solver"] = {"stop_reason": trace.stop_reason,
                                  "steps": len(trace.times) - 1,
-                                 "steps_discarded": trace.steps_discarded}
+                                 "steps_discarded": trace.steps_discarded,
+                                 **_resolution_shares(grid,
+                                                      trace.final_state)}
     rec.write_csv("blowup_trace.csv",
                   ["t", "norm_Mp1", "norm_FL1", "linf", "blowup_flag"],
                   list(trace.rows()))
@@ -839,7 +858,7 @@ def main(argv=None):
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory: {exc}") from exc
-        rec = RunRecord(args.command, cfg, out_dir)
+        rec = RunRecord(args.command, seeded, out_dir)
         _COMMANDS[args.command](params, params["seed"], rec)
     except (ConfigError, ValueError) as exc:
         # a ValueError is an invalid parameterization surfaced by the

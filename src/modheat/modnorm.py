@@ -43,6 +43,21 @@ tight for neighbouring time slices.  Functions are evaluated in descending
 bound until the next bound is at most the largest norm found, and the
 maximum is the one of the full evaluation bit for bit.
 
+Real data takes about half the block engine's work at p != 2.  A
+function whose frequency samples are Hermitian, ||F - conj F(-.)|| <=
+HERMITIAN_TOL ||F|| in l^2 off the -N/2 rows (checked per function), has
+box_{-k} f equal to the conjugate of box_k f for every key whose rows, and
+its mirror's rows, vanish on the -N/2 slots.  Of those keys the engine
+transforms the ones at or above 0 in lexicographic order and copies each
+other one from its mirror; the keys that touch -N/2 are transformed.  The
+real data kinds, the solver states and Picard terms grown from them,
+band_limited and the Hermite families take this path; complex functions
+(mixed_family's modulated Gaussians, a complex csv datum) take every block
+as before, bit for bit.  A copied block matches the transformed one to
+roundoff, and a spec whose error bound for the copies would not fit
+max_mod_norm's roundoff slack (large weights: MIRROR_SLACK, _mirror_error)
+takes every block for every function.
+
 Partitions and STFT plans are immutable after construction; per-block work
 is independent, and norm reductions use a fixed summation order so results
 do not depend on evaluation schedule.
@@ -119,10 +134,83 @@ class UniformPartition:
         self._key_radii = np.sqrt(np.sum(keys ** 2, axis=1))
         for arr in (self._sq_rows, self._folded_rows, self._key_radii):
             arr.setflags(write=False)
+        self._memo = {}  # values made on first use (_memo)
 
     def active_keys(self):
         """Block centers whose symbol is nonzero somewhere on the lattice."""
         return product(self._active_centers, repeat=self.grid.dim)
+
+
+def _memo(partition, key, make):
+    """make(), made once per partition and key."""
+    if key not in partition._memo:
+        partition._memo[key] = make()
+    return partition._memo[key]
+
+
+def _schedule(partition, hermitian):
+    """_engine_schedule(partition, hermitian), made once per partition."""
+    return _memo(partition, ("schedule", hermitian),
+                 lambda: _engine_schedule(partition, hermitian))
+
+
+def _engine_schedule(partition, hermitian):
+    """(leads, mirrored, sources): the lead tuples of row indices the block
+    engine takes, each with the folded rows of the last axis it transforms,
+    their columns of the block table and whether its leading-axis
+    transforms come from the lead before it, its mirror; then the columns
+    it copies instead, each from its source column.
+
+    A complex function needs every block, each lead transformed.  The rows
+    obey row_{-c}(xi) = row_c(-xi) on every slot but -N/2, which has no
+    mirror, so for a Hermitian function a key whose rows and whose
+    mirror's rows vanish on -N/2 on every axis has the block norms of its
+    mirror.  Those keys below 0 in lexicographic order are copied.  A lead
+    tuple below 0 (clear of -N/2) then keeps only the last-axis rows that
+    touch -N/2, and follows its mirror, whose leading-axis transforms give
+    its own off the -N/2 slice of the last axis.  The zero tuple takes
+    those rows and the ones of centers >= 0, every other tuple all rows.
+    """
+    d = partition.grid.dim
+    centers = np.array(partition._active_centers)
+    nrows, n = partition._sq_rows.shape
+    where = {c: i for i, c in enumerate(partition._active_centers)}
+    mirror = np.array([where.get(-c, -1) for c in partition._active_centers])
+    nyquist = partition._sq_rows[:, n // 2] != 0
+    # a row with no active mirror is nonzero only on -N/2
+    touch = (mirror < 0) | nyquist | nyquist[mirror]
+    last = partition._folded_rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
+    leads = []
+    computed = np.zeros(nrows ** d, dtype=bool)
+
+    def take(lead, index=None, follows=False):
+        # the lead with all last-axis rows, or with those of index
+        start = nrows * (np.ravel_multi_index(lead, (nrows,) * (d - 1))
+                         if lead else 0)
+        if index is None:
+            leads.append((lead, last, slice(start, start + nrows), follows))
+        elif index.size:
+            leads.append((lead, np.ascontiguousarray(last[index]),
+                          start + index, follows))
+        else:
+            return
+        computed[leads[-1][2]] = True
+
+    for lead in product(range(nrows), repeat=d - 1):
+        lead_centers = centers[list(lead)]
+        nonzero = lead_centers[lead_centers != 0]
+        if not hermitian or touch[list(lead)].any():
+            take(lead)
+        elif not nonzero.size:
+            take(lead, np.flatnonzero((centers >= 0) | touch))
+        elif nonzero[0] > 0:
+            take(lead)
+            take(tuple(mirror[list(lead)]), np.flatnonzero(touch), True)
+    mirrored = np.flatnonzero(~computed)
+    keys = np.unravel_index(mirrored, (nrows,) * d)
+    sources = np.ravel_multi_index(tuple(mirror[k] for k in keys),
+                                   (nrows,) * d)
+    return leads, mirrored, sources
 
 
 # -- decomposition-side norm ----------------------------------------------------
@@ -175,9 +263,49 @@ def _parseval_block_norms(F, partition):
     return np.sqrt(g.freq_spacing ** g.dim * acc).reshape(len(F), -1)
 
 
-def _block_lp_norms(F, partition, ps):
+# Hermitian tolerance tau of the block engine (_hermitian): the FFT bound
+# quoted above BOUND_ROUNDOFF, 6 u log2(N^d) <= 2^-45 of ||F||_2 (Higham,
+# Thm 24.2), on each of F(xi) and F(-xi) of a real function's transform.
+HERMITIAN_TOL = 2.0 ** -44
+
+
+def _mirror_pairs(grid):
+    """The flat indices of the lattice slots off the -N/2 rows, then those
+    of each one's mirror, slot -i mod N on every axis."""
+    n = grid.points_per_axis
+    axis = np.arange(n)
+    mesh = np.meshgrid(*[axis[axis != n // 2]] * grid.dim, indexing="ij")
+    return np.concatenate(
+        [np.ravel_multi_index(mesh, grid.shape).ravel(),
+         np.ravel_multi_index([-m % n for m in mesh], grid.shape).ravel()])
+
+
+def _hermitian(F, partition):
+    """True for each function of a stack (frequency samples in the last d
+    axes) that is Hermitian to HERMITIAN_TOL: in l^2 over the slots off the
+    -N/2 rows, ||F - conj F(-.)|| <= HERMITIAN_TOL ||F||, with
+    HERMITIAN_TOL^2 ||F||^2 a finite normal float, so that the check's own
+    roundings stay relative."""
+    pairs = _memo(partition, "mirror pairs",
+                  lambda: _mirror_pairs(partition.grid))
+    flat = np.ascontiguousarray(F.reshape(len(F), -1), dtype=complex)
+    both = flat.take(pairs, axis=1)
+    half = both.shape[1] // 2
+    # a difference beyond the float range is inf, as is then the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = (both[:, :half] - np.conj(both[:, half:])).view(float)
+    values = flat.view(float)
+    # einsum's sums of squares overflow to inf without a warning
+    bound = HERMITIAN_TOL ** 2 * np.einsum("ij,ij->i", values, values)
+    return ((np.einsum("ij,ij->i", defect, defect) <= bound)
+            & (bound >= np.finfo(float).tiny) & (bound < np.inf))
+
+
+def _block_lp_norms(F, partition, ps, mirror=None):
     """L^p norms of every active block of each function in a stack, one
-    (batch, active keys) table per p of ps (distinct, none of them 2).
+    (batch, active keys) table per p of ps (none of them 2).  mirror[i]
+    False keeps ps[i]'s table off the mirrored path (default: none); the
+    pairs (ps[i], mirror[i]) are distinct.
 
     F is laid out as for _parseval_block_norms.  The inverse transform
     factors into one 1-D transform per axis: the leading axes are
@@ -186,31 +314,86 @@ def _block_lp_norms(F, partition, ps):
     Each chunk's blocks and |.| are formed once for every p: p = inf and
     p = 1 read the magnitudes first, any other p but the last takes its
     powers into a fresh array, and the last takes them in place.
+
+    A Hermitian function (_hermitian) takes the mirrored schedule
+    (_engine_schedule) for every p whose mirror[i] allows it, and the full
+    one for the others; other functions take the full schedule.  The stack
+    is split per function, so a norm has the bits of a call on that
+    function alone.  A table on the mirrored schedule matches the full
+    one to roundoff: the columns of a lead transformed on its own have
+    its bits.
     """
+    mirror = [True] * len(ps) if mirror is None else mirror
+    hermitian = _hermitian(F, partition)
+    real = np.count_nonzero(hermitian)
+    if real in (0, len(F)):
+        return _group_tables(F, partition, ps, mirror, real > 0)
+    out = [np.empty((len(F), len(partition._key_radii))) for _ in ps]
+    for rows, kind in ((hermitian, True), (~hermitian, False)):
+        for table, part in zip(out, _group_tables(F[rows], partition, ps,
+                                                  mirror, kind)):
+            table[rows] = part
+    return out
+
+
+def _group_tables(F, partition, ps, mirror, hermitian):
+    """_block_lp_norms on a stack whose functions are all Hermitian or all
+    not: one engine pass per schedule the tables need."""
+    kinds = [hermitian and copy for copy in mirror]
+    tables = {kind: _block_lp_tables(
+        F, partition, list(dict.fromkeys(p for p, k in zip(ps, kinds)
+                                         if k == kind)), kind)
+              for kind in set(kinds)}
+    return [tables[kind][p] for p, kind in zip(ps, kinds)]
+
+
+def _axis_shape(axis, ndim, n):
+    """Shape of a row that broadcasts along axis + 1 of ndim axes."""
+    shape = [1] * ndim
+    shape[axis + 1] = n
+    return shape
+
+
+def _block_lp_tables(F, partition, ps, hermitian):
+    """{p: block table} of a stack on the engine's complex (hermitian=False)
+    or mirrored schedule (_engine_schedule), for the distinct p of ps."""
     g = partition.grid
     d = g.dim
     rows = partition._folded_rows
     nrows, n = rows.shape
-    last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
     block_axes = tuple(range(2, d + 2))
     vol = g.spacing ** d
     powered = [p for p in ps if not (np.isinf(p) or p == 1)]
     # p = inf and p = 1 read the magnitudes first; the last power overwrites
     order = [p for p in ps if p not in powered] + powered
-    chunks = {p: [] for p in ps}
-    for lead in product(range(nrows), repeat=d - 1):
-        partial = F
-        for j in range(d - 1):
-            shape = [1] * (d + 1)
-            shape[j + 1] = n
-            partial = np.fft.ifft(
-                partial * rows[lead[j]].reshape(shape), axis=j + 1)
+    tables = {p: np.empty((len(F), nrows ** d)) for p in ps}
+    leads, mirrored, sources = _schedule(partition, hermitian)
+    for lead, last, cols, follows in leads:
+        if follows:
+            # partial is still the mirror lead's, the lead before this one:
+            # conjugated and reflected on the last axis it is this lead's
+            # but on the -N/2 slice, which has no mirror and is transformed
+            # on its own
+            nyquist = F[..., n // 2]
+            for j in range(d - 1):
+                nyquist = np.fft.ifft(
+                    nyquist * rows[lead[j]].reshape(_axis_shape(j, d, n)),
+                    axis=j + 1)
+            partial = partial[..., -np.arange(n) % n]
+            np.conjugate(partial, out=partial)
+            partial[..., n // 2] = nyquist
+        else:
+            partial = F
+            for j in range(d - 1):
+                partial = np.fft.ifft(
+                    partial * rows[lead[j]].reshape(_axis_shape(j, d + 1, n)),
+                    axis=j + 1)
         # in place: fresh temporaries of this size cost more than the FFT
         blocks = partial[:, None] * last
         a = np.abs(np.fft.ifft(blocks, axis=-1, out=blocks))
         for p in order:
             if np.isinf(p):
-                chunks[p].append(a.max(axis=block_axes))
+                tables[p][:, cols] = a.max(axis=block_axes)
                 continue
             if p == 1:
                 powers = a
@@ -218,9 +401,12 @@ def _block_lp_norms(F, partition, ps):
                 powers = np.power(a, p, out=a)
             else:
                 powers = a ** p
-            chunks[p].append((vol * np.sum(powers, axis=block_axes))
-                             ** (1.0 / p))
-    return [np.concatenate(chunks[p], axis=1) for p in ps]
+            tables[p][:, cols] = ((vol * np.sum(powers, axis=block_axes))
+                                  ** (1.0 / p))
+    if hermitian:
+        for table in tables.values():
+            table[:, mirrored] = table[:, sources]
+    return tables
 
 
 def mod_norms_from_frequency(values, specs, partition, batch=None):
@@ -235,7 +421,10 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     so a norm has the bits a call on its spec alone gives.  At p = 2 the
     contraction's BLAS kernel, and so a norm's last bit, depends on how
     many functions share an engine batch (dgemv for one, dgemm for more):
-    batch=1 gives every norm the bits of a call on that function alone."""
+    batch=1 gives every norm the bits of a call on that function alone.
+    At p != 2 a Hermitian function takes the engine's mirrored path
+    (_block_lp_norms) for every spec whose error bound for it is at most
+    MIRROR_SLACK (_mirror_error), and every block for the others."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
@@ -246,19 +435,23 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
         step = _engine_batch(rows, g) if batch is None else batch
         return [stack[i:i + step] for i in range(0, len(stack), step)]
 
-    ps = list(dict.fromkeys(spec.p for spec in specs))
-    general = [p for p in ps if p != 2]
+    # each spec's block table: (p, whether the mirrored path's error fits
+    # the roundoff slack) at p != 2
+    keys = [(spec.p, spec.p != 2
+             and _mirror_error(spec, partition)[1] <= MIRROR_SLACK)
+            for spec in specs]
+    general = [key for key in dict.fromkeys(keys) if key[0] != 2]
     tables = {}
-    if 2 in ps:
-        tables[2.0] = np.concatenate([_parseval_block_norms(F, partition)
-                                      for F in batches(1)])
+    if (2.0, False) in keys:
+        tables[2.0, False] = np.concatenate(
+            [_parseval_block_norms(F, partition) for F in batches(1)])
     if general:
-        per_batch = [_block_lp_norms(F, partition, general)
+        per_batch = [_block_lp_norms(F, partition, *zip(*general))
                      for F in batches(len(partition._active_centers))]
         tables.update(zip(general, map(np.concatenate, zip(*per_batch))))
     out = np.empty((len(specs), len(stack)))
-    for row, spec in zip(out, specs):
-        terms = tables[spec.p] * (1.0 + partition._key_radii) ** spec.s
+    for row, key, spec in zip(out, keys, specs):
+        terms = tables[key] * (1.0 + partition._key_radii) ** spec.s
         if np.isinf(spec.q):
             row[:] = terms.max(axis=-1)
         else:
@@ -279,7 +472,56 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
 # 6 u log2(N^d) <= 2^-45 (Higham, Thm 24.2), and the squares, powers,
 # roots and weights a few u each.  That is below 2^-19; 2^-18 also covers
 # the products of these factors.
+#
+# The engine's mirrored path (_block_lp_norms) adds one term.  It takes a
+# Hermitian function's block k, below 0 and clear of the -N/2 rows, as
+# box_{-k} f, whose norms are those of box_k applied to
+# F~(xi) = conj F(-xi).  D = F - F~ has ||D||_2 <= 2 tau ||F||_2 off the
+# -N/2 rows, where sigma_k lives (tau = HERMITIAN_TOL; the 2 covers the
+# check's own roundings), so with b the frequency spacing the block moves
+# by at most
+#   e_k = ||box_k D||_p <= c_p ||box_k D||_2 = c_p b^{d/2} ||sigma_k D||_2.
+# The symbols are >= 0 and sum to 1, with at most 2^d of them nonzero at a
+# slot, so 2^-d <= sum_k sigma_k^2 <= 1 there.  Hence sum_k e_k^2 <=
+# c_p^2 b^d ||D||^2, and Hoelder over the blocks, with 1/t =
+# max(0, 1/q - 1/2), bounds the weighted l^q sum of the moves by
+# ||w||_t c_p b^{d/2} ||D||, w the block weights.  And ||F||^2 <=
+# 2^d sum_k ||sigma_k F||^2 <= 2^d K^{d max(0, 1 - 2/q)} (N_2 / (b^{d/2}
+# min w))^2, with N_2 the (2, q, s) norm and K^d keys.  Together the moves
+# are at most mu c_p N_2, with
+#   mu = 2^{d/2 + 1} tau K^{d max(0, 1/2 - 1/q)} ||w||_t / min w,
+# and the lattice Nikolskii/Hoelder step N_2 <= c'_p N_p, with
+# c_p c'_p = N^{d |1/p - 1/2|} (N points per axis), makes them at most
+# nu = mu N^{d |1/p - 1/2|} of the (p, q, s) norm (_mirror_error).  mu
+# grows without bound with s, so a spec takes the mirrored path only where
+# nu <= MIRROR_SLACK = 2^-21.  There mu <= nu adds at most 2^-21 to the
+# 2^-19 above, and BOUND_ROUNDOFF still covers the sum and its products.
 BOUND_ROUNDOFF = 2.0 ** -18
+MIRROR_SLACK = 2.0 ** -21
+
+
+def _mirror_error(spec, partition):
+    """(mu, nu) of the comment above: the mirrored path's error relative to
+    c_p times the (2, q, s) norm, and relative to the (p, q, s) norm; inf or
+    NaN where a weight overflows or underflows to 0; made once per
+    partition."""
+    return _memo(partition, ("mirror error", spec),
+                 lambda: _mirror_error_of(spec, partition))
+
+
+def _mirror_error_of(spec, partition):
+    g = partition.grid
+    d = g.dim
+    k = np.float64(len(partition._active_centers))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = (1.0 + partition._key_radii) ** spec.s
+        t = 2.0 * spec.q / (2.0 - spec.q) if spec.q < 2 else np.inf
+        w_t = (weights.max() if np.isinf(t)
+               else np.sum(weights ** t) ** (1.0 / t))
+        mu = (2.0 ** (d / 2.0 + 1.0) * HERMITIAN_TOL
+              * k ** (d * max(0.0, 0.5 - 1.0 / spec.q)) * w_t / weights.min())
+        return mu, mu * np.float64(g.points_per_axis) ** (
+            d * abs(1.0 / spec.p - 0.5))
 
 
 def _bound_constants(spec, partition):
@@ -347,7 +589,11 @@ def _bound_constants(spec, partition):
 #  - The final sum (N'(g) + U(d) + 2 floor) (1 + BOUND_ROUNDOFF) takes three
 #    roundings, each a factor 1 - u at worst.
 # (1 + e) / ((1 - e) (1 - u)^4) < 1 + 2^-19 + 2^-38, below 1 +
-# BOUND_ROUNDOFF, which therefore covers this bound too.
+# BOUND_ROUNDOFF, which therefore covers this bound too.  On the mirrored
+# path N'(f) <= (1 + e) (1 + nu) N(f) + a and N(g) <= (N'(g) + a) /
+# ((1 - e) (1 - nu)) instead, with nu <= MIRROR_SLACK = 2^-21 (comment on
+# BOUND_ROUNDOFF): the factor grows to below 1 + 2^-19 + 2^-20 + 2^-37,
+# which 1 + BOUND_ROUNDOFF still covers.
 
 
 def _parseval_bounds(values, spec, partition, scale, floor):

@@ -108,8 +108,35 @@ class TestBlowupCommand:
         assert code == 1
         solver = json.load(open(out / "run_record.json"))["diagnostics"][
             "solver"]
+        shares = {name: solver.pop(name)
+                  for name in ("nyquist_share", "imaginary_share")}
         assert solver == {"stop_reason": "t_max", "steps": 50,
                           "steps_discarded": 0}
+        assert all(0.0 <= v <= 1.0 for v in shares.values())
+
+    def test_run_record_reports_final_state_resolution(self, tmp_path):
+        # at detection the -N/2 slot carries a large share of the state's
+        # transform, and its unpaired mode makes the real flow complex
+        code, out = run(tmp_path, "blowup", blowup_config())
+        assert code == 0
+        solver = json.load(open(out / "run_record.json"))["diagnostics"][
+            "solver"]
+        assert 0.1 < solver["nyquist_share"] < 1.0
+        assert 1e-4 < solver["imaginary_share"] < 0.1
+
+    def test_resolution_shares_oracle(self):
+        g = SpectralGrid(1, 64, 8.0)
+        gauss = np.exp(-g.x_axis ** 2)
+        wave = np.exp(-1j * g.max_freq_component * g.x_axis)  # mode -N/2
+        f = gauss + 0.5 * wave
+        shares = cli._resolution_shares(g, f)
+        hat = np.abs(forward_values(g, f))
+        assert shares["nyquist_share"] == hat[32] / hat.max()
+        assert shares["imaginary_share"] == \
+            np.abs(f.imag).max() / np.abs(f).max()
+        assert cli._resolution_shares(g, gauss)["imaginary_share"] == 0.0
+        assert cli._resolution_shares(g, 0.0 * gauss) == {
+            "nyquist_share": 0.0, "imaginary_share": 0.0}
 
     @pytest.mark.parametrize("kind,tail", [("gaussian", 0.0),
                                            ("plateau", 0.0909)])
@@ -442,6 +469,48 @@ class TestTransferCommand:
             assert 0.0 < entry["best_trial_ratio"] < diag["sup"]
             assert float(line.split(",")[4]) == max(diag["sup"],
                                                     entry["best_trial_ratio"])
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", ["hermite", "modnorm"])
+    def test_record_names_the_seed_that_ran(self, tmp_path, command):
+        # the record holds the seeded config: a rerun from it, with no
+        # --seed, writes every CSV byte for byte
+        cfg = {"hermite": hermite_config, "modnorm": modnorm_config}[command]()
+        assert cfg["seed"] != 3
+        runs = {}
+        for name, payload, extra in (("seeded", cfg, ("--seed", "3")),
+                                     ("config", cfg, ())):
+            (tmp_path / name).mkdir()
+            runs[name] = run(tmp_path / name, command, payload, *extra)
+        record = json.loads((runs["seeded"][1] / "run_record.json")
+                            .read_text())
+        assert record["config"] == dict(cfg, seed=3)
+        (tmp_path / "rerun").mkdir()
+        runs["rerun"] = run(tmp_path / "rerun", command, record["config"])
+        tables = {name: {p.name: p.read_bytes()
+                         for p in sorted(out.glob("*.csv"))}
+                  for name, (_, out) in runs.items()}
+        assert runs["rerun"][0] == runs["seeded"][0]
+        assert tables["seeded"] and tables["rerun"] == tables["seeded"]
+        # the seed reaches the outputs, so the config's seed would not do
+        assert tables["config"] != tables["seeded"]
+
+    def test_csv_cells_formatted_as_the_line_writer(self, tmp_path):
+        rows = [(1.5, np.float64(0.1), 3, "name"),
+                (math.nan, np.float64(-math.inf), math.inf, -0.0),
+                (np.float64(-0.0), np.float64(math.nan), True, np.int64(7)),
+                (1e-310, np.float64(2.0 ** 70), -12, "")]
+        rec = cli.RunRecord("test", {}, str(tmp_path))
+        rec.write_csv("cells.csv", ["a", "b", "c", "d"], rows)
+        rec.write_csv("empty.csv", ["a", "b"], [])
+        # the former writer, one line at a time through repr(float(v))
+        want = "a,b,c,d\n" + "".join(
+            ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                     for v in row) + "\n" for row in rows)
+        assert (tmp_path / "cells.csv").read_bytes() == want.encode()
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+        assert rec.csv_files == ["cells.csv", "empty.csv"]
 
 
 class TestEstimatorDimension:

@@ -479,6 +479,183 @@ class TestMultiSpecEngine:
                                           per_p_block_norms(F, part, p))
 
 
+# -- the mirrored path: real data takes the blocks at or above 0 --------------
+
+# grids of d = 1, 2, 3; on the side-2 pi box the lattice is the integers and
+# the center -k_max sits on the -N/2 slot itself
+MIRROR_GRIDS = {"d1": SpectralGrid(1, 256, 16.0),
+                "d1_integers": SpectralGrid(1, 64, math.pi),
+                "d2": SpectralGrid(2, 32, 8.0),
+                "d3": SpectralGrid(3, 16, 8.0)}
+MIRROR_PS = [1.0, 1.5, 4.0, np.inf]
+
+
+@functools.lru_cache(maxsize=None)
+def _real_case(name):
+    """Partition and the transforms of two real random functions: every
+    block is far above roundoff, so block tables compare elementwise."""
+    g = MIRROR_GRIDS[name]
+    rng = np.random.default_rng(90 + g.dim)
+    F = forward_values(g, rng.standard_normal((2,) + g.shape))
+    return UniformPartition(g), F
+
+
+def _complex_tables(F, part, ps):
+    """The engine's full schedule, every block transformed."""
+    return [modnorm._block_lp_tables(F, part, ps, False)[p] for p in ps]
+
+
+def _exactly_hermitian(part, seed):
+    """Frequency samples with F(-xi) = conj F(xi) exactly off -N/2."""
+    g = part.grid
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    axes = tuple(range(g.dim))
+    return 0.5 * (G + np.conj(np.roll(np.flip(G, axes), 1, axes)))
+
+
+class TestMirroredEngine:
+    @pytest.mark.parametrize("name", sorted(MIRROR_GRIDS))
+    def test_rows_mirror_off_the_nyquist_slot(self, name):
+        # the exact symmetry the copies rest on: row_{-c}(xi) = row_c(-xi)
+        # on every slot but -N/2 for the rows the engine transforms, and
+        # some row is nonzero on -N/2
+        part, _ = _real_case(name)
+        n = part.grid.points_per_axis
+        rows = part._folded_rows
+        centers = list(part._active_centers)
+        off = np.arange(n) != n // 2
+        mirror = -np.arange(n) % n
+        for i, c in enumerate(centers):
+            if -c in centers:
+                np.testing.assert_array_equal(
+                    rows[centers.index(-c)][off], rows[i][mirror][off])
+        assert part._sq_rows[:, n // 2].any()
+
+    @pytest.mark.parametrize("name", sorted(MIRROR_GRIDS))
+    def test_real_data_matches_complex_path_and_oracle(self, name):
+        part, F = _real_case(name)
+        assert modnorm._hermitian(F, part).all()
+        leads, mirrored, _ = modnorm._schedule(part, True)
+        assert mirrored.size
+        # the columns of the leads transformed on their own
+        keys = np.arange(len(part._key_radii))
+        direct = np.concatenate([keys[cols] for _, _, cols, follows in leads
+                                 if not follows])
+        assert part.grid.dim == 1 or direct.size + mirrored.size < keys.size
+        got = _block_lp_norms(F, part, MIRROR_PS)
+        for p, table, full in zip(MIRROR_PS, got,
+                                  _complex_tables(F, part, MIRROR_PS)):
+            np.testing.assert_allclose(table, full, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(table, per_p_block_norms(F, part, p),
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(table[:, direct], full[:, direct])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_norms_match_complex_path(self, dim):
+        part, F = _real_case({1: "d1", 2: "d2", 3: "d3"}[dim])
+        specs = [ModNormSpec(*t) for t in MIXED_SPECS["mixed"]]
+        got = mod_norms_from_frequency(F, specs, part)
+        for row, spec in zip(got, specs):
+            np.testing.assert_allclose(row, per_spec_norms(F, spec, part),
+                                       rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mixed_stack_keeps_each_functions_bits(self, dim):
+        # real and complex functions interleaved, in one engine batch and
+        # one at a time: every norm is the one of a call on it alone
+        part, real = _real_case({1: "d1", 2: "d2", 3: "d3"}[dim])
+        _, complex_ = _multi_case(dim)
+        stack = np.stack([real[0], complex_[0], real[1], complex_[1]])
+        assert list(modnorm._hermitian(stack, part)) == [True, False,
+                                                             True, False]
+        # p != 2: the Parseval path's last bit depends on the batch
+        specs = [ModNormSpec(*t) for t in MIXED_SPECS["mixed"] if t[0] != 2]
+        alone = np.stack([mod_norms_from_frequency(F, specs, part)
+                          for F in stack], axis=1)
+        for batch in (None, 1, 3):
+            np.testing.assert_array_equal(
+                mod_norms_from_frequency(stack, specs, part, batch=batch),
+                alone)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_defect_just_above_tau_takes_complex_path(self, dim):
+        # an exactly Hermitian spectrum with the slot pair +-3 emptied, then
+        # i delta at +3: ||D|| = sqrt 2 delta, set a millionth above and
+        # below HERMITIAN_TOL ||F||
+        part, _ = _equiv_case(dim)
+        ps = [1.0, 4.0]
+        for factor, hermitian in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
+            F = _exactly_hermitian(part, 5)
+            F[(3,) * dim] = F[(-3,) * dim] = 0.0
+            size = np.sqrt(np.sum(np.abs(F) ** 2))
+            F[(3,) * dim] = (1j * factor * modnorm.HERMITIAN_TOL * size
+                             / np.sqrt(2))
+            F = F[None]
+            assert list(modnorm._hermitian(F, part)) == [hermitian]
+            got = _block_lp_norms(F, part, ps)
+            full = _complex_tables(F, part, ps)
+            for table, want in zip(got, full):
+                if hermitian:
+                    assert not np.array_equal(table, want)
+                    np.testing.assert_allclose(table, want, rtol=1e-12)
+                else:
+                    np.testing.assert_array_equal(table, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nyquist_rows_do_not_count_in_the_defect(self, dim):
+        # complex -N/2 rows on every axis (the solver's unpaired mode) leave
+        # a function Hermitian: only keys clear of -N/2 are copied, and a
+        # lead that follows its mirror transforms its -N/2 slice itself
+        part, _ = _equiv_case(dim)
+        F = _exactly_hermitian(part, 6)
+        half = part.grid.points_per_axis // 2
+        for axis in range(dim):
+            F[(slice(None),) * axis + (half,)] *= 1.0 + (axis + 1.0) * 0.5j
+        assert modnorm._hermitian(F[None], part).all()
+        got = _block_lp_norms(F[None], part, MIRROR_PS)
+        for table, want in zip(got, _complex_tables(F[None], part,
+                                                    MIRROR_PS)):
+            np.testing.assert_allclose(table, want, rtol=1e-13, atol=0.0)
+
+    def test_heavy_weights_keep_every_block(self):
+        # at s = 100 the copies' error bound exceeds MIRROR_SLACK: the spec
+        # takes the full schedule, and a lighter spec of the same p in the
+        # same call keeps the bits it has alone
+        part, F = _real_case("d1")
+        heavy, light = ModNormSpec(1.0, 1.0, 100.0), ModNormSpec(1.0, 1.0, 0.0)
+        assert modnorm._mirror_error(heavy, part)[1] > modnorm.MIRROR_SLACK
+        assert modnorm._mirror_error(light, part)[1] <= modnorm.MIRROR_SLACK
+        both = mod_norms_from_frequency(F, [heavy, light], part)
+        np.testing.assert_array_equal(both[0],
+                                      per_spec_norms(F, heavy, part))
+        np.testing.assert_array_equal(
+            both[1], mod_norms_from_frequency(F, [light], part)[0])
+        # the engine: full tables for the heavy spec, copies for the light
+        full, copied = _block_lp_norms(F, part, [1.0, 1.0], [False, True])
+        np.testing.assert_array_equal(full, per_p_block_norms(F, part, 1.0))
+        np.testing.assert_array_equal(copied,
+                                      _block_lp_norms(F, part, [1.0])[0])
+        assert not np.array_equal(copied, full)
+
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-120, 1e120, 1e160])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_float_range(self, p, amplitude):
+        # the mirrored path needs HERMITIAN_TOL^2 ||F||^2 normal and finite;
+        # outside that range a real function takes the complex path
+        part, F = _real_case("d1")
+        F = amplitude * F
+        spec = ModNormSpec(p, 1.0, 0.0)
+        got = mod_norms_from_frequency(F, [spec], part)[0]
+        want = per_spec_norms(F, spec, part)
+        hermitian = modnorm._hermitian(F, part)
+        assert list(hermitian) == [abs(np.log10(amplitude)) < 150] * 2
+        if hermitian.all():
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
 class TestMaxModNorm:
     """max_mod_norm against mod_norms_from_frequency(...).max(), bit for bit;
     tests/test_modnorm_bound.py checks the bound itself over random stacks."""

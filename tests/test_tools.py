@@ -29,6 +29,10 @@ CONSTANT_CHECKS = {
     "PICARD_DOMINATION": lambda worst, s: s <= C.PICARD_DOMINATION_SLACK,
     "TRANSFER": lambda ratio: ratio <= C.TRANSFER_SLACK,
     "DECAY_PROFILE": lambda sup: sup <= C.DECAY_PROFILE_CONST,
+    # the real corpora pass the block engine's Hermitian check, the complex
+    # ones do not
+    "HERMITIAN_TOL": lambda tol, band, mixed, propagation, picard: (
+        max(band, picard) <= tol < min(mixed, propagation)),
 }
 
 
@@ -40,7 +44,8 @@ def test_measure_constants_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(CONSTANT_CHECKS)
     for line in lines:
-        values = [float(x) for x in re.findall(r"\d+\.\d+", line)]
+        values = [float(x) for x in
+                  re.findall(r"\d+\.\d+(?:e[-+]\d+)?", line)]
         assert CONSTANT_CHECKS[line.split()[0]](*values), line
 
 
