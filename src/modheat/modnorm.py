@@ -43,24 +43,26 @@ tight for neighbouring time slices.  Functions are evaluated in descending
 bound until the next bound is at most the largest norm found, and the
 maximum is the one of the full evaluation bit for bit.
 
-Real data takes about half the block engine's work at p != 2.  A
-function whose frequency samples are Hermitian, ||F - conj F(-.)|| <=
-HERMITIAN_TOL ||F|| in l^2 off the -N/2 rows (checked per function), has
-box_{-k} f equal to the conjugate of box_k f for every key whose rows, and
-its mirror's rows, vanish on the -N/2 slots.  Of those keys the engine
-transforms the ones at or above 0 in lexicographic order and copies each
-other one from its mirror; the keys that touch -N/2 are transformed.  The
-real data kinds, the solver states and Picard terms grown from them,
+On a d = 1 grid real data takes about half the block engine's work at
+p != 2.  A function whose frequency samples are Hermitian, ||F - conj
+F(-.)|| <= HERMITIAN_TOL ||F|| in l^2 off the -N/2 slot (hermitian_defect,
+checked per function), has box_{-k} f equal to the conjugate of box_k f
+for every key whose row, and its mirror's row, vanish on -N/2.  Of those
+keys the engine transforms the ones at or above 0 and copies each other
+one from its mirror; the keys that touch -N/2 are transformed.  The real
+data kinds, the solver states and Picard terms grown from them,
 band_limited and the Hermite families take this path; complex functions
 (mixed_family's modulated Gaussians, a complex csv datum) take every block
 as before, bit for bit.  A copied block matches the transformed one to
 roundoff, and a spec whose error bound for the copies would not fit
 max_mod_norm's roundoff slack (large weights: MIRROR_SLACK, _mirror_error)
-takes every block for every function.
+takes every block for every function.  At d >= 2 every function takes
+every block: no workload has measured a gain from mirroring there.
 
-Partitions and STFT plans are immutable after construction; per-block work
-is independent, and norm reductions use a fixed summation order so results
-do not depend on evaluation schedule.
+Partitions cache the tables derived from them on first use (_memo) and
+are otherwise immutable, as are STFT plans; per-block work is independent,
+and norm reductions use a fixed summation order so results do not depend
+on evaluation schedule.
 """
 
 from dataclasses import dataclass
@@ -148,69 +150,28 @@ def _memo(partition, key, make):
     return partition._memo[key]
 
 
-def _schedule(partition, hermitian):
-    """_engine_schedule(partition, hermitian), made once per partition."""
-    return _memo(partition, ("schedule", hermitian),
-                 lambda: _engine_schedule(partition, hermitian))
+def _mirror_rows(partition):
+    """(rows, taken, copied, sources) of the block engine's mirrored
+    schedule at d = 1: the folded rows it transforms and their indices,
+    then the rows whose norms it copies instead, each from its source row.
 
-
-def _engine_schedule(partition, hermitian):
-    """(leads, mirrored, sources): the lead tuples of row indices the block
-    engine takes, each with the folded rows of the last axis it transforms,
-    their columns of the block table and whether its leading-axis
-    transforms come from the lead before it, its mirror; then the columns
-    it copies instead, each from its source column.
-
-    A complex function needs every block, each lead transformed.  The rows
-    obey row_{-c}(xi) = row_c(-xi) on every slot but -N/2, which has no
-    mirror, so for a Hermitian function a key whose rows and whose
-    mirror's rows vanish on -N/2 on every axis has the block norms of its
-    mirror.  Those keys below 0 in lexicographic order are copied.  A lead
-    tuple below 0 (clear of -N/2) then keeps only the last-axis rows that
-    touch -N/2, and follows its mirror, whose leading-axis transforms give
-    its own off the -N/2 slice of the last axis.  The zero tuple takes
-    those rows and the ones of centers >= 0, every other tuple all rows.
+    The rows obey row_{-c}(xi) = row_c(-xi) on every slot but -N/2, which
+    has no mirror, so for a Hermitian function a row that vanishes on -N/2,
+    and whose mirror does, has the block norms of its mirror.  Those rows
+    of centers below 0 are copied; every other row is transformed.
     """
-    d = partition.grid.dim
     centers = np.array(partition._active_centers)
-    nrows, n = partition._sq_rows.shape
+    n = partition.grid.points_per_axis
     where = {c: i for i, c in enumerate(partition._active_centers)}
     mirror = np.array([where.get(-c, -1) for c in partition._active_centers])
     nyquist = partition._sq_rows[:, n // 2] != 0
     # a row with no active mirror is nonzero only on -N/2
     touch = (mirror < 0) | nyquist | nyquist[mirror]
-    last = partition._folded_rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
-    leads = []
-    computed = np.zeros(nrows ** d, dtype=bool)
-
-    def take(lead, index=None, follows=False):
-        # the lead with all last-axis rows, or with those of index
-        start = nrows * (np.ravel_multi_index(lead, (nrows,) * (d - 1))
-                         if lead else 0)
-        if index is None:
-            leads.append((lead, last, slice(start, start + nrows), follows))
-        elif index.size:
-            leads.append((lead, np.ascontiguousarray(last[index]),
-                          start + index, follows))
-        else:
-            return
-        computed[leads[-1][2]] = True
-
-    for lead in product(range(nrows), repeat=d - 1):
-        lead_centers = centers[list(lead)]
-        nonzero = lead_centers[lead_centers != 0]
-        if not hermitian or touch[list(lead)].any():
-            take(lead)
-        elif not nonzero.size:
-            take(lead, np.flatnonzero((centers >= 0) | touch))
-        elif nonzero[0] > 0:
-            take(lead)
-            take(tuple(mirror[list(lead)]), np.flatnonzero(touch), True)
-    mirrored = np.flatnonzero(~computed)
-    keys = np.unravel_index(mirrored, (nrows,) * d)
-    sources = np.ravel_multi_index(tuple(mirror[k] for k in keys),
-                                   (nrows,) * d)
-    return leads, mirrored, sources
+    copied = (centers < 0) & ~touch
+    taken = np.flatnonzero(~copied)
+    rows = partition._folded_rows[taken]
+    rows.setflags(write=False)
+    return rows, taken, np.flatnonzero(copied), mirror[copied]
 
 
 # -- decomposition-side norm ----------------------------------------------------
@@ -263,10 +224,12 @@ def _parseval_block_norms(F, partition):
     return np.sqrt(g.freq_spacing ** g.dim * acc).reshape(len(F), -1)
 
 
-# Hermitian tolerance tau of the block engine (_hermitian): the FFT bound
-# quoted above BOUND_ROUNDOFF, 6 u log2(N^d) <= 2^-45 of ||F||_2 (Higham,
-# Thm 24.2), on each of F(xi) and F(-xi) of a real function's transform.
+# Hermitian tolerance tau of the block engine (hermitian_defect): the FFT
+# bound quoted above BOUND_ROUNDOFF, 6 u log2(N^d) <= 2^-45 of ||F||_2
+# (Higham, Thm 24.2), on each of F(xi) and F(-xi) of a real function's
+# transform.
 HERMITIAN_TOL = 2.0 ** -44
+_TINY = np.finfo(float).tiny
 
 
 def _mirror_pairs(grid):
@@ -280,25 +243,28 @@ def _mirror_pairs(grid):
          np.ravel_multi_index([-m % n for m in mesh], grid.shape).ravel()])
 
 
-def _hermitian(F, partition):
-    """True for each function of a stack (frequency samples in the last d
-    axes) that is Hermitian to HERMITIAN_TOL: in l^2 over the slots off the
-    -N/2 rows, ||F - conj F(-.)|| <= HERMITIAN_TOL ||F||, with
-    HERMITIAN_TOL^2 ||F||^2 a finite normal float, so that the check's own
-    roundings stay relative."""
+def hermitian_defect(F, partition):
+    """||F - conj F(-.)|| / ||F|| of each function of a stack (frequency
+    samples in the last d axes), in l^2 over the slots off the -N/2 rows:
+    the measure the block engine compares with HERMITIAN_TOL.  inf where
+    HERMITIAN_TOL^2 ||F||^2 is not a finite normal float, outside which the
+    measure's own roundings would not stay relative."""
     pairs = _memo(partition, "mirror pairs",
                   lambda: _mirror_pairs(partition.grid))
     flat = np.ascontiguousarray(F.reshape(len(F), -1), dtype=complex)
     both = flat.take(pairs, axis=1)
     half = both.shape[1] // 2
-    # a difference beyond the float range is inf, as is then the bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = (both[:, :half] - np.conj(both[:, half:])).view(float)
-    values = flat.view(float)
+    defect, mirrored = both[:, :half], both[:, half:]
+    # a difference beyond the float range is inf, as is then the ratio;
     # einsum's sums of squares overflow to inf without a warning
-    bound = HERMITIAN_TOL ** 2 * np.einsum("ij,ij->i", values, values)
-    return ((np.einsum("ij,ij->i", defect, defect) <= bound)
-            & (bound >= np.finfo(float).tiny) & (bound < np.inf))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.subtract(defect, np.conjugate(mirrored, out=mirrored), out=defect)
+        defect, values = defect.view(float), flat.view(float)
+        size = np.einsum("ij,ij->i", values, values)
+        ratio = np.sqrt(np.einsum("ij,ij->i", defect, defect) / size)
+    bound = HERMITIAN_TOL ** 2 * size
+    ratio[(bound < _TINY) | (bound == np.inf)] = np.inf
+    return ratio
 
 
 def _block_lp_norms(F, partition, ps, mirror=None):
@@ -315,16 +281,19 @@ def _block_lp_norms(F, partition, ps, mirror=None):
     p = 1 read the magnitudes first, any other p but the last takes its
     powers into a fresh array, and the last takes them in place.
 
-    A Hermitian function (_hermitian) takes the mirrored schedule
-    (_engine_schedule) for every p whose mirror[i] allows it, and the full
-    one for the others; other functions take the full schedule.  The stack
-    is split per function, so a norm has the bits of a call on that
-    function alone.  A table on the mirrored schedule matches the full
-    one to roundoff: the columns of a lead transformed on its own have
-    its bits.
+    At d = 1 a Hermitian function (hermitian_defect <= HERMITIAN_TOL) takes
+    the mirrored schedule (_mirror_rows) for every p whose mirror[i] allows
+    it, and the full one for the others; other functions take the full
+    schedule, as does every function at d >= 2.  The check runs only at
+    d = 1 and where some mirror[i] is set.  The stack is split per
+    function, so a norm has the bits of a call on that function alone.  A
+    table on the mirrored schedule matches the full one to roundoff, its
+    transformed columns bit for bit.
     """
     mirror = [True] * len(ps) if mirror is None else mirror
-    hermitian = _hermitian(F, partition)
+    if partition.grid.dim > 1 or not any(mirror):
+        return _group_tables(F, partition, ps, mirror, False)
+    hermitian = hermitian_defect(F, partition) <= HERMITIAN_TOL
     real = np.count_nonzero(hermitian)
     if real in (0, len(F)):
         return _group_tables(F, partition, ps, mirror, real > 0)
@@ -347,53 +316,37 @@ def _group_tables(F, partition, ps, mirror, hermitian):
     return [tables[kind][p] for p, kind in zip(ps, kinds)]
 
 
-def _axis_shape(axis, ndim, n):
-    """Shape of a row that broadcasts along axis + 1 of ndim axes."""
-    shape = [1] * ndim
-    shape[axis + 1] = n
-    return shape
-
-
 def _block_lp_tables(F, partition, ps, hermitian):
-    """{p: block table} of a stack on the engine's complex (hermitian=False)
-    or mirrored schedule (_engine_schedule), for the distinct p of ps."""
+    """{p: block table} of a stack on the engine's full (hermitian=False)
+    or, at d = 1, mirrored schedule (_mirror_rows), for the distinct p of
+    ps."""
     g = partition.grid
     d = g.dim
     rows = partition._folded_rows
     nrows, n = rows.shape
+    last = rows.reshape((nrows,) + (1,) * (d - 1) + (n,))
+    if hermitian:
+        last, taken, copied, sources = _memo(
+            partition, "mirror rows", lambda: _mirror_rows(partition))
     block_axes = tuple(range(2, d + 2))
     vol = g.spacing ** d
     powered = [p for p in ps if not (np.isinf(p) or p == 1)]
     # p = inf and p = 1 read the magnitudes first; the last power overwrites
     order = [p for p in ps if p not in powered] + powered
-    tables = {p: np.empty((len(F), nrows ** d)) for p in ps}
-    leads, mirrored, sources = _schedule(partition, hermitian)
-    for lead, last, cols, follows in leads:
-        if follows:
-            # partial is still the mirror lead's, the lead before this one:
-            # conjugated and reflected on the last axis it is this lead's
-            # but on the -N/2 slice, which has no mirror and is transformed
-            # on its own
-            nyquist = F[..., n // 2]
-            for j in range(d - 1):
-                nyquist = np.fft.ifft(
-                    nyquist * rows[lead[j]].reshape(_axis_shape(j, d, n)),
-                    axis=j + 1)
-            partial = partial[..., -np.arange(n) % n]
-            np.conjugate(partial, out=partial)
-            partial[..., n // 2] = nyquist
-        else:
-            partial = F
-            for j in range(d - 1):
-                partial = np.fft.ifft(
-                    partial * rows[lead[j]].reshape(_axis_shape(j, d + 1, n)),
-                    axis=j + 1)
+    chunks = {p: [] for p in ps}
+    for lead in product(range(nrows), repeat=d - 1):
+        partial = F
+        for j in range(d - 1):
+            shape = [1] * (d + 1)
+            shape[j + 1] = n
+            partial = np.fft.ifft(
+                partial * rows[lead[j]].reshape(shape), axis=j + 1)
         # in place: fresh temporaries of this size cost more than the FFT
         blocks = partial[:, None] * last
         a = np.abs(np.fft.ifft(blocks, axis=-1, out=blocks))
         for p in order:
             if np.isinf(p):
-                tables[p][:, cols] = a.max(axis=block_axes)
+                chunks[p].append(a.max(axis=block_axes))
                 continue
             if p == 1:
                 powers = a
@@ -401,11 +354,15 @@ def _block_lp_tables(F, partition, ps, hermitian):
                 powers = np.power(a, p, out=a)
             else:
                 powers = a ** p
-            tables[p][:, cols] = ((vol * np.sum(powers, axis=block_axes))
-                                  ** (1.0 / p))
-    if hermitian:
-        for table in tables.values():
-            table[:, mirrored] = table[:, sources]
+            chunks[p].append((vol * np.sum(powers, axis=block_axes))
+                             ** (1.0 / p))
+    if not hermitian:
+        return {p: np.concatenate(chunks[p], axis=1) for p in ps}
+    tables = {}
+    for p, (chunk,) in chunks.items():
+        table = tables[p] = np.empty((len(F), nrows))
+        table[:, taken] = chunk
+        table[:, copied] = table[:, sources]
     return tables
 
 
@@ -422,9 +379,9 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     contraction's BLAS kernel, and so a norm's last bit, depends on how
     many functions share an engine batch (dgemv for one, dgemm for more):
     batch=1 gives every norm the bits of a call on that function alone.
-    At p != 2 a Hermitian function takes the engine's mirrored path
-    (_block_lp_norms) for every spec whose error bound for it is at most
-    MIRROR_SLACK (_mirror_error), and every block for the others."""
+    At p != 2 and d = 1 a Hermitian function takes the engine's mirrored
+    path (_block_lp_norms) for every spec whose error bound for it is at
+    most MIRROR_SLACK (_mirror_error), and every block for the others."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
@@ -435,11 +392,12 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
         step = _engine_batch(rows, g) if batch is None else batch
         return [stack[i:i + step] for i in range(0, len(stack), step)]
 
-    # each spec's block table: (p, whether the mirrored path's error fits
-    # the roundoff slack) at p != 2
-    keys = [(spec.p, spec.p != 2
-             and _mirror_error(spec, partition)[1] <= MIRROR_SLACK)
-            for spec in specs]
+    # each spec's block table: p, and at p != 2 whether the mirrored path's
+    # error bound fits the roundoff slack
+    keys = [(spec.p, spec.p != 2 and _memo(
+        partition, ("mirror error", spec),
+        lambda: _mirror_error(spec, partition))[1] <= MIRROR_SLACK)
+        for spec in specs]
     general = [key for key in dict.fromkeys(keys) if key[0] != 2]
     tables = {}
     if (2.0, False) in keys:
@@ -503,13 +461,7 @@ MIRROR_SLACK = 2.0 ** -21
 def _mirror_error(spec, partition):
     """(mu, nu) of the comment above: the mirrored path's error relative to
     c_p times the (2, q, s) norm, and relative to the (p, q, s) norm; inf or
-    NaN where a weight overflows or underflows to 0; made once per
-    partition."""
-    return _memo(partition, ("mirror error", spec),
-                 lambda: _mirror_error_of(spec, partition))
-
-
-def _mirror_error_of(spec, partition):
+    NaN where a weight overflows or underflows to 0."""
     g = partition.grid
     d = g.dim
     k = np.float64(len(partition._active_centers))

@@ -505,6 +505,11 @@ def _complex_tables(F, part, ps):
     return [modnorm._block_lp_tables(F, part, ps, False)[p] for p in ps]
 
 
+def _hermitian(F, part):
+    """The engine's decision per function: Hermitian to HERMITIAN_TOL."""
+    return list(modnorm.hermitian_defect(F, part) <= modnorm.HERMITIAN_TOL)
+
+
 def _exactly_hermitian(part, seed):
     """Frequency samples with F(-xi) = conj F(xi) exactly off -N/2."""
     g = part.grid
@@ -534,22 +539,25 @@ class TestMirroredEngine:
 
     @pytest.mark.parametrize("name", sorted(MIRROR_GRIDS))
     def test_real_data_matches_complex_path_and_oracle(self, name):
+        # at d = 1 the transformed columns have the full schedule's bits and
+        # the copied ones match it to roundoff; at d >= 2 every column is
+        # transformed
         part, F = _real_case(name)
-        assert modnorm._hermitian(F, part).all()
-        leads, mirrored, _ = modnorm._schedule(part, True)
-        assert mirrored.size
-        # the columns of the leads transformed on their own
-        keys = np.arange(len(part._key_radii))
-        direct = np.concatenate([keys[cols] for _, _, cols, follows in leads
-                                 if not follows])
-        assert part.grid.dim == 1 or direct.size + mirrored.size < keys.size
+        assert all(_hermitian(F, part))
         got = _block_lp_norms(F, part, MIRROR_PS)
-        for p, table, full in zip(MIRROR_PS, got,
-                                  _complex_tables(F, part, MIRROR_PS)):
-            np.testing.assert_allclose(table, full, rtol=1e-13, atol=0.0)
+        full = _complex_tables(F, part, MIRROR_PS)
+        for p, table in zip(MIRROR_PS, got):
             np.testing.assert_allclose(table, per_p_block_norms(F, part, p),
                                        rtol=1e-13, atol=0.0)
-            np.testing.assert_array_equal(table[:, direct], full[:, direct])
+        if part.grid.dim > 1:
+            for table, want in zip(got, full):
+                np.testing.assert_array_equal(table, want)
+            return
+        _, taken, copied, _ = modnorm._mirror_rows(part)
+        assert copied.size
+        for table, want in zip(got, full):
+            np.testing.assert_allclose(table, want, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(table[:, taken], want[:, taken])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_norms_match_complex_path(self, dim):
@@ -567,8 +575,7 @@ class TestMirroredEngine:
         part, real = _real_case({1: "d1", 2: "d2", 3: "d3"}[dim])
         _, complex_ = _multi_case(dim)
         stack = np.stack([real[0], complex_[0], real[1], complex_[1]])
-        assert list(modnorm._hermitian(stack, part)) == [True, False,
-                                                             True, False]
+        assert _hermitian(stack, part) == [True, False, True, False]
         # p != 2: the Parseval path's last bit depends on the batch
         specs = [ModNormSpec(*t) for t in MIXED_SPECS["mixed"] if t[0] != 2]
         alone = np.stack([mod_norms_from_frequency(F, specs, part)
@@ -582,7 +589,7 @@ class TestMirroredEngine:
     def test_defect_just_above_tau_takes_complex_path(self, dim):
         # an exactly Hermitian spectrum with the slot pair +-3 emptied, then
         # i delta at +3: ||D|| = sqrt 2 delta, set a millionth above and
-        # below HERMITIAN_TOL ||F||
+        # below HERMITIAN_TOL ||F||; at d >= 2 both take every block
         part, _ = _equiv_case(dim)
         ps = [1.0, 4.0]
         for factor, hermitian in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
@@ -592,11 +599,11 @@ class TestMirroredEngine:
             F[(3,) * dim] = (1j * factor * modnorm.HERMITIAN_TOL * size
                              / np.sqrt(2))
             F = F[None]
-            assert list(modnorm._hermitian(F, part)) == [hermitian]
+            assert _hermitian(F, part) == [hermitian]
             got = _block_lp_norms(F, part, ps)
             full = _complex_tables(F, part, ps)
             for table, want in zip(got, full):
-                if hermitian:
+                if hermitian and dim == 1:
                     assert not np.array_equal(table, want)
                     np.testing.assert_allclose(table, want, rtol=1e-12)
                 else:
@@ -605,14 +612,13 @@ class TestMirroredEngine:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_nyquist_rows_do_not_count_in_the_defect(self, dim):
         # complex -N/2 rows on every axis (the solver's unpaired mode) leave
-        # a function Hermitian: only keys clear of -N/2 are copied, and a
-        # lead that follows its mirror transforms its -N/2 slice itself
+        # a function Hermitian: only keys clear of -N/2 are copied
         part, _ = _equiv_case(dim)
         F = _exactly_hermitian(part, 6)
         half = part.grid.points_per_axis // 2
         for axis in range(dim):
             F[(slice(None),) * axis + (half,)] *= 1.0 + (axis + 1.0) * 0.5j
-        assert modnorm._hermitian(F[None], part).all()
+        assert _hermitian(F[None], part) == [True]
         got = _block_lp_norms(F[None], part, MIRROR_PS)
         for table, want in zip(got, _complex_tables(F[None], part,
                                                     MIRROR_PS)):
@@ -648,9 +654,9 @@ class TestMirroredEngine:
         spec = ModNormSpec(p, 1.0, 0.0)
         got = mod_norms_from_frequency(F, [spec], part)[0]
         want = per_spec_norms(F, spec, part)
-        hermitian = modnorm._hermitian(F, part)
-        assert list(hermitian) == [abs(np.log10(amplitude)) < 150] * 2
-        if hermitian.all():
+        hermitian = _hermitian(F, part)
+        assert hermitian == [abs(np.log10(amplitude)) < 150] * 2
+        if all(hermitian):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         else:
             np.testing.assert_array_equal(got, want)
