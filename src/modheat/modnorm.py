@@ -7,31 +7,33 @@ block is transformed on its own: at p = 2 the block norms are an exact
 discrete-Parseval contraction of the squared rows with |F|^2, at other p
 they come from inverse transforms taken one axis at a time, with all blocks
 of the last axis in one batched call, and a stack of functions (a Picard
-term at every time slice) goes through at once.  One call serves a list of
-specs (mod_norms_from_frequency): the blocks and their magnitudes are
-formed once for every p != 2, and each p's block table once for all specs
-that share it, with the bits of one call per spec.  The second samples the
-short-time Fourier transform against a normalized window and takes the
-mixed L^p_x L^q_y quadrature norm, for a whole stack of functions in one
-pass (mod_norms_stft).  The window shifts are not transformed one by one:
-the shifted windows of a batch are gathered once into one stack for a
-group of functions, multiplied by each of them and transformed in a
-single call into one reused buffer, with each (function x shift) stack,
-and each p's sums over a group, capped at STFT_BATCH_VALUES values, so the
-working set does not grow with the stack.  |V_g f|^p of a batch is added
-to each function's running sum in one reduction over the shifts, seeded
-with that sum, which adds the shifts in the order a loop over them would,
-so every function's norms are the bits of a call on it alone.  When f and
-the window are real (the heat flows and the default Gaussian window are),
-V_g f(x, -y) is the conjugate of V_g f(x, y): the last axis is then
-transformed by a real FFT, only its bins 0 .. M/2 are powered, from
-|V|^2 = re^2 + im^2, and the sums are mirrored to the other half of the
-lattice; those norms match the complex path, which serves every other
-function, to roundoff rather than bit for bit.  The spectrogram does not
-depend on (p, q, s), so the pass serves a whole list of specs.  The two
-estimators agree up to an equivalence constant that is measured once and
-frozen as a regression value (no explicit constant is available
-analytically).
+term at every time slice) goes through at once, in batches sized by the
+rows its schedule transforms (NORM_BATCH_VALUES).  One call serves a list
+of specs (mod_norms_from_frequency): the blocks and their magnitudes are
+formed once for every p != 2, p = 4 takes its powers by two squarings, and
+each p's block table is formed once for all specs that share it, with the
+bits of one call per spec.  The second samples the short-time Fourier
+transform against a normalized window and takes the mixed L^p_x L^q_y
+quadrature norm, for a whole stack of functions in one pass
+(mod_norms_stft).  The window shifts are not transformed one by one: the
+shifted windows of a batch are gathered once into one stack for a group of
+functions, multiplied by each of them and transformed in a single call into
+one reused buffer, with each (function x shift) stack, and each p's sums
+over a group, capped at STFT_BATCH_VALUES values, so the working set does
+not grow with the stack.  |V_g f|^p of a batch is added to each function's
+running sum in one reduction over the shifts, seeded with that sum, which
+adds the shifts in the order a loop over them would, so every function's
+norms are the bits of a call on it alone; a group's magnitudes and each p's
+powers go into two buffers made once per group.  When f and the window are
+real (the heat flows and the default Gaussian window are), V_g f(x, -y) is
+the conjugate of V_g f(x, y): the last axis is then transformed by a real
+FFT, only its bins 0 .. M/2 are powered, from |V|^2 = re^2 + im^2, and the
+sums are mirrored to the other half of the lattice; those norms match the
+complex path, which serves every other function, to roundoff rather than
+bit for bit.  The spectrogram does not depend on (p, q, s), so the pass
+serves a whole list of specs.  The two estimators agree up to an
+equivalence constant that is measured once and frozen as a regression value
+(no explicit constant is available analytically).
 
 The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
 need not evaluate every function at p != 2.  On the box every block obeys
@@ -46,11 +48,13 @@ maximum is the one of the full evaluation bit for bit.
 On a d = 1 grid real data takes about half the block engine's work at
 p != 2.  A function whose frequency samples are Hermitian, ||F - conj
 F(-.)|| <= HERMITIAN_TOL ||F|| in l^2 off the -N/2 slot (hermitian_defect,
-checked per function), has box_{-k} f equal to the conjugate of box_k f
-for every key whose row, and its mirror's row, vanish on -N/2.  Of those
-keys the engine transforms the ones at or above 0 and copies each other
-one from its mirror; the keys that touch -N/2 are transformed.  The real
-data kinds, the solver states and Picard terms grown from them,
+checked per function, once per call), has box_{-k} f equal to the
+conjugate of box_k f for every key whose row, and its mirror's row,
+vanish on -N/2.  Of those keys the engine transforms the ones at or above
+0 and copies each other one from its mirror; the keys that touch -N/2 are
+transformed.  The Hermitian functions of a stack are batched by the rows
+that schedule transforms, about twice as many a batch as the others.  The
+real data kinds, the solver states and Picard terms grown from them,
 band_limited and the Hermite families take this path; complex functions
 (mixed_family's modulated Gaussians, a complex csv datum) take every block
 as before, bit for bit.  A copied block matches the transformed one to
@@ -194,16 +198,20 @@ class ModNormSpec:
 
 
 # Working-set cap of the block-norm engine: complex values in its largest
-# temporary, K N^d per function at p != 2 (K active rows per axis; 512 KiB)
-# and N^d at p = 2, where the Parseval contraction holds one row.
-# On repeated Picard runs (N = 256, two functions a batch) 2^14 was ~1.6x
-# slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady gain.
+# temporary (512 KiB), R N^d per function at p != 2, R the rows per axis
+# the schedule transforms (all K active rows, or the mirrored ones at
+# d = 1: 28 of 52 at N = 256, L = 16), N^d at p = 2, where the Parseval
+# contraction holds one row, and N values per function in the Hermitian
+# check.  On repeated Picard runs (N = 256, two functions a batch) 2^14 was
+# ~1.6x slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady
+# gain.
 NORM_BATCH_VALUES = 1 << 15
 
 
 def _engine_batch(rows, grid):
     """Functions per engine batch when the engine holds `rows` rows of N^d
-    values per function: one row at p = 2, the K active rows at p != 2."""
+    values per function: one row at p = 2 (and in the Hermitian check at
+    d = 1), at p != 2 the most rows any schedule of the batch transforms."""
     return max(1, NORM_BATCH_VALUES // (rows * grid.size))
 
 
@@ -267,53 +275,76 @@ def hermitian_defect(F, partition):
     return ratio
 
 
-def _block_lp_norms(F, partition, ps, mirror=None):
+def _block_lp_norms(F, partition, ps, mirror=None, batch=None):
     """L^p norms of every active block of each function in a stack, one
-    (batch, active keys) table per p of ps (none of them 2).  mirror[i]
+    (functions, active keys) table per p of ps (none of them 2).  mirror[i]
     False keeps ps[i]'s table off the mirrored path (default: none); the
     pairs (ps[i], mirror[i]) are distinct.
 
     F is laid out as for _parseval_block_norms.  The inverse transform
     factors into one 1-D transform per axis: the leading axes are
     transformed block by block, and all blocks of the last axis in one
-    batched call, so K N^d values (K active rows) are live per function.
-    Each chunk's blocks and |.| are formed once for every p: p = inf and
-    p = 1 read the magnitudes first, any other p but the last takes its
-    powers into a fresh array, and the last takes them in place.
+    batched call, so R N^d values are live per function, R the rows the
+    schedule transforms.  Each chunk's blocks and |.| are formed once for
+    every p: p = inf and p = 1 read the magnitudes first, any other p but
+    the last takes its powers into a fresh array, and the last takes them
+    in place; p = 4 takes them by two squarings.
 
     At d = 1 a Hermitian function (hermitian_defect <= HERMITIAN_TOL) takes
     the mirrored schedule (_mirror_rows) for every p whose mirror[i] allows
     it, and the full one for the others; other functions take the full
     schedule, as does every function at d >= 2.  The check runs only at
-    d = 1 and where some mirror[i] is set.  The stack is split per
-    function, so a norm has the bits of a call on that function alone.  A
-    table on the mirrored schedule matches the full one to roundoff, its
-    transformed columns bit for bit.
+    d = 1 and where some mirror[i] is set, once for the stack, in chunks of
+    at most NORM_BATCH_VALUES values.  The stack is split into its
+    Hermitian functions and the others, and each group reaches the engine
+    in batches of _engine_batch(R) functions, R the largest number of rows
+    its schedules transform (or `batch` functions): the mirrored rows for
+    a Hermitian group whose every p takes the mirrored path, all K active
+    rows otherwise.  A group that is the whole stack is not copied.  A norm
+    has the bits of a call on that function alone.  A table on the
+    mirrored schedule matches the full one to roundoff, its transformed
+    columns bit for bit.
     """
     mirror = [True] * len(ps) if mirror is None else mirror
-    if partition.grid.dim > 1 or not any(mirror):
-        return _group_tables(F, partition, ps, mirror, False)
-    hermitian = hermitian_defect(F, partition) <= HERMITIAN_TOL
+    g = partition.grid
+    if g.dim > 1 or not any(mirror):
+        return _group_tables(F, partition, ps, mirror, False, batch)
+    step = _engine_batch(1, g)
+    hermitian = np.concatenate(
+        [hermitian_defect(F[i:i + step], partition)
+         for i in range(0, len(F), step)]) <= HERMITIAN_TOL
     real = np.count_nonzero(hermitian)
     if real in (0, len(F)):
-        return _group_tables(F, partition, ps, mirror, real > 0)
+        return _group_tables(F, partition, ps, mirror, real > 0, batch)
     out = [np.empty((len(F), len(partition._key_radii))) for _ in ps]
     for rows, kind in ((hermitian, True), (~hermitian, False)):
         for table, part in zip(out, _group_tables(F[rows], partition, ps,
-                                                  mirror, kind)):
+                                                  mirror, kind, batch)):
             table[rows] = part
     return out
 
 
-def _group_tables(F, partition, ps, mirror, hermitian):
+def _group_tables(F, partition, ps, mirror, hermitian, batch):
     """_block_lp_norms on a stack whose functions are all Hermitian or all
-    not: one engine pass per schedule the tables need."""
+    not: batches of _engine_batch(R) functions, R the largest number of
+    rows its schedules transform (or `batch` functions), and one engine
+    pass per batch and schedule the tables need."""
     kinds = [hermitian and copy for copy in mirror]
-    tables = {kind: _block_lp_tables(
-        F, partition, list(dict.fromkeys(p for p, k in zip(ps, kinds)
-                                         if k == kind)), kind)
-              for kind in set(kinds)}
-    return [tables[kind][p] for p, kind in zip(ps, kinds)]
+    if batch is None:
+        rows = (_memo(partition, "mirror rows",
+                      lambda: _mirror_rows(partition))[1].size
+                if all(kinds) else len(partition._active_centers))
+        batch = _engine_batch(rows, partition.grid)
+    parts = []
+    for i in range(0, len(F), batch):
+        tables = {kind: _block_lp_tables(
+            F[i:i + batch], partition,
+            list(dict.fromkeys(p for p, k in zip(ps, kinds) if k == kind)),
+            kind) for kind in set(kinds)}
+        parts.append([tables[kind][p] for p, kind in zip(ps, kinds)])
+    if len(parts) == 1:
+        return parts[0]
+    return [np.concatenate(chunks) for chunks in zip(*parts)]
 
 
 def _block_lp_tables(F, partition, ps, hermitian):
@@ -350,10 +381,13 @@ def _block_lp_tables(F, partition, ps, hermitian):
                 continue
             if p == 1:
                 powers = a
-            elif p == powered[-1]:
-                powers = np.power(a, p, out=a)
+            elif p == 4:
+                # two squarings, several times faster than pow (three
+                # roundings: BOUND_ROUNDOFF)
+                powers = np.square(a, out=a if p == powered[-1] else None)
+                np.square(powers, out=powers)
             else:
-                powers = a ** p
+                powers = np.power(a, p, out=a if p == powered[-1] else None)
             chunks[p].append((vol * np.sum(powers, axis=block_axes))
                              ** (1.0 / p))
     if not hermitian:
@@ -371,27 +405,24 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     last d axes of values, behind any batch axes: an array of shape
     (len(specs),) + batch shape, row i at specs[i].
 
-    The functions reach the block engine NORM_BATCH_VALUES at a time, or
-    `batch` functions at a time.  Each batch's blocks are formed once for
-    every distinct p != 2, and each distinct p's block table once for all
-    the specs that share it; only the weights and the q-sum are per spec,
-    so a norm has the bits a call on its spec alone gives.  At p = 2 the
-    contraction's BLAS kernel, and so a norm's last bit, depends on how
-    many functions share an engine batch (dgemv for one, dgemm for more):
-    batch=1 gives every norm the bits of a call on that function alone.
-    At p != 2 and d = 1 a Hermitian function takes the engine's mirrored
-    path (_block_lp_norms) for every spec whose error bound for it is at
-    most MIRROR_SLACK (_mirror_error), and every block for the others."""
+    The functions reach the block engine NORM_BATCH_VALUES values of its
+    largest temporary at a time (_engine_batch), or `batch` functions at a
+    time.  Each batch's blocks are formed once for every distinct p != 2,
+    and each distinct p's block table once for all the specs that share
+    it; only the weights and the q-sum are per spec, so a norm has the
+    bits a call on its spec alone gives.  At p = 2 the contraction's BLAS
+    kernel, and so a norm's last bit, depends on how many functions share
+    an engine batch (dgemv for one, dgemm for more): batch=1 gives every
+    norm the bits of a call on that function alone.  At p != 2 and d = 1 a
+    Hermitian function takes the engine's mirrored path (_block_lp_norms)
+    for every spec whose error bound for it is at most MIRROR_SLACK
+    (_mirror_error), and every block for the others; the stack is split
+    once, and each group batched by the rows its schedules transform."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
-
-    def batches(rows):
-        step = _engine_batch(rows, g) if batch is None else batch
-        return [stack[i:i + step] for i in range(0, len(stack), step)]
-
     # each spec's block table: p, and at p != 2 whether the mirrored path's
     # error bound fits the roundoff slack
     keys = [(spec.p, spec.p != 2 and _memo(
@@ -401,12 +432,13 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     general = [key for key in dict.fromkeys(keys) if key[0] != 2]
     tables = {}
     if (2.0, False) in keys:
+        step = _engine_batch(1, g) if batch is None else batch
         tables[2.0, False] = np.concatenate(
-            [_parseval_block_norms(F, partition) for F in batches(1)])
+            [_parseval_block_norms(stack[i:i + step], partition)
+             for i in range(0, len(stack), step)])
     if general:
-        per_batch = [_block_lp_norms(F, partition, *zip(*general))
-                     for F in batches(len(partition._active_centers))]
-        tables.update(zip(general, map(np.concatenate, zip(*per_batch))))
+        tables.update(zip(general, _block_lp_norms(
+            stack, partition, *zip(*general), batch=batch)))
     out = np.empty((len(specs), len(stack)))
     for row, key, spec in zip(out, keys, specs):
         terms = tables[key] * (1.0 + partition._key_radii) ** spec.s
@@ -428,8 +460,11 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
 # powers and its Parseval contraction, and the q-sums over blocks on both
 # sides -- adds at most 2^-21.  The per-axis FFTs add at most
 # 6 u log2(N^d) <= 2^-45 (Higham, Thm 24.2), and the squares, powers,
-# roots and weights a few u each.  That is below 2^-19; 2^-18 also covers
-# the products of these factors.
+# roots and weights a few u each (p = 4 takes a^4 as (a^2)^2, two
+# roundings, at most 3u).  That is below 2^-19; 2^-18 also covers the
+# products of these factors.  The squarings leave the float range where
+# pow does: a^2 is subnormal only where a^4 < 2^-2044 rounds to 0 either
+# way, and a^2 overflows only where a^4 does.
 #
 # The engine's mirrored path (_block_lp_norms) adds one term.  It takes a
 # Hermitian function's block k, below 0 and clear of the -N/2 rows, as
@@ -819,28 +854,46 @@ def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
     functions it shares a group with.  real=True (real f, real window)
     takes the half spectrum (_stft_batches' real path) and
     |V|^p = (|V|^2)^(p/2) from |V|^2 = re^2 + im^2, then unfolds the sums
-    by conjugate symmetry."""
+    by conjugate symmetry.
+
+    A group forms each batch's magnitudes in one buffer and each power in
+    one spare buffer, one p at a time, both made at the group's first
+    batch, its largest, and reused by the later ones."""
     m = fine.points_per_axis
     shape = fine.shape[:-1] + (m // 2 + 1,) if real else fine.shape
-    # the power each p takes of the magnitudes, |V|^2 (real) or |V|;
-    # NumPy takes ** 0.5 and ** 2 as one sqrt and one square
+    # the power each p takes of the magnitudes, |V|^2 (real) or |V|; sqrt
+    # and square are the ops NumPy takes for ** 0.5 and ** 2
     powers = {p: p / 2.0 if real else p for p in ps}
+    ufuncs = {0.5: np.sqrt, 2.0: np.square}
     # the p whose rows are the magnitudes themselves goes last: it changes
     # them
     order = sorted(ps, key=lambda p: powers[p] == 1)
     for rows, batches in _stft_batches(stack, index, plan, stride, fine,
                                        real):
         inner = {p: np.zeros((len(rows),) + shape) for p in ps}
+        buffers = None
         for batch in batches:
+            if buffers is None:
+                buffers = np.empty((2, batch.size))
+            mags, spare = (b[:batch.size].reshape(batch.shape)
+                           for b in buffers)
             # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
-            mags = (np.square(batch.real) + np.square(batch.imag) if real
-                    else np.abs(batch))
+            if real:
+                np.square(batch.real, out=mags)
+                mags += np.square(batch.imag, out=spare)
+            else:
+                np.abs(batch, out=mags)
             for p in order:
                 acc = inner[p]
                 if np.isinf(p):
                     np.maximum(acc, mags.max(axis=1), out=acc)
                     continue
-                power = mags if powers[p] == 1 else mags ** powers[p]
+                if powers[p] == 1:
+                    power = mags
+                elif powers[p] in ufuncs:
+                    power = ufuncs[powers[p]](mags, out=spare)
+                else:
+                    power = np.power(mags, powers[p], out=spare)
                 power[:, 0] += acc
                 np.add.reduce(power, axis=1, out=acc)
         if real:

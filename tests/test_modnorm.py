@@ -324,6 +324,38 @@ class TestBlockNormEngine:
         got = mod_norm_decomp(f, ModNormSpec(p, q, s), part)
         assert got == pytest.approx(want, rel=EQUIV_RTOL, abs=0.0)
 
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-80, 1e-70, 1e70, 1e80,
+                                           1e160])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_p4_float_range(self, kind, amplitude):
+        # p = 4 takes two squarings, the oracle pow: a^2 is subnormal only
+        # where a^4 rounds to 0 either way and overflows only where a^4
+        # does, so the tables read 0 and inf where the oracle's do.  The
+        # spectrum falls by 1e-6 across the blocks, so at 1e80 some blocks
+        # overflow and others do not, and at 1e-80 some read 0.  The real
+        # kind is exactly Hermitian, so its copied blocks stay within
+        # roundoff of their own size, and at 1e+-160 takes every block
+        part, f = _equiv_case(1)
+        g = part.grid
+        F = (_exactly_hermitian(part, 8) if kind == "real"
+             else forward_values(g, f))
+        F = amplitude * F * np.exp(-0.5 * (g.freq_axis / 4.75) ** 2)
+        assert _hermitian(F[None], part) == [
+            kind == "real" and abs(np.log10(amplitude)) < 150]
+        with np.errstate(over="ignore", under="ignore"):
+            got = _block_lp_norms(F[None], part, [4.0])[0][0]
+            # block_project on these frequency samples, then lp_norm
+            want = np.array([lp_norm(inverse_values(
+                g, partition_symbol(part, k) * F), g.spacing, 4.0, 1)
+                for k in part.active_keys()])
+        for edge in (0.0, np.inf):
+            np.testing.assert_array_equal(got == edge, want == edge)
+        inside = (want > 0.0) & (want < np.inf)
+        np.testing.assert_allclose(got[inside], want[inside], rtol=1e-13,
+                                   atol=0.0)
+        if abs(np.log10(amplitude)) == 80:
+            assert inside.any() and not inside.all()
+
 
 class TestStackedNorms:
     @pytest.mark.parametrize("s", [0.0, 1.5])
@@ -375,7 +407,11 @@ def per_p_block_norms(F, partition, p):
         if np.isinf(p):
             chunks.append(a.max(axis=block_axes))
             continue
-        if p != 1:
+        if p == 4:
+            # the engine's rule: two squarings, not pow
+            np.square(a, out=a)
+            np.square(a, out=a)
+        elif p != 1:
             a **= p
         chunks.append((vol * np.sum(a, axis=block_axes)) ** (1.0 / p))
     return np.concatenate(chunks, axis=1)
@@ -660,6 +696,87 @@ class TestMirroredEngine:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         else:
             np.testing.assert_array_equal(got, want)
+
+
+# -- the engine's working set: batches sized by the schedule that runs -------
+
+# a stack's functions ("r" real, "c" complex), its grid and its specs; the
+# real functions' batch grows to the mirrored rows' only when every spec
+# takes the mirrored path, which the s = 100 spec does not
+WORKING_SET_CASES = {
+    "real": ("r" * 9, "d1", [(1, 1, 0), (4, 2, 1.5), (np.inf, 1, 0)]),
+    "complex": ("c" * 5, "d1", [(1, 1, 0), (4, 2, 1.5)]),
+    "mixed": ("rcrrcrrcrr", "d1", [(1.5, 1, 0), (4, 2, 1.5)]),
+    "d2": ("rcrr", "d2", [(1, 1, 0), (4, 2, 1.5)]),
+    "heavy": ("r" * 9, "d1", [(1, 1, 0), (1, 1, 100), (4, 2, 1.5)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _working_set_case(name):
+    """Partition, frequency samples of the stack and its specs."""
+    kinds, grid, specs = WORKING_SET_CASES[name]
+    part, _ = _real_case(grid)
+    g = part.grid
+    rng = np.random.default_rng(len(kinds))
+    f = rng.standard_normal((len(kinds),) + g.shape).astype(complex)
+    for value, kind in zip(f, kinds):
+        if kind == "c":
+            value += 1j * rng.standard_normal(g.shape)
+    return part, forward_values(g, f), [ModNormSpec(*t) for t in specs]
+
+
+def _engine_passes(monkeypatch, name):
+    """(functions, rows transformed) of every engine pass of one call on
+    _working_set_case(name), and the call's norms."""
+    part, F, specs = _working_set_case(name)
+    engine, passes = modnorm._block_lp_tables, []
+
+    def spy(F, partition, ps, hermitian):
+        rows = (modnorm._mirror_rows(partition)[1].size if hermitian
+                else len(partition._active_centers))
+        passes.append((len(F), rows))
+        return engine(F, partition, ps, hermitian)
+
+    monkeypatch.setattr(modnorm, "_block_lp_tables", spy)
+    return passes, mod_norms_from_frequency(F, specs, part)
+
+
+class TestEngineWorkingSet:
+    @pytest.mark.parametrize("name", sorted(WORKING_SET_CASES))
+    def test_passes_stay_within_the_cap(self, monkeypatch, name):
+        part, F, specs = _working_set_case(name)
+        passes, got = _engine_passes(monkeypatch, name)
+        kinds = WORKING_SET_CASES[name][0]
+        size = part.grid.size
+        for functions, rows in passes:
+            assert (functions == 1 or functions * rows * size
+                    <= modnorm.NORM_BATCH_VALUES)
+        # every function passes once through each schedule it takes
+        full = len(part._active_centers)
+        mirrored = sum(n for n, rows in passes if rows < full)
+        real = kinds.count("r") if part.grid.dim == 1 else 0
+        assert mirrored == real
+        assert sum(n for n, rows in passes if rows == full) == (
+            len(kinds) if name == "heavy" else len(kinds) - real)
+        for row, spec in zip(got, specs):
+            np.testing.assert_allclose(row, per_spec_norms(F, spec, part),
+                                       rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["real", "complex", "mixed"])
+    def test_batches_fill_the_cap(self, monkeypatch, name):
+        # a group's batches hold as many functions as its schedule's rows
+        # allow: the mirrored rows' for a real group, all rows otherwise
+        part, _, _ = _working_set_case(name)
+        kinds = WORKING_SET_CASES[name][0]
+        passes, _ = _engine_passes(monkeypatch, name)
+        for kind in "rc":
+            rows = (modnorm._mirror_rows(part)[1].size if kind == "r"
+                    else len(part._active_centers))
+            step = modnorm._engine_batch(rows, part.grid)
+            count = kinds.count(kind)
+            want = [min(step, count - i) for i in range(0, count, step)]
+            assert [n for n, r in passes if r == rows] == want
 
 
 class TestMaxModNorm:
@@ -1224,6 +1341,19 @@ class TestSTFTStacks:
         got = mod_norms_stft(fs, plan, MULTI_SPECS, refine)
         assert got.shape == (len(MULTI_SPECS), len(fs))
         assert got.tolist() == want  # bit for bit
+
+    @pytest.mark.parametrize("stack", ["real", "complex"])
+    def test_specs_share_the_power_buffers(self, stack):
+        # every p forms its power in the one spare buffer, reduced before
+        # the next p's: sqrt, pow and square on the real path, pow and
+        # square on the complex one, |V| itself at p = 1 (complex) and
+        # p = 2 (real)
+        fs, plan = _stft_stack("d1", stack)
+        specs = [ModNormSpec(p, 2.0, s) for s in (0.0, 1.5)
+                 for p in (1.0, 1.5, 2.0, 4.0, np.inf)]
+        want = [mod_norms_stft(fs, plan, [spec])[0].tolist()
+                for spec in specs]
+        assert mod_norms_stft(fs, plan, specs).tolist() == want
 
     @pytest.mark.parametrize("stack", sorted(STFT_STACKS))
     @pytest.mark.parametrize("refine", [1, 2])
