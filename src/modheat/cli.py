@@ -534,7 +534,8 @@ def cmd_picard(cfg, seed, rec):
     grid, beta, k, u0 = _parse_problem(cfg)
     depth, t_max, t_points = cfg["depth"], cfg["t_max"], cfg["t_points"]
     # picard_terms' terms, and max_mod_norm's neighbour bounds: at most
-    # about t_points^2 pairs of slices per term
+    # about t_points^2 pairs of slices per term, whose differences it
+    # forms NORM_BATCH_VALUES values at a time for all terms at once
     _bounded(max(depth * t_points * grid.size, t_points * t_points),
              "'t_points' and 'depth'")
     # a subnormal spacing cannot be told uniform, nor weigh the quadrature
@@ -584,7 +585,8 @@ def cmd_picard(cfg, seed, rec):
                           f"norm of 0 for term {zero}, so its ratio is "
                           "undefined")
     # the slices each term's sup runs over, those the engine evaluated and
-    # the neighbour bounds taken to prune the others
+    # the neighbour bounds taken to prune the others, and the engine calls
+    # that evaluated every term's slices
     terms = [{"term_index": idx, "slices": t_points - (i > 0),
               "exact_evaluations": res.exact_evaluations[i],
               "difference_bounds": res.difference_bounds[i]}
@@ -592,7 +594,8 @@ def cmd_picard(cfg, seed, rec):
     rec.diagnostics["picard"] = {
         "slices": sum(t["slices"] for t in terms),
         "exact_evaluations": sum(res.exact_evaluations),
-        "difference_bounds": sum(res.difference_bounds), "terms": terms}
+        "difference_bounds": sum(res.difference_bounds),
+        "engine_calls": res.engine_calls, "terms": terms}
     rows = [(idx, res.sup_norms[i],
              res.ratios[i - 1] if i >= 1 else float("nan"))
             for i, idx in enumerate(res.term_indices)]

@@ -26,15 +26,16 @@ dealiasing lattice from the earlier terms, each padded once, and each
 term's Duhamel integral over its products advances one slice at a time:
 the kernel exp(-(t_i - t_s)|xi|^beta) is a semigroup, so the composite
 Simpson and 3/8 sums follow a one-step recurrence that keeps a running
-sum and the last three product slices, O(t_points) work per term.  Each
-term's sup over time is max_mod_norm's, which at p != 2 evaluates exactly
-only the slices whose bound can still beat the largest norm found: the
-Parseval bound, or an evaluated neighbour's norm plus the Parseval bound
-of the difference, which is small between slices close in time.  It also
-evaluates the closed-form lower envelopes that force divergence of that
-series for Fourier-positive data with a large enough plateau, and
-certifies the corresponding hypotheses (plateau height, support radius,
-volume condition) on the lattice.
+sum and the last three product slices, O(t_points) work per term.  The
+terms' sups over time come from one max_mod_norm call, which at p != 2
+evaluates exactly only the slices whose bound can still beat their term's
+largest norm found: the Parseval bound, or an evaluated neighbour's norm
+plus the Parseval bound of the difference, which is small between slices
+close in time.  The terms prune in lockstep, each round's slices of every
+term in one engine call.  The module also evaluates the closed-form lower
+envelopes that force divergence of that series for Fourier-positive data
+with a large enough plateau, and certifies the corresponding hypotheses
+(plateau height, support radius, volume condition) on the lattice.
 """
 
 from collections import Counter
@@ -427,6 +428,7 @@ class PicardResult:
     ratios: list         # sup_norms[i+1] / sup_norms[i]
     exact_evaluations: list  # slices per term the norm engine evaluated
     difference_bounds: list  # neighbour bounds per term (max_mod_norm)
+    engine_calls: int    # engine calls that evaluated them (max_mod_norm)
 
 
 def _partitions(n, parts, least=1):
@@ -575,9 +577,11 @@ def picard_terms(problem, depth, t_grid, partition=None):
     in the batch are then complete, and are padded once for the later
     terms (the last term is never padded).  The t = 0 slice of every term
     j >= 1 is 0, so its
-    sup norm is taken over t > 0.  Each sup is max_mod_norm's: at p != 2
-    the engine evaluates only the slices whose bound (Parseval, or from an
-    evaluated neighbour) can still beat the largest norm found.
+    sup norm is taken over t > 0.  The sups come from one max_mod_norm
+    call on all the terms, which prune in lockstep: at p != 2 the engine
+    evaluates only the slices whose bound (Parseval, or from an evaluated
+    neighbour) can still beat their term's largest norm found, every
+    term's picks of a round in one engine call (engine_calls).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -619,13 +623,15 @@ def picard_terms(problem, depth, t_grid, partition=None):
             quadratures[j - 1].extend(spectra[j], lo,
                                       cropped_forward(g, acc, fine))
 
-    sups = [max_mod_norm(F if j == 0 else F[1:], problem.norm_spec,
-                         partition) for j, F in enumerate(spectra)]
+    sups, engine_calls = max_mod_norm(
+        [F if j == 0 else F[1:] for j, F in enumerate(spectra)],
+        problem.norm_spec, partition)
     sup_norms = [float(sup) for sup, _, _ in sups]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
     return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
-                        [n for _, n, _ in sups], [n for _, _, n in sups])
+                        [n for _, n, _ in sups], [n for _, _, n in sups],
+                        engine_calls)
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------

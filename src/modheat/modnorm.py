@@ -43,7 +43,11 @@ norm.  Once a function g is evaluated, the triangle inequality bounds
 every other f by g's norm plus that Parseval bound of f - g, which is
 tight for neighbouring time slices.  Functions are evaluated in descending
 bound until the next bound is at most the largest norm found, and the
-maximum is the one of the full evaluation bit for bit.
+maximum is the one of the full evaluation bit for bit.  One call serves a
+list of stacks (a Picard series' terms), which prune in lockstep: each
+round's picks of every stack go to one engine call, and the bounds'
+Parseval calls are merged across stacks, each merged stack within
+NORM_BATCH_VALUES.
 
 On a d = 1 grid real data takes about half the block engine's work at
 p != 2.  A function whose frequency samples are Hermitian, ||F - conj
@@ -225,7 +229,9 @@ def _parseval_block_norms(F, partition):
     one contraction per axis with no transform.
     """
     g = partition.grid
-    acc = np.abs(F) ** 2
+    # squared in place: x * x, the op of ** 2, with one temporary
+    acc = np.abs(F)
+    acc *= acc
     for _ in range(g.dim):
         # contracts the first lattice axis and appends its block axis
         acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
@@ -417,12 +423,15 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     Hermitian function takes the engine's mirrored path (_block_lp_norms)
     for every spec whose error bound for it is at most MIRROR_SLACK
     (_mirror_error), and every block for the others; the stack is split
-    once, and each group batched by the rows its schedules transform."""
+    once, and each group batched by the rows its schedules transform.  An
+    empty stack gives an empty array."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
+    if not len(stack):
+        return np.empty((len(specs),) + values.shape[:values.ndim - g.dim])
     # each spec's block table: p, and at p != 2 whether the mirrored path's
     # error bound fits the roundoff slack
     keys = [(spec.p, spec.p != 2 and _memo(
@@ -592,19 +601,59 @@ def _parseval_bounds(values, spec, partition, scale, floor):
             values, [ModNormSpec(2.0, spec.q, spec.s)], partition)[0] + floor
 
 
-def _neighbour_bounds(f, g, g_norms, spec, partition, scale, floor):
+def _neighbour_bounds(g_norm, differences, floor):
     """(N(g) + U(f - g) + 2 floor) (1 + BOUND_ROUNDOFF), the neighbour
-    bound above, on the (p, q, s) norm of every function of the stack f
-    (columns) from every function of g (rows), whose norms as the engine
-    computes them are g_norms; inf where a difference overflows."""
-    with np.errstate(over="ignore"):
-        diffs = f - g[:, None]
-    if not np.all(np.isfinite(diffs)):
-        return np.full(diffs.shape[:2], np.inf)
+    bound above, on the (p, q, s) norm of f, from g's norm as the engine
+    computes it and the bounds U of the differences f - g."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (g_norms[:, None]
-                + _parseval_bounds(diffs, spec, partition, scale, floor)
-                + 2.0 * floor) * (1.0 + BOUND_ROUNDOFF)
+        return (g_norm + differences + 2.0 * floor) * (1.0 + BOUND_ROUNDOFF)
+
+
+def _merged_spans(pieces, evaluate, grid):
+    """evaluate(stack), an array of one value per function, over the
+    functions of every piece: yields (piece, lo, hi, values, finite) for
+    the functions lo .. hi - 1 of a piece, finite whether they all are.
+
+    A piece (stack, rows, minus) holds the functions stack[rows], less
+    stack[minus] where minus is a function index.  The pieces fill one
+    buffer in order, a piece split where the buffer is full, and each
+    filling takes one evaluate call.  The buffer holds _engine_batch(2)
+    functions, or one: a Parseval call on it also makes |F|^2, half its
+    size, so the two stay within NORM_BATCH_VALUES values.  A function that
+    is not finite is evaluated as 0."""
+    size = min(_engine_batch(2, grid), sum(len(rows) for _, rows, _ in pieces))
+    buf = np.empty((size,) + grid.shape, complex)
+
+    def flush(spans):
+        stack = buf[:sum(hi - lo for _, lo, hi in spans)]
+        finite = np.isfinite(stack).all(axis=tuple(range(1, grid.dim + 1)))
+        stack[~finite] = 0.0
+        values = evaluate(stack)
+        at = 0
+        for i, lo, hi in spans:
+            n = hi - lo
+            yield i, lo, hi, values[at:at + n], finite[at:at + n].all()
+            at += n
+
+    spans, filled = [], 0
+    for i, (stack, rows, minus) in enumerate(pieces):
+        lo = 0
+        while lo < len(rows):
+            hi = min(len(rows), lo + size - filled)
+            out = buf[filled:filled + hi - lo]
+            # mode="clip" takes straight into out: the default buffers
+            np.take(stack, rows[lo:hi], axis=0, out=out, mode="clip")
+            if minus is not None:
+                with np.errstate(over="ignore"):
+                    out -= stack[minus]
+            spans.append((i, lo, hi))
+            filled += hi - lo
+            lo = hi
+            if filled == size:
+                yield from flush(spans)
+                spans, filled = [], 0
+    if spans:
+        yield from flush(spans)
 
 
 def _overflow_ceiling(spec, partition):
@@ -624,67 +673,127 @@ def _overflow_ceiling(spec, partition):
     return 0.5 * min(blocks, total)
 
 
-def max_mod_norm(values, spec, partition):
-    """(mod_norms_from_frequency(values, [spec], partition).max(), the number
-    of functions the engine evaluated, the number of neighbour bounds
-    taken); the maximum is the same bit for bit.
+def max_mod_norm(stacks, spec, partition):
+    """Per stack of the list `stacks`, (mod_norms_from_frequency(stack,
+    [spec], partition)[0].max(), the number of its functions the engine
+    evaluated, the number of neighbour bounds taken), the maximum the same
+    bit for bit; and the number of engine calls that evaluated them.
 
-    At p = 2 the engine evaluates every function.  Otherwise each function
-    f is first bounded by U(f) = c_p (1 + BOUND_ROUNDOFF) (its (2, q, s)
-    norm), plus subnormal allowances (_bound_constants), which costs the
-    Parseval path and no FFT.  The engine evaluates the functions in
-    descending bound, one of its batches at a time, and stops once the next
-    bound is at most the largest norm found: no function left can exceed
-    it.  After each batch, every function g just evaluated whose norm is
-    below the largest one tightens the bound of every pending f whose bound
-    still exceeds that norm to the neighbour bound N(g) + U(f - g), with
-    its allowances, all differences in one Parseval call: a slice of a
-    Picard term is bounded so by the evaluated slices next to it in time.
-    A g with a NaN or inf norm, or at the largest norm, could prune nothing
-    and is skipped.  A bound above _overflow_ceiling counts as inf, since
-    the engine may overflow on such a function where its bound does not.
-    NaN bounds sort first and are never tightened, so they are always
-    evaluated, and a NaN norm propagates as in ndarray.max.  Non-finite
-    values raise ValueError before any pruning.
+    At p = 2 the engine evaluates every function, one call per stack.
+    Otherwise each function f is first bounded by U(f) = c_p (1 +
+    BOUND_ROUNDOFF) (its (2, q, s) norm), plus subnormal allowances
+    (_bound_constants), which costs the Parseval path and no FFT.  Each
+    stack's functions are evaluated in descending bound, one engine batch
+    of _engine_batch(K) functions at a time, until the next bound is at
+    most the stack's largest norm found: no function left can exceed it.
+    After each batch, every function g just evaluated whose norm is below
+    the stack's largest one tightens the bound of every pending f of its
+    stack whose bound still exceeds that norm to the neighbour bound
+    N(g) + U(f - g), with its allowances: a slice of a Picard term is
+    bounded so by the evaluated slices next to it in time.  A g with a NaN
+    or inf norm, or at the largest norm, could prune nothing and is
+    skipped, and a batch whose differences overflow anywhere tightens no
+    bound.  A bound above _overflow_ceiling counts as inf, since the
+    engine may overflow on such a function where its bound does not.  NaN
+    bounds sort first and are never tightened, so they are always
+    evaluated, and a NaN norm propagates as in ndarray.max.
+
+    The stacks prune in lockstep: each round, every stack still pending
+    picks its batch as it would alone, and all the picks go to one engine
+    call per merged stack, taken in passes of that batch; the round's
+    differences, like the first bounds, go to Parseval calls merged across
+    stacks.  Every merged stack stays within NORM_BATCH_VALUES values
+    (_merged_spans).  A norm at p != 2 does not depend on its batch, so
+    every stack takes the decisions it takes alone.  Non-finite values,
+    and an empty stack, raise ValueError.
     """
+    g = partition.grid
+    stacks = [np.asarray(v).reshape((-1,) + g.shape) for v in stacks]
+    for i, stack in enumerate(stacks):
+        if not len(stack):
+            raise ValueError(f"stack {i} is empty: zero-size array to "
+                             "reduction operation maximum which has no "
+                             "identity")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("non-finite values in norm input")
     if spec.p == 2:
-        norms = mod_norms_from_frequency(values, [spec], partition)[0]
-        return norms.max(), norms.size, 0
+        sups = [mod_norms_from_frequency(stack, [spec], partition)[0]
+                for stack in stacks]
+        return [(norms.max(), norms.size, 0) for norms in sups], len(stacks)
     # weights (1 + |k|)^s may overflow or underflow to 0, and make these
     # inf, NaN or 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        constants = _bound_constants(spec, partition)
+        scale, floor = _bound_constants(spec, partition)
         ceiling = _overflow_ceiling(spec, partition)
-    bounds = _parseval_bounds(values, spec, partition, *constants).ravel()
-    bounds[bounds > ceiling] = np.inf
-    g = partition.grid
-    stack = np.asarray(values).reshape((-1,) + g.shape)
-    pending = np.ones(len(stack), dtype=bool)
     batch = _engine_batch(len(partition._active_centers), g)
-    found, neighbours = [], 0
-    while pending.any():
-        rest = np.flatnonzero(pending)
-        rest = rest[np.argsort(-np.where(np.isnan(bounds[rest]), np.inf,
-                                         bounds[rest]), kind="stable")]
-        if found and bounds[rest[0]] <= best:
-            break
-        taken = rest[:batch]
-        norms = mod_norms_from_frequency(stack[taken], [spec], partition)[0]
-        found.append(norms)
-        best = np.concatenate(found).max()
-        pending[taken] = False
-        close = norms < best  # False for NaN norms, and all once best is NaN
-        targets = np.flatnonzero(pending & (bounds > best))
-        if close.any() and targets.size:
-            pairs = _neighbour_bounds(stack[targets], stack[taken[close]],
-                                      norms[close], spec, partition,
-                                      *constants)
-            neighbours += pairs.size
+    calls = 0
+
+    def engine(F):
+        nonlocal calls
+        calls += 1
+        # in passes of one stack's batch, as each stack alone would
+        return mod_norms_from_frequency(F, [spec], partition, batch)[0]
+
+    def parseval(F):
+        return _parseval_bounds(F, spec, partition, scale, floor)
+
+    bounds = [np.empty(len(stack)) for stack in stacks]
+    for i, lo, hi, values, _ in _merged_spans(
+            [(stack, np.arange(len(stack)), None) for stack in stacks],
+            parseval, g):
+        bounds[i][lo:hi] = values
+    for b in bounds:
+        b[b > ceiling] = np.inf
+    pending = [np.ones(len(stack), dtype=bool) for stack in stacks]
+    found = [[] for _ in stacks]
+    best = [None] * len(stacks)
+    neighbours = [0] * len(stacks)
+    live = range(len(stacks))
+    while live:
+        picks = []
+        for i in live:
+            rest = np.flatnonzero(pending[i])
+            rest = rest[np.argsort(-np.where(np.isnan(bounds[i][rest]),
+                                             np.inf, bounds[i][rest]),
+                                   kind="stable")]
+            if not (found[i] and bounds[i][rest[0]] <= best[i]):
+                picks.append((i, rest[:batch]))
+        norms = [np.empty(len(taken)) for _, taken in picks]
+        for j, lo, hi, values, _ in _merged_spans(
+                [(stacks[i], taken, None) for i, taken in picks], engine, g):
+            norms[j][lo:hi] = values
+        # each pick's neighbour bounds: (stack, targets, sources, norms)
+        jobs = []
+        for (i, taken), n in zip(picks, norms):
+            found[i].append(n)
+            best[i] = np.concatenate(found[i]).max()
+            pending[i][taken] = False
+            # False for NaN norms, and all once best is NaN
+            close = n < best[i]
+            targets = np.flatnonzero(pending[i] & (bounds[i] > best[i]))
+            if close.any() and targets.size:
+                jobs.append((i, targets, taken[close], n[close]))
+                neighbours[i] += len(jobs[-1][2]) * len(targets)
+        # each piece's job and source norm
+        owners = [(j, norm) for j, job in enumerate(jobs) for norm in job[3]]
+        tight = [np.full(len(targets), np.inf) for _, targets, _, _ in jobs]
+        clear = [True] * len(jobs)
+        for r, lo, hi, values, finite in _merged_spans(
+                [(stacks[i], targets, source)
+                 for i, targets, sources, _ in jobs for source in sources],
+                parseval, g):
+            j, norm = owners[r]
+            clear[j] &= finite
             # fmin: a NaN neighbour bound tightens nothing
-            tight = np.fmin.reduce(pairs, axis=0)
-            tight[tight > ceiling] = np.inf
-            bounds[targets] = np.fmin(bounds[targets], tight)
-    return best, sum(len(n) for n in found), neighbours
+            np.fmin(tight[j][lo:hi], _neighbour_bounds(norm, values, floor),
+                    out=tight[j][lo:hi])
+        for (i, targets, _, _), t, ok in zip(jobs, tight, clear):
+            if ok:
+                t[t > ceiling] = np.inf
+                bounds[i][targets] = np.fmin(bounds[i][targets], t)
+        live = [i for i, _ in picks if pending[i].any()]
+    return ([(best[i], sum(len(n) for n in found[i]), neighbours[i])
+             for i in range(len(stacks))], calls)
 
 
 # -- STFT-side norm -------------------------------------------------------------

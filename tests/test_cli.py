@@ -320,6 +320,39 @@ class TestPicardCommand:
         assert diag["difference_bounds"] == sum(
             t["difference_bounds"] for t in terms) > 0
 
+    # the benchmark's three `series` configs, at p = 1, with the pruning
+    # they take: per term (slices, exact evaluations, difference bounds),
+    # and the engine calls of the lockstep rounds
+    SERIES_PRUNING = {
+        "picard_domination": (
+            dominated_picard_config(),
+            [(33, 6, 95), (32, 6, 32), (32, 4, 14), (32, 4, 8), (32, 4, 5),
+             (32, 4, 2)], 3),
+        "picard_small": (
+            picard_config(),
+            [(17, 6, 43), (16, 6, 17), (16, 4, 5), (16, 4, 2), (16, 4, 1)],
+            3),
+        "picard_k3": (
+            picard_config(problem={"beta": 2.0, "k": 3}, depth=6,
+                          t_points=33),
+            [(33, 8, 99), (32, 8, 60), (32, 6, 26), (32, 4, 17), (32, 4, 11),
+             (32, 4, 8)], 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERIES_PRUNING))
+    def test_series_pruning_is_pinned(self, tmp_path, name):
+        # 86 of the 467 slices evaluated: a change to one pruning decision
+        # moves these counts
+        cfg, terms, engine_calls = self.SERIES_PRUNING[name]
+        code, out = run(tmp_path, "picard",
+                        dict(cfg, norm={"p": 1.0, "q": 1.0, "s": 0.0}))
+        assert code == 0
+        record = json.loads((out / "run_record.json").read_text())
+        diag = record["diagnostics"]["picard"]
+        assert [(t["slices"], t["exact_evaluations"], t["difference_bounds"])
+                for t in diag["terms"]] == terms
+        assert diag["engine_calls"] == engine_calls
+
     def test_certified_data_grows_and_dominates(self, tmp_path):
         code, out = run(tmp_path, "picard", dominated_picard_config())
         assert code == 0

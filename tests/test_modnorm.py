@@ -378,6 +378,17 @@ class TestStackedNorms:
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_stack(self, dim, p):
+        # no functions, one empty row per spec, behind any stack axes
+        part, _ = _equiv_case(dim)
+        specs = [ModNormSpec(p, 1.0, 0.0), ModNormSpec(p, 2.0, 1.5)]
+        for lead in [(0,), (3, 0)]:
+            empty = np.zeros(lead + part.grid.shape, complex)
+            got = mod_norms_from_frequency(empty, specs, part)
+            assert got.shape == (len(specs),) + lead
+
 
 def per_p_block_norms(F, partition, p):
     """The block engine at a single p, one pass over the blocks per p: the
@@ -800,7 +811,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(p, 1.0, 0.0)
         want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert want.argmax() == 0
-        got, evaluated, _ = max_mod_norm(stack, spec, part1)
+        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
         assert got == want.max()
         assert evaluated < len(stack)
 
@@ -817,7 +828,7 @@ class TestMaxModNorm:
             stack, spec, part1, *modnorm._bound_constants(spec, part1))
         assert np.all(np.diff(bounds) < 0) and norms.argmax() == 0
         targets = np.count_nonzero(bounds[3:] > norms[0])
-        got, _, neighbours = max_mod_norm(stack, spec, part1)
+        [(got, _, neighbours)], _ = max_mod_norm([stack], spec, part1)
         assert got == norms[0]
         assert targets == 3 and neighbours == 2 * targets
 
@@ -865,12 +876,13 @@ class TestMaxModNorm:
             * mod_norms_from_frequency(
                 stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0]
         assert bounds.argmax() == 1 and want.argmax() == 0
-        assert max_mod_norm(stack, spec, part) == (want.max(), 2, 0)
+        # two rounds of one function each: two engine calls
+        assert max_mod_norm([stack], spec, part) == ([(want.max(), 2, 0)], 2)
 
     def test_p2_evaluates_every_function(self, part1):
         stack = self._flow(part1, np.linspace(0.0, 2.0, 5))
         spec = ModNormSpec(2.0, 2.0, 1.5)
-        got, evaluated, _ = max_mod_norm(stack, spec, part1)
+        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
         assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
@@ -882,7 +894,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, _, _ = max_mod_norm(stack, spec, part1)
+            [(got, _, _)], _ = max_mod_norm([stack], spec, part1)
         want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert np.isfinite(want.max()) and want.argmax() == 3
         assert got == want.max()
@@ -904,7 +916,7 @@ class TestMaxModNorm:
             want = mod_norms_from_frequency(stack, [spec], part)[0]
             bounds = modnorm._parseval_bounds(
                 stack, spec, part, *modnorm._bound_constants(spec, part))
-            got, _, _ = max_mod_norm(stack, spec, part)
+            [(got, _, _)], _ = max_mod_norm([stack], spec, part)
         assert np.isinf(want[0]) and np.isfinite(want[1])
         assert bounds[0] < want[1] < bounds[1]
         assert np.isinf(got)
@@ -916,7 +928,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, -400.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, evaluated, _ = max_mod_norm(stack, spec, part1)
+            [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
         assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
@@ -928,7 +940,8 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 400.0)
         with np.errstate(over="ignore", invalid="ignore"):
             want = mod_norms_from_frequency(stack, [spec], part1)[0].max()
-            got, evaluated, neighbours = max_mod_norm(stack, spec, part1)
+            [(got, evaluated, neighbours)], _ = max_mod_norm(
+                [stack], spec, part1)
         assert np.isnan(want) and np.isnan(got)
         # NaN bounds are all evaluated, and a NaN norm tightens nothing
         assert evaluated == len(stack) and neighbours == 0
@@ -938,7 +951,170 @@ class TestMaxModNorm:
         stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
         stack[2, 7] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            max_mod_norm(stack, ModNormSpec(1.0, 1.0, 0.0), part1)
+            max_mod_norm([stack], ModNormSpec(1.0, 1.0, 0.0), part1)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_empty_stack_named(self, part1, p):
+        # as ndarray.max: an empty stack has no maximum
+        stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="stack 1 is empty"):
+            max_mod_norm([stack, stack[:0], stack], ModNormSpec(p, 1.0, 0.0),
+                         part1)
+
+
+# -- max_mod_norm's lockstep rounds against the pruning loop of one stack --
+
+
+def per_stack_max(values, spec, partition):
+    """(max, evaluations, neighbour bounds) of one stack by max_mod_norm's
+    pruning loop run on that stack alone, as it ran before the stacks of a
+    call pruned in lockstep: the lockstep call's oracle."""
+    if spec.p == 2:
+        norms = mod_norms_from_frequency(values, [spec], partition)[0]
+        return norms.max(), norms.size, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale, floor = modnorm._bound_constants(spec, partition)
+        ceiling = modnorm._overflow_ceiling(spec, partition)
+    bounds = modnorm._parseval_bounds(values, spec, partition, scale,
+                                      floor).ravel()
+    bounds[bounds > ceiling] = np.inf
+    stack = np.asarray(values).reshape((-1,) + partition.grid.shape)
+    pending = np.ones(len(stack), dtype=bool)
+    batch = modnorm._engine_batch(len(partition._active_centers),
+                                  partition.grid)
+    found, neighbours = [], 0
+    while pending.any():
+        rest = np.flatnonzero(pending)
+        rest = rest[np.argsort(-np.where(np.isnan(bounds[rest]), np.inf,
+                                         bounds[rest]), kind="stable")]
+        if found and bounds[rest[0]] <= best:
+            break
+        taken = rest[:batch]
+        norms = mod_norms_from_frequency(stack[taken], [spec], partition)[0]
+        found.append(norms)
+        best = np.concatenate(found).max()
+        pending[taken] = False
+        close = norms < best
+        targets = np.flatnonzero(pending & (bounds > best))
+        if close.any() and targets.size:
+            with np.errstate(over="ignore"):
+                diffs = stack[targets] - stack[taken[close]][:, None]
+            if np.all(np.isfinite(diffs)):
+                pairs = modnorm._neighbour_bounds(
+                    norms[close][:, None], modnorm._parseval_bounds(
+                        diffs, spec, partition, scale, floor), floor)
+            else:
+                pairs = np.full(diffs.shape[:2], np.inf)
+            neighbours += pairs.size
+            tight = np.fmin.reduce(pairs, axis=0)
+            tight[tight > ceiling] = np.inf
+            bounds[targets] = np.fmin(bounds[targets], tight)
+    return best, sum(len(n) for n in found), neighbours
+
+
+LOCKSTEP_PARTS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
+                  2: UniformPartition(SpectralGrid(2, 16, 4.0))}
+
+
+def _lockstep_case(dim, p, seed):
+    """A spec at p and 1 .. 5 Picard-like stacks of 1 .. 19 slices
+    t^m e^{-t |xi|^beta} F0: real (Hermitian) or complex F0, some with a
+    slice whose |F|^2 overflows, some with norms NaN or inf (s = 400,
+    whose weights overflow, on band-limited F0)."""
+    part = LOCKSTEP_PARTS[dim]
+    g = part.grid
+    rng = np.random.default_rng(seed)
+    heavy = rng.random() < 0.15
+    spec = ModNormSpec(p, rng.choice([1.0, 2.0, np.inf]),
+                       400.0 if heavy else rng.choice([0.0, 1.5]))
+    stacks = []
+    for _ in range(rng.integers(1, 6)):
+        n = rng.integers(1, 20)
+        t = np.linspace(0.0, rng.uniform(0.01, 1.0), n) \
+            + rng.integers(0, 2) * 0.01
+        f0 = rng.standard_normal(g.shape)
+        if rng.random() < 0.5:
+            f0 = f0 + 1j * rng.standard_normal(g.shape)
+        F0 = forward_values(g, f0) * np.exp(-0.3 * g.freq_magnitude ** 2)
+        if heavy and rng.random() < 0.5:
+            F0[g.freq_magnitude > 3.0] = 0.0
+        lags = np.exp(-np.multiply.outer(t, g.freq_magnitude
+                                         ** rng.choice([1.0, 2.0])))
+        stack = (t ** rng.integers(0, 3)).reshape((n,) + (1,) * dim) \
+            * lags * F0
+        if rng.random() < 0.1:
+            stack[rng.integers(n)] *= 1e160
+        stacks.append(stack)
+    return part, spec, stacks
+
+
+def _assert_lockstep(part, spec, stacks):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [per_stack_max(stack, spec, part) for stack in stacks]
+        got, _ = max_mod_norm(stacks, spec, part)
+    assert len(got) == len(stacks)
+    for (top, evaluated, neighbours), (want_top, *counts) in zip(got, want):
+        assert np.float64(top).tobytes() == np.float64(want_top).tobytes()
+        assert [evaluated, neighbours] == counts
+
+
+class TestLockstepMax:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_per_stack_loop(self, dim, p):
+        # bit for bit: each stack's maximum, and the decisions that give
+        # its evaluations and neighbour bounds
+        for seed in range(15):
+            _assert_lockstep(*_lockstep_case(dim, p, seed))
+
+    @pytest.mark.parametrize("functions", [1, 3])
+    def test_matches_with_small_batches(self, monkeypatch, functions):
+        # engine batches of 1 and 3 functions: more rounds, and merged
+        # calls split across several buffers
+        part = LOCKSTEP_PARTS[1]
+        monkeypatch.setattr(
+            modnorm, "NORM_BATCH_VALUES",
+            functions * len(part._active_centers) * part.grid.size)
+        for seed in range(10):
+            _assert_lockstep(*_lockstep_case(1, 1.0, 100 + seed))
+
+    def test_p2_one_call_per_stack(self):
+        part, _, stacks = _lockstep_case(1, 2.0, 7)
+        spec = ModNormSpec(2.0, 2.0, 1.5)
+        got, calls = max_mod_norm(stacks, spec, part)
+        assert calls == len(stacks)
+        for (top, evaluated, neighbours), stack in zip(got, stacks):
+            norms = mod_norms_from_frequency(stack, [spec], part)[0]
+            assert (top, evaluated, neighbours) == (norms.max(), len(norms), 0)
+
+    @pytest.mark.parametrize("cap", ["several", "below_one"])
+    def test_merged_calls_stay_within_the_cap(self, monkeypatch, cap):
+        # every call max_mod_norm makes, Parseval or engine, holds at most
+        # NORM_BATCH_VALUES values, or one function where one exceeds them
+        part = LOCKSTEP_PARTS[2]
+        g = part.grid
+        _, _, stacks = _lockstep_case(2, 1.0, 3)
+        spec = ModNormSpec(1.0, 1.0, 0.0)
+        # three functions a merged stack, or one over the cap
+        values = 6 * g.size if cap == "several" else g.size // 2
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", values)
+        want = [per_stack_max(stack, spec, part) for stack in stacks]
+        norms, calls = modnorm.mod_norms_from_frequency, []
+
+        def spy(stack, specs, partition, batch=None):
+            calls.append((len(stack), specs[0].p))
+            return norms(stack, specs, partition, batch)
+
+        monkeypatch.setattr(modnorm, "mod_norms_from_frequency", spy)
+        got, engine_calls = max_mod_norm(stacks, spec, part)
+        assert [(float(top), *counts) for top, *counts in got] \
+            == [(float(top), *counts) for top, *counts in want]
+        assert sum(len(stack) for stack in stacks) > 1
+        for functions, _ in calls:
+            assert functions * g.size <= values or functions == 1
+        assert engine_calls == sum(p == spec.p for _, p in calls)
+        if cap == "several":
+            assert max(functions for functions, _ in calls) == 3
 
 
 class TestSTFT:

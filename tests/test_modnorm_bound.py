@@ -64,7 +64,7 @@ def _check_pruned_max(stack, spec, part, batch):
     rows = len(part._active_centers)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modnorm, "NORM_BATCH_VALUES", batch * rows * g.size)
-        got, evaluated, _ = max_mod_norm(stack, spec, part)
+        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part)
         oracle_max, oracle_evaluated = _parseval_only_max(stack, spec, part)
     assert np.float64(got).tobytes() == exact.max().tobytes()
     assert np.float64(oracle_max).tobytes() == exact.max().tobytes()
@@ -168,8 +168,10 @@ def test_neighbour_bound_holds_for_every_pair(kind, dim, p, q, s, n, batch,
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
     # row g, column f: every function bounds every other through their
     # difference, itself included
-    tight = modnorm._neighbour_bounds(stack, stack, exact, spec, part,
-                                      *modnorm._bound_constants(spec, part))
+    scale, floor = modnorm._bound_constants(spec, part)
+    differences = modnorm._parseval_bounds(stack - stack[:, None], spec, part,
+                                           scale, floor)
+    tight = modnorm._neighbour_bounds(exact[:, None], differences, floor)
     assert tight.shape == (n, n)
     assert np.all(tight >= exact[None, :])
     _check_pruned_max(stack, spec, part, batch)
