@@ -37,17 +37,20 @@ equivalence constant that is measured once and frozen as a regression value
 
 The largest norm of a stack (max_mod_norm, a Picard term's sup over time)
 need not evaluate every function at p != 2.  On the box every block obeys
-||b||_p <= c_p ||b||_2, so c_p (1 + BOUND_ROUNDOFF) times a function's
-(2, q, s) norm, from the Parseval path with no FFT, bounds its (p, q, s)
-norm.  Once a function g is evaluated, the triangle inequality bounds
-every other f by g's norm plus that Parseval bound of f - g, which is
-tight for neighbouring time slices.  Functions are evaluated in descending
-bound until the next bound is at most the largest norm found, and the
-maximum is the one of the full evaluation bit for bit.  One call serves a
-list of stacks (a Picard series' terms), which prune in lockstep: each
-round's picks of every stack go to one engine call, and the bounds'
-Parseval calls are merged across stacks, each merged stack within
-NORM_BATCH_VALUES.
+||b||_p <= c_p m ||b||_2: m = 1 is Hoelder's bound, and at p < 2 a
+Carlson-weighted Cauchy-Schwarz bound gives each block its own m <= 1
+from one more contraction, of the lag products F(xi) conj F(xi - e_a)
+(_carlson_factors).  So c_p (1 + BOUND_ROUNDOFF) times the weighted l^q
+sum of a function's m ||b||_2, from the Parseval path with no FFT, bounds
+its (p, q, s) norm.  Once a function g is evaluated, the triangle
+inequality bounds every other f by g's norm plus that bound of f - g,
+which is tight for neighbouring time slices.  Functions are evaluated in
+descending bound until the next bound is at most the largest norm found,
+and the maximum is the one of the full evaluation bit for bit.  One call
+serves a list of stacks (a Picard series' terms), which prune in
+lockstep: each round's picks of every stack go to one engine call, and
+the bounds' Parseval calls are merged across stacks, each merged stack
+within NORM_BATCH_VALUES.
 
 On a d = 1 grid real data takes about half the block engine's work at
 p != 2.  A function whose frequency samples are Hermitian, ||F - conj
@@ -226,16 +229,38 @@ def _parseval_block_norms(F, partition):
     result is (batch, active keys), keys in active_keys() order.  sigma_k
     is the outer product of one row per axis, so discrete Parseval turns
     each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2,
-    one contraction per axis with no transform.
+    one contraction per axis with no transform (_block_energies).
     """
+    return np.sqrt(_block_energies(F, partition))
+
+
+def _block_energies(F, partition, lag=None):
+    """b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2 of every function of
+    a stack F and active key; with lag = (a, table), |Z| of the same sum
+    over the lag products F(xi) conj F(xi - e_a), with the table,
+    row_k(xi) row_k(xi - 1) cyclic in slot order, on axis a.  One
+    contraction per axis, each appending its block axis; the lag products'
+    real and imaginary parts ride on a trailing axis of a real view, so
+    every contraction is real."""
     g = partition.grid
-    # squared in place: x * x, the op of ** 2, with one temporary
-    acc = np.abs(F)
-    acc *= acc
-    for _ in range(g.dim):
-        # contracts the first lattice axis and appends its block axis
-        acc = np.tensordot(acc, partition._sq_rows, axes=([1], [1]))
-    return np.sqrt(g.freq_spacing ** g.dim * acc).reshape(len(F), -1)
+    if lag is None:
+        axis = None
+        # squared in place: x * x, the op of ** 2, with one temporary
+        G = np.abs(F)
+        G *= G
+    else:
+        axis, table = lag
+        G = np.roll(np.asarray(F, complex), 1, axis=axis + 1)
+        np.conjugate(G, out=G)
+        G *= F
+        G = G.view(float).reshape(G.shape + (2,))
+    for j in range(g.dim):
+        G = np.tensordot(G, table if j == axis else partition._sq_rows,
+                         axes=([1], [1]))
+    if lag is None:
+        return (g.freq_spacing ** g.dim * G).reshape(len(F), -1)
+    G = G.reshape(len(F), 2, -1)
+    return g.freq_spacing ** g.dim * np.hypot(G[:, 0], G[:, 1])
 
 
 # Hermitian tolerance tau of the block engine (hermitian_defect): the FFT
@@ -450,15 +475,19 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
             stack, partition, *zip(*general), batch=batch)))
     out = np.empty((len(specs), len(stack)))
     for row, key, spec in zip(out, keys, specs):
-        terms = tables[key] * (1.0 + partition._key_radii) ** spec.s
-        if np.isinf(spec.q):
-            row[:] = terms.max(axis=-1)
-        else:
-            # cumsum adds the blocks one by one in key order: a fixed
-            # summation order that does not depend on the stack
-            row[:] = (np.cumsum(terms ** spec.q, axis=-1)[:, -1]
-                      ** (1.0 / spec.q))
+        row[:] = _block_sums(tables[key], spec, partition)
     return out.reshape((len(specs),) + values.shape[:values.ndim - g.dim])
+
+
+def _block_sums(table, spec, partition):
+    """The weighted l^q sum over the blocks of every row of a (functions,
+    active keys) table, at spec's q and s."""
+    terms = table * (1.0 + partition._key_radii) ** spec.s
+    if np.isinf(spec.q):
+        return terms.max(axis=-1)
+    # cumsum adds the blocks one by one in key order: a fixed summation
+    # order that does not depend on the stack
+    return np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
 
 
 # Relative slack of max_mod_norm's bound, for the roundoff of both paths
@@ -474,6 +503,28 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
 # products of these factors.  The squarings leave the float range where
 # pow does: a^2 is subnormal only where a^4 < 2^-2044 rounds to 0 either
 # way, and a^2 overflows only where a^4 does.
+#
+# At p < 2 the bound multiplies each block's c_p ||b||_2 by m <= 1
+# (_carlson_factors), from the computed A = ||b||_2^2 and an upper bound
+# W' of the exact W = A - |Z|.  The lag products' moduli,
+# row(xi) row(xi - 1) |F(xi)| |F(xi - e_a)|, add up to at most A
+# (Cauchy-Schwarz; the shift permutes the slots), so the contractions of
+# Z and A are each within n u A <= 2^-21 A of their exact values, and W
+# within 2^-20 A but for the few u A of the products, of |Z|, of the
+# subtraction and of the lag table, which is made from the folded rows.
+# Subnormal roundings are absolute: in each contraction a slot passes at
+# most 4 + 2d of them, at <= 2^-1075 times b^d, and a table entry below
+# 2^-1022 loses up to 2^-1074 of its product, at most ||f||_2^2 per axis
+# over the slots; 2^-1060 (||f||_2^2 + (b N)^d) covers both
+# contractions.  W' = W + 2^-20 A + 2^-1060 (...) is then
+# short of the exact W by at most a few u A.  As W' >= 2^-20 A, lam =
+# (A - W') / W' <= 2^20, and a shortfall eps A of W' lowers m^2 by at
+# most lam eps <= 2^-25 relative, which with the factor's own roundings
+# (log1p, tanh, the power: a few u) fits in the 2^-19 that
+# BOUND_ROUNDOFF leaves.  At a fixed lam the bound c_p sqrt(A) m grows
+# with A, while m alone shrinks with it, so the computed A enters only
+# through sqrt(A), whose errors the terms above, rho and floor
+# (_bound_constants) cover as at m = 1.
 #
 # The engine's mirrored path (_block_lp_norms) adds one term.  It takes a
 # Hermitian function's block k, below 0 and clear of the -N/2 rows, as
@@ -522,7 +573,9 @@ def _mirror_error(spec, partition):
 
 def _bound_constants(spec, partition):
     """(scale, floor): every function's (p, q, s) norm, as the engine
-    computes it, is at most scale * (its (2, q, s) norm) + floor.
+    computes it, is at most scale * (its (2, q, s) norm) + floor, and at
+    p < 2 at most scale * (the weighted l^q sum of its blocks'
+    m_k ||b_k||_2) + floor (_carlson_factors, _parseval_bounds).
 
     Every block b on the N^d-point box of side 2L = N h has
     ||b||_p <= c_p ||b||_2: Hoelder on the quadrature with
@@ -593,12 +646,80 @@ def _bound_constants(spec, partition):
 
 
 def _parseval_bounds(values, spec, partition, scale, floor):
-    """U = scale (its (2, q, s) norm) + floor of every function of a stack,
-    scale and floor from _bound_constants; inf or NaN where |F|^2 or a
-    weight overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return scale * mod_norms_from_frequency(
-            values, [ModNormSpec(2.0, spec.q, spec.s)], partition)[0] + floor
+    """U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor of every
+    function of a stack, frequency samples in the last d axes behind any
+    batch axes: ||b_k||_2 from the Parseval contraction, m_k = 1 at p >= 2
+    and _carlson_factors at p < 2, scale and floor from _bound_constants;
+    inf or NaN where |F|^2 or a weight overflows."""
+    g = partition.grid
+    values = np.asarray(values)
+    F = values.reshape((-1,) + g.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        energy = _block_energies(F, partition)
+        factors = (_carlson_factors(F, energy, spec.p, partition)
+                   if spec.p < 2 else 1.0)
+        bounds = scale * _block_sums(np.sqrt(energy) * factors, spec,
+                                     partition) + floor
+    return bounds.reshape(values.shape[:values.ndim - g.dim])
+
+
+def _lag_rows(partition):
+    """row_k(xi) row_k(xi - 1) of every active row, cyclic in slot order:
+    the lag products' table (_carlson_factors), from the folded rows to
+    roundoff."""
+    rows = partition._folded_rows / inverse_axis_factor(partition.grid)
+    rows *= np.roll(rows, 1, axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
+# The Carlson-weighted factor of a block b (_carlson_factors).  Fix an
+# axis a and, for lam >= 0 and a centre c, the weight
+# w(x) = 1 + lam (1 - cos(pi (x_a - c) / L)).  Cauchy-Schwarz gives
+# h^d sum_x |b| <= (h^d sum_x 1 / w)^{1/2} (h^d sum_x w |b|^2)^{1/2}, a
+# weighted form of Carlson's inequality.  With c at the phase of
+# Z = b^d sum_xi B(xi) conj B(xi - e_a), B = sigma_k F, the weighted energy
+# is A + lam W, A = ||b||_2^2, W = A - |Z|, and |Z| is one more contraction
+# (_block_energies at lag a).  For every c,
+# h^d sum_x 1 / w <= (2L)^d / sqrt(1 + 2 lam) (1 + r^N) / (1 - r^N),
+# r = lam / (1 + lam + sqrt(1 + 2 lam)): the Poisson kernel's Fourier
+# series aliased on N points, equal at lattice centres.  At
+# lam = (A - W) / W, for W < A, ||b||_1^2 / (c_1^2 A) is then at most
+# s (1 + r^N) / (1 - r^N) = s / tanh(-N log(r) / 2), with x = W / A,
+# s = sqrt(x (2 - x)) and r = (1 - x) / (1 + s); lam = 0 is Hoelder's c_1.
+# Interpolation, ||b||_p <= ||b||_1^{2/p - 1} ||b||_2^{2 - 2/p}, raises it
+# to the power 1/p - 1/2.  W is formed with cancellation, so it is taken
+# as W + 2^-20 A + 2^-1060 (||f||_2^2 + (b N)^d), which bounds its
+# roundings (derived above BOUND_ROUNDOFF) and keeps lam <= 2^20.
+
+
+def _carlson_factors(F, energy, p, partition):
+    """m_k <= 1 of every function of a stack and active key, with
+    ||b_k||_p <= c_p m_k ||b_k||_2 at p < 2 (comment above), from the block
+    energies ||b_k||_2^2: the least over the axes, and 1 where no axis has
+    W < A, NaN and inf energies included.  The lag products are formed
+    _engine_batch(8) functions at a time, so that with their real copy in
+    the contraction and the merged Parseval call's buffer (_merged_spans)
+    they hold less than the engine's batches."""
+    g = partition.grid
+    d, n = g.dim, g.points_per_axis
+    step = _engine_batch(8, g)
+    lag_rows = _memo(partition, "lag rows", lambda: _lag_rows(partition))
+    flat = np.ascontiguousarray(F, complex).reshape(len(F), -1).view(float)
+    # 2^-1060 (||f||_2^2 + (b N)^d)
+    tiny = 2.0 ** -1060 * ((g.freq_spacing * n) ** d + g.freq_spacing ** d
+                           * np.einsum("ij,ij->i", flat, flat))
+    out = np.ones_like(energy)
+    for a in range(d):
+        lags = np.concatenate(
+            [_block_energies(F[i:i + step], partition, (a, lag_rows))
+             for i in range(0, len(F), step)])
+        x = (energy * (1.0 + 2.0 ** -20) + tiny[:, None] - lags) / energy
+        s = np.sqrt(x * (2.0 - x))
+        # NaN unless 0 < x <= 1 (1 at x = 1), where fmin keeps 1
+        m = s / np.tanh(-0.5 * n * np.log1p((s + x) / (-1.0 - s)))
+        np.fmin(out, m ** (1.0 / p - 0.5), out=out)
+    return out
 
 
 def _neighbour_bounds(g_norm, differences, floor):
@@ -681,11 +802,15 @@ def max_mod_norm(stacks, spec, partition):
 
     At p = 2 the engine evaluates every function, one call per stack.
     Otherwise each function f is first bounded by U(f) = c_p (1 +
-    BOUND_ROUNDOFF) (its (2, q, s) norm), plus subnormal allowances
-    (_bound_constants), which costs the Parseval path and no FFT.  Each
-    stack's functions are evaluated in descending bound, one engine batch
-    of _engine_batch(K) functions at a time, until the next bound is at
-    most the stack's largest norm found: no function left can exceed it.
+    BOUND_ROUNDOFF) times the weighted l^q sum of its blocks'
+    m_k ||b_k||_2, plus subnormal allowances (_parseval_bounds,
+    _bound_constants): m_k = 1 at p > 2, Hoelder's bound, and at p < 2
+    the Carlson-weighted m_k <= 1 of _carlson_factors.  That costs the
+    Parseval path and, at p < 2, one lag contraction per axis, and no
+    FFT.  Each stack's functions are evaluated in descending bound, one
+    engine batch of _engine_batch(K) functions at a time, until the next
+    bound is at most the stack's largest norm found: no function left can
+    exceed it.
     After each batch, every function g just evaluated whose norm is below
     the stack's largest one tightens the bound of every pending f of its
     stack whose bound still exceeds that norm to the neighbour bound

@@ -326,22 +326,21 @@ class TestPicardCommand:
     SERIES_PRUNING = {
         "picard_domination": (
             dominated_picard_config(),
-            [(33, 6, 95), (32, 6, 32), (32, 4, 14), (32, 4, 8), (32, 4, 5),
-             (32, 4, 2)], 3),
+            [(33, 4, 17), (32, 2, 0), (32, 2, 0), (32, 2, 0), (32, 2, 0),
+             (32, 2, 0)], 2),
         "picard_small": (
             picard_config(),
-            [(17, 6, 43), (16, 6, 17), (16, 4, 5), (16, 4, 2), (16, 4, 1)],
-            3),
+            [(17, 4, 1), (16, 2, 0), (16, 2, 0), (16, 2, 0), (16, 2, 0)], 2),
         "picard_k3": (
             picard_config(problem={"beta": 2.0, "k": 3}, depth=6,
                           t_points=33),
-            [(33, 8, 99), (32, 8, 60), (32, 6, 26), (32, 4, 17), (32, 4, 11),
-             (32, 4, 8)], 4),
+            [(33, 4, 5), (32, 4, 2), (32, 2, 0), (32, 2, 0), (32, 2, 0),
+             (32, 2, 0)], 2),
     }
 
     @pytest.mark.parametrize("name", sorted(SERIES_PRUNING))
     def test_series_pruning_is_pinned(self, tmp_path, name):
-        # 86 of the 467 slices evaluated: a change to one pruning decision
+        # 42 of the 467 slices evaluated: a change to one pruning decision
         # moves these counts
         cfg, terms, engine_calls = self.SERIES_PRUNING[name]
         code, out = run(tmp_path, "picard",

@@ -816,10 +816,10 @@ class TestMaxModNorm:
         assert evaluated < len(stack)
 
     def test_neighbour_bounds_counted_per_pair(self, part1, monkeypatch):
-        # three functions per engine batch: the first is t = 0, 1e-4, 2e-4,
+        # three functions per engine batch: the first is t = 0, 2e-5, 4e-5,
         # t = 0 sets the maximum, and each of the other two bounds every
         # later slice whose Parseval bound still exceeds it (all three here)
-        stack = self._flow(part1, np.linspace(0.0, 5e-4, 6))
+        stack = self._flow(part1, np.linspace(0.0, 1e-4, 6))
         spec = ModNormSpec(1.0, 1.0, 0.0)
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             3 * len(part1._active_centers) * part1.grid.size)
@@ -846,16 +846,22 @@ class TestMaxModNorm:
         spec = ModNormSpec(p, 1.0, 1.5)
         exact = mod_norms_from_frequency(F, [spec], part)[0]
         scale, floor = modnorm._bound_constants(spec, part)
-        bound = scale * mod_norms_from_frequency(
-            F, [ModNormSpec(2.0, 1.0, 1.5)], part)[0] + floor
+        bound = modnorm._parseval_bounds(F, spec, part, scale, floor)
         assert exact <= bound <= exact * (1.0 + 2.0 * modnorm.BOUND_ROUNDOFF)
+        # the block has no lag products (W = A): lam = 0, Hoelder's bound
+        energy = modnorm._block_energies(F[None], part)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factors = modnorm._carlson_factors(F[None], energy, p, part)
+        assert np.all(factors == 1.0)
+        assert bound == scale * mod_norms_from_frequency(
+            F, [ModNormSpec(2.0, 1.0, 1.5)], part)[0] + floor
 
     def test_max_found_after_a_larger_bound(self, monkeypatch):
         # one function per engine batch.  The noise has the largest bound
         # but not the largest norm: its norm sits further below its bound
         # than the plane wave's (a mode at an integer frequency, one block),
         # which must still be evaluated after it
-        g = SpectralGrid(1, 64, 2.0 * math.pi)
+        g = SpectralGrid(1, 64, 4.0 * math.pi)
         part = UniformPartition(g)
         spec = ModNormSpec(1.0, 1.0, 0.0)
         rng = np.random.default_rng(3)
@@ -864,17 +870,16 @@ class TestMaxModNorm:
                                  + 1j * rng.standard_normal(g.shape)) \
             * np.exp(-g.freq_axis ** 2 / 8)
         wave = np.zeros(g.shape, complex)
-        wave[8] = 1.0  # mode 8: frequency 4
+        wave[16] = 1.0  # mode 16: frequency 4
         stack = np.array([wave, noise, wave])
         norms = mod_norms_from_frequency(stack, [spec], part)[0]
-        stack[1] *= 0.95 * norms[0] / norms[1]
+        stack[1] *= 0.97 * norms[0] / norms[1]
         stack[2] *= 0.1
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             len(part._active_centers) * g.size)
         want = mod_norms_from_frequency(stack, [spec], part)[0]
-        bounds = modnorm._bound_constants(spec, part)[0] \
-            * mod_norms_from_frequency(
-                stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0]
+        bounds = modnorm._parseval_bounds(
+            stack, spec, part, *modnorm._bound_constants(spec, part))
         assert bounds.argmax() == 1 and want.argmax() == 0
         # two rounds of one function each: two engine calls
         assert max_mod_norm([stack], spec, part) == ([(want.max(), 2, 0)], 2)
@@ -920,6 +925,39 @@ class TestMaxModNorm:
         assert np.isinf(want[0]) and np.isfinite(want[1])
         assert bounds[0] < want[1] < bounds[1]
         assert np.isinf(got)
+
+    def test_overflowing_difference_tightens_nothing(self, monkeypatch):
+        # a BLAS that skips zero entries gives an overflowing |F|^2 an inf
+        # bound where OpenBLAS forms inf * 0 = NaN; with one, all three
+        # bounds are inf and the functions go one a round in stack order.
+        # h sets the maximum, g is below it and below _overflow_ceiling, and
+        # f - g overflows: the round must not tighten f's bound from that
+        # difference, whose bound is taken from a zeroed function, so f, the
+        # inf maximum, is evaluated
+        g = SpectralGrid(1, 16, math.pi)
+        part = UniformPartition(g)
+        stack = np.zeros((3,) + g.shape, complex)
+        stack[:, 2] = [1.2e307, -1e307, 1.75e308]  # h, g, f at frequency 2
+        spec = ModNormSpec(1.0, 1.0, 0.0)
+        bounds = modnorm._parseval_bounds
+
+        def skipping_blas(values, *args):
+            got = bounds(values, *args)
+            return np.where(np.isnan(got), np.inf, got)
+
+        monkeypatch.setattr(modnorm, "_parseval_bounds", skipping_blas)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            len(part._active_centers) * g.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = mod_norms_from_frequency(stack, [spec], part)[0]
+            assert np.all(np.isinf(skipping_blas(
+                stack, spec, part, *modnorm._bound_constants(spec, part))))
+            assert np.isinf(stack[2] - stack[1]).any()
+            got = max_mod_norm([stack], spec, part)
+        assert np.all(np.isfinite(want[:2])) and want[1] < want[0]
+        assert np.isinf(want[2])
+        # g bounds f once, and that bound is dropped
+        assert got == ([(np.inf, 3, 1)], 3)
 
     def test_underflowing_weights_warn_nothing(self, part1):
         # (1 + |k|)^-400 underflows to 0 away from k = 0, so the subnormal
@@ -1099,19 +1137,34 @@ class TestLockstepMax:
         values = 6 * g.size if cap == "several" else g.size // 2
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES", values)
         want = [per_stack_max(stack, spec, part) for stack in stacks]
-        norms, calls = modnorm.mod_norms_from_frequency, []
+        norms, bounds = modnorm.mod_norms_from_frequency, \
+            modnorm._parseval_bounds
+        energies, calls, lags = modnorm._block_energies, [], []
 
         def spy(stack, specs, partition, batch=None):
             calls.append((len(stack), specs[0].p))
             return norms(stack, specs, partition, batch)
 
+        def parseval_spy(stack, *args):
+            calls.append((len(stack), 2.0))
+            return bounds(stack, *args)
+
+        def lag_spy(F, partition, lag=None):
+            if lag is not None:
+                lags.append(len(F))
+            return energies(F, partition, lag)
+
         monkeypatch.setattr(modnorm, "mod_norms_from_frequency", spy)
+        monkeypatch.setattr(modnorm, "_parseval_bounds", parseval_spy)
+        monkeypatch.setattr(modnorm, "_block_energies", lag_spy)
         got, engine_calls = max_mod_norm(stacks, spec, part)
         assert [(float(top), *counts) for top, *counts in got] \
             == [(float(top), *counts) for top, *counts in want]
         assert sum(len(stack) for stack in stacks) > 1
         for functions, _ in calls:
             assert functions * g.size <= values or functions == 1
+        # the lag products, beside a Parseval call's buffer: an eighth
+        assert lags and all(8 * n * g.size <= values or n == 1 for n in lags)
         assert engine_calls == sum(p == spec.p for _, p in calls)
         if cap == "several":
             assert max(functions for functions, _ in calls) == 3

@@ -1,13 +1,15 @@
 """Property tests of max_mod_norm's bounds over random stacks.
 
 For every function of a stack, the exact (p, q, s) norm must lie below
-U = scale (its (2, q, s) norm) + floor, with scale = c_p (1 +
-BOUND_ROUNDOFF) up to subnormal allowances; for every pair f, g it must
-lie below the neighbour bound (N(g) + U(f - g) + 2 floor) (1 +
+U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor, with scale =
+c_p (1 + BOUND_ROUNDOFF) up to subnormal allowances and m_k <= 1 the
+Carlson-weighted factors at p < 2, so U lies below Hoelder's bound
+scale (its (2, q, s) norm) + floor; for every pair f, g the exact norm
+must lie below the neighbour bound (N(g) + U(f - g) + 2 floor) (1 +
 BOUND_ROUNDOFF).  The pruned maximum must equal
 mod_norms_from_frequency(...).max() bit for bit, and max_mod_norm may
-evaluate at most one engine batch more than the Parseval bound alone
-would (_parseval_only_max, the oracle for evaluation counts).
+evaluate at most one engine batch more than the bound U alone would
+(_parseval_only_max, the oracle for evaluation counts).
 """
 
 import math
@@ -22,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from modheat import modnorm  # noqa: E402
 from modheat.modnorm import (ModNormSpec, UniformPartition,  # noqa: E402
                              max_mod_norm, mod_norms_from_frequency)
-from modheat.spectral import SpectralGrid  # noqa: E402
+from modheat.spectral import SpectralGrid, forward_values  # noqa: E402
 
 PARTITIONS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
               2: UniformPartition(SpectralGrid(2, 16, 4.0)),
@@ -31,6 +33,11 @@ PARTITIONS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
 # 1, so a plane wave is one block of constant modulus and Hoelder is tight
 WAVE_PARTITIONS = {d: UniformPartition(SpectralGrid(d, 8, math.pi))
                    for d in (1, 2, 3)}
+# lattice steps of 8, 4 and 2, wider than a block: there the aliasing
+# factor (1 + r^N) / (1 - r^N) of the Carlson-weighted bound matters
+COARSE_PARTITIONS = {1: UniformPartition(SpectralGrid(1, 8, 32.0)),
+                     2: UniformPartition(SpectralGrid(2, 4, 8.0)),
+                     3: UniformPartition(SpectralGrid(3, 4, 4.0))}
 
 
 def _parseval_only_max(values, spec, partition):
@@ -107,6 +114,105 @@ def test_bound_holds_and_pruned_max_is_exact(dim, p, q, s, n, batch, decades,
     assert np.all(exact <= scale * parseval + floor)
     # engine batches of `batch` functions, so that pruning can stop early
     _check_pruned_max(stack, spec, part, batch)
+
+
+def _packets(part, n, rng, real):
+    """Frequency samples of n sums of one to three wave packets
+    e^{-|x - c|^2 / (2 w^2)} times e^{i kappa.x} (or cos(kappa.x + phi)
+    when real), centred anywhere within 0.9 L of the box's centre, of
+    widths w log-uniform from a third of a lattice step to a quarter of
+    the box."""
+    g = part.grid
+    x, half = g.x_mesh, g.half_width
+    out = np.zeros((n,) + g.shape, complex)
+    for f in out:
+        for _ in range(rng.integers(1, 4)):
+            c = rng.uniform(-0.9 * half, 0.9 * half, g.dim)
+            w = math.exp(rng.uniform(math.log(g.spacing / 3.0),
+                                     math.log(0.5 * half)))
+            phase = x @ rng.uniform(-g.max_freq_component,
+                                    g.max_freq_component, g.dim) \
+                + rng.uniform(0.0, 2.0 * np.pi)
+            wave = np.cos(phase) if real else np.exp(1j * phase)
+            f += rng.standard_normal() * wave \
+                * np.exp(-np.sum((x - c) ** 2, axis=-1) / (2.0 * w * w))
+    return forward_values(g, out)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]),
+       coarse=st.booleans(),
+       p=st.sampled_from([1.0, 1.5]),
+       q=st.sampled_from([1.0, 2.0, np.inf]),
+       s=st.sampled_from([0.0, 1.5]),
+       real=st.booleans(),
+       decade=st.sampled_from([-300, -150, 0, 150, 300]),
+       n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_carlson_bound_between_norm_and_hoelder(dim, coarse, p, q, s, real,
+                                                decade, n, seed):
+    # at p < 2 the bound is never below the engine's norm, nor above
+    # Hoelder's bound beyond roundoff; where |F|^2 overflows (1e300) both
+    # are inf or NaN in the same places, and where it underflows (1e-300)
+    # the subnormal allowances carry both
+    part = (COARSE_PARTITIONS if coarse else PARTITIONS)[dim]
+    spec = ModNormSpec(p, q, s)
+    stack = _packets(part, n, np.random.default_rng(seed), real)
+    stack /= np.abs(stack).max(axis=tuple(range(1, dim + 1)),
+                               keepdims=True)
+    stack *= 10.0 ** decade
+    scale, floor = modnorm._bound_constants(spec, part)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = mod_norms_from_frequency(stack, [spec], part)[0]
+        bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+        hoelder = scale * mod_norms_from_frequency(
+            stack, [ModNormSpec(2.0, q, s)], part)[0] + floor
+    assert not np.any(bound < exact)
+    finite = np.isfinite(hoelder)
+    assert np.array_equal(bound[~finite], hoelder[~finite], equal_nan=True)
+    assert np.all(bound[finite] <= hoelder[finite] * (1.0 + 2.0 ** -50))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+def test_carlson_bound_holds_on_a_coarse_lattice(p, q):
+    # packets a third of a lattice step wide, on a lattice step of 8: the
+    # weight's sum over the N = 8 points is far from its integral, and at
+    # q = inf the bound of the largest block is nearly attained
+    part = COARSE_PARTITIONS[1]
+    g = part.grid
+    spec = ModNormSpec(p, q, 0.0)
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(-0.9 * g.half_width, 0.9 * g.half_width, 40)
+    stack = forward_values(g, np.exp(
+        -np.subtract.outer(centres, g.x_axis) ** 2
+        / (2.0 * (g.spacing / 3.0) ** 2)))
+    scale, floor = modnorm._bound_constants(spec, part)
+    exact = mod_norms_from_frequency(stack, [spec], part)[0]
+    bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+    hoelder = scale * mod_norms_from_frequency(
+        stack, [ModNormSpec(2.0, q, 0.0)], part)[0] + floor
+    assert np.all(exact <= bound)
+    assert np.all(bound <= hoelder * (1.0 + 2.0 ** -50))
+
+
+def test_carlson_bound_does_not_depend_on_position():
+    # a packet moved around the periodic box by whole lattice steps has the
+    # blocks of the unmoved one, shifted: the same bound to roundoff,
+    # wherever it sits, and well below Hoelder's for a narrow packet
+    part = PARTITIONS[1]
+    g = part.grid
+    spec = ModNormSpec(1.0, 1.0, 0.0)
+    packet = np.exp(-g.x_axis ** 2)
+    stack = forward_values(g, np.array([np.roll(packet, k)
+                                        for k in (0, 14, -29)]))
+    scale, floor = modnorm._bound_constants(spec, part)
+    bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+    exact = mod_norms_from_frequency(stack, [spec], part)[0]
+    hoelder = scale * mod_norms_from_frequency(
+        stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0] + floor
+    assert np.all(exact <= bound) and np.all(bound < 0.85 * hoelder)
+    assert bound == pytest.approx(bound[0], rel=1e-12)
 
 
 def _near_equal(part, n, rng):

@@ -76,37 +76,59 @@ def test_compare_outputs_column_diffs():
 
 def test_compare_outputs_json_diff():
     tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
+    diffs = tool["json_leaf_diffs"]
     old = [{"norm_id": "f0", "value": 2.0, "flags": []},
            {"norm_id": "f1", "value": math.nan, "flags": ["moved"]}]
-    assert tool["json_diff"](old, old) == 0.0
+    assert list(diffs(old, old)) == []
     new = [dict(old[0], value=2.000000000000001), old[1]]
-    assert tool["json_diff"](old, new) == pytest.approx(5e-16, rel=0.2)
-    for other in ([old[0]], [dict(old[0], norm_id="g0"), old[1]],
-                  [old[0], dict(old[1], flags=[])],
-                  [dict(old[0], value=True), old[1]]):
-        assert tool["json_diff"](old, other) == math.inf
+    assert list(diffs(old, new)) == [("[0].value", 2.0, 2.000000000000001)]
+    absent = tool["ABSENT"]
+    for other, want in (
+            ([old[0]], [("[1]", old[1], absent)]),
+            ([dict(old[0], norm_id="g0"), old[1]],
+             [("[0].norm_id", "f0", "g0")]),
+            ([old[0], dict(old[1], flags=[])],
+             [("[1].flags[0]", "moved", absent)]),
+            ([dict(old[0], value=True), old[1]], [("[0].value", 2.0, True)]),
+            ([old[0], {"norm_id": "f1", "value": math.nan}],
+             [("[1].flags", ["moved"], absent)])):
+        assert list(diffs(old, other)) == want
+    # 1 and 1.0, and 1 and true, are different leaves; NaN matches NaN
+    assert list(diffs({"a": 1}, {"a": 1.0})) == [("a", 1, 1.0)]
+    assert list(diffs({"a": 1}, {"a": True})) == [("a", 1, True)]
+    assert list(diffs({"a": [math.nan]}, {"a": [math.nan]})) == []
 
 
 def test_compare_outputs_run_record_without_wall_time():
     # run_record.json is compared without its timing; a diagnostics number
-    # that moves is reported as any JSON file's difference is
+    # that moves is reported by its path, as in any JSON file
     tool = runpy.run_path(str(TOOLS / "compare_outputs.py"))
     record = {"command": "transfer", "verdicts": [{"value": math.nan}],
-              "diagnostics": {"per_p": [{"best_trial_ratio": 0.5}]},
+              "diagnostics": {"per_p": [{"best_trial_ratio": 0.5}],
+                              "picard": {"terms": [
+                                  {"exact_evaluations": 6}]}},
               "wall_time_s": 0.25}
     old = json.dumps(record, indent=2).encode()
     slower = json.dumps(dict(record, wall_time_s=7.5)).encode()
     assert tool["file_diffs"]("t seed 0", "run_record.json", old,
                               slower) == []
-    moved = dict(record, diagnostics={"per_p": [
-        {"best_trial_ratio": 0.5000000000000002}]})
+    moved = dict(record, diagnostics={
+        "per_p": [{"best_trial_ratio": 0.5000000000000002}],
+        "picard": {"terms": [{"exact_evaluations": 4}]}})
     lines = tool["file_diffs"]("t seed 0", "run_record.json", old,
                                json.dumps(moved).encode())
-    assert lines == ["t seed 0 run_record.json: max relative difference "
-                     "4.44e-16"]
-    # any other JSON file is compared byte for byte, its timing included
+    assert lines == [
+        "t seed 0 run_record.json diagnostics.per_p[0].best_trial_ratio "
+        "0.5 -> 0.5000000000000002",
+        "t seed 0 run_record.json "
+        "diagnostics.picard.terms[0].exact_evaluations 6 -> 4"]
+    # any other JSON file is compared byte for byte, its timing included,
+    # and one that differs in its bytes alone says so
     assert tool["file_diffs"]("t seed 0", "report.json", old, slower) == [
-        "t seed 0 report.json: max relative difference 0.967"]
+        "t seed 0 report.json wall_time_s 0.25 -> 7.5"]
+    assert tool["file_diffs"]("t seed 0", "report.json", old,
+                              json.dumps(record).encode()) == [
+        "t seed 0 report.json: same values, other bytes"]
 
 
 def _public_api(tree):

@@ -14,12 +14,15 @@ Every CSV and JSON file is then compared byte for byte, but run_record.json
 as parsed JSON without its wall_time_s, a timing.  For each CSV that
 differs, one line names the invocation, seed, file and column, with the
 largest relative difference |a - b| / max(|a|, |b|) over the column's cells
-(inf where only one side is NaN or a cell is not a number); for each JSON
-file, one line gives that difference over all its numbers (inf where
-anything else differs).  A
-differing exit code or set of files is reported too.  The last line counts
-the files compared.  Exit status: 0 if every file is byte-identical, 1
-otherwise.
+(inf where only one side is NaN or a cell is not a number).  For each JSON
+file that differs, one line per differing leaf names the invocation, seed
+and file, then the leaf's path and both values, for example
+
+    diagnostics.picard.terms[0].exact_evaluations 6 -> 4
+
+so a reviewer sees which numbers moved.  A differing exit code or set of
+files is reported too.  The last line counts the files compared.  Exit
+status: 0 if every file is byte-identical, 1 otherwise.
 """
 
 import argparse
@@ -98,23 +101,34 @@ def column_diffs(old, new):
     return diffs
 
 
-def json_diff(old, new):
-    """Largest relative difference between the numbers of two parsed JSON
-    values of one structure; inf where a key, a length or a value that is
-    not a number differs."""
+ABSENT = object()  # the side of a key or list item that one file lacks
+
+
+def json_leaf_diffs(old, new, path=""):
+    """(path, old, new) of every leaf at which two parsed JSON values
+    differ, in document order, with paths such as
+    diagnostics.picard.terms[0].exact_evaluations.  A key or list item on
+    one side only is such a leaf, ABSENT on the other side; a leaf differs
+    where its values or their types do (1 and 1.0, or 1 and true), and NaN
+    matches NaN."""
     if isinstance(old, dict) and isinstance(new, dict):
-        if old.keys() != new.keys():
-            return math.inf
-        return max((json_diff(old[k], new[k]) for k in old), default=0.0)
-    if isinstance(old, list) and isinstance(new, list):
-        if len(old) != len(new):
-            return math.inf
-        return max(map(json_diff, old, new), default=0.0)
-    if old == new:
-        return 0.0
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in (old, new))
-    return _rel_diff(old, new) if numbers else math.inf
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from json_leaf_diffs(old.get(key, ABSENT),
+                                       new.get(key, ABSENT),
+                                       f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from json_leaf_diffs(old[i] if i < len(old) else ABSENT,
+                                       new[i] if i < len(new) else ABSENT,
+                                       f"{path}[{i}]")
+    elif not ((type(old) is type(new) and old == new)
+              or (isinstance(old, float) and isinstance(new, float)
+                  and math.isnan(old) and math.isnan(new))):
+        yield path, old, new
+
+
+def _show(value):
+    return "(absent)" if value is ABSENT else json.dumps(value)
 
 
 def _comparable(name, data):
@@ -133,8 +147,10 @@ def file_diffs(where, name, old_bytes, new_bytes):
     if old == new:
         return []
     if name.endswith(".json"):
-        diff = json_diff(*(json.loads(b) for b in (old, new)))
-        return [f"{where} {name}: max relative difference {diff:.3g}"]
+        leaves = [f"{where} {name} {path or '(root)'} {_show(a)} -> "
+                  f"{_show(b)}" for path, a, b in json_leaf_diffs(
+                      *(json.loads(b) for b in (old, new)))]
+        return leaves or [f"{where} {name}: same values, other bytes"]
     lines = []
     for column, diff in column_diffs(old.decode(), new.decode()).items():
         label = "header or shape" if column is None else f"column {column}"
