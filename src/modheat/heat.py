@@ -28,14 +28,13 @@ the kernel exp(-(t_i - t_s)|xi|^beta) is a semigroup, so the composite
 Simpson and 3/8 sums follow a one-step recurrence that keeps a running
 sum and the last three product slices, O(t_points) work per term.  The
 terms' sups over time come from one max_mod_norm call, which at p != 2
-evaluates exactly only the slices whose bound can still beat their term's
-largest norm found: the Parseval bound, or an evaluated neighbour's norm
-plus the Parseval bound of the difference, which is small between slices
-close in time.  The terms prune in lockstep, each round's slices of every
-term in one engine call.  The module also evaluates the closed-form lower
-envelopes that force divergence of that series for Fourier-positive data
-with a large enough plateau, and certifies the corresponding hypotheses
-(plateau height, support radius, volume condition) on the lattice.
+evaluates exactly only the slices whose Parseval bound can still beat
+their term's largest norm found.  The terms prune in lockstep, each
+round's slices of every term in one engine call.  The module also
+evaluates the closed-form lower envelopes that force divergence of that
+series for Fourier-positive data with a large enough plateau, and
+certifies the corresponding hypotheses (plateau height, support radius,
+volume condition) on the lattice.
 """
 
 from collections import Counter
@@ -158,7 +157,7 @@ SOLVE_BATCH_VALUES = 1 << 12
 # Largest array a run may allocate, in values (64 MiB complex): solve's
 # chunk buffer on the dealiasing lattice, which is at least as large as a
 # batch of one padded Picard term; the CLI also checks its configs' grids,
-# partitions, corpora, Picard terms and neighbour-bound pairs against it.
+# partitions, corpora and Picard terms against it.
 MAX_LATTICE_VALUES = 1 << 22
 
 
@@ -427,7 +426,6 @@ class PicardResult:
     sup_norms: list      # modulation norm maxima over the time grid
     ratios: list         # sup_norms[i+1] / sup_norms[i]
     exact_evaluations: list  # slices per term the norm engine evaluated
-    difference_bounds: list  # neighbour bounds per term (max_mod_norm)
     engine_calls: int    # engine calls that evaluated them (max_mod_norm)
 
 
@@ -579,9 +577,9 @@ def picard_terms(problem, depth, t_grid, partition=None):
     j >= 1 is 0, so its
     sup norm is taken over t > 0.  The sups come from one max_mod_norm
     call on all the terms, which prune in lockstep: at p != 2 the engine
-    evaluates only the slices whose bound (Parseval, or from an evaluated
-    neighbour) can still beat their term's largest norm found, every
-    term's picks of a round in one engine call (engine_calls).
+    evaluates only the slices whose Parseval bound can still beat their
+    term's largest norm found, every term's picks of a round in one engine
+    call (engine_calls).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -626,12 +624,11 @@ def picard_terms(problem, depth, t_grid, partition=None):
     sups, engine_calls = max_mod_norm(
         [F if j == 0 else F[1:] for j, F in enumerate(spectra)],
         problem.norm_spec, partition)
-    sup_norms = [float(sup) for sup, _, _ in sups]
+    sup_norms = [float(sup) for sup, _ in sups]
     ratios = [sup_norms[i + 1] / sup_norms[i] if sup_norms[i] > 0 else math.inf
               for i in range(len(sup_norms) - 1)]
     return PicardResult(g, indices, spectra, t_grid, sup_norms, ratios,
-                        [n for _, n, _ in sups], [n for _, _, n in sups],
-                        engine_calls)
+                        [n for _, n in sups], engine_calls)
 
 
 # -- lower-bound envelopes and the divergence witness ----------------------------

@@ -42,15 +42,13 @@ Carlson-weighted Cauchy-Schwarz bound gives each block its own m <= 1
 from one more contraction, of the lag products F(xi) conj F(xi - e_a)
 (_carlson_factors).  So c_p (1 + BOUND_ROUNDOFF) times the weighted l^q
 sum of a function's m ||b||_2, from the Parseval path with no FFT, bounds
-its (p, q, s) norm.  Once a function g is evaluated, the triangle
-inequality bounds every other f by g's norm plus that bound of f - g,
-which is tight for neighbouring time slices.  Functions are evaluated in
-descending bound until the next bound is at most the largest norm found,
-and the maximum is the one of the full evaluation bit for bit.  One call
-serves a list of stacks (a Picard series' terms), which prune in
-lockstep: each round's picks of every stack go to one engine call, and
-the bounds' Parseval calls are merged across stacks, each merged stack
-within NORM_BATCH_VALUES.
+its (p, q, s) norm.  Functions are evaluated in descending bound until
+the next bound is at most the largest norm found, and the maximum is the
+one of the full evaluation bit for bit.  One call serves a list of
+stacks (a Picard series' terms), which prune in lockstep: each round's
+picks of every stack go to one engine call, and the bounds' Parseval
+calls are merged across stacks, each merged stack within
+NORM_BATCH_VALUES.
 
 On a d = 1 grid real data takes about half the block engine's work at
 p != 2.  A function whose frequency samples are Hermitian, ||F - conj
@@ -619,32 +617,6 @@ def _bound_constants(spec, partition):
     return scale, (scale * underflow + powers) * w_q
 
 
-# The neighbour bound of max_mod_norm, for functions f, g and the rounded
-# difference d = fl(f - g).  Write N for the exact (p, q, s) norm (a norm:
-# block L^p norms are seminorms and the weighted l^q sum is monotone and
-# subadditive), N' for the engine's value, U for the bound above, which
-# bounds N as well as N' (its derivation passes through N).
-#  - The engine's relative error at p is e < 2^-20 + 2^-44: two of the four
-#    sums above (a block's p-th powers and the q-sum), the FFTs and a few u.
-#    Its absolute error a, from subnormal roundings, is below floor, which
-#    holds it and the Parseval side's besides.  So N'(f) <= (1 + e) N(f) + a
-#    and N(g) <= (N'(g) + a) / (1 - e), on f and g alike.
-#  - Real and imaginary parts of f - g round apart, so |d - (f - g)| <=
-#    u |f - g| at every point, and the (2, q, s) norm grows with |F| at
-#    every point: N(f - g) <= U(d) / (1 - u) (a subnormal difference rounds
-#    by less than floor's Parseval term allows).
-#  - By the triangle inequality N(f) <= N(g) + N(f - g), so
-#    N'(f) <= (1 + e) / ((1 - e) (1 - u)) (N'(g) + U(d)) + (2 + 2^-18) a.
-#  - The final sum (N'(g) + U(d) + 2 floor) (1 + BOUND_ROUNDOFF) takes three
-#    roundings, each a factor 1 - u at worst.
-# (1 + e) / ((1 - e) (1 - u)^4) < 1 + 2^-19 + 2^-38, below 1 +
-# BOUND_ROUNDOFF, which therefore covers this bound too.  On the mirrored
-# path N'(f) <= (1 + e) (1 + nu) N(f) + a and N(g) <= (N'(g) + a) /
-# ((1 - e) (1 - nu)) instead, with nu <= MIRROR_SLACK = 2^-21 (comment on
-# BOUND_ROUNDOFF): the factor grows to below 1 + 2^-19 + 2^-20 + 2^-37,
-# which 1 + BOUND_ROUNDOFF still covers.
-
-
 def _parseval_bounds(values, spec, partition, scale, floor):
     """U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor of every
     function of a stack, frequency samples in the last d axes behind any
@@ -722,51 +694,34 @@ def _carlson_factors(F, energy, p, partition):
     return out
 
 
-def _neighbour_bounds(g_norm, differences, floor):
-    """(N(g) + U(f - g) + 2 floor) (1 + BOUND_ROUNDOFF), the neighbour
-    bound above, on the (p, q, s) norm of f, from g's norm as the engine
-    computes it and the bounds U of the differences f - g."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (g_norm + differences + 2.0 * floor) * (1.0 + BOUND_ROUNDOFF)
-
-
 def _merged_spans(pieces, evaluate, grid):
     """evaluate(stack), an array of one value per function, over the
-    functions of every piece: yields (piece, lo, hi, values, finite) for
-    the functions lo .. hi - 1 of a piece, finite whether they all are.
+    functions of every piece: yields (piece, lo, hi, values) for the
+    functions lo .. hi - 1 of a piece.
 
-    A piece (stack, rows, minus) holds the functions stack[rows], less
-    stack[minus] where minus is a function index.  The pieces fill one
-    buffer in order, a piece split where the buffer is full, and each
+    A piece (stack, rows) holds the functions stack[rows].  The pieces fill
+    one buffer in order, a piece split where the buffer is full, and each
     filling takes one evaluate call.  The buffer holds _engine_batch(2)
     functions, or one: a Parseval call on it also makes |F|^2, half its
-    size, so the two stay within NORM_BATCH_VALUES values.  A function that
-    is not finite is evaluated as 0."""
-    size = min(_engine_batch(2, grid), sum(len(rows) for _, rows, _ in pieces))
+    size, so the two stay within NORM_BATCH_VALUES values."""
+    size = min(_engine_batch(2, grid), sum(len(rows) for _, rows in pieces))
     buf = np.empty((size,) + grid.shape, complex)
 
     def flush(spans):
-        stack = buf[:sum(hi - lo for _, lo, hi in spans)]
-        finite = np.isfinite(stack).all(axis=tuple(range(1, grid.dim + 1)))
-        stack[~finite] = 0.0
-        values = evaluate(stack)
+        values = evaluate(buf[:sum(hi - lo for _, lo, hi in spans)])
         at = 0
         for i, lo, hi in spans:
-            n = hi - lo
-            yield i, lo, hi, values[at:at + n], finite[at:at + n].all()
-            at += n
+            yield i, lo, hi, values[at:at + hi - lo]
+            at += hi - lo
 
     spans, filled = [], 0
-    for i, (stack, rows, minus) in enumerate(pieces):
+    for i, (stack, rows) in enumerate(pieces):
         lo = 0
         while lo < len(rows):
             hi = min(len(rows), lo + size - filled)
             out = buf[filled:filled + hi - lo]
             # mode="clip" takes straight into out: the default buffers
             np.take(stack, rows[lo:hi], axis=0, out=out, mode="clip")
-            if minus is not None:
-                with np.errstate(over="ignore"):
-                    out -= stack[minus]
             spans.append((i, lo, hi))
             filled += hi - lo
             lo = hi
@@ -797,11 +752,11 @@ def _overflow_ceiling(spec, partition):
 def max_mod_norm(stacks, spec, partition):
     """Per stack of the list `stacks`, (mod_norms_from_frequency(stack,
     [spec], partition)[0].max(), the number of its functions the engine
-    evaluated, the number of neighbour bounds taken), the maximum the same
-    bit for bit; and the number of engine calls that evaluated them.
+    evaluated), the maximum the same bit for bit; and the number of engine
+    calls that evaluated them.
 
     At p = 2 the engine evaluates every function, one call per stack.
-    Otherwise each function f is first bounded by U(f) = c_p (1 +
+    Otherwise each function f is bounded by U(f) = c_p (1 +
     BOUND_ROUNDOFF) times the weighted l^q sum of its blocks'
     m_k ||b_k||_2, plus subnormal allowances (_parseval_bounds,
     _bound_constants): m_k = 1 at p > 2, Hoelder's bound, and at p < 2
@@ -810,27 +765,19 @@ def max_mod_norm(stacks, spec, partition):
     FFT.  Each stack's functions are evaluated in descending bound, one
     engine batch of _engine_batch(K) functions at a time, until the next
     bound is at most the stack's largest norm found: no function left can
-    exceed it.
-    After each batch, every function g just evaluated whose norm is below
-    the stack's largest one tightens the bound of every pending f of its
-    stack whose bound still exceeds that norm to the neighbour bound
-    N(g) + U(f - g), with its allowances: a slice of a Picard term is
-    bounded so by the evaluated slices next to it in time.  A g with a NaN
-    or inf norm, or at the largest norm, could prune nothing and is
-    skipped, and a batch whose differences overflow anywhere tightens no
-    bound.  A bound above _overflow_ceiling counts as inf, since the
+    exceed it.  A bound above _overflow_ceiling counts as inf, since the
     engine may overflow on such a function where its bound does not.  NaN
-    bounds sort first and are never tightened, so they are always
-    evaluated, and a NaN norm propagates as in ndarray.max.
+    bounds sort first, so they are always evaluated, and a NaN norm
+    propagates as in ndarray.max.
 
     The stacks prune in lockstep: each round, every stack still pending
     picks its batch as it would alone, and all the picks go to one engine
-    call per merged stack, taken in passes of that batch; the round's
-    differences, like the first bounds, go to Parseval calls merged across
-    stacks.  Every merged stack stays within NORM_BATCH_VALUES values
-    (_merged_spans).  A norm at p != 2 does not depend on its batch, so
-    every stack takes the decisions it takes alone.  Non-finite values,
-    and an empty stack, raise ValueError.
+    call per merged stack, taken in passes of that batch; the bounds, too,
+    come from Parseval calls merged across stacks.  Every merged stack
+    stays within NORM_BATCH_VALUES values (_merged_spans).  A norm at
+    p != 2 does not depend on its batch, so every stack takes the
+    decisions it takes alone.  Non-finite values, and an empty stack,
+    raise ValueError.
     """
     g = partition.grid
     stacks = [np.asarray(v).reshape((-1,) + g.shape) for v in stacks]
@@ -844,7 +791,7 @@ def max_mod_norm(stacks, spec, partition):
     if spec.p == 2:
         sups = [mod_norms_from_frequency(stack, [spec], partition)[0]
                 for stack in stacks]
-        return [(norms.max(), norms.size, 0) for norms in sups], len(stacks)
+        return [(norms.max(), norms.size) for norms in sups], len(stacks)
     # weights (1 + |k|)^s may overflow or underflow to 0, and make these
     # inf, NaN or 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -863,16 +810,14 @@ def max_mod_norm(stacks, spec, partition):
         return _parseval_bounds(F, spec, partition, scale, floor)
 
     bounds = [np.empty(len(stack)) for stack in stacks]
-    for i, lo, hi, values, _ in _merged_spans(
-            [(stack, np.arange(len(stack)), None) for stack in stacks],
-            parseval, g):
+    for i, lo, hi, values in _merged_spans(
+            [(stack, np.arange(len(stack))) for stack in stacks], parseval, g):
         bounds[i][lo:hi] = values
     for b in bounds:
         b[b > ceiling] = np.inf
     pending = [np.ones(len(stack), dtype=bool) for stack in stacks]
     found = [[] for _ in stacks]
     best = [None] * len(stacks)
-    neighbours = [0] * len(stacks)
     live = range(len(stacks))
     while live:
         picks = []
@@ -884,40 +829,15 @@ def max_mod_norm(stacks, spec, partition):
             if not (found[i] and bounds[i][rest[0]] <= best[i]):
                 picks.append((i, rest[:batch]))
         norms = [np.empty(len(taken)) for _, taken in picks]
-        for j, lo, hi, values, _ in _merged_spans(
-                [(stacks[i], taken, None) for i, taken in picks], engine, g):
+        for j, lo, hi, values in _merged_spans(
+                [(stacks[i], taken) for i, taken in picks], engine, g):
             norms[j][lo:hi] = values
-        # each pick's neighbour bounds: (stack, targets, sources, norms)
-        jobs = []
         for (i, taken), n in zip(picks, norms):
             found[i].append(n)
             best[i] = np.concatenate(found[i]).max()
             pending[i][taken] = False
-            # False for NaN norms, and all once best is NaN
-            close = n < best[i]
-            targets = np.flatnonzero(pending[i] & (bounds[i] > best[i]))
-            if close.any() and targets.size:
-                jobs.append((i, targets, taken[close], n[close]))
-                neighbours[i] += len(jobs[-1][2]) * len(targets)
-        # each piece's job and source norm
-        owners = [(j, norm) for j, job in enumerate(jobs) for norm in job[3]]
-        tight = [np.full(len(targets), np.inf) for _, targets, _, _ in jobs]
-        clear = [True] * len(jobs)
-        for r, lo, hi, values, finite in _merged_spans(
-                [(stacks[i], targets, source)
-                 for i, targets, sources, _ in jobs for source in sources],
-                parseval, g):
-            j, norm = owners[r]
-            clear[j] &= finite
-            # fmin: a NaN neighbour bound tightens nothing
-            np.fmin(tight[j][lo:hi], _neighbour_bounds(norm, values, floor),
-                    out=tight[j][lo:hi])
-        for (i, targets, _, _), t, ok in zip(jobs, tight, clear):
-            if ok:
-                t[t > ceiling] = np.inf
-                bounds[i][targets] = np.fmin(bounds[i][targets], t)
         live = [i for i, _ in picks if pending[i].any()]
-    return ([(best[i], sum(len(n) for n in found[i]), neighbours[i])
+    return ([(best[i], sum(len(n) for n in found[i]))
              for i in range(len(stacks))], calls)
 
 

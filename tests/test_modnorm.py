@@ -811,26 +811,9 @@ class TestMaxModNorm:
         spec = ModNormSpec(p, 1.0, 0.0)
         want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert want.argmax() == 0
-        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
+        [(got, evaluated)], _ = max_mod_norm([stack], spec, part1)
         assert got == want.max()
         assert evaluated < len(stack)
-
-    def test_neighbour_bounds_counted_per_pair(self, part1, monkeypatch):
-        # three functions per engine batch: the first is t = 0, 2e-5, 4e-5,
-        # t = 0 sets the maximum, and each of the other two bounds every
-        # later slice whose Parseval bound still exceeds it (all three here)
-        stack = self._flow(part1, np.linspace(0.0, 1e-4, 6))
-        spec = ModNormSpec(1.0, 1.0, 0.0)
-        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
-                            3 * len(part1._active_centers) * part1.grid.size)
-        norms = mod_norms_from_frequency(stack, [spec], part1)[0]
-        bounds = modnorm._parseval_bounds(
-            stack, spec, part1, *modnorm._bound_constants(spec, part1))
-        assert np.all(np.diff(bounds) < 0) and norms.argmax() == 0
-        targets = np.count_nonzero(bounds[3:] > norms[0])
-        [(got, _, neighbours)], _ = max_mod_norm([stack], spec, part1)
-        assert got == norms[0]
-        assert targets == 3 and neighbours == 2 * targets
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -882,12 +865,12 @@ class TestMaxModNorm:
             stack, spec, part, *modnorm._bound_constants(spec, part))
         assert bounds.argmax() == 1 and want.argmax() == 0
         # two rounds of one function each: two engine calls
-        assert max_mod_norm([stack], spec, part) == ([(want.max(), 2, 0)], 2)
+        assert max_mod_norm([stack], spec, part) == ([(want.max(), 2)], 2)
 
     def test_p2_evaluates_every_function(self, part1):
         stack = self._flow(part1, np.linspace(0.0, 2.0, 5))
         spec = ModNormSpec(2.0, 2.0, 1.5)
-        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
+        [(got, evaluated)], _ = max_mod_norm([stack], spec, part1)
         assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
@@ -899,7 +882,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(got, _, _)], _ = max_mod_norm([stack], spec, part1)
+            [(got, _)], _ = max_mod_norm([stack], spec, part1)
         want = mod_norms_from_frequency(stack, [spec], part1)[0]
         assert np.isfinite(want.max()) and want.argmax() == 3
         assert got == want.max()
@@ -921,43 +904,10 @@ class TestMaxModNorm:
             want = mod_norms_from_frequency(stack, [spec], part)[0]
             bounds = modnorm._parseval_bounds(
                 stack, spec, part, *modnorm._bound_constants(spec, part))
-            [(got, _, _)], _ = max_mod_norm([stack], spec, part)
+            [(got, _)], _ = max_mod_norm([stack], spec, part)
         assert np.isinf(want[0]) and np.isfinite(want[1])
         assert bounds[0] < want[1] < bounds[1]
         assert np.isinf(got)
-
-    def test_overflowing_difference_tightens_nothing(self, monkeypatch):
-        # a BLAS that skips zero entries gives an overflowing |F|^2 an inf
-        # bound where OpenBLAS forms inf * 0 = NaN; with one, all three
-        # bounds are inf and the functions go one a round in stack order.
-        # h sets the maximum, g is below it and below _overflow_ceiling, and
-        # f - g overflows: the round must not tighten f's bound from that
-        # difference, whose bound is taken from a zeroed function, so f, the
-        # inf maximum, is evaluated
-        g = SpectralGrid(1, 16, math.pi)
-        part = UniformPartition(g)
-        stack = np.zeros((3,) + g.shape, complex)
-        stack[:, 2] = [1.2e307, -1e307, 1.75e308]  # h, g, f at frequency 2
-        spec = ModNormSpec(1.0, 1.0, 0.0)
-        bounds = modnorm._parseval_bounds
-
-        def skipping_blas(values, *args):
-            got = bounds(values, *args)
-            return np.where(np.isnan(got), np.inf, got)
-
-        monkeypatch.setattr(modnorm, "_parseval_bounds", skipping_blas)
-        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
-                            len(part._active_centers) * g.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = mod_norms_from_frequency(stack, [spec], part)[0]
-            assert np.all(np.isinf(skipping_blas(
-                stack, spec, part, *modnorm._bound_constants(spec, part))))
-            assert np.isinf(stack[2] - stack[1]).any()
-            got = max_mod_norm([stack], spec, part)
-        assert np.all(np.isfinite(want[:2])) and want[1] < want[0]
-        assert np.isinf(want[2])
-        # g bounds f once, and that bound is dropped
-        assert got == ([(np.inf, 3, 1)], 3)
 
     def test_underflowing_weights_warn_nothing(self, part1):
         # (1 + |k|)^-400 underflows to 0 away from k = 0, so the subnormal
@@ -966,7 +916,7 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, -400.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part1)
+            [(got, evaluated)], _ = max_mod_norm([stack], spec, part1)
         assert got == mod_norms_from_frequency(stack, [spec], part1)[0].max()
         assert evaluated == len(stack)
 
@@ -978,11 +928,10 @@ class TestMaxModNorm:
         spec = ModNormSpec(1.0, 1.0, 400.0)
         with np.errstate(over="ignore", invalid="ignore"):
             want = mod_norms_from_frequency(stack, [spec], part1)[0].max()
-            [(got, evaluated, neighbours)], _ = max_mod_norm(
-                [stack], spec, part1)
+            [(got, evaluated)], _ = max_mod_norm([stack], spec, part1)
         assert np.isnan(want) and np.isnan(got)
-        # NaN bounds are all evaluated, and a NaN norm tightens nothing
-        assert evaluated == len(stack) and neighbours == 0
+        # NaN bounds are all evaluated
+        assert evaluated == len(stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, part1, bad):
@@ -1004,12 +953,14 @@ class TestMaxModNorm:
 
 
 def per_stack_max(values, spec, partition):
-    """(max, evaluations, neighbour bounds) of one stack by max_mod_norm's
-    pruning loop run on that stack alone, as it ran before the stacks of a
-    call pruned in lockstep: the lockstep call's oracle."""
+    """(max, evaluations) of one stack by max_mod_norm's pruning loop run
+    on that stack alone: functions in descending bound U, a bound above
+    _overflow_ceiling taken as inf, one engine batch at a time, until the
+    next bound is at most the largest norm found.  The oracle of the
+    lockstep call and of its evaluation counts."""
     if spec.p == 2:
         norms = mod_norms_from_frequency(values, [spec], partition)[0]
-        return norms.max(), norms.size, 0
+        return norms.max(), norms.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale, floor = modnorm._bound_constants(spec, partition)
         ceiling = modnorm._overflow_ceiling(spec, partition)
@@ -1017,37 +968,18 @@ def per_stack_max(values, spec, partition):
                                       floor).ravel()
     bounds[bounds > ceiling] = np.inf
     stack = np.asarray(values).reshape((-1,) + partition.grid.shape)
-    pending = np.ones(len(stack), dtype=bool)
+    order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
+                       kind="stable")
     batch = modnorm._engine_batch(len(partition._active_centers),
                                   partition.grid)
-    found, neighbours = [], 0
-    while pending.any():
-        rest = np.flatnonzero(pending)
-        rest = rest[np.argsort(-np.where(np.isnan(bounds[rest]), np.inf,
-                                         bounds[rest]), kind="stable")]
-        if found and bounds[rest[0]] <= best:
+    found = []
+    for lo in range(0, len(order), batch):
+        if found and bounds[order[lo]] <= best:
             break
-        taken = rest[:batch]
-        norms = mod_norms_from_frequency(stack[taken], [spec], partition)[0]
-        found.append(norms)
+        found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
+                                              [spec], partition)[0])
         best = np.concatenate(found).max()
-        pending[taken] = False
-        close = norms < best
-        targets = np.flatnonzero(pending & (bounds > best))
-        if close.any() and targets.size:
-            with np.errstate(over="ignore"):
-                diffs = stack[targets] - stack[taken[close]][:, None]
-            if np.all(np.isfinite(diffs)):
-                pairs = modnorm._neighbour_bounds(
-                    norms[close][:, None], modnorm._parseval_bounds(
-                        diffs, spec, partition, scale, floor), floor)
-            else:
-                pairs = np.full(diffs.shape[:2], np.inf)
-            neighbours += pairs.size
-            tight = np.fmin.reduce(pairs, axis=0)
-            tight[tight > ceiling] = np.inf
-            bounds[targets] = np.fmin(bounds[targets], tight)
-    return best, sum(len(n) for n in found), neighbours
+    return best, sum(len(n) for n in found)
 
 
 LOCKSTEP_PARTS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
@@ -1091,9 +1023,9 @@ def _assert_lockstep(part, spec, stacks):
         want = [per_stack_max(stack, spec, part) for stack in stacks]
         got, _ = max_mod_norm(stacks, spec, part)
     assert len(got) == len(stacks)
-    for (top, evaluated, neighbours), (want_top, *counts) in zip(got, want):
+    for (top, evaluated), (want_top, want_evaluated) in zip(got, want):
         assert np.float64(top).tobytes() == np.float64(want_top).tobytes()
-        assert [evaluated, neighbours] == counts
+        assert evaluated == want_evaluated
 
 
 class TestLockstepMax:
@@ -1101,7 +1033,7 @@ class TestLockstepMax:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_the_per_stack_loop(self, dim, p):
         # bit for bit: each stack's maximum, and the decisions that give
-        # its evaluations and neighbour bounds
+        # its evaluations
         for seed in range(15):
             _assert_lockstep(*_lockstep_case(dim, p, seed))
 
@@ -1121,9 +1053,9 @@ class TestLockstepMax:
         spec = ModNormSpec(2.0, 2.0, 1.5)
         got, calls = max_mod_norm(stacks, spec, part)
         assert calls == len(stacks)
-        for (top, evaluated, neighbours), stack in zip(got, stacks):
+        for (top, evaluated), stack in zip(got, stacks):
             norms = mod_norms_from_frequency(stack, [spec], part)[0]
-            assert (top, evaluated, neighbours) == (norms.max(), len(norms), 0)
+            assert (top, evaluated) == (norms.max(), len(norms))
 
     @pytest.mark.parametrize("cap", ["several", "below_one"])
     def test_merged_calls_stay_within_the_cap(self, monkeypatch, cap):
@@ -1158,8 +1090,8 @@ class TestLockstepMax:
         monkeypatch.setattr(modnorm, "_parseval_bounds", parseval_spy)
         monkeypatch.setattr(modnorm, "_block_energies", lag_spy)
         got, engine_calls = max_mod_norm(stacks, spec, part)
-        assert [(float(top), *counts) for top, *counts in got] \
-            == [(float(top), *counts) for top, *counts in want]
+        assert [(float(top), n) for top, n in got] \
+            == [(float(top), n) for top, n in want]
         assert sum(len(stack) for stack in stacks) > 1
         for functions, _ in calls:
             assert functions * g.size <= values or functions == 1

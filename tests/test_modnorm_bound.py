@@ -4,12 +4,10 @@ For every function of a stack, the exact (p, q, s) norm must lie below
 U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor, with scale =
 c_p (1 + BOUND_ROUNDOFF) up to subnormal allowances and m_k <= 1 the
 Carlson-weighted factors at p < 2, so U lies below Hoelder's bound
-scale (its (2, q, s) norm) + floor; for every pair f, g the exact norm
-must lie below the neighbour bound (N(g) + U(f - g) + 2 floor) (1 +
-BOUND_ROUNDOFF).  The pruned maximum must equal
-mod_norms_from_frequency(...).max() bit for bit, and max_mod_norm may
-evaluate at most one engine batch more than the bound U alone would
-(_parseval_only_max, the oracle for evaluation counts).
+scale (its (2, q, s) norm) + floor.  The pruned maximum must equal
+mod_norms_from_frequency(...).max() bit for bit, and max_mod_norm must
+evaluate as many functions as the pruning loop of one stack
+(test_modnorm.per_stack_max, the oracle for evaluation counts).
 """
 
 import math
@@ -25,6 +23,7 @@ from modheat import modnorm  # noqa: E402
 from modheat.modnorm import (ModNormSpec, UniformPartition,  # noqa: E402
                              max_mod_norm, mod_norms_from_frequency)
 from modheat.spectral import SpectralGrid, forward_values  # noqa: E402
+from test_modnorm import per_stack_max  # noqa: E402
 
 PARTITIONS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
               2: UniformPartition(SpectralGrid(2, 16, 4.0)),
@@ -40,42 +39,19 @@ COARSE_PARTITIONS = {1: UniformPartition(SpectralGrid(1, 8, 32.0)),
                      3: UniformPartition(SpectralGrid(3, 4, 4.0))}
 
 
-def _parseval_only_max(values, spec, partition):
-    """(max, evaluations) of max_mod_norm with the Parseval bounds alone,
-    never tightened: functions in descending U, one engine batch at a
-    time, until the next U is at most the largest norm found."""
-    bounds = modnorm._parseval_bounds(
-        values, spec, partition,
-        *modnorm._bound_constants(spec, partition)).ravel()
-    g = partition.grid
-    stack = np.asarray(values).reshape((-1,) + g.shape)
-    order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
-                       kind="stable")
-    batch = max(1, modnorm.NORM_BATCH_VALUES
-                // (len(partition._active_centers) * g.size))
-    found = []
-    for lo in range(0, len(order), batch):
-        if found and bounds[order[lo]] <= best:
-            break
-        found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
-                                              [spec], partition)[0])
-        best = np.concatenate(found).max()
-    return best, sum(len(n) for n in found)
-
-
 def _check_pruned_max(stack, spec, part, batch):
     """max_mod_norm with engine batches of `batch` functions: bitwise the
-    full maximum, and at most one batch more evaluations than the oracle."""
+    full maximum, and the oracle's evaluations."""
     g = part.grid
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
     rows = len(part._active_centers)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modnorm, "NORM_BATCH_VALUES", batch * rows * g.size)
-        [(got, evaluated, _)], _ = max_mod_norm([stack], spec, part)
-        oracle_max, oracle_evaluated = _parseval_only_max(stack, spec, part)
+        [(got, evaluated)], _ = max_mod_norm([stack], spec, part)
+        oracle_max, oracle_evaluated = per_stack_max(stack, spec, part)
     assert np.float64(got).tobytes() == exact.max().tobytes()
     assert np.float64(oracle_max).tobytes() == exact.max().tobytes()
-    assert 1 <= evaluated <= min(len(stack), oracle_evaluated + batch)
+    assert 1 <= evaluated == oracle_evaluated <= len(stack)
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -217,7 +193,7 @@ def test_carlson_bound_does_not_depend_on_position():
 
 def _near_equal(part, n, rng):
     """One random spectrum plus perturbations of relative size 1e-14 to
-    1e-1: differences far below the functions, and rounding in f - g."""
+    1e-1: norms that nearly tie, whose bounds may sort in another order."""
     g = part.grid
     shape = (n,) + g.shape
     base = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) \
@@ -242,8 +218,8 @@ def _heat_flow(part, n, rng):
 
 def _plane_waves(part, n, rng):
     """Multiples A (1 + eps_i) of one integer-frequency mode with a common
-    phase, on a box of side 2 pi: Hoelder and the triangle inequality are
-    both equalities, so only the allowances keep the neighbour bound up."""
+    phase, on a box of side 2 pi: Hoelder is an equality, so only the
+    allowances keep the bound up."""
     g = part.grid
     mode = tuple(rng.integers(1, g.points_per_axis - 1, g.dim))
     amps = rng.uniform(0.5, 2.0) * (1.0 + rng.choice([-1.0, 1.0], n)
@@ -266,18 +242,13 @@ STACKS = {"near_equal": _near_equal, "heat_flow": _heat_flow,
        n=st.integers(2, 9),
        batch=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_neighbour_bound_holds_for_every_pair(kind, dim, p, q, s, n, batch,
-                                              seed):
+def test_bound_holds_for_every_stack_family(kind, dim, p, q, s, n, batch,
+                                            seed):
     part = (WAVE_PARTITIONS if kind == "plane_waves" else PARTITIONS)[dim]
     spec = ModNormSpec(p, q, s)
     stack = STACKS[kind](part, n, np.random.default_rng(seed))
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
-    # row g, column f: every function bounds every other through their
-    # difference, itself included
-    scale, floor = modnorm._bound_constants(spec, part)
-    differences = modnorm._parseval_bounds(stack - stack[:, None], spec, part,
-                                           scale, floor)
-    tight = modnorm._neighbour_bounds(exact[:, None], differences, floor)
-    assert tight.shape == (n, n)
-    assert np.all(tight >= exact[None, :])
+    bound = modnorm._parseval_bounds(
+        stack, spec, part, *modnorm._bound_constants(spec, part))
+    assert np.all(bound >= exact)
     _check_pruned_max(stack, spec, part, batch)
