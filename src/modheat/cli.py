@@ -9,10 +9,10 @@ Subcommands: propagate, blowup, picard, modnorm, hermite, transfer.
 Configs are versioned JSON.  Each subcommand declares its fields (type,
 range or choices, default) once, in its table in TABLES; unknown keys are
 rejected by name.  Results are written as CSV tables plus a run_record.json
-that echoes the config, the code version, and one (value, bound, margin,
-pass) row per asserted inequality.  With a fixed config and seed the CSV
-outputs are byte identical across reruns.  Exit codes: 0 all verdicts pass,
-1 some verdict failed, 2 configuration error.
+that echoes the config as given and as parsed, the code version, and one
+(value, bound, margin, pass) row per asserted inequality.  With a fixed
+config and seed the CSV outputs are byte identical across reruns.  Exit
+codes: 0 all verdicts pass, 1 some verdict failed, 2 configuration error.
 """
 
 import argparse
@@ -331,9 +331,10 @@ def _load_config(path):
 class RunRecord:
     """Collects result rows and verdicts, then persists them deterministically."""
 
-    def __init__(self, command, config, out_dir):
+    def __init__(self, command, config, parameters, out_dir):
         self.command = command
         self.config = config
+        self.parameters = parameters  # the parsed fields, defaults filled
         self.out_dir = out_dir
         self.verdicts = []
         self.csv_files = []
@@ -378,6 +379,7 @@ class RunRecord:
             "command": self.command,
             "code_version": __version__,
             "config": self.config,
+            "parameters": self.parameters,
             "csv_files": sorted(self.csv_files),
             "diagnostics": self.diagnostics,
             "notes": self.notes,
@@ -855,7 +857,9 @@ def main(argv=None):
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory: {exc}") from exc
-        rec = RunRecord(args.command, seeded, out_dir)
+        rec = RunRecord(args.command, seeded, {  # every field but sections
+            path: params[path] for path, typ, *_ in TABLES[args.command]
+            if typ is not dict}, out_dir)
         _COMMANDS[args.command](params, params["seed"], rec)
     except (ConfigError, ValueError) as exc:
         # a ValueError is an invalid parameterization surfaced by the

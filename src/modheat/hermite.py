@@ -43,9 +43,9 @@ def hermite_table(k_max, x):
 
 
 class ZeroNormError(ValueError):
-    """A measured (p, p, 0) norm of the data or its flow is 0: the data is
-    0, or its p-th powers underflow at that p.  of_flow is true when only
-    a flow's norm is 0, an underflow that the flow's time brings about."""
+    """A measured (p, p, 0) norm of the data or its flow is 0, which the
+    norms' scale rule (spectral.binary_scale) leaves to samples that are 0
+    in floats; of_flow is true when only a flow's norm is 0."""
 
     def __init__(self, message, of_flow=False):
         super().__init__(message)
@@ -214,9 +214,9 @@ def decay_profile(tensor, beta, ps, t_grid, partition):
     e^{t d^beta} t^{d/beta} and divides by the initial norm; its supremum
     over the grid is the empirical decay constant.  The initial data and
     the flow at every t are synthesized as one stack and measured at every
-    p; ZeroNormError if a norm at some p is 0, which for nonzero data is
-    an underflow: the flow of nonzero data is nonzero at every t, but its
-    norm falls like e^{-t d^beta} and leaves the float range at large t.
+    p; ZeroNormError if a norm at some p is 0: the flow of nonzero data is
+    nonzero at every t, but its coefficients fall like
+    e^{-t (2k + d)^beta}, and its samples are 0 in floats at large t.
     """
     d = tensor.ndim
     t_grid = [float(t) for t in t_grid]

@@ -50,6 +50,10 @@ picks of every stack go to one engine call, and the bounds' Parseval
 calls are merged across stacks, each merged stack within
 NORM_BATCH_VALUES.
 
+Every norm takes each function at the scale of spectral.binary_scale, so
+only (p, grid) and the weights, never the data, can take a norm's
+intermediates beyond the float range (_prunable).
+
 On a d = 1 grid real data takes about half the block engine's work at
 p != 2.  A function whose frequency samples are Hermitian, ||F - conj
 F(-.)|| <= HERMITIAN_TOL ||F|| in l^2 off the -N/2 slot (hermitian_defect,
@@ -82,9 +86,9 @@ import operator
 import numpy as np
 
 from .spectral import (SpectralGrid, _factor_meshes, _per_axis,
-                       cropped_forward, fine_grid, forward_values,
-                       inverse_axis_factor, inverse_values, lp_norm,
-                       padded_inverse)
+                       binary_scale, cropped_forward, fine_grid,
+                       forward_values, inverse_axis_factor, inverse_values,
+                       lp_norm, padded_inverse)
 
 
 # -- smooth bump profile --------------------------------------------------------
@@ -266,7 +270,6 @@ def _block_energies(F, partition, lag=None):
 # (Higham, Thm 24.2), on each of F(xi) and F(-xi) of a real function's
 # transform.
 HERMITIAN_TOL = 2.0 ** -44
-_TINY = np.finfo(float).tiny
 
 
 def _mirror_pairs(grid):
@@ -283,25 +286,19 @@ def _mirror_pairs(grid):
 def hermitian_defect(F, partition):
     """||F - conj F(-.)|| / ||F|| of each function of a stack (frequency
     samples in the last d axes), in l^2 over the slots off the -N/2 rows:
-    the measure the block engine compares with HERMITIAN_TOL.  inf where
-    HERMITIAN_TOL^2 ||F||^2 is not a finite normal float, outside which the
-    measure's own roundings would not stay relative."""
+    the measure the block engine compares with HERMITIAN_TOL, on its 2^-e f
+    (binary_scale); NaN for the zero function."""
     pairs = _memo(partition, "mirror pairs",
                   lambda: _mirror_pairs(partition.grid))
     flat = np.ascontiguousarray(F.reshape(len(F), -1), dtype=complex)
     both = flat.take(pairs, axis=1)
     half = both.shape[1] // 2
     defect, mirrored = both[:, :half], both[:, half:]
-    # a difference beyond the float range is inf, as is then the ratio;
-    # einsum's sums of squares overflow to inf without a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.subtract(defect, np.conjugate(mirrored, out=mirrored), out=defect)
-        defect, values = defect.view(float), flat.view(float)
-        size = np.einsum("ij,ij->i", values, values)
-        ratio = np.sqrt(np.einsum("ij,ij->i", defect, defect) / size)
-    bound = HERMITIAN_TOL ** 2 * size
-    ratio[(bound < _TINY) | (bound == np.inf)] = np.inf
-    return ratio
+    np.subtract(defect, np.conjugate(mirrored, out=mirrored), out=defect)
+    defect, values = defect.view(float), flat.view(float)
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.einsum("ij,ij->i", defect, defect)
+                       / np.einsum("ij,ij->i", values, values))
 
 
 def _block_lp_norms(F, partition, ps, mirror=None, batch=None):
@@ -431,8 +428,9 @@ def _block_lp_tables(F, partition, ps, hermitian):
 
 def mod_norms_from_frequency(values, specs, partition, batch=None):
     """Decomposition norms of frequency samples on partition.grid in the
-    last d axes of values, behind any batch axes: an array of shape
-    (len(specs),) + batch shape, row i at specs[i].
+    last d axes of values, behind any batch axes, on one copy of the stack
+    at the scale of binary_scale: an array of shape (len(specs),) + batch
+    shape, row i at specs[i].
 
     The functions reach the block engine NORM_BATCH_VALUES values of its
     largest temporary at a time (_engine_batch), or `batch` functions at a
@@ -455,6 +453,7 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     stack = values.reshape((-1,) + g.shape)
     if not len(stack):
         return np.empty((len(specs),) + values.shape[:values.ndim - g.dim])
+    stack, e = binary_scale(stack, g.dim)
     # each spec's block table: p, and at p != 2 whether the mirrored path's
     # error bound fits the roundoff slack
     keys = [(spec.p, spec.p != 2 and _memo(
@@ -474,6 +473,7 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     out = np.empty((len(specs), len(stack)))
     for row, key, spec in zip(out, keys, specs):
         row[:] = _block_sums(tables[key], spec, partition)
+    np.ldexp(out, e, out=out)
     return out.reshape((len(specs),) + values.shape[:values.ndim - g.dim])
 
 
@@ -498,9 +498,8 @@ def _block_sums(table, spec, partition):
 # 6 u log2(N^d) <= 2^-45 (Higham, Thm 24.2), and the squares, powers,
 # roots and weights a few u each (p = 4 takes a^4 as (a^2)^2, two
 # roundings, at most 3u).  That is below 2^-19; 2^-18 also covers the
-# products of these factors.  The squarings leave the float range where
-# pow does: a^2 is subnormal only where a^4 < 2^-2044 rounds to 0 either
-# way, and a^2 overflows only where a^4 does.
+# products of these factors.  Subnormal roundings, which are absolute,
+# _prunable's comment bounds by 2^-22 of the norm on each side.
 #
 # At p < 2 the bound multiplies each block's c_p ||b||_2 by m <= 1
 # (_carlson_factors), from the computed A = ||b||_2^2 and an upper bound
@@ -510,19 +509,13 @@ def _block_sums(table, spec, partition):
 # Z and A are each within n u A <= 2^-21 A of their exact values, and W
 # within 2^-20 A but for the few u A of the products, of |Z|, of the
 # subtraction and of the lag table, which is made from the folded rows.
-# Subnormal roundings are absolute: in each contraction a slot passes at
-# most 4 + 2d of them, at <= 2^-1075 times b^d, and a table entry below
-# 2^-1022 loses up to 2^-1074 of its product, at most ||f||_2^2 per axis
-# over the slots; 2^-1060 (||f||_2^2 + (b N)^d) covers both
-# contractions.  W' = W + 2^-20 A + 2^-1060 (...) is then
-# short of the exact W by at most a few u A.  As W' >= 2^-20 A, lam =
-# (A - W') / W' <= 2^20, and a shortfall eps A of W' lowers m^2 by at
-# most lam eps <= 2^-25 relative, which with the factor's own roundings
-# (log1p, tanh, the power: a few u) fits in the 2^-19 that
+# W' = W + 2^-20 A is then short of the exact W by at most a few u A.  As
+# W' >= 2^-20 A, lam = (A - W') / W' <= 2^20, and a shortfall eps A of W'
+# lowers m^2 by at most lam eps <= 2^-25 relative, which with the factor's
+# own roundings (log1p, tanh, the power: a few u) fits in the 2^-19 that
 # BOUND_ROUNDOFF leaves.  At a fixed lam the bound c_p sqrt(A) m grows
 # with A, while m alone shrinks with it, so the computed A enters only
-# through sqrt(A), whose errors the terms above, rho and floor
-# (_bound_constants) cover as at m = 1.
+# through sqrt(A), whose errors the terms above cover as at m = 1.
 #
 # The engine's mirrored path (_block_lp_norms) adds one term.  It takes a
 # Hermitian function's block k, below 0 and clear of the -N/2 rows, as
@@ -546,7 +539,7 @@ def _block_sums(table, spec, partition):
 # nu = mu N^{d |1/p - 1/2|} of the (p, q, s) norm (_mirror_error).  mu
 # grows without bound with s, so a spec takes the mirrored path only where
 # nu <= MIRROR_SLACK = 2^-21.  There mu <= nu adds at most 2^-21 to the
-# 2^-19 above, and BOUND_ROUNDOFF still covers the sum and its products.
+# 2^-19 above, subnormals 2^-21, and BOUND_ROUNDOFF covers the sum.
 BOUND_ROUNDOFF = 2.0 ** -18
 MIRROR_SLACK = 2.0 ** -21
 
@@ -569,70 +562,34 @@ def _mirror_error(spec, partition):
             d * abs(1.0 / spec.p - 0.5))
 
 
-def _bound_constants(spec, partition):
-    """(scale, floor): every function's (p, q, s) norm, as the engine
-    computes it, is at most scale * (its (2, q, s) norm) + floor, and at
-    p < 2 at most scale * (the weighted l^q sum of its blocks'
-    m_k ||b_k||_2) + floor (_carlson_factors, _parseval_bounds).
-
-    Every block b on the N^d-point box of side 2L = N h has
-    ||b||_p <= c_p ||b||_2: Hoelder on the quadrature with
+def _bound_scale(spec, partition):
+    """c_p (1 + BOUND_ROUNDOFF): at a spec _prunable admits, every
+    function's (p, q, s) norm, as the engine computes it, is at most this
+    times the weighted l^q sum of its blocks' m_k ||b_k||_2
+    (_parseval_bounds).  Every block b on the N^d-point box of side
+    2L = N h has ||b||_p <= c_p ||b||_2: Hoelder on the quadrature with
     c_p = (2L)^{d (1/p - 1/2)} for p <= 2, l^p in l^2 with
-    c_p = h^{d (1/p - 1/2)} for p >= 2.  The weighted l^q sum over blocks
-    is monotone in each block, so the bound carries over to the norm, and
-    scale = c_p (1 + BOUND_ROUNDOFF + rho).
-
-    Subnormal results round absolutely, by up to 2^-1075 each, which no
-    relative slack covers.  A squared partition row below 2^-1022 loses up
-    to 2^-1075 of |F|^2 per axis, so a block's Parseval value up to
-    2^{(d - 1075)/2} ||f||_2; each lattice point has at most two rows per
-    axis, which sum to 1, so ||f||_2 <= 2^{d/2} K^{d/2} max_i ||b_i||_2 over
-    the K^d blocks, and the loss is the relative rho =
-    2^{d - 537} K^{d/2} ||w||_q / min w of the (2, q, s) norm, w the block
-    weights.  The other subnormal roundings are absolute, and floor is their
-    per-block total times ||w||_q (Minkowski): at p != inf the p-th powers'
-    rounding (N^d values at <= 2^-1074 each, plus 2^-1075 when the sum is
-    scaled by h^d), ((2L)^d + 1)^{1/p} 2^{-1073/p}; and c_p times the
-    Parseval sum's (< 4 N^d roundings at <= 2^-1075, times b^d),
-    (2 b N)^{d/2} 2^-536, and the engine's own (each value passes fewer
-    than 2^10 roundings, amplified at most N^d-fold),
-    (2L)^{d/2} N^d 2^-1060.
-    """
+    c_p = h^{d (1/p - 1/2)} for p >= 2, and the weighted l^q sum over
+    blocks is monotone in each block."""
     g = partition.grid
-    d = g.dim
-    # NumPy floats, which overflow to inf where Python's raise
-    side, h, n, k = np.float64([2.0 * g.half_width, g.spacing,
-                                g.points_per_axis,
-                                len(partition._active_centers)])
-    c = (side if spec.p < 2 else h) ** (d * (1.0 / spec.p - 0.5))
-    weights = (1.0 + partition._key_radii) ** spec.s
-    w_q = (weights.max() if np.isinf(spec.q)
-           else np.sum(weights ** spec.q) ** (1.0 / spec.q))
-    rho = 2.0 ** (d - 537) * k ** (d / 2.0) * w_q / weights.min()
-    scale = c * (1.0 + BOUND_ROUNDOFF + rho)
-    underflow = ((2.0 * g.freq_spacing * n) ** (d / 2.0) * 2.0 ** -536
-                 + side ** (d / 2.0) * n ** d * 2.0 ** -1060)
-    powers = (2.0 ** -1073 if np.isinf(spec.p) else
-              (side ** d + 1.0) ** (1.0 / spec.p) * 2.0 ** (-1073 / spec.p))
-    return scale, (scale * underflow + powers) * w_q
+    # a NumPy float, which overflows to inf where Python's raises
+    side = np.float64(2.0 * g.half_width if spec.p < 2 else g.spacing)
+    return side ** (g.dim * (1.0 / spec.p - 0.5)) * (1.0 + BOUND_ROUNDOFF)
 
 
-def _parseval_bounds(values, spec, partition, scale, floor):
-    """U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor of every
-    function of a stack, frequency samples in the last d axes behind any
-    batch axes: ||b_k||_2 from the Parseval contraction, m_k = 1 at p >= 2
-    and _carlson_factors at p < 2, scale and floor from _bound_constants;
-    inf or NaN where |F|^2 or a weight overflows."""
-    g = partition.grid
-    values = np.asarray(values)
-    F = values.reshape((-1,) + g.shape)
+def _parseval_bounds(F, e, spec, partition, scale):
+    """U = scale (the weighted l^q sum of m_k ||b_k||_2) of every function
+    2^e F of a stack, F (frequency samples in the last d axes behind one
+    stack axis) and e from binary_scale: ||b_k||_2 from the Parseval
+    contraction, m_k = 1 at p >= 2 and _carlson_factors at p < 2, scale
+    from _bound_scale; inf or NaN where a weight overflows."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         energy = _block_energies(F, partition)
         factors = (_carlson_factors(F, energy, spec.p, partition)
                    if spec.p < 2 else 1.0)
         bounds = scale * _block_sums(np.sqrt(energy) * factors, spec,
-                                     partition) + floor
-    return bounds.reshape(values.shape[:values.ndim - g.dim])
+                                     partition)
+    return np.ldexp(bounds, e)
 
 
 def _lag_rows(partition):
@@ -661,8 +618,8 @@ def _lag_rows(partition):
 # s = sqrt(x (2 - x)) and r = (1 - x) / (1 + s); lam = 0 is Hoelder's c_1.
 # Interpolation, ||b||_p <= ||b||_1^{2/p - 1} ||b||_2^{2 - 2/p}, raises it
 # to the power 1/p - 1/2.  W is formed with cancellation, so it is taken
-# as W + 2^-20 A + 2^-1060 (||f||_2^2 + (b N)^d), which bounds its
-# roundings (derived above BOUND_ROUNDOFF) and keeps lam <= 2^20.
+# as W + 2^-20 A, which bounds its roundings (derived above
+# BOUND_ROUNDOFF) and keeps lam <= 2^20.
 
 
 def _carlson_factors(F, energy, p, partition):
@@ -677,16 +634,12 @@ def _carlson_factors(F, energy, p, partition):
     d, n = g.dim, g.points_per_axis
     step = _engine_batch(8, g)
     lag_rows = _memo(partition, "lag rows", lambda: _lag_rows(partition))
-    flat = np.ascontiguousarray(F, complex).reshape(len(F), -1).view(float)
-    # 2^-1060 (||f||_2^2 + (b N)^d)
-    tiny = 2.0 ** -1060 * ((g.freq_spacing * n) ** d + g.freq_spacing ** d
-                           * np.einsum("ij,ij->i", flat, flat))
     out = np.ones_like(energy)
     for a in range(d):
         lags = np.concatenate(
             [_block_energies(F[i:i + step], partition, (a, lag_rows))
              for i in range(0, len(F), step)])
-        x = (energy * (1.0 + 2.0 ** -20) + tiny[:, None] - lags) / energy
+        x = (energy * (1.0 + 2.0 ** -20) - lags) / energy
         s = np.sqrt(x * (2.0 - x))
         # NaN unless 0 < x <= 1 (1 at x = 1), where fmin keeps 1
         m = s / np.tanh(-0.5 * n * np.log1p((s + x) / (-1.0 - s)))
@@ -695,20 +648,22 @@ def _carlson_factors(F, energy, p, partition):
 
 
 def _merged_spans(pieces, evaluate, grid):
-    """evaluate(stack), an array of one value per function, over the
+    """evaluate(F, e), an array of one value per function 2^e F, over the
     functions of every piece: yields (piece, lo, hi, values) for the
     functions lo .. hi - 1 of a piece.
 
     A piece (stack, rows) holds the functions stack[rows].  The pieces fill
     one buffer in order, a piece split where the buffer is full, and each
-    filling takes one evaluate call.  The buffer holds _engine_batch(2)
-    functions, or one: a Parseval call on it also makes |F|^2, half its
-    size, so the two stay within NORM_BATCH_VALUES values."""
+    filling is scaled in place (binary_scale) and takes one evaluate call.
+    The buffer holds _engine_batch(2) functions, or one: a Parseval call on
+    it also makes |F|^2, half its size, so the two stay within
+    NORM_BATCH_VALUES values."""
     size = min(_engine_batch(2, grid), sum(len(rows) for _, rows in pieces))
     buf = np.empty((size,) + grid.shape, complex)
 
     def flush(spans):
-        values = evaluate(buf[:sum(hi - lo for _, lo, hi in spans)])
+        filled = buf[:sum(hi - lo for _, lo, hi in spans)]
+        values = evaluate(*binary_scale(filled, grid.dim, out=filled))
         at = 0
         for i, lo, hi in spans:
             yield i, lo, hi, values[at:at + hi - lo]
@@ -732,21 +687,45 @@ def _merged_spans(pieces, evaluate, grid):
         yield from flush(spans)
 
 
-def _overflow_ceiling(spec, partition):
-    """Bounds above this prune nothing: only a norm N at most it is sure to
-    be computed without overflow.  Every block b of weight w has
-    w ||b||_p <= N, and the engine's largest intermediates are a block's
-    sum of p-th powers, ||b||_p^p max(1, h^-d), and the q-sum over blocks,
-    N^q; the ceiling keeps them below 2^-p and 2^-q of the float range,
-    which leaves room for their roundoff.  p = inf and q = inf take
-    maxima, which do not overflow."""
-    top = np.finfo(float).max
-    weights = (1.0 + partition._key_radii) ** spec.s
-    vol = min(1.0, partition.grid.spacing ** partition.grid.dim)
-    blocks = (np.inf if np.isinf(spec.p)
-              else weights.min() * (top * vol) ** (1.0 / spec.p))
-    total = np.inf if np.isinf(spec.q) else top ** (1.0 / spec.q)
-    return 0.5 * min(blocks, total)
+# Scaled data (binary_scale: |F| <= 2^{1/2}) leave the engine a range set
+# by (spec, grid).  A sample of a block, partial transform or lag product
+# is at most 2^{1/2} (2 pi)^{d/2} h^-d ((2 pi)^{-d/2} b^d times N^d slots,
+# b N = 2 pi / h), so a block's p-norm and c_p ||b||_2 are at most
+# H = 2^{1/2} (2 pi)^{d/2} max(1, 1/h)^{2d} max(1, 2L)^d max(1, c_p), the
+# sums of r-th powers, r = 2 (contractions) and p, below C H^r and the
+# q-sums below C (w_max H)^q, with C = (N K max(1, h, b))^d counting terms
+# and volume elements and w the block weights (w_max >= 1 at k = 0).  The
+# slot of the largest |F| (>= 1/2) has a symbol >= 2^-d, so the largest
+# block has ||b||_p >= l = b^{d/2} 2^{-d-1} min(1, h, 1 / 2L)^{d/2}
+# (Hoelder and l^p in l^2 the other way), and the norm >= w_min l.  Fewer
+# than C subnormal roundings, each absolute and <= 2^-1075, move an r-th
+# power sum's root by at most (C 2^-1074)^{1/r}; a block whose energy is
+# within 2^20 of them may get too small a Carlson factor, but bounds only
+# c_p w_k (C 2^-1054)^{1/2}.  So where, at every finite r of (2, p, q), the
+# sums stay below 2^1020 and (C 2^-1054)^{1/r} <= 2^-22 l w_min / (K^d
+# w_max max(1, c_p)), nothing overflows, subnormal roundings move the norm
+# and its bound by at most 2^-22 of the norm each, and the bound holds.
+
+
+def _prunable(spec, partition):
+    """Whether max_mod_norm's bounds hold at spec for every function (the
+    comment above); where not, it evaluates every function."""
+    g = partition.grid
+    d, k = g.dim, len(partition._active_centers)
+    side, h, b, n = np.float64([2.0 * g.half_width, g.spacing,
+                                g.freq_spacing, g.points_per_axis])
+    count = (n * k * max(1.0, h, b)) ** d
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = (1.0 + partition._key_radii) ** spec.s
+        c = max(1.0, _bound_scale(spec, partition))
+        top = (c * 2.0 ** 0.5 * (2.0 * np.pi) ** (d / 2.0)
+               * max(1.0, 1.0 / h) ** (2 * d) * max(1.0, side) ** d)
+        least = (2.0 ** (-d - 23) * (b * min(1.0, h, 1.0 / side)) ** (d / 2.0)
+                 * w.min() / (k ** d * w.max() * c))
+        return all(count * (top * m) ** r <= 2.0 ** 1020
+                   and (count * 2.0 ** -1054) ** (1.0 / r) <= least
+                   for r, m in ((2.0, 1.0), (spec.p, 1.0), (spec.q, w.max()))
+                   if np.isfinite(r))
 
 
 def max_mod_norm(stacks, spec, partition):
@@ -755,20 +734,17 @@ def max_mod_norm(stacks, spec, partition):
     evaluated), the maximum the same bit for bit; and the number of engine
     calls that evaluated them.
 
-    At p = 2 the engine evaluates every function, one call per stack.
-    Otherwise each function f is bounded by U(f) = c_p (1 +
+    At p = 2, and at a spec that _prunable rejects, the engine evaluates
+    every function, one call per stack; a NaN norm propagates as in
+    ndarray.max.  Otherwise each function f is bounded by U(f) = c_p (1 +
     BOUND_ROUNDOFF) times the weighted l^q sum of its blocks'
-    m_k ||b_k||_2, plus subnormal allowances (_parseval_bounds,
-    _bound_constants): m_k = 1 at p > 2, Hoelder's bound, and at p < 2
-    the Carlson-weighted m_k <= 1 of _carlson_factors.  That costs the
-    Parseval path and, at p < 2, one lag contraction per axis, and no
-    FFT.  Each stack's functions are evaluated in descending bound, one
-    engine batch of _engine_batch(K) functions at a time, until the next
-    bound is at most the stack's largest norm found: no function left can
-    exceed it.  A bound above _overflow_ceiling counts as inf, since the
-    engine may overflow on such a function where its bound does not.  NaN
-    bounds sort first, so they are always evaluated, and a NaN norm
-    propagates as in ndarray.max.
+    m_k ||b_k||_2 (_parseval_bounds): m_k = 1 at p > 2, Hoelder's bound,
+    and at p < 2 the Carlson-weighted m_k <= 1 of _carlson_factors.  That
+    costs the Parseval path and, at p < 2, one lag contraction per axis,
+    and no FFT.  Each stack's functions are
+    evaluated in descending bound, one engine batch of _engine_batch(K)
+    functions at a time, until the next bound is at most the stack's
+    largest norm found: no function left can exceed it.
 
     The stacks prune in lockstep: each round, every stack still pending
     picks its batch as it would alone, and all the picks go to one engine
@@ -788,33 +764,28 @@ def max_mod_norm(stacks, spec, partition):
                              "identity")
         if not np.all(np.isfinite(stack)):
             raise ValueError("non-finite values in norm input")
-    if spec.p == 2:
+    if spec.p == 2 or not _prunable(spec, partition):
         sups = [mod_norms_from_frequency(stack, [spec], partition)[0]
                 for stack in stacks]
         return [(norms.max(), norms.size) for norms in sups], len(stacks)
-    # weights (1 + |k|)^s may overflow or underflow to 0, and make these
-    # inf, NaN or 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale, floor = _bound_constants(spec, partition)
-        ceiling = _overflow_ceiling(spec, partition)
+    scale = _bound_scale(spec, partition)
     batch = _engine_batch(len(partition._active_centers), g)
     calls = 0
 
-    def engine(F):
+    def engine(F, e):
         nonlocal calls
         calls += 1
         # in passes of one stack's batch, as each stack alone would
-        return mod_norms_from_frequency(F, [spec], partition, batch)[0]
+        return np.ldexp(mod_norms_from_frequency(F, [spec], partition,
+                                                 batch)[0], e)
 
-    def parseval(F):
-        return _parseval_bounds(F, spec, partition, scale, floor)
+    def parseval(F, e):
+        return _parseval_bounds(F, e, spec, partition, scale)
 
     bounds = [np.empty(len(stack)) for stack in stacks]
     for i, lo, hi, values in _merged_spans(
             [(stack, np.arange(len(stack))) for stack in stacks], parseval, g):
         bounds[i][lo:hi] = values
-    for b in bounds:
-        b[b > ceiling] = np.inf
     pending = [np.ones(len(stack), dtype=bool) for stack in stacks]
     found = [[] for _ in stacks]
     best = [None] * len(stacks)
@@ -823,9 +794,7 @@ def max_mod_norm(stacks, spec, partition):
         picks = []
         for i in live:
             rest = np.flatnonzero(pending[i])
-            rest = rest[np.argsort(-np.where(np.isnan(bounds[i][rest]),
-                                             np.inf, bounds[i][rest]),
-                                   kind="stable")]
+            rest = rest[np.argsort(-bounds[i][rest], kind="stable")]
             if not (found[i] and bounds[i][rest[0]] <= best[i]):
                 picks.append((i, rest[:batch]))
         norms = [np.empty(len(taken)) for _, taken in picks]
@@ -1076,8 +1045,9 @@ def mod_norms_stft(values, plan, specs, refine=1):
     axis's bins 0 .. M/2 are transformed (rfft) and powered, and the sums
     are mirrored to the rest of the lattice.  Those norms agree with the
     complex path, which serves every other function, to a few units of
-    roundoff (1e-13 relative is tested), not bit for bit.  Values whose
-    last d axes are not plan.grid's shape, or that are not finite, raise
+    roundoff (1e-13 relative is tested), not bit for bit.  Each function
+    is taken at the scale of binary_scale.  Values whose last d axes
+    are not plan.grid's shape, or that are not finite, raise
     ValueError."""
     refine = _positive_int(refine, "refine")
     g = plan.grid
@@ -1089,6 +1059,7 @@ def mod_norms_stft(values, plan, specs, refine=1):
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     stack = values.reshape((-1,) + g.shape)
+    stack, e = binary_scale(stack, d)
     n = g.points_per_axis
     stride = _divisor_below(n, max(1, plan.x_stride // refine))
     # shifting the window through the full stride orbit enumerates the x
@@ -1114,8 +1085,8 @@ def mod_norms_stft(values, plan, specs, refine=1):
             amps = {p: acc if np.isinf(p) else (a_vol * acc) ** (1.0 / p)
                     for p, acc in inner.items()}
             for row, spec in zip(out, specs):
-                row[rows] = lp_norm(amps[spec.p] * weights[spec.s], b_vol,
-                                    spec.q, d)
+                row[rows] = np.ldexp(lp_norm(amps[spec.p] * weights[spec.s],
+                                             b_vol, spec.q, d), e[rows])
     return out.reshape((len(specs),) + values.shape[:values.ndim - d])
 
 

@@ -184,11 +184,34 @@ def heat_symbol(grid, t, beta):
     return out
 
 
+def binary_scale(values, dim, out=None):
+    """(2^-e f, e) of every function f of a stack, samples in the last dim
+    axes: e is the binary exponent of max(|Re f|, |Im f|), which 2^-e f has
+    in [1/2, 1), and 0 for the zero function.  2^-e f is a float or complex
+    copy, or out (values itself scales in place).
+
+    The scale rule of every norm: it computes on 2^-e f and multiplies its
+    result by 2^e.  A power of two scales every add, multiply and FFT step
+    exactly while values stay normal (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 2), so N(2^k f) = 2^k N(f) bit for bit, and a
+    norm is 0, subnormal or inf only where its value is."""
+    values = np.asarray(values)
+    values = np.ascontiguousarray(values, np.result_type(values, float))
+    parts = values.view(values.real.dtype)
+    axes = tuple(range(values.ndim - dim, values.ndim))
+    # max and -min, not max |.|: no temporary the size of the stack
+    e = np.frexp(np.maximum(parts.max(axis=axes), -parts.min(axis=axes)))[1]
+    scaled = np.ldexp(parts, -e.reshape(e.shape + (1,) * dim),
+                      out=None if out is None else out.view(parts.dtype))
+    return scaled.view(values.dtype), e
+
+
 def lp_norm(values, volume_element, p, dim):
     """Rectangle-rule L^p norm over the last dim axes of values; p = inf
-    gives the max over samples.  A float for one function, an array over
-    the leading axes of a stack."""
-    a = np.abs(np.asarray(values))
+    gives the max over samples, each function at the scale of binary_scale.
+    A float for one function, an array over the leading axes of a stack."""
+    scaled, e = binary_scale(values, dim)
+    a = np.abs(scaled)
     axes = tuple(range(-dim, 0))
     if np.isinf(p):
         norms = a.max(axis=axes)
@@ -201,6 +224,7 @@ def lp_norm(values, volume_element, p, dim):
         # function's norm must not depend on the stack it comes in
         norms = np.reshape([total ** (1.0 / p) for total in sums.flat],
                            sums.shape)
+    norms = np.ldexp(norms, e)
     return float(norms) if norms.ndim == 0 else norms
 
 

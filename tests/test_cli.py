@@ -366,12 +366,13 @@ class TestPicardCommand:
         assert "'depth'" in err and "'converge_by'" in err
         assert not (out / "picard_norms.csv").exists()
 
-    @pytest.mark.parametrize("p,zero", [(1.0, 3), (2.0, 2)])
+    @pytest.mark.parametrize("p,zero", [(1.0, 3), (2.0, 3)])
     def test_underflowed_term_is_config_error(self, tmp_path, capsys, p,
                                               zero):
-        # at t_max 1e-300 and p = 1 terms 3-5 underflow to 0 (at p = 2 the
-        # squares underflow from term 2 on): their ratios, 0 / 0, read 0
-        # and inf, and once gave a FAIL verdict of inf
+        # at t_max 1e-300 terms 3-5 underflow to 0 at every p (the norms
+        # take each term at a power-of-two scale, so at p = 2 term 2, about
+        # 1e-304, no longer reads 0): their ratios, 0 / 0, read 0 and inf,
+        # and once gave a FAIL verdict of inf
         cfg = picard_config(t_max=1e-300, norm={"p": p, "q": 1.0, "s": 0.0})
         code, out = run(tmp_path, "picard", cfg)
         err = capsys.readouterr().err
@@ -499,37 +500,64 @@ class TestTransferCommand:
                                                     entry["best_trial_ratio"])
 
 
+# every config of this module that exits 0 or 1, by name: (command, config)
+RECORD_CONFIGS = {
+    "blowup": ("blowup", blowup_config),
+    "picard": ("picard", picard_config),
+    "picard_dominated": ("picard", dominated_picard_config),
+    "hermite": ("hermite", hermite_config),
+    "hermite_2d": ("hermite",
+                   lambda: TestEstimatorDimension().configs()["hermite"]),
+    "modnorm": ("modnorm", modnorm_config),
+    "propagate": ("propagate", lambda: propagate_config()),
+    "transfer": ("transfer", transfer_config),
+    "transfer_2d": ("transfer",
+                    lambda: TestEstimatorDimension().configs()["transfer"]),
+}
+
+
 class TestRunRecord:
-    @pytest.mark.parametrize("command", ["hermite", "modnorm"])
-    def test_record_names_the_seed_that_ran(self, tmp_path, command):
-        # the record holds the seeded config: a rerun from it, with no
-        # --seed, writes every CSV byte for byte
-        cfg = {"hermite": hermite_config, "modnorm": modnorm_config}[command]()
+    @pytest.mark.parametrize("name", sorted(RECORD_CONFIGS))
+    def test_record_names_the_seed_that_ran(self, tmp_path, name):
+        # the record holds the seeded config and every field as parsed,
+        # defaults filled in: a rerun from its config, with no --seed,
+        # writes the same record but for the wall time, and every CSV byte
+        # for byte
+        command, config = RECORD_CONFIGS[name]
+        cfg = config()
         assert cfg["seed"] != 3
         runs = {}
-        for name, payload, extra in (("seeded", cfg, ("--seed", "3")),
-                                     ("config", cfg, ())):
-            (tmp_path / name).mkdir()
-            runs[name] = run(tmp_path / name, command, payload, *extra)
+        for label, payload, extra in (("seeded", cfg, ("--seed", "3")),
+                                      ("config", cfg, ())):
+            (tmp_path / label).mkdir()
+            runs[label] = run(tmp_path / label, command, payload, *extra)
         record = json.loads((runs["seeded"][1] / "run_record.json")
                             .read_text())
         assert record["config"] == dict(cfg, seed=3)
+        assert record["parameters"]["seed"] == 3
+        assert set(record["parameters"]) == {
+            path for path, typ, *_ in cli.TABLES[command] if typ is not dict}
         (tmp_path / "rerun").mkdir()
         runs["rerun"] = run(tmp_path / "rerun", command, record["config"])
-        tables = {name: {p.name: p.read_bytes()
-                         for p in sorted(out.glob("*.csv"))}
-                  for name, (_, out) in runs.items()}
-        assert runs["rerun"][0] == runs["seeded"][0]
+        records, tables = {}, {}
+        for label, (_, out) in runs.items():
+            records[label] = json.loads((out / "run_record.json").read_text())
+            del records[label]["wall_time_s"]
+            tables[label] = {p.name: p.read_bytes()
+                             for p in sorted(out.glob("*.csv"))}
+        assert runs["rerun"][0] == runs["seeded"][0] in (0, 1)
+        assert records["rerun"] == records["seeded"]
         assert tables["seeded"] and tables["rerun"] == tables["seeded"]
-        # the seed reaches the outputs, so the config's seed would not do
-        assert tables["config"] != tables["seeded"]
+        # where the seed reaches the outputs, the config's seed would not do
+        if name in ("hermite", "hermite_2d", "modnorm"):
+            assert tables["config"] != tables["seeded"]
 
     def test_csv_cells_formatted_as_the_line_writer(self, tmp_path):
         rows = [(1.5, np.float64(0.1), 3, "name"),
                 (math.nan, np.float64(-math.inf), math.inf, -0.0),
                 (np.float64(-0.0), np.float64(math.nan), True, np.int64(7)),
                 (1e-310, np.float64(2.0 ** 70), -12, "")]
-        rec = cli.RunRecord("test", {}, str(tmp_path))
+        rec = cli.RunRecord("test", {}, {}, str(tmp_path))
         rec.write_csv("cells.csv", ["a", "b", "c", "d"], rows)
         rec.write_csv("empty.csv", ["a", "b"], [])
         # the former writer, one line at a time through repr(float(v))
@@ -654,15 +682,27 @@ class TestConfigValidation:
         assert "corpus_size" in capsys.readouterr().err
 
     def test_flow_underflow_named(self, tmp_path, capsys):
-        # the flow's norm underflows to 0 at t = 500; the window holds two
-        # profile times (3 and 85.8), so the slope rule passes
-        cfg = hermite_config(t_profile={"lo": 0.05, "hi": 500.0, "points": 10},
-                             slope_window=[3.0, 100.0])
+        # at t = 800 the flow's factors e^{-t (2k + 1)^beta} are 0 in
+        # floats, and so is its norm (at t = 667, ~1e-290, it is not); the
+        # window holds two profile times (3 and 135.8), so the slope rule
+        # passes
+        cfg = hermite_config(t_profile={"lo": 0.05, "hi": 800.0, "points": 10},
+                             slope_window=[3.0, 150.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _ = run(tmp_path, "hermite", cfg)
         assert code == 2
-        assert "'ps', 'betas' and 't_profile'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'ps', 'betas' and 't_profile'" in err and "t = 800" in err
+
+    def test_large_hermite_p_computes(self, tmp_path):
+        # p = 200: the norms take each function at a power-of-two scale,
+        # so its 200th powers no longer underflow to a norm of 0
+        code, out = run(tmp_path, "hermite", hermite_config(ps=[200.0]))
+        assert code in (0, 1)
+        values = [float(row.split(",")[4]) for row in
+                  (out / "hermite_decay.csv").read_text().splitlines()[1:]]
+        assert values and all(0.0 < v < math.inf for v in values)
 
     def test_eigen_lattice_lists_checked(self, tmp_path, capsys):
         lattice = {"ds": 3, "betas": [1.0], "ts": [0.5]}
@@ -874,7 +914,7 @@ class TestConfigValidation:
         ("modnorm", "specs", [[2, 1, 0], [1, 1e300, 0]], "'specs[1]'"),
         ("transfer", "ps", [2.0, 1e300], "'ps'"),
         ("hermite", "ps", [2.0, 1e300], "'ps'"),
-        ("hermite", "ps", [200.0], "'ps'"),
+        ("hermite", "ps", [math.nan], "'ps'"),
         ("modnorm", "specs", [[2, 1, 0], [1e300, 1, 0]], "'specs[1]'"),
         # d passes over a 4096-shell block once took minutes to overflow
         ("hermite", "eigen_lattice.ds", [10000000], "'eigen_lattice'"),

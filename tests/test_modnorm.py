@@ -14,7 +14,7 @@ from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              _stft_batches, algebra_defect, bump_profile,
                              max_mod_norm, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
-from modheat.spectral import (SpectralGrid, fine_grid,
+from modheat.spectral import (SpectralGrid, binary_scale, fine_grid,
                               forward_values, inverse_values, lp_norm)
 from test_spectral import (dealiased_product, frequency_lp_norm,
                            physical_lp_norm)
@@ -284,11 +284,25 @@ def _oracle_block_norms(dim, p):
             for k in sorted(part.active_keys())]
 
 
+def scaled_stack(F, dim):
+    """(2^-e F, e) of a stack of functions, samples in the last dim axes:
+    max(|Re f|, |Im f|) = m 2^e with 1/2 <= m < 1, e = 0 for the zero
+    function.  The oracles' own scale rule, as the norms have it."""
+    F = np.asarray(F, dtype=complex)
+    axes = tuple(range(F.ndim - dim, F.ndim))
+    top = np.maximum(np.abs(F.real), np.abs(F.imag)).max(axis=axes)
+    e = np.frexp(top)[1]
+    shift = -e.reshape(e.shape + (1,) * dim)
+    return np.ldexp(F.real, shift) + 1j * np.ldexp(F.imag, shift), e
+
+
 def _engine_block_norms(F, part, p):
-    """The engine's block table of a stack at one p."""
-    if p == 2:
-        return _parseval_block_norms(F, part)
-    return _block_lp_norms(F, part, [p])[0]
+    """The engine's block table of a stack at one p, taken as the norms
+    take it: on 2^-e F, rescaled by 2^e."""
+    F, e = scaled_stack(F, part.grid.dim)
+    table = (_parseval_block_norms(F, part) if p == 2
+             else _block_lp_norms(F, part, [p])[0])
+    return np.ldexp(table, e[:, None])
 
 
 def _assert_blocks_match(dim, p):
@@ -328,33 +342,28 @@ class TestBlockNormEngine:
                                            1e160])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_p4_float_range(self, kind, amplitude):
-        # p = 4 takes two squarings, the oracle pow: a^2 is subnormal only
-        # where a^4 rounds to 0 either way and overflows only where a^4
-        # does, so the tables read 0 and inf where the oracle's do.  The
-        # spectrum falls by 1e-6 across the blocks, so at 1e80 some blocks
-        # overflow and others do not, and at 1e-80 some read 0.  The real
-        # kind is exactly Hermitian, so its copied blocks stay within
-        # roundoff of their own size, and at 1e+-160 takes every block
+        # p = 4 takes two squarings, the oracle pow, both on scaled data:
+        # the spectrum falls by 1e-6 across the blocks, whose fourth powers
+        # unscaled would overflow at 1e80 in some blocks and read 0 at
+        # 1e-80 in others; scaled, every block reads the oracle's value.
+        # The real kind is exactly Hermitian at every amplitude, so its
+        # copied blocks stay within roundoff of their own size
         part, f = _equiv_case(1)
         g = part.grid
         F = (_exactly_hermitian(part, 8) if kind == "real"
              else forward_values(g, f))
         F = amplitude * F * np.exp(-0.5 * (g.freq_axis / 4.75) ** 2)
-        assert _hermitian(F[None], part) == [
-            kind == "real" and abs(np.log10(amplitude)) < 150]
-        with np.errstate(over="ignore", under="ignore"):
-            got = _block_lp_norms(F[None], part, [4.0])[0][0]
+        assert _hermitian(F[None], part) == [kind == "real"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _engine_block_norms(F[None], part, 4.0)[0]
             # block_project on these frequency samples, then lp_norm
             want = np.array([lp_norm(inverse_values(
                 g, partition_symbol(part, k) * F), g.spacing, 4.0, 1)
                 for k in part.active_keys()])
-        for edge in (0.0, np.inf):
-            np.testing.assert_array_equal(got == edge, want == edge)
-        inside = (want > 0.0) & (want < np.inf)
-        np.testing.assert_allclose(got[inside], want[inside], rtol=1e-13,
-                                   atol=0.0)
-        if abs(np.log10(amplitude)) == 80:
-            assert inside.any() and not inside.all()
+        assert np.all((want > 0.0) & (want < np.inf))
+        assert want.min() < 1e-6 * want.max()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestStackedNorms:
@@ -392,7 +401,8 @@ class TestStackedNorms:
 
 def per_p_block_norms(F, partition, p):
     """The block engine at a single p, one pass over the blocks per p: the
-    oracle of the multi-p engine, bit for bit."""
+    oracle of the multi-p engine, bit for bit.  The norms give it 2^-e f
+    (scaled_stack)."""
     g = partition.grid
     d = g.dim
     if p == 2:
@@ -429,10 +439,11 @@ def per_p_block_norms(F, partition, p):
 
 
 def per_spec_norms(values, spec, partition, batch=None):
-    """mod_norms_from_frequency at a single spec, on per_p_block_norms:
-    the oracle of the list form, bit for bit."""
+    """mod_norms_from_frequency at a single spec, on per_p_block_norms of
+    each function's 2^-e f, rescaled by 2^e: the oracle of the list form,
+    bit for bit."""
     g = partition.grid
-    stack = values.reshape((-1,) + g.shape)
+    stack, e = scaled_stack(values.reshape((-1,) + g.shape), g.dim)
     if batch is None:
         rows = 1 if spec.p == 2 else len(partition._active_centers)
         batch = max(1, modnorm.NORM_BATCH_VALUES // (rows * g.size))
@@ -444,7 +455,7 @@ def per_spec_norms(values, spec, partition, batch=None):
         out = terms.max(axis=-1)
     else:
         out = np.cumsum(terms ** spec.q, axis=-1)[:, -1] ** (1.0 / spec.q)
-    return out.reshape(values.shape[:values.ndim - g.dim])
+    return np.ldexp(out, e).reshape(values.shape[:values.ndim - g.dim])
 
 
 # spec lists that mix p, repeat a spec and come in different orders; two
@@ -553,7 +564,9 @@ def _complex_tables(F, part, ps):
 
 
 def _hermitian(F, part):
-    """The engine's decision per function: Hermitian to HERMITIAN_TOL."""
+    """The engine's decision per function: Hermitian to HERMITIAN_TOL, on
+    the 2^-e f it is given."""
+    F = scaled_stack(F, part.grid.dim)[0]
     return list(modnorm.hermitian_defect(F, part) <= modnorm.HERMITIAN_TOL)
 
 
@@ -694,19 +707,16 @@ class TestMirroredEngine:
     @pytest.mark.parametrize("amplitude", [1e-160, 1e-120, 1e120, 1e160])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_float_range(self, p, amplitude):
-        # the mirrored path needs HERMITIAN_TOL^2 ||F||^2 normal and finite;
-        # outside that range a real function takes the complex path
+        # the Hermitian check sees 2^-e f too, so a real function takes the
+        # mirrored path at every amplitude, and matches the complex path to
+        # roundoff
         part, F = _real_case("d1")
         F = amplitude * F
         spec = ModNormSpec(p, 1.0, 0.0)
         got = mod_norms_from_frequency(F, [spec], part)[0]
         want = per_spec_norms(F, spec, part)
-        hermitian = _hermitian(F, part)
-        assert hermitian == [abs(np.log10(amplitude)) < 150] * 2
-        if all(hermitian):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        else:
-            np.testing.assert_array_equal(got, want)
+        assert _hermitian(F, part) == [True, True]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # -- the engine's working set: batches sized by the schedule that runs -------
@@ -828,8 +838,9 @@ class TestMaxModNorm:
         F[(3,) * dim] = 1.0
         spec = ModNormSpec(p, 1.0, 1.5)
         exact = mod_norms_from_frequency(F, [spec], part)[0]
-        scale, floor = modnorm._bound_constants(spec, part)
-        bound = modnorm._parseval_bounds(F, spec, part, scale, floor)
+        scale = modnorm._bound_scale(spec, part)
+        bound = modnorm._parseval_bounds(*binary_scale(F[None], dim), spec,
+                                         part, scale)[0]
         assert exact <= bound <= exact * (1.0 + 2.0 * modnorm.BOUND_ROUNDOFF)
         # the block has no lag products (W = A): lam = 0, Hoelder's bound
         energy = modnorm._block_energies(F[None], part)
@@ -837,7 +848,7 @@ class TestMaxModNorm:
             factors = modnorm._carlson_factors(F[None], energy, p, part)
         assert np.all(factors == 1.0)
         assert bound == scale * mod_norms_from_frequency(
-            F, [ModNormSpec(2.0, 1.0, 1.5)], part)[0] + floor
+            F, [ModNormSpec(2.0, 1.0, 1.5)], part)[0]
 
     def test_max_found_after_a_larger_bound(self, monkeypatch):
         # one function per engine batch.  The noise has the largest bound
@@ -862,7 +873,8 @@ class TestMaxModNorm:
                             len(part._active_centers) * g.size)
         want = mod_norms_from_frequency(stack, [spec], part)[0]
         bounds = modnorm._parseval_bounds(
-            stack, spec, part, *modnorm._bound_constants(spec, part))
+            *binary_scale(stack, 1), spec, part,
+            modnorm._bound_scale(spec, part))
         assert bounds.argmax() == 1 and want.argmax() == 0
         # two rounds of one function each: two engine calls
         assert max_mod_norm([stack], spec, part) == ([(want.max(), 2)], 2)
@@ -888,30 +900,32 @@ class TestMaxModNorm:
         assert got == want.max()
 
     def test_overflowing_powers_are_evaluated(self, monkeypatch):
-        # at p = 4 the 1e80 mode's fourth powers overflow, so its norm is
-        # inf, while its Parseval bound (from |F|^2 ~ 1e160) is finite and
-        # below the norm of the heavily weighted high mode, whose bound is
-        # larger: that bound must not prune it once the high mode is in
+        # scaled, the 1e80 mode's fourth powers no longer overflow: both
+        # norms are finite.  Unweighted, the bounds prune the 1e60 mode.
+        # At s = 100 the weights (~1e108 on the high mode) could lift a
+        # tiny block's subnormal fourth powers beyond the bound's slack, so
+        # every function is evaluated, one call per stack
         g = SpectralGrid(1, 64, 8.0)
         part = UniformPartition(g)
         stack = np.zeros((2,) + g.shape, complex)
         stack[0, 0] = 1e80  # frequency 0, weight 1
-        stack[1, 28] = 1e60  # mode 28: frequency 11, weight ~1e108
-        spec = ModNormSpec(4.0, 1.0, 100.0)
+        stack[1, 28] = 1e60  # mode 28: frequency 11
         monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
                             len(part._active_centers) * g.size)
-        with np.errstate(over="ignore"):
-            want = mod_norms_from_frequency(stack, [spec], part)[0]
-            bounds = modnorm._parseval_bounds(
-                stack, spec, part, *modnorm._bound_constants(spec, part))
-            [(got, _)], _ = max_mod_norm([stack], spec, part)
-        assert np.isinf(want[0]) and np.isfinite(want[1])
-        assert bounds[0] < want[1] < bounds[1]
-        assert np.isinf(got)
+        for s, evaluated in ((0.0, 1), (100.0, 2)):
+            spec = ModNormSpec(4.0, 1.0, s)
+            assert modnorm._prunable(spec, part) == (evaluated == 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = mod_norms_from_frequency(stack, [spec], part)[0]
+                got = max_mod_norm([stack], spec, part)
+            assert np.all(np.isfinite(want))
+            assert got == ([(want.max(), evaluated)], 1)
 
     def test_underflowing_weights_warn_nothing(self, part1):
-        # (1 + |k|)^-400 underflows to 0 away from k = 0, so the subnormal
-        # allowance divides by a zero weight: an infinite bound, no warning
+        # (1 + |k|)^-400 underflows to 0 away from k = 0, so no bound can
+        # cover the subnormal roundings relatively: the spec is not
+        # prunable, every function is evaluated, and nothing warns
         stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
         spec = ModNormSpec(1.0, 1.0, -400.0)
         with warnings.catch_warnings():
@@ -922,7 +936,7 @@ class TestMaxModNorm:
 
     def test_nan_norm_propagates(self, part1):
         # weights (1 + |k|)^s overflow to inf, and inf times an empty block
-        # is NaN, in the exact norms and in the bounds alike
+        # is NaN in the exact norms
         stack = self._flow(part1, np.linspace(0.0, 1.0, 4))
         stack[:, np.abs(part1.grid.freq_axis) > 3.0] = 0.0
         spec = ModNormSpec(1.0, 1.0, 400.0)
@@ -930,7 +944,8 @@ class TestMaxModNorm:
             want = mod_norms_from_frequency(stack, [spec], part1)[0].max()
             [(got, evaluated)], _ = max_mod_norm([stack], spec, part1)
         assert np.isnan(want) and np.isnan(got)
-        # NaN bounds are all evaluated
+        # the spec is not prunable: every function is evaluated
+        assert not modnorm._prunable(spec, part1)
         assert evaluated == len(stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -954,19 +969,16 @@ class TestMaxModNorm:
 
 def per_stack_max(values, spec, partition):
     """(max, evaluations) of one stack by max_mod_norm's pruning loop run
-    on that stack alone: functions in descending bound U, a bound above
-    _overflow_ceiling taken as inf, one engine batch at a time, until the
-    next bound is at most the largest norm found.  The oracle of the
-    lockstep call and of its evaluation counts."""
-    if spec.p == 2:
+    on that stack alone: at a spec _prunable admits, functions in
+    descending bound U, one engine batch at a time, until the next bound
+    is at most the largest norm found; every function otherwise.  The
+    oracle of the lockstep call and of its evaluation counts."""
+    if spec.p == 2 or not modnorm._prunable(spec, partition):
         norms = mod_norms_from_frequency(values, [spec], partition)[0]
         return norms.max(), norms.size
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale, floor = modnorm._bound_constants(spec, partition)
-        ceiling = modnorm._overflow_ceiling(spec, partition)
-    bounds = modnorm._parseval_bounds(values, spec, partition, scale,
-                                      floor).ravel()
-    bounds[bounds > ceiling] = np.inf
+    bounds = modnorm._parseval_bounds(
+        *binary_scale(values, partition.grid.dim), spec, partition,
+        modnorm._bound_scale(spec, partition)).ravel()
     stack = np.asarray(values).reshape((-1,) + partition.grid.shape)
     order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
                        kind="stable")
@@ -1520,13 +1532,15 @@ class TestSTFTStacks:
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
     def test_every_function_matches_shift_loop(self, name, refine, stack):
+        # the oracle takes each function at the estimator's scale
         fs, plan = _stft_stack(name, stack)
         got = mod_norms_stft(fs, plan, MULTI_SPECS, refine)
         kinds, complex_window = STFT_STACKS[stack]
-        for f, kind, norms in zip(fs, kinds, got.T):
+        for f, e, kind, norms in zip(*scaled_stack(fs, plan.grid.dim), kinds,
+                                     got.T):
             fine, rows = _shift_loop_rows(f, plan, refine)
-            want = [_shift_loop_norm(plan, refine, fine, rows, spec)
-                    for spec in MULTI_SPECS]
+            want = [np.ldexp(_shift_loop_norm(plan, refine, fine, rows, spec),
+                             e) for spec in MULTI_SPECS]
             if plan.grid.dim == 1 and (kind == "c" or complex_window):
                 assert norms.tolist() == want
             else:
@@ -1688,3 +1702,108 @@ class TestFourierLebesgue:
         for f in mixed_family(grid1, 12, seed=99):
             assert frequency_lp_norm(grid1, forward_values(grid1, f), 1) <= \
                 constants.FL1_EMBEDDING_CONST * mod_norm_decomp(f, spec, part1)
+
+
+# -- the scale rule: N(2^e f) = 2^e N(f), bit for bit -------------------------
+
+SCALE_EXPONENTS = [-1000, -600, -300, 0, 300, 600, 1000]
+SCALE_SPECS = [ModNormSpec(p, q, s) for p in (1.0, 1.5, 2.0, 4.0, np.inf)
+               for q in (1.0, 2.0, np.inf) for s in (0.0, 1.5)]
+SCALE_GRID = SpectralGrid(1, 64, 8.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_case(kind):
+    """Partition and physical samples of three functions spread over
+    decades: real ones take the mirrored engine and the real STFT path,
+    complex ones every block and the complex path."""
+    g = SCALE_GRID
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal((3,) + g.shape) \
+        * np.exp(-np.multiply.outer([0.2, 0.5, 2.0], g.x_axis ** 2))
+    if kind == "complex":
+        f = f * np.exp(1j * np.multiply.outer([1.0, -2.5, 4.0], g.x_axis))
+    return UniformPartition(g), f * np.array([[1.0], [1e-3], [1e-7]])
+
+
+def _assert_scales(norm, f, e):
+    """norm(2^e f) == 2^e norm(f) bit for bit, f taken as 2^-e (2^e f): the
+    samples that 2^e f keeps, the ones a stored 2^e f has lost to
+    underflow set to 0."""
+    scaled = np.ldexp(f.real, e) + 1j * np.ldexp(f.imag, e)
+    assert np.all(np.isfinite(scaled))
+    f = np.ldexp(scaled.real, -e) + 1j * np.ldexp(scaled.imag, -e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = np.ldexp(norm(f), e)
+        got = norm(scaled)
+    assert np.all(np.isfinite(want) & (want > 0.0))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestScaleRule:
+    @pytest.mark.parametrize("e", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_block_engine(self, kind, e):
+        # the full engine (complex data), the mirrored one (real data) and
+        # the Parseval table, every spec in one call
+        part, f = _scale_case(kind)
+        F = forward_values(part.grid, f)
+        assert _hermitian(F, part) == [kind == "real"] * 3
+        _assert_scales(
+            lambda F: mod_norms_from_frequency(F, SCALE_SPECS, part), F, e)
+
+    @pytest.mark.parametrize("e", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_parseval_bounds(self, kind, p, e):
+        # the bounds of max_mod_norm, with the Carlson factors at p < 2
+        part, f = _scale_case(kind)
+        F = forward_values(part.grid, f)
+        for q in (1.0, 2.0, np.inf):
+            spec = ModNormSpec(p, q, 1.5)
+            scale = modnorm._bound_scale(spec, part)
+            _assert_scales(
+                lambda F: modnorm._parseval_bounds(*binary_scale(F, 1), spec,
+                                                   part, scale), F, e)
+
+    @pytest.mark.parametrize("e", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stft(self, kind, e):
+        # real data and the default (real) window take the real path
+        part, f = _scale_case(kind)
+        plan = STFTPlan(part.grid)
+        _assert_scales(lambda f: mod_norms_stft(
+            f.real if kind == "real" else f, plan, SCALE_SPECS), f, e)
+
+    @pytest.mark.parametrize("amplitude", [1e-300, 1.0, 1e300])
+    def test_real_and_complex_stft_paths_agree(self, amplitude):
+        # i f has |V_g (i f)| = |V_g f| exactly and takes the complex path
+        part, f = _scale_case("real")
+        plan = STFTPlan(part.grid)
+        real = mod_norms_stft(amplitude * f, plan, SCALE_SPECS)
+        complex_ = mod_norms_stft(1j * amplitude * f, plan, SCALE_SPECS)
+        assert np.all(np.isfinite(real) & (real > 0.0))
+        np.testing.assert_allclose(real, complex_, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("e", [-1000, -300, 0, 300, 1000])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, np.inf])
+    def test_pruned_max(self, monkeypatch, p, e):
+        # slices whose norms grow along the stack, one engine batch each:
+        # the bounds must find the last slice first at every scale, and the
+        # maximum and its evaluations do not depend on e
+        part, f = _scale_case("complex")
+        g = part.grid
+        F0 = forward_values(g, f[0])
+        times = np.linspace(1.0, 0.0, 6)
+        stack = np.exp(-np.multiply.outer(times, g.freq_magnitude ** 2)) * F0
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            len(part._active_centers) * g.size)
+        spec = ModNormSpec(p, 1.0, 0.0)
+        [(top, evaluated)], _ = max_mod_norm([stack], spec, part)
+        assert evaluated < len(stack)
+        scaled = np.ldexp(stack.real, e) + 1j * np.ldexp(stack.imag, e)
+        want = mod_norms_from_frequency(scaled, [spec], part)[0].max()
+        got = max_mod_norm([scaled], spec, part)
+        assert got == ([(want, evaluated)], evaluated)
+        assert want == np.ldexp(top, e)

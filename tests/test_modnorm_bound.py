@@ -1,16 +1,17 @@
 """Property tests of max_mod_norm's bounds over random stacks.
 
 For every function of a stack, the exact (p, q, s) norm must lie below
-U = scale (the weighted l^q sum of m_k ||b_k||_2) + floor, with scale =
-c_p (1 + BOUND_ROUNDOFF) up to subnormal allowances and m_k <= 1 the
-Carlson-weighted factors at p < 2, so U lies below Hoelder's bound
-scale (its (2, q, s) norm) + floor.  The pruned maximum must equal
+U = scale (the weighted l^q sum of m_k ||b_k||_2), with scale =
+c_p (1 + BOUND_ROUNDOFF) and m_k <= 1 the Carlson-weighted factors at
+p < 2, so U lies below Hoelder's bound scale (its (2, q, s) norm).  The
+pruned maximum must equal
 mod_norms_from_frequency(...).max() bit for bit, and max_mod_norm must
 evaluate as many functions as the pruning loop of one stack
 (test_modnorm.per_stack_max, the oracle for evaluation counts).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 from modheat import modnorm  # noqa: E402
 from modheat.modnorm import (ModNormSpec, UniformPartition,  # noqa: E402
                              max_mod_norm, mod_norms_from_frequency)
-from modheat.spectral import SpectralGrid, forward_values  # noqa: E402
+from modheat.spectral import (SpectralGrid, binary_scale,  # noqa: E402
+                              forward_values)
 from test_modnorm import per_stack_max  # noqa: E402
 
 PARTITIONS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
@@ -84,10 +86,10 @@ def test_bound_holds_and_pruned_max_is_exact(dim, p, q, s, n, batch, decades,
         / np.where(norms > 0, norms, 1.0)
     stack *= amp.reshape((n,) + (1,) * dim)
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
-    scale, floor = modnorm._bound_constants(spec, part)
+    scale = modnorm._bound_scale(spec, part)
     parseval = mod_norms_from_frequency(stack, [ModNormSpec(2.0, q, s)],
                                         part)[0]
-    assert np.all(exact <= scale * parseval + floor)
+    assert np.all(exact <= scale * parseval)
     # engine batches of `batch` functions, so that pruning can stop early
     _check_pruned_max(stack, spec, part, batch)
 
@@ -128,25 +130,26 @@ def _packets(part, n, rng, real):
 def test_carlson_bound_between_norm_and_hoelder(dim, coarse, p, q, s, real,
                                                 decade, n, seed):
     # at p < 2 the bound is never below the engine's norm, nor above
-    # Hoelder's bound beyond roundoff; where |F|^2 overflows (1e300) both
-    # are inf or NaN in the same places, and where it underflows (1e-300)
-    # the subnormal allowances carry both
+    # Hoelder's bound beyond roundoff, at amplitudes from 1e-300 to 1e300:
+    # every function is taken at a power-of-two scale, so |F|^2 neither
+    # overflows nor underflows
     part = (COARSE_PARTITIONS if coarse else PARTITIONS)[dim]
     spec = ModNormSpec(p, q, s)
     stack = _packets(part, n, np.random.default_rng(seed), real)
     stack /= np.abs(stack).max(axis=tuple(range(1, dim + 1)),
                                keepdims=True)
     stack *= 10.0 ** decade
-    scale, floor = modnorm._bound_constants(spec, part)
-    with np.errstate(over="ignore", invalid="ignore"):
+    scale = modnorm._bound_scale(spec, part)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         exact = mod_norms_from_frequency(stack, [spec], part)[0]
-        bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+        bound = modnorm._parseval_bounds(
+            *binary_scale(stack, part.grid.dim), spec, part, scale)
         hoelder = scale * mod_norms_from_frequency(
-            stack, [ModNormSpec(2.0, q, s)], part)[0] + floor
-    assert not np.any(bound < exact)
-    finite = np.isfinite(hoelder)
-    assert np.array_equal(bound[~finite], hoelder[~finite], equal_nan=True)
-    assert np.all(bound[finite] <= hoelder[finite] * (1.0 + 2.0 ** -50))
+            stack, [ModNormSpec(2.0, q, s)], part)[0]
+    assert np.all(np.isfinite(hoelder) & (exact > 0.0))
+    assert np.all(exact <= bound)
+    assert np.all(bound <= hoelder * (1.0 + 2.0 ** -50))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -163,11 +166,12 @@ def test_carlson_bound_holds_on_a_coarse_lattice(p, q):
     stack = forward_values(g, np.exp(
         -np.subtract.outer(centres, g.x_axis) ** 2
         / (2.0 * (g.spacing / 3.0) ** 2)))
-    scale, floor = modnorm._bound_constants(spec, part)
+    scale = modnorm._bound_scale(spec, part)
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
-    bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+    bound = modnorm._parseval_bounds(
+        *binary_scale(stack, part.grid.dim), spec, part, scale)
     hoelder = scale * mod_norms_from_frequency(
-        stack, [ModNormSpec(2.0, q, 0.0)], part)[0] + floor
+        stack, [ModNormSpec(2.0, q, 0.0)], part)[0]
     assert np.all(exact <= bound)
     assert np.all(bound <= hoelder * (1.0 + 2.0 ** -50))
 
@@ -182,11 +186,12 @@ def test_carlson_bound_does_not_depend_on_position():
     packet = np.exp(-g.x_axis ** 2)
     stack = forward_values(g, np.array([np.roll(packet, k)
                                         for k in (0, 14, -29)]))
-    scale, floor = modnorm._bound_constants(spec, part)
-    bound = modnorm._parseval_bounds(stack, spec, part, scale, floor)
+    scale = modnorm._bound_scale(spec, part)
+    bound = modnorm._parseval_bounds(
+        *binary_scale(stack, part.grid.dim), spec, part, scale)
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
     hoelder = scale * mod_norms_from_frequency(
-        stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0] + floor
+        stack, [ModNormSpec(2.0, 1.0, 0.0)], part)[0]
     assert np.all(exact <= bound) and np.all(bound < 0.85 * hoelder)
     assert bound == pytest.approx(bound[0], rel=1e-12)
 
@@ -249,6 +254,7 @@ def test_bound_holds_for_every_stack_family(kind, dim, p, q, s, n, batch,
     stack = STACKS[kind](part, n, np.random.default_rng(seed))
     exact = mod_norms_from_frequency(stack, [spec], part)[0]
     bound = modnorm._parseval_bounds(
-        stack, spec, part, *modnorm._bound_constants(spec, part))
+        *binary_scale(stack, part.grid.dim), spec, part,
+        modnorm._bound_scale(spec, part))
     assert np.all(bound >= exact)
     _check_pruned_max(stack, spec, part, batch)

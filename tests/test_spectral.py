@@ -391,3 +391,30 @@ class TestLpNorm:
             assert norms.shape == (2, 300)
             assert norms.tolist() == [[lp_norm(f, 0.3, p, 1) for f in row]
                                       for row in stack]
+
+    @pytest.mark.parametrize("e", [-1000, -600, -300, 0, 300, 600, 1000])
+    def test_power_of_two_scale(self, e):
+        # lp_norm(2^e f) == 2^e lp_norm(f) bit for bit, real and complex
+        # samples over ten decades, f taken as 2^-e (2^e f)
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((2, 3, 40)) * 10.0 ** rng.uniform(
+            -5.0, 5.0, (2, 3, 40))
+        f = f + 1j * np.concatenate([np.zeros((1, 3, 40)), f[1:] / 3.0])
+        scaled = np.ldexp(f.real, e) + 1j * np.ldexp(f.imag, e)
+        f = np.ldexp(scaled.real, -e) + 1j * np.ldexp(scaled.imag, -e)
+        for p in (1.0, 1.5, 2.0, 4.0, np.inf):
+            want = np.ldexp(lp_norm(f, 0.3, p, 1), e)
+            assert np.all(np.isfinite(want) & (want > 0.0))
+            assert lp_norm(scaled, 0.3, p, 1).tobytes() == want.tobytes()
+
+    def test_subnormal_samples_keep_the_scale(self):
+        # complex samples below 2^-1022 lose bits in |f| unless scaled
+        # first: 2^-1060 f reads 2^-1060 times the norm of f
+        rng = np.random.default_rng(8)
+        f = (rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50)))
+        for p in (1.0, 2.0, 4.0, np.inf):
+            tiny = np.ldexp(f.real, -1060) + 1j * np.ldexp(f.imag, -1060)
+            want = np.ldexp(lp_norm(np.ldexp(tiny.real, 1060)
+                                    + 1j * np.ldexp(tiny.imag, 1060),
+                                    0.5, p, 1), -1060)
+            assert lp_norm(tiny, 0.5, p, 1).tobytes() == want.tobytes()
