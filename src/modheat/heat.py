@@ -28,13 +28,12 @@ the kernel exp(-(t_i - t_s)|xi|^beta) is a semigroup, so the composite
 Simpson and 3/8 sums follow a one-step recurrence that keeps a running
 sum and the last three product slices, O(t_points) work per term.  The
 terms' sups over time come from one max_mod_norm call, which at p != 2
-evaluates exactly only the slices whose Parseval bound can still beat
-their term's largest norm found.  The terms prune in lockstep, each
-round's slices of every term in one engine call.  The module also
-evaluates the closed-form lower envelopes that force divergence of that
-series for Fourier-positive data with a large enough plateau, and
-certifies the corresponding hypotheses (plateau height, support radius,
-volume condition) on the lattice.
+evaluates exactly only the slices whose Parseval bound exceeds the norm
+of their term's slice of largest bound, in two engine calls for all the
+terms.  The module also evaluates the closed-form lower envelopes that
+force divergence of that series for Fourier-positive data with a large
+enough plateau, and certifies the corresponding hypotheses (plateau
+height, support radius, volume condition) on the lattice.
 """
 
 from collections import Counter
@@ -574,12 +573,10 @@ def picard_terms(problem, depth, t_grid, partition=None):
     keeps one running sum and its last three product slices.  Its slices
     in the batch are then complete, and are padded once for the later
     terms (the last term is never padded).  The t = 0 slice of every term
-    j >= 1 is 0, so its
-    sup norm is taken over t > 0.  The sups come from one max_mod_norm
-    call on all the terms, which prune in lockstep: at p != 2 the engine
-    evaluates only the slices whose Parseval bound can still beat their
-    term's largest norm found, every term's picks of a round in one engine
-    call (engine_calls).
+    j >= 1 is 0, so its sup norm is taken over t > 0.  The sups come from
+    one max_mod_norm call on all the terms: at p != 2 the engine evaluates
+    each term's slice of largest Parseval bound, then the slices whose
+    bound exceeds its norm, in two calls for all the terms (engine_calls).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -42,12 +42,11 @@ Carlson-weighted Cauchy-Schwarz bound gives each block its own m <= 1
 from one more contraction, of the lag products F(xi) conj F(xi - e_a)
 (_carlson_factors).  So c_p (1 + BOUND_ROUNDOFF) times the weighted l^q
 sum of a function's m ||b||_2, from the Parseval path with no FFT, bounds
-its (p, q, s) norm.  Functions are evaluated in descending bound until
-the next bound is at most the largest norm found, and the maximum is the
-one of the full evaluation bit for bit.  One call serves a list of
-stacks (a Picard series' terms), which prune in lockstep: each round's
-picks of every stack go to one engine call, and the bounds' Parseval
-calls are merged across stacks, each merged stack within
+its (p, q, s) norm.  The engine evaluates each stack's function of
+largest bound, then every other whose bound exceeds that function's
+norm, and the maximum is the one of the full evaluation bit for bit.
+One call serves a list of stacks (a Picard series' terms): the bounds
+and both engine calls are merged across the stacks, in buffers within
 NORM_BATCH_VALUES.
 
 Every norm takes each function at the scale of spectral.binary_scale, so
@@ -444,9 +443,11 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     Hermitian function takes the engine's mirrored path (_block_lp_norms)
     for every spec whose error bound for it is at most MIRROR_SLACK
     (_mirror_error), and every block for the others; the stack is split
-    once, and each group batched by the rows its schedules transform.  An
-    empty stack gives an empty array."""
-    values = np.asarray(values)
+    once, and each group batched by the rows its schedules transform.
+    Real samples are taken as complex.  An empty stack gives an empty
+    array."""
+    # complex: the engine transforms its blocks in place
+    values = np.asarray(values, complex)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite values in norm input")
     g = partition.grid
@@ -458,7 +459,7 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     # error bound fits the roundoff slack
     keys = [(spec.p, spec.p != 2 and _memo(
         partition, ("mirror error", spec),
-        lambda: _mirror_error(spec, partition))[1] <= MIRROR_SLACK)
+        lambda: _mirror_error(spec, partition)) <= MIRROR_SLACK)
         for spec in specs]
     general = [key for key in dict.fromkeys(keys) if key[0] != 2]
     tables = {}
@@ -545,9 +546,9 @@ MIRROR_SLACK = 2.0 ** -21
 
 
 def _mirror_error(spec, partition):
-    """(mu, nu) of the comment above: the mirrored path's error relative to
-    c_p times the (2, q, s) norm, and relative to the (p, q, s) norm; inf or
-    NaN where a weight overflows or underflows to 0."""
+    """nu of the comment above: the mirrored path's error relative to the
+    (p, q, s) norm; inf or NaN where a weight overflows or underflows to
+    0."""
     g = partition.grid
     d = g.dim
     k = np.float64(len(partition._active_centers))
@@ -558,7 +559,7 @@ def _mirror_error(spec, partition):
                else np.sum(weights ** t) ** (1.0 / t))
         mu = (2.0 ** (d / 2.0 + 1.0) * HERMITIAN_TOL
               * k ** (d * max(0.0, 0.5 - 1.0 / spec.q)) * w_t / weights.min())
-        return mu, mu * np.float64(g.points_per_axis) ** (
+        return mu * np.float64(g.points_per_axis) ** (
             d * abs(1.0 / spec.p - 0.5))
 
 
@@ -648,9 +649,8 @@ def _carlson_factors(F, energy, p, partition):
 
 
 def _merged_spans(pieces, evaluate, grid):
-    """evaluate(F, e), an array of one value per function 2^e F, over the
-    functions of every piece: yields (piece, lo, hi, values) for the
-    functions lo .. hi - 1 of a piece.
+    """[evaluate's values for the functions of each piece], evaluate(F, e)
+    giving one value per function 2^e F.
 
     A piece (stack, rows) holds the functions stack[rows].  The pieces fill
     one buffer in order, a piece split where the buffer is full, and each
@@ -658,33 +658,27 @@ def _merged_spans(pieces, evaluate, grid):
     The buffer holds _engine_batch(2) functions, or one: a Parseval call on
     it also makes |F|^2, half its size, so the two stay within
     NORM_BATCH_VALUES values."""
-    size = min(_engine_batch(2, grid), sum(len(rows) for _, rows in pieces))
+    sizes = [len(rows) for _, rows in pieces]
+    total = sum(sizes)
+    size = min(_engine_batch(2, grid), total)
     buf = np.empty((size,) + grid.shape, complex)
-
-    def flush(spans):
-        filled = buf[:sum(hi - lo for _, lo, hi in spans)]
-        values = evaluate(*binary_scale(filled, grid.dim, out=filled))
-        at = 0
-        for i, lo, hi in spans:
-            yield i, lo, hi, values[at:at + hi - lo]
-            at += hi - lo
-
-    spans, filled = [], 0
-    for i, (stack, rows) in enumerate(pieces):
+    values = np.empty(total)
+    done = filled = 0
+    for stack, rows in pieces:
         lo = 0
         while lo < len(rows):
             hi = min(len(rows), lo + size - filled)
-            out = buf[filled:filled + hi - lo]
-            # mode="clip" takes straight into out: the default buffers
-            np.take(stack, rows[lo:hi], axis=0, out=out, mode="clip")
-            spans.append((i, lo, hi))
+            # mode="clip" takes straight into buf: the default buffers
+            np.take(stack, rows[lo:hi], axis=0, mode="clip",
+                    out=buf[filled:filled + hi - lo])
             filled += hi - lo
             lo = hi
-            if filled == size:
-                yield from flush(spans)
-                spans, filled = [], 0
-    if spans:
-        yield from flush(spans)
+            if filled == size or done + filled == total:
+                F = buf[:filled]
+                values[done:done + filled] = evaluate(
+                    *binary_scale(F, grid.dim, out=F))
+                done, filled = done + filled, 0
+    return np.split(values, np.cumsum(sizes)[:-1])
 
 
 # Scaled data (binary_scale: |F| <= 2^{1/2}) leave the engine a range set
@@ -738,25 +732,19 @@ def max_mod_norm(stacks, spec, partition):
     every function, one call per stack; a NaN norm propagates as in
     ndarray.max.  Otherwise each function f is bounded by U(f) = c_p (1 +
     BOUND_ROUNDOFF) times the weighted l^q sum of its blocks'
-    m_k ||b_k||_2 (_parseval_bounds): m_k = 1 at p > 2, Hoelder's bound,
-    and at p < 2 the Carlson-weighted m_k <= 1 of _carlson_factors.  That
-    costs the Parseval path and, at p < 2, one lag contraction per axis,
-    and no FFT.  Each stack's functions are
-    evaluated in descending bound, one engine batch of _engine_batch(K)
-    functions at a time, until the next bound is at most the stack's
-    largest norm found: no function left can exceed it.
-
-    The stacks prune in lockstep: each round, every stack still pending
-    picks its batch as it would alone, and all the picks go to one engine
-    call per merged stack, taken in passes of that batch; the bounds, too,
-    come from Parseval calls merged across stacks.  Every merged stack
-    stays within NORM_BATCH_VALUES values (_merged_spans).  A norm at
-    p != 2 does not depend on its batch, so every stack takes the
-    decisions it takes alone.  Non-finite values, and an empty stack,
-    raise ValueError.
+    m_k ||b_k||_2 (_parseval_bounds), with no FFT: m_k = 1 at p > 2,
+    Hoelder's bound, and at p < 2 the Carlson-weighted m_k <= 1 of
+    _carlson_factors.  Two engine calls, each merged across the stacks
+    (_merged_spans), follow: the first evaluates each stack's function of
+    largest U, and the second every other function whose U exceeds that
+    function's norm N.  A function left out has U <= N, so it cannot
+    exceed the maximum.  Non-finite values, and an empty stack, raise
+    ValueError.
     """
     g = partition.grid
-    stacks = [np.asarray(v).reshape((-1,) + g.shape) for v in stacks]
+    # complex, as _merged_spans' buffer
+    stacks = [np.asarray(v, complex).reshape((-1,) + g.shape)
+              for v in stacks]
     for i, stack in enumerate(stacks):
         if not len(stack):
             raise ValueError(f"stack {i} is empty: zero-size array to "
@@ -775,39 +763,27 @@ def max_mod_norm(stacks, spec, partition):
     def engine(F, e):
         nonlocal calls
         calls += 1
-        # in passes of one stack's batch, as each stack alone would
+        # in passes of _engine_batch(K) functions: without batch= a real
+        # group's passes are sized by the mirrored rows, which raised
+        # `series` peak memory by ~0.27 MB
         return np.ldexp(mod_norms_from_frequency(F, [spec], partition,
                                                  batch)[0], e)
 
     def parseval(F, e):
         return _parseval_bounds(F, e, spec, partition, scale)
 
-    bounds = [np.empty(len(stack)) for stack in stacks]
-    for i, lo, hi, values in _merged_spans(
-            [(stack, np.arange(len(stack))) for stack in stacks], parseval, g):
-        bounds[i][lo:hi] = values
-    pending = [np.ones(len(stack), dtype=bool) for stack in stacks]
-    found = [[] for _ in stacks]
-    best = [None] * len(stacks)
-    live = range(len(stacks))
-    while live:
-        picks = []
-        for i in live:
-            rest = np.flatnonzero(pending[i])
-            rest = rest[np.argsort(-bounds[i][rest], kind="stable")]
-            if not (found[i] and bounds[i][rest[0]] <= best[i]):
-                picks.append((i, rest[:batch]))
-        norms = [np.empty(len(taken)) for _, taken in picks]
-        for j, lo, hi, values in _merged_spans(
-                [(stacks[i], taken) for i, taken in picks], engine, g):
-            norms[j][lo:hi] = values
-        for (i, taken), n in zip(picks, norms):
-            found[i].append(n)
-            best[i] = np.concatenate(found[i]).max()
-            pending[i][taken] = False
-        live = [i for i, _ in picks if pending[i].any()]
-    return ([(best[i], sum(len(n) for n in found[i]))
-             for i in range(len(stacks))], calls)
+    bounds = _merged_spans([(stack, np.arange(len(stack)))
+                            for stack in stacks], parseval, g)
+    tops = [np.argmax(u, keepdims=True) for u in bounds]
+    firsts = _merged_spans(list(zip(stacks, tops)), engine, g)
+    rest = []
+    for u, top, first in zip(bounds, tops, firsts):
+        left = ~(u <= first)  # a NaN bound or norm is evaluated
+        left[top] = False
+        rest.append(np.flatnonzero(left))
+    seconds = _merged_spans(list(zip(stacks, rest)), engine, g)
+    return ([(np.concatenate([first, norms]).max(), 1 + len(norms))
+             for first, norms in zip(firsts, seconds)], calls)
 
 
 # -- STFT-side norm -------------------------------------------------------------

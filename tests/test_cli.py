@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from modheat import cli, heat
+from modheat import cli, heat, modnorm
 from modheat.cli import main
 from modheat.corpus import band_limited, propagation_corpus
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
                              mod_norms_stft)
 from modheat.spectral import SpectralGrid, forward_values
 from test_heat import linear_flow
-from test_modnorm import mod_norm_decomp
+from test_modnorm import mod_norm_decomp, spy_merged_spans
 from test_spectral import save_grid_function
 
 GRID = {"dim": 1, "points_per_axis": 256, "half_width": 16.0}
@@ -320,23 +320,23 @@ class TestPicardCommand:
 
     # the benchmark's three `series` configs, at p = 1, with the pruning
     # they take: per term (slices, exact evaluations), and the engine calls
-    # of the lockstep rounds
+    # of max_mod_norm's two merged calls
     SERIES_PRUNING = {
         "picard_domination": (
             dominated_picard_config(),
-            [(33, 10)] + [(32, 2)] * 5, 5),
+            [(33, 9), (32, 2)] + [(32, 1)] * 4, 2),
         "picard_small": (
             picard_config(),
-            [(17, 4)] + [(16, 2)] * 4, 2),
+            [(17, 3), (16, 2)] + [(16, 1)] * 3, 2),
         "picard_k3": (
             picard_config(problem={"beta": 2.0, "k": 3}, depth=6,
                           t_points=33),
-            [(33, 6), (32, 4)] + [(32, 2)] * 4, 3),
+            [(33, 5), (32, 4)] + [(32, 2)] * 2 + [(32, 1)] * 2, 2),
     }
 
     @pytest.mark.parametrize("name", sorted(SERIES_PRUNING))
     def test_series_pruning_is_pinned(self, tmp_path, name):
-        # 50 of the 467 slices evaluated: a change to one pruning decision
+        # 38 of the 467 slices evaluated: a change to one pruning decision
         # moves these counts
         cfg, terms, engine_calls = self.SERIES_PRUNING[name]
         code, out = run(tmp_path, "picard",
@@ -347,6 +347,23 @@ class TestPicardCommand:
         assert [(t["slices"], t["exact_evaluations"])
                 for t in diag["terms"]] == terms
         assert diag["engine_calls"] == engine_calls
+
+    @pytest.mark.parametrize("name", sorted(SERIES_PRUNING))
+    def test_series_takes_two_engine_calls(self, tmp_path, monkeypatch,
+                                           name):
+        # both merged engine calls of max_mod_norm (the bounds' call, the
+        # first, aside) fit one buffer of _engine_batch(2) functions here,
+        # so the engine runs at most twice
+        cfg = self.SERIES_PRUNING[name][0]
+        calls = spy_merged_spans(monkeypatch)
+        code, out = run(tmp_path, "picard",
+                        dict(cfg, norm={"p": 1.0, "q": 1.0, "s": 0.0}))
+        assert code == 0
+        size = modnorm._engine_batch(2, SpectralGrid(**cfg["grid"]))
+        assert len(calls) == 3 and all(sum(map(len, rows)) <= size
+                                       for rows, _ in calls[1:])
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["diagnostics"]["picard"]["engine_calls"] <= 2
 
     def test_certified_data_grows_and_dominates(self, tmp_path):
         code, out = run(tmp_path, "picard", dominated_picard_config())

@@ -387,6 +387,24 @@ class TestStackedNorms:
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
+    def test_real_dtype_matches_complex_cast(self, p):
+        # float64 samples (a real, even spectrum: the mirrored path at
+        # p != 2) give the bits of the same samples cast to complex, in the
+        # norms and in the pruned max
+        g = SpectralGrid(1, 256, 16.0)
+        part = UniformPartition(g)
+        F = np.exp(-g.freq_axis ** 2)
+        stack = np.stack([F, 0.5 * F, np.roll(F, 3)])
+        spec = ModNormSpec(p, 1.0, 0.0)
+        real = mod_norms_from_frequency(stack, [spec], part)
+        cast = mod_norms_from_frequency(stack.astype(complex), [spec], part)
+        assert real.tobytes() == cast.tobytes()
+        [(top, evaluated)], calls = max_mod_norm([stack], spec, part)
+        assert max_mod_norm([stack.astype(complex)], spec, part) \
+            == ([(top, evaluated)], calls)
+        assert np.float64(top).tobytes() == real.max().tobytes()
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_stack(self, dim, p):
@@ -690,8 +708,8 @@ class TestMirroredEngine:
         # same call keeps the bits it has alone
         part, F = _real_case("d1")
         heavy, light = ModNormSpec(1.0, 1.0, 100.0), ModNormSpec(1.0, 1.0, 0.0)
-        assert modnorm._mirror_error(heavy, part)[1] > modnorm.MIRROR_SLACK
-        assert modnorm._mirror_error(light, part)[1] <= modnorm.MIRROR_SLACK
+        assert modnorm._mirror_error(heavy, part) > modnorm.MIRROR_SLACK
+        assert modnorm._mirror_error(light, part) <= modnorm.MIRROR_SLACK
         both = mod_norms_from_frequency(F, [heavy, light], part)
         np.testing.assert_array_equal(both[0],
                                       per_spec_norms(F, heavy, part))
@@ -876,7 +894,7 @@ class TestMaxModNorm:
             *binary_scale(stack, 1), spec, part,
             modnorm._bound_scale(spec, part))
         assert bounds.argmax() == 1 and want.argmax() == 0
-        # two rounds of one function each: two engine calls
+        # the first engine call takes the noise, the second the wave
         assert max_mod_norm([stack], spec, part) == ([(want.max(), 2)], 2)
 
     def test_p2_evaluates_every_function(self, part1):
@@ -964,15 +982,15 @@ class TestMaxModNorm:
                          part1)
 
 
-# -- max_mod_norm's lockstep rounds against the pruning loop of one stack --
+# -- max_mod_norm's merged calls against the two-call rule on one stack --
 
 
 def per_stack_max(values, spec, partition):
-    """(max, evaluations) of one stack by max_mod_norm's pruning loop run
-    on that stack alone: at a spec _prunable admits, functions in
-    descending bound U, one engine batch at a time, until the next bound
-    is at most the largest norm found; every function otherwise.  The
-    oracle of the lockstep call and of its evaluation counts."""
+    """(max, evaluations) of one stack by max_mod_norm's two-call rule run
+    on that stack alone: at a spec _prunable admits, the function of
+    largest bound U, then every other function whose U exceeds its norm;
+    every function otherwise.  The oracle of the merged call and of its
+    evaluation counts."""
     if spec.p == 2 or not modnorm._prunable(spec, partition):
         norms = mod_norms_from_frequency(values, [spec], partition)[0]
         return norms.max(), norms.size
@@ -980,18 +998,12 @@ def per_stack_max(values, spec, partition):
         *binary_scale(values, partition.grid.dim), spec, partition,
         modnorm._bound_scale(spec, partition)).ravel()
     stack = np.asarray(values).reshape((-1,) + partition.grid.shape)
-    order = np.argsort(-np.where(np.isnan(bounds), np.inf, bounds),
-                       kind="stable")
-    batch = modnorm._engine_batch(len(partition._active_centers),
-                                  partition.grid)
-    found = []
-    for lo in range(0, len(order), batch):
-        if found and bounds[order[lo]] <= best:
-            break
-        found.append(mod_norms_from_frequency(stack[order[lo:lo + batch]],
-                                              [spec], partition)[0])
-        best = np.concatenate(found).max()
-    return best, sum(len(n) for n in found)
+    top = int(np.argmax(bounds))
+    first = mod_norms_from_frequency(stack[top], [spec], partition)[0]
+    taken = [top] + [i for i in range(len(stack))
+                     if i != top and not bounds[i] <= first]
+    norms = mod_norms_from_frequency(stack[taken], [spec], partition)[0]
+    return norms.max(), len(taken)
 
 
 LOCKSTEP_PARTS = {1: UniformPartition(SpectralGrid(1, 64, 8.0)),
@@ -1040,7 +1052,30 @@ def _assert_lockstep(part, spec, stacks):
         assert evaluated == want_evaluated
 
 
+def spy_merged_spans(monkeypatch):
+    """A list that gets, for every _merged_spans call, [rows taken from
+    each stack, number of evaluate calls]: the first of a pruned
+    max_mod_norm call takes the bounds, the others go to the engine."""
+    spans, calls = modnorm._merged_spans, []
+
+    def spy(pieces, evaluate, grid):
+        record = [[rows for _, rows in pieces], 0]
+        calls.append(record)
+
+        def counted(F, e):
+            record[1] += 1
+            return evaluate(F, e)
+
+        return spans(pieces, counted, grid)
+
+    monkeypatch.setattr(modnorm, "_merged_spans", spy)
+    return calls
+
+
 class TestLockstepMax:
+    """max_mod_norm on several stacks against the two-call rule on each
+    stack alone (per_stack_max), and the invariant that makes it exact."""
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, np.inf])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_the_per_stack_loop(self, dim, p):
@@ -1051,14 +1086,71 @@ class TestLockstepMax:
 
     @pytest.mark.parametrize("functions", [1, 3])
     def test_matches_with_small_batches(self, monkeypatch, functions):
-        # engine batches of 1 and 3 functions: more rounds, and merged
-        # calls split across several buffers
+        # engine batches of 1 and 3 functions: merged calls split across
+        # several buffers
         part = LOCKSTEP_PARTS[1]
         monkeypatch.setattr(
             modnorm, "NORM_BATCH_VALUES",
             functions * len(part._active_centers) * part.grid.size)
         for seed in range(10):
             _assert_lockstep(*_lockstep_case(1, 1.0, 100 + seed))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unevaluated_slices_are_bounded_by_the_max(self, monkeypatch,
+                                                       dim, p):
+        # no oracle: every slice the engine never took has U <= the
+        # returned maximum, the full one bit for bit, and each slice it
+        # took counts once
+        calls = spy_merged_spans(monkeypatch)
+        checked = 0
+        for seed in range(15):
+            part, spec, stacks = _lockstep_case(dim, p, seed)
+            if not modnorm._prunable(spec, part):
+                continue
+            calls.clear()
+            got, _ = max_mod_norm(stacks, spec, part)
+            _, *engine = calls
+            for i, (stack, (top, evaluated)) in enumerate(zip(stacks, got)):
+                seen = np.concatenate([rows[i] for rows, _ in engine])
+                assert evaluated == len(np.unique(seen)) == len(seen)
+                bounds = modnorm._parseval_bounds(
+                    *binary_scale(stack, dim), spec, part,
+                    modnorm._bound_scale(spec, part))
+                assert np.all(np.delete(bounds, seen) <= top)
+                exact = mod_norms_from_frequency(stack, [spec], part)[0]
+                assert np.float64(top).tobytes() == exact.max().tobytes()
+                checked += len(stack) - len(seen)
+        assert checked > 0
+
+    @pytest.mark.parametrize("functions", [1, 3, None])
+    def test_two_engine_calls_when_each_fits_a_buffer(self, monkeypatch,
+                                                      functions):
+        # each merged engine call takes ceil(slices / buffer) engine calls,
+        # so two in all whenever both fit one buffer (_engine_batch(2)
+        # functions); engine batches of 1 and 3 functions, and the default
+        part = LOCKSTEP_PARTS[1]
+        g = part.grid
+        if functions is not None:
+            monkeypatch.setattr(
+                modnorm, "NORM_BATCH_VALUES",
+                functions * len(part._active_centers) * g.size)
+        size = modnorm._engine_batch(2, g)
+        calls = spy_merged_spans(monkeypatch)
+        fitted = 0
+        for seed in range(20):
+            part, spec, stacks = _lockstep_case(1, 1.0, 200 + seed)
+            if not modnorm._prunable(spec, part):
+                continue
+            calls.clear()
+            _, engine_calls = max_mod_norm(stacks, spec, part)
+            slices = [sum(map(len, rows)) for rows, _ in calls[1:]]
+            assert engine_calls == sum(n for _, n in calls[1:]) \
+                == sum(-(-n // size) for n in slices)
+            if all(n <= size for n in slices):
+                assert engine_calls <= 2
+                fitted += 1
+        assert fitted > 0
 
     def test_p2_one_call_per_stack(self):
         part, _, stacks = _lockstep_case(1, 2.0, 7)

@@ -180,6 +180,50 @@ def test_no_test_only_public_api():
     assert unused == []
 
 
+def _private_definitions(tree):
+    """Names of a module's top-level private functions, classes and
+    constants (one leading underscore)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_read(tree):
+    """Every name a module reads: ast.Name ids in load context, ast.Attribute
+    attributes and the last part of imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rpartition(".")[2])
+    return read
+
+
+def test_no_dead_private_helpers():
+    # every top-level private function, class and constant of src/modheat
+    # is read by some module of src/modheat, so a deletion cannot leave a
+    # dead helper behind, nor one that only the tests or tools reach.
+    # Matching is by bare name, as in test_no_test_only_public_api.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "modheat").glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    dead = [f"{path.stem}.{name}" for path, tree in trees.items()
+            for name in _private_definitions(tree) if name not in read]
+    assert dead == []
+
+
 def _unused_imports(tree):
     """Names a module imports (the bound name: the alias, or the first part
     of a dotted `import a.b`) that no ast.Name of it reads."""
