@@ -371,7 +371,7 @@ class RunRecord:
             fh.write(text)
         return path
 
-    def finalize(self, gnuplot=False):
+    def finalize(self, gnuplot):
         if gnuplot:
             for name in self.csv_files:
                 _emit_gnuplot(self.out_dir, name)

@@ -13,7 +13,7 @@ from .hermite import level_mesh
 from .spectral import inverse_values
 
 
-def gaussian(grid, amplitude=1.0, width=1.0, modulation=None):
+def gaussian(grid, amplitude, width, modulation=None):
     """amplitude * exp(-|x|^2 / (2 width^2)), optionally modulated."""
     sq = np.sum(grid.x_mesh ** 2, axis=-1)
     vals = amplitude * np.exp(-0.5 * sq / width ** 2)

@@ -42,8 +42,7 @@ import math
 
 import numpy as np
 
-from .modnorm import (ModNormSpec, UniformPartition, max_mod_norm,
-                      mod_norms_from_frequency)
+from .modnorm import ModNormSpec, max_mod_norm, mod_norms_from_frequency
 from .spectral import (SpectralGrid, _band_slots, _fine_slots, _per_axis,
                        _to_fine_slots, cropped_forward, fine_grid,
                        forward_values, heat_symbol, inverse_values,
@@ -173,7 +172,7 @@ def check_lattice(grid, k):
     return steps
 
 
-def solve(problem, config, partition=None):
+def solve(problem, config, partition):
     """March the Duhamel equation with an exponential integrator.
 
     Records the chosen modulation norm, the FL^1 norm and the sup norm at
@@ -194,8 +193,6 @@ def solve(problem, config, partition=None):
     """
     g = problem.grid
     per_chunk = check_lattice(g, problem.k)
-    if partition is None:
-        partition = UniformPartition(g)
     fine = fine_grid(g, problem.k)
     band, fine_factor = _fine_slots(g, fine)
     # |xi|^beta may overflow: such modes decay in one step (phi_j(inf) = 0)
@@ -554,7 +551,7 @@ class _DuhamelQuadrature:
             recent[s % 3] = P
 
 
-def picard_terms(problem, depth, t_grid, partition=None):
+def picard_terms(problem, depth, t_grid, partition):
     """First `depth` terms of the iterated-integral series on a uniform t grid.
 
     Term 0 is the linear flow of the data; term j >= 1 integrates the
@@ -589,8 +586,6 @@ def picard_terms(problem, depth, t_grid, partition=None):
     g = problem.grid
     k = problem.k
     check_lattice(g, k)
-    if partition is None:
-        partition = UniformPartition(g)
     n_t = len(t_grid)
     lags = heat_symbol(g, t_grid, problem.beta)
     fine = fine_grid(g, k)

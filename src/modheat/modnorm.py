@@ -7,31 +7,24 @@ block is transformed on its own: at p = 2 the block norms are an exact
 discrete-Parseval contraction of the squared rows with |F|^2, at other p
 they come from inverse transforms taken one axis at a time, with all blocks
 of the last axis in one batched call, and a stack of functions (a Picard
-term at every time slice) goes through at once, in batches sized by the
-rows its schedule transforms (NORM_BATCH_VALUES).  One call serves a list
+term at every time slice) goes through at once, in batches within
+NORM_BATCH_VALUES (_block_lp_norms).  One call serves a list
 of specs (mod_norms_from_frequency): the blocks and their magnitudes are
 formed once for every p != 2, p = 4 takes its powers by two squarings, and
 each p's block table is formed once for all specs that share it, with the
 bits of one call per spec.  The second samples the short-time Fourier
 transform against a normalized window and takes the mixed L^p_x L^q_y
 quadrature norm, for a whole stack of functions in one pass
-(mod_norms_stft).  The window shifts are not transformed one by one: the
-shifted windows of a batch are gathered once into one stack for a group of
-functions, multiplied by each of them and transformed in a single call into
-one reused buffer, with each (function x shift) stack, and each p's sums
-over a group, capped at STFT_BATCH_VALUES values, so the working set does
-not grow with the stack.  |V_g f|^p of a batch is added to each function's
-running sum in one reduction over the shifts, seeded with that sum, which
-adds the shifts in the order a loop over them would, so every function's
-norms are the bits of a call on it alone; a group's magnitudes and each p's
-powers go into two buffers made once per group.  When f and the window are
-real (the heat flows and the default Gaussian window are), V_g f(x, -y) is
-the conjugate of V_g f(x, y): the last axis is then transformed by a real
-FFT, only its bins 0 .. M/2 are powered, from |V|^2 = re^2 + im^2, and the
-sums are mirrored to the other half of the lattice; those norms match the
-complex path, which serves every other function, to roundoff rather than
-bit for bit.  The spectrogram does not depend on (p, q, s), so the pass
-serves a whole list of specs.  The two estimators agree up to an
+(mod_norms_stft).  The window shifts are not transformed one by one: a
+batch of shifted windows is gathered once for a group of functions and
+transformed in a single call (_stft_transforms), and |V_g f|^p of the
+batch is added to each function's running sum in one reduction over the
+shifts (_stft_sums), all within STFT_BATCH_VALUES values, so the working
+set does not grow with the stack and each function's norms are the bits
+of a call on it alone.  Real f and a real window (the heat flows and the
+default Gaussian window) take half the spectrum, by conjugate symmetry.
+The spectrogram does not depend on (p, q, s), so the pass serves a whole
+list of specs.  The two estimators agree up to an
 equivalence constant that is measured once and frozen as a regression value
 (no explicit constant is available analytically).
 
@@ -54,22 +47,19 @@ only (p, grid) and the weights, never the data, can take a norm's
 intermediates beyond the float range (_prunable).
 
 On a d = 1 grid real data takes about half the block engine's work at
-p != 2.  A function whose frequency samples are Hermitian, ||F - conj
-F(-.)|| <= HERMITIAN_TOL ||F|| in l^2 off the -N/2 slot (hermitian_defect,
-checked per function, once per call), has box_{-k} f equal to the
-conjugate of box_k f for every key whose row, and its mirror's row,
-vanish on -N/2.  Of those keys the engine transforms the ones at or above
-0 and copies each other one from its mirror; the keys that touch -N/2 are
-transformed.  The Hermitian functions of a stack are batched by the rows
-that schedule transforms, about twice as many a batch as the others.  The
-real data kinds, the solver states and Picard terms grown from them,
-band_limited and the Hermite families take this path; complex functions
-(mixed_family's modulated Gaussians, a complex csv datum) take every block
-as before, bit for bit.  A copied block matches the transformed one to
-roundoff, and a spec whose error bound for the copies would not fit
-max_mod_norm's roundoff slack (large weights: MIRROR_SLACK, _mirror_error)
-takes every block for every function.  At d >= 2 every function takes
-every block: no workload has measured a gain from mirroring there.
+p != 2.  A function whose frequency samples are Hermitian
+(hermitian_defect <= HERMITIAN_TOL) has box_{-k} f equal to the conjugate
+of box_k f for every key whose row, and its mirror's row, vanish on -N/2.
+Of those keys the engine's mirrored path transforms the ones at or above
+0 and copies each other one from its mirror (_mirror_rows); the keys that
+touch -N/2 are transformed.  The real data kinds, the solver states and
+Picard terms grown from them, band_limited and the Hermite families take
+this path; complex functions (mixed_family's modulated Gaussians, a
+complex csv datum) take every block as before, bit for bit.  A spec whose
+error bound for the copies would not fit max_mod_norm's roundoff slack
+(large weights: MIRROR_SLACK, _mirror_error) takes every block for every
+function.  At d >= 2 every function takes every block: no workload has
+measured a gain from mirroring there.
 
 Partitions cache the tables derived from them on first use (_memo) and
 are otherwise immutable, as are STFT plans; per-block work is independent,
@@ -223,18 +213,6 @@ def _engine_batch(rows, grid):
     return max(1, NORM_BATCH_VALUES // (rows * grid.size))
 
 
-def _parseval_block_norms(F, partition):
-    """L^2 norms of every active block of each function in a stack.
-
-    F holds frequency samples in its last d axes behind one batch axis; the
-    result is (batch, active keys), keys in active_keys() order.  sigma_k
-    is the outer product of one row per axis, so discrete Parseval turns
-    each block norm into b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2,
-    one contraction per axis with no transform (_block_energies).
-    """
-    return np.sqrt(_block_energies(F, partition))
-
-
 def _block_energies(F, partition, lag=None):
     """b^d sum_xi prod_j row_{k_j}(xi_j)^2 |F(xi)|^2 of every function of
     a stack F and active key; with lag = (a, table), |Z| of the same sum
@@ -300,76 +278,57 @@ def hermitian_defect(F, partition):
                        / np.einsum("ij,ij->i", values, values))
 
 
-def _block_lp_norms(F, partition, ps, mirror=None, batch=None):
-    """L^p norms of every active block of each function in a stack, one
-    (functions, active keys) table per p of ps (none of them 2).  mirror[i]
-    False keeps ps[i]'s table off the mirrored path (default: none); the
-    pairs (ps[i], mirror[i]) are distinct.
+def _block_lp_norms(F, partition, ps, mirror, batch):
+    """L^p norms of every active block of each function in a stack F
+    (frequency samples in the last d axes behind one stack axis): one
+    (functions, active keys) table per p of ps (none of them 2).
+    mirror[i] False keeps ps[i]'s table off the mirrored path; the pairs
+    (ps[i], mirror[i]) are distinct.
 
-    F is laid out as for _parseval_block_norms.  The inverse transform
-    factors into one 1-D transform per axis: the leading axes are
-    transformed block by block, and all blocks of the last axis in one
-    batched call, so R N^d values are live per function, R the rows the
-    schedule transforms.  Each chunk's blocks and |.| are formed once for
-    every p: p = inf and p = 1 read the magnitudes first, any other p but
-    the last takes its powers into a fresh array, and the last takes them
-    in place; p = 4 takes them by two squarings.
+    The inverse transform factors into one 1-D transform per axis: the
+    leading axes are transformed block by block, and all blocks of the
+    last axis in one batched call, so R N^d values are live per function,
+    R the rows the schedule transforms.  Each batch's blocks and |.| are
+    formed once for every p: p = inf and p = 1 read the magnitudes first,
+    any other p but the last takes its powers into a fresh array, and the
+    last takes them in place; p = 4 takes them by two squarings.
 
-    At d = 1 a Hermitian function (hermitian_defect <= HERMITIAN_TOL) takes
-    the mirrored schedule (_mirror_rows) for every p whose mirror[i] allows
-    it, and the full one for the others; other functions take the full
-    schedule, as does every function at d >= 2.  The check runs only at
-    d = 1 and where some mirror[i] is set, once for the stack, in chunks of
-    at most NORM_BATCH_VALUES values.  The stack is split into its
-    Hermitian functions and the others, and each group reaches the engine
-    in batches of _engine_batch(R) functions, R the largest number of rows
-    its schedules transform (or `batch` functions): the mirrored rows for
-    a Hermitian group whose every p takes the mirrored path, all K active
-    rows otherwise.  A group that is the whole stack is not copied.  A norm
-    has the bits of a call on that function alone.  A table on the
-    mirrored schedule matches the full one to roundoff, its transformed
+    At d = 1, where some mirror[i] is set, the stack is checked once, in
+    chunks of _engine_batch(1) functions, and split into its Hermitian
+    functions (hermitian_defect <= HERMITIAN_TOL) and the others; a group
+    that is the whole stack is not copied.  A Hermitian function takes
+    the mirrored schedule (_mirror_rows) at every p whose mirror[i] is
+    set; every other table is on the full schedule.  A group goes through
+    `batch` functions at a time, or _engine_batch(R), R the mirrored rows
+    if its every table is mirrored and all K rows otherwise, in one pass
+    per schedule.  A norm has the bits of a call on that function alone;
+    a mirrored table matches the full one to roundoff, its transformed
     columns bit for bit.
     """
-    mirror = [True] * len(ps) if mirror is None else mirror
     g = partition.grid
-    if g.dim > 1 or not any(mirror):
-        return _group_tables(F, partition, ps, mirror, False, batch)
-    step = _engine_batch(1, g)
-    hermitian = np.concatenate(
-        [hermitian_defect(F[i:i + step], partition)
-         for i in range(0, len(F), step)]) <= HERMITIAN_TOL
-    real = np.count_nonzero(hermitian)
-    if real in (0, len(F)):
-        return _group_tables(F, partition, ps, mirror, real > 0, batch)
+    hermitian = np.zeros(len(F), bool)
+    if g.dim == 1 and any(mirror):
+        step = _engine_batch(1, g)
+        hermitian = np.concatenate(
+            [hermitian_defect(F[i:i + step], partition)
+             for i in range(0, len(F), step)]) <= HERMITIAN_TOL
     out = [np.empty((len(F), len(partition._key_radii))) for _ in ps]
-    for rows, kind in ((hermitian, True), (~hermitian, False)):
-        for table, part in zip(out, _group_tables(F[rows], partition, ps,
-                                                  mirror, kind, batch)):
-            table[rows] = part
+    for kind in (True, False):
+        rows = np.flatnonzero(hermitian == kind)
+        group = F if rows.size == len(F) else F[rows]
+        kinds = [kind and copy for copy in mirror]
+        size = batch or _engine_batch(
+            _memo(partition, "mirror rows",
+                  lambda: _mirror_rows(partition))[1].size
+            if all(kinds) else len(partition._active_centers), g)
+        for i in range(0, rows.size, size):
+            tables = {copy: _block_lp_tables(
+                group[i:i + size], partition,
+                list(dict.fromkeys(p for p, c in zip(ps, kinds) if c == copy)),
+                copy) for copy in set(kinds)}
+            for table, p, copy in zip(out, ps, kinds):
+                table[rows[i:i + size]] = tables[copy][p]
     return out
-
-
-def _group_tables(F, partition, ps, mirror, hermitian, batch):
-    """_block_lp_norms on a stack whose functions are all Hermitian or all
-    not: batches of _engine_batch(R) functions, R the largest number of
-    rows its schedules transform (or `batch` functions), and one engine
-    pass per batch and schedule the tables need."""
-    kinds = [hermitian and copy for copy in mirror]
-    if batch is None:
-        rows = (_memo(partition, "mirror rows",
-                      lambda: _mirror_rows(partition))[1].size
-                if all(kinds) else len(partition._active_centers))
-        batch = _engine_batch(rows, partition.grid)
-    parts = []
-    for i in range(0, len(F), batch):
-        tables = {kind: _block_lp_tables(
-            F[i:i + batch], partition,
-            list(dict.fromkeys(p for p, k in zip(ps, kinds) if k == kind)),
-            kind) for kind in set(kinds)}
-        parts.append([tables[kind][p] for p, kind in zip(ps, kinds)])
-    if len(parts) == 1:
-        return parts[0]
-    return [np.concatenate(chunks) for chunks in zip(*parts)]
 
 
 def _block_lp_tables(F, partition, ps, hermitian):
@@ -427,25 +386,20 @@ def _block_lp_tables(F, partition, ps, hermitian):
 
 def mod_norms_from_frequency(values, specs, partition, batch=None):
     """Decomposition norms of frequency samples on partition.grid in the
-    last d axes of values, behind any batch axes, on one copy of the stack
-    at the scale of binary_scale: an array of shape (len(specs),) + batch
-    shape, row i at specs[i].
+    last d axes of values, behind any batch axes: an array of shape
+    (len(specs),) + batch shape, row i at specs[i].  The norms are taken on
+    one copy of the stack at the scale of binary_scale, its only scaling.
 
-    The functions reach the block engine NORM_BATCH_VALUES values of its
-    largest temporary at a time (_engine_batch), or `batch` functions at a
-    time.  Each batch's blocks are formed once for every distinct p != 2,
-    and each distinct p's block table once for all the specs that share
+    The p = 2 tables are Parseval contractions (_block_energies) of
+    _engine_batch(1) functions at a time, or `batch`; the others come from
+    one _block_lp_norms call for every distinct (p, mirrored) pair.  Each
+    distinct p's block table is formed once for all the specs that share
     it; only the weights and the q-sum are per spec, so a norm has the
     bits a call on its spec alone gives.  At p = 2 the contraction's BLAS
     kernel, and so a norm's last bit, depends on how many functions share
     an engine batch (dgemv for one, dgemm for more): batch=1 gives every
-    norm the bits of a call on that function alone.  At p != 2 and d = 1 a
-    Hermitian function takes the engine's mirrored path (_block_lp_norms)
-    for every spec whose error bound for it is at most MIRROR_SLACK
-    (_mirror_error), and every block for the others; the stack is split
-    once, and each group batched by the rows its schedules transform.
-    Real samples are taken as complex.  An empty stack gives an empty
-    array."""
+    norm the bits of a call on that function alone.  Real samples are
+    taken as complex.  An empty stack gives an empty array."""
     # complex: the engine transforms its blocks in place
     values = np.asarray(values, complex)
     if not np.all(np.isfinite(values)):
@@ -465,12 +419,12 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
     tables = {}
     if (2.0, False) in keys:
         step = _engine_batch(1, g) if batch is None else batch
-        tables[2.0, False] = np.concatenate(
-            [_parseval_block_norms(stack[i:i + step], partition)
-             for i in range(0, len(stack), step)])
+        tables[2.0, False] = np.sqrt(np.concatenate(
+            [_block_energies(stack[i:i + step], partition)
+             for i in range(0, len(stack), step)]))
     if general:
         tables.update(zip(general, _block_lp_norms(
-            stack, partition, *zip(*general), batch=batch)))
+            stack, partition, *zip(*general), batch)))
     out = np.empty((len(specs), len(stack)))
     for row, key, spec in zip(out, keys, specs):
         row[:] = _block_sums(tables[key], spec, partition)
@@ -649,15 +603,15 @@ def _carlson_factors(F, energy, p, partition):
 
 
 def _merged_spans(pieces, evaluate, grid):
-    """[evaluate's values for the functions of each piece], evaluate(F, e)
-    giving one value per function 2^e F.
+    """[evaluate's values for the functions of each piece], evaluate(F)
+    giving one value per function of F.
 
     A piece (stack, rows) holds the functions stack[rows].  The pieces fill
     one buffer in order, a piece split where the buffer is full, and each
-    filling is scaled in place (binary_scale) and takes one evaluate call.
-    The buffer holds _engine_batch(2) functions, or one: a Parseval call on
-    it also makes |F|^2, half its size, so the two stay within
-    NORM_BATCH_VALUES values."""
+    filling takes one evaluate call, which may overwrite it.  The buffer
+    holds _engine_batch(2) functions, or one: a Parseval call on it also
+    makes |F|^2, half its size, so the two stay within NORM_BATCH_VALUES
+    values."""
     sizes = [len(rows) for _, rows in pieces]
     total = sum(sizes)
     size = min(_engine_batch(2, grid), total)
@@ -674,9 +628,7 @@ def _merged_spans(pieces, evaluate, grid):
             filled += hi - lo
             lo = hi
             if filled == size or done + filled == total:
-                F = buf[:filled]
-                values[done:done + filled] = evaluate(
-                    *binary_scale(F, grid.dim, out=F))
+                values[done:done + filled] = evaluate(buf[:filled])
                 done, filled = done + filled, 0
     return np.split(values, np.cumsum(sizes)[:-1])
 
@@ -760,17 +712,18 @@ def max_mod_norm(stacks, spec, partition):
     batch = _engine_batch(len(partition._active_centers), g)
     calls = 0
 
-    def engine(F, e):
+    def engine(F):
         nonlocal calls
         calls += 1
         # in passes of _engine_batch(K) functions: without batch= a real
         # group's passes are sized by the mirrored rows, which raised
         # `series` peak memory by ~0.27 MB
-        return np.ldexp(mod_norms_from_frequency(F, [spec], partition,
-                                                 batch)[0], e)
+        return mod_norms_from_frequency(F, [spec], partition, batch)[0]
 
-    def parseval(F, e):
-        return _parseval_bounds(F, e, spec, partition, scale)
+    def parseval(F):
+        # scaled in place: the bounds take no copy of the buffer
+        return _parseval_bounds(*binary_scale(F, g.dim, out=F), spec,
+                                partition, scale)
 
     bounds = _merged_spans([(stack, np.arange(len(stack)))
                             for stack in stacks], parseval, g)
@@ -848,25 +801,22 @@ def _divisor_below(n, stride):
 STFT_BATCH_VALUES = 1 << 14
 
 
-def _stft_batches(stack, index, plan, stride, fine, real=False):
-    """V_g f on fine's frequency lattice, for the functions
-    stack[index], a group of functions and a batch of window shifts at a
-    time.
+def _stft_transforms(values, plan, stride, fine, real):
+    """V_g f on fine's frequency lattice for every function f of a group
+    (values: physical samples on plan.grid behind one function axis), a
+    batch of window shifts at a time.
 
-    stack holds physical samples on plan.grid behind one function axis.
-    Each group holds G = STFT_BATCH_VALUES // fine.size functions of index
-    (at least one), and each batch B = STFT_BATCH_VALUES // (G fine.size)
-    window shifts (at least one), so a (G, B) stack holds at most
-    STFT_BATCH_VALUES values, or one function's box.  Yields (rows,
-    batches) per group, rows its indices into stack and batches an
-    iterator of stacks of shape (len(rows), b) + fine.shape, b <= B: the
-    shift tuples run through product(range(0, n, stride), repeat=d), last
-    axis fastest, and each batch's shifted windows are gathered once for
-    the whole group.  Every stack is a view of one buffer, valid until the
-    next is drawn; the gather index, the mesh and the buffers are made once
-    per call.  fine is plan.grid, or a box of the same spacing padded with
-    zeros, which samples y more finely.  The transforms are
-    forward_values' bit for bit.
+    Each batch holds B = STFT_BATCH_VALUES // (G fine.size) shifts (at
+    least one) for the group's G functions, so a yielded stack, of shape
+    (G, b) + spectrum shape with b <= B, holds at most STFT_BATCH_VALUES
+    values, or one function's box.  The shift tuples run through
+    product(range(0, n, stride), repeat=d), last axis fastest, and each
+    batch's shifted windows are gathered once for the whole group.  Every
+    stack is a view of one buffer, valid until the next is drawn; the
+    gather index, the mesh and the buffers are made once per group.  fine
+    is plan.grid, or a box of the same spacing padded with zeros, which
+    samples y more finely.  The transforms are forward_values' bit for
+    bit.
 
     real=True, for real f and a real window, yields |V_g f| correctly but
     not its phase: the last axis is transformed by rfft, so a stack holds
@@ -879,14 +829,13 @@ def _stft_batches(stack, index, plan, stride, fine, real=False):
     lo = (fine.points_per_axis - n) // 2
     box = (slice(None), slice(None)) + (slice(lo, lo + n),) * d
     shifts = np.arange(0, n, stride)
-    functions = min(len(index), max(1, STFT_BATCH_VALUES // fine.size))
     batch = min(len(shifts),
-                max(1, STFT_BATCH_VALUES // (functions * fine.size)))
+                max(1, STFT_BATCH_VALUES // (len(values) * fine.size)))
     # row i of gather shifts the last axis by shifts[i], as np.roll does
     gather = (np.arange(n)[None, :] - shifts[:, None]) % n
     mesh = _factor_meshes(fine)[0]
     if real:
-        stack = stack.real
+        values = values.real
         # every entry of the mesh is +-scale
         window = plan.window.real * abs(mesh.flat[0])
         spectrum = fine.shape[:-1] + (fine.points_per_axis // 2 + 1,)
@@ -896,34 +845,28 @@ def _stft_batches(stack, index, plan, stride, fine, real=False):
     # flat (function x shift) rows, so every view below is contiguous and
     # a row keeps its place: only the centre box of a padded row is ever
     # written
-    out = np.empty((functions * batch,) + spectrum, dtype=complex)
-    prod = np.zeros((functions * batch,) + fine.shape,
-                    dtype=np.result_type(stack, window))
-
-    def batches(values):
-        for lead in product(shifts.tolist(), repeat=d - 1):
-            rolled = np.roll(window, lead, axis=tuple(range(d - 1))) \
-                if lead else window
-            for start in range(0, len(shifts), batch):
-                win = np.moveaxis(rolled[..., gather[start:start + batch]],
-                                  -2, 0)
-                block = (len(values), len(win))
-                w = prod[:block[0] * block[1]].reshape(block + fine.shape)
-                np.multiply(values[:, None], win, out=w[box])
-                v = out[:block[0] * block[1]].reshape(block + spectrum)
-                if real:
-                    # the order of _per_axis: last axis first
-                    np.fft.rfft(w, axis=-1, out=v)
-                    for axis in range(-2, -d - 1, -1):
-                        np.fft.fft(v, axis=axis, out=v)
-                else:
-                    _per_axis(np.fft.fft, w, d, out=v)
-                    v *= mesh
-                yield v
-
-    for start in range(0, len(index), functions):
-        rows = index[start:start + functions]
-        yield rows, batches(stack[rows])
+    out = np.empty((len(values) * batch,) + spectrum, dtype=complex)
+    prod = np.zeros((len(values) * batch,) + fine.shape,
+                    dtype=np.result_type(values, window))
+    for lead in product(shifts.tolist(), repeat=d - 1):
+        rolled = np.roll(window, lead, axis=tuple(range(d - 1))) \
+            if lead else window
+        for start in range(0, len(shifts), batch):
+            win = np.moveaxis(rolled[..., gather[start:start + batch]],
+                              -2, 0)
+            block = (len(values), len(win))
+            w = prod[:block[0] * block[1]].reshape(block + fine.shape)
+            np.multiply(values[:, None], win, out=w[box])
+            v = out[:block[0] * block[1]].reshape(block + spectrum)
+            if real:
+                # the order of _per_axis: last axis first
+                np.fft.rfft(w, axis=-1, out=v)
+                for axis in range(-2, -d - 1, -1):
+                    np.fft.fft(v, axis=axis, out=v)
+            else:
+                _per_axis(np.fft.fft, w, d, out=v)
+                v *= mesh
+            yield v
 
 
 def _unfold(half, m):
@@ -939,25 +882,22 @@ def _unfold(half, m):
     return np.concatenate([half, mirror], axis=-1)
 
 
-def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
-    """For each of _stft_batches' groups of the functions stack[index],
-    (rows, {p: sums}): the sum over the x lattice of |V_g f|^p on fine's
-    frequency lattice (the max for p = inf), one row per
-    function of the group, for every p of ps; the scale a^d of the x
-    quadrature is left out.
+def _stft_sums(values, plan, ps, stride, fine, real):
+    """{p: sums} of a group of functions (values, as _stft_transforms takes
+    them): the sum over the x lattice of |V_g f|^p on fine's frequency
+    lattice (the max for p = inf), one row per function, for every p of
+    ps; the scale a^d of the x quadrature is left out.
 
-    A group keeps one accumulator per function and p, and each batch is
-    added to it in one reduction over the batch's shift axis, seeded with
-    the running sum: ((acc + r0) + r1) + ..., the order of adding shift by
-    shift, so a function's sums do not depend on the batch size or on the
-    functions it shares a group with.  real=True (real f, real window)
-    takes the half spectrum (_stft_batches' real path) and
-    |V|^p = (|V|^2)^(p/2) from |V|^2 = re^2 + im^2, then unfolds the sums
-    by conjugate symmetry.
-
-    A group forms each batch's magnitudes in one buffer and each power in
-    one spare buffer, one p at a time, both made at the group's first
-    batch, its largest, and reused by the later ones."""
+    Each batch of _stft_transforms is added to one accumulator per
+    function and p in one reduction over the batch's shift axis, seeded
+    with the running sum: ((acc + r0) + r1) + ..., the order of adding
+    shift by shift, so a function's sums do not depend on the batch size
+    or on the functions it shares a group with.  real=True (real f, real
+    window) takes the half spectrum and |V|^p = (|V|^2)^(p/2) from
+    |V|^2 = re^2 + im^2, then unfolds the sums by conjugate symmetry.
+    Each batch's magnitudes go into one buffer and each power into one
+    spare buffer, one p at a time, both made at the first batch, the
+    largest, and reused by the later ones."""
     m = fine.points_per_axis
     shape = fine.shape[:-1] + (m // 2 + 1,) if real else fine.shape
     # the power each p takes of the magnitudes, |V|^2 (real) or |V|; sqrt
@@ -967,38 +907,35 @@ def _stft_inner(stack, index, plan, ps, stride, fine, real=False):
     # the p whose rows are the magnitudes themselves goes last: it changes
     # them
     order = sorted(ps, key=lambda p: powers[p] == 1)
-    for rows, batches in _stft_batches(stack, index, plan, stride, fine,
-                                       real):
-        inner = {p: np.zeros((len(rows),) + shape) for p in ps}
-        buffers = None
-        for batch in batches:
-            if buffers is None:
-                buffers = np.empty((2, batch.size))
-            mags, spare = (b[:batch.size].reshape(batch.shape)
-                           for b in buffers)
-            # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
-            if real:
-                np.square(batch.real, out=mags)
-                mags += np.square(batch.imag, out=spare)
-            else:
-                np.abs(batch, out=mags)
-            for p in order:
-                acc = inner[p]
-                if np.isinf(p):
-                    np.maximum(acc, mags.max(axis=1), out=acc)
-                    continue
-                if powers[p] == 1:
-                    power = mags
-                elif powers[p] in ufuncs:
-                    power = ufuncs[powers[p]](mags, out=spare)
-                else:
-                    power = np.power(mags, powers[p], out=spare)
-                power[:, 0] += acc
-                np.add.reduce(power, axis=1, out=acc)
+    sums = {p: np.zeros((len(values),) + shape) for p in ps}
+    buffers = None
+    for batch in _stft_transforms(values, plan, stride, fine, real):
+        if buffers is None:
+            buffers = np.empty((2, batch.size))
+        mags, spare = (b[:batch.size].reshape(batch.shape) for b in buffers)
+        # |V|^2 = re^2 + im^2 on the half spectrum, |V| on the full one
         if real:
-            inner = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
-                     for p, acc in inner.items()}
-        yield rows, inner
+            np.square(batch.real, out=mags)
+            mags += np.square(batch.imag, out=spare)
+        else:
+            np.abs(batch, out=mags)
+        for p in order:
+            acc = sums[p]
+            if np.isinf(p):
+                np.maximum(acc, mags.max(axis=1), out=acc)
+                continue
+            if powers[p] == 1:
+                power = mags
+            elif powers[p] in ufuncs:
+                power = ufuncs[powers[p]](mags, out=spare)
+            else:
+                power = np.power(mags, powers[p], out=spare)
+            power[:, 0] += acc
+            np.add.reduce(power, axis=1, out=acc)
+    if real:
+        sums = {p: _unfold(np.sqrt(acc) if np.isinf(p) else acc, m)
+                for p, acc in sums.items()}
+    return sums
 
 
 def mod_norms_stft(values, plan, specs, refine=1):
@@ -1009,12 +946,15 @@ def mod_norms_stft(values, plan, specs, refine=1):
     integer >= 1) divides the x stride and multiplies the y sampling
     density.
 
-    One pass over |V_g f| serves every spec and every function: each batch
-    of window shifts is gathered once for a group of functions and
-    transformed, powered and added to one inner L^p_x sum per function and
-    distinct p (_stft_inner).  The refined
-    grid, its weights (one per distinct s) and the pass's buffers are made
-    once per call.  A function's norms are the bits of a call on it alone.
+    One pass over |V_g f| serves every spec and every function.  The
+    functions go through in groups of STFT_BATCH_VALUES // fine.size (at
+    least one), real ones and the others apart: each batch of window
+    shifts is gathered once for a group and transformed
+    (_stft_transforms), powered and added to one inner L^p_x sum per
+    function and distinct p (_stft_sums).  The refined grid and its
+    weights (one per distinct s) are made once per call, the pass's
+    buffers once per group.  A function's norms are the bits of a call on
+    it alone.
 
     Where f and plan.window have no nonzero imaginary part (checked per
     function), V_g f(x, -y) is the conjugate of V_g f(x, y): only the last
@@ -1051,15 +991,15 @@ def mod_norms_stft(values, plan, specs, refine=1):
     complex_rows = np.full(len(stack), bool(plan.window.imag.any()))
     if np.iscomplexobj(stack):
         complex_rows |= stack.imag.reshape(len(stack), g.size).any(axis=1)
+    group = max(1, STFT_BATCH_VALUES // fine.size)
     out = np.empty((len(specs), len(stack)))
     for real, index in ((True, np.flatnonzero(~complex_rows)),
                         (False, np.flatnonzero(complex_rows))):
-        if not index.size:
-            continue
-        for rows, inner in _stft_inner(stack, index, plan, ps, stride, fine,
-                                       real):
+        for start in range(0, len(index), group):
+            rows = index[start:start + group]
+            sums = _stft_sums(stack[rows], plan, ps, stride, fine, real)
             amps = {p: acc if np.isinf(p) else (a_vol * acc) ** (1.0 / p)
-                    for p, acc in inner.items()}
+                    for p, acc in sums.items()}
             for row, spec in zip(out, specs):
                 row[rows] = np.ldexp(lp_norm(amps[spec.p] * weights[spec.s],
                                              b_vol, spec.q, d), e[rows])

@@ -68,7 +68,7 @@ def kernel_l1_norm(sym, grid):
 TRIAL_BATCH_VALUES = 1 << 14
 
 
-def operator_norm_lower(sym, ps, trials, grid, seed=0):
+def operator_norm_lower(sym, ps, trials, grid, seed):
     """Empirical lower bound at every p in ps: max ratio over single modes
     and random polynomials, each trial drawn and filtered once.
 

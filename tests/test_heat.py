@@ -369,11 +369,11 @@ class TestPicardSeries:
         assert res.term_indices == [1, 3, 5]
         assert res.sup_norms[2] < res.sup_norms[1] < res.sup_norms[0]
 
-    def test_depth_validation(self, small_problem):
+    def test_depth_validation(self, small_problem, part1):
         with pytest.raises(ValueError):
-            picard_terms(small_problem, 0, np.linspace(0, 1, 5))
+            picard_terms(small_problem, 0, np.linspace(0, 1, 5), part1)
         with pytest.raises(ValueError):
-            picard_terms(small_problem, 2, np.linspace(0.5, 1, 5))
+            picard_terms(small_problem, 2, np.linspace(0.5, 1, 5), part1)
 
 
 # -- the frequency-side, batched Picard path against the per-slice oracles ------
@@ -593,17 +593,17 @@ class TestBatchedPicard:
                 F, [spec], part)[0].max()
             assert 1 <= res.exact_evaluations[j] <= len(F) - (j > 0)
 
-    def test_non_uniform_grid_rejected(self, small_problem):
+    def test_non_uniform_grid_rejected(self, small_problem, part1):
         t_grid = np.linspace(0.0, 0.5, 9)
         t_grid[4] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="uniform"):
-            picard_terms(small_problem, 2, t_grid)
+            picard_terms(small_problem, 2, t_grid, part1)
         with pytest.raises(ValueError, match="uniform"):
-            picard_terms(small_problem, 2, -np.linspace(0.0, 0.5, 9))
+            picard_terms(small_problem, 2, -np.linspace(0.0, 0.5, 9), part1)
         # roundoff of a uniform spacing passes
         t_grid = np.linspace(0.0, 0.5, 9)
         t_grid[4] *= 1.0 + 1e-12
-        picard_terms(small_problem, 2, t_grid)
+        picard_terms(small_problem, 2, t_grid, part1)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_label_multisets_match_tuple_oracle(self, k):
@@ -637,24 +637,25 @@ class TestBatchedPicard:
                        for _, key in combos)
             assert combos[0] == (k, (1,) * (k - 1) + (term_index(4, k),))
 
-    def test_overflowing_beta_is_identity_at_zero(self, small_problem):
+    def test_overflowing_beta_is_identity_at_zero(self, small_problem,
+                                                   part1):
         prob = HeatProblem(1e300, 2, small_problem.grid, small_problem.u0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = picard_terms(prob, 3, np.linspace(0.0, 0.5, 5))
+            res = picard_terms(prob, 3, np.linspace(0.0, 0.5, 5), part1)
         u0_hat = forward_values(prob.grid, prob.u0)
         assert np.array_equal(res.spectra[0][0], u0_hat)
         assert all(np.all(np.isfinite(F)) for F in res.spectra)
 
-    def test_lattice_bound(self, grid2):
+    def test_lattice_bound(self, grid2, part2):
         fine = fine_grid(grid2, 1000)
         assert fine.size > heat.MAX_LATTICE_VALUES
         u0 = np.exp(-np.sum(grid2.x_mesh ** 2, axis=-1))
         prob = HeatProblem(2.0, 1000, grid2, u0)
         with pytest.raises(ValueError, match="dealiasing lattice"):
-            picard_terms(prob, 2, np.linspace(0.0, 0.1, 3))
+            picard_terms(prob, 2, np.linspace(0.0, 0.1, 3), part2)
         with pytest.raises(ValueError, match="dealiasing lattice"):
-            solve(prob, SolverConfig(dt=0.01, t_max=0.1))
+            solve(prob, SolverConfig(dt=0.01, t_max=0.1), part2)
 
 
 # -- constant data against the Taylor series of u' = u^k -------------------------
@@ -669,7 +670,7 @@ def _taylor_errors(grid, k, t_points, c=0.7, depth=8):
     rate = (k - 1) * c ** (k - 1)
     t_grid = np.linspace(0.0, 0.9 / rate, t_points)
     res = picard_terms(HeatProblem(2.0, k, grid, np.full(grid.shape, c)),
-                       depth, t_grid)
+                       depth, t_grid, UniformPartition(grid))
     a = 1.0 / (k - 1)
     errors = []
     for j, values in enumerate(physical_terms(res)):
@@ -928,7 +929,8 @@ class TestChunkedSolver:
             warnings.simplefilter("error")
             assert solve(plateau, cfg, part1).stop_reason == "threshold"
             tr = solve(overflow, SolverConfig(dt=SOLVE_DT, t_max=0.5,
-                                              blowup_threshold=1e300))
+                                              blowup_threshold=1e300),
+                       UniformPartition(overflow.grid))
         assert tr.stop_reason == "overflow"
         # the per-step loop does warn on this run
         with pytest.warns(RuntimeWarning):
@@ -1098,15 +1100,16 @@ class TestDominationRatios:
         gamma = (4 * math.e * r ** 2 * (k - 1)) ** (1 / (k - 1)) * 1.001
         h = BlowupHypothesis(gamma=gamma, r=r, beta=2.0, k=k, d=dim)
         prob = HeatProblem(2.0, k, grid, plateau_data(grid, gamma, r))
-        res = picard_terms(prob, depth, np.linspace(0.0, 0.25, 9))
+        res = picard_terms(prob, depth, np.linspace(0.0, 0.25, 9),
+                           UniformPartition(grid))
         got = heat.domination_ratios(h, res)
         assert len(got) == depth
         assert got == slice_domination(h, res)
 
-    def test_envelope_beyond_the_float_range_raises(self, grid1):
+    def test_envelope_beyond_the_float_range_raises(self, grid1, part1):
         h = BlowupHypothesis(gamma=1e200, r=1.0, beta=2.0, k=2, d=1)
         prob = HeatProblem(2.0, 2, grid1, plateau_data(grid1, 1.0, 1.0))
-        res = picard_terms(prob, 3, np.linspace(0.0, 0.25, 5))
+        res = picard_terms(prob, 3, np.linspace(0.0, 0.25, 5), part1)
         with pytest.raises(OverflowError):
             heat.domination_ratios(h, res)
 

@@ -10,8 +10,8 @@ from modheat import constants
 from modheat.corpus import band_limited, mixed_family
 from modheat import modnorm
 from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
-                             _block_lp_norms, _parseval_block_norms,
-                             _stft_batches, algebra_defect, bump_profile,
+                             _block_lp_norms, _stft_transforms,
+                             algebra_defect, bump_profile,
                              max_mod_norm, mod_norms_from_frequency,
                              mod_norms_stft, stft_resolution_ok)
 from modheat.spectral import (SpectralGrid, binary_scale, fine_grid,
@@ -300,8 +300,8 @@ def _engine_block_norms(F, part, p):
     """The engine's block table of a stack at one p, taken as the norms
     take it: on 2^-e F, rescaled by 2^e."""
     F, e = scaled_stack(F, part.grid.dim)
-    table = (_parseval_block_norms(F, part) if p == 2
-             else _block_lp_norms(F, part, [p])[0])
+    table = (np.sqrt(modnorm._block_energies(F, part)) if p == 2
+             else _block_lp_norms(F, part, [p], [True], None)[0])
     return np.ldexp(table, e[:, None])
 
 
@@ -550,7 +550,8 @@ class TestMultiSpecEngine:
         part, f = _equiv_case(2)
         F = forward_values(part.grid, f)[None]
         ps = [3.0, 1.0, 4.0, np.inf, 1.5]
-        for p, table in zip(ps, _block_lp_norms(F, part, ps)):
+        tables = _block_lp_norms(F, part, ps, [True] * len(ps), None)
+        for p, table in zip(ps, tables):
             np.testing.assert_array_equal(table,
                                           per_p_block_norms(F, part, p))
 
@@ -622,7 +623,8 @@ class TestMirroredEngine:
         # transformed
         part, F = _real_case(name)
         assert all(_hermitian(F, part))
-        got = _block_lp_norms(F, part, MIRROR_PS)
+        got = _block_lp_norms(F, part, MIRROR_PS, [True] * len(MIRROR_PS),
+                              None)
         full = _complex_tables(F, part, MIRROR_PS)
         for p, table in zip(MIRROR_PS, got):
             np.testing.assert_allclose(table, per_p_block_norms(F, part, p),
@@ -678,7 +680,7 @@ class TestMirroredEngine:
                              / np.sqrt(2))
             F = F[None]
             assert _hermitian(F, part) == [hermitian]
-            got = _block_lp_norms(F, part, ps)
+            got = _block_lp_norms(F, part, ps, [True] * len(ps), None)
             full = _complex_tables(F, part, ps)
             for table, want in zip(got, full):
                 if hermitian and dim == 1:
@@ -697,7 +699,8 @@ class TestMirroredEngine:
         for axis in range(dim):
             F[(slice(None),) * axis + (half,)] *= 1.0 + (axis + 1.0) * 0.5j
         assert _hermitian(F[None], part) == [True]
-        got = _block_lp_norms(F[None], part, MIRROR_PS)
+        got = _block_lp_norms(F[None], part, MIRROR_PS,
+                              [True] * len(MIRROR_PS), None)
         for table, want in zip(got, _complex_tables(F[None], part,
                                                     MIRROR_PS)):
             np.testing.assert_allclose(table, want, rtol=1e-13, atol=0.0)
@@ -716,10 +719,11 @@ class TestMirroredEngine:
         np.testing.assert_array_equal(
             both[1], mod_norms_from_frequency(F, [light], part)[0])
         # the engine: full tables for the heavy spec, copies for the light
-        full, copied = _block_lp_norms(F, part, [1.0, 1.0], [False, True])
+        full, copied = _block_lp_norms(F, part, [1.0, 1.0], [False, True],
+                                       None)
         np.testing.assert_array_equal(full, per_p_block_norms(F, part, 1.0))
-        np.testing.assert_array_equal(copied,
-                                      _block_lp_norms(F, part, [1.0])[0])
+        np.testing.assert_array_equal(
+            copied, _block_lp_norms(F, part, [1.0], [True], None)[0])
         assert not np.array_equal(copied, full)
 
     @pytest.mark.parametrize("amplitude", [1e-160, 1e-120, 1e120, 1e160])
@@ -1062,9 +1066,9 @@ def spy_merged_spans(monkeypatch):
         record = [[rows for _, rows in pieces], 0]
         calls.append(record)
 
-        def counted(F, e):
+        def counted(F):
             record[1] += 1
-            return evaluate(F, e)
+            return evaluate(F)
 
         return spans(pieces, counted, grid)
 
@@ -1151,6 +1155,32 @@ class TestLockstepMax:
                 assert engine_calls <= 2
                 fitted += 1
         assert fitted > 0
+
+    def test_one_scaling_per_evaluation(self, monkeypatch):
+        # a pruned call on one stack at p = 1: the bounds scale each buffer
+        # in place and the engine takes one scaled copy, so each evaluate
+        # call of _merged_spans scales its functions once
+        scale, scalings = modnorm.binary_scale, []
+
+        def spy_scale(values, dim, out=None):
+            scalings.append(len(values))
+            return scale(values, dim, out)
+
+        monkeypatch.setattr(modnorm, "binary_scale", spy_scale)
+        calls = spy_merged_spans(monkeypatch)
+        checked = 0
+        for seed in range(20):
+            part, spec, stacks = _lockstep_case(1, 1.0, seed)
+            if not modnorm._prunable(spec, part):
+                continue
+            scalings.clear()
+            calls.clear()
+            max_mod_norm(stacks[:1], spec, part)
+            evaluations = sum(count for _, count in calls)
+            assert evaluations >= 2
+            assert len(scalings) == evaluations
+            checked += 1
+        assert checked > 0
 
     def test_p2_one_call_per_stack(self):
         part, _, stacks = _lockstep_case(1, 2.0, 7)
@@ -1389,12 +1419,11 @@ def _oracle_stft_norm(name, spec, refine, kind="complex"):
 
 
 def _batched_rows(name, refine):
-    """_stft_batches' stacks, each copied out of its buffer."""
+    """_stft_transforms' stacks, each copied out of its buffer."""
     f, plan = _stft_case(name)
     fine, _ = _oracle_stft_rows(name, refine)
-    (_, batches), = _stft_batches(f[None], np.arange(1), plan,
-                                  _stride(plan, refine), fine)
-    return np.concatenate([v[0].copy() for v in batches])
+    return np.concatenate([v[0].copy() for v in _stft_transforms(
+        f[None], plan, _stride(plan, refine), fine, False)])
 
 
 class TestSTFTEngine:
@@ -1503,8 +1532,8 @@ class TestRealSTFT:
         f, plan = _stft_case(name, "real")
         ps = (1.0, 2.0, 3.0, np.inf)
         fine, _ = _oracle_stft_rows(name, refine, "real")
-        (_, got), = modnorm._stft_inner(f[None], np.arange(1), plan, ps,
-                                        _stride(plan, refine), fine, True)
+        got = modnorm._stft_sums(f[None], plan, ps, _stride(plan, refine),
+                                 fine, True)
         for p in ps:
             want = _oracle_stft_inner(name, p, refine, "real")
             np.testing.assert_allclose(got[p][0], want, rtol=1e-13, atol=0.0)
@@ -1667,16 +1696,27 @@ class TestSTFTStacks:
         stack = np.concatenate([fs] * 3)
         fine, _ = _oracle_stft_rows("d1", refine)
         monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", cap)
-        covered = []
-        for rows, batches in _stft_batches(stack, np.arange(len(stack)),
-                                           plan, _stride(plan, refine), fine):
-            assert len(rows) * fine.size <= max(cap, fine.size)
-            for v in batches:
-                assert v.shape[0] == len(rows)
+        sums, transforms = modnorm._stft_sums, modnorm._stft_transforms
+        groups = []
+
+        def spy_sums(values, *args):
+            groups.append(values.copy())
+            assert len(values) * fine.size <= max(cap, fine.size)
+            return sums(values, *args)
+
+        def spy_transforms(values, *args):
+            for v in transforms(values, *args):
+                assert v.shape[0] == len(values)
                 assert v.shape[0] * v.shape[1] * fine.size <= max(cap,
                                                                  fine.size)
-            covered.extend(rows.tolist())
-        assert covered == list(range(len(stack)))
+                yield v
+
+        monkeypatch.setattr(modnorm, "_stft_sums", spy_sums)
+        monkeypatch.setattr(modnorm, "_stft_transforms", spy_transforms)
+        mod_norms_stft(stack, plan, MULTI_SPECS, refine)
+        # the groups cover the stack, in order
+        covered = np.concatenate(groups)
+        assert covered.tolist() == binary_scale(stack, 1)[0].tolist()
 
 
 class TestSTFTArguments:

@@ -133,16 +133,17 @@ def test_compare_outputs_run_record_without_wall_time():
 
 def _public_api(tree):
     """Public top-level functions and classes of a module, and the public
-    methods and properties of its classes, as (qualified name, name)."""
+    methods and properties of its classes, as (qualified name, name,
+    definition)."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
-            yield node.name, node.name
+            yield node.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
-                        yield f"{node.name}.{item.name}", item.name
+                        yield f"{node.name}.{item.name}", item.name, item
 
 
 def _names_used(tree):
@@ -172,11 +173,76 @@ def test_no_test_only_public_api():
             used |= _names_used(ast.parse(path.read_text()))
     unused = []
     for path in sorted((ROOT / "src" / "modheat").glob("*.py")):
-        for qualified, name in _public_api(ast.parse(path.read_text())):
+        for qualified, name, _ in _public_api(ast.parse(path.read_text())):
             if path.stem == "cli" and name.startswith("cmd_"):
                 continue
             if name not in used:
                 unused.append(f"{path.stem}.{qualified}")
+    assert unused == []
+
+
+def _public_defaults(tree):
+    """(qualified name, name, parameter, positional index) of every
+    parameter with a default of _public_api's functions and methods.  The
+    index counts the arguments a call passes by position (a method's self
+    is not one); it is None for a keyword-only parameter."""
+    for qualified, name, fn in _public_api(tree):
+        if isinstance(fn, ast.ClassDef):
+            continue
+        skip = "." in qualified and not any(
+            isinstance(dec, ast.Name) and dec.id == "staticmethod"
+            for dec in fn.decorator_list)
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield qualified, name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def _call_arguments(tree):
+    """{bare name: [(positional arguments, keyword names)]} of every call
+    of a module to a name or attribute: a *args counts as every position
+    (inf), and a **kwargs as the keyword name None."""
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        calls.setdefault(name, []).append(
+            (math.inf if starred else len(node.args),
+             {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_no_test_only_defaults():
+    # every default of a public function or method of src/modheat is left
+    # to its default by some call of src/modheat, tools/ or perfbench/
+    # (one that passes it neither by position nor by keyword, with no
+    # **kwargs), so no default serves only the tests.  Matching is by bare
+    # name, as in test_no_test_only_public_api; dataclass field defaults
+    # are not parameters of a def and are not checked.
+    calls = {}
+    for folder in ("src/modheat", "tools", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for name, found in _call_arguments(
+                    ast.parse(path.read_text())).items():
+                calls.setdefault(name, []).extend(found)
+    unused = []
+    for path in sorted((ROOT / "src" / "modheat").glob("*.py")):
+        for qualified, name, param, index in _public_defaults(
+                ast.parse(path.read_text())):
+            if not any(None not in keywords and param not in keywords
+                       and (index is None or passed <= index)
+                       for passed, keywords in calls.get(name, [])):
+                unused.append(f"{path.stem}.{qualified}({param})")
     assert unused == []
 
 

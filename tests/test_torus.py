@@ -355,7 +355,7 @@ class TestOperatorNormBracket:
 
     def test_requires_positive_trials(self, tg, heat_spec):
         with pytest.raises(ValueError):
-            operator_norm_lower(heat_spec, [2.0], 0, tg)
+            operator_norm_lower(heat_spec, [2.0], 0, tg, seed=0)
 
 
 @pytest.fixture(scope="module")
