@@ -109,7 +109,7 @@ class HeatProblem:
 class SolverConfig:
     dt: float
     t_max: float
-    blowup_threshold: float = None  # default: 1e6 x initial norm
+    blowup_threshold: float
     scheme: str = "ETD1"
 
     def __post_init__(self):
@@ -122,7 +122,7 @@ class SolverConfig:
                              f"of dt {self.dt!r}")
         if self.scheme not in ("ETD1", "ETD2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.blowup_threshold is not None and not self.blowup_threshold > 0:
+        if not self.blowup_threshold > 0:
             raise ValueError("blow-up threshold must be positive")
 
 
@@ -149,7 +149,8 @@ class SolutionTrace:
 # Working-set cap of solve: grid values in one chunk of steps, whose
 # diagnostics are taken together (the chunk's buffer holds its fine-lattice
 # states, ((k+1)/2)^d times as many values); on the flow benchmark 2^13
-# gained less than the run-to-run spread.
+# and 2^14 gained less than the run-to-run spread, and both move flow's
+# p = 2 norms in the last bits.
 SOLVE_BATCH_VALUES = 1 << 12
 
 # Largest array a run may allocate, in values (64 MiB complex): solve's
@@ -182,7 +183,13 @@ def solve(problem, config, partition):
     finite time).  The state stays on the
     dealiasing lattice fine_grid(grid, k) in its slots (u_hat on the
     band, 0 elsewhere), so each source evaluation is the padded product
-    without the padding and cropping.  Steps run in chunks of
+    without the padding and cropping.  Its crop zeroes the slots off the
+    band, one slab per axis, whatever overflowed there, then multiplies by
+    the reciprocal of the band's scale and phase factor: NumPy divides by
+    c + 0i as exactly that product.  The factor, its reciprocal and the
+    ETD weights are real, and are held complex with imaginary part +0,
+    the cast NumPy makes of a float operand in every complex product, so
+    neither choice moves a bit.  Steps run in chunks of
     SOLVE_BATCH_VALUES // grid.size (at least one): a chunk runs only the
     ETD steps, then gathers its band once and takes the norms, FL^1 and sup
     norms of all its steps in one stacked call each.  Finiteness is
@@ -194,35 +201,43 @@ def solve(problem, config, partition):
     g = problem.grid
     per_chunk = check_lattice(g, problem.k)
     fine = fine_grid(g, problem.k)
-    band, fine_factor = _fine_slots(g, fine)
+    fine_factor, inverse_factor = _fine_slots(g, fine)
+    # the slots off the band on one axis, with every slot of the others
+    half, m = g.points_per_axis // 2, fine.points_per_axis
+    off_band = [(slice(None),) * axis + (slice(half, m - half),)
+                for axis in range(g.dim)]
+
+    def weight(values):
+        """A real weight in fine's slots, complex: the cast NumPy would
+        make of it in every product with a state, made once."""
+        return _to_fine_slots(g, values.astype(complex), fine)
+
     # |xi|^beta may overflow: such modes decay in one step (phi_j(inf) = 0)
     with np.errstate(over="ignore"):
         z = config.dt * g.freq_magnitude ** problem.beta
-    decay = _to_fine_slots(g, np.exp(-z), fine)
+    decay = weight(np.exp(-z))
     # the weights carry source_sign (exact: a negation)
     sign = problem.source_sign
-    w1 = _to_fine_slots(g, sign * config.dt * phi1(z), fine)
-    w2 = (_to_fine_slots(g, sign * config.dt * phi2(z), fine)
+    w1 = weight(sign * config.dt * phi1(z))
+    w2 = (weight(sign * config.dt * phi2(z))
           if config.scheme == "ETD2" else None)
     work = np.empty(fine.shape, complex)
 
     def source(u, out):
-        """u^k in out's band slots: padded_inverse, the power and
-        cropped_forward without leaving the fine lattice.  out starts
-        zeroed, and the slots off the band stay 0."""
+        """u^k in out's band slots, 0 in the others: padded_inverse, the
+        power and cropped_forward without leaving the fine lattice."""
         a = np.multiply(u, fine_factor, out=work)
         _per_axis(np.fft.ifft, a, g.dim, out=a)
         a **= problem.k
         _per_axis(np.fft.fft, a, g.dim, out=a)
-        # like the crop, ignores whatever overflows off the band
-        return np.divide(a, fine_factor, out=out, where=band)
+        for slab in off_band:
+            a[slab] = 0
+        return np.multiply(a, inverse_factor, out=out)
 
     u_hat = forward_values(g, problem.u0)
     spec = problem.norm_spec
     init_norm = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
     threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = 1e6 * init_norm if init_norm > 0 else 1e6
     if init_norm >= threshold:
         raise ValueError("blow-up threshold must exceed the initial norm")
 
@@ -237,8 +252,8 @@ def solve(problem, config, partition):
     n_steps = int(round(config.t_max / config.dt))
     hats = np.empty((per_chunk,) + fine.shape, complex)
     u = _to_fine_slots(g, u_hat, fine)
-    n_vals = np.zeros(fine.shape, complex)
-    n_stage = np.zeros(fine.shape, complex) if w2 is not None else None
+    n_vals = np.empty(fine.shape, complex)
+    n_stage = np.empty(fine.shape, complex) if w2 is not None else None
     band_index = _band_slots(g, fine)[0]
     t = 0.0
     step = computed = 0
@@ -587,7 +602,9 @@ def picard_terms(problem, depth, t_grid, partition):
     k = problem.k
     check_lattice(g, k)
     n_t = len(t_grid)
-    lags = heat_symbol(g, t_grid, problem.beta)
+    # complex once: every use multiplies complex values, for which NumPy
+    # would cast it on every call
+    lags = heat_symbol(g, t_grid, problem.beta).astype(complex)
     fine = fine_grid(g, k)
     batch = max(1, PICARD_BATCH_VALUES // fine.size)
     combos = [_label_multisets(j, k) for j in range(1, depth)]

@@ -278,16 +278,16 @@ def _band_slots(grid, fine):
 
 @lru_cache(maxsize=8)
 def _fine_slots(grid, fine):
-    """_band_slots over all of fine's slots: a mask of grid's band, and the
-    band's factor with 1 in every other slot."""
+    """_band_slots' factor over all of fine's slots, 1 in every slot off the
+    band, and its reciprocal, both complex (imaginary part +0): the cast
+    NumPy makes of a float operand of a complex product, made once."""
     index, factor = _band_slots(grid, fine)
-    band = np.zeros(fine.shape, bool)
-    band[index] = True
     fine_factor = np.ones(fine.shape)
     fine_factor[index] = factor
-    for arr in (band, fine_factor):
+    meshes = (fine_factor.astype(complex), (1.0 / fine_factor).astype(complex))
+    for arr in meshes:
         arr.setflags(write=False)
-    return band, fine_factor
+    return meshes
 
 
 def _to_fine_slots(grid, values, fine):

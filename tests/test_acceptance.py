@@ -22,7 +22,7 @@ from modheat.modnorm import ModNormSpec, UniformPartition
 from modheat.spectral import SpectralGrid, forward_values, inverse_values
 from modheat.torus import (kernel_l1_norm, operator_norm_lower,
                            oscillator_heat_symbol, transference_check)
-from test_heat import linear_flow, physical_terms
+from test_heat import linear_flow, million_fold, physical_terms
 from test_hermite import gram_matrix, oscillator_heat, quadrature, synthesize
 from test_modnorm import (block_project, mod_norm_decomp, partition_keys,
                           partition_symbol)
@@ -143,14 +143,18 @@ def test_criterion_04_blowup_reproduction(grid1, part1):
     assert hyp.horizon == pytest.approx(0.25)
 
     prob = HeatProblem(2.0, 2, grid1, u0)
-    trace = solve(prob, SolverConfig(dt=2e-4, t_max=0.5), part1)
+    trace = solve(prob, SolverConfig(
+        dt=2e-4, t_max=0.5, blowup_threshold=million_fold(prob, part1)),
+        part1)
     assert trace.blowup_detected
     assert trace.t_detect < 0.5
     assert trace.norms[-1] > 1e6 * trace.norms[0]
 
     small = 1e-3 * u0
-    strace = solve(HeatProblem(2.0, 2, grid1, small),
-                   SolverConfig(dt=2e-3, t_max=1.0), part1)
+    sprob = HeatProblem(2.0, 2, grid1, small)
+    strace = solve(sprob, SolverConfig(
+        dt=2e-3, t_max=1.0, blowup_threshold=million_fold(sprob, part1)),
+        part1)
     assert not strace.blowup_detected
     assert max(strace.norms) <= 2.0 * strace.norms[0]
 

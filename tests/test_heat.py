@@ -46,6 +46,14 @@ def all_passed(conditions):
     return all(c.passed for c in conditions)
 
 
+def million_fold(problem, partition):
+    """1e6 times the data's norm: the blow-up threshold the CLI sets by
+    default (solver.threshold_factor)."""
+    u_hat = forward_values(problem.grid, problem.u0)
+    return 1e6 * float(mod_norms_from_frequency(
+        u_hat, [problem.norm_spec], partition)[0])
+
+
 @pytest.fixture(scope="module")
 def small_problem(grid1):
     u0 = 0.01 * np.exp(-grid1.x_axis ** 2 / 2)
@@ -96,15 +104,19 @@ class TestSolver:
     def test_zero_data_stays_zero(self, grid1, part1):
         z = np.zeros(grid1.shape)
         tr = solve(HeatProblem(2.0, 2, grid1, z),
-                   SolverConfig(dt=0.05, t_max=0.5), part1)
+                   SolverConfig(dt=0.05, t_max=0.5, blowup_threshold=1.0),
+                   part1)
         assert max(tr.norms) == 0.0
         assert not tr.blowup_detected
 
     def test_small_data_bounded_and_resolution_stable(self, small_problem, part1):
-        tr = solve(small_problem, SolverConfig(dt=0.002, t_max=1.0), part1)
+        threshold = million_fold(small_problem, part1)
+        tr = solve(small_problem, SolverConfig(
+            dt=0.002, t_max=1.0, blowup_threshold=threshold), part1)
         assert not tr.blowup_detected
         assert max(tr.norms) <= 2.0 * tr.norms[0]
-        tr2 = solve(small_problem, SolverConfig(dt=0.001, t_max=1.0), part1)
+        tr2 = solve(small_problem, SolverConfig(
+            dt=0.001, t_max=1.0, blowup_threshold=threshold), part1)
         coarse = np.array(tr.norms)
         fine = np.array(tr2.norms[::2])
         assert np.max(np.abs(coarse - fine) / fine) <= 0.01
@@ -114,8 +126,10 @@ class TestSolver:
         prob = HeatProblem(2.0, 2, grid1, u0)
 
         def final(dt):
-            return solve(prob, SolverConfig(dt=dt, t_max=0.25),
-                         part1).final_state
+            return solve(prob, SolverConfig(
+                dt=dt, t_max=0.25,
+                blowup_threshold=million_fold(prob, part1)),
+                part1).final_state
 
         ref = final(1 / 1024)
         e1 = np.max(np.abs(final(1 / 256) - ref))
@@ -127,8 +141,10 @@ class TestSolver:
         prob = HeatProblem(2.0, 2, grid1, u0)
 
         def final(scheme, dt):
-            return solve(prob, SolverConfig(dt=dt, t_max=0.25, scheme=scheme),
-                         part1).final_state
+            return solve(prob, SolverConfig(
+                dt=dt, t_max=0.25, scheme=scheme,
+                blowup_threshold=million_fold(prob, part1)),
+                part1).final_state
 
         ref = final("ETD2", 1 / 2048)
         e1 = np.max(np.abs(final("ETD1", 1 / 256) - ref))
@@ -142,9 +158,10 @@ class TestSolver:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(dt=0.5, t_max=0.1)
+            SolverConfig(dt=0.5, t_max=0.1, blowup_threshold=1.0)
         with pytest.raises(ValueError):
-            SolverConfig(dt=0.01, t_max=1.0, scheme="RK4")
+            SolverConfig(dt=0.01, t_max=1.0, blowup_threshold=1.0,
+                         scheme="RK4")
         for threshold in (math.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="threshold"):
                 SolverConfig(dt=0.01, t_max=1.0, blowup_threshold=threshold)
@@ -154,8 +171,9 @@ class TestSolver:
     def test_t_max_must_be_whole_multiple_of_dt(self, dt, t_max):
         # solve used to round t_max / dt to a step count silently
         with pytest.raises(ValueError, match="t_max"):
-            SolverConfig(dt=dt, t_max=t_max)
-        SolverConfig(dt=1e-5, t_max=0.5)  # 49999.99999999999 steps: whole
+            SolverConfig(dt=dt, t_max=t_max, blowup_threshold=1.0)
+        # 49999.99999999999 steps: whole
+        SolverConfig(dt=1e-5, t_max=0.5, blowup_threshold=1.0)
 
     def test_data_must_fit_the_grid(self):
         # the samples take the grid's shape, and every one is finite
@@ -174,9 +192,11 @@ class TestSolver:
             HeatProblem(2.0, 2, grid, np.ones(16), source_sign=sign)
 
     def test_certified_data_blows_up_with_monotone_tail(self, grid1, part1):
-        u0 = 41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2)
-        tr = solve(HeatProblem(2.0, 2, grid1, u0),
-                   SolverConfig(dt=2e-4, t_max=0.5), part1)
+        prob = HeatProblem(2.0, 2, grid1,
+                           41.0 * np.exp(-2 * np.pi * grid1.x_axis ** 2))
+        tr = solve(prob, SolverConfig(
+            dt=2e-4, t_max=0.5, blowup_threshold=million_fold(prob, part1)),
+            part1)
         assert tr.blowup_detected
         assert tr.t_detect < 0.5
         assert tr.norms[-1] > 1e6 * tr.norms[0]
@@ -191,18 +211,21 @@ class TestSolver:
         u0 = 1.001 * amp * np.exp(-2 * np.pi * grid1.x_axis ** 2)
         hyp = BlowupHypothesis(gamma=11.0, r=1.0, beta=2.0, k=2, d=1)
         assert all_passed(certify_hypothesis(hyp, grid1, u0))
-        tr = solve(HeatProblem(2.0, 2, grid1, u0),
-                   SolverConfig(dt=1e-5, t_max=0.5), part1)
+        prob = HeatProblem(2.0, 2, grid1, u0)
+        tr = solve(prob, SolverConfig(
+            dt=1e-5, t_max=0.5, blowup_threshold=million_fold(prob, part1)),
+            part1)
         assert tr.blowup_detected
         assert tr.t_detect < 0.5
         assert tr.norms[-1] > 1e6 * tr.norms[0]
 
     def test_sign_flag_changes_dynamics(self, grid1, part1):
         u0 = 0.5 * np.exp(-grid1.x_axis ** 2 / 2)
-        grow = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=1),
-                     SolverConfig(dt=0.01, t_max=0.2), part1)
-        damp = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=-1),
-                     SolverConfig(dt=0.01, t_max=0.2), part1)
+        cfg = SolverConfig(dt=0.01, t_max=0.2, blowup_threshold=1e300)
+        grow = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=1), cfg,
+                     part1)
+        damp = solve(HeatProblem(2.0, 2, grid1, u0, source_sign=-1), cfg,
+                     part1)
         assert damp.norms[-1] < grow.norms[-1]
 
 
@@ -346,7 +369,9 @@ class TestPicardSeries:
     def test_partial_sum_matches_solver(self, small_picard, part1):
         prob, res = small_picard
         partial = sum(traj[-1] for traj in physical_terms(res)[:6])
-        tr = solve(prob, SolverConfig(dt=1 / 512, t_max=0.5), part1)
+        tr = solve(prob, SolverConfig(
+            dt=1 / 512, t_max=0.5, blowup_threshold=million_fold(prob, part1)),
+            part1)
         assert tr.times[-1] == pytest.approx(0.5)
         assert np.max(np.abs(partial - tr.final_state)) <= 1e-4
 
@@ -655,7 +680,8 @@ class TestBatchedPicard:
         with pytest.raises(ValueError, match="dealiasing lattice"):
             picard_terms(prob, 2, np.linspace(0.0, 0.1, 3), part2)
         with pytest.raises(ValueError, match="dealiasing lattice"):
-            solve(prob, SolverConfig(dt=0.01, t_max=0.1), part2)
+            solve(prob, SolverConfig(dt=0.01, t_max=0.1,
+                                     blowup_threshold=1e300), part2)
 
 
 # -- constant data against the Taylor series of u' = u^k -------------------------
@@ -718,8 +744,6 @@ def _solve_oracle(problem, config, partition):
     spec = problem.norm_spec
     init_norm = float(mod_norms_from_frequency(u_hat, [spec], partition)[0])
     threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = 1e6 * init_norm if init_norm > 0 else 1e6
     times, norms = [0.0], [init_norm]
     fl1 = [frequency_lp_norm(g, u_hat, 1)]
     linf = [float(np.max(np.abs(u)))]
@@ -842,6 +866,10 @@ class TestChunkedSolver:
         want = _oracle(prob, cfg, UniformPartition(grid))
         got = _solve_chunked(prob, cfg, 16, monkeypatch)
         _assert_matches_oracle(got, want)
+        # at p = 1 a norm's bits do not depend on the stack it comes in,
+        # so the step's bits show: the crop, the weights and their order
+        # are the per-step loop's to the last bit
+        assert got.norms == want.norms
         assert got.stop_reason == "overflow"
         assert got.t_detect == got.times[-1]
         assert got.steps_discarded == 1
@@ -873,8 +901,10 @@ class TestChunkedSolver:
         grid, scheme = SOLVE_CASES[case]
         sq = np.sum(grid.x_mesh ** 2, axis=-1)
         prob = HeatProblem(2.0, 2, grid, 0.5 * np.exp(-sq))
-        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme)
-        want = _oracle(prob, cfg, UniformPartition(grid))
+        part = UniformPartition(grid)
+        cfg = SolverConfig(dt=SOLVE_DT, t_max=64 * SOLVE_DT, scheme=scheme,
+                           blowup_threshold=million_fold(prob, part))
+        want = _oracle(prob, cfg, part)
         got = _solve_chunked(prob, cfg, chunk, monkeypatch)
         _assert_matches_oracle(got, want)
         assert got.final_state.shape == grid.shape
@@ -919,11 +949,22 @@ class TestChunkedSolver:
         got = _solve_chunked(prob, cfg, 4, monkeypatch)
         _assert_matches_oracle(got, want)
         assert got.stop_reason == "overflow"
+        # with steps of 2^-1000 the source adds nothing the state notices:
+        # every step's transform overflows off the band, yet the run
+        # reaches t_max, which a non-finite slot off the band would stop
+        tiny = 2.0 ** -1000
+        cfg = SolverConfig(dt=tiny, t_max=8 * tiny, blowup_threshold=1e308)
+        want = _oracle(prob, cfg, UniformPartition(grid))
+        got = _solve_chunked(prob, cfg, 4, monkeypatch)
+        _assert_matches_oracle(got, want)
+        assert got.norms == want.norms
+        assert got.stop_reason == "t_max" and len(got.times) == 9
 
     def test_blowup_and_overflow_emit_no_runtime_warning(self, grid1, part1):
         gamma = 4 * math.e * (1 + 1e-6)
         plateau = HeatProblem(2.0, 2, grid1, plateau_data(grid1, gamma, 1.0))
-        cfg = SolverConfig(dt=2e-4, t_max=0.5)
+        cfg = SolverConfig(dt=2e-4, t_max=0.5,
+                           blowup_threshold=million_fold(plateau, part1))
         overflow = _growing_problem(SpectralGrid(1, 64, 8.0), p=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

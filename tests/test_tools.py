@@ -131,6 +131,75 @@ def test_compare_outputs_run_record_without_wall_time():
         "t seed 0 report.json: same values, other bytes"]
 
 
+# wall_cal of each (side, pair) of the fake runs, and the OLD quartiles of
+# np.percentile's linear rule: sorted 10, 11, 12, 13 -> 10.75 and 12.25
+FAKE_WALL_CAL = {"old": [10.0, 12.0, 11.0, 13.0], "new": [9.0, 12.5, 10.0, 11.0]}
+
+
+def test_compare_timing_alternates_and_summarizes(tmp_path):
+    tool = runpy.run_path(str(TOOLS / "compare_timing.py"))
+    old, new = tmp_path / "old", tmp_path / "new"
+    for checkout in (old, new):
+        (checkout / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the bytecode of both checkouts is gone before the first run
+        assert not list(tmp_path.rglob("__pycache__"))
+        side = "old" if checkout == old else "new"
+        pair = seed - 7
+        calls.append((side, seed))
+        return {"correct": True, "wall_cal": FAKE_WALL_CAL[side][pair],
+                "wall_s": 2.0 if side == "old" else 1.0,
+                "peak_rss_mb": 50.0, "setup_s": 0.1 * (pair + 1)}
+
+    figures = tool["compare"](old, new, "flow", 4, 1.5, 7, run=fake_run)
+    # a fresh seed per pair, and the first side alternates
+    assert calls == [("old", 7), ("new", 7), ("new", 8), ("old", 8),
+                     ("old", 9), ("new", 9), ("new", 10), ("old", 10)]
+    assert figures["failed"] == []
+    assert figures["wall_cal"] == {
+        "old_median": 11.5, "new_median": 10.5, "old_iqr": [10.75, 12.25],
+        "new_wins": 3, "outside_iqr": True}
+    assert figures["wall_s"]["new_wins"] == 4
+    # equal readings are no win, and a median on the range is inside it
+    assert figures["peak_rss_mb"]["new_wins"] == 0
+    assert not figures["peak_rss_mb"]["outside_iqr"]
+    assert not figures["setup_s"]["outside_iqr"]
+    lines = tool["report"](figures)
+    assert json.loads(lines[-1]) == json.loads(json.dumps(figures))
+    assert lines[1] == (
+        "  wall_cal     median 11.5 -> 10.5, OLD IQR [10.75, 12.25], NEW "
+        "lower in 3/4, outside OLD IQR; wall_s median 2 -> 1")
+
+    def failing_run(checkout, workload, seed, seconds):
+        return dict(fake_run(checkout, workload, seed, seconds),
+                    correct=checkout == old)
+
+    figures = tool["compare"](old, new, "flow", 1, 1.5, 7, run=failing_run)
+    assert figures["failed"] == ["new run at seed 7 failed its checks"]
+    assert "wall_cal" not in figures
+    assert json.loads(tool["report"](figures)[-1])["failed"] == [
+        "new run at seed 7 failed its checks"]
+
+
+def test_compare_timing_self_smoke_pair(capsys):
+    # one pair of real perfbench runs of this checkout against itself: one
+    # pass each, as --seconds 0 allows
+    tool = runpy.run_path(str(TOOLS / "compare_timing.py"))
+    root = str(ROOT)
+    code = tool["main"]([root, root, "--workload", "estimators",
+                         "--pairs", "1", "--seconds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    figures = json.loads(lines[-1])
+    assert figures["failed"] == [] and figures["seeds"] == [1000, 1000]
+    for name in ("wall_cal", "peak_rss_mb", "setup_s", "wall_s"):
+        assert set(figures[name]) == {"old_median", "new_median", "old_iqr",
+                                      "new_wins", "outside_iqr"}
+        assert figures[name]["old_median"] > 0
+
+
 def _public_api(tree):
     """Public top-level functions and classes of a module, and the public
     methods and properties of its classes, as (qualified name, name,
