@@ -356,7 +356,8 @@ class RunRecord:
     def write_csv(self, name, header, rows):
         path = os.path.join(self.out_dir, name)
         lines = [",".join(header)]
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
+        # str of a NumPy float64 is the repr of the float it holds
+        lines.extend(",".join(map(str, row)) for row in rows)
         # one write call for the whole file, not one per row
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -389,11 +390,6 @@ class RunRecord:
         }
         self.write_json("run_record.json", record)
         return record
-
-
-def _fmt(v):
-    # float.__repr__ of a NumPy float64 is the repr of the float it holds
-    return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def _emit_gnuplot(out_dir, csv_name):

@@ -47,19 +47,17 @@ only (p, grid) and the weights, never the data, can take a norm's
 intermediates beyond the float range (_prunable).
 
 On a d = 1 grid real data takes about half the block engine's work at
-p != 2.  A function whose frequency samples are Hermitian
-(hermitian_defect <= HERMITIAN_TOL) has box_{-k} f equal to the conjugate
-of box_k f for every key whose row, and its mirror's row, vanish on -N/2.
-Of those keys the engine's mirrored path transforms the ones at or above
-0 and copies each other one from its mirror (_mirror_rows); the keys that
-touch -N/2 are transformed.  The real data kinds, the solver states and
-Picard terms grown from them, band_limited and the Hermite families take
-this path; complex functions (mixed_family's modulated Gaussians, a
-complex csv datum) take every block as before, bit for bit.  A spec whose
-error bound for the copies would not fit max_mod_norm's roundoff slack
-(large weights: MIRROR_SLACK, _mirror_error) takes every block for every
-function.  At d >= 2 every function takes every block: no workload has
-measured a gain from mirroring there.
+p != 2.  A function whose frequency samples equal their conjugate mirror,
+F(-xi) = conj F(xi), exactly off -N/2 (_hermitian) has box_{-k} f equal to
+the conjugate of box_k f for every key whose row, and its mirror's row,
+vanish on -N/2.  Of those keys the engine's mirrored path transforms the
+ones at or above 0 and copies each other one from its mirror
+(_mirror_rows); the keys that touch -N/2 are transformed.  The transform
+of a float stack is Hermitian exactly (spectral.forward_values), so real
+data take this path: band_limited, the Hermite families and their flows.
+Complex functions (solver states, Picard terms, mixed_family's modulated
+Gaussians, a csv datum) take every block.  At d >= 2 every function takes
+every block: no workload has measured a gain from mirroring there.
 
 Partitions cache the tables derived from them on first use (_memo) and
 are otherwise immutable, as are STFT plans; per-block work is independent,
@@ -74,8 +72,8 @@ import operator
 
 import numpy as np
 
-from .spectral import (SpectralGrid, _factor_meshes, _per_axis,
-                       binary_scale, cropped_forward, fine_grid,
+from .spectral import (SpectralGrid, _factor_meshes, _negated_slots,
+                       _per_axis, binary_scale, cropped_forward, fine_grid,
                        forward_values, inverse_axis_factor, inverse_values,
                        lp_norm, padded_inverse)
 
@@ -157,10 +155,11 @@ def _mirror_rows(partition):
     schedule at d = 1: the folded rows it transforms and their indices,
     then the rows whose norms it copies instead, each from its source row.
 
-    The rows obey row_{-c}(xi) = row_c(-xi) on every slot but -N/2, which
-    has no mirror, so for a Hermitian function a row that vanishes on -N/2,
-    and whose mirror does, has the block norms of its mirror.  Those rows
-    of centers below 0 are copied; every other row is transformed.
+    The rows obey row_{-c}(xi) = row_c(-xi) bit for bit on every slot but
+    -N/2, which has no mirror, so for a Hermitian function a row that
+    vanishes on -N/2, and whose mirror does, has the block norms of its
+    mirror (comment above BOUND_ROUNDOFF).  Those rows of centers below 0
+    are copied; every other row is transformed.
     """
     centers = np.array(partition._active_centers)
     n = partition.grid.points_per_axis
@@ -199,8 +198,8 @@ class ModNormSpec:
 # temporary (512 KiB), R N^d per function at p != 2, R the rows per axis
 # the schedule transforms (all K active rows, or the mirrored ones at
 # d = 1: 28 of 52 at N = 256, L = 16), N^d at p = 2, where the Parseval
-# contraction holds one row, and N values per function in the Hermitian
-# check.  On repeated Picard runs (N = 256, two functions a batch) 2^14 was
+# contraction holds one row, and 2 N values per function in the Hermitian
+# test.  On repeated Picard runs (N = 256, two functions a batch) 2^14 was
 # ~1.6x slower, and 2^16 raised peak memory by 1-3 % for a small, unsteady
 # gain.
 NORM_BATCH_VALUES = 1 << 15
@@ -208,8 +207,8 @@ NORM_BATCH_VALUES = 1 << 15
 
 def _engine_batch(rows, grid):
     """Functions per engine batch when the engine holds `rows` rows of N^d
-    values per function: one row at p = 2 (and in the Hermitian check at
-    d = 1), at p != 2 the most rows any schedule of the batch transforms."""
+    values per function: one row at p = 2 (and in the Hermitian test at
+    d = 1), at p != 2 the rows the batch's schedule transforms."""
     return max(1, NORM_BATCH_VALUES // (rows * grid.size))
 
 
@@ -242,13 +241,6 @@ def _block_energies(F, partition, lag=None):
     return g.freq_spacing ** g.dim * np.hypot(G[:, 0], G[:, 1])
 
 
-# Hermitian tolerance tau of the block engine (hermitian_defect): the FFT
-# bound quoted above BOUND_ROUNDOFF, 6 u log2(N^d) <= 2^-45 of ||F||_2
-# (Higham, Thm 24.2), on each of F(xi) and F(-xi) of a real function's
-# transform.
-HERMITIAN_TOL = 2.0 ** -44
-
-
 def _mirror_pairs(grid):
     """The flat indices of the lattice slots off the -N/2 rows, then those
     of each one's mirror, slot -i mod N on every axis."""
@@ -260,30 +252,23 @@ def _mirror_pairs(grid):
          np.ravel_multi_index([-m % n for m in mesh], grid.shape).ravel()])
 
 
-def hermitian_defect(F, partition):
-    """||F - conj F(-.)|| / ||F|| of each function of a stack (frequency
-    samples in the last d axes), in l^2 over the slots off the -N/2 rows:
-    the measure the block engine compares with HERMITIAN_TOL, on its 2^-e f
-    (binary_scale); NaN for the zero function."""
+def _hermitian(F, partition):
+    """Whether each function of a stack (frequency samples in the last d
+    axes) equals its conjugate mirror in value, F(xi) == conj F(-xi), at
+    every slot off the -N/2 rows: the functions the engine mirrors."""
     pairs = _memo(partition, "mirror pairs",
                   lambda: _mirror_pairs(partition.grid))
-    flat = np.ascontiguousarray(F.reshape(len(F), -1), dtype=complex)
-    both = flat.take(pairs, axis=1)
+    both = F.reshape(len(F), -1).take(pairs, axis=1)
     half = both.shape[1] // 2
-    defect, mirrored = both[:, :half], both[:, half:]
-    np.subtract(defect, np.conjugate(mirrored, out=mirrored), out=defect)
-    defect, values = defect.view(float), flat.view(float)
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(np.einsum("ij,ij->i", defect, defect)
-                       / np.einsum("ij,ij->i", values, values))
+    mirrored = np.conjugate(both[:, half:], out=both[:, half:])
+    return np.all(both[:, :half] == mirrored, axis=1)
 
 
-def _block_lp_norms(F, partition, ps, mirror, batch):
+def _block_lp_norms(F, partition, ps, batch):
     """L^p norms of every active block of each function in a stack F
     (frequency samples in the last d axes behind one stack axis): one
-    (functions, active keys) table per p of ps (none of them 2).
-    mirror[i] False keeps ps[i]'s table off the mirrored path; the pairs
-    (ps[i], mirror[i]) are distinct.
+    (functions, active keys) table per p of ps, which are distinct and
+    none of them 2.
 
     The inverse transform factors into one 1-D transform per axis: the
     leading axes are transformed block by block, and all blocks of the
@@ -293,48 +278,39 @@ def _block_lp_norms(F, partition, ps, mirror, batch):
     any other p but the last takes its powers into a fresh array, and the
     last takes them in place; p = 4 takes them by two squarings.
 
-    At d = 1, where some mirror[i] is set, the stack is checked once, in
-    chunks of _engine_batch(1) functions, and split into its Hermitian
-    functions (hermitian_defect <= HERMITIAN_TOL) and the others; a group
-    that is the whole stack is not copied.  A Hermitian function takes
-    the mirrored schedule (_mirror_rows) at every p whose mirror[i] is
-    set; every other table is on the full schedule.  A group goes through
-    `batch` functions at a time, or _engine_batch(R), R the mirrored rows
-    if its every table is mirrored and all K rows otherwise, in one pass
-    per schedule.  A norm has the bits of a call on that function alone;
-    a mirrored table matches the full one to roundoff, its transformed
-    columns bit for bit.
+    At d = 1 the stack is tested once (_hermitian), in chunks of
+    _engine_batch(2) functions, and split into its Hermitian functions,
+    which take the mirrored schedule (_mirror_rows) at every p, and the
+    others, which take the full one; a group that is the whole stack is
+    not copied.  A group goes through `batch` functions at a time, or
+    _engine_batch(R), R the rows of its schedule.  A norm has the bits of
+    a call on that function alone; a mirrored table matches the full one
+    to roundoff, its transformed columns bit for bit.
     """
     g = partition.grid
     hermitian = np.zeros(len(F), bool)
-    if g.dim == 1 and any(mirror):
-        step = _engine_batch(1, g)
-        hermitian = np.concatenate(
-            [hermitian_defect(F[i:i + step], partition)
-             for i in range(0, len(F), step)]) <= HERMITIAN_TOL
+    if g.dim == 1:
+        step = _engine_batch(2, g)
+        hermitian = np.concatenate([_hermitian(F[i:i + step], partition)
+                                    for i in range(0, len(F), step)])
     out = [np.empty((len(F), len(partition._key_radii))) for _ in ps]
     for kind in (True, False):
         rows = np.flatnonzero(hermitian == kind)
         group = F if rows.size == len(F) else F[rows]
-        kinds = [kind and copy for copy in mirror]
         size = batch or _engine_batch(
             _memo(partition, "mirror rows",
                   lambda: _mirror_rows(partition))[1].size
-            if all(kinds) else len(partition._active_centers), g)
+            if kind else len(partition._active_centers), g)
         for i in range(0, rows.size, size):
-            tables = {copy: _block_lp_tables(
-                group[i:i + size], partition,
-                list(dict.fromkeys(p for p, c in zip(ps, kinds) if c == copy)),
-                copy) for copy in set(kinds)}
-            for table, p, copy in zip(out, ps, kinds):
-                table[rows[i:i + size]] = tables[copy][p]
+            tables = _block_lp_tables(group[i:i + size], partition, ps, kind)
+            for table, chunk in zip(out, tables):
+                table[rows[i:i + size]] = chunk
     return out
 
 
 def _block_lp_tables(F, partition, ps, hermitian):
-    """{p: block table} of a stack on the engine's full (hermitian=False)
-    or, at d = 1, mirrored schedule (_mirror_rows), for the distinct p of
-    ps."""
+    """[block table of each p of ps] of a stack on the engine's full
+    (hermitian=False) or, at d = 1, mirrored schedule (_mirror_rows)."""
     g = partition.grid
     d = g.dim
     rows = partition._folded_rows
@@ -375,12 +351,13 @@ def _block_lp_tables(F, partition, ps, hermitian):
             chunks[p].append((vol * np.sum(powers, axis=block_axes))
                              ** (1.0 / p))
     if not hermitian:
-        return {p: np.concatenate(chunks[p], axis=1) for p in ps}
-    tables = {}
-    for p, (chunk,) in chunks.items():
-        table = tables[p] = np.empty((len(F), nrows))
-        table[:, taken] = chunk
+        return [np.concatenate(chunks[p], axis=1) for p in ps]
+    tables = []
+    for p in ps:
+        table = np.empty((len(F), nrows))
+        table[:, taken] = chunks[p][0]
         table[:, copied] = table[:, sources]
+        tables.append(table)
     return tables
 
 
@@ -392,42 +369,35 @@ def mod_norms_from_frequency(values, specs, partition, batch=None):
 
     The p = 2 tables are Parseval contractions (_block_energies) of
     _engine_batch(1) functions at a time, or `batch`; the others come from
-    one _block_lp_norms call for every distinct (p, mirrored) pair.  Each
-    distinct p's block table is formed once for all the specs that share
-    it; only the weights and the q-sum are per spec, so a norm has the
-    bits a call on its spec alone gives.  At p = 2 the contraction's BLAS
-    kernel, and so a norm's last bit, depends on how many functions share
-    an engine batch (dgemv for one, dgemm for more): batch=1 gives every
-    norm the bits of a call on that function alone.  Real samples are
-    taken as complex.  An empty stack gives an empty array."""
+    one _block_lp_norms call.  Each distinct p's block table is formed once
+    for all the specs that share it; only the weights and the q-sum are per
+    spec, so a norm has the bits a call on its spec alone gives.  At p = 2
+    the contraction's BLAS kernel, and so a norm's last bit, depends on how
+    many functions share an engine batch (dgemv for one, dgemm for more):
+    batch=1 gives every norm the bits of a call on that function alone.
+    Real samples are taken as complex.  An empty stack gives an empty
+    array; non-finite values raise ValueError (binary_scale)."""
     # complex: the engine transforms its blocks in place
     values = np.asarray(values, complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite values in norm input")
     g = partition.grid
     stack = values.reshape((-1,) + g.shape)
     if not len(stack):
         return np.empty((len(specs),) + values.shape[:values.ndim - g.dim])
     stack, e = binary_scale(stack, g.dim)
-    # each spec's block table: p, and at p != 2 whether the mirrored path's
-    # error bound fits the roundoff slack
-    keys = [(spec.p, spec.p != 2 and _memo(
-        partition, ("mirror error", spec),
-        lambda: _mirror_error(spec, partition)) <= MIRROR_SLACK)
-        for spec in specs]
-    general = [key for key in dict.fromkeys(keys) if key[0] != 2]
+    ps = list(dict.fromkeys(spec.p for spec in specs))
+    general = [p for p in ps if p != 2]
     tables = {}
-    if (2.0, False) in keys:
+    if 2 in ps:
         step = _engine_batch(1, g) if batch is None else batch
-        tables[2.0, False] = np.sqrt(np.concatenate(
+        tables[2.0] = np.sqrt(np.concatenate(
             [_block_energies(stack[i:i + step], partition)
              for i in range(0, len(stack), step)]))
     if general:
-        tables.update(zip(general, _block_lp_norms(
-            stack, partition, *zip(*general), batch)))
+        tables.update(zip(general, _block_lp_norms(stack, partition, general,
+                                                   batch)))
     out = np.empty((len(specs), len(stack)))
-    for row, key, spec in zip(out, keys, specs):
-        row[:] = _block_sums(tables[key], spec, partition)
+    for row, spec in zip(out, specs):
+        row[:] = _block_sums(tables[spec.p], spec, partition)
     np.ldexp(out, e, out=out)
     return out.reshape((len(specs),) + values.shape[:values.ndim - g.dim])
 
@@ -454,7 +424,10 @@ def _block_sums(table, spec, partition):
 # roots and weights a few u each (p = 4 takes a^4 as (a^2)^2, two
 # roundings, at most 3u).  That is below 2^-19; 2^-18 also covers the
 # products of these factors.  Subnormal roundings, which are absolute,
-# _prunable's comment bounds by 2^-22 of the norm on each side.
+# _prunable's comment bounds by 2^-22 of the norm on each side.  The
+# engine's mirrored path adds no term: its copied block (_mirror_rows) has,
+# exactly, the norm of the block it is copied from, so its error is that
+# block's FFT roundoff.
 #
 # At p < 2 the bound multiplies each block's c_p ||b||_2 by m <= 1
 # (_carlson_factors), from the computed A = ||b||_2^2 and an upper bound
@@ -471,50 +444,7 @@ def _block_sums(table, spec, partition):
 # BOUND_ROUNDOFF leaves.  At a fixed lam the bound c_p sqrt(A) m grows
 # with A, while m alone shrinks with it, so the computed A enters only
 # through sqrt(A), whose errors the terms above cover as at m = 1.
-#
-# The engine's mirrored path (_block_lp_norms) adds one term.  It takes a
-# Hermitian function's block k, below 0 and clear of the -N/2 rows, as
-# box_{-k} f, whose norms are those of box_k applied to
-# F~(xi) = conj F(-xi).  D = F - F~ has ||D||_2 <= 2 tau ||F||_2 off the
-# -N/2 rows, where sigma_k lives (tau = HERMITIAN_TOL; the 2 covers the
-# check's own roundings), so with b the frequency spacing the block moves
-# by at most
-#   e_k = ||box_k D||_p <= c_p ||box_k D||_2 = c_p b^{d/2} ||sigma_k D||_2.
-# The symbols are >= 0 and sum to 1, with at most 2^d of them nonzero at a
-# slot, so 2^-d <= sum_k sigma_k^2 <= 1 there.  Hence sum_k e_k^2 <=
-# c_p^2 b^d ||D||^2, and Hoelder over the blocks, with 1/t =
-# max(0, 1/q - 1/2), bounds the weighted l^q sum of the moves by
-# ||w||_t c_p b^{d/2} ||D||, w the block weights.  And ||F||^2 <=
-# 2^d sum_k ||sigma_k F||^2 <= 2^d K^{d max(0, 1 - 2/q)} (N_2 / (b^{d/2}
-# min w))^2, with N_2 the (2, q, s) norm and K^d keys.  Together the moves
-# are at most mu c_p N_2, with
-#   mu = 2^{d/2 + 1} tau K^{d max(0, 1/2 - 1/q)} ||w||_t / min w,
-# and the lattice Nikolskii/Hoelder step N_2 <= c'_p N_p, with
-# c_p c'_p = N^{d |1/p - 1/2|} (N points per axis), makes them at most
-# nu = mu N^{d |1/p - 1/2|} of the (p, q, s) norm (_mirror_error).  mu
-# grows without bound with s, so a spec takes the mirrored path only where
-# nu <= MIRROR_SLACK = 2^-21.  There mu <= nu adds at most 2^-21 to the
-# 2^-19 above, subnormals 2^-21, and BOUND_ROUNDOFF covers the sum.
 BOUND_ROUNDOFF = 2.0 ** -18
-MIRROR_SLACK = 2.0 ** -21
-
-
-def _mirror_error(spec, partition):
-    """nu of the comment above: the mirrored path's error relative to the
-    (p, q, s) norm; inf or NaN where a weight overflows or underflows to
-    0."""
-    g = partition.grid
-    d = g.dim
-    k = np.float64(len(partition._active_centers))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weights = (1.0 + partition._key_radii) ** spec.s
-        t = 2.0 * spec.q / (2.0 - spec.q) if spec.q < 2 else np.inf
-        w_t = (weights.max() if np.isinf(t)
-               else np.sum(weights ** t) ** (1.0 / t))
-        mu = (2.0 ** (d / 2.0 + 1.0) * HERMITIAN_TOL
-              * k ** (d * max(0.0, 0.5 - 1.0 / spec.q)) * w_t / weights.min())
-        return mu * np.float64(g.points_per_axis) ** (
-            d * abs(1.0 / spec.p - 0.5))
 
 
 def _bound_scale(spec, partition):
@@ -690,8 +620,8 @@ def max_mod_norm(stacks, spec, partition):
     (_merged_spans), follow: the first evaluates each stack's function of
     largest U, and the second every other function whose U exceeds that
     function's norm N.  A function left out has U <= N, so it cannot
-    exceed the maximum.  Non-finite values, and an empty stack, raise
-    ValueError.
+    exceed the maximum.  Non-finite values (binary_scale), and an empty
+    stack, raise ValueError.
     """
     g = partition.grid
     # complex, as _merged_spans' buffer
@@ -702,8 +632,6 @@ def max_mod_norm(stacks, spec, partition):
             raise ValueError(f"stack {i} is empty: zero-size array to "
                              "reduction operation maximum which has no "
                              "identity")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("non-finite values in norm input")
     if spec.p == 2 or not _prunable(spec, partition):
         sups = [mod_norms_from_frequency(stack, [spec], partition)[0]
                 for stack in stacks]
@@ -875,10 +803,8 @@ def _unfold(half, m):
     V_g f(x, -y) is the conjugate of V_g f(x, y), so bin (j, k) with
     k > m/2 holds the sum of bin ((-j) mod m, m - k), j over the lattice's
     leading axes."""
-    mirror = half[..., m // 2 - 1:0:-1]
-    negated = -np.arange(m) % m
-    for axis in range(1, half.ndim - 1):
-        mirror = np.take(mirror, negated, axis=axis)
+    mirror = _negated_slots(half[..., m // 2 - 1:0:-1],
+                            range(1, half.ndim - 1))
     return np.concatenate([half, mirror], axis=-1)
 
 
@@ -962,9 +888,9 @@ def mod_norms_stft(values, plan, specs, refine=1):
     are mirrored to the rest of the lattice.  Those norms agree with the
     complex path, which serves every other function, to a few units of
     roundoff (1e-13 relative is tested), not bit for bit.  Each function
-    is taken at the scale of binary_scale.  Values whose last d axes
-    are not plan.grid's shape, or that are not finite, raise
-    ValueError."""
+    is taken at the scale of binary_scale; a norm whose weights overflow
+    is inf.  Values whose last d axes are not plan.grid's shape, or that
+    are not finite (binary_scale), raise ValueError."""
     refine = _positive_int(refine, "refine")
     g = plan.grid
     d = g.dim
@@ -972,10 +898,7 @@ def mod_norms_stft(values, plan, specs, refine=1):
     if values.shape[-d:] != g.shape:
         raise ValueError(f"values of shape {values.shape} do not end in "
                          f"plan.grid's shape {g.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite values in norm input")
-    stack = values.reshape((-1,) + g.shape)
-    stack, e = binary_scale(stack, d)
+    stack, e = binary_scale(values.reshape((-1,) + g.shape), d)
     n = g.points_per_axis
     stride = _divisor_below(n, max(1, plan.x_stride // refine))
     # shifting the window through the full stride orbit enumerates the x
@@ -1001,8 +924,13 @@ def mod_norms_stft(values, plan, specs, refine=1):
             amps = {p: acc if np.isinf(p) else (a_vol * acc) ** (1.0 / p)
                     for p, acc in sums.items()}
             for row, spec in zip(out, specs):
-                row[rows] = np.ldexp(lp_norm(amps[spec.p] * weights[spec.s],
-                                             b_vol, spec.q, d), e[rows])
+                weighted = amps[spec.p] * weights[spec.s]
+                # a weight that takes a function beyond the float range
+                # takes its norm there too; lp_norm rejects it
+                over = ~np.isfinite(weighted.reshape(len(rows), -1)).all(1)
+                weighted[over] = 0.0
+                row[rows] = np.where(over, np.inf, np.ldexp(
+                    lp_norm(weighted, b_vol, spec.q, d), e[rows]))
     return out.reshape((len(specs),) + values.shape[:values.ndim - d])
 
 

@@ -137,15 +137,23 @@ def inverse_axis_factor(grid):
 
 @lru_cache(maxsize=8)
 def _factor_meshes(grid):
-    """forward_values' scale and phase mesh and inverse_values'; read-only,
-    made once per grid."""
+    """forward_values' scale and phase mesh, inverse_values' and half the
+    first (real data); read-only, made once per grid."""
     # x_j . xi_m = -pi m + 2 pi j m / N per axis, hence the (-1)^m phase.
     scale = (2.0 * np.pi) ** (-grid.dim / 2.0) * grid.spacing ** grid.dim
-    meshes = (scale * _outer(_alternating_axis(grid), grid.dim),
-              _outer(inverse_axis_factor(grid), grid.dim))
+    forward = scale * _outer(_alternating_axis(grid), grid.dim)
+    meshes = (forward, _outer(inverse_axis_factor(grid), grid.dim),
+              0.5 * forward)
     for mesh in meshes:
         mesh.setflags(write=False)
     return meshes
+
+
+def _negated_slots(values, axes):
+    """A copy of values with slot -i mod n at slot i of each axis of axes:
+    F(-xi) of frequency samples F in slot order (slot -N/2 holds itself)."""
+    axes = tuple(axes)
+    return np.roll(np.flip(values, axes), 1, axes)
 
 
 def forward_values(grid, values):
@@ -156,9 +164,20 @@ def forward_values(grid, values):
     leading axes index independent functions, transformed in one call.
     Linear and exact (to roundoff) as a map between trigonometric
     interpolants; matches the (2 pi)^{-d/2} convention.
+
+    A float stack is real data, whose transform F is Hermitian: it gets
+    the Hermitian part (F + conj F(-.)) / 2, which equals its conjugate
+    mirror exactly in value (only the sign of a zero can differ), as
+    floating addition commutes.  The halves are taken before the sum, so
+    it overflows only where F does.
     """
     raw = _per_axis(np.fft.fft, values, grid.dim)
-    raw *= _factor_meshes(grid)[0]
+    if np.iscomplexobj(values):
+        raw *= _factor_meshes(grid)[0]
+        return raw
+    raw *= _factor_meshes(grid)[2]
+    mirror = _negated_slots(raw, range(-grid.dim, 0))
+    raw += np.conjugate(mirror, out=mirror)
     return raw
 
 
@@ -194,13 +213,20 @@ def binary_scale(values, dim, out=None):
     result by 2^e.  A power of two scales every add, multiply and FFT step
     exactly while values stay normal (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 2), so N(2^k f) = 2^k N(f) bit for bit, and a
-    norm is 0, subnormal or inf only where its value is."""
+    norm is 0, subnormal or inf only where its value is.
+
+    The one finiteness check of every norm: a NaN or infinite part of any
+    sample raises ValueError."""
     values = np.asarray(values)
     values = np.ascontiguousarray(values, np.result_type(values, float))
     parts = values.view(values.real.dtype)
     axes = tuple(range(values.ndim - dim, values.ndim))
-    # max and -min, not max |.|: no temporary the size of the stack
-    e = np.frexp(np.maximum(parts.max(axis=axes), -parts.min(axis=axes)))[1]
+    # max and -min, not max |.|: no temporary the size of the stack; both
+    # carry a NaN, and an inf part is infinite in one of them
+    top = np.maximum(parts.max(axis=axes), -parts.min(axis=axes))
+    if not np.all(np.isfinite(top)):
+        raise ValueError("non-finite values in norm input")
+    e = np.frexp(top)[1]
     scaled = np.ldexp(parts, -e.reshape(e.shape + (1,) * dim),
                       out=None if out is None else out.view(parts.dtype))
     return scaled.view(values.dtype), e

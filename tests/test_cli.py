@@ -585,6 +585,29 @@ class TestRunRecord:
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
         assert rec.csv_files == ["cells.csv", "empty.csv"]
 
+    def test_float64_cells_are_float_repr(self, tmp_path):
+        # write_csv takes str of every cell: for a NumPy float64 that is
+        # the repr of the float it holds, over random bit patterns, +-0,
+        # NaN, +-inf, subnormals and both edges of the positional format
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64)
+        edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072009e-308, 1e16, np.nextafter(1e16, 0.0),
+                 1e-4, np.nextafter(1e-4, 0.0), 123456789012345678.0]
+        values = np.concatenate([bits.view(np.float64), edges])
+        rows = [tuple(values[i:i + 5]) for i in range(0, len(values), 5)]
+        rows.append((1.5, 3, "name", np.int64(-7), True))
+        rec = cli.RunRecord("test", {}, {}, str(tmp_path))
+        rec.write_csv("cells.csv", ["a", "b", "c", "d", "e"], rows)
+
+        def old_cell(v):
+            # the formatter write_csv had before it took str
+            return float.__repr__(v) if isinstance(v, float) else str(v)
+
+        want = "a,b,c,d,e\n" + "".join(
+            ",".join(map(old_cell, row)) + "\n" for row in rows)
+        assert (tmp_path / "cells.csv").read_bytes() == want.encode()
+
 
 class TestEstimatorDimension:
     """hermite and transfer take their dimension from grid.dim."""

@@ -115,12 +115,12 @@ def masked_draws(dim, degree_cap, count, seed, below):
     """The construction the coefficient stacks replaced: per tensor of the
     (degree_cap + 1)^dim cube, standard normal draws on the total degrees
     below `below`, one tensor after another from one stream, then every
-    entry above total degree degree_cap set to 0."""
+    entry above total degree degree_cap set to 0; real, so float."""
     level = sum(np.indices((degree_cap + 1,) * dim))
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        tensor = np.zeros(level.shape, dtype=complex)
+        tensor = np.zeros(level.shape)
         tensor[level < below] = rng.standard_normal(
             int(np.count_nonzero(level < below)))
         out.append(np.where(level <= degree_cap, tensor, 0.0))

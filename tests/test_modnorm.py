@@ -301,7 +301,7 @@ def _engine_block_norms(F, part, p):
     take it: on 2^-e F, rescaled by 2^e."""
     F, e = scaled_stack(F, part.grid.dim)
     table = (np.sqrt(modnorm._block_energies(F, part)) if p == 2
-             else _block_lp_norms(F, part, [p], [True], None)[0])
+             else _block_lp_norms(F, part, [p], None)[0])
     return np.ldexp(table, e[:, None])
 
 
@@ -550,7 +550,7 @@ class TestMultiSpecEngine:
         part, f = _equiv_case(2)
         F = forward_values(part.grid, f)[None]
         ps = [3.0, 1.0, 4.0, np.inf, 1.5]
-        tables = _block_lp_norms(F, part, ps, [True] * len(ps), None)
+        tables = _block_lp_norms(F, part, ps, None)
         for p, table in zip(ps, tables):
             np.testing.assert_array_equal(table,
                                           per_p_block_norms(F, part, p))
@@ -578,15 +578,16 @@ def _real_case(name):
 
 
 def _complex_tables(F, part, ps):
-    """The engine's full schedule, every block transformed."""
-    return [modnorm._block_lp_tables(F, part, ps, False)[p] for p in ps]
+    """The engine's full schedule, every block transformed: the oracle of
+    the mirrored one."""
+    return modnorm._block_lp_tables(F, part, ps, False)
 
 
 def _hermitian(F, part):
-    """The engine's decision per function: Hermitian to HERMITIAN_TOL, on
-    the 2^-e f it is given."""
+    """The engine's decision per function at d = 1: exactly Hermitian off
+    -N/2, on the 2^-e f it is given."""
     F = scaled_stack(F, part.grid.dim)[0]
-    return list(modnorm.hermitian_defect(F, part) <= modnorm.HERMITIAN_TOL)
+    return list(modnorm._hermitian(F, part))
 
 
 def _exactly_hermitian(part, seed):
@@ -619,12 +620,13 @@ class TestMirroredEngine:
     @pytest.mark.parametrize("name", sorted(MIRROR_GRIDS))
     def test_real_data_matches_complex_path_and_oracle(self, name):
         # at d = 1 the transformed columns have the full schedule's bits and
-        # the copied ones match it to roundoff; at d >= 2 every column is
-        # transformed
+        # the copied ones match it to roundoff: a copy is its source
+        # block's norm, which differs from the copied block's exact norm
+        # by that block's FFT roundoff, far below 1e-13; at d >= 2 every
+        # column is transformed
         part, F = _real_case(name)
         assert all(_hermitian(F, part))
-        got = _block_lp_norms(F, part, MIRROR_PS, [True] * len(MIRROR_PS),
-                              None)
+        got = _block_lp_norms(F, part, MIRROR_PS, None)
         full = _complex_tables(F, part, MIRROR_PS)
         for p, table in zip(MIRROR_PS, got):
             np.testing.assert_allclose(table, per_p_block_norms(F, part, p),
@@ -666,72 +668,65 @@ class TestMirroredEngine:
                 alone)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_defect_just_above_tau_takes_complex_path(self, dim):
-        # an exactly Hermitian spectrum with the slot pair +-3 emptied, then
-        # i delta at +3: ||D|| = sqrt 2 delta, set a millionth above and
-        # below HERMITIAN_TOL ||F||; at d >= 2 both take every block
+    def test_one_ulp_off_takes_the_full_schedule(self, dim):
+        # an exactly Hermitian spectrum takes the mirrored schedule at
+        # d = 1, whose copied columns differ from the full schedule's in
+        # the last bits; moved by one ulp in one slot it is not Hermitian,
+        # and every column is the full schedule's; at d >= 2 both take
+        # every block
         part, _ = _equiv_case(dim)
         ps = [1.0, 4.0]
-        for factor, hermitian in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
-            F = _exactly_hermitian(part, 5)
-            F[(3,) * dim] = F[(-3,) * dim] = 0.0
-            size = np.sqrt(np.sum(np.abs(F) ** 2))
-            F[(3,) * dim] = (1j * factor * modnorm.HERMITIAN_TOL * size
-                             / np.sqrt(2))
-            F = F[None]
-            assert _hermitian(F, part) == [hermitian]
-            got = _block_lp_norms(F, part, ps, [True] * len(ps), None)
-            full = _complex_tables(F, part, ps)
-            for table, want in zip(got, full):
+        F = _exactly_hermitian(part, 5)[None]
+        off = F.copy()
+        slot = (0,) + (3,) * dim
+        off[slot] = np.nextafter(off[slot].real, np.inf) + 1j * off[slot].imag
+        for G, hermitian in ((F, True), (off, False)):
+            assert _hermitian(G, part) == [hermitian]
+            got = _block_lp_norms(G, part, ps, None)
+            for table, want in zip(got, _complex_tables(G, part, ps)):
                 if hermitian and dim == 1:
                     assert not np.array_equal(table, want)
-                    np.testing.assert_allclose(table, want, rtol=1e-12)
+                    np.testing.assert_allclose(table, want, rtol=1e-13,
+                                               atol=0.0)
                 else:
                     np.testing.assert_array_equal(table, want)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_nyquist_rows_do_not_count_in_the_defect(self, dim):
         # complex -N/2 rows on every axis (the solver's unpaired mode) leave
-        # a function Hermitian: only keys clear of -N/2 are copied
+        # a function Hermitian to the engine's test: only keys clear of
+        # -N/2 are copied
         part, _ = _equiv_case(dim)
         F = _exactly_hermitian(part, 6)
         half = part.grid.points_per_axis // 2
         for axis in range(dim):
             F[(slice(None),) * axis + (half,)] *= 1.0 + (axis + 1.0) * 0.5j
         assert _hermitian(F[None], part) == [True]
-        got = _block_lp_norms(F[None], part, MIRROR_PS,
-                              [True] * len(MIRROR_PS), None)
+        got = _block_lp_norms(F[None], part, MIRROR_PS, None)
         for table, want in zip(got, _complex_tables(F[None], part,
                                                     MIRROR_PS)):
             np.testing.assert_allclose(table, want, rtol=1e-13, atol=0.0)
 
-    def test_heavy_weights_keep_every_block(self):
-        # at s = 100 the copies' error bound exceeds MIRROR_SLACK: the spec
-        # takes the full schedule, and a lighter spec of the same p in the
-        # same call keeps the bits it has alone
+    def test_heavy_weights_take_the_mirrored_path(self):
+        # a copy's error is its source block's roundoff whatever the
+        # weights: at s = 100 the norms match the full schedule's to
+        # roundoff, and a lighter spec of the same p shares the block table
+        # in one call with the bits each spec has alone
         part, F = _real_case("d1")
         heavy, light = ModNormSpec(1.0, 1.0, 100.0), ModNormSpec(1.0, 1.0, 0.0)
-        assert modnorm._mirror_error(heavy, part) > modnorm.MIRROR_SLACK
-        assert modnorm._mirror_error(light, part) <= modnorm.MIRROR_SLACK
         both = mod_norms_from_frequency(F, [heavy, light], part)
-        np.testing.assert_array_equal(both[0],
-                                      per_spec_norms(F, heavy, part))
-        np.testing.assert_array_equal(
-            both[1], mod_norms_from_frequency(F, [light], part)[0])
-        # the engine: full tables for the heavy spec, copies for the light
-        full, copied = _block_lp_norms(F, part, [1.0, 1.0], [False, True],
-                                       None)
-        np.testing.assert_array_equal(full, per_p_block_norms(F, part, 1.0))
-        np.testing.assert_array_equal(
-            copied, _block_lp_norms(F, part, [1.0], [True], None)[0])
-        assert not np.array_equal(copied, full)
+        for row, spec in zip(both, (heavy, light)):
+            np.testing.assert_array_equal(
+                row, mod_norms_from_frequency(F, [spec], part)[0])
+            np.testing.assert_allclose(row, per_spec_norms(F, spec, part),
+                                       rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("amplitude", [1e-160, 1e-120, 1e120, 1e160])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_float_range(self, p, amplitude):
-        # the Hermitian check sees 2^-e f too, so a real function takes the
-        # mirrored path at every amplitude, and matches the complex path to
-        # roundoff
+        # a power of two keeps a spectrum Hermitian, so a real function
+        # takes the mirrored path at every amplitude, and matches the
+        # complex path to roundoff
         part, F = _real_case("d1")
         F = amplitude * F
         spec = ModNormSpec(p, 1.0, 0.0)
@@ -744,8 +739,8 @@ class TestMirroredEngine:
 # -- the engine's working set: batches sized by the schedule that runs -------
 
 # a stack's functions ("r" real, "c" complex), its grid and its specs; the
-# real functions' batch grows to the mirrored rows' only when every spec
-# takes the mirrored path, which the s = 100 spec does not
+# real functions take the mirrored rows at d = 1 at every spec, the s = 100
+# one included
 WORKING_SET_CASES = {
     "real": ("r" * 9, "d1", [(1, 1, 0), (4, 2, 1.5), (np.inf, 1, 0)]),
     "complex": ("c" * 5, "d1", [(1, 1, 0), (4, 2, 1.5)]),
@@ -757,16 +752,18 @@ WORKING_SET_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def _working_set_case(name):
-    """Partition, frequency samples of the stack and its specs."""
+    """Partition, frequency samples of the stack and its specs: each real
+    function transformed as a float array, so its spectrum is Hermitian."""
     kinds, grid, specs = WORKING_SET_CASES[name]
     part, _ = _real_case(grid)
     g = part.grid
     rng = np.random.default_rng(len(kinds))
-    f = rng.standard_normal((len(kinds),) + g.shape).astype(complex)
-    for value, kind in zip(f, kinds):
+    f = list(rng.standard_normal((len(kinds),) + g.shape))
+    for i, kind in enumerate(kinds):
         if kind == "c":
-            value += 1j * rng.standard_normal(g.shape)
-    return part, forward_values(g, f), [ModNormSpec(*t) for t in specs]
+            f[i] = f[i] + 1j * rng.standard_normal(g.shape)
+    return (part, np.stack([forward_values(g, v) for v in f]),
+            [ModNormSpec(*t) for t in specs])
 
 
 def _engine_passes(monkeypatch, name):
@@ -801,7 +798,7 @@ class TestEngineWorkingSet:
         real = kinds.count("r") if part.grid.dim == 1 else 0
         assert mirrored == real
         assert sum(n for n, rows in passes if rows == full) == (
-            len(kinds) if name == "heavy" else len(kinds) - real)
+            len(kinds) - real)
         for row, spec in zip(got, specs):
             np.testing.assert_allclose(row, per_spec_norms(F, spec, part),
                                        rtol=1e-13, atol=0.0)
@@ -1939,3 +1936,78 @@ class TestScaleRule:
         got = max_mod_norm([scaled], spec, part)
         assert got == ([(want, evaluated)], evaluated)
         assert want == np.ldexp(top, e)
+
+
+# -- non-finite input: binary_scale is every norm's one check ----------------
+
+FINITE_GRID = SpectralGrid(1, 64, 8.0)
+# (functions in the stack, the bad one); every engine batch and STFT group
+# holds one function, so the last position is in a later batch
+BAD_POSITIONS = {"alone": (1, 0), "in_stack": (3, 1), "later_batch": (5, 4)}
+FINITE_SPECS = [ModNormSpec(1.0, 1.0, 0.0), ModNormSpec(2.0, 1.0, 0.0)]
+ENTRY_POINTS = {
+    "binary_scale": lambda F, part: binary_scale(F, 1),
+    "lp_norm": lambda F, part: lp_norm(F, part.grid.spacing, 1.0, 1),
+    "decomposition": lambda F, part: mod_norms_from_frequency(
+        F, FINITE_SPECS, part),
+    "max_mod_norm_p1": lambda F, part: max_mod_norm(
+        [F[:1], F], FINITE_SPECS[0], part),
+    "max_mod_norm_p2": lambda F, part: max_mod_norm(
+        [F[:1], F], FINITE_SPECS[1], part),
+    "stft": lambda F, part: mod_norms_stft(F, STFTPlan(part.grid),
+                                           FINITE_SPECS),
+}
+
+
+def _with_bad_sample(F, index, bad):
+    """F with sample 5 of function index given a NaN real part or an inf
+    imaginary part."""
+    F = F.copy()
+    z = F[index, 5]
+    F[index, 5] = (complex(math.nan, z.imag) if bad == "nan_real"
+                   else complex(z.real, math.inf))
+    return F
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("position", sorted(BAD_POSITIONS))
+    @pytest.mark.parametrize("bad", ["nan_real", "inf_imag"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected(self, monkeypatch, entry, bad, position):
+        g = FINITE_GRID
+        part = UniformPartition(g)
+        monkeypatch.setattr(modnorm, "NORM_BATCH_VALUES",
+                            len(part._active_centers) * g.size)
+        monkeypatch.setattr(modnorm, "STFT_BATCH_VALUES", g.size)
+        count, index = BAD_POSITIONS[position]
+        rng = np.random.default_rng(6)
+        F = (rng.standard_normal((count,) + g.shape)
+             + 1j * rng.standard_normal((count,) + g.shape))
+        with pytest.raises(ValueError,
+                           match="non-finite values in norm input"):
+            ENTRY_POINTS[entry](_with_bad_sample(F, index, bad), part)
+        # the stack without the bad sample goes through
+        ENTRY_POINTS[entry](F, part)
+
+    def test_stft_weights_beyond_the_float_range(self):
+        # <y>^s overflows at s = 1e6: the weighted samples are not finite,
+        # which lp_norm rejects, so the norm reads inf; another spec of the
+        # same call keeps the bits it has alone
+        g = FINITE_GRID
+        plan = STFTPlan(g)
+        f = np.exp(-0.5 * g.x_axis ** 2) * np.array([[1.0], [1e-3]])
+        heavy, light = ModNormSpec(1.0, 1.0, 1e6), ModNormSpec(1.0, 1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mod_norms_stft(f, plan, [heavy, light])
+        assert np.all(got[0] == np.inf)
+        np.testing.assert_array_equal(got[1],
+                                      mod_norms_stft(f, plan, [light])[0])
+
+    @pytest.mark.parametrize("bad", ["nan_real", "inf_imag"])
+    def test_window_rejected(self, bad):
+        # the plan normalizes its window by lp_norm
+        g = FINITE_GRID
+        window = np.exp(-0.5 * g.x_axis ** 2)[None] + 0j
+        with pytest.raises(ValueError,
+                           match="non-finite values in norm input"):
+            STFTPlan(g, _with_bad_sample(window, 0, bad)[0])

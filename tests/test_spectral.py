@@ -151,6 +151,23 @@ class TestTransforms:
         f = inverse_values(grid1, coeffs)
         assert np.max(np.abs(f - f.reshape(-1)[0])) < 1e-14
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e300])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_real_data_spectrum_is_hermitian(self, dim, n, scale):
+        # a float stack's spectrum equals its conjugate mirror in value at
+        # every slot (slot -N/2 mirrors to itself), and with normal values
+        # lies within roundoff of the complex cast's
+        g = SpectralGrid(dim, n, 4.0)
+        rng = np.random.default_rng(20 + dim)
+        f = scale * rng.standard_normal((3,) + g.shape)
+        F = forward_values(g, f)
+        negated = np.ix_(range(3), *[-np.arange(n) % n] * dim)
+        assert np.array_equal(F, np.conj(F[negated]))
+        if scale != 1e-310:
+            want = forward_values(g, f.astype(complex))
+            np.testing.assert_allclose(F, want, rtol=0.0,
+                                       atol=1e-15 * np.abs(want).max())
+
     def test_parseval_on_random_batch(self, grid1):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -186,7 +203,7 @@ class TestPerAxisTransforms:
         shape = (3,) + grid.shape
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         axes = tuple(range(-dim, 0))
-        forward_mesh, inverse_mesh = _factor_meshes(grid)
+        forward_mesh, inverse_mesh = _factor_meshes(grid)[:2]
         want = np.fft.fftn(a, axes=axes)
         assert np.array_equal(forward_values(grid, a), want * forward_mesh)
         want = np.fft.ifftn(a * inverse_mesh, axes=axes)
@@ -354,14 +371,14 @@ class TestDiagnosticsAndIO:
 def natural_band_limited(grid, max_mode, seed):
     """band_limited built from mode -N/2 up on every axis: the draws fill
     the lattice's centre block in that order, moved to slot order by
-    ifftshift."""
+    ifftshift; float samples."""
     rng = np.random.default_rng(seed)
     n = grid.points_per_axis
     coeffs = np.zeros(grid.shape, dtype=complex)
     block = (slice(n // 2 - max_mode, n // 2 + max_mode + 1),) * grid.dim
     size = (2 * max_mode + 1,) * grid.dim
     coeffs[block] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return inverse_values(grid, np.fft.ifftshift(coeffs)).real.astype(complex)
+    return inverse_values(grid, np.fft.ifftshift(coeffs)).real
 
 
 class TestBandLimited:
@@ -369,8 +386,10 @@ class TestBandLimited:
     def test_matches_natural_order_construction(self, dim, n):
         grid = SpectralGrid(dim, n, 4.0)
         for max_mode in (0, 2, n // 2 - 1):
-            assert np.array_equal(band_limited(grid, max_mode, seed=5),
-                                  natural_band_limited(grid, max_mode, 5))
+            got = band_limited(grid, max_mode, seed=5)
+            assert got.dtype == float
+            assert got.tobytes() == natural_band_limited(grid, max_mode,
+                                                         5).tobytes()
 
     def test_rejects_modes_beyond_the_band(self):
         grid = SpectralGrid(1, 16, 4.0)

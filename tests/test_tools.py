@@ -29,10 +29,6 @@ CONSTANT_CHECKS = {
     "PICARD_DOMINATION": lambda worst, s: s <= C.PICARD_DOMINATION_SLACK,
     "TRANSFER": lambda ratio: ratio <= C.TRANSFER_SLACK,
     "DECAY_PROFILE": lambda sup: sup <= C.DECAY_PROFILE_CONST,
-    # the real corpora pass the block engine's Hermitian check, the complex
-    # ones do not
-    "HERMITIAN_TOL": lambda tol, band, mixed, propagation, picard: (
-        max(band, picard) <= tol < min(mixed, propagation)),
 }
 
 
@@ -151,26 +147,40 @@ def test_compare_timing_alternates_and_summarizes(tmp_path):
         calls.append((side, seed))
         return {"correct": True, "wall_cal": FAKE_WALL_CAL[side][pair],
                 "wall_s": 2.0 if side == "old" else 1.0,
-                "peak_rss_mb": 50.0, "setup_s": 0.1 * (pair + 1)}
+                "peak_rss_mb": 50.0, "setup_s": 0.1 * (pair + 1),
+                "minor_faults": 500 + 10 * pair + (side == "new")}
 
     figures = tool["compare"](old, new, "flow", 4, 1.5, 7, run=fake_run)
     # a fresh seed per pair, and the first side alternates
     assert calls == [("old", 7), ("new", 7), ("new", 8), ("old", 8),
                      ("old", 9), ("new", 9), ("new", 10), ("old", 10)]
     assert figures["failed"] == []
+    # the claim rule fails twice: 3 of 4 wins are fewer than 9/10, and the
+    # medians lie 1 apart, less than the IQR's width 1.5
     assert figures["wall_cal"] == {
         "old_median": 11.5, "new_median": 10.5, "old_iqr": [10.75, 12.25],
-        "new_wins": 3, "outside_iqr": True}
+        "new_wins": 3, "outside_iqr": True, "claim_rule": False}
+    # every pair won, and the medians 1 apart against an IQR of width 0
     assert figures["wall_s"]["new_wins"] == 4
+    assert figures["wall_s"]["claim_rule"]
     # equal readings are no win, and a median on the range is inside it
     assert figures["peak_rss_mb"]["new_wins"] == 0
     assert not figures["peak_rss_mb"]["outside_iqr"]
+    assert not figures["peak_rss_mb"]["claim_rule"]
     assert not figures["setup_s"]["outside_iqr"]
+    # each run's faults, in pair order per side
+    assert figures["minor_faults"] == {"old": [500, 510, 520, 530],
+                                       "new": [501, 511, 521, 531]}
     lines = tool["report"](figures)
     assert json.loads(lines[-1]) == json.loads(json.dumps(figures))
     assert lines[1] == (
         "  wall_cal     median 11.5 -> 10.5, OLD IQR [10.75, 12.25], NEW "
-        "lower in 3/4, outside OLD IQR; wall_s median 2 -> 1")
+        "lower in 3/4, outside OLD IQR, claim rule not met; wall_s median "
+        "2 -> 1")
+    assert lines[2] == (
+        "  peak_rss_mb  median 50 -> 50, OLD IQR [50, 50], NEW lower in 0/4, "
+        "inside OLD IQR, claim rule not met; minor faults OLD [500, 510, "
+        "520, 530], NEW [501, 511, 521, 531]")
 
     def failing_run(checkout, workload, seed, seconds):
         return dict(fake_run(checkout, workload, seed, seconds),
@@ -178,7 +188,7 @@ def test_compare_timing_alternates_and_summarizes(tmp_path):
 
     figures = tool["compare"](old, new, "flow", 1, 1.5, 7, run=failing_run)
     assert figures["failed"] == ["new run at seed 7 failed its checks"]
-    assert "wall_cal" not in figures
+    assert "wall_cal" not in figures and "minor_faults" not in figures
     assert json.loads(tool["report"](figures)[-1])["failed"] == [
         "new run at seed 7 failed its checks"]
 
@@ -196,8 +206,12 @@ def test_compare_timing_self_smoke_pair(capsys):
     assert figures["failed"] == [] and figures["seeds"] == [1000, 1000]
     for name in ("wall_cal", "peak_rss_mb", "setup_s", "wall_s"):
         assert set(figures[name]) == {"old_median", "new_median", "old_iqr",
-                                      "new_wins", "outside_iqr"}
+                                      "new_wins", "outside_iqr",
+                                      "claim_rule"}
         assert figures[name]["old_median"] > 0
+    # a fresh interpreter faults in its pages: every run counts some
+    assert all(count > 0 for side in ("old", "new")
+               for count in figures["minor_faults"][side])
 
 
 def _public_api(tree):

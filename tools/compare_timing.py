@@ -18,13 +18,17 @@ so no run imports bytecode another one left behind.
 For each end-to-end metric (wall_cal, peak_rss_mb, setup_s; all lower is
 better) one line gives the OLD and NEW medians over the pairs, the OLD
 interquartile range, NEW's wins (pairs in which NEW reads lower) out of
-the pairs, and whether NEW's median lies outside that range.  The wall_cal
-line also gives both medians of wall_s, the raw seconds run.py prints
-beside it.  A run that fails its checks is named on a line of its own,
-and then no metric is summarized.  The last line is the same figures as
-one JSON object.  The tool writes no file; each run.py writes its own
-scratch files in its own checkout.  Exit status: 0 if every run passed its
-checks, 1 otherwise.
+the pairs, whether NEW's median lies outside that range, and whether the
+claim rule holds: NEW lower in at least 9/10 of the pairs, and the
+medians apart by more than the width of OLD's interquartile range.  The
+wall_cal line also gives both medians of wall_s, the raw seconds run.py
+prints beside it; the peak_rss_mb line gives each run's minor page
+faults, the growth of getrusage(RUSAGE_CHILDREN).ru_minflt over the run,
+in pair order.  A run that fails its checks is named on a line of its
+own, and then no metric is summarized.  The last line is the same figures
+as one JSON object.  The tool writes no file; each run.py writes its own
+scratch files in its own checkout.  Exit status: 0 if every run passed
+its checks, 1 otherwise.
 """
 
 import argparse
@@ -32,6 +36,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -49,8 +54,10 @@ def remove_bytecode(checkout):
 
 
 def run_benchmark(checkout, workload, seed, seconds):
-    """The end-to-end metrics, wall_s and correct of one run.py run."""
+    """The end-to-end metrics, wall_s, minor_faults and correct of one
+    run.py run."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -63,26 +70,31 @@ def run_benchmark(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     run = {name: result["metrics"][name]["value"] for name in METRICS}
     run["wall_s"] = float(WALL_S.search(done.stdout).group(1))
+    run["minor_faults"] = (
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults)
     run["correct"] = result["correct"]
     return run
 
 
 def summary(old, new):
-    """Both medians, OLD's quartiles, NEW's wins and whether NEW's median
-    lies outside OLD's interquartile range, for paired values."""
+    """Both medians, OLD's quartiles, NEW's wins, whether NEW's median
+    lies outside OLD's interquartile range and whether the claim rule
+    holds, for paired values."""
     q1, q3 = (float(q) for q in np.percentile(old, [25, 75]))
-    median = statistics.median(new)
-    return {"old_median": statistics.median(old), "new_median": median,
-            "old_iqr": [q1, q3],
-            "new_wins": sum(b < a for a, b in zip(old, new)),
-            "outside_iqr": not q1 <= median <= q3}
+    median, old_median = statistics.median(new), statistics.median(old)
+    wins = sum(b < a for a, b in zip(old, new))
+    return {"old_median": old_median, "new_median": median,
+            "old_iqr": [q1, q3], "new_wins": wins,
+            "outside_iqr": not q1 <= median <= q3,
+            "claim_rule": (10 * wins >= 9 * len(old)
+                           and abs(median - old_median) > q3 - q1)}
 
 
 def compare(old, new, workload, pairs, seconds, first_seed,
             run=run_benchmark):
     """The figures of `pairs` alternating pairs of runs: under "failed" a
-    line for each run that failed its checks, and the summary of every
-    metric and of wall_s if none did."""
+    line for each run that failed its checks, and if none did the summary
+    of every metric and of wall_s, and each run's minor page faults."""
     for checkout in (old, new):
         remove_bytecode(checkout)
     runs = {"old": [], "new": []}
@@ -102,6 +114,9 @@ def compare(old, new, workload, pairs, seconds, first_seed,
         for name in METRICS + ("wall_s",):
             figures[name] = summary([r[name] for r in runs["old"]],
                                     [r[name] for r in runs["new"]])
+        figures["minor_faults"] = {
+            side: [r["minor_faults"] for r in side_runs]
+            for side, side_runs in runs.items()}
     return figures
 
 
@@ -116,11 +131,16 @@ def report(figures):
                 f"{f['new_median']:.6g}, OLD IQR [{f['old_iqr'][0]:.6g}, "
                 f"{f['old_iqr'][1]:.6g}], NEW lower in {f['new_wins']}/"
                 f"{figures['pairs']}, "
-                f"{'outside' if f['outside_iqr'] else 'inside'} OLD IQR")
+                f"{'outside' if f['outside_iqr'] else 'inside'} OLD IQR, "
+                f"claim rule {'met' if f['claim_rule'] else 'not met'}")
         if name == "wall_cal":
             w = figures["wall_s"]
             line += (f"; wall_s median {w['old_median']:.6g} -> "
                      f"{w['new_median']:.6g}")
+        if name == "peak_rss_mb":
+            faults = figures["minor_faults"]
+            line += (f"; minor faults OLD {faults['old']}, "
+                     f"NEW {faults['new']}")
         lines.append(line)
     return lines + [json.dumps(figures, sort_keys=True)]
 

@@ -6,10 +6,7 @@ Run from the repository root:
     python tools/measure_constants.py
 
 Prints one line per constant in src/modheat/constants.py together with the
-raw measured range, so drift can be inspected before refreezing, and the
-largest Hermitian defect of each frequency-side corpus next to the block
-engine's tolerance HERMITIAN_TOL: a corpus below it takes the engine's
-mirrored path for real data.
+raw measured range, so drift can be inspected before refreezing.
 """
 
 import math
@@ -21,9 +18,8 @@ from modheat.corpus import (band_limited, hermite_coeff_family, mixed_family,
 from modheat.heat import (BlowupHypothesis, HeatProblem, domination_ratios,
                           picard_terms, plateau_data)
 from modheat.hermite import decay_profile
-from modheat.modnorm import (HERMITIAN_TOL, ModNormSpec, STFTPlan,
-                             UniformPartition, algebra_defect,
-                             hermitian_defect, mod_norms_from_frequency,
+from modheat.modnorm import (ModNormSpec, STFTPlan, UniformPartition,
+                             algebra_defect, mod_norms_from_frequency,
                              mod_norms_stft)
 from modheat.spectral import (SpectralGrid, forward_values, heat_symbol,
                               lp_norm)
@@ -37,16 +33,12 @@ def main():
     spec = ModNormSpec(2, 1, 0)
 
     corpus = np.stack([band_limited(g, 6, seed=1000 + i) for i in range(20)])
-    defects = {"band_limited": max(
-        hermitian_defect(forward_values(g, corpus), part))}
     decomp = mod_norms_from_frequency(forward_values(g, corpus), [spec],
                                       part)[0]
     ratios = mod_norms_stft(corpus, plan, [spec])[0] / decomp
     print(f"CROSS_ESTIMATOR ratios: [{min(ratios):.4f}, {max(ratios):.4f}]")
 
     corpus = mixed_family(g, 12, seed=77)
-    defects["mixed_family"] = max(
-        hermitian_defect(forward_values(g, corpus), part))
     m22 = (mod_norms_from_frequency(forward_values(g, corpus),
                                     [ModNormSpec(2, 2, 0)], part)[0]
            / lp_norm(corpus, g.spacing, 2, 1))
@@ -65,7 +57,6 @@ def main():
     g2 = SpectralGrid(1, 2048, 160.0)
     part2 = UniformPartition(g2)
     hats = forward_values(g2, propagation_corpus(g2, 10, seed=1234))
-    defects["propagation_corpus"] = max(hermitian_defect(hats, part2))
     base = mod_norms_from_frequency(hats, [spec], part2)[0]
     cs = []
     for t in (0.01, 0.1, 1.0, 10.0):
@@ -78,9 +69,6 @@ def main():
     pr = HeatProblem(2.0, 2, g, plateau_data(g, gam, 1.0))
     tg = np.linspace(0, 0.25, 33)
     terms = picard_terms(pr, 6, tg, part)
-    # every term j >= 1 is 0 at t = 0
-    defects["picard_terms"] = max(max(hermitian_defect(spectra[1:], part))
-                                  for spectra in terms.spectra)
     worst = min(domination_ratios(h, terms))
     print(f"PICARD_DOMINATION worst ratio: {worst:.4f} (S >= {1 / worst:.3f})")
 
@@ -96,7 +84,7 @@ def main():
     print(f"TRANSFER max ratio/young: {need:.5f}")
 
     rng = np.random.default_rng(11)
-    tensor = np.zeros(17, dtype=complex)
+    tensor = np.zeros(17)
     tensor[:11] = rng.standard_normal(11)
     tgrid = np.concatenate([np.geomspace(0.05, 2.5, 12), np.linspace(3, 5, 9)])
     sup_all = 0.0
@@ -104,9 +92,6 @@ def main():
         for rows in decay_profile(tensor, beta, [1.0, 2.0, 4.0], tgrid, partg):
             sup_all = max(sup_all, max(r[2] for r in rows))
     print(f"DECAY_PROFILE sup ratio: {sup_all:.4f}")
-
-    print(f"HERMITIAN_TOL {HERMITIAN_TOL:.3g}, largest defect: " + ", ".join(
-        f"{name} {value:.3g}" for name, value in defects.items()))
 
 
 if __name__ == "__main__":
